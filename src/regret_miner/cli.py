@@ -357,8 +357,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError, KeyError, OSError,
-            genplan.OutOfSupportError) as exc:
+    except (ValueError, TypeError, RuntimeError, FileNotFoundError, KeyError,
+            OSError, genplan.OutOfSupportError) as exc:
         _fail(type(exc).__name__, str(exc))
     except np.linalg.LinAlgError as exc:
         _fail("LinAlgError", str(exc))

@@ -241,8 +241,38 @@ def unicycle_rollout(state: AgentState, traj: ActionTraj,
 
 def rollout_positions(state: AgentState, traj: ActionTraj,
                       dt: float = DT_DEFAULT) -> np.ndarray:
-    """(T, 2) array of x,y positions along a rollout."""
-    return np.array([[s.x, s.y] for s in unicycle_rollout(state, traj, dt)])
+    """(T, 2) array of x,y positions along a rollout.
+
+    A scalar kernel of unicycle_rollout that builds no per-step AgentState.
+    It repeats unicycle_step's operations in the same order, so its positions
+    equal unicycle_rollout's bit for bit. The heading is wrapped twice per
+    step, as dubins_step and AgentState each wrap it: wrap_angle is not
+    idempotent near -pi in floating point.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    _require_finite("rollout_positions", dt)
+    pi, two_pi, cos, sin = math.pi, TWO_PI, math.cos, math.sin
+    x, y, h, v = state.x, state.y, state.heading, state.speed
+    out = []
+    for accel, turn in traj.actions.tolist():
+        v = max(0.0, v + accel * dt)
+        if abs(turn) < 1e-12:
+            x = x + v * cos(h) * dt
+            y = y + v * sin(h) * dt
+        else:
+            h1 = h + turn * dt
+            x = x + (v / turn) * (sin(h1) - sin(h))
+            y = y + -(v / turn) * (cos(h1) - cos(h))
+        h = (h + turn * dt + pi) % two_pi - pi
+        h = (h + pi) % two_pi - pi
+        out.append((x, y))
+    # A non-finite x, y, heading or speed stays non-finite in every later
+    # step, so checking once at the end rejects what a per-step check would.
+    xy = np.array(out)
+    if not (math.isfinite(h) and math.isfinite(v) and np.isfinite(xy).all()):
+        raise ValueError("rollout_positions: rollout left the finite range")
+    return xy
 
 
 def footprint_overlap(a: AgentState, b: AgentState, radius_a: float,

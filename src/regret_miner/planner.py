@@ -140,54 +140,71 @@ def sample_candidates(handle: PlannerHandle, state: AgentState, ctx: Context,
     return cands
 
 
-def _crop_length(ego: ActionTraj, humans: Sequence[ActionTraj]) -> int:
-    L = len(ego)
-    for h in humans:
-        L = min(L, len(h))
-    if L < 1:
-        raise ValueError("incompatible trajectory lengths")
-    return L
+def _overlap_sum(ego_xy: np.ndarray, h_xy: np.ndarray, r: float) -> float:
+    L = min(len(ego_xy), len(h_xy))
+    d = np.hypot(ego_xy[:L, 0] - h_xy[:L, 0], ego_xy[:L, 1] - h_xy[:L, 1])
+    return float(np.maximum(0.0, ROBOT_RADIUS + r - d).sum())
+
+
+def terms_from_positions(ego_xy: np.ndarray, acts: np.ndarray,
+                         human_xys: Sequence[np.ndarray],
+                         radii: Optional[Sequence[float]],
+                         robot: AgentState, ctx: Context):
+    """(progress, mean sq lane offset, summed overlap, sum sq actions) of an
+    ego rollout against human rollouts, all cropped to the shortest of them.
+
+    radii defaults to CAR_RADIUS for every human. human_xys pairs with radii
+    as zip does: a human without a radius adds no overlap.
+    """
+    if radii is None:
+        radii = [CAR_RADIUS] * len(human_xys)
+    L = min([len(ego_xy)] + [len(h) for h in human_xys])
+    ego_xy = ego_xy[:L]
+    if isinstance(ctx, DrivingCorridor):
+        progress = float(ego_xy[-1, 0] - robot.x)
+        centers = np.array(ctx.lane_centers)
+        offs = np.abs(ego_xy[:, 1][:, None] - centers[None, :]).min(axis=1)
+        lane = float(np.mean(offs ** 2))
+    elif isinstance(ctx, NavWorld):
+        goal = np.array(ctx.goal_primary)
+        d0 = float(np.hypot(robot.x - goal[0], robot.y - goal[1]))
+        d1 = float(np.hypot(ego_xy[-1, 0] - goal[0], ego_xy[-1, 1] - goal[1]))
+        progress = d0 - d1
+        lane = 0.0
+    else:
+        raise TypeError(f"unsupported context {type(ctx)}")
+    col = 0.0
+    for h_xy, r in zip(human_xys, radii):
+        col += _overlap_sum(ego_xy, h_xy, r)
+    ctrl = float((acts[:L] ** 2).sum())
+    return progress, lane, col, ctrl
+
+
+def weighted_reward(weights: RewardWeights, terms) -> float:
+    """R = w_progress*progress + w_lane*lane + w_col*overlap + w_ctrl*ctrl."""
+    progress, lane, col, ctrl = terms
+    w = weights
+    return (w.w_progress * progress + w.w_lane * lane
+            + w.w_col * col + w.w_ctrl * ctrl)
 
 
 def reward_terms(handle: PlannerHandle, ego: ActionTraj,
                  humans: Sequence[ActionTraj], joint: JointState, ctx: Context,
                  human_radii: Optional[Sequence[float]] = None):
     """(progress, mean sq lane offset, summed overlap, sum sq actions)."""
-    L = _crop_length(ego, humans) if humans else len(ego)
-    ego_states = rollout_positions(joint.robot, ego, handle.dt)[:L]
-    acts = ego.actions[:L]
-    if isinstance(ctx, DrivingCorridor):
-        progress = float(ego_states[-1, 0] - joint.robot.x)
-        centers = np.array(ctx.lane_centers)
-        offs = np.abs(ego_states[:, 1][:, None] - centers[None, :]).min(axis=1)
-        lane = float(np.mean(offs ** 2))
-    elif isinstance(ctx, NavWorld):
-        goal = np.array(ctx.goal_primary)
-        d0 = float(np.hypot(joint.robot.x - goal[0], joint.robot.y - goal[1]))
-        d1 = float(np.hypot(ego_states[-1, 0] - goal[0], ego_states[-1, 1] - goal[1]))
-        progress = d0 - d1
-        lane = 0.0
-    else:
-        raise TypeError(f"unsupported context {type(ctx)}")
-    col = 0.0
-    if humans:
-        radii = list(human_radii) if human_radii is not None else [CAR_RADIUS] * len(humans)
-        for idx, (htraj, r) in enumerate(zip(humans, radii)):
-            h_xy = rollout_positions(joint.humans[idx], htraj, handle.dt)[:L]
-            d = np.hypot(ego_states[:, 0] - h_xy[:, 0], ego_states[:, 1] - h_xy[:, 1])
-            col += float(np.maximum(0.0, ROBOT_RADIUS + r - d).sum())
-    ctrl = float((acts ** 2).sum())
-    return progress, lane, col, ctrl
+    ego_xy = rollout_positions(joint.robot, ego, handle.dt)
+    human_xys = [rollout_positions(joint.humans[i], h, handle.dt)
+                 for i, h in enumerate(humans)]
+    return terms_from_positions(ego_xy, ego.actions, human_xys, human_radii,
+                                joint.robot, ctx)
 
 
 def reward(handle: PlannerHandle, ego: ActionTraj, humans: Sequence[ActionTraj],
            joint: JointState, ctx: Context,
            human_radii: Optional[Sequence[float]] = None) -> float:
     """R = w_progress*progress + w_lane*lane + w_col*overlap + w_ctrl*ctrl."""
-    progress, lane, col, ctrl = reward_terms(handle, ego, humans, joint, ctx, human_radii)
-    w = handle.weights
-    return (w.w_progress * progress + w.w_lane * lane
-            + w.w_col * col + w.w_ctrl * ctrl)
+    return weighted_reward(handle.weights,
+                           reward_terms(handle, ego, humans, joint, ctx, human_radii))
 
 
 @dataclass
@@ -208,12 +225,6 @@ class ReplanEntry:
             raise ValueError("candidate reward list must parallel candidates")
 
 
-def _overlap_sum(ego_xy: np.ndarray, h_xy: np.ndarray, r: float) -> float:
-    L = min(len(ego_xy), len(h_xy))
-    d = np.hypot(ego_xy[:L, 0] - h_xy[:L, 0], ego_xy[:L, 1] - h_xy[:L, 1])
-    return float(np.maximum(0.0, ROBOT_RADIUS + r - d).sum())
-
-
 def plan(handle: PlannerHandle, predictor, joint: JointState,
          history: Sequence[JointState], ctx: Context, rng: RngStream,
          human_radii: Optional[Sequence[float]] = None
@@ -224,6 +235,12 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     Expected reward decomposes exactly: progress/lane/control depend only on
     the candidate, and the collision term is additive over humans, so the
     expectation over independent per-human modes is a per-human weighted sum.
+
+    Each candidate and each distinct human mode trajectory is rolled out once.
+    The predictor is asked once per replan for a per-candidate function,
+    ``predictor.for_replan(joint, history, ctx, n_modes, dt)``, which is then
+    called as ``predict_candidate(candidate, ego_xy)`` with the candidate's
+    rollout at ``dt``.
     """
     candidates = sample_candidates(handle, joint.robot, ctx, rng, start_t=joint.t)
     if not candidates:
@@ -231,39 +248,49 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     M = len(joint.humans)
     radii = list(human_radii) if human_radii is not None else [CAR_RADIUS] * M
     w = handle.weights
+    dt = handle.dt
+    predict_candidate = predictor.for_replan(joint, history, ctx, handle.n_modes, dt)
+    mode_rollouts: dict[tuple[int, bytes], np.ndarray] = {}
 
+    def human_xy(i: int, traj: ActionTraj) -> np.ndarray:
+        # Candidates of one replan often share a mode trajectory.
+        key = (i, traj.actions.tobytes())
+        if key not in mode_rollouts:
+            mode_rollouts[key] = rollout_positions(joint.humans[i], traj, dt)
+        return mode_rollouts[key]
+
+    ego_xys = [rollout_positions(joint.robot, cand, dt) for cand in candidates]
     expected = []
     pred_sets = []
-    for cand in candidates:
-        pred = predictor.predict(joint, history, cand, ctx, handle.n_modes)
+    for cand, ego_xy in zip(candidates, ego_xys):
+        pred = predict_candidate(cand, ego_xy)
         pred_sets.append(pred)
-        progress, lane, _, ctrl = reward_terms(handle, cand, [], joint, ctx)
+        progress, lane, _, ctrl = terms_from_positions(ego_xy, cand.actions, [], [],
+                                                       joint.robot, ctx)
         exp_r = w.w_progress * progress + w.w_lane * lane + w.w_ctrl * ctrl
-        ego_xy = rollout_positions(joint.robot, cand, handle.dt)
         for i in range(M):
             for mp in pred.humans[i]:
-                h_xy = rollout_positions(joint.humans[i], mp.traj, handle.dt)
-                exp_r += w.w_col * mp.prob * _overlap_sum(ego_xy, h_xy, radii[i])
+                exp_r += w.w_col * mp.prob * _overlap_sum(ego_xy, human_xy(i, mp.traj),
+                                                          radii[i])
         expected.append(exp_r)
 
     chosen_idx = int(np.argmax(expected))
     chosen = candidates[chosen_idx]
+    chosen_xy = ego_xys[chosen_idx]
     chosen_pred = pred_sets[chosen_idx]
 
     # Reward of the chosen plan under every joint prediction mode combo.
+    combos = [((), 1.0)]
+    for i in range(M):
+        combos = [(idx + (k,), p * chosen_pred.humans[i][k].prob)
+                  for idx, p in combos
+                  for k in range(len(chosen_pred.humans[i]))]
     samples: list[tuple[float, float]] = []
-    if M == 0:
-        samples.append((reward(handle, chosen, [], joint, ctx), 1.0))
-    else:
-        combos = [((), 1.0)]
-        for i in range(M):
-            combos = [(idx + (k,), p * chosen_pred.humans[i][k].prob)
-                      for idx, p in combos
-                      for k in range(len(chosen_pred.humans[i]))]
-        for idx, weight in combos:
-            htrajs = [chosen_pred.humans[i][idx[i]].traj for i in range(M)]
-            r = reward(handle, chosen, htrajs, joint, ctx, radii)
-            samples.append((r, float(weight)))
+    for idx, weight in combos:
+        h_xys = [human_xy(i, chosen_pred.humans[i][idx[i]].traj) for i in range(M)]
+        terms = terms_from_positions(chosen_xy, chosen.actions, h_xys, radii,
+                                     joint.robot, ctx)
+        samples.append((weighted_reward(w, terms), float(weight)))
 
     entry = ReplanEntry(
         t=joint.t,

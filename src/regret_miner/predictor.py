@@ -171,11 +171,11 @@ def feature_bucket(human_idx: int, joint: JointState, history: Sequence[JointSta
 def _template_actions(mode: str, human: AgentState, ctx: Context, T: int,
                       dt: float, cruise_speed: float) -> np.ndarray:
     """Roll a mode forward as bounded (accel, turn) actions of length T."""
-    acts = np.zeros((T, 2))
+    acts = []
     v = human.speed
     heading = human.heading
     lane_heading = 0.0  # corridor runs along +x; nav templates hold heading
-    for k in range(T):
+    for _ in range(T):
         if mode == "stay":
             a = -min(ACCEL_LIMIT, v / dt) if v > 0 else 0.0
             w = 0.0
@@ -187,50 +187,79 @@ def _template_actions(mode: str, human: AgentState, ctx: Context, T: int,
             w = 0.0
         elif mode == "cross":
             target = math.copysign(math.pi / 2, heading) if abs(heading) > 0.3 else math.pi / 2
-            w = float(np.clip(2.0 * wrap_angle(target - heading), -TURN_LIMIT, TURN_LIMIT))
-            a = float(np.clip(0.8 * (1.5 - v), -2.0, 2.0))
+            w = min(max(2.0 * wrap_angle(target - heading), -TURN_LIMIT), TURN_LIMIT)
+            a = min(max(0.8 * (1.5 - v), -2.0), 2.0)
         else:  # go_straight
-            a = float(np.clip(1.0 * (cruise_speed - v), -ACCEL_LIMIT, ACCEL_LIMIT))
+            a = min(max(1.0 * (cruise_speed - v), -ACCEL_LIMIT), ACCEL_LIMIT)
             if isinstance(ctx, DrivingCorridor):
-                w = float(np.clip(-1.0 * wrap_angle(heading - lane_heading), -TURN_LIMIT, TURN_LIMIT))
+                w = min(max(-1.0 * wrap_angle(heading - lane_heading), -TURN_LIMIT), TURN_LIMIT)
             else:
                 w = 0.0
-        a = float(np.clip(a, -ACCEL_LIMIT, ACCEL_LIMIT))
-        acts[k] = (a, w)
+        a = min(max(a, -ACCEL_LIMIT), ACCEL_LIMIT)
+        acts.append((a, w))
         v = max(0.0, v + a * dt)
         heading = wrap_angle(heading + w * dt)
-    return acts
+    return np.array(acts, dtype=float)
+
+
+class ModeTemplates:
+    """Mode trajectories of the humans of one joint state, built on first use.
+
+    A template depends on (human, mode, T) and the joint state only, never on
+    the ego candidate, so every candidate of a replan shares one ActionTraj
+    per (human, mode, T).
+    """
+
+    def __init__(self, params: PredictorParams, joint: JointState, ctx: Context):
+        self.params = params
+        self.joint = joint
+        self.ctx = ctx
+        self._trajs: dict[tuple[int, str, int], ActionTraj] = {}
+
+    def get(self, human_idx: int, mode: str, T: int) -> ActionTraj:
+        key = (human_idx, mode, T)
+        traj = self._trajs.get(key)
+        if traj is None:
+            p = self.params
+            acts = _template_actions(mode, self.joint.humans[human_idx], self.ctx, T,
+                                     p.dt, p.cruise_speed)
+            traj = self._trajs[key] = ActionTraj(acts, start_t=self.joint.t)
+        return traj
 
 
 def predict(params: PredictorParams, joint: JointState,
             history: Sequence[JointState], ego_candidate: ActionTraj,
-            ctx: Context, n_modes_out: int = 3) -> PredictionSet:
+            ctx: Context, n_modes_out: int = 3, *,
+            ego_xy: Optional[np.ndarray] = None,
+            templates: Optional[ModeTemplates] = None) -> PredictionSet:
     """Top n_modes_out behavior modes per human, conditioned on ego_candidate.
 
     The robot-approaching feature is computed from the candidate's rollout,
     so different candidates can receive different human predictions.
+    ego_xy, when given, must be that rollout at params.dt; templates, when
+    given, must have been built for the same params, joint state and context.
     """
     if n_modes_out < 1:
         raise ValueError("n_modes_out must be >= 1")
     n_modes_out = min(n_modes_out, N_MODES)
-    ego_xy = rollout_positions(joint.robot, ego_candidate, params.dt)
+    if ego_xy is None:
+        ego_xy = rollout_positions(joint.robot, ego_candidate, params.dt)
+    if templates is None:
+        templates = ModeTemplates(params, joint, ctx)
+    elif (templates.params is not params or templates.joint is not joint
+          or templates.ctx is not ctx):
+        raise ValueError("templates were built for other params, joint state or context")
     T = len(ego_candidate)
     out = []
-    for i, human in enumerate(joint.humans):
+    for i in range(len(joint.humans)):
         bucket = feature_bucket(i, joint, history, ego_xy, ctx, params.history_window)
         probs = params.mode_probs(bucket)
         order = np.argsort(-probs, kind="stable")[:n_modes_out]
         kept = probs[order]
         kept = kept / kept.sum()
         modes = tuple(
-            ModePrediction(
-                label=MODES[j],
-                prob=float(pj),
-                traj=ActionTraj(
-                    _template_actions(MODES[j], human, ctx, T, params.dt, params.cruise_speed),
-                    start_t=joint.t,
-                ),
-            )
+            ModePrediction(label=MODES[j], prob=float(pj),
+                           traj=templates.get(i, MODES[j], T))
             for j, pj in zip(order, kept)
         )
         out.append(modes)
@@ -245,6 +274,23 @@ class TablePredictor:
 
     def predict(self, joint, history, ego_candidate, ctx, n_modes_out=3):
         return predict(self.params, joint, history, ego_candidate, ctx, n_modes_out)
+
+    def for_replan(self, joint, history, ctx, n_modes_out, dt):
+        """predict() for every candidate of one replan.
+
+        The mode templates are built once and shared by all candidates. The
+        planner's ego rollout, made at dt, stands in for the predictor's own
+        only when dt equals params.dt.
+        """
+        params = self.params
+        templates = ModeTemplates(params, joint, ctx)
+        reuse = dt == params.dt
+
+        def predict_candidate(ego_candidate, ego_xy):
+            return predict(params, joint, history, ego_candidate, ctx, n_modes_out,
+                           ego_xy=ego_xy if reuse else None, templates=templates)
+
+        return predict_candidate
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ActionTraj, Context, JointState
-from .planner import PlannerHandle, RewardWeights, reward
+from .core import ActionTraj, Context, JointState, rollout_positions
+from .planner import RewardWeights, terms_from_positions, weighted_reward
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,14 @@ def generalized_from_likelihoods(likelihoods, executed_index: int) -> float:
 def _hindsight_rewards(weights: RewardWeights, candidates: Sequence[ActionTraj],
                        realized_humans: Sequence[ActionTraj], joint: JointState,
                        ctx: Context, human_radii=None, dt: float = 0.1) -> np.ndarray:
-    handle = PlannerHandle(weights=weights, dt=dt)
+    """Reward of every candidate against the realized humans; each realized
+    human is rolled out once and shared by all candidates."""
+    human_xys = [rollout_positions(joint.humans[i], h, dt)
+                 for i, h in enumerate(realized_humans)]
     return np.array([
-        reward(handle, cand, list(realized_humans), joint, ctx, human_radii)
+        weighted_reward(weights, terms_from_positions(
+            rollout_positions(joint.robot, cand, dt), cand.actions, human_xys,
+            human_radii, joint.robot, ctx))
         for cand in candidates
     ])
 
@@ -200,6 +205,9 @@ def mine_top_quantile(scores: Sequence[tuple[str, float]], p: float) -> set[str]
         raise ValueError("scores must be non-empty")
     if not (0.0 < p < 100.0):
         raise ValueError("p must be in (0, 100)")
+    bad = sorted(sid for sid, v in scores if not math.isfinite(v))
+    if bad:
+        raise ValueError(f"scores must be finite; non-finite ids: {bad}")
     k = math.ceil(len(scores) * p / 100.0)
     ranked = sorted(scores, key=lambda sv: (-sv[1], sv[0]))
     return {sid for sid, _ in ranked[:k]}

@@ -218,6 +218,24 @@ def human_policy_step(profile: HumanProfile, me: AgentState, joint: JointState,
 # Forward simulation of humans under a fixed robot action sequence
 # ---------------------------------------------------------------------------
 
+class _LazyStream:
+    """Stands in for root.derive(*ids) as human_policy_step's rng, deriving
+    the stream only when the policy calls generator().
+
+    Most policy steps draw nothing, and deriving a stream costs a SeedSequence.
+    Streams are keyed by their ids, so deriving late gives the same draws.
+    """
+
+    __slots__ = ("root", "ids")
+
+    def __init__(self, root: RngStream, ids: tuple[int, ...]):
+        self.root = root
+        self.ids = ids
+
+    def generator(self) -> np.random.Generator:
+        return self.root.derive(*self.ids).generator()
+
+
 def simulate_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
                     ego_actions: np.ndarray, rng_root: RngStream,
                     dt: float = DT_DEFAULT):
@@ -237,7 +255,7 @@ def simulate_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
     for k in range(T):
         now = JointState(robot, tuple(humans), joint.t + k)
         for i in range(M):
-            rng = rng_root.derive(_STREAM_HUMAN, i, joint.t + k)
+            rng = _LazyStream(rng_root, (_STREAM_HUMAN, i, joint.t + k))
             actions[i, k] = human_policy_step(
                 profiles[i], humans[i], now, spec.context, rng,
                 memory=memories[i], radii=radii,
@@ -281,6 +299,15 @@ class OraclePredictor:
             for i in range(len(joint.humans))
         )
         return PredictionSet(humans=humans)
+
+    def for_replan(self, joint: JointState, history, ctx: Context, n_modes_out: int,
+                   dt: float):
+        """predict() for every candidate of one replan; the oracle re-simulates
+        the humans itself, so the planner's ego rollout is not used."""
+        def predict_candidate(ego_candidate: ActionTraj, ego_xy) -> PredictionSet:
+            return self.predict(joint, history, ego_candidate, ctx, n_modes_out)
+
+        return predict_candidate
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from regret_miner import harness
 from regret_miner.cli import _pick_arms, _pick_seeds, build_parser, main
 from regret_miner.harness import ARMS, ExperimentConfig
 
@@ -41,6 +42,28 @@ def test_runtime_errors_are_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "FileNotFoundError"
     assert "simulate" in err["error"]["message"]  # tells the user what to run
+
+
+def test_type_errors_are_json(tmp_path, capsys):
+    (tmp_path / "scores.json").write_text(json.dumps(
+        {"schema": "scores/1", "scores": {"a": 0.5, "b": "high"}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", "--in", str(tmp_path), "--p", "50"])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "TypeError"
+
+
+def test_runtime_errors_from_a_stage_are_json(tmp_path, capsys, monkeypatch):
+    def broken_report(*args, **kwargs):
+        raise RuntimeError("renderer crashed")
+
+    monkeypatch.setattr(harness, "report", broken_report)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--in", str(tmp_path)])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "RuntimeError", "message": "renderer crashed"}
 
 
 def test_pick_arms():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regret_miner.core import (
     ActionTraj,
@@ -12,6 +14,7 @@ from regret_miner.core import (
     RngStream,
     dubins_step,
     footprint_overlap,
+    rollout_positions,
     unicycle_rollout,
     unicycle_step,
     wrap_angle,
@@ -131,6 +134,70 @@ def test_unicycle_rollout_compositional_oracle():
     for (a, u), s in zip(actions, states):
         cur = unicycle_step(cur, a, u, dt=0.1)
         assert (cur.x, cur.y, cur.heading, cur.speed) == (s.x, s.y, s.heading, s.speed)
+
+
+def _reference_positions(state, traj, dt):
+    return np.array([[s.x, s.y] for s in unicycle_rollout(state, traj, dt)])
+
+
+_NEAR_PI = st.sampled_from([
+    math.pi, -math.pi, math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 0.0),
+    math.nextafter(-math.pi, -4.0), math.pi / 2, 0.0])
+# Turn rates on both sides of the 1e-12 straight-line threshold, a few whose
+# heading step lands just below -pi, and ordinary ones.
+_TURNS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-13, -5e-13, 9.99e-13, -9.99e-13, 1e-12, -1e-12,
+                     1.01e-12, -1.5e-12, 2e-12, -3e-15, -5e-15, 3e-15]),
+    st.floats(-1.0, 1.0),
+)
+# Hard braking (to zero speed and past it) as well as ordinary accelerations.
+_ACCELS = st.one_of(st.sampled_from([-4.0, -3.5, 0.0, 4.0]), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(-1e3, 1e3),
+    y=st.floats(-1e3, 1e3),
+    heading=st.one_of(_NEAR_PI, st.floats(-math.pi, math.pi)),
+    speed=st.one_of(st.sampled_from([0.0, 0.05, 8.0]), st.floats(0.0, 12.0)),
+    actions=st.lists(st.tuples(_ACCELS, _TURNS), min_size=1, max_size=40),
+    dt=st.one_of(st.sampled_from([0.05, 0.1, 0.2, 0.5]), st.floats(1e-3, 1.0)),
+)
+@example(x=0.0, y=0.0, heading=-math.pi, speed=1.0,
+         actions=[(0.0, -3e-15), (0.0, 0.0)], dt=0.1)
+@example(x=0.0, y=0.0, heading=0.0, speed=0.3,
+         actions=[(-4.0, 0.5)] * 5, dt=0.1)
+def test_rollout_positions_equals_unicycle_rollout(x, y, heading, speed, actions, dt):
+    state = AgentState(x, y, heading, speed)
+    traj = ActionTraj(actions)
+    got = rollout_positions(state, traj, dt)
+    want = _reference_positions(state, traj, dt)
+    assert got.shape == want.shape == (len(actions), 2)
+    assert np.array_equal(got, want)
+
+
+def test_rollout_positions_double_wrap_near_minus_pi():
+    # One wrap of -pi - 4e-16 gives +pi; the second gives -pi. sin(+pi) and
+    # sin(-pi) differ in sign, so the next step's y shows which one was kept.
+    assert wrap_angle(-math.pi - 4e-16) == math.pi
+    state = AgentState(0.0, 0.0, -math.pi, 1.0)
+    traj = ActionTraj([(0.0, -3e-15), (0.0, 0.0)])
+    got = rollout_positions(state, traj, 0.1)
+    assert np.array_equal(got, _reference_positions(state, traj, 0.1))
+    assert got[1, 1] < 0.0
+
+
+def test_rollout_positions_rejects_bad_input():
+    state = AgentState(0, 0, 0, 1)
+    traj = ActionTraj([[1.0, 0.0]] * 3)
+    for dt in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            rollout_positions(state, traj, dt)
+    # A step so long that the position overflows: the reference rejects it too.
+    with pytest.raises(ValueError):
+        unicycle_rollout(state, traj, 1e308)
+    with pytest.raises(ValueError):
+        rollout_positions(state, traj, 1e308)
 
 
 def test_footprint_overlap():

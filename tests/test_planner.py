@@ -3,6 +3,8 @@ import pytest
 
 from regret_miner.core import (
     ACCEL_LIMIT,
+    CAR_RADIUS,
+    ROBOT_RADIUS,
     TURN_LIMIT,
     ActionTraj,
     AgentState,
@@ -11,6 +13,7 @@ from regret_miner.core import (
     NavWorld,
     RngStream,
     rollout_positions,
+    unicycle_rollout,
 )
 from regret_miner.planner import (
     PlannerHandle,
@@ -21,7 +24,13 @@ from regret_miner.planner import (
     reward_terms,
     sample_candidates,
 )
-from regret_miner.predictor import PredictorParams, TablePredictor
+from regret_miner.predictor import (
+    BUCKET_SHAPE,
+    N_MODES,
+    PredictorParams,
+    TablePredictor,
+    predict,
+)
 
 TWO_LANE = DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7, length=400.0)
 UNIFORM = TablePredictor(PredictorParams.fresh())
@@ -188,3 +197,88 @@ def test_plan_swerves_around_blocker():
                           maintain_xy[:, 1] - blocker.y).min()
     assert entry.executed_index != 0
     assert d_min > d_maintain
+
+
+def _reference_xy(state, traj, dt):
+    return np.array([[s.x, s.y] for s in unicycle_rollout(state, traj, dt)])
+
+
+def _reference_terms(handle, ego, humans, joint, ctx, radii):
+    """reward_terms written out per call on unicycle_rollout positions."""
+    L = min([len(ego)] + [len(h) for h in humans])
+    ego_xy = _reference_xy(joint.robot, ego, handle.dt)[:L]
+    progress = float(ego_xy[-1, 0] - joint.robot.x)
+    centers = np.array(ctx.lane_centers)
+    offs = np.abs(ego_xy[:, 1][:, None] - centers[None, :]).min(axis=1)
+    lane = float(np.mean(offs ** 2))
+    col = 0.0
+    for i, (htraj, r) in enumerate(zip(humans, radii)):
+        h_xy = _reference_xy(joint.humans[i], htraj, handle.dt)[:L]
+        d = np.hypot(ego_xy[:, 0] - h_xy[:, 0], ego_xy[:, 1] - h_xy[:, 1])
+        col += float(np.maximum(0.0, ROBOT_RADIUS + r - d).sum())
+    ctrl = float((ego.actions[:L] ** 2).sum())
+    return progress, lane, col, ctrl
+
+
+def _reference_plan(handle, params, joint, history, ctx, rng, radii):
+    """plan() as one predict() call and fresh rollouts per candidate and mode."""
+    candidates = sample_candidates(handle, joint.robot, ctx, rng, start_t=joint.t)
+    w = handle.weights
+    expected, preds = [], []
+    for cand in candidates:
+        pred = predict(params, joint, history, cand, ctx, handle.n_modes)
+        progress, lane, _, ctrl = _reference_terms(handle, cand, [], joint, ctx, [])
+        exp_r = w.w_progress * progress + w.w_lane * lane + w.w_ctrl * ctrl
+        ego_xy = _reference_xy(joint.robot, cand, handle.dt)
+        for i, modes in enumerate(pred.humans):
+            for mp in modes:
+                h_xy = _reference_xy(joint.humans[i], mp.traj, handle.dt)
+                d = np.hypot(ego_xy[:, 0] - h_xy[:, 0], ego_xy[:, 1] - h_xy[:, 1])
+                overlap = float(np.maximum(0.0, ROBOT_RADIUS + radii[i] - d).sum())
+                exp_r += w.w_col * mp.prob * overlap
+        expected.append(exp_r)
+        preds.append(pred)
+    idx = int(np.argmax(expected))
+    chosen_pred = preds[idx]
+    combos = [((), 1.0)]
+    for i in range(len(joint.humans)):
+        combos = [(c + (k,), p * chosen_pred.humans[i][k].prob)
+                  for c, p in combos for k in range(len(chosen_pred.humans[i]))]
+    samples = []
+    for c, weight in combos:
+        htrajs = [chosen_pred.humans[i][c[i]].traj for i in range(len(joint.humans))]
+        terms = _reference_terms(handle, candidates[idx], htrajs, joint, ctx, radii)
+        r = (w.w_progress * terms[0] + w.w_lane * terms[1]
+             + w.w_col * terms[2] + w.w_ctrl * terms[3])
+        samples.append((r, float(weight)))
+    return expected, idx, samples, chosen_pred
+
+
+@pytest.mark.parametrize("n_modes,predictor_dt", [(1, 0.1), (3, 0.1), (2, 0.2)])
+def test_plan_matches_per_candidate_reference(n_modes, predictor_dt):
+    """Sharing rollouts and templates across candidates changes no number,
+    including when the predictor integrates at another dt than the planner."""
+    rng = np.random.default_rng(11)
+    counts = rng.integers(0, 6, size=BUCKET_SHAPE + (N_MODES,)).astype(float)
+    params = PredictorParams(counts=counts, dt=predictor_dt)
+    handle = PlannerHandle(n_modes=n_modes)
+    for trial in range(4):
+        humans = tuple(AgentState(rng.uniform(4, 30), rng.choice([0.0, 3.7]) + rng.normal(0, 0.3),
+                                  rng.normal(0, 0.2), rng.uniform(0, 7))
+                       for _ in range(1 + trial % 2))
+        radii = [CAR_RADIUS, 0.3][:len(humans)]
+        joint = JointState(AgentState(0, rng.normal(0, 0.3), 0.0, rng.uniform(4, 9)),
+                           humans, 20)
+        history = [JointState(joint.robot, humans, t) for t in range(16, 20)]
+        _, entry = plan(handle, TablePredictor(params), joint, history, TWO_LANE,
+                        RngStream(trial), human_radii=radii)
+        expected, idx, samples, pred = _reference_plan(
+            handle, params, joint, history, TWO_LANE, RngStream(trial), radii)
+        assert entry.candidate_rewards_predicted == expected
+        assert entry.executed_index == idx
+        assert entry.predicted_reward_samples == samples
+        assert [[(m.label, m.prob) for m in h] for h in entry.predicted_humans.humans] == \
+            [[(m.label, m.prob) for m in h] for h in pred.humans]
+        for got, want in zip(entry.predicted_humans.humans, pred.humans):
+            for mg, mw in zip(got, want):
+                assert mg.traj == mw.traj

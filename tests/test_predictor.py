@@ -10,13 +10,16 @@ from regret_miner.core import (
     AgentState,
     DrivingCorridor,
     JointState,
+    RngStream,
+    rollout_positions,
 )
-from regret_miner.planner import PlannerHandle
+from regret_miner.planner import PlannerHandle, sample_candidates
 from regret_miner.predictor import (
     BUCKET_SHAPE,
     MODES,
     N_MODES,
     PredictorParams,
+    TablePredictor,
     ade_fde,
     fit,
     label_segment,
@@ -240,3 +243,37 @@ def test_params_json_round_trip():
         params.smoothing, params.history_window, params.cruise_speed, params.dt)
     with pytest.raises(ValueError):
         params_from_json('{"schema": "predictor/2", "counts": []}')
+
+
+def _approach_sensitive_params(dt):
+    """Approaching humans are predicted to brake, others to go straight."""
+    counts = np.zeros(BUCKET_SHAPE + (N_MODES,))
+    counts[:, :, 1, :, MODES.index("brake")] = 10.0
+    counts[:, :, 0, :, MODES.index("go_straight")] = 10.0
+    return PredictorParams(counts=counts, dt=dt)
+
+
+@pytest.mark.parametrize("predictor_dt", [0.1, 0.2])
+def test_for_replan_matches_predict(predictor_dt):
+    """Per-replan prediction equals predict() for every candidate, and every
+    candidate shares one template trajectory per (human, mode)."""
+    params = _approach_sensitive_params(predictor_dt)
+    # At 0.06 m/s the maintain candidate closes 0.18 m in 30 steps of 0.1 s
+    # (not approaching, margin 0.25 m) but 0.36 m in steps of 0.2 s.
+    joint = JointState(AgentState(0.0, 0.0, 0.0, 0.06),
+                       (AgentState(10.0, 0.0, 0.0, 3.0), AgentState(2.0, 3.7, 0.0, 6.0)), 5)
+    handle = PlannerHandle(n_modes=2)
+    cands = sample_candidates(handle, joint.robot, TWO_LANE, RngStream(3), start_t=5)
+    predict_candidate = TablePredictor(params).for_replan(joint, [], TWO_LANE, 2, handle.dt)
+    trajs = {}
+    labels = set()
+    for cand in cands:
+        got = predict_candidate(cand, rollout_positions(joint.robot, cand, handle.dt))
+        want = predict(params, joint, [], cand, TWO_LANE, 2)
+        assert [[(m.label, m.prob, m.traj) for m in h] for h in got.humans] == \
+            [[(m.label, m.prob, m.traj) for m in h] for h in want.humans]
+        for i, modes in enumerate(got.humans):
+            for m in modes:
+                assert trajs.setdefault((i, m.label), m.traj) is m.traj
+        labels.add(got.humans[0][0].label)
+    assert labels == {"brake", "go_straight"}

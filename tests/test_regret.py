@@ -208,6 +208,16 @@ def test_mine_validation():
         mine_top_quantile([("a", 1.0)], 100.0)
 
 
+def test_mine_rejects_non_finite_scores():
+    # With a NaN among them the flagged set would depend on input order.
+    scores = [("a", float("nan")), ("b", 0.5), ("c", 0.1), ("d", 0.9)]
+    for order in (scores, [scores[1], scores[0]] + scores[2:]):
+        with pytest.raises(ValueError, match=r"\['a'\]"):
+            mine_top_quantile(order, 25.0)
+    with pytest.raises(ValueError, match=r"\['b', 'c'\]"):
+        mine_top_quantile([("a", 0.2), ("c", float("-inf")), ("b", float("inf"))], 50.0)
+
+
 def test_calibration_pair_separates_the_scores():
     scene_a, scene_b, canon, gen = build_calibration_pair()
     assert abs(canon[0] - canon[1]) / max(canon) < 0.05
