@@ -10,23 +10,16 @@ the human's realized behavior.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import (
-    TURN_LIMIT,
-    ActionTraj,
-    AgentState,
-    NavWorld,
-    RngStream,
-    unicycle_step,
-    wrap_angle,
-)
+from .core import TURN_LIMIT, TWO_PI, ActionTraj, NavWorld, RngStream, wrap_angle
 
 GOALS = ("Primary", "Backup")
 HUMAN_CLASSES = ("left", "straight", "right")
@@ -54,15 +47,44 @@ class OutOfSupportError(ValueError):
 # Domain types
 # ---------------------------------------------------------------------------
 
+def _nav_step(x: float, y: float, h: float, v: float,
+              w: float) -> tuple[float, float, float]:
+    """One constant-speed nav step: (x, y, heading) after turning at w.
+
+    A scalar copy of unicycle_step(state, 0.0, w, NAV_DT) that builds no
+    AgentState, with the same operations in the same order, so the results
+    are equal bit for bit. The heading is wrapped twice, as dubins_step and
+    AgentState each wrap it: wrap_angle is not idempotent near -pi.
+    """
+    if not math.isfinite(w):
+        raise ValueError(f"turn rate must be finite, got {w!r}")
+    dt = NAV_DT
+    if abs(w) < 1e-12:
+        x = x + v * math.cos(h) * dt
+        y = y + v * math.sin(h) * dt
+    else:
+        h1 = h + w * dt
+        x = x + (v / w) * (math.sin(h1) - math.sin(h))
+        y = y + -(v / w) * (math.cos(h1) - math.cos(h))
+    h = (h + w * dt + math.pi) % TWO_PI - math.pi
+    return x, y, (h + math.pi) % TWO_PI - math.pi
+
+
+def _clamp_turn(w: float) -> float:
+    """Clamp to the turn limit. NaN stays NaN (w is the first argument of
+    both max and min), so _nav_step still rejects it."""
+    return min(max(w, -TURN_LIMIT), TURN_LIMIT)
+
+
 def _nav_positions(start_xy, heading0: float, speed: float,
                    turns: np.ndarray) -> np.ndarray:
     """Positions after each of the 6 constant-speed steps."""
-    state = AgentState(start_xy[0], start_xy[1], heading0, speed)
-    out = np.empty((len(turns), 2))
-    for k, w in enumerate(turns):
-        state = unicycle_step(state, 0.0, float(w), NAV_DT)
-        out[k] = (state.x, state.y)
-    return out
+    x, y, h = start_xy[0], start_xy[1], wrap_angle(heading0)
+    out = []
+    for w in turns.tolist():
+        x, y, h = _nav_step(x, y, h, speed, w)
+        out.append((x, y))
+    return np.array(out)
 
 
 def classify_human_direction(human_traj: ActionTraj,
@@ -133,11 +155,19 @@ class Codebook:
     means: np.ndarray
     stds: np.ndarray
     noise_sigma: float = 0.05
+    # Memos of values fixed by the arrays above (see _code_draws and
+    # _robot_masses); the arrays are read-only copies, so they cannot go
+    # stale.
+    _draws: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    _robot_masses: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
-        self.encoder = np.asarray(self.encoder, dtype=float)
-        self.means = np.asarray(self.means, dtype=float)
-        self.stds = np.asarray(self.stds, dtype=float)
+        for name in ("encoder", "means", "stds"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            setattr(self, name, arr)
         if self.encoder.shape != (N_CUE_BUCKETS, len(GOALS), self.K):
             raise ValueError("encoder table shape mismatch")
         sums = self.encoder.sum(axis=2)
@@ -183,54 +213,53 @@ def cue_bucket(delta_h: float) -> int:
 # Synthetic rule dataset
 # ---------------------------------------------------------------------------
 
-def _pc_turn(state: AgentState, target, gain: float = 1.0) -> float:
-    desired = math.atan2(target[1] - state.y, target[0] - state.x)
-    return float(np.clip(gain * wrap_angle(desired - state.heading),
-                         -TURN_LIMIT, TURN_LIMIT))
+def _pc_turn(x: float, y: float, h: float, target, gain: float = 1.0) -> float:
+    desired = math.atan2(target[1] - y, target[0] - x)
+    return _clamp_turn(gain * wrap_angle(desired - h))
+
+
+def _turns_traj(turns: list[float]) -> ActionTraj:
+    return ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns]))
 
 
 def _simulate_human(cue_class: str, gen: np.random.Generator,
-                    exec_noise: float, ctx: NavWorld) -> tuple[ActionTraj, np.ndarray]:
+                    exec_noise: float, ctx: NavWorld
+                    ) -> tuple[ActionTraj, list[tuple[float, float]]]:
     target = _HUMAN_TARGETS[cue_class]
-    state = AgentState(ctx.human_start[0], ctx.human_start[1], -math.pi / 2,
-                       HUMAN_NAV_SPEED)
-    turns = np.empty(NAV_STEPS)
-    pos = np.empty((NAV_STEPS, 2))
-    for k in range(NAV_STEPS):
-        w = _pc_turn(state, target) + gen.normal(0.0, exec_noise)
-        w = float(np.clip(w, -TURN_LIMIT, TURN_LIMIT))
-        state = unicycle_step(state, 0.0, w, NAV_DT)
-        turns[k] = w
-        pos[k] = (state.x, state.y)
-    acts = np.column_stack([np.zeros(NAV_STEPS), turns])
-    return ActionTraj(acts, start_t=0), pos
+    x, y, h = ctx.human_start[0], ctx.human_start[1], wrap_angle(-math.pi / 2)
+    turns = []
+    pos = []
+    for _ in range(NAV_STEPS):
+        w = _clamp_turn(_pc_turn(x, y, h, target)
+                        + float(gen.normal(0.0, exec_noise)))
+        x, y, h = _nav_step(x, y, h, HUMAN_NAV_SPEED, w)
+        turns.append(w)
+        pos.append((x, y))
+    return _turns_traj(turns), pos
 
 
-def _simulate_robot(goal: str, human_pos: np.ndarray, gen: np.random.Generator,
-                    exec_noise: float, ctx: NavWorld,
+def _simulate_robot(goal: str, human_pos: Sequence[tuple[float, float]],
+                    gen: np.random.Generator, exec_noise: float, ctx: NavWorld,
                     yield_draw: Optional[bool] = None
                     ) -> tuple[ActionTraj, bool, str]:
     """Returns (robot_traj, triggered, final_goal)."""
     targets = {"Primary": ctx.goal_primary, "Backup": ctx.goal_backup}
     current = goal
-    state = AgentState(ctx.robot_start[0], ctx.robot_start[1], math.pi / 2,
-                       ROBOT_NAV_SPEED)
+    x, y, h = ctx.robot_start[0], ctx.robot_start[1], wrap_angle(math.pi / 2)
     triggered = False
-    turns = np.empty(NAV_STEPS)
-    for k in range(NAV_STEPS):
-        d = math.hypot(state.x - human_pos[k][0], state.y - human_pos[k][1])
-        if not triggered and d < PROXIMITY_TRIGGER:
+    turns = []
+    for hx, hy in human_pos:
+        if not triggered and math.hypot(x - hx, y - hy) < PROXIMITY_TRIGGER:
             triggered = True
             do_yield = yield_draw if yield_draw is not None \
                 else bool(gen.uniform() < YIELD_PROB)
             if do_yield:
                 current = GOALS[1 - GOALS.index(current)]
-        w = _pc_turn(state, targets[current]) + gen.normal(0.0, exec_noise)
-        w = float(np.clip(w, -TURN_LIMIT, TURN_LIMIT))
-        state = unicycle_step(state, 0.0, w, NAV_DT)
-        turns[k] = w
-    acts = np.column_stack([np.zeros(NAV_STEPS), turns])
-    return ActionTraj(acts, start_t=0), triggered, current
+        w = _clamp_turn(_pc_turn(x, y, h, targets[current])
+                        + float(gen.normal(0.0, exec_noise)))
+        x, y, h = _nav_step(x, y, h, ROBOT_NAV_SPEED, w)
+        turns.append(w)
+    return _turns_traj(turns), triggered, current
 
 
 def _cue_class(delta: float) -> str:
@@ -365,12 +394,19 @@ def kde_window_mass(samples, bandwidth: float, center: float,
 
 
 def _code_draws(cb: Codebook, n_samples: int) -> np.ndarray:
-    """(K, n_samples, 12) decoder draws from a fixed internal stream."""
-    out = np.empty((cb.K, n_samples, 2 * NAV_STEPS))
-    for z in range(cb.K):
-        gen = RngStream(_KDE_SEED, 11).derive(z, n_samples).generator()
-        out[z] = cb.means[z] + cb.stds[z] * gen.standard_normal(
-            (n_samples, 2 * NAV_STEPS))
+    """(K, n_samples, 12) decoder draws from a fixed internal stream.
+
+    Drawn once per (codebook, n_samples) and returned read-only after that.
+    """
+    out = cb._draws.get(n_samples)
+    if out is None:
+        out = np.empty((cb.K, n_samples, 2 * NAV_STEPS))
+        for z in range(cb.K):
+            gen = RngStream(_KDE_SEED, 11).derive(z, n_samples).generator()
+            out[z] = cb.means[z] + cb.stds[z] * gen.standard_normal(
+                (n_samples, 2 * NAV_STEPS))
+        out.setflags(write=False)
+        cb._draws[n_samples] = out
     return out
 
 
@@ -412,27 +448,54 @@ def counterfactual_prob(cb: Codebook, robot_traj: ActionTraj,
     return float(np.clip(num / den, 0.0, 1.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _proportional_candidates(ctx: NavWorld) -> tuple[ActionTraj, ...]:
+    """The 9 noise-free proportional-control robot trajectories
+    (3 bearings x 3 gains) of a world, built once per world."""
+    mid = ((ctx.goal_primary[0] + ctx.goal_backup[0]) / 2.0,
+           (ctx.goal_primary[1] + ctx.goal_backup[1]) / 2.0)
+    cands = []
+    for target in (ctx.goal_primary, ctx.goal_backup, mid):
+        for gain in (0.5, 1.0, 2.0):
+            x, y = ctx.robot_start
+            h = wrap_angle(math.pi / 2)
+            turns = []
+            for _ in range(NAV_STEPS):
+                w = _pc_turn(x, y, h, target, gain)
+                x, y, h = _nav_step(x, y, h, ROBOT_NAV_SPEED, w)
+                turns.append(w)
+            cands.append(_turns_traj(turns))
+    return tuple(cands)
+
+
 def default_hindsight_candidates(executed: ActionTraj,
                                  ctx: Optional[NavWorld] = None
                                  ) -> list[ActionTraj]:
     """9 proportional-control trajectories (3 bearings x 3 gains) plus the
     executed trajectory (always last)."""
     ctx = ctx if ctx is not None else NavWorld()
-    mid = ((ctx.goal_primary[0] + ctx.goal_backup[0]) / 2.0,
-           (ctx.goal_primary[1] + ctx.goal_backup[1]) / 2.0)
-    cands = []
-    for target in (ctx.goal_primary, ctx.goal_backup, mid):
-        for gain in (0.5, 1.0, 2.0):
-            state = AgentState(ctx.robot_start[0], ctx.robot_start[1],
-                               math.pi / 2, ROBOT_NAV_SPEED)
-            turns = np.empty(NAV_STEPS)
-            for k in range(NAV_STEPS):
-                wv = _pc_turn(state, target, gain)
-                state = unicycle_step(state, 0.0, wv, NAV_DT)
-                turns[k] = wv
-            cands.append(ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns])))
-    cands.append(executed)
-    return cands
+    return [*_proportional_candidates(ctx), executed]
+
+
+def _robot_masses(cb: Codebook, turns: np.ndarray, n_samples: int,
+                  delta: float, bandwidth: float,
+                  executed_turns: bytes) -> np.ndarray:
+    """(K, 6) robot window masses of one candidate's turns.
+
+    Memoised on the codebook by (n_samples, delta, bandwidth, turns) for
+    every candidate but the executed one, which is computed fresh: in every
+    caller the other candidates are a fixed set, so the memo does not grow
+    with the number of trajectories scored.
+    """
+    key = (n_samples, delta, bandwidth, turns.tobytes())
+    out = cb._robot_masses.get(key)
+    if out is None:
+        draws = _code_draws(cb, n_samples)
+        out = _window_masses(draws[:, :, :NAV_STEPS], turns, delta, bandwidth)
+        if key[3] != executed_turns:
+            out.setflags(write=False)
+            cb._robot_masses[key] = out
+    return out
 
 
 def generative_regret(cb: Codebook, executed_robot_traj: ActionTraj,
@@ -458,11 +521,12 @@ def generative_regret(cb: Codebook, executed_robot_traj: ActionTraj,
     w = cb.encoder_row(delta_h, goal)
     draws = _code_draws(cb, n_samples)
     obs = observed_human_traj.actions[:, 1]
-    cand_turns = np.stack([c.actions[:, 1] for c in cands])  # (C, 6)
 
     m_h = _window_masses(draws[:, :, NAV_STEPS:], obs, delta, bandwidth)  # (K, 6)
-    m_r = _window_masses(draws[:, :, :NAV_STEPS], cand_turns,
-                         delta, bandwidth)                     # (K, C, 6)
+    exec_turns = executed_robot_traj.actions[:, 1].tobytes()
+    m_r = np.stack([_robot_masses(cb, c.actions[:, 1], n_samples, delta,
+                                  bandwidth, exec_turns)
+                    for c in cands], axis=1)                   # (K, C, 6)
     den = np.einsum("k,kt->t", w, m_h)                        # (6,)
     if np.any(den < _DEN_FLOOR):
         raise OutOfSupportError(
@@ -535,15 +599,14 @@ def hashn(name: str) -> int:
 def _perception_robot(goal: str, gen: np.random.Generator, exec_noise: float,
                       ctx: NavWorld) -> ActionTraj:
     target = ctx.goal_primary if goal == "Primary" else ctx.goal_backup
-    state = AgentState(ctx.robot_start[0], ctx.robot_start[1], math.pi / 2,
-                       ROBOT_NAV_SPEED)
-    turns = np.empty(NAV_STEPS)
-    for k in range(NAV_STEPS):
-        w = _pc_turn(state, target) + gen.normal(0.0, exec_noise)
-        w = float(np.clip(w, -TURN_LIMIT, TURN_LIMIT))
-        state = unicycle_step(state, 0.0, w, NAV_DT)
-        turns[k] = w
-    return ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns]))
+    x, y, h = ctx.robot_start[0], ctx.robot_start[1], wrap_angle(math.pi / 2)
+    turns = []
+    for _ in range(NAV_STEPS):
+        w = _clamp_turn(_pc_turn(x, y, h, target)
+                        + float(gen.normal(0.0, exec_noise)))
+        x, y, h = _nav_step(x, y, h, ROBOT_NAV_SPEED, w)
+        turns.append(w)
+    return _turns_traj(turns)
 
 
 def _fit_perception_codebook(n_fit: int, exec_noise: float,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,29 +26,6 @@ class LuceShepard:
     """Choice likelihoods proportional to exp(reward)."""
 
     weights: RewardWeights = field(default_factory=RewardWeights)
-
-
-@dataclass(frozen=True)
-class GenerativeKDE:
-    """Counterfactual likelihoods from a codebook + KDE window masses.
-
-    Evaluation of this variant lives with the generative planner tooling
-    (it scores 6-step heading deployments, not corridor scenes).
-    """
-
-    codebook: object
-    bandwidth: float = 0.05
-    delta: float = 0.1
-    n_samples: int = 250
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.bandwidth <= 0 or self.delta <= 0:
-            raise ValueError("bandwidth and delta must be positive")
-
-
-LikelihoodModel = Union[LuceShepard, GenerativeKDE]
 
 
 def softmax_likelihoods(rewards) -> np.ndarray:
@@ -116,18 +93,13 @@ def canonical_regret(weights: RewardWeights, candidates: Sequence[ActionTraj],
     return canonical_from_rewards(r, executed_index)
 
 
-def generalized_regret_t(model: LikelihoodModel, candidates: Sequence[ActionTraj],
+def generalized_regret_t(model: LuceShepard, candidates: Sequence[ActionTraj],
                          executed_index: int, realized_humans: Sequence[ActionTraj],
                          joint: JointState, ctx: Context, human_radii=None,
                          dt: float = 0.1) -> float:
-    if isinstance(model, LuceShepard):
-        p = luce_shepard_likelihoods(model.weights, candidates, realized_humans,
-                                     joint, ctx, human_radii, dt)
-        return generalized_from_likelihoods(p, executed_index)
-    raise TypeError(
-        "GenerativeKDE likelihoods apply to 6-step nav deployments; "
-        "use the generative planner's regret entry point"
-    )
+    p = luce_shepard_likelihoods(model.weights, candidates, realized_humans,
+                                 joint, ctx, human_radii, dt)
+    return generalized_from_likelihoods(p, executed_index)
 
 
 @dataclass
@@ -155,7 +127,7 @@ def _realized_human_segment(scene, human_idx: int, t0: int, T: int) -> Optional[
     return ActionTraj(seg, start_t=t0)
 
 
-def score_scene(model: LikelihoodModel, scene, aggregation: str = "mean") -> RegretReport:
+def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretReport:
     """Generalized + canonical regret at every logged replan of a scene.
 
     Candidate rewards are recomputed against the realized human actions

@@ -143,14 +143,14 @@ def _cruise_action(profile: HumanProfile, me: AgentState, joint: JointState,
                    ctx: Context, others) -> tuple[float, float]:
     if isinstance(ctx, DrivingCorridor):
         center = ctx.nearest_center(me.y)
-        desired = float(np.clip(-0.4 * (me.y - center), -0.5, 0.5))
-        w = float(np.clip(2.0 * wrap_angle(desired - me.heading), -1.0, 1.0))
+        desired = min(max(-0.4 * (me.y - center), -0.5), 0.5)
+        w = min(max(2.0 * wrap_angle(desired - me.heading), -1.0), 1.0)
     else:
         w = 0.0
     if _agents_ahead(me, others, profile.reaction_radius):
         a = -3.0 if me.speed > 0 else 0.0
     else:
-        a = float(np.clip(0.6 * (profile.target_speed - me.speed), -2.0, 2.0))
+        a = min(max(0.6 * (profile.target_speed - me.speed), -2.0), 2.0)
     return a, w
 
 
@@ -207,8 +207,8 @@ def human_policy_step(profile: HumanProfile, me: AgentState, joint: JointState,
         if memory.get("yield_latch") is True and robot.x < me.x + 3.0:
             return (-3.0 if me.speed > 0 else 0.0, 0.0)
         target_h = _crossing_target_heading(memory, me)
-        w = float(np.clip(2.0 * wrap_angle(target_h - me.heading), -1.0, 1.0))
-        a = float(np.clip(0.8 * (profile.target_speed - me.speed), -2.0, 2.0))
+        w = min(max(2.0 * wrap_angle(target_h - me.heading), -1.0), 1.0)
+        a = min(max(0.8 * (profile.target_speed - me.speed), -2.0), 2.0)
         return a, w
 
     raise ValueError(f"unhandled mode {profile.mode!r}")

@@ -2,26 +2,43 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.special import ndtr
 from scipy.stats import norm
 
-from regret_miner.core import ActionTraj, RngStream
+from regret_miner.core import (
+    TURN_LIMIT,
+    ActionTraj,
+    AgentState,
+    NavWorld,
+    RngStream,
+    unicycle_step,
+    wrap_angle,
+)
 from regret_miner.genplan import (
     GOALS,
     HUMAN_CLASSES,
+    HUMAN_NAV_SPEED,
     N_CUE_BUCKETS,
+    NAV_DT,
     NAV_STEPS,
+    ROBOT_NAV_SPEED,
     Codebook,
     NavSample,
     OutOfSupportError,
     SensorModel,
+    _clamp_turn,
     _code_draws,
+    _nav_step,
     build_mismatch_scenarios,
     codebook_from_json,
     codebook_to_json,
     counterfactual_prob,
     cue_bucket,
     default_hindsight_candidates,
+    divert_shape_candidate,
     fit_codebook,
     generate_nav_dataset,
     generative_regret,
@@ -380,3 +397,218 @@ def test_nav_serialization_round_trip(nav_data, codebook):
         nav_samples_from_json('{"schema": "nav/2", "samples": []}')
     with pytest.raises(ValueError):
         codebook_from_json('{"schema": "codebook/9"}')
+
+
+# ---------------------------------------------------------------------------
+# Scalar nav kernel
+# ---------------------------------------------------------------------------
+
+# Headings at and just inside +-pi, where wrap_angle is not idempotent.
+_NAV_HEADINGS = st.one_of(
+    st.sampled_from([math.pi, -math.pi, math.pi - 1e-15, -math.pi + 1e-15,
+                     -math.pi - 4e-16, math.pi / 2, -math.pi / 2, 0.0]),
+    st.floats(-math.pi, math.pi),
+)
+# Turns around the 1e-12 straight-line threshold, at and beyond the turn
+# limit (clamped before stepping, as genplan's loops do), and in between.
+_NAV_TURNS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-13, -5e-13, 9.99e-13, -9.99e-13, 1e-12,
+                     -1e-12, 1.01e-12, -3e-15, -3e-16, TURN_LIMIT, -TURN_LIMIT,
+                     1.0 + 1e-9, -1.5, 7.0, float("inf"), float("-inf")]),
+    st.floats(-3.0, 3.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(-10.0, 10.0),
+    y=st.floats(-10.0, 10.0),
+    heading=_NAV_HEADINGS,
+    speed=st.sampled_from([ROBOT_NAV_SPEED, HUMAN_NAV_SPEED]),
+    turns=st.lists(_NAV_TURNS, min_size=1, max_size=NAV_STEPS),
+)
+# One wrap of -pi - 3e-16 gives +pi; the second gives -pi.
+@example(x=0.0, y=0.0, heading=-math.pi, speed=ROBOT_NAV_SPEED,
+         turns=[-3e-16, 0.0])
+def test_nav_step_equals_unicycle_step(x, y, heading, speed, turns):
+    state = AgentState(x, y, heading, speed)
+    kx, ky, kh = x, y, wrap_angle(heading)
+    for w in turns:
+        state = unicycle_step(state, 0.0, float(np.clip(w, -TURN_LIMIT, TURN_LIMIT)),
+                              NAV_DT)
+        kx, ky, kh = _nav_step(kx, ky, kh, speed, _clamp_turn(w))
+        assert (kx, ky, kh) == (state.x, state.y, state.heading)
+
+
+def test_nav_step_rejects_non_finite_turn():
+    for w in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            _nav_step(0.0, 0.0, 0.0, ROBOT_NAV_SPEED, w)
+    # clamping keeps NaN, so a NaN turn is still rejected after the clamp
+    with pytest.raises(ValueError):
+        _nav_step(0.0, 0.0, 0.0, ROBOT_NAV_SPEED, _clamp_turn(float("nan")))
+
+
+# ---------------------------------------------------------------------------
+# Memoised generative regret against a from-scratch reference
+# ---------------------------------------------------------------------------
+
+def _reference_draws(cb, n):
+    out = np.empty((cb.K, n, 2 * NAV_STEPS))
+    for z in range(cb.K):
+        gen = RngStream(987654321, 11).derive(z, n).generator()
+        out[z] = cb.means[z] + cb.stds[z] * gen.standard_normal((n, 2 * NAV_STEPS))
+    return out
+
+
+def _reference_masses(draws, queries, delta, bandwidth):
+    q = queries[np.newaxis, ..., np.newaxis, :]
+    d = draws.reshape(draws.shape[0], *([1] * (queries.ndim - 1)),
+                      draws.shape[1], draws.shape[2])
+    hi = ndtr((q + delta - d) / bandwidth)
+    lo = ndtr((q - delta - d) / bandwidth)
+    return np.mean(hi - lo, axis=-2)
+
+
+def _reference_candidates(executed):
+    ctx = NavWorld()
+    mid = ((ctx.goal_primary[0] + ctx.goal_backup[0]) / 2.0,
+           (ctx.goal_primary[1] + ctx.goal_backup[1]) / 2.0)
+    cands = []
+    for target in (ctx.goal_primary, ctx.goal_backup, mid):
+        for gain in (0.5, 1.0, 2.0):
+            state = AgentState(ctx.robot_start[0], ctx.robot_start[1],
+                               math.pi / 2, ROBOT_NAV_SPEED)
+            turns = np.empty(NAV_STEPS)
+            for k in range(NAV_STEPS):
+                desired = math.atan2(target[1] - state.y, target[0] - state.x)
+                w = float(np.clip(gain * wrap_angle(desired - state.heading),
+                                  -TURN_LIMIT, TURN_LIMIT))
+                state = unicycle_step(state, 0.0, w, NAV_DT)
+                turns[k] = w
+            cands.append(ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns])))
+    return cands + [executed]
+
+
+def _reference_regret(cb, executed, observed, delta_h, goal, cands=None,
+                      n_samples=250, delta=0.1, bandwidth=0.05):
+    """generative_regret computed from scratch: fresh draws, fresh
+    candidates, one batched window-mass evaluation."""
+    cands = _reference_candidates(executed) if cands is None else list(cands)
+    exec_idx = next(i for i, c in enumerate(cands) if c == executed)
+    w = cb.encoder_row(delta_h, goal)
+    draws = _reference_draws(cb, n_samples)
+    cand_turns = np.stack([c.actions[:, 1] for c in cands])
+    m_h = _reference_masses(draws[:, :, NAV_STEPS:], observed.actions[:, 1],
+                            delta, bandwidth)
+    m_r = _reference_masses(draws[:, :, :NAV_STEPS], cand_turns, delta, bandwidth)
+    den = np.einsum("k,kt->t", w, m_h)
+    num = np.einsum("k,kt,kct->ct", w, m_h, m_r)
+    lik = np.clip(num / den[np.newaxis, :], 0.0, 1.0)
+    return float(np.mean(lik.max(axis=0) - lik[exec_idx]))
+
+
+def _reference_prob(cb, robot, observed, delta_h, goal, n_samples=250,
+                    delta=0.1, bandwidth=0.05):
+    w = cb.encoder_row(delta_h, goal)
+    query = np.concatenate([robot.actions[:, 1], observed.actions[:, 1]])
+    masses = _reference_masses(_reference_draws(cb, n_samples), query, delta,
+                               bandwidth)
+    num = float(np.dot(w, masses.prod(axis=1)))
+    den = float(np.dot(w, masses[:, NAV_STEPS:].prod(axis=1)))
+    return float(np.clip(num / den, 0.0, 1.0))
+
+
+@pytest.fixture(scope="module")
+def scored_samples(nav_data):
+    return nav_data[:8]
+
+
+def _fresh(cb):
+    """An equal codebook with an empty memo."""
+    return codebook_from_json(codebook_to_json(cb))
+
+
+def test_default_candidates_equal_reference():
+    executed = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.1)]))
+    assert default_hindsight_candidates(executed) == _reference_candidates(executed)
+    # the fixed part is shared between calls, the executed one is appended
+    again = default_hindsight_candidates(executed)
+    assert all(a is b for a, b in zip(again[:-1],
+                                      default_hindsight_candidates(executed)[:-1]))
+
+
+@pytest.mark.parametrize("K", [1, 2, 6])
+def test_memoised_regret_equals_reference(nav_data, scored_samples, K):
+    cb = fit_codebook(nav_data, K=K)
+    divert = divert_shape_candidate()
+    for s in scored_samples + scored_samples[::-1]:
+        args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
+        assert generative_regret(cb, *args) == _reference_regret(cb, *args)
+        cands = [divert] + default_hindsight_candidates(s.robot_traj)
+        assert generative_regret(cb, *args, hindsight_candidates=cands) == \
+            _reference_regret(cb, *args, cands=cands)
+        assert counterfactual_prob(cb, *args) == _reference_prob(cb, *args)
+
+
+def test_memo_does_not_leak_across_codebooks(nav_data, scored_samples):
+    cb_a = fit_codebook(nav_data, K=6)
+    cb_b = fit_codebook(nav_data[100:], K=6)
+    want = {id(cb): [_reference_regret(cb, s.robot_traj, s.human_traj,
+                                       s.delta_h, s.goal)
+                     for s in scored_samples]
+            for cb in (cb_a, cb_b)}
+    for i, s in enumerate(scored_samples):
+        for cb in ((cb_a, cb_b) if i % 2 else (cb_b, cb_a)):
+            got = generative_regret(cb, s.robot_traj, s.human_traj,
+                                    s.delta_h, s.goal)
+            assert got == want[id(cb)][i]
+
+
+def test_memo_keys_on_kde_parameters(codebook, scored_samples):
+    cb = _fresh(codebook)
+    settings_ = [dict(n_samples=250, delta=0.1, bandwidth=0.05),
+                 dict(n_samples=120, delta=0.1, bandwidth=0.05),
+                 dict(n_samples=250, delta=0.2, bandwidth=0.05),
+                 dict(n_samples=250, delta=0.1, bandwidth=0.1)]
+    for s in scored_samples[:3]:
+        args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
+        for kw in settings_ + settings_[::-1]:
+            assert generative_regret(cb, *args, **kw) == \
+                _reference_regret(cb, *args, **kw)
+            assert counterfactual_prob(cb, *args, **kw) == \
+                _reference_prob(cb, *args, **kw)
+    # only the fixed candidates are memoised (7 distinct turn sequences: the
+    # three gains toward the primary goal all drive straight), once per
+    # setting, however many executed trajectories were scored
+    fixed = {c.actions[:, 1].tobytes()
+             for c in default_hindsight_candidates(s.robot_traj)[:-1]}
+    assert len(fixed) == 7
+    assert len(cb._robot_masses) == len(fixed) * len(settings_)
+    assert set(cb._draws) == {250, 120}
+
+
+def test_warm_memo_keeps_errors(codebook, scored_samples):
+    cb = _fresh(codebook)
+    s = scored_samples[0]
+    generative_regret(cb, s.robot_traj, s.human_traj, s.delta_h, s.goal,
+                      n_samples=50, delta=0.01, bandwidth=0.005)
+    other = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.3)]))
+    with pytest.raises(ValueError):
+        generative_regret(cb, s.robot_traj, s.human_traj, s.delta_h, s.goal,
+                          hindsight_candidates=[other])
+    far = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 1.0)]))
+    with pytest.raises(OutOfSupportError):
+        generative_regret(cb, s.robot_traj, far, s.delta_h, s.goal,
+                          n_samples=50, delta=0.01, bandwidth=0.005)
+
+
+def test_codebook_arrays_are_read_only_copies():
+    enc = np.full((N_CUE_BUCKETS, 2, 2), 0.5)
+    means = np.zeros((2, 12))
+    cb = Codebook(K=2, encoder=enc, means=means, stds=np.full((2, 12), 0.1))
+    means[0, 0] = 5.0
+    assert cb.means[0, 0] == 0.0
+    for arr in (cb.encoder, cb.means, cb.stds, _code_draws(cb, 10)):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0

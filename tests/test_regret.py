@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from regret_miner.core import ActionTraj, AgentState, DrivingCorridor, JointState, RngStream
+from regret_miner.core import ActionTraj
+from regret_miner.genplan import N_CUE_BUCKETS, Codebook
 from regret_miner.planner import PlannerHandle, RewardWeights
 from regret_miner.regret import (
-    GenerativeKDE,
     LuceShepard,
     build_calibration_pair,
     canonical_from_rewards,
@@ -25,8 +25,6 @@ from regret_miner.regret import (
     softmax_likelihoods,
 )
 from regret_miner.simkit import OraclePredictor, generate_scenario_batch, run_closed_loop
-
-TWO_LANE = DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7, length=400.0)
 
 
 def test_softmax_known_values():
@@ -133,18 +131,15 @@ def test_luce_shepard_matches_hindsight_softmax():
 
 
 def test_generative_model_rejected_for_corridor_scoring():
-    cb = object()
-    model = GenerativeKDE(codebook=cb)
-    joint = JointState(AgentState(0, 0, 0, 5), (), 0)
+    # corridor scenes are scored with the reward-based model only; the
+    # generative codebook path has its own entry point, genplan.generative_regret
+    spec = generate_scenario_batch("SparseCruise", 1, base_seed=4, horizon=20)[0]
+    scene = run_closed_loop(spec, PlannerHandle(), OraclePredictor(), 10)
+    enc = np.ones((N_CUE_BUCKETS, 2, 1))
+    cb = Codebook(K=1, encoder=enc, means=np.zeros((1, 12)),
+                  stds=np.full((1, 12), 0.1))
     with pytest.raises(TypeError):
-        generalized_regret_t(model, [ActionTraj(np.zeros((5, 2)))], 0, [],
-                             joint, TWO_LANE)
-    with pytest.raises(ValueError):
-        GenerativeKDE(codebook=cb, n_samples=0)
-    with pytest.raises(ValueError):
-        GenerativeKDE(codebook=cb, bandwidth=0.0)
-    with pytest.raises(ValueError):
-        GenerativeKDE(codebook=cb, delta=-0.1)
+        score_scene(cb, scene)
 
 
 def test_score_scene_report_consistency():
