@@ -15,7 +15,6 @@ separately against the same run directory:
     regret-miner perception-case --out runs/perception
 
 Failures exit nonzero after printing a one-line error JSON to stderr.
-REGRET_MINER_THREADS caps worker threads for the closed-loop stages.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -107,6 +107,41 @@ class ActionTraj:
         arr.setflags(write=False)
         self.actions = arr
         self.start_t = int(start_t)
+
+    @classmethod
+    def block(cls, actions, start_ts: Sequence[int]) -> list["ActionTraj"]:
+        """K trajectories from one (K, T, 2) action block, validated at once.
+
+        The block is copied and frozen read-only, and each trajectory's
+        actions are a view of one row. The checks are those of __init__
+        with the default bounds: when a row fails one, that row is passed to
+        __init__ so the error raised is the one constructing the trajectories
+        one by one raises.
+        """
+        arr = np.array(actions, dtype=float)
+        if arr.ndim != 3:
+            raise ValueError(f"action block must have shape (K, T, 2), got {arr.shape}")
+        if len(start_ts) != arr.shape[0]:
+            raise ValueError("need one start_t per trajectory")
+        if arr.shape[0] == 0:
+            return []
+        if arr.shape[1] < 1 or arr.shape[2] != 2:
+            raise ValueError(f"actions must have shape (T>=1, 2), got {arr.shape[1:]}")
+        bad = ((~np.isfinite(arr)).any(axis=(1, 2))
+               | (np.abs(arr[:, :, 0]) > ACCEL_LIMIT + 1e-12).any(axis=1)
+               | (np.abs(arr[:, :, 1]) > TURN_LIMIT + 1e-12).any(axis=1)
+               | (np.asarray(start_ts) < 0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            cls(arr[k], start_ts[k])
+        arr.setflags(write=False)
+        out = []
+        for row, start_t in zip(arr, start_ts):
+            traj = cls.__new__(cls)
+            traj.actions = row
+            traj.start_t = int(start_t)
+            out.append(traj)
+        return out
 
     def __len__(self) -> int:
         return self.actions.shape[0]
@@ -273,6 +308,54 @@ def rollout_positions(state: AgentState, traj: ActionTraj,
     if not (math.isfinite(h) and math.isfinite(v) and np.isfinite(xy).all()):
         raise ValueError("rollout_positions: rollout left the finite range")
     return xy
+
+
+def rollout_positions_batch(x0, y0, h0, v0, actions: np.ndarray,
+                            dt: float = DT_DEFAULT) -> np.ndarray:
+    """(B, T, 2) positions of B rollouts, one per row of a (B, T, 2) action
+    array, from per-row start states x0, y0, h0, v0 (each of shape (B,)).
+
+    Each row repeats rollout_positions's operations in the same order, with
+    the turn branch chosen per element, so every row equals rollout_positions
+    of that row's start state and actions bit for bit. It raises the same
+    ValueErrors: dt <= 0, a non-finite dt, and a rollout leaving the finite
+    range. Non-finite start states or actions, which AgentState and
+    ActionTraj reject, raise ValueError as well.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    _require_finite("rollout_positions", dt)
+    acts = np.asarray(actions, dtype=float)
+    if acts.ndim != 3 or acts.shape[2] != 2:
+        raise ValueError(f"actions must have shape (B, T, 2), got {acts.shape}")
+    B, T = acts.shape[:2]
+    pi, two_pi = math.pi, TWO_PI
+    x, y, h, v = (np.asarray(s, dtype=float) for s in (x0, y0, h0, v0))
+    if any(a.shape != (B,) for a in (x, y, h, v)):
+        raise ValueError(f"start states must have shape ({B},)")
+    if not all(np.isfinite(a).all() for a in (x, y, h, v, acts)):
+        raise ValueError("rollout_positions_batch: start states and actions must be finite")
+    out = np.empty((B, T, 2))
+    with np.errstate(all="ignore"):
+        for k in range(T):
+            accel, turn = acts[:, k, 0], acts[:, k, 1]
+            v = v + accel * dt
+            v = np.where(v > 0.0, v, 0.0)  # max(0.0, v) exactly: -0.0 becomes 0.0
+            straight = np.abs(turn) < 1e-12
+            safe_turn = np.where(straight, 1.0, turn)
+            h1 = h + turn * dt
+            sin_h, cos_h = np.sin(h), np.cos(h)
+            x = np.where(straight, x + v * cos_h * dt,
+                         x + (v / safe_turn) * (np.sin(h1) - sin_h))
+            y = np.where(straight, y + v * sin_h * dt,
+                         y + -(v / safe_turn) * (np.cos(h1) - cos_h))
+            h = (h + turn * dt + pi) % two_pi - pi
+            h = (h + pi) % two_pi - pi
+            out[:, k, 0] = x
+            out[:, k, 1] = y
+    if not (np.isfinite(h).all() and np.isfinite(v).all() and np.isfinite(out).all()):
+        raise ValueError("rollout_positions: rollout left the finite range")
+    return out
 
 
 def footprint_overlap(a: AgentState, b: AgentState, radius_a: float,

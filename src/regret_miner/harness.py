@@ -12,8 +12,6 @@ import csv
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,23 +46,6 @@ ALL_METRICS = CORE_METRICS + ("ade", "fde")
 
 _ARM_STREAM = {"HighRegretFT": 21, "LowRegretFT": 22, "RandomFT": 23, "AllFT": 24}
 _SUBSET_STREAM = 31
-
-
-def _threads() -> int:
-    raw = os.environ.get("REGRET_MINER_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items: Sequence):
-    items = list(items)
-    n = min(_threads(), len(items))
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +188,9 @@ def pretrain_predictor(config: ExperimentConfig) -> PredictorParams:
     specs = _batch_specs(config.pretrain_families, config.pretrain_seed)
     handle = config.planner_handle()
 
-    def run(spec):
-        return simkit.run_closed_loop(spec, handle, simkit.OraclePredictor(),
-                                      config.replan_every)
-
-    scenes = _map(run, specs)
+    scenes = [simkit.run_closed_loop(spec, handle, simkit.OraclePredictor(),
+                                     config.replan_every)
+              for spec in specs]
     return fit(scenes, init=config.fresh_predictor(), learning="full",
                **config.fit_kwargs())
 
@@ -226,11 +205,9 @@ def deploy(config: ExperimentConfig, params: PredictorParams,
     specs = _batch_specs(config.families, config.base_seed)
     handle = config.planner_handle()
 
-    def run(spec):
-        return simkit.run_closed_loop(spec, handle, TablePredictor(params),
-                                      config.replan_every)
-
-    scenes = _map(run, specs)
+    scenes = [simkit.run_closed_loop(spec, handle, TablePredictor(params),
+                                     config.replan_every)
+              for spec in specs]
     paths = {
         "scenes": out / "scenes.jsonl",
         "scenarios": out / "scenarios.json",
@@ -274,10 +251,8 @@ def score_deployment(scenes: Sequence, config: ExperimentConfig):
     """(scores by scenario id, full per-scene regret reports)."""
     model = LuceShepard(config.planner_handle().weights)
 
-    def one(scene):
-        return score_scene(model, scene, aggregation=config.aggregation)
-
-    reports = _map(one, scenes)
+    reports = [score_scene(model, scene, aggregation=config.aggregation)
+               for scene in scenes]
     scores = {r.scenario_id: r.score for r in reports}
     return scores, reports
 
@@ -486,11 +461,10 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
             raise ValueError(f"{split} holdout specs missing: {missing[:3]}")
 
     def run_split(params, ids):
-        def one(sid):
-            return simkit.run_closed_loop(specs_by_id[sid], handle,
-                                          TablePredictor(params),
-                                          config.replan_every)
-        return _split_cell(_map(one, ids), config)
+        return _split_cell([simkit.run_closed_loop(specs_by_id[sid], handle,
+                                                   TablePredictor(params),
+                                                   config.replan_every)
+                            for sid in ids], config)
 
     values: dict[str, dict[str, list[dict]]] = {}
     base_cells = None

@@ -95,14 +95,14 @@ def _steer_sequence(profile: str, T: int, turn: float) -> np.ndarray:
     return w
 
 
-def _cap_speed(accel: np.ndarray, v0: float, cap: float, dt: float) -> np.ndarray:
+def _cap_speed(accel: np.ndarray, v0: float, cap: float, dt: float) -> list[float]:
     """Clamp an acceleration sequence so rolled-out speed never exceeds cap."""
-    out = np.empty_like(accel)
+    out = []
     v = v0
-    for k in range(len(accel)):
-        a = min(float(accel[k]), (cap - v) / dt)
+    for a in accel.tolist():
+        a = min(a, (cap - v) / dt)
         a = min(max(a, -ACCEL_LIMIT), ACCEL_LIMIT)
-        out[k] = a
+        out.append(a)
         v = max(0.0, v + a * dt)
     return out
 
@@ -117,8 +117,11 @@ def sample_candidates(handle: PlannerHandle, state: AgentState, ctx: Context,
     gen = rng.generator()
     T = handle.horizon
     cap = handle.speed_cap
-    maintain = _cap_speed(np.zeros(T), state.speed, cap, handle.dt)
-    cands = [ActionTraj(np.column_stack([maintain, np.zeros(T)]), start_t=start_t)]
+    block = np.zeros((handle.n_candidates, T, 2))
+    block[0, :, 0] = _cap_speed(np.zeros(T), state.speed, cap, handle.dt)
+    steer = {p: np.clip(_steer_sequence(p, T, handle.lane_change_turn),
+                        -TURN_LIMIT, TURN_LIMIT)
+             for p in handle.steer_profiles}
     if handle.two_stage:
         accel_seqs = []
         half = T // 2
@@ -129,59 +132,75 @@ def sample_candidates(handle: PlannerHandle, state: AgentState, ctx: Context,
                 accel_seqs.append(seq)
     else:
         accel_seqs = [np.full(T, a) for a in handle.accel_levels]
+    k = 1
     for accel in accel_seqs:
         for profile in handle.steer_profiles:
             jit = gen.normal(0.0, handle.accel_jitter)
             a = np.clip(accel + jit, -ACCEL_LIMIT, ACCEL_LIMIT)
-            a = _cap_speed(a, state.speed, cap, handle.dt)
-            w = np.clip(_steer_sequence(profile, T, handle.lane_change_turn),
-                        -TURN_LIMIT, TURN_LIMIT)
-            cands.append(ActionTraj(np.column_stack([a, w]), start_t=start_t))
-    return cands
+            block[k, :, 0] = _cap_speed(a, state.speed, cap, handle.dt)
+            block[k, :, 1] = steer[profile]
+            k += 1
+    return ActionTraj.block(block, [start_t] * len(block))
 
 
-def _overlap_sum(ego_xy: np.ndarray, h_xy: np.ndarray, r: float) -> float:
-    L = min(len(ego_xy), len(h_xy))
-    d = np.hypot(ego_xy[:L, 0] - h_xy[:L, 0], ego_xy[:L, 1] - h_xy[:L, 1])
-    return float(np.maximum(0.0, ROBOT_RADIUS + r - d).sum())
+def _overlap_sum(ego_xy: np.ndarray, h_xy: np.ndarray, r: float):
+    """Summed footprint overlap of ego rollouts (..., T, 2) against one human
+    rollout, cropped to the shorter; one contiguous sum per rollout."""
+    L = min(ego_xy.shape[-2], len(h_xy))
+    d = np.hypot(ego_xy[..., :L, 0] - h_xy[:L, 0], ego_xy[..., :L, 1] - h_xy[:L, 1])
+    return np.maximum(0.0, ROBOT_RADIUS + r - d).sum(axis=-1)
+
+
+def terms_matrix(ego_xys: np.ndarray, acts: np.ndarray,
+                 human_xys: Sequence[np.ndarray], radii: Optional[Sequence[float]],
+                 robot: AgentState, ctx: Context):
+    """(progress, mean sq lane offset, summed overlap, sum sq actions), each a
+    (B,) array, of B ego rollouts (B, T, 2) with their actions (B, T, 2)
+    against human rollouts, all cropped to the shortest of them.
+
+    radii defaults to CAR_RADIUS for every human. human_xys pairs with radii
+    as zip does: a human without a radius adds no overlap. Each term is a
+    per-row contiguous reduction, so row b equals the terms of rollout b
+    computed on its own.
+    """
+    if radii is None:
+        radii = [CAR_RADIUS] * len(human_xys)
+    B = ego_xys.shape[0]
+    L = min([ego_xys.shape[1]] + [len(h) for h in human_xys])
+    ego = ego_xys[:, :L]
+    if isinstance(ctx, DrivingCorridor):
+        progress = ego[:, -1, 0] - robot.x
+        centers = np.array(ctx.lane_centers)
+        offs = np.abs(ego[:, :, 1][:, :, None] - centers).min(axis=2)
+        lane = (offs ** 2).sum(axis=1) / L  # np.mean's arithmetic, without its overhead
+    elif isinstance(ctx, NavWorld):
+        goal = np.array(ctx.goal_primary)
+        d0 = float(np.hypot(robot.x - goal[0], robot.y - goal[1]))
+        d1 = np.hypot(ego[:, -1, 0] - goal[0], ego[:, -1, 1] - goal[1])
+        progress = d0 - d1
+        lane = np.zeros(B)
+    else:
+        raise TypeError(f"unsupported context {type(ctx)}")
+    col = np.zeros(B)
+    for h_xy, r in zip(human_xys, radii):
+        col = col + _overlap_sum(ego, h_xy, r)
+    ctrl = (acts[:, :L] ** 2).reshape(B, -1).sum(axis=1)
+    return progress, lane, col, ctrl
 
 
 def terms_from_positions(ego_xy: np.ndarray, acts: np.ndarray,
                          human_xys: Sequence[np.ndarray],
                          radii: Optional[Sequence[float]],
                          robot: AgentState, ctx: Context):
-    """(progress, mean sq lane offset, summed overlap, sum sq actions) of an
-    ego rollout against human rollouts, all cropped to the shortest of them.
-
-    radii defaults to CAR_RADIUS for every human. human_xys pairs with radii
-    as zip does: a human without a radius adds no overlap.
-    """
-    if radii is None:
-        radii = [CAR_RADIUS] * len(human_xys)
-    L = min([len(ego_xy)] + [len(h) for h in human_xys])
-    ego_xy = ego_xy[:L]
-    if isinstance(ctx, DrivingCorridor):
-        progress = float(ego_xy[-1, 0] - robot.x)
-        centers = np.array(ctx.lane_centers)
-        offs = np.abs(ego_xy[:, 1][:, None] - centers[None, :]).min(axis=1)
-        lane = float(np.mean(offs ** 2))
-    elif isinstance(ctx, NavWorld):
-        goal = np.array(ctx.goal_primary)
-        d0 = float(np.hypot(robot.x - goal[0], robot.y - goal[1]))
-        d1 = float(np.hypot(ego_xy[-1, 0] - goal[0], ego_xy[-1, 1] - goal[1]))
-        progress = d0 - d1
-        lane = 0.0
-    else:
-        raise TypeError(f"unsupported context {type(ctx)}")
-    col = 0.0
-    for h_xy, r in zip(human_xys, radii):
-        col += _overlap_sum(ego_xy, h_xy, r)
-    ctrl = float((acts[:L] ** 2).sum())
-    return progress, lane, col, ctrl
+    """terms_matrix of one ego rollout (T, 2) and its actions (T, 2), as
+    floats."""
+    terms = terms_matrix(ego_xy[None], acts[None], human_xys, radii, robot, ctx)
+    return tuple(float(t[0]) for t in terms)
 
 
-def weighted_reward(weights: RewardWeights, terms) -> float:
-    """R = w_progress*progress + w_lane*lane + w_col*overlap + w_ctrl*ctrl."""
+def weighted_reward(weights: RewardWeights, terms):
+    """R = w_progress*progress + w_lane*lane + w_col*overlap + w_ctrl*ctrl,
+    elementwise when the terms are arrays."""
     progress, lane, col, ctrl = terms
     w = weights
     return (w.w_progress * progress + w.w_lane * lane
@@ -270,8 +289,8 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
         exp_r = w.w_progress * progress + w.w_lane * lane + w.w_ctrl * ctrl
         for i in range(M):
             for mp in pred.humans[i]:
-                exp_r += w.w_col * mp.prob * _overlap_sum(ego_xy, human_xy(i, mp.traj),
-                                                          radii[i])
+                exp_r += w.w_col * mp.prob * float(
+                    _overlap_sum(ego_xy, human_xy(i, mp.traj), radii[i]))
         expected.append(exp_r)
 
     chosen_idx = int(np.argmax(expected))

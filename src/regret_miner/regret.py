@@ -17,8 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ActionTraj, Context, JointState, rollout_positions
-from .planner import RewardWeights, terms_from_positions, weighted_reward
+from .core import (
+    ActionTraj,
+    Context,
+    JointState,
+    rollout_positions,
+    rollout_positions_batch,
+)
+from .planner import RewardWeights, terms_from_positions, terms_matrix, weighted_reward
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,23 @@ def generalized_from_likelihoods(likelihoods, executed_index: int) -> float:
     return float(p.max() - p[executed_index])
 
 
+def _rewards_from_rollouts(weights: RewardWeights, candidates: Sequence[ActionTraj],
+                           ego_xys: Sequence[np.ndarray], human_xys: Sequence[np.ndarray],
+                           human_radii, robot, ctx: Context) -> np.ndarray:
+    """Reward of every candidate from its rollout against the human rollouts:
+    one reward matrix when the candidates share one length, else one
+    candidate at a time."""
+    if len({len(c) for c in candidates}) == 1:
+        acts = np.array([c.actions for c in candidates])
+        return weighted_reward(weights, terms_matrix(np.array(ego_xys), acts, human_xys,
+                                                     human_radii, robot, ctx))
+    return np.array([
+        weighted_reward(weights, terms_from_positions(xy, cand.actions, human_xys,
+                                                      human_radii, robot, ctx))
+        for cand, xy in zip(candidates, ego_xys)
+    ])
+
+
 def _hindsight_rewards(weights: RewardWeights, candidates: Sequence[ActionTraj],
                        realized_humans: Sequence[ActionTraj], joint: JointState,
                        ctx: Context, human_radii=None, dt: float = 0.1) -> np.ndarray:
@@ -63,12 +86,9 @@ def _hindsight_rewards(weights: RewardWeights, candidates: Sequence[ActionTraj],
     human is rolled out once and shared by all candidates."""
     human_xys = [rollout_positions(joint.humans[i], h, dt)
                  for i, h in enumerate(realized_humans)]
-    return np.array([
-        weighted_reward(weights, terms_from_positions(
-            rollout_positions(joint.robot, cand, dt), cand.actions, human_xys,
-            human_radii, joint.robot, ctx))
-        for cand in candidates
-    ])
+    ego_xys = [rollout_positions(joint.robot, cand, dt) for cand in candidates]
+    return _rewards_from_rollouts(weights, candidates, ego_xys, human_xys,
+                                  human_radii, joint.robot, ctx)
 
 
 def luce_shepard_likelihoods(weights: RewardWeights, candidates: Sequence[ActionTraj],
@@ -127,12 +147,31 @@ def _realized_human_segment(scene, human_idx: int, t0: int, T: int) -> Optional[
     return ActionTraj(seg, start_t=t0)
 
 
+def _rollouts_by_length(starts: Sequence, actions: Sequence[np.ndarray],
+                        dt: float) -> list[np.ndarray]:
+    """rollout_positions of each (start state, (T, 2) actions) pair, with one
+    rollout_positions_batch call per distinct T."""
+    by_len: dict[int, list[int]] = {}
+    for n, acts in enumerate(actions):
+        by_len.setdefault(len(acts), []).append(n)
+    out: list = [None] * len(actions)
+    for idx in by_len.values():
+        rows = [starts[n] for n in idx]
+        xys = rollout_positions_batch([s.x for s in rows], [s.y for s in rows],
+                                      [s.heading for s in rows], [s.speed for s in rows],
+                                      [actions[n] for n in idx], dt)
+        for n, xy in zip(idx, xys):
+            out[n] = xy
+    return out
+
+
 def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretReport:
     """Generalized + canonical regret at every logged replan of a scene.
 
     Candidate rewards are recomputed against the realized human actions
     sliced from the scene log, never against the predictions that were used
-    at planning time.
+    at planning time. Every logged candidate and realized human segment of
+    the scene is rolled out in one batch before the replans are scored.
     """
     if aggregation not in ("mean", "worst"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
@@ -141,20 +180,25 @@ def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretR
     if not scene.replan_log:
         raise ValueError(f"scene {scene.scenario_id} has no replan log to score")
     radii = scene.radii_or_default()
-    M = len(scene.states[0].humans)
-    per_t = []
-    canon = []
+    human_actions = [scene.human_actions[i].actions
+                     for i in range(len(scene.states[0].humans))]
+    starts, actions, realized = [], [], []
     for entry in scene.replan_log:
         joint = scene.states[entry.t]
         T = len(entry.candidates[0])
-        realized = []
-        for i in range(M):
-            seg = _realized_human_segment(scene, i, entry.t, T)
-            if seg is not None:
-                realized.append(seg)
-        r = _hindsight_rewards(model.weights, entry.candidates,
-                               realized, joint, scene.context,
-                               radii[:len(realized)], dt=0.1)
+        segs = [seg for seg in (h[entry.t:entry.t + T] for h in human_actions) if len(seg)]
+        realized.append(len(segs))
+        starts += [joint.robot] * len(entry.candidates) + list(joint.humans[:len(segs)])
+        actions += [c.actions for c in entry.candidates] + segs
+    xys = iter(_rollouts_by_length(starts, actions, dt=0.1))
+    per_t = []
+    canon = []
+    for entry, n_humans in zip(scene.replan_log, realized):
+        ego_xys = [next(xys) for _ in entry.candidates]
+        human_xys = [next(xys) for _ in range(n_humans)]
+        r = _rewards_from_rollouts(model.weights, entry.candidates, ego_xys, human_xys,
+                                   radii[:n_humans], scene.states[entry.t].robot,
+                                   scene.context)
         p = softmax_likelihoods(r)
         g = generalized_from_likelihoods(p, entry.executed_index)
         per_t.append((entry.t, float(p[entry.executed_index]), float(p.max()), g))

@@ -522,6 +522,18 @@ def _traj_from_dict(d) -> ActionTraj:
     return ActionTraj(np.array(d["actions"], dtype=float), start_t=d["start_t"])
 
 
+def _trajs_from_dicts(ds: Sequence[dict]) -> list[ActionTraj]:
+    """Decode a list of trajectories as one validated ActionTraj.block;
+    trajectories of mixed lengths are decoded one by one."""
+    try:
+        block = np.array([d["actions"] for d in ds], dtype=float)
+    except ValueError:
+        block = None
+    if block is None or block.ndim != 3:
+        return [_traj_from_dict(d) for d in ds]
+    return ActionTraj.block(block, [d["start_t"] for d in ds])
+
+
 def context_to_dict(ctx: Context) -> dict:
     if isinstance(ctx, DrivingCorridor):
         return {"kind": "corridor", "lane_centers": list(ctx.lane_centers),
@@ -547,8 +559,9 @@ def _predset_to_list(ps: PredictionSet) -> list:
 
 
 def _predset_from_list(v) -> PredictionSet:
+    trajs = iter(_trajs_from_dicts([m["traj"] for human in v for m in human]))
     return PredictionSet(tuple(
-        tuple(ModePrediction(m["label"], m["prob"], _traj_from_dict(m["traj"])) for m in human)
+        tuple(ModePrediction(m["label"], m["prob"], next(trajs)) for m in human)
         for human in v
     ))
 
@@ -594,7 +607,7 @@ def scene_from_dict(d: dict) -> SceneRecord:
     entries = [
         ReplanEntry(
             t=e["t"],
-            candidates=[_traj_from_dict(c) for c in e["candidates"]],
+            candidates=_trajs_from_dicts(e["candidates"]),
             predicted_humans=_predset_from_list(e["predicted_humans"]),
             candidate_rewards_predicted=list(e["candidate_rewards_predicted"]),
             executed_index=e["executed_index"],
@@ -606,8 +619,8 @@ def scene_from_dict(d: dict) -> SceneRecord:
         scenario_id=d["scenario_id"],
         context=context_from_dict(d["context"]),
         states=states,
-        executed_robot=[_traj_from_dict(t) for t in d["executed_robot"]],
-        human_actions=[_traj_from_dict(t) for t in d["human_actions"]],
+        executed_robot=_trajs_from_dicts(d["executed_robot"]),
+        human_actions=_trajs_from_dicts(d["human_actions"]),
         replan_log=entries,
         per_frame_collision_cost=list(d["per_frame_collision_cost"]),
         aborted=d.get("aborted", False),

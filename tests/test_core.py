@@ -15,6 +15,7 @@ from regret_miner.core import (
     dubins_step,
     footprint_overlap,
     rollout_positions,
+    rollout_positions_batch,
     unicycle_rollout,
     unicycle_step,
     wrap_angle,
@@ -198,6 +199,108 @@ def test_rollout_positions_rejects_bad_input():
         unicycle_rollout(state, traj, 1e308)
     with pytest.raises(ValueError):
         rollout_positions(state, traj, 1e308)
+
+
+_BATCH_ROW = st.tuples(
+    st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+    st.one_of(_NEAR_PI, st.floats(-math.pi, math.pi)),
+    st.one_of(st.sampled_from([0.0, 0.05, 8.0]), st.floats(0.0, 12.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    starts=st.lists(_BATCH_ROW, min_size=1, max_size=6),
+    T=st.integers(1, 25),
+    data=st.data(),
+    dt=st.one_of(st.sampled_from([0.05, 0.1, 0.2, 0.5]), st.floats(1e-3, 1.0)),
+)
+def test_rollout_positions_batch_rows_equal_rollout_positions(starts, T, data, dt):
+    # Rows mix start states, and straight and arc steps mix within one step.
+    acts = data.draw(st.lists(st.lists(st.tuples(_ACCELS, _TURNS), min_size=T, max_size=T),
+                              min_size=len(starts), max_size=len(starts)))
+    states = [AgentState(*s) for s in starts]
+    got = rollout_positions_batch([s.x for s in states], [s.y for s in states],
+                                  [s.heading for s in states], [s.speed for s in states],
+                                  np.array(acts), dt)
+    assert got.shape == (len(states), T, 2)
+    for b, state in enumerate(states):
+        assert np.array_equal(got[b], rollout_positions(state, ActionTraj(acts[b]), dt))
+
+
+def test_rollout_positions_batch_mixed_branches_and_braking():
+    states = [AgentState(0.0, 0.0, -math.pi, 1.0), AgentState(1.0, 2.0, math.pi / 2, 0.3),
+              AgentState(-5.0, 3.7, 0.0, 8.0)]
+    acts = np.array([[(0.0, -3e-15), (0.0, 0.0), (1.0, 0.5)],
+                     [(-4.0, 0.5), (-4.0, 9.99e-13), (-4.0, -1e-12)],
+                     [(0.0, 1.01e-12), (2.0, -1.0), (0.0, 5e-13)]])
+    got = rollout_positions_batch([s.x for s in states], [s.y for s in states],
+                                  [s.heading for s in states], [s.speed for s in states],
+                                  acts, 0.1)
+    for b, state in enumerate(states):
+        assert np.array_equal(got[b], rollout_positions(state, ActionTraj(acts[b]), 0.1))
+
+
+def test_rollout_positions_batch_rejects_what_rollout_positions_rejects():
+    acts = np.array([[[1.0, 0.0]] * 3, [[0.0, 0.5]] * 3])
+    for dt in (0.0, -0.1, float("nan"), float("inf"), 1e308):
+        with pytest.raises(ValueError):
+            rollout_positions(AgentState(0, 0, 0, 1), ActionTraj(acts[0]), dt)
+        with pytest.raises(ValueError):
+            rollout_positions_batch([0, 0], [0, 0], [0, 0], [1, 1], acts, dt)
+    for bad in (float("nan"), float("inf")):
+        for j in range(4):
+            start = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
+            start[j][1] = bad
+            with pytest.raises(ValueError):
+                rollout_positions_batch(*start, acts, 0.1)
+        for at in ((1, 2, 1), (0, 1, 0)):
+            nonfinite = acts.copy()
+            nonfinite[at] = bad
+            with pytest.raises(ValueError):
+                rollout_positions_batch([0, 0], [0, 0], [0, 0], [1, 1], nonfinite, 0.1)
+    with pytest.raises(ValueError):
+        rollout_positions_batch(0, 0, 0, 1, acts[0], 0.1)
+    with pytest.raises(ValueError):
+        rollout_positions_batch(0.0, 0.0, 0.0, 1.0, acts, 0.1)  # start states must be (B,)
+
+
+def test_action_traj_block_views_and_checks():
+    rng = np.random.default_rng(0)
+    arr = np.stack([rng.uniform(-4, 4, (7, 2)) * [1.0, 0.25] for _ in range(3)])
+    trajs = ActionTraj.block(arr, [5, 5, 6])
+    assert trajs == [ActionTraj(a, start_t=t) for a, t in zip(arr, [5, 5, 6])]
+    arr[0, 0, 0] = 0.123  # the block is a copy
+    assert trajs[0].actions[0, 0] != 0.123
+    for tr in trajs:
+        assert not tr.actions.flags.writeable
+        with pytest.raises(ValueError):
+            tr.actions[0, 0] = 1.0
+    assert trajs[1].actions.base is trajs[0].actions.base
+    assert ActionTraj.block(np.zeros((0, 4, 2)), []) == []
+    # A bad row raises what constructing that row alone raises; the first bad
+    # row wins, as when constructing the rows in order.
+    cases = [((1, 3, 0), np.nan, 0, "actions must be finite"),
+             ((1, 2, 0), 4.5, 0, "|accel| exceeds bound 4.0"),
+             ((1, 0, 1), -1.5, 0, "|turn_rate| exceeds bound 1.0"),
+             (None, None, -1, "start_t must be >= 0, got -1")]
+    for at, value, start_t, msg in cases:
+        bad = np.zeros((3, 4, 2))
+        if at is not None:
+            bad[at] = value
+        bad[2, 0, 0] = np.inf
+        starts = [0, start_t, 0]
+        with pytest.raises(ValueError) as block_err:
+            ActionTraj.block(bad, starts)
+        with pytest.raises(ValueError) as row_err:
+            [ActionTraj(a, start_t=t) for a, t in zip(bad, starts)]
+        assert str(block_err.value) == str(row_err.value) == msg
+    with pytest.raises(ValueError, match=r"got \(4, 3\)"):
+        ActionTraj.block(np.zeros((2, 4, 3)), [0, 0])
+    with pytest.raises(ValueError):
+        ActionTraj.block(np.zeros((4, 2)), [0] * 4)
+    with pytest.raises(ValueError):
+        ActionTraj.block(np.zeros((2, 4, 2)), [0])
 
 
 def test_footprint_overlap():

@@ -11,7 +11,6 @@ from regret_miner.harness import (
     CaseStudyReport,
     ExperimentConfig,
     Subsets,
-    _map,
     build_subsets,
     config_from_yaml,
     config_to_yaml,
@@ -262,13 +261,6 @@ def test_report_dispatch(tmp_path):
         report(rep, ("svg",), tmp_path, scores=None)
 
 
-def test_map_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("REGRET_MINER_THREADS", "4")
-    assert _map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
-    monkeypatch.setenv("REGRET_MINER_THREADS", "not-a-number")
-    assert _map(lambda x: x + 1, [1, 2]) == [2, 3]
-
-
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     config = ExperimentConfig(
@@ -295,6 +287,13 @@ def test_deploy_artifacts(small_run):
     assert len(loaded_scenes) == 8
     assert set(specs_by_id) == {s.scenario_id for s in scenes}
     np.testing.assert_array_equal(params.counts, PredictorParams.fresh().counts)
+
+
+def test_score_deployment_keeps_scene_order(small_run):
+    config, scenes, _, _ = small_run
+    for order in (scenes, scenes[::-1]):
+        _, reports = score_deployment(order, config)
+        assert [r.scenario_id for r in reports] == [s.scenario_id for s in order]
 
 
 def test_finetune_chain_on_small_run(small_run):

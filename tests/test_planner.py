@@ -45,6 +45,46 @@ def test_candidate_counts():
     assert len(sample_candidates(h, AgentState(0, 0, 0, 5), TWO_LANE, RngStream(0))) == 3
 
 
+def _reference_candidates(h, state, rng, start_t):
+    """The candidate library built one ActionTraj at a time."""
+    def cap(accel):
+        out, v = np.empty_like(accel), state.speed
+        for k in range(len(accel)):
+            a = min(max(min(float(accel[k]), (h.speed_cap - v) / h.dt), -ACCEL_LIMIT),
+                    ACCEL_LIMIT)
+            out[k] = a
+            v = max(0.0, v + a * h.dt)
+        return out
+
+    T, half = h.horizon, h.horizon // 2
+    gen = rng.generator()
+    cands = [ActionTraj(np.column_stack([cap(np.zeros(T)), np.zeros(T)]), start_t=start_t)]
+    levels = ([(a1, a2) for a1 in h.accel_levels for a2 in h.accel_levels] if h.two_stage
+              else [(a, a) for a in h.accel_levels])
+    for a1, a2 in levels:
+        for profile in h.steer_profiles:
+            accel = np.full(T, float(a2))
+            accel[:half] = a1
+            a = cap(np.clip(accel + gen.normal(0.0, h.accel_jitter), -ACCEL_LIMIT, ACCEL_LIMIT))
+            w = np.zeros(T)
+            sign = {"straight": 0.0, "lane_left": 1.0, "lane_right": -1.0}[profile]
+            w[:half], w[half:] = sign * h.lane_change_turn, -sign * h.lane_change_turn
+            cands.append(ActionTraj(np.column_stack([a, np.clip(w, -TURN_LIMIT, TURN_LIMIT)]),
+                                    start_t=start_t))
+    return cands
+
+
+@pytest.mark.parametrize("handle", [PlannerHandle(), PlannerHandle(two_stage=True, horizon=17),
+                                    PlannerHandle(speed_cap=6.0, lane_change_turn=1.5)])
+@pytest.mark.parametrize("speed", [0.0, 0.1, 5.95, 9.99])
+def test_sample_candidates_equal_per_candidate_construction(handle, speed):
+    state = AgentState(0.0, 1.0, 0.2, speed)
+    got = sample_candidates(handle, state, TWO_LANE, RngStream(8), start_t=40)
+    assert got == _reference_candidates(handle, state, RngStream(8), 40)
+    for cand in got:
+        assert not cand.actions.flags.writeable
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         RewardWeights(w_col=0.5)

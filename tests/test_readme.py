@@ -1,5 +1,9 @@
+import argparse
 import re
+import shlex
 from pathlib import Path
+
+from regret_miner.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +16,16 @@ def test_readme_quick_start_runs(capsys):
     assert scenario_id.startswith("StrandedTruck-7-")
     assert 0.0 <= float(mean_regret) <= 1.0
     assert int(collision_frames) >= 0
+
+
+def test_readme_command_lines_parse():
+    parser = build_parser()
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line)[1:]
+                for block in re.findall(r"```\n(.*?)```", section, flags=re.S)
+                for line in block.splitlines() if line.startswith("regret-miner ")]
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted({argv[0] for argv in commands}) == sorted(subcommands)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from regret_miner.core import ActionTraj
+from regret_miner.core import ROBOT_RADIUS, ActionTraj, DrivingCorridor, unicycle_rollout
 from regret_miner.genplan import N_CUE_BUCKETS, Codebook
 from regret_miner.planner import PlannerHandle, RewardWeights
 from regret_miner.regret import (
@@ -24,7 +24,15 @@ from regret_miner.regret import (
     score_scene,
     softmax_likelihoods,
 )
-from regret_miner.simkit import OraclePredictor, generate_scenario_batch, run_closed_loop
+from regret_miner.predictor import PredictorParams, TablePredictor
+from regret_miner.simkit import (
+    FAMILIES,
+    OraclePredictor,
+    generate_scenario_batch,
+    run_closed_loop,
+    scene_from_dict,
+    scene_to_dict,
+)
 
 
 def test_softmax_known_values():
@@ -163,6 +171,88 @@ def test_score_scene_report_consistency():
     assert rep2.per_t == rep.per_t
     with pytest.raises(ValueError):
         score_scene(LuceShepard(), scene, aggregation="median")
+
+
+def _reference_report(weights, scene):
+    """score_scene's per-replan numbers, one candidate at a time, from the
+    per-step AgentState rollout."""
+    def xy(state, acts):
+        return np.array([[s.x, s.y] for s in unicycle_rollout(state, ActionTraj(acts), 0.1)])
+
+    radii = scene.radii_or_default()
+    per_t, canon = [], []
+    for e in scene.replan_log:
+        joint = scene.states[e.t]
+        T = len(e.candidates[0])
+        humans = [xy(joint.humans[i], h.actions[e.t:e.t + T])
+                  for i, h in enumerate(scene.human_actions) if len(h.actions[e.t:e.t + T])]
+        rewards = []
+        for cand in e.candidates:
+            ego = xy(joint.robot, cand.actions)
+            L = min([len(ego)] + [len(h) for h in humans])
+            ego = ego[:L]
+            if isinstance(scene.context, DrivingCorridor):
+                progress = float(ego[-1, 0] - joint.robot.x)
+                centers = np.array(scene.context.lane_centers)
+                lane = float(np.mean(np.abs(ego[:, 1][:, None] - centers[None, :]).min(axis=1) ** 2))
+            else:
+                gx, gy = scene.context.goal_primary
+                progress = (float(np.hypot(joint.robot.x - gx, joint.robot.y - gy))
+                            - float(np.hypot(ego[-1, 0] - gx, ego[-1, 1] - gy)))
+                lane = 0.0
+            col = 0.0
+            for h, r in zip(humans, radii):
+                d = np.hypot(ego[:, 0] - h[:L, 0], ego[:, 1] - h[:L, 1])
+                col += float(np.maximum(0.0, ROBOT_RADIUS + r - d).sum())
+            ctrl = float((cand.actions[:L] ** 2).sum())
+            rewards.append(weights.w_progress * progress + weights.w_lane * lane
+                           + weights.w_col * col + weights.w_ctrl * ctrl)
+        r = np.array(rewards)
+        z = np.exp(r - r.max())
+        p = z / z.sum()
+        k = e.executed_index
+        per_t.append((e.t, float(p[k]), float(p.max()), float(p.max() - p[k])))
+        canon.append(float(r.max() - r[k]))
+    return per_t, canon
+
+
+@pytest.fixture(scope="module")
+def family_scenes():
+    out = []
+    for family in FAMILIES:
+        spec = generate_scenario_batch(family, 1, base_seed=4, horizon=40)[0]
+        out.append(run_closed_loop(spec, PlannerHandle(),
+                                   TablePredictor(PredictorParams.fresh()), 10))
+    return out
+
+
+def test_score_scene_equals_per_candidate_reference(family_scenes):
+    weights = RewardWeights()
+    assert any(len(s.states[0].humans) == 2 for s in family_scenes)
+    cut_short = 0
+    for scene in family_scenes:
+        per_t, canon = _reference_report(weights, scene)
+        cut_short += sum(len(scene.human_actions[0]) - e.t < len(e.candidates[0])
+                         for e in scene.replan_log if scene.human_actions)
+        decoded = scene_from_dict(scene_to_dict(scene))
+        for s in (scene, decoded):
+            rep = score_scene(LuceShepard(weights), s)
+            assert rep.per_t == per_t
+            assert rep.canonical_per_t == canon
+            assert rep.mean_regret == float(np.mean([g for *_, g in per_t]))
+            assert rep.canonical_mean == float(np.mean(canon))
+    assert cut_short > 0
+
+
+def test_score_scene_mixed_length_candidates_match_reference(family_scenes):
+    # A replan whose candidates differ in length is scored one candidate at a
+    # time; the other replans of the scene still share one batch.
+    scene = scene_from_dict(scene_to_dict(family_scenes[2]))
+    entry = scene.replan_log[1]
+    entry.candidates = [ActionTraj(c.actions[:len(c) - 3 * (k % 2)], start_t=c.start_t)
+                        for k, c in enumerate(entry.candidates)]
+    rep = score_scene(LuceShepard(), scene)
+    assert (rep.per_t, rep.canonical_per_t) == _reference_report(RewardWeights(), scene)
 
 
 def test_mine_top_quantile_sizes():

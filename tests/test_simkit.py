@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from regret_miner.simkit import (
     human_policy_step,
     replay_max_deviation,
     run_closed_loop,
+    scene_from_dict,
+    scene_to_dict,
     scenes_from_jsonl,
     scenes_to_jsonl,
     simulate_humans,
@@ -201,3 +204,57 @@ def test_scene_jsonl_round_trip(tmp_path):
             assert ea.candidate_rewards_predicted == pytest.approx(
                 eb.candidate_rewards_predicted)
         assert replay_max_deviation(back) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def two_human_scene_dict():
+    spec = generate_scenario_batch("StoppedTraffic", 1, base_seed=31, horizon=20)[0]
+    return scene_to_dict(run_closed_loop(spec, PlannerHandle(horizon=10), OraclePredictor(), 10))
+
+
+def test_scene_decode_round_trip_is_equal_and_read_only(two_human_scene_dict):
+    d = two_human_scene_dict
+    rec = scene_from_dict(d)
+    assert scene_to_dict(rec) == d
+    again = scene_from_dict(scene_to_dict(rec))
+    trajs = [*rec.executed_robot, *rec.human_actions]
+    for e, e2 in zip(rec.replan_log, again.replan_log):
+        assert e.candidates == e2.candidates
+        assert e.predicted_humans == e2.predicted_humans
+        trajs += e.candidates + [m.traj for h in e.predicted_humans.humans for m in h]
+    assert rec.executed_robot == again.executed_robot
+    assert rec.human_actions == again.human_actions
+    for tr in trajs:
+        assert not tr.actions.flags.writeable
+        with pytest.raises(ValueError):
+            tr.actions[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("where,value,msg", [
+    ((3, 2, 0), float("nan"), "actions must be finite"),
+    ((5, 0, 1), float("inf"), "actions must be finite"),
+    ((1, 4, 0), 4.5, "|accel| exceeds bound 4.0"),
+    ((12, 9, 1), -1.25, "|turn_rate| exceeds bound 1.0"),
+])
+def test_scene_decode_rejects_a_bad_candidate_block(two_human_scene_dict, where, value, msg):
+    d = copy.deepcopy(two_human_scene_dict)
+    k, step, comp = where
+    d["replan_log"][1]["candidates"][k]["actions"][step][comp] = value
+    with pytest.raises(ValueError) as err:
+        scene_from_dict(d)
+    assert str(err.value) == msg
+    d = copy.deepcopy(two_human_scene_dict)
+    d["replan_log"][0]["candidates"][2]["start_t"] = -1
+    with pytest.raises(ValueError, match="start_t must be >= 0, got -1"):
+        scene_from_dict(d)
+
+
+def test_scene_decode_mixed_length_candidates(two_human_scene_dict):
+    d = copy.deepcopy(two_human_scene_dict)
+    cands = d["replan_log"][0]["candidates"]
+    cands[4]["actions"] = cands[4]["actions"][:3]
+    rec = scene_from_dict(d)
+    assert [len(c) for c in rec.replan_log[0].candidates] == [len(c["actions"]) for c in cands]
+    cands[6]["actions"][1] = [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        scene_from_dict(d)
