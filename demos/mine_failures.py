@@ -6,7 +6,7 @@ includes stranded-truck scenes it has never bucketed, then rank scenes by
 likelihood-space regret and compare the mined set against the ADE and TRFD
 baselines.
 
-Takes about half a minute. Pass --out to keep the run artifacts.
+Takes a few seconds. Pass --out to keep the run artifacts.
 """
 
 import argparse
@@ -48,7 +48,7 @@ def main():
     collisions = sum(s.collision_frames > 0 for s in scenes)
     print(f"  {collisions} scenes ended in collision")
 
-    scores, _ = score_deployment(scenes, config)
+    scores, reports = score_deployment(scenes, config)
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     print("\nhighest-regret scenes:")
     for sid, score in ranked[:6]:
@@ -59,7 +59,7 @@ def main():
     print(f"\nmined {len(mined)} of {len(scenes)} scenes at p={config.p:g}: "
           + ", ".join(sorted(mined)))
 
-    labelings = label_scenes(scenes, p=config.p)
+    labelings = label_scenes(scenes, reports, p=config.p)
     grm = labelings["GRM"].mined
     print("mined-set overlap with baselines (fraction of the regret set):")
     for name in ("RM", "ADE", "TRFD"):

@@ -20,13 +20,7 @@ import numpy as np
 from .core import DT_DEFAULT, ActionTraj, rollout_positions
 from .planner import PlannerHandle, reward
 from .predictor import ade_fde, predict
-from .regret import (
-    LuceShepard,
-    RewardWeights,
-    _realized_human_segment,
-    mine_top_quantile,
-    score_scene,
-)
+from .regret import RegretReport, _realized_human_segment, mine_top_quantile
 
 METRICS = ("GRM", "RM", "ADE", "TRFD")
 
@@ -249,26 +243,33 @@ def overlap(set_a, set_b) -> float:
     return len(a & b) / len(a)
 
 
-def label_scenes(scenes: Sequence, weights: Optional[RewardWeights] = None,
+def label_scenes(scenes: Sequence, reports: Sequence[RegretReport],
                  p: float = 20.0, handle: Optional[PlannerHandle] = None,
                  aggregation: str = "mean") -> dict[str, MetricLabeling]:
     """All four metric labelings over one scene batch.
 
-    GRM and RM come from the same per-scene regret reports (likelihood-space
-    vs reward-space aggregation); ADE from logged predictions; TRFD from the
-    anticipated-reward quantile test at the same p.
+    GRM and RM are read from each scene's regret report under `aggregation`,
+    whichever aggregation it was written with; ADE from logged predictions;
+    TRFD from the anticipated-reward quantile test at the same p.
     """
-    weights = weights if weights is not None else RewardWeights()
-    model = LuceShepard(weights)
+    if aggregation not in ("mean", "worst"):
+        raise ValueError(f"unknown aggregation {aggregation!r}")
+    by_id = {rep.scenario_id: rep for rep in reports}
     grm, rm, ade, trfd = {}, {}, {}, {}
     for scene in scenes:
-        rep = score_scene(model, scene, aggregation=aggregation)
-        grm[scene.scenario_id] = rep.score
-        rm[scene.scenario_id] = rep.canonical_mean if aggregation == "mean" \
-            else max(rep.canonical_per_t)
-        ade[scene.scenario_id] = ade_scene_score(scene)
-        trfd[scene.scenario_id] = float(trfd_flag(scene, p, handle))
-    out = {
+        sid = scene.scenario_id
+        rep = by_id.get(sid)
+        if rep is None:
+            raise ValueError(f"no regret report for scene {sid}")
+        if [t for t, *_ in rep.per_t] != [e.t for e in scene.replan_log]:
+            raise ValueError(f"regret report for {sid} has other replan times")
+        if aggregation == "mean":
+            grm[sid], rm[sid] = rep.mean_regret, rep.canonical_mean
+        else:
+            grm[sid], rm[sid] = rep.worst_regret, max(rep.canonical_per_t)
+        ade[sid] = ade_scene_score(scene)
+        trfd[sid] = float(trfd_flag(scene, p, handle))
+    return {
         "GRM": MetricLabeling("GRM", grm,
                               mine_top_quantile(sorted(grm.items()), p)),
         "RM": MetricLabeling("RM", rm,
@@ -278,7 +279,6 @@ def label_scenes(scenes: Sequence, weights: Optional[RewardWeights] = None,
         "TRFD": MetricLabeling("TRFD", trfd,
                                frozenset(s for s, f in trfd.items() if f)),
     }
-    return out
 
 
 def overlap_matrix(labelings: Sequence[MetricLabeling]) -> list[list[float]]:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One subcommand per pipeline stage so stages can run (and be rerun)
-separately against the same run directory:
+separately against the same run directory (`compare` reads the regret
+reports in reports.jsonl, so `score` must run before it):
 
     regret-miner simulate --config cfg.yaml --out runs/exp
     regret-miner score --in runs/exp --model luce --agg mean
@@ -29,8 +30,8 @@ import numpy as np
 from . import genplan, harness, simkit
 from .baselines import label_scenes, write_comparison
 from .core import RngStream
-from .predictor import params_from_json, params_to_json
-from .regret import mined_to_doc, reports_to_jsonl
+from .predictor import params_from_json
+from .regret import mined_to_doc, reports_from_jsonl
 
 _ARM_ALIASES = {"base": "Base", "low": "LowRegretFT", "random": "RandomFT",
                 "high": "HighRegretFT", "all": "AllFT"}
@@ -95,11 +96,8 @@ def cmd_score(args) -> int:
     if args.model == "gen":
         return _score_generative(run)
     scenes = simkit.scenes_from_jsonl(_require(run / "scenes.jsonl", "simulate"))
-    scores, reports = harness.score_deployment(scenes, config)
-    reports_to_jsonl(run / "reports.jsonl", reports)
-    (run / "scores.json").write_text(json.dumps({
-        "schema": "scores/1", "aggregation": config.aggregation,
-        "scores": {k: scores[k] for k in sorted(scores)}}, indent=2))
+    _, reports = harness.score_deployment(scenes, config)
+    scores = harness.write_scores(run, reports, config.aggregation)
     print(f"scored {len(scores)} scenes -> {run / 'scores.json'}")
     return 0
 
@@ -139,8 +137,9 @@ def cmd_compare(args) -> int:
     if unknown:
         raise ValueError(f"unknown metrics {unknown}; choose from grm,rm,ade,trfd")
     scenes = simkit.scenes_from_jsonl(_require(run / "scenes.jsonl", "simulate"))
-    labelings = label_scenes(scenes, weights=config.planner_handle().weights,
-                             p=config.p, handle=config.planner_handle(),
+    reports = reports_from_jsonl(_require(run / "reports.jsonl", "score"))
+    labelings = label_scenes(scenes, reports, p=config.p,
+                             handle=config.planner_handle(),
                              aggregation=config.aggregation)
     labelings = {m: labelings[m] for m in wanted}
     paths = write_comparison(labelings, run / "comparison")
@@ -154,24 +153,10 @@ def cmd_finetune(args) -> int:
     seeds = _pick_seeds(args.seeds, config)
     arms = _pick_arms(args.arms)
     doc = json.loads(_require(run / "scores.json", "score").read_text())
-    subsets = harness.build_subsets(
-        [s.scenario_id for s in scenes], doc["scores"], config.p,
-        config.holdout_frac, RngStream(config.base_seed, harness._SUBSET_STREAM))
-    (run / "subsets.json").write_text(json.dumps(subsets.to_dict(), indent=2))
-    scenes_by_id = {s.scenario_id: s for s in scenes}
-    pred_dir = run / "predictors"
-    pred_dir.mkdir(exist_ok=True)
-    n = 0
-    for arm in arms:
-        if arm == "Base":
-            continue
-        for seed in seeds:
-            params = harness.finetune_params(arm, config, base_params, subsets,
-                                             scenes_by_id, seed)
-            (pred_dir / f"{arm}-{seed}.json").write_text(params_to_json(params))
-            n += 1
-    print(f"fitted {n} predictors ({','.join(arms)} x seeds "
-          f"{','.join(str(s) for s in seeds)}) -> {pred_dir}")
+    _, fitted = harness.fit_arms(run, config, base_params, scenes,
+                                 doc["scores"], arms, seeds)
+    print(f"fitted {len(fitted)} predictors ({','.join(arms)} x seeds "
+          f"{','.join(str(s) for s in seeds)}) -> {run / 'predictors'}")
     return 0
 
 

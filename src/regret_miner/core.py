@@ -84,23 +84,21 @@ class ActionTraj:
     """A bounded (accel, turn_rate) action sequence starting at step start_t.
 
     actions has shape (T, 2) with T >= 1; components are validated against
-    the given magnitude bounds (defaults ACCEL_LIMIT / TURN_LIMIT) and the
-    stored array is frozen read-only.
+    ACCEL_LIMIT and TURN_LIMIT and the stored array is frozen read-only.
     """
 
     __slots__ = ("actions", "start_t")
 
-    def __init__(self, actions, start_t: int = 0,
-                 accel_limit: float = ACCEL_LIMIT, turn_limit: float = TURN_LIMIT):
+    def __init__(self, actions, start_t: int = 0):
         arr = np.asarray(actions, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise ValueError(f"actions must have shape (T>=1, 2), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("actions must be finite")
-        if np.any(np.abs(arr[:, 0]) > accel_limit + 1e-12):
-            raise ValueError(f"|accel| exceeds bound {accel_limit}")
-        if np.any(np.abs(arr[:, 1]) > turn_limit + 1e-12):
-            raise ValueError(f"|turn_rate| exceeds bound {turn_limit}")
+        if np.any(np.abs(arr[:, 0]) > ACCEL_LIMIT + 1e-12):
+            raise ValueError(f"|accel| exceeds bound {ACCEL_LIMIT}")
+        if np.any(np.abs(arr[:, 1]) > TURN_LIMIT + 1e-12):
+            raise ValueError(f"|turn_rate| exceeds bound {TURN_LIMIT}")
         if start_t < 0:
             raise ValueError(f"start_t must be >= 0, got {start_t}")
         arr = arr.copy()
@@ -113,10 +111,9 @@ class ActionTraj:
         """K trajectories from one (K, T, 2) action block, validated at once.
 
         The block is copied and frozen read-only, and each trajectory's
-        actions are a view of one row. The checks are those of __init__
-        with the default bounds: when a row fails one, that row is passed to
-        __init__ so the error raised is the one constructing the trajectories
-        one by one raises.
+        actions are a view of one row. The checks are those of __init__:
+        when a row fails one, that row is passed to __init__ so the error
+        raised is the one constructing the trajectories one by one raises.
         """
         arr = np.array(actions, dtype=float)
         if arr.ndim != 3:

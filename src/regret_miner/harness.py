@@ -257,6 +257,16 @@ def score_deployment(scenes: Sequence, config: ExperimentConfig):
     return scores, reports
 
 
+def write_scores(out_dir, reports, aggregation: str) -> dict[str, float]:
+    """Write reports.jsonl and scores.json; return the scores by scene id."""
+    reports_to_jsonl(Path(out_dir) / "reports.jsonl", reports)
+    scores = {r.scenario_id: r.score for r in reports}
+    (Path(out_dir) / "scores.json").write_text(json.dumps({
+        "schema": "scores/1", "aggregation": aggregation,
+        "scores": {k: scores[k] for k in sorted(scores)}}, indent=2))
+    return scores
+
+
 @dataclass(frozen=True)
 class Subsets:
     """Holdout/fine-tuning split of a scored deployment."""
@@ -422,13 +432,37 @@ def finetune_params(arm: str, config: ExperimentConfig,
                lam=config.finetune_lambda, **config.fit_kwargs())
 
 
+def fit_arms(out_dir, config: ExperimentConfig, base_params: PredictorParams,
+             scenes: Sequence, scores: dict[str, float], arms: Sequence[str],
+             seeds: Sequence[int]) -> tuple[Subsets, dict]:
+    """Split the scored deployment into holdouts and fine-tuning pools and fit
+    one predictor per (arm, seed), Base excepted; writes subsets.json and
+    predictors/<arm>-<seed>.json. Returns (subsets, {(arm, seed): params})."""
+    out = Path(out_dir)
+    subsets = build_subsets([s.scenario_id for s in scenes], scores, config.p,
+                            config.holdout_frac,
+                            RngStream(config.base_seed, _SUBSET_STREAM))
+    (out / "subsets.json").write_text(json.dumps(subsets.to_dict(), indent=2))
+    scenes_by_id = {s.scenario_id: s for s in scenes}
+    pred_dir = out / "predictors"
+    pred_dir.mkdir(exist_ok=True)
+    fitted = {}
+    for arm in arms:
+        if arm == "Base":
+            continue
+        for seed in seeds:
+            params = finetune_params(arm, config, base_params, subsets,
+                                     scenes_by_id, seed)
+            fitted[(arm, seed)] = params
+            (pred_dir / f"{arm}-{seed}.json").write_text(params_to_json(params))
+    return subsets, fitted
+
+
 def _split_cell(scenes: Sequence, config: ExperimentConfig) -> dict:
-    model = LuceShepard(config.planner_handle().weights)
     per_scene = {s.scenario_id: s.total_collision_cost for s in scenes}
     frames = sum(s.collision_frames for s in scenes)
     total = sum(per_scene.values())
-    regrets = [score_scene(model, s, aggregation=config.aggregation).score
-               for s in scenes]
+    regrets = [r.score for r in score_deployment(scenes, config)[1]]
     errs = [scene_prediction_errors(s) for s in scenes]
     return {
         "collision_cost": total / len(per_scene) if per_scene else 0.0,
@@ -643,47 +677,31 @@ def run_full_pipeline(config: ExperimentConfig,
     scenes, dep_paths = deploy(config, base_params, out)
     paths.update(dep_paths)
 
-    scores, reports = score_deployment(scenes, config)
+    _, reports = score_deployment(scenes, config)
+    scores = write_scores(out, reports, config.aggregation)
     paths["reports"] = out / "reports.jsonl"
-    reports_to_jsonl(paths["reports"], reports)
     paths["scores"] = out / "scores.json"
-    paths["scores"].write_text(json.dumps({
-        "schema": "scores/1", "aggregation": config.aggregation,
-        "scores": {k: scores[k] for k in sorted(scores)}}, indent=2))
     paths["mined"] = out / "mined.json"
     paths["mined"].write_text(json.dumps(
         mined_to_doc(sorted(scores.items()), config.p, config.aggregation),
         indent=2))
 
-    labelings = label_scenes(scenes, weights=config.planner_handle().weights,
-                             p=config.p, handle=config.planner_handle(),
+    labelings = label_scenes(scenes, reports, p=config.p,
+                             handle=config.planner_handle(),
                              aggregation=config.aggregation)
     for pth in write_comparison(labelings, out / "comparison"):
         paths[f"comparison/{pth.name}"] = pth
 
-    subsets = build_subsets([s.scenario_id for s in scenes], scores, config.p,
-                            config.holdout_frac,
-                            RngStream(config.base_seed, _SUBSET_STREAM))
+    subsets, fitted = fit_arms(out, config, base_params, scenes, scores, ARMS,
+                               config.seeds)
     paths["subsets"] = out / "subsets.json"
-    paths["subsets"].write_text(json.dumps(subsets.to_dict(), indent=2))
+    for arm, seed in fitted:
+        name = f"predictors/{arm}-{seed}.json"
+        paths[name] = out / name
 
     scenes_by_id = {s.scenario_id: s for s in scenes}
     specs_by_id = {s.scenario_id: s
                    for s in _batch_specs(config.families, config.base_seed)}
-    pred_dir = out / "predictors"
-    pred_dir.mkdir(exist_ok=True)
-    fitted = {}
-    for arm in ARMS:
-        if arm == "Base":
-            continue
-        for seed in config.seeds:
-            params = finetune_params(arm, config, base_params, subsets,
-                                     scenes_by_id, seed)
-            fitted[(arm, seed)] = params
-            fp = pred_dir / f"{arm}-{seed}.json"
-            fp.write_text(params_to_json(params))
-            paths[f"predictors/{fp.name}"] = fp
-
     case = finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
                                  base_params, fitted=fitted)
     paths["case_study"] = out / "case_study.json"

@@ -21,7 +21,13 @@ from regret_miner.baselines import (
 )
 from regret_miner.core import AgentState, DrivingCorridor
 from regret_miner.planner import PlannerHandle
-from regret_miner.regret import mine_top_quantile
+from regret_miner.regret import (
+    LuceShepard,
+    mine_top_quantile,
+    reports_from_jsonl,
+    reports_to_jsonl,
+    score_scene,
+)
 from regret_miner.simkit import (
     OraclePredictor,
     ScenarioSpec,
@@ -39,6 +45,11 @@ def scenes():
         for spec in generate_scenario_batch(fam, n, base_seed=19, horizon=40):
             out.append(run_closed_loop(spec, PlannerHandle(), OraclePredictor(), 10))
     return out
+
+
+@pytest.fixture(scope="module")
+def reports(scenes):
+    return [score_scene(LuceShepard(), s) for s in scenes]
 
 
 def test_oracle_ade_near_zero(scenes):
@@ -181,8 +192,8 @@ def test_metric_labeling_validation():
         MetricLabeling("GRM", {"a": 1.0}, {"b"})  # mined id never scored
 
 
-def test_label_scenes_contract(scenes):
-    labelings = label_scenes(scenes, p=34.0)
+def test_label_scenes_contract(scenes, reports):
+    labelings = label_scenes(scenes, reports, p=34.0)
     assert set(labelings) == set(METRICS)
     ids = {s.scenario_id for s in scenes}
     for tag in METRICS:
@@ -198,8 +209,42 @@ def test_label_scenes_contract(scenes):
     assert trfd.mined == {s for s, f in trfd.scores.items() if f}
 
 
-def test_overlap_matrix_diagonal(scenes):
-    labelings = label_scenes(scenes, p=34.0)
+def test_label_scenes_reads_either_aggregation(scenes, tmp_path):
+    """GRM and RM are score_scene's values under the requested aggregation,
+    whichever aggregation the reports were written with, also after a
+    reports.jsonl round trip."""
+    model = LuceShepard()
+    want = {agg: {s.scenario_id: score_scene(model, s, aggregation=agg)
+                  for s in scenes} for agg in ("mean", "worst")}
+    for written in ("mean", "worst"):
+        path = tmp_path / f"{written}.jsonl"
+        reports_to_jsonl(path, list(want[written].values()))
+        for reps in (list(want[written].values()), reports_from_jsonl(path)):
+            for agg in ("mean", "worst"):
+                labs = label_scenes(scenes, reps, p=34.0, aggregation=agg)
+                for sid, rep in want[agg].items():
+                    assert labs["GRM"].scores[sid] == rep.score
+                    assert labs["RM"].scores[sid] == (
+                        rep.canonical_mean if agg == "mean"
+                        else max(rep.canonical_per_t))
+
+
+def test_label_scenes_rejects_bad_reports(scenes, reports):
+    with pytest.raises(ValueError, match="no regret report"):
+        label_scenes(scenes, reports[1:], p=34.0)
+    cut = replace(reports[2], per_t=reports[2].per_t[:-1])
+    with pytest.raises(ValueError, match="replan times"):
+        label_scenes(scenes, reports[:2] + [cut] + reports[3:], p=34.0)
+    t, el, ml, g = reports[2].per_t[0]
+    moved = replace(reports[2], per_t=[(t + 1, el, ml, g)] + reports[2].per_t[1:])
+    with pytest.raises(ValueError, match="replan times"):
+        label_scenes(scenes, reports[:2] + [moved] + reports[3:], p=34.0)
+    with pytest.raises(ValueError, match="aggregation"):
+        label_scenes(scenes, reports, p=34.0, aggregation="median")
+
+
+def test_overlap_matrix_diagonal(scenes, reports):
+    labelings = label_scenes(scenes, reports, p=34.0)
     ordered = [labelings[t] for t in ("GRM", "RM", "ADE")]
     mat = overlap_matrix(ordered)
     for i, row in enumerate(mat):
@@ -208,8 +253,8 @@ def test_overlap_matrix_diagonal(scenes):
             assert 0.0 <= v <= 1.0
 
 
-def test_write_comparison_files(tmp_path, scenes):
-    labelings = label_scenes(scenes, p=34.0)
+def test_write_comparison_files(tmp_path, scenes, reports):
+    labelings = label_scenes(scenes, reports, p=34.0)
     paths = write_comparison(labelings, tmp_path)
     assert [p.name for p in paths] == ["metric_overlaps.csv", "mined_sets.json"]
     with open(paths[0]) as f:

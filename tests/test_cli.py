@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -137,3 +138,69 @@ def test_navregret_requires_codebook(tmp_path, capsys):
     assert exc.value.code == 1
     err = json.loads(capsys.readouterr().err)
     assert "navgen" in err["error"]["message"]
+
+
+def _run_files(run):
+    """Every file of a run directory as bytes, the manifest's timestamp aside."""
+    out = {}
+    for path in sorted(run.rglob("*")):
+        if not path.is_file():
+            continue
+        rel = path.relative_to(run).as_posix()
+        if rel == "manifest.json":
+            doc = json.loads(path.read_text())
+            doc.pop("created_utc")
+            out[rel] = json.dumps(doc, sort_keys=True).encode()
+        else:
+            out[rel] = path.read_bytes()
+    return out
+
+
+@pytest.fixture(scope="module")
+def cli_and_full_runs(tmp_path_factory):
+    """One small deployment taken through the CLI stage by stage, and the
+    same config through run_full_pipeline."""
+    root = tmp_path_factory.mktemp("driving")
+    config = ExperimentConfig(
+        families=(("StrandedTruck", 2), ("SparseCruise", 3)),
+        pretrain_families=(("SparseCruise", 1),), seeds=(101,), p=25.0,
+        holdout_frac=0.25, replan_every=20, base_seed=1, pretrain_seed=10_001,
+        out_dir="run")
+    harness.config_to_yaml(config, root / "config.yaml")
+    cli_run, full_run = root / "cli", root / "full"
+    r = str(cli_run)
+    for argv in (["simulate", "--config", str(root / "config.yaml"), "--out", r],
+                 ["score", "--in", r],
+                 ["mine", "--in", r, "--p", "25"],
+                 ["compare", "--in", r],
+                 ["finetune", "--in", r],
+                 ["redeploy", "--in", r],
+                 ["report", "--in", r]):
+        assert main(argv) == 0, argv
+    harness.run_full_pipeline(config, out_dir=full_run)
+    return cli_run, full_run
+
+
+def test_cli_stages_match_full_pipeline(cli_and_full_runs, capsys):
+    cli_run, full_run = cli_and_full_runs
+    capsys.readouterr()
+    cli_files, full_files = _run_files(cli_run), _run_files(full_run)
+    assert sorted(cli_files) == sorted(full_files)
+    for name in ("reports.jsonl", "comparison/mined_sets.json", "subsets.json",
+                 "case_study.json", "report/regret_hist.svg"):
+        assert name in cli_files
+    for name, data in cli_files.items():
+        assert data == full_files[name], f"{name} differs"
+
+
+def test_compare_requires_score(cli_and_full_runs, tmp_path, capsys):
+    cli_run, _ = cli_and_full_runs
+    shutil.copy(cli_run / "scenes.jsonl", tmp_path / "scenes.jsonl")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--in", str(tmp_path)])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "FileNotFoundError"
+    assert "reports.jsonl" in err["error"]["message"]
+    assert "`score`" in err["error"]["message"]
