@@ -21,6 +21,7 @@ Failures exit nonzero after printing a one-line error JSON to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from . import genplan, harness, simkit
 from .baselines import label_scenes, write_comparison
 from .core import RngStream
 from .predictor import params_from_json
-from .regret import mined_to_doc, reports_from_jsonl
+from .regret import reports_from_jsonl
 
 _ARM_ALIASES = {"base": "Base", "low": "LowRegretFT", "random": "RandomFT",
                 "high": "HighRegretFT", "all": "AllFT"}
@@ -121,9 +122,8 @@ def _score_generative(run: Path) -> int:
 def cmd_mine(args) -> int:
     run = Path(args.in_dir)
     doc = json.loads(_require(run / "scores.json", "score").read_text())
-    mined = mined_to_doc(sorted(doc["scores"].items()), args.p,
-                         doc.get("aggregation", "mean"))
-    (run / "mined.json").write_text(json.dumps(mined, indent=2))
+    mined = harness.write_mined(run, doc["scores"], args.p,
+                                doc.get("aggregation", "mean"))
     print(f"mined {mined['k']} of {len(doc['scores'])} (p={args.p:g}%) "
           f"-> {run / 'mined.json'}")
     return 0
@@ -184,7 +184,8 @@ def _pick_arms(raw: str) -> tuple[str, ...]:
 
 def cmd_redeploy(args) -> int:
     run = Path(args.in_dir)
-    config, scenes, specs_by_id, base_params = harness.load_deployment(run)
+    config, _, specs_by_id, base_params = harness.load_deployment(
+        run, with_scenes=False)
     subsets = harness.Subsets.from_dict(json.loads(
         _require(run / "subsets.json", "finetune").read_text()))
     fitted = {}
@@ -193,11 +194,17 @@ def cmd_redeploy(args) -> int:
         fitted[(arm, int(seed))] = params_from_json(fp.read_text())
     arms = tuple(["Base"] + sorted({a for a, _ in fitted},
                                    key=harness.ARMS.index))
+    # The scenes are needed only to fit an (arm, seed) with no saved predictor.
+    scenes_by_id = {}
+    if any((arm, seed) not in fitted
+           for arm in arms if arm != "Base" for seed in config.seeds):
+        scenes_by_id = {s.scenario_id: s
+                        for s in simkit.scenes_from_jsonl(run / "scenes.jsonl")}
     case = harness.finetune_and_redeploy(
-        config, {s.scenario_id: s for s in scenes}, specs_by_id, subsets,
-        base_params, arms=arms, fitted=fitted)
-    (run / "case_study.json").write_text(json.dumps(case.to_dict(), indent=2))
-    print(f"redeployed {','.join(arms)} -> {run / 'case_study.json'}")
+        config, scenes_by_id, specs_by_id, subsets, base_params, arms=arms,
+        fitted=fitted)
+    path = harness.write_case_study(run, case)
+    print(f"redeployed {','.join(arms)} -> {path}")
     return 0
 
 
@@ -337,8 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, TypeError, RuntimeError, FileNotFoundError, KeyError,

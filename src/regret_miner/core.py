@@ -28,6 +28,7 @@ TRUCK_RADIUS = 1.8
 PEDESTRIAN_RADIUS = 0.3
 
 TWO_PI = 2.0 * math.pi
+_PI, _cos, _sin, _isfinite = math.pi, math.cos, math.sin, math.isfinite
 
 
 def wrap_angle(theta: float) -> float:
@@ -225,7 +226,9 @@ def dubins_step(state: AgentState, turn_rate: float, speed: float,
     For turn_rate == 0 this is the straight-line update x += v cos(h) dt;
     for turn_rate != 0 the exact circular arc is used, which makes the step
     invariant to substep refinement (stepping dt is identical to stepping
-    dt/k k times). Speed is carried through unchanged.
+    dt/k k times). Speed is carried through unchanged. Only unicycle_step
+    calls it; it stays as part of the reference the float kernels are
+    tested against.
     """
     _require_finite("dubins_step", turn_rate, speed, dt)
     if dt <= 0:
@@ -249,9 +252,46 @@ def dubins_step(state: AgentState, turn_rate: float, speed: float,
 def unicycle_step(state: AgentState, accel: float, turn_rate: float,
                   dt: float = DT_DEFAULT) -> AgentState:
     """One unicycle step: speed updates first (clamped at 0), then a
-    dubins_step at the new speed."""
+    dubins_step at the new speed.
+
+    The package steps agents with unicycle_step_floats and
+    rollout_positions; this is the reference they are tested against.
+    """
     new_speed = max(0.0, state.speed + accel * dt)
     return dubins_step(state, turn_rate, new_speed, dt)
+
+
+def unicycle_step_floats(x: float, y: float, heading: float, speed: float,
+                         accel: float, turn_rate: float, dt: float = DT_DEFAULT
+                         ) -> tuple[float, float, float, float, float]:
+    """unicycle_step on plain floats: (x, y, heading, speed, heading_once).
+
+    It repeats unicycle_step's operations in order: the speed update clamped
+    at 0, the |turn_rate| < 1e-12 straight or arc branch, and the heading
+    wrapped twice, once by dubins_step and once by AgentState (wrap_angle is
+    not idempotent near -pi). So x, y, heading and speed equal the fields of
+    unicycle_step's state bit for bit. heading_once is the heading after the
+    first wrap: AgentState(x, y, heading_once, speed) is that state. It
+    raises the ValueErrors of dubins_step (dt <= 0; a non-finite turn rate,
+    speed or dt) and of AgentState (a non-finite x, y or heading).
+    """
+    v = speed + accel * dt
+    v = v if v > 0.0 else 0.0  # max(0.0, v), NaN and -0.0 included
+    if not (_isfinite(turn_rate) and _isfinite(v) and _isfinite(dt)):
+        _require_finite("dubins_step", turn_rate, v, dt)
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if abs(turn_rate) < 1e-12:
+        x = x + v * _cos(heading) * dt
+        y = y + v * _sin(heading) * dt
+    else:
+        h1 = heading + turn_rate * dt
+        x = x + (v / turn_rate) * (_sin(h1) - _sin(heading))
+        y = y + -(v / turn_rate) * (_cos(h1) - _cos(heading))
+    once = (heading + turn_rate * dt + _PI) % TWO_PI - _PI
+    if not (_isfinite(x) and _isfinite(y) and _isfinite(once)):
+        _require_finite("AgentState", x, y, once, v)
+    return x, y, (once + _PI) % TWO_PI - _PI, v, once
 
 
 def unicycle_rollout(state: AgentState, traj: ActionTraj,
@@ -259,7 +299,8 @@ def unicycle_rollout(state: AgentState, traj: ActionTraj,
     """Roll an action trajectory forward from state.
 
     Returns the T states reached after each of the T actions (the initial
-    state is not included).
+    state is not included). The package rolls out with rollout_positions;
+    this is the reference it is tested against.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")

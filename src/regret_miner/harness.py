@@ -231,12 +231,16 @@ def deploy(config: ExperimentConfig, params: PredictorParams,
     return scenes, paths
 
 
-def load_deployment(out_dir) -> tuple[ExperimentConfig, list, dict, PredictorParams]:
-    """(config, scenes, specs_by_id, base params) from a deployment directory."""
+def load_deployment(out_dir, with_scenes: bool = True
+                    ) -> tuple[ExperimentConfig, Optional[list], dict, PredictorParams]:
+    """(config, scenes, specs_by_id, base params) from a deployment directory.
+
+    With with_scenes=False, scenes.jsonl is not read and scenes is None.
+    """
     out = Path(out_dir)
     manifest = json.loads((out / "manifest.json").read_text())
     config = ExperimentConfig.from_dict(manifest["config"])
-    scenes = simkit.scenes_from_jsonl(out / "scenes.jsonl")
+    scenes = simkit.scenes_from_jsonl(out / "scenes.jsonl") if with_scenes else None
     doc = json.loads((out / "scenarios.json").read_text())
     specs = [simkit.spec_from_dict(d) for d in doc["scenarios"]]
     params = params_from_json((out / "predictor_base.json").read_text())
@@ -265,6 +269,14 @@ def write_scores(out_dir, reports, aggregation: str) -> dict[str, float]:
         "schema": "scores/1", "aggregation": aggregation,
         "scores": {k: scores[k] for k in sorted(scores)}}, indent=2))
     return scores
+
+
+def write_mined(out_dir, scores: dict[str, float], p: float,
+                aggregation: str) -> dict:
+    """Flag the top p% of scores and write mined.json; return its document."""
+    doc = mined_to_doc(sorted(scores.items()), p, aggregation)
+    (Path(out_dir) / "mined.json").write_text(json.dumps(doc, indent=2))
+    return doc
 
 
 @dataclass(frozen=True)
@@ -484,7 +496,8 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
     collect metrics.
 
     The Base arm never refits, so its redeployment is seed-independent and is
-    run once. Pass fitted={(arm, seed): params} to reuse saved predictors.
+    run once. Pass fitted={(arm, seed): params} to reuse saved predictors;
+    scenes_by_id is read only to fit an (arm, seed) that fitted lacks.
     """
     handle = config.planner_handle()
     split_ids = {"high": sorted(subsets.holdout_high),
@@ -522,6 +535,13 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
             for split, ids in split_ids.items():
                 values[arm][split].append(run_split(params, ids))
     return CaseStudyReport(seeds=config.seeds, values=values)
+
+
+def write_case_study(out_dir, case: CaseStudyReport) -> Path:
+    """Write case_study.json; return its path."""
+    path = Path(out_dir) / "case_study.json"
+    path.write_text(json.dumps(case.to_dict(), indent=2))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -681,10 +701,8 @@ def run_full_pipeline(config: ExperimentConfig,
     scores = write_scores(out, reports, config.aggregation)
     paths["reports"] = out / "reports.jsonl"
     paths["scores"] = out / "scores.json"
+    write_mined(out, scores, config.p, config.aggregation)
     paths["mined"] = out / "mined.json"
-    paths["mined"].write_text(json.dumps(
-        mined_to_doc(sorted(scores.items()), config.p, config.aggregation),
-        indent=2))
 
     labelings = label_scenes(scenes, reports, p=config.p,
                              handle=config.planner_handle(),
@@ -704,8 +722,7 @@ def run_full_pipeline(config: ExperimentConfig,
                    for s in _batch_specs(config.families, config.base_seed)}
     case = finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
                                  base_params, fitted=fitted)
-    paths["case_study"] = out / "case_study.json"
-    paths["case_study"].write_text(json.dumps(case.to_dict(), indent=2))
+    paths["case_study"] = write_case_study(out, case)
 
     rep_dir = out / "report"
     for pth in report(case, ("md", "csv", "svg"), rep_dir, scores=scores,

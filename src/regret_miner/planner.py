@@ -96,14 +96,24 @@ def _steer_sequence(profile: str, T: int, turn: float) -> np.ndarray:
 
 
 def _cap_speed(accel: np.ndarray, v0: float, cap: float, dt: float) -> list[float]:
-    """Clamp an acceleration sequence so rolled-out speed never exceeds cap."""
+    """Clamp an acceleration sequence so rolled-out speed never exceeds cap.
+
+    Each step is a = min(a, (cap - v) / dt), then a clipped to
+    [-ACCEL_LIMIT, ACCEL_LIMIT], then v = max(0.0, v + a * dt), written as
+    comparisons: `c if c < a else a` is min(a, c) and `u if u > 0.0 else 0.0`
+    is max(0.0, u), NaN and signed zeros included, without the builtin calls.
+    """
+    lo, hi = -ACCEL_LIMIT, ACCEL_LIMIT
     out = []
     v = v0
     for a in accel.tolist():
-        a = min(a, (cap - v) / dt)
-        a = min(max(a, -ACCEL_LIMIT), ACCEL_LIMIT)
+        c = (cap - v) / dt
+        a = c if c < a else a
+        a = lo if lo > a else a
+        a = hi if hi < a else a
         out.append(a)
-        v = max(0.0, v + a * dt)
+        v = v + a * dt
+        v = v if v > 0.0 else 0.0
     return out
 
 

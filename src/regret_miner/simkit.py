@@ -4,12 +4,11 @@ Human randomness is drawn from streams derived per (human, absolute step), so
 any component that re-simulates a span of the scene — the engine itself, or
 the oracle predictor evaluating a candidate — sees identical draws. Policy
 state that must persist across steps (resume timers, yield latches) lives in
-an engine-owned per-human memory dict.
+an engine-owned per-human memory dict of scalar values.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from .core import (
     NavWorld,
     RngStream,
     footprint_overlap,
-    unicycle_step,
+    unicycle_step_floats,
     wrap_angle,
 )
 from .planner import PlannerHandle, ReplanEntry, plan
@@ -117,12 +116,21 @@ class SceneRecord:
 # Human policies
 # ---------------------------------------------------------------------------
 
-def _agents_ahead(me: AgentState, others: Sequence[tuple[AgentState, float]],
+def _agents_ahead(i: int, states: Sequence[tuple], radii: Sequence[float],
                   reach: float, lateral_window: float = 2.0) -> bool:
-    """Is any other agent within reach in front of me (body frame)?"""
-    c, s = math.cos(me.heading), math.sin(me.heading)
-    for other, r in others:
-        dx, dy = other.x - me.x, other.y - me.y
+    """Is any other agent within reach in front of human i (body frame)?
+
+    states are the step's float states, robot first; the robot's radius is
+    ROBOT_RADIUS and a human without an entry in radii has CAR_RADIUS.
+    """
+    me = states[i + 1]
+    x, y = me[0], me[1]
+    c, s = math.cos(me[2]), math.sin(me[2])
+    for j, other in enumerate(states):
+        if j == i + 1:
+            continue
+        r = ROBOT_RADIUS if j == 0 else (radii[j - 1] if j - 1 < len(radii) else CAR_RADIUS)
+        dx, dy = other[0] - x, other[1] - y
         proj = dx * c + dy * s
         lat = abs(-dx * s + dy * c)
         if 0.0 < proj < reach + r and lat < lateral_window:
@@ -130,85 +138,79 @@ def _agents_ahead(me: AgentState, others: Sequence[tuple[AgentState, float]],
     return False
 
 
-def _others_of(idx_self: int, joint: JointState,
-               radii: Sequence[float]) -> list[tuple[AgentState, float]]:
-    out = [(joint.robot, ROBOT_RADIUS)]
-    for j, h in enumerate(joint.humans):
-        if j != idx_self:
-            out.append((h, radii[j] if j < len(radii) else CAR_RADIUS))
-    return out
-
-
-def _cruise_action(profile: HumanProfile, me: AgentState, joint: JointState,
-                   ctx: Context, others) -> tuple[float, float]:
+def _cruise_action(profile: HumanProfile, i: int, states: Sequence[tuple],
+                   ctx: Context, radii: Sequence[float]) -> tuple[float, float]:
+    _, y, heading, speed = states[i + 1][:4]
     if isinstance(ctx, DrivingCorridor):
-        center = ctx.nearest_center(me.y)
-        desired = min(max(-0.4 * (me.y - center), -0.5), 0.5)
-        w = min(max(2.0 * wrap_angle(desired - me.heading), -1.0), 1.0)
+        center = ctx.nearest_center(y)
+        desired = min(max(-0.4 * (y - center), -0.5), 0.5)
+        w = min(max(2.0 * wrap_angle(desired - heading), -1.0), 1.0)
     else:
         w = 0.0
-    if _agents_ahead(me, others, profile.reaction_radius):
-        a = -3.0 if me.speed > 0 else 0.0
+    if _agents_ahead(i, states, radii, profile.reaction_radius):
+        a = -3.0 if speed > 0 else 0.0
     else:
-        a = min(max(0.6 * (profile.target_speed - me.speed), -2.0), 2.0)
+        a = min(max(0.6 * (profile.target_speed - speed), -2.0), 2.0)
     return a, w
 
 
-def _crossing_target_heading(memory: dict, me: AgentState) -> float:
+def _crossing_target_heading(memory: dict, heading: float) -> float:
     if "cross_dir" not in memory:
-        memory["cross_dir"] = 1.0 if abs(wrap_angle(me.heading - math.pi / 2)) < math.pi / 2 else -1.0
+        memory["cross_dir"] = 1.0 if abs(wrap_angle(heading - math.pi / 2)) < math.pi / 2 else -1.0
     return memory["cross_dir"] * math.pi / 2
 
 
-def human_policy_step(profile: HumanProfile, me: AgentState, joint: JointState,
+def human_policy_step(profile: HumanProfile, i: int, states: Sequence[tuple],
                       ctx: Context, rng: RngStream,
                       memory: Optional[dict] = None,
                       radii: Sequence[float] = ()) -> tuple[float, float]:
-    """One (accel, turn_rate) decision for a rule-based human.
+    """One (accel, turn_rate) decision for human i, whose state is
+    states[i + 1].
 
-    memory persists per human across steps (owned by the engine); passing a
-    fresh dict makes the call stateless, which the one-shot yield draw test
-    relies on.
+    states are the step's float states, robot first, each starting
+    (x, y, heading, speed). radii[j] is human j's footprint radius
+    (CAR_RADIUS past its end). memory persists per human across steps (owned
+    by the engine); passing a fresh dict makes the call stateless, which the
+    one-shot yield draw test relies on.
     """
     if memory is None:
         memory = {}
     if profile.never_moves or profile.mode == "stranded":
         return (0.0, 0.0)
 
-    idx_self = next((j for j, h in enumerate(joint.humans) if h is me), None)
-    others = _others_of(idx_self if idx_self is not None else -1, joint, radii)
-
     if profile.mode == "cruise":
-        return _cruise_action(profile, me, joint, ctx, others)
+        return _cruise_action(profile, i, states, ctx, radii)
 
+    x, y, heading, speed = states[i + 1][:4]
     if profile.mode == "yield_if_close":
-        if me.distance_to(joint.robot) < profile.reaction_radius:
-            return (-3.5 if me.speed > 0 else 0.0, 0.0)
-        return _cruise_action(profile, me, joint, ctx, others)
+        robot = states[0]
+        if math.hypot(x - robot[0], y - robot[1]) < profile.reaction_radius:
+            return (-3.5 if speed > 0 else 0.0, 0.0)
+        return _cruise_action(profile, i, states, ctx, radii)
 
     if profile.mode == "stopped":
         if not memory.get("resumed", False):
-            clear = not _agents_ahead(me, others, profile.reaction_radius)
+            clear = not _agents_ahead(i, states, radii, profile.reaction_radius)
             memory["clear_steps"] = memory.get("clear_steps", 0) + 1 if clear else 0
             if memory["clear_steps"] >= int(round(RESUME_CLEAR_SECONDS / DT_DEFAULT)):
                 memory["resumed"] = True
             else:
-                return (-3.0 if me.speed > 0 else 0.0, 0.0)
-        return _cruise_action(profile, me, joint, ctx, others)
+                return (-3.0 if speed > 0 else 0.0, 0.0)
+        return _cruise_action(profile, i, states, ctx, radii)
 
     if profile.mode == "intersection_cross":
-        robot = joint.robot
+        robot_x, robot_speed = states[0][0], states[0][3]
         if memory.get("yield_latch") is None:
-            approaching = robot.x < me.x + 1.0
-            t_arrive = (me.x - robot.x) / max(robot.speed, 0.5)
+            approaching = robot_x < x + 1.0
+            t_arrive = (x - robot_x) / max(robot_speed, 0.5)
             on_course = approaching and 0.0 <= t_arrive <= 4.0
             if on_course:
                 memory["yield_latch"] = bool(rng.generator().uniform() < YIELD_PROBABILITY)
-        if memory.get("yield_latch") is True and robot.x < me.x + 3.0:
-            return (-3.0 if me.speed > 0 else 0.0, 0.0)
-        target_h = _crossing_target_heading(memory, me)
-        w = min(max(2.0 * wrap_angle(target_h - me.heading), -1.0), 1.0)
-        a = min(max(0.8 * (profile.target_speed - me.speed), -2.0), 2.0)
+        if memory.get("yield_latch") is True and robot_x < x + 3.0:
+            return (-3.0 if speed > 0 else 0.0, 0.0)
+        target_h = _crossing_target_heading(memory, heading)
+        w = min(max(2.0 * wrap_angle(target_h - heading), -1.0), 1.0)
+        a = min(max(0.8 * (profile.target_speed - speed), -2.0), 2.0)
         return a, w
 
     raise ValueError(f"unhandled mode {profile.mode!r}")
@@ -240,32 +242,36 @@ def simulate_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
                     ego_actions: np.ndarray, rng_root: RngStream,
                     dt: float = DT_DEFAULT):
     """Advance all humans for len(ego_actions) steps while the robot plays
-    ego_actions. Returns (per-human action arrays, per-step human state
-    tuples, per-step robot states). Mutates the given memories.
+    ego_actions. Mutates the given memories.
+
+    Returns (actions, states): actions is the (M, T, 2) array of human
+    actions, and states[k] lists every agent's float state after step k,
+    robot first, as unicycle_step_floats returns it:
+    (x, y, heading, speed, heading_once).
     """
     profiles = [p for _, p in spec.humans]
     radii = [p.radius for p in profiles]
+    ctx = spec.context
     M = len(profiles)
     T = len(ego_actions)
-    robot = joint.robot
-    humans = list(joint.humans)
-    actions = np.zeros((M, T, 2))
-    human_states: list[tuple[AgentState, ...]] = []
-    robot_states: list[AgentState] = []
-    for k in range(T):
-        now = JointState(robot, tuple(humans), joint.t + k)
-        for i in range(M):
-            rng = _LazyStream(rng_root, (_STREAM_HUMAN, i, joint.t + k))
-            actions[i, k] = human_policy_step(
-                profiles[i], humans[i], now, spec.context, rng,
-                memory=memories[i], radii=radii,
-            )
-        robot = unicycle_step(robot, float(ego_actions[k, 0]), float(ego_actions[k, 1]), dt)
-        humans = [unicycle_step(h, float(actions[i, k, 0]), float(actions[i, k, 1]), dt)
-                  for i, h in enumerate(humans)]
-        human_states.append(tuple(humans))
-        robot_states.append(robot)
-    return actions, human_states, robot_states
+    cur = [(s.x, s.y, s.heading, s.speed) for s in (joint.robot, *joint.humans)]
+    step_actions = []
+    states = []
+    for k, (ego_a, ego_w) in enumerate(ego_actions.tolist()):
+        t = joint.t + k
+        acts = [human_policy_step(profiles[i], i, cur, ctx,
+                                  _LazyStream(rng_root, (_STREAM_HUMAN, i, t)),
+                                  memory=memories[i], radii=radii)
+                for i in range(M)]
+        r = cur[0]
+        nxt = [unicycle_step_floats(r[0], r[1], r[2], r[3], ego_a, ego_w, dt)]
+        for h, (a, w) in zip(cur[1:], acts):
+            nxt.append(unicycle_step_floats(h[0], h[1], h[2], h[3], a, w, dt))
+        step_actions.append(acts)
+        states.append(nxt)
+        cur = nxt
+    actions = np.array(step_actions, dtype=float).reshape(T, M, 2).transpose(1, 0, 2)
+    return actions, states
 
 
 @dataclass
@@ -291,9 +297,9 @@ class OraclePredictor:
         b = self._binding
         if b is None:
             raise RuntimeError("oracle predictor used outside a scene")
-        memories = copy.deepcopy(b.memories)
-        actions, _, _ = simulate_humans(b.spec, joint, memories,
-                                        ego_candidate.actions, b.rng_root, b.dt)
+        memories = [dict(m) for m in b.memories]  # memory values are scalars
+        actions, _ = simulate_humans(b.spec, joint, memories,
+                                     ego_candidate.actions, b.rng_root, b.dt)
         humans = tuple(
             (ModePrediction("oracle", 1.0, ActionTraj(actions[i], start_t=joint.t)),)
             for i in range(len(joint.humans))
@@ -358,11 +364,13 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
         n_exec = min(replan_every, spec.horizon - t, len(chosen))
         seg_actions = chosen.actions[:n_exec]
         executed.append(ActionTraj(seg_actions, start_t=t))
-        h_acts, h_states, r_states = simulate_humans(spec, joint, memories,
-                                                     seg_actions, rng_root, dt)
+        h_acts, step_states = simulate_humans(spec, joint, memories,
+                                              seg_actions, rng_root, dt)
         for k in range(n_exec):
             human_actions_acc[:, t + k, :] = h_acts[:, k, :]
-            js = JointState(r_states[k], h_states[k], t + k + 1)
+            robot, *humans = (AgentState(x, y, once, v)
+                              for x, y, _, v, once in step_states[k])
+            js = JointState(robot, tuple(humans), t + k + 1)
             states.append(js)
             cost = sum(
                 footprint_overlap(js.robot, h, ROBOT_RADIUS, radii[i]) * dt * w_col_mag
@@ -390,24 +398,17 @@ def replay_max_deviation(record: SceneRecord, dt: float = DT_DEFAULT) -> float:
     """Re-integrate logged actions from the initial state; max abs coordinate
     deviation from the logged state sequence."""
     joint0 = record.states[0]
-    robot = joint0.robot
-    humans = list(joint0.humans)
+    cur = [(s.x, s.y, s.heading, s.speed) for s in (joint0.robot, *joint0.humans)]
     robot_acts = np.concatenate([e.actions for e in record.executed_robot]) if record.executed_robot else np.zeros((0, 2))
+    acts = [robot_acts.tolist()] + [tr.actions.tolist() for tr in record.human_actions]
     dev = 0.0
     T = len(record.states) - 1
     for k in range(T):
-        robot = unicycle_step(robot, float(robot_acts[k, 0]), float(robot_acts[k, 1]), dt)
-        humans = [
-            unicycle_step(h, float(record.human_actions[i].actions[k, 0]),
-                          float(record.human_actions[i].actions[k, 1]), dt)
-            for i, h in enumerate(humans)
-        ]
         logged = record.states[k + 1]
-        dev = max(dev, abs(robot.x - logged.robot.x), abs(robot.y - logged.robot.y),
-                  abs(robot.heading - logged.robot.heading), abs(robot.speed - logged.robot.speed))
-        for h, lh in zip(humans, logged.humans):
-            dev = max(dev, abs(h.x - lh.x), abs(h.y - lh.y),
-                      abs(h.heading - lh.heading), abs(h.speed - lh.speed))
+        cur = [unicycle_step_floats(*s[:4], *acts[j][k], dt)
+               for j, s in enumerate(cur)]
+        for (x, y, h, v, _), ls in zip(cur, (logged.robot, *logged.humans)):
+            dev = max(dev, abs(x - ls.x), abs(y - ls.y), abs(h - ls.heading), abs(v - ls.speed))
     return dev
 
 

@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from regret_miner import harness
+import regret_miner
+from regret_miner import cli, harness, simkit
 from regret_miner.cli import _pick_arms, _pick_seeds, build_parser, main
 from regret_miner.harness import ARMS, ExperimentConfig
 
@@ -204,3 +209,116 @@ def test_compare_requires_score(cli_and_full_runs, tmp_path, capsys):
     assert err["error"]["type"] == "FileNotFoundError"
     assert "reports.jsonl" in err["error"]["message"]
     assert "`score`" in err["error"]["message"]
+
+
+def _copy_run(src, dst):
+    shutil.copytree(src, dst)
+    return dst
+
+
+def test_redeploy_with_every_predictor_reads_no_scenes(cli_and_full_runs, tmp_path, capsys):
+    cli_run, full_run = cli_and_full_runs
+    run = _copy_run(cli_run, tmp_path / "run")
+    (run / "scenes.jsonl").unlink()
+    (run / "case_study.json").unlink()
+    assert main(["redeploy", "--in", str(run)]) == 0
+    assert (run / "case_study.json").read_bytes() == (full_run / "case_study.json").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def two_seed_run(tmp_path_factory):
+    """A small deployment fine-tuned and redeployed for one arm at two seeds."""
+    root = tmp_path_factory.mktemp("two-seed")
+    config = ExperimentConfig(
+        families=(("StrandedTruck", 2), ("SparseCruise", 3)),
+        pretrain_families=(("SparseCruise", 1),), seeds=(101, 102), p=25.0,
+        holdout_frac=0.25, replan_every=20, base_seed=2, pretrain_seed=10_002,
+        out_dir="run")
+    harness.config_to_yaml(config, root / "config.yaml")
+    run = root / "run"
+    r = str(run)
+    for argv in (["simulate", "--config", str(root / "config.yaml"), "--out", r],
+                 ["score", "--in", r],
+                 ["finetune", "--in", r, "--arms", "high"],
+                 ["redeploy", "--in", r]):
+        assert main(argv) == 0, argv
+    return run
+
+
+def test_redeploy_with_a_missing_predictor_reads_scenes(two_seed_run, tmp_path,
+                                                        monkeypatch, capsys):
+    run = _copy_run(two_seed_run, tmp_path / "run")
+    (run / "predictors" / "HighRegretFT-102.json").unlink()
+    (run / "case_study.json").unlink()
+    reads = []
+    real = simkit.scenes_from_jsonl
+    monkeypatch.setattr(simkit, "scenes_from_jsonl",
+                        lambda path: reads.append(Path(path).name) or real(path))
+    assert main(["redeploy", "--in", str(run)]) == 0
+    assert reads == ["scenes.jsonl"]
+    # The refit predictor is the one finetune saved, so the case study is too.
+    assert (run / "case_study.json").read_bytes() == \
+        (two_seed_run / "case_study.json").read_bytes()
+    # Without the scenes the missing predictor cannot be fitted.
+    (run / "scenes.jsonl").unlink()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["redeploy", "--in", str(run)])
+    assert exc.value.code == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "FileNotFoundError"
+
+
+def _fresh_cli(argv):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(regret_miner.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "regret_miner.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process_cli(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    runs = {}
+    for name, scores in (("a", {"s1": 0.9, "s2": 0.1, "s3": 0.5, "s4": 0.7}),
+                         ("b", {"t1": 0.2, "t2": 0.8})):
+        runs[name] = tmp_path / name
+        runs[name].mkdir()
+        (runs[name] / "scores.json").write_text(json.dumps(
+            {"schema": "scores/1", "aggregation": "mean", "scores": scores}))
+    calls = [["mine", "--in", str(runs["a"]), "--p", "50"],
+             ["mine", "--in", str(runs["a"]), "--p", "lots"],   # usage error
+             ["mine", "--in", str(runs["b"]), "--p", "50"],
+             ["score"]]                                          # usage error
+    fresh = []
+    for argv in calls:
+        fresh.append((_fresh_cli(argv), {n: (d / "mined.json").read_bytes()
+                                         for n, d in runs.items()
+                                         if (d / "mined.json").exists()}))
+    for d in runs.values():
+        (d / "mined.json").unlink()
+
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for argv, (want, want_files) in zip(calls, fresh):
+            got = _in_process_cli(argv, capsys)
+            assert got == want, argv
+            assert {n: (d / "mined.json").read_bytes() for n, d in runs.items()
+                    if (d / "mined.json").exists()} == want_files
+    finally:
+        cli._parser.cache_clear()
+    assert [code for (code, _, _), _ in fresh] == [0, 2, 0, 2]
+    for (_, _, err), _ in fresh[1::2]:
+        assert json.loads(err)["error"]["type"] == "usage"
+    assert builds == [1]

@@ -18,6 +18,7 @@ from regret_miner.core import (
     rollout_positions_batch,
     unicycle_rollout,
     unicycle_step,
+    unicycle_step_floats,
     wrap_angle,
 )
 
@@ -199,6 +200,77 @@ def test_rollout_positions_rejects_bad_input():
         unicycle_rollout(state, traj, 1e308)
     with pytest.raises(ValueError):
         rollout_positions(state, traj, 1e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(-1e3, 1e3),
+    y=st.floats(-1e3, 1e3),
+    heading=st.one_of(_NEAR_PI, st.floats(-math.pi, math.pi)),
+    speed=st.one_of(st.sampled_from([0.0, 0.05, 8.0]), st.floats(0.0, 12.0)),
+    actions=st.lists(st.tuples(_ACCELS, _TURNS), min_size=1, max_size=40),
+    dt=st.one_of(st.sampled_from([0.05, 0.1, 0.2, 0.5]), st.floats(1e-3, 1.0)),
+)
+@example(x=0.0, y=0.0, heading=-math.pi, speed=1.0,
+         actions=[(0.0, -3e-15), (0.0, 0.0)], dt=0.1)
+@example(x=0.0, y=0.0, heading=0.0, speed=0.3,
+         actions=[(-4.0, 0.5)] * 5, dt=0.1)
+@example(x=-0.0, y=0.0, heading=-0.0, speed=-0.0,
+         actions=[(-0.0, -0.0), (-0.0, 0.0)], dt=0.1)
+def test_unicycle_step_floats_equals_unicycle_step(x, y, heading, speed, actions, dt):
+    # Each kernel steps from its own previous output, as the simulation does.
+    # float.hex tells -0.0 from 0.0, which serialized scenes tell apart too.
+    state = AgentState(x, y, heading, speed)
+    cur = (state.x, state.y, state.heading, state.speed)
+    for accel, turn in actions:
+        state = unicycle_step(state, accel, turn, dt)
+        got = unicycle_step_floats(*cur, accel, turn, dt)
+        assert [v.hex() for v in got[:4]] == \
+            [v.hex() for v in (state.x, state.y, state.heading, state.speed)]
+        assert AgentState(got[0], got[1], got[4], got[3]) == state
+        cur = got[:4]
+
+
+def test_unicycle_step_floats_double_wrap_near_minus_pi():
+    # The heading step lands on -pi - 3e-16: one wrap gives +pi, two give -pi.
+    got = unicycle_step_floats(0.0, 0.0, -math.pi, 1.0, 0.0, -3e-15, 0.1)
+    assert got[4] == math.pi
+    assert got[2] == -math.pi
+    state = unicycle_step(AgentState(0.0, 0.0, -math.pi, 1.0), 0.0, -3e-15, 0.1)
+    assert state.heading == got[2]
+
+
+def _error(fn):
+    with pytest.raises(ValueError) as err:
+        fn()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("start,accel,turn,dt", [
+    ((0.0, 0.0, 0.0, 1.0), 0.0, 0.0, 0.0),                   # dt = 0
+    ((0.0, 0.0, 0.0, 1.0), 0.0, 0.5, -0.1),                  # dt < 0
+    ((0.0, 0.0, 0.0, 1.0), 0.0, 0.0, float("nan")),          # non-finite dt
+    ((0.0, 0.0, 0.0, 1.0), 1.0, 0.0, float("inf")),
+    ((0.0, 0.0, 0.0, 1.0), 0.0, float("nan"), 0.1),          # non-finite turn
+    ((0.0, 0.0, 0.0, 1.0), 0.0, float("-inf"), 0.1),
+    ((0.0, 0.0, 0.0, 1.0), float("inf"), 0.0, 0.1),          # non-finite speed
+    ((0.0, 0.0, 0.0, 1.0), float("nan"), float("inf"), 0.1), # NaN accel brakes to 0
+    ((1e308, 0.0, 0.0, 8.0), 0.0, 0.0, 1e308),               # x overflows
+    ((0.0, 1e308, math.pi / 2, 8.0), 0.0, 0.0, 1e308),       # y overflows
+    ((0.0, 0.0, 0.0, 1.0), 0.0, 1e308, 10.0),                # the heading step overflows
+])
+def test_unicycle_step_floats_rejects_what_unicycle_step_rejects(start, accel, turn, dt):
+    want = _error(lambda: unicycle_step(AgentState(*start), accel, turn, dt))
+    assert _error(lambda: unicycle_step_floats(*start, accel, turn, dt)) == want
+
+
+def test_unicycle_step_floats_accepts_what_unicycle_step_accepts():
+    # A NaN or -inf acceleration brakes to speed 0 in both.
+    for accel in (float("nan"), float("-inf")):
+        state = unicycle_step(AgentState(0.0, 0.0, 0.3, 2.0), accel, 0.2, 0.1)
+        got = unicycle_step_floats(0.0, 0.0, 0.3, 2.0, accel, 0.2, 0.1)
+        assert got[:4] == (state.x, state.y, state.heading, state.speed)
+        assert got[3] == 0.0 and math.copysign(1.0, got[3]) == 1.0
 
 
 _BATCH_ROW = st.tuples(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regret_miner.core import (
     ACCEL_LIMIT,
@@ -19,6 +21,7 @@ from regret_miner.planner import (
     PlannerHandle,
     ReplanEntry,
     RewardWeights,
+    _cap_speed,
     plan,
     reward,
     reward_terms,
@@ -83,6 +86,37 @@ def test_sample_candidates_equal_per_candidate_construction(handle, speed):
     assert got == _reference_candidates(handle, state, RngStream(8), 40)
     for cand in got:
         assert not cand.actions.flags.writeable
+
+
+def _cap_speed_min_max(accel, v0, cap, dt):
+    """_cap_speed written with the builtin min and max."""
+    out, v = [], v0
+    for a in accel.tolist():
+        a = min(a, (cap - v) / dt)
+        a = min(max(a, -ACCEL_LIMIT), ACCEL_LIMIT)
+        out.append(a)
+        v = max(0.0, v + a * dt)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    accel=st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, ACCEL_LIMIT, -ACCEL_LIMIT, 4.5, -5.0, float("nan")]),
+        st.floats(-5.0, 5.0)), min_size=1, max_size=40),
+    v0=st.one_of(st.sampled_from([0.0, 10.0, 6.0]), st.floats(0.0, 12.0)),
+    cap=st.sampled_from([10.0, 6.0, 0.5]),
+    dt=st.sampled_from([0.05, 0.1, 0.2]),
+)
+@example(accel=[0.0] * 5, v0=10.0, cap=10.0, dt=0.1)      # v0 == cap
+@example(accel=[-4.0, -4.0, 1.0], v0=0.0, cap=10.0, dt=0.2)  # braking at rest
+@example(accel=[-0.0, 0.0, -0.0], v0=0.0, cap=10.0, dt=0.05)
+def test_cap_speed_equals_min_max_formula(accel, v0, cap, dt):
+    got = _cap_speed(np.array(accel), v0, cap, dt)
+    want = _cap_speed_min_max(np.array(accel), v0, cap, dt)
+    # float.hex tells -0.0 from 0.0; NaN reads as 'nan' on both sides.
+    assert [a.hex() for a in got] == [a.hex() for a in want]
+    assert all(type(a) is float for a in got)
 
 
 def test_weight_validation():

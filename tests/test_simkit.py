@@ -4,10 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from regret_miner.core import AgentState, DrivingCorridor, JointState, RngStream
+from regret_miner.core import (
+    CAR_RADIUS,
+    DT_DEFAULT,
+    ROBOT_RADIUS,
+    AgentState,
+    DrivingCorridor,
+    JointState,
+    RngStream,
+    unicycle_step,
+    wrap_angle,
+)
 from regret_miner.planner import PlannerHandle
 from regret_miner.simkit import (
     FAMILIES,
+    RESUME_CLEAR_SECONDS,
+    YIELD_PROBABILITY,
     HumanProfile,
     OraclePredictor,
     ScenarioSpec,
@@ -29,13 +41,18 @@ def _joint(robot, humans, t=0):
     return JointState(robot, tuple(humans), t)
 
 
+def _floats(joint):
+    """A JointState as human_policy_step's float states, robot first."""
+    return [(s.x, s.y, s.heading, s.speed) for s in (joint.robot, *joint.humans)]
+
+
 def test_stranded_profile_never_acts():
     p = HumanProfile("stranded", target_speed=0.0)
     assert p.never_moves
     me = AgentState(50, 0, 0, 0)
     joint = _joint(AgentState(0, 0, 0, 8), [me])
     for t in range(5):
-        a, w = human_policy_step(p, me, joint, TWO_LANE, RngStream(t), memory={})
+        a, w = human_policy_step(p, 0, _floats(joint), TWO_LANE, RngStream(t), memory={})
         assert (a, w) == (0.0, 0.0)
 
 
@@ -45,7 +62,7 @@ def test_cruise_setpoint_equilibrium():
     p = HumanProfile("cruise", target_speed=6.0, reaction_radius=10.0)
     me = AgentState(50, 0, 0, 6.0)
     joint = _joint(AgentState(0, 0, 0, 6.0), [me])
-    a, w = human_policy_step(p, me, joint, TWO_LANE, RngStream(0), memory={})
+    a, w = human_policy_step(p, 0, _floats(joint), TWO_LANE, RngStream(0), memory={})
     assert abs(a) < 1e-9
     assert abs(w) < 1e-9
 
@@ -54,7 +71,7 @@ def test_cruise_brakes_for_agent_ahead():
     p = HumanProfile("cruise", target_speed=6.0, reaction_radius=10.0)
     me = AgentState(50, 0, 0, 6.0)
     joint = _joint(AgentState(55, 0, 0, 0.0), [me])
-    a, _ = human_policy_step(p, me, joint, TWO_LANE, RngStream(0), memory={})
+    a, _ = human_policy_step(p, 0, _floats(joint), TWO_LANE, RngStream(0), memory={})
     assert a == -3.0
 
 
@@ -68,7 +85,7 @@ def test_intersection_yield_frequency():
     n = 10_000
     for i in range(n):
         memory: dict = {}
-        human_policy_step(p, me, joint, TWO_LANE, RngStream(777, i), memory=memory)
+        human_policy_step(p, 0, _floats(joint), TWO_LANE, RngStream(777, i), memory=memory)
         assert memory.get("yield_latch") is not None  # on course by construction
         yields += bool(memory["yield_latch"])
     assert abs(yields / n - 0.8) < 0.02
@@ -175,9 +192,9 @@ def test_yield_if_close_reactivity():
     joint = JointState(spec.robot_init, (start,), 0)
     charge = np.column_stack([np.full(20, 1.0), np.zeros(20)])
     hold = np.column_stack([np.full(20, -3.0), np.zeros(20)])
-    _, near_states, _ = simulate_humans(spec, joint, [dict()], charge, RngStream(77))
-    _, far_states, _ = simulate_humans(spec, joint, [dict()], hold, RngStream(77))
-    diffs = [abs(a[0].x - b[0].x) + abs(a[0].speed - b[0].speed)
+    _, near_states = simulate_humans(spec, joint, [dict()], charge, RngStream(77))
+    _, far_states = simulate_humans(spec, joint, [dict()], hold, RngStream(77))
+    diffs = [abs(a[1][0] - b[1][0]) + abs(a[1][3] - b[1][3])
              for a, b in zip(near_states, far_states)]
     assert max(diffs) > 0.1
 
@@ -258,3 +275,175 @@ def test_scene_decode_mixed_length_candidates(two_human_scene_dict):
     cands[6]["actions"][1] = [0.0, 0.0, 0.0]
     with pytest.raises(ValueError):
         scene_from_dict(d)
+
+
+# The human simulation written on AgentState and JointState, one validated
+# state per agent per step, as the package stepped humans before the float
+# kernel: the reference simulate_humans must equal.
+
+def _ref_agents_ahead(me, others, reach, lateral_window=2.0):
+    c, s = math.cos(me.heading), math.sin(me.heading)
+    for other, r in others:
+        dx, dy = other.x - me.x, other.y - me.y
+        proj = dx * c + dy * s
+        lat = abs(-dx * s + dy * c)
+        if 0.0 < proj < reach + r and lat < lateral_window:
+            return True
+    return False
+
+
+def _ref_others_of(idx_self, joint, radii):
+    out = [(joint.robot, ROBOT_RADIUS)]
+    for j, h in enumerate(joint.humans):
+        if j != idx_self:
+            out.append((h, radii[j] if j < len(radii) else CAR_RADIUS))
+    return out
+
+
+def _ref_cruise_action(profile, me, ctx, others):
+    if isinstance(ctx, DrivingCorridor):
+        center = ctx.nearest_center(me.y)
+        desired = min(max(-0.4 * (me.y - center), -0.5), 0.5)
+        w = min(max(2.0 * wrap_angle(desired - me.heading), -1.0), 1.0)
+    else:
+        w = 0.0
+    if _ref_agents_ahead(me, others, profile.reaction_radius):
+        a = -3.0 if me.speed > 0 else 0.0
+    else:
+        a = min(max(0.6 * (profile.target_speed - me.speed), -2.0), 2.0)
+    return a, w
+
+
+def _ref_policy_step(profile, me, joint, ctx, rng, memory, radii):
+    if profile.never_moves or profile.mode == "stranded":
+        return (0.0, 0.0)
+    idx_self = next((j for j, h in enumerate(joint.humans) if h is me), None)
+    others = _ref_others_of(idx_self if idx_self is not None else -1, joint, radii)
+    if profile.mode == "cruise":
+        return _ref_cruise_action(profile, me, ctx, others)
+    if profile.mode == "yield_if_close":
+        if me.distance_to(joint.robot) < profile.reaction_radius:
+            return (-3.5 if me.speed > 0 else 0.0, 0.0)
+        return _ref_cruise_action(profile, me, ctx, others)
+    if profile.mode == "stopped":
+        if not memory.get("resumed", False):
+            clear = not _ref_agents_ahead(me, others, profile.reaction_radius)
+            memory["clear_steps"] = memory.get("clear_steps", 0) + 1 if clear else 0
+            if memory["clear_steps"] >= int(round(RESUME_CLEAR_SECONDS / DT_DEFAULT)):
+                memory["resumed"] = True
+            else:
+                return (-3.0 if me.speed > 0 else 0.0, 0.0)
+        return _ref_cruise_action(profile, me, ctx, others)
+    assert profile.mode == "intersection_cross"
+    robot = joint.robot
+    if memory.get("yield_latch") is None:
+        approaching = robot.x < me.x + 1.0
+        t_arrive = (me.x - robot.x) / max(robot.speed, 0.5)
+        if approaching and 0.0 <= t_arrive <= 4.0:
+            memory["yield_latch"] = bool(rng.generator().uniform() < YIELD_PROBABILITY)
+    if memory.get("yield_latch") is True and robot.x < me.x + 3.0:
+        return (-3.0 if me.speed > 0 else 0.0, 0.0)
+    if "cross_dir" not in memory:
+        memory["cross_dir"] = 1.0 if abs(wrap_angle(me.heading - math.pi / 2)) < math.pi / 2 else -1.0
+    w = min(max(2.0 * wrap_angle(memory["cross_dir"] * math.pi / 2 - me.heading), -1.0), 1.0)
+    a = min(max(0.8 * (profile.target_speed - me.speed), -2.0), 2.0)
+    return a, w
+
+
+def _ref_simulate_humans(spec, joint, memories, ego_actions, rng_root, dt=DT_DEFAULT):
+    profiles = [p for _, p in spec.humans]
+    radii = [p.radius for p in profiles]
+    M, T = len(profiles), len(ego_actions)
+    robot, humans = joint.robot, list(joint.humans)
+    actions = np.zeros((M, T, 2))
+    human_states, robot_states = [], []
+    for k in range(T):
+        now = JointState(robot, tuple(humans), joint.t + k)
+        for i in range(M):
+            rng = rng_root.derive(1, i, joint.t + k)
+            actions[i, k] = _ref_policy_step(profiles[i], humans[i], now, spec.context,
+                                             rng, memories[i], radii)
+        robot = unicycle_step(robot, float(ego_actions[k, 0]), float(ego_actions[k, 1]), dt)
+        humans = [unicycle_step(h, float(actions[i, k, 0]), float(actions[i, k, 1]), dt)
+                  for i, h in enumerate(humans)]
+        human_states.append(tuple(humans))
+        robot_states.append(robot)
+    return actions, human_states, robot_states
+
+
+def _hex(*values):
+    """Exact float values; float.hex tells -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+# Memory keys each scene's humans must reach, so every policy branch runs.
+_FAMILY_MEMORY = {"StrandedTruck": set(), "StoppedTraffic": {"resumed"},
+                  "Intersection": {"yield_latch", "cross_dir"},
+                  "SparseCruise": set(), "NavWorld": set(), "UTurn": set()}
+
+
+def _reference_spec(name):
+    if name != "UTurn":
+        return generate_scenario_batch(name, 1, base_seed=4, horizon=200)[0]
+    # A car facing back down the corridor turns round at the turn limit,
+    # through headings in [-pi, -pi/2) that no family reaches.
+    car = AgentState(30.0, 3.7, -3.0, 5.0)
+    return ScenarioSpec(TWO_LANE, AgentState(0.0, 0.0, 0.0, 8.0),
+                        ((car, HumanProfile("cruise", target_speed=5.0)),),
+                        horizon=200, seed=9, scenario_id="u-turn")
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, "UTurn"])
+def test_simulate_humans_equals_agentstate_reference(name):
+    spec = _reference_spec(name)
+    rec = run_closed_loop(spec, PlannerHandle(), OraclePredictor(), 10)
+    assert not rec.aborted
+    ego = np.concatenate([e.actions for e in rec.executed_robot])
+    root = RngStream(spec.seed)
+    memories, ref_memories = [{} for _ in spec.humans], [{} for _ in spec.humans]
+    joint = rec.states[0]
+    ref_states = []
+    # Two calls, so the second starts at t > 0 with memories already set.
+    for lo, hi in ((0, 90), (90, len(ego))):
+        actions, states = simulate_humans(spec, joint, memories, ego[lo:hi], root)
+        ref_actions, ref_humans, ref_robots = _ref_simulate_humans(
+            spec, joint, ref_memories, ego[lo:hi], root)
+        assert actions.shape == ref_actions.shape == (len(spec.humans), hi - lo, 2)
+        assert actions.tobytes() == ref_actions.tobytes()
+        assert len(states) == hi - lo
+        for step, robot, humans in zip(states, ref_robots, ref_humans):
+            ref_agents = [_hex(a.x, a.y, a.heading, a.speed) for a in (robot, *humans)]
+            assert [_hex(*s[:4]) for s in step] == ref_agents
+            assert [_hex(a.x, a.y, a.heading, a.speed) for a in
+                    (AgentState(x, y, once, v) for x, y, _, v, once in step)] == ref_agents
+            ref_states.append(ref_agents)
+        assert memories == ref_memories
+        joint = JointState(ref_robots[-1], ref_humans[-1], hi)
+    assert _FAMILY_MEMORY[name] <= set().union(*memories)
+    # The engine recorded the reference states.
+    assert [[_hex(a.x, a.y, a.heading, a.speed) for a in (js.robot, *js.humans)]
+            for js in rec.states[1:]] == ref_states
+
+
+@pytest.mark.parametrize("family", ["StoppedTraffic", "Intersection"])
+def test_oracle_predict_leaves_engine_memories_unchanged(family):
+    spec = generate_scenario_batch(family, 1, base_seed=4, horizon=10)[0]
+    oracle = OraclePredictor()
+    rec = run_closed_loop(spec, PlannerHandle(), oracle, 10)
+    memories = oracle._binding.memories
+    before = copy.deepcopy(memories)
+    dicts = [id(m) for m in memories]
+    joint = rec.states[-1]
+    cand = rec.replan_log[0].candidates[12]  # accel 1.0: the walker latches its yield
+    # Simulating the candidate from these memories writes to them, so a
+    # predict that did not copy them would show here.
+    touched = copy.deepcopy(before)
+    ref_actions, _, _ = _ref_simulate_humans(spec, joint, touched, cand.actions,
+                                             RngStream(spec.seed))
+    assert touched != before
+    first = oracle.predict(joint, [], cand, spec.context)
+    assert memories == before and [id(m) for m in memories] == dicts
+    assert oracle.predict(joint, [], cand, spec.context) == first
+    for i, modes in enumerate(first.humans):
+        assert modes[0].traj.start_t == joint.t
+        assert modes[0].traj.actions.tobytes() == ref_actions[i].tobytes()
