@@ -173,7 +173,13 @@ class DrivingCorridor:
             raise ValueError("lane_width and length must be positive")
 
     def nearest_center(self, y: float) -> float:
-        return min(self.lane_centers, key=lambda c: abs(y - c))
+        """The lane center nearest y; the first of equally near ones."""
+        best = None
+        for c in self.lane_centers:
+            d = abs(y - c)
+            if best is None or d < best_d:
+                best, best_d = c, d
+        return best
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ an engine-owned per-human memory dict of scalar values.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -504,8 +505,23 @@ def generate_scenario_batch(family: str, n: int, base_seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Serialization (scene/1 JSONL)
+# Serialization (scene/2 JSONL)
 # ---------------------------------------------------------------------------
+#
+# A scene is one JSON object per line. Ids, the context, flags, radii, frame
+# and replan times, mode labels and probabilities, and the per-frame and
+# predicted rewards are plain JSON. Every numeric block is a {"shape", "f8"}
+# object, "f8" holding the base64 of the little-endian float64 values:
+#   states is (T+1, 1+M, 4): x, y, heading, speed, robot first;
+#   a trajectory list (executed robot segments, human actions, one replan's
+#   candidates or mode trajectories) is {"start_t", "len", "actions"}, with
+#   every trajectory's actions stacked into one (sum of len, 2) block.
+# scene/1 lines, which spell every value out in JSON, are still read: both
+# schemas become the same arrays, which one decode core checks and turns
+# into records.
+
+SCENE_SCHEMA = "scene/2"
+
 
 def _state_to_list(s: AgentState) -> list[float]:
     return [s.x, s.y, s.heading, s.speed]
@@ -513,26 +529,6 @@ def _state_to_list(s: AgentState) -> list[float]:
 
 def _state_from_list(v) -> AgentState:
     return AgentState(v[0], v[1], v[2], v[3])
-
-
-def _traj_to_dict(traj: ActionTraj) -> dict:
-    return {"start_t": traj.start_t, "actions": traj.actions.tolist()}
-
-
-def _traj_from_dict(d) -> ActionTraj:
-    return ActionTraj(np.array(d["actions"], dtype=float), start_t=d["start_t"])
-
-
-def _trajs_from_dicts(ds: Sequence[dict]) -> list[ActionTraj]:
-    """Decode a list of trajectories as one validated ActionTraj.block;
-    trajectories of mixed lengths are decoded one by one."""
-    try:
-        block = np.array([d["actions"] for d in ds], dtype=float)
-    except ValueError:
-        block = None
-    if block is None or block.ndim != 3:
-        return [_traj_from_dict(d) for d in ds]
-    return ActionTraj.block(block, [d["start_t"] for d in ds])
 
 
 def context_to_dict(ctx: Context) -> dict:
@@ -554,36 +550,85 @@ def context_from_dict(d) -> Context:
     raise ValueError(f"unknown context kind {d.get('kind')!r}")
 
 
-def _predset_to_list(ps: PredictionSet) -> list:
-    return [[{"label": m.label, "prob": m.prob, "traj": _traj_to_dict(m.traj)}
-             for m in human] for human in ps.humans]
+def _pack(arr: np.ndarray) -> dict:
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
-def _predset_from_list(v) -> PredictionSet:
-    trajs = iter(_trajs_from_dicts([m["traj"] for human in v for m in human]))
-    return PredictionSet(tuple(
-        tuple(ModePrediction(m["label"], m["prob"], next(trajs)) for m in human)
-        for human in v
-    ))
+def _unpack(block: dict, name: str) -> np.ndarray:
+    """The read-only float64 array of a {"shape", "f8"} block."""
+    shape = [int(n) for n in block["shape"]]
+    buf = base64.b64decode(block["f8"])
+    want = 8 * math.prod(shape)
+    if min(shape, default=0) < 0 or len(buf) != want:
+        raise ValueError(f"{name}: block holds {len(buf)} bytes, "
+                         f"but its shape {shape} needs {want}")
+    return np.frombuffer(buf, dtype="<f8").reshape(shape)
+
+
+def _pack_trajs(trajs: Sequence[ActionTraj]) -> dict:
+    actions = np.concatenate([tr.actions for tr in trajs]) if trajs else np.zeros((0, 2))
+    return {"start_t": [tr.start_t for tr in trajs], "len": [len(tr) for tr in trajs],
+            "actions": _pack(actions)}
+
+
+def _unpack_trajs(d: dict, name: str):
+    """(start_ts, actions) of a scene/2 trajectory list: actions is one
+    (K, T, 2) block when every length is equal, else one (T_k, 2) view per
+    trajectory."""
+    start_ts, lens = d["start_t"], d["len"]
+    flat = _unpack(d["actions"], name)
+    if (flat.ndim != 2 or flat.shape[1] != 2 or len(lens) != len(start_ts)
+            or sum(lens) != len(flat)):
+        raise ValueError(f"{name}: {len(start_ts)} start_t and lengths {lens} "
+                         f"do not fit an actions block of shape {list(flat.shape)}")
+    if len(set(lens)) <= 1:
+        return start_ts, flat.reshape(len(lens), lens[0] if lens else 0, 2)
+    return start_ts, np.split(flat, np.cumsum(lens[:-1]))
+
+
+def _scene1_trajs(ds: Sequence[dict]):
+    """(start_ts, actions) of a scene/1 trajectory list, as _unpack_trajs
+    gives them; actions of mixed lengths stay as their JSON lists."""
+    actions = [d["actions"] for d in ds]
+    try:
+        block = np.array(actions, dtype=float)
+    except ValueError:
+        block = None
+    if block is not None and block.ndim == 3:
+        actions = block
+    return [d["start_t"] for d in ds], actions
+
+
+def _trajs(start_ts, actions) -> list[ActionTraj]:
+    """Validated read-only trajectories: one ActionTraj.block for a (K, T, 2)
+    block, else one ActionTraj per trajectory."""
+    if isinstance(actions, np.ndarray):
+        return ActionTraj.block(actions, start_ts)
+    return [ActionTraj(a, start_t=st) for a, st in zip(actions, start_ts)]
 
 
 def scene_to_dict(rec: SceneRecord) -> dict:
+    states = np.array([[_state_to_list(s) for s in (js.robot, *js.humans)]
+                       for js in rec.states], dtype=float)
     return {
-        "schema": "scene/1",
+        "schema": SCENE_SCHEMA,
         "scenario_id": rec.scenario_id,
         "context": context_to_dict(rec.context),
-        "states": [
-            {"t": js.t, "robot": _state_to_list(js.robot),
-             "humans": [_state_to_list(h) for h in js.humans]}
-            for js in rec.states
-        ],
-        "executed_robot": [_traj_to_dict(tr) for tr in rec.executed_robot],
-        "human_actions": [_traj_to_dict(tr) for tr in rec.human_actions],
+        "t": [js.t for js in rec.states],
+        "states": _pack(states),
+        "executed_robot": _pack_trajs(rec.executed_robot),
+        "human_actions": _pack_trajs(rec.human_actions),
         "replan_log": [
             {
                 "t": e.t,
-                "candidates": [_traj_to_dict(c) for c in e.candidates],
-                "predicted_humans": _predset_to_list(e.predicted_humans),
+                "candidates": _pack_trajs(e.candidates),
+                "predicted_humans": {
+                    "label": [[m.label for m in h] for h in e.predicted_humans.humans],
+                    "prob": [[m.prob for m in h] for h in e.predicted_humans.humans],
+                    "trajs": _pack_trajs([m.traj for h in e.predicted_humans.humans
+                                          for m in h]),
+                },
                 "candidate_rewards_predicted": e.candidate_rewards_predicted,
                 "executed_index": e.executed_index,
                 "predicted_reward_samples": [[r, w] for r, w in e.predicted_reward_samples],
@@ -597,31 +642,79 @@ def scene_to_dict(rec: SceneRecord) -> dict:
     }
 
 
-def scene_from_dict(d: dict) -> SceneRecord:
-    if d.get("schema") != "scene/1":
-        raise ValueError(f"unsupported schema {d.get('schema')!r}")
-    states = [
-        JointState(_state_from_list(s["robot"]),
-                   tuple(_state_from_list(h) for h in s["humans"]), s["t"])
-        for s in d["states"]
+def _scene2_arrays(d: dict):
+    """(frame times, states, executed, human actions, replans) of a scene/2
+    dict; each replan is (entry dict, candidates, mode labels, mode probs,
+    mode trajectories)."""
+    frame_t = d["t"]
+    states = _unpack(d["states"], "states")
+    if states.ndim != 3 or states.shape[2] != 4 or len(states) != len(frame_t):
+        raise ValueError(f"states: block of shape {list(states.shape)} does not "
+                         f"fit {len(frame_t)} frames of (1+M, 4) states")
+    replans = []
+    for i, e in enumerate(d["replan_log"]):
+        ph = e["predicted_humans"]
+        modes = _unpack_trajs(ph["trajs"], f"replan_log[{i}].predicted_humans")
+        if ([len(h) for h in ph["label"]] != [len(h) for h in ph["prob"]]
+                or sum(map(len, ph["label"])) != len(modes[0])):
+            raise ValueError(f"replan_log[{i}].predicted_humans: mode labels, "
+                             f"probabilities and trajectories do not match")
+        replans.append((e, _unpack_trajs(e["candidates"], f"replan_log[{i}].candidates"),
+                        ph["label"], ph["prob"], modes))
+    return (frame_t, states,
+            _unpack_trajs(d["executed_robot"], "executed_robot"),
+            _unpack_trajs(d["human_actions"], "human_actions"), replans)
+
+
+def _scene1_arrays(d: dict):
+    """_scene2_arrays for a scene/1 dict, whose values are JSON lists."""
+    states = np.array([[s["robot"], *s["humans"]] for s in d["states"]], dtype=float)
+    replans = [
+        (e, _scene1_trajs(e["candidates"]),
+         [[m["label"] for m in h] for h in e["predicted_humans"]],
+         [[m["prob"] for m in h] for h in e["predicted_humans"]],
+         _scene1_trajs([m["traj"] for h in e["predicted_humans"] for m in h]))
+        for e in d["replan_log"]
     ]
-    entries = [
-        ReplanEntry(
+    return ([s["t"] for s in d["states"]], states, _scene1_trajs(d["executed_robot"]),
+            _scene1_trajs(d["human_actions"]), replans)
+
+
+def scene_from_dict(d: dict) -> SceneRecord:
+    """Decode a scene/2 (or scene/1) dict. Every value passes the checks of
+    the record types it becomes: AgentState (finite, speed >= 0, heading
+    wrapped), ActionTraj, ReplanEntry and PredictionSet."""
+    schema = d.get("schema")
+    if schema == SCENE_SCHEMA:
+        frame_t, states, executed, human_actions, replans = _scene2_arrays(d)
+    elif schema == "scene/1":
+        frame_t, states, executed, human_actions, replans = _scene1_arrays(d)
+    else:
+        raise ValueError(f"unsupported schema {schema!r}")
+    joints = [JointState(_state_from_list(robot), tuple(_state_from_list(h) for h in humans), t)
+              for (robot, *humans), t in zip(states.tolist(), frame_t)]
+    entries = []
+    for e, candidates, labels, probs, modes in replans:
+        cands = _trajs(*candidates)
+        trajs = iter(_trajs(*modes))
+        entries.append(ReplanEntry(
             t=e["t"],
-            candidates=_trajs_from_dicts(e["candidates"]),
-            predicted_humans=_predset_from_list(e["predicted_humans"]),
+            candidates=cands,
+            predicted_humans=PredictionSet(tuple(
+                tuple(ModePrediction(label, prob, next(trajs))
+                      for label, prob in zip(h_labels, h_probs))
+                for h_labels, h_probs in zip(labels, probs)
+            )),
             candidate_rewards_predicted=list(e["candidate_rewards_predicted"]),
             executed_index=e["executed_index"],
             predicted_reward_samples=[(r, w) for r, w in e["predicted_reward_samples"]],
-        )
-        for e in d["replan_log"]
-    ]
+        ))
     rec = SceneRecord(
         scenario_id=d["scenario_id"],
         context=context_from_dict(d["context"]),
-        states=states,
-        executed_robot=_trajs_from_dicts(d["executed_robot"]),
-        human_actions=_trajs_from_dicts(d["human_actions"]),
+        states=joints,
+        executed_robot=_trajs(*executed),
+        human_actions=_trajs(*human_actions),
         replan_log=entries,
         per_frame_collision_cost=list(d["per_frame_collision_cost"]),
         aborted=d.get("aborted", False),

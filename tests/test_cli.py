@@ -11,6 +11,7 @@ import regret_miner
 from regret_miner import cli, harness, simkit
 from regret_miner.cli import _pick_arms, _pick_seeds, build_parser, main
 from regret_miner.harness import ARMS, ExperimentConfig
+from scene1_reference import scene1_dict
 
 
 def test_parser_covers_every_subcommand():
@@ -214,6 +215,29 @@ def test_compare_requires_score(cli_and_full_runs, tmp_path, capsys):
 def _copy_run(src, dst):
     shutil.copytree(src, dst)
     return dst
+
+
+def test_scene1_run_scores_like_scene2(cli_and_full_runs, tmp_path, capsys):
+    cli_run, _ = cli_and_full_runs
+    run = _copy_run(cli_run, tmp_path / "run")
+    assert '"schema": "scene/2"' in (run / "scenes.jsonl").read_text().splitlines()[0]
+    scenes = simkit.scenes_from_jsonl(run / "scenes.jsonl")
+    (run / "scenes.jsonl").write_text(
+        "".join(json.dumps(scene1_dict(s)) + "\n" for s in scenes))
+    for name in ("reports.jsonl", "scores.json", "subsets.json"):
+        (run / name).unlink()
+    shutil.rmtree(run / "comparison")
+    shutil.rmtree(run / "predictors")
+    r = str(run)
+    for argv in (["score", "--in", r], ["compare", "--in", r], ["finetune", "--in", r]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    got, want = _run_files(run), _run_files(cli_run)
+    names = [n for n in want if n in ("reports.jsonl", "scores.json", "subsets.json")
+             or n.startswith(("comparison/", "predictors/"))]
+    assert len(names) > 5
+    for name in names:
+        assert got[name] == want[name], f"{name} differs"
 
 
 def test_redeploy_with_every_predictor_reads_no_scenes(cli_and_full_runs, tmp_path, capsys):

@@ -394,6 +394,26 @@ def test_contexts():
         NavWorld(goal_primary=(1, 1), goal_backup=(1, 1))
 
 
+_CENTER = st.one_of(st.sampled_from([0.0, -0.0, 3.7, -3.7]),
+                    st.floats(-50.0, 50.0, allow_subnormal=True))
+
+
+@given(centers=st.lists(_CENTER, min_size=1, max_size=4), data=st.data())
+@example(centers=[0.0, 3.7], data=None)
+@example(centers=[-0.0, 0.0], data=None)
+@example(centers=[3.7, 0.0, 3.7], data=None)
+@example(centers=[0.0], data=None)
+def test_nearest_center_equals_min_with_key(centers, data):
+    corridor = DrivingCorridor(lane_centers=tuple(centers))
+    ys = [-0.0, 0.0, 1.85, -1.85, float("nan"), float("inf")]
+    ys += [(a + b) / 2.0 for a in centers for b in centers]  # midway: ties
+    if data is not None:
+        ys.append(data.draw(st.floats(allow_nan=False, allow_infinity=False)))
+    for y in ys:
+        want = min(corridor.lane_centers, key=lambda c: abs(y - c))
+        assert corridor.nearest_center(y).hex() == want.hex()
+
+
 def test_rng_stream_determinism():
     a = RngStream(12345, 6).generator().uniform(size=8)
     b = RngStream(12345, 6).generator().uniform(size=8)

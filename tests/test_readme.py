@@ -3,6 +3,7 @@ import re
 import shlex
 from pathlib import Path
 
+from regret_miner import simkit
 from regret_miner.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -29,3 +30,8 @@ def test_readme_command_lines_parse():
     subcommands = next(a for a in parser._actions
                        if isinstance(a, argparse._SubParsersAction)).choices
     assert sorted({argv[0] for argv in commands}) == sorted(subcommands)
+
+
+def test_readme_names_the_scene_schema_written():
+    section = README.read_text().split("## Artifacts", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"scenes \(`(scene/\d+)`", section) == [simkit.SCENE_SCHEMA]

@@ -1,13 +1,19 @@
+import base64
 import copy
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from regret_miner.core import (
     CAR_RADIUS,
     DT_DEFAULT,
     ROBOT_RADIUS,
+    ActionTraj,
     AgentState,
     DrivingCorridor,
     JointState,
@@ -15,14 +21,17 @@ from regret_miner.core import (
     unicycle_step,
     wrap_angle,
 )
-from regret_miner.planner import PlannerHandle
+from regret_miner.planner import PlannerHandle, ReplanEntry
+from regret_miner.predictor import ModePrediction, PredictionSet
 from regret_miner.simkit import (
     FAMILIES,
     RESUME_CLEAR_SECONDS,
+    SCENE_SCHEMA,
     YIELD_PROBABILITY,
     HumanProfile,
     OraclePredictor,
     ScenarioSpec,
+    SceneRecord,
     generate_scenario_batch,
     human_policy_step,
     replay_max_deviation,
@@ -33,6 +42,7 @@ from regret_miner.simkit import (
     scenes_to_jsonl,
     simulate_humans,
 )
+from scene1_reference import scene1_dict, scene1_record
 
 TWO_LANE = DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7, length=400.0)
 
@@ -206,7 +216,7 @@ def test_scene_jsonl_round_trip(tmp_path):
     path = tmp_path / "scenes.jsonl"
     scenes_to_jsonl(path, recs)
     first = path.read_text().splitlines()[0]
-    assert '"schema": "scene/1"' in first
+    assert '"schema": "scene/2"' in first
     loaded = scenes_from_jsonl(path)
     assert len(loaded) == 2
     for orig, back in zip(recs, loaded):
@@ -224,13 +234,19 @@ def test_scene_jsonl_round_trip(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def two_human_scene_dict():
+def two_human_scene():
     spec = generate_scenario_batch("StoppedTraffic", 1, base_seed=31, horizon=20)[0]
-    return scene_to_dict(run_closed_loop(spec, PlannerHandle(horizon=10), OraclePredictor(), 10))
+    return run_closed_loop(spec, PlannerHandle(horizon=10), OraclePredictor(), 10)
 
 
-def test_scene_decode_round_trip_is_equal_and_read_only(two_human_scene_dict):
-    d = two_human_scene_dict
+@pytest.fixture(scope="module")
+def two_human_scene_dict(two_human_scene):
+    """The scene as scene/1, from the reference encoder."""
+    return scene1_dict(two_human_scene)
+
+
+def test_scene_decode_round_trip_is_equal_and_read_only(two_human_scene):
+    d = scene_to_dict(two_human_scene)
     rec = scene_from_dict(d)
     assert scene_to_dict(rec) == d
     again = scene_from_dict(scene_to_dict(rec))
@@ -247,12 +263,16 @@ def test_scene_decode_round_trip_is_equal_and_read_only(two_human_scene_dict):
             tr.actions[0, 0] = 0.5
 
 
-@pytest.mark.parametrize("where,value,msg", [
+# (candidate, step, component) of replan 1, the value put there, the error.
+_BAD_CANDIDATE_VALUES = [
     ((3, 2, 0), float("nan"), "actions must be finite"),
     ((5, 0, 1), float("inf"), "actions must be finite"),
     ((1, 4, 0), 4.5, "|accel| exceeds bound 4.0"),
     ((12, 9, 1), -1.25, "|turn_rate| exceeds bound 1.0"),
-])
+]
+
+
+@pytest.mark.parametrize("where,value,msg", _BAD_CANDIDATE_VALUES)
 def test_scene_decode_rejects_a_bad_candidate_block(two_human_scene_dict, where, value, msg):
     d = copy.deepcopy(two_human_scene_dict)
     k, step, comp = where
@@ -274,6 +294,262 @@ def test_scene_decode_mixed_length_candidates(two_human_scene_dict):
     assert [len(c) for c in rec.replan_log[0].candidates] == [len(c["actions"]) for c in cands]
     cands[6]["actions"][1] = [0.0, 0.0, 0.0]
     with pytest.raises(ValueError):
+        scene_from_dict(d)
+
+
+# scene/2 against the scene/1 reference codec.
+
+def _hexed(x):
+    """x with every float as float.hex, so -0.0 and 0.0 differ; every array
+    with its shape, dtype and writeability; every object with its type."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (bool, int, str)):
+        return type(x).__name__, x
+    if isinstance(x, np.ndarray):
+        return x.shape, x.dtype.str, x.flags.writeable, _hexed(x.tolist())
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, [_hexed(v) for v in x]
+    if isinstance(x, ActionTraj):
+        return "ActionTraj", _hexed(x.actions), _hexed(x.start_t)
+    assert dataclasses.is_dataclass(x), type(x)
+    return type(x).__name__, {f.name: _hexed(getattr(x, f.name))
+                              for f in dataclasses.fields(x)}
+
+
+def _assert_codecs_agree(rec):
+    """Decoding rec's scene/2 and scene/1 encodings gives the record the
+    reference scene/1 reader gives."""
+    want = _hexed(scene1_record(scene1_dict(rec)))
+    got = scene_from_dict(scene_to_dict(rec))
+    assert _hexed(got) == want
+    assert _hexed(scene_from_dict(scene1_dict(rec))) == want
+    return got
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308)
+_COORD = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+# -pi - 4e-16 wraps to +pi, which a decode re-wraps to -pi.
+_EDGE_HEADINGS = (-math.pi - 4e-16, -math.pi, math.nextafter(-math.pi, 0.0),
+                  math.nextafter(math.nextafter(-math.pi, 0.0), 0.0),
+                  math.pi, math.nextafter(math.pi, 0.0), -0.0)
+_HEADING = st.one_of(st.sampled_from(_EDGE_HEADINGS), st.floats(-4.0, 4.0))
+_SPEED = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1e308)), st.floats(0.0, 30.0))
+_ACCEL = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 4.0, -4.0)), st.floats(-4.0, 4.0))
+_TURN = st.one_of(st.sampled_from((0.0, -0.0, -5e-324, 1.0, -1.0)), st.floats(-1.0, 1.0))
+_REWARD = st.one_of(st.sampled_from(_EDGE_FLOATS + (float("nan"), float("inf"))),
+                    st.floats())
+
+
+@st.composite
+def _scene_records(draw):
+    """Scene records of every shape the decoder must handle: 0-2 humans,
+    a single frame, truncated last executed segments, candidates and mode
+    trajectories of mixed lengths, aborted scenes with an empty replan log."""
+    n_humans = draw(st.integers(0, 2))
+    n_steps = draw(st.integers(0, 6))
+
+    def agent():
+        return AgentState(draw(_COORD), draw(_COORD), draw(_HEADING), draw(_SPEED))
+
+    def traj(n, start_t):
+        acts = [[draw(_ACCEL), draw(_TURN)] for _ in range(n)]
+        return ActionTraj(np.array(acts, dtype=float), start_t=start_t)
+
+    def trajs(k, start_t):
+        lens = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+        return [traj(n, start_t) for n in lens]
+
+    states = [JointState(agent(), tuple(agent() for _ in range(n_humans)), t)
+              for t in range(n_steps + 1)]
+    every = draw(st.integers(1, 4))
+    starts = list(range(0, n_steps, every))
+    executed = [traj(min(every, n_steps - t), t) for t in starts]
+    aborted = draw(st.booleans())
+    if aborted:
+        starts = starts[:draw(st.integers(0, len(starts)))]
+    log = []
+    for t in starts:
+        k = draw(st.integers(1, 4))
+        probs = [[1.0], [0.25, 0.75], [0.5, 0.5]]
+        modes = [draw(st.sampled_from(probs)) for _ in range(n_humans)]
+        mode_trajs = iter(trajs(sum(map(len, modes)), t))
+        log.append(ReplanEntry(
+            t=t,
+            candidates=trajs(k, t),
+            predicted_humans=PredictionSet(tuple(
+                tuple(ModePrediction(f"m{j}", p, next(mode_trajs)) for j, p in enumerate(h))
+                for h in modes)),
+            candidate_rewards_predicted=[draw(_REWARD) for _ in range(k)],
+            executed_index=draw(st.integers(0, k - 1)),
+            predicted_reward_samples=[(draw(_REWARD), draw(_REWARD))
+                                      for _ in range(draw(st.integers(0, 3)))],
+        ))
+    return SceneRecord(
+        scenario_id=draw(st.text(max_size=8)),
+        context=TWO_LANE,
+        states=states,
+        executed_robot=executed,
+        human_actions=[traj(n_steps, 0) for _ in range(n_humans)] if n_steps else [],
+        replan_log=log,
+        per_frame_collision_cost=[draw(_REWARD) for _ in range(n_steps)],
+        aborted=aborted,
+        abort_reason="planner failed at t=0: empty candidate set" if aborted else "",
+        human_radii=[CAR_RADIUS] * n_humans,
+    )
+
+
+@given(rec=_scene_records())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_scene2_decodes_to_the_scene1_reference(rec):
+    got = _assert_codecs_agree(rec)
+    assert len(got.states) == len(rec.states)
+    for tr in got.executed_robot + [c for e in got.replan_log for c in e.candidates]:
+        assert not tr.actions.flags.writeable
+
+
+def _edge_scene(n_humans, n_steps, *, heading=-math.pi, aborted=False):
+    """A hand-built scene at the edges the property test draws from."""
+    h0 = math.nextafter(-math.pi, 0.0)
+    states = [JointState(AgentState(-0.0, 5e-324, heading, 1e308),
+                         tuple(AgentState(1e308, -1e308, h0, -0.0) for _ in range(n_humans)), t)
+              for t in range(n_steps + 1)]
+    acts = np.array([[-0.0, 5e-324], [4.0, -1.0], [-4.0, 1.0]])
+    executed = [ActionTraj(acts[:min(2, n_steps - t)], start_t=t)
+                for t in range(0, n_steps, 2)]
+    log = [] if aborted else [
+        ReplanEntry(t=e.start_t,
+                    candidates=[ActionTraj(acts[:n], start_t=e.start_t) for n in (3, 1, 2)],
+                    predicted_humans=PredictionSet(tuple(
+                        (ModePrediction("go", 1.0, ActionTraj(acts, start_t=e.start_t)),)
+                        for _ in range(n_humans))),
+                    candidate_rewards_predicted=[-0.0, 5e-324, -1e308],
+                    executed_index=1,
+                    predicted_reward_samples=[(-0.0, 1.0)])
+        for e in executed]
+    return SceneRecord("edge", TWO_LANE, states, executed,
+                       [ActionTraj(np.tile(acts, (n_steps, 1))[:n_steps]) for _ in range(n_humans)]
+                       if n_steps else [],
+                       log, [0.0] * n_steps, aborted, "planner failed" if aborted else "",
+                       [CAR_RADIUS] * n_humans)
+
+
+@pytest.mark.parametrize("rec", [
+    _edge_scene(2, 5),                          # truncated last executed segment
+    _edge_scene(1, 4, heading=-math.pi - 4e-16),  # stored +pi, re-wrapped to -pi
+    _edge_scene(0, 3),                          # no humans
+    _edge_scene(2, 0, aborted=True),            # aborted at t=0: empty replan log
+    _edge_scene(1, 0),                          # single frame
+], ids=["truncated", "plus-pi", "no-humans", "aborted-empty-log", "single-frame"])
+def test_scene2_decodes_edge_scenes_to_the_scene1_reference(rec):
+    got = _assert_codecs_agree(rec)
+    if rec.states[0].robot.heading == math.pi:
+        assert got.states[0].robot.heading == -math.pi
+    assert [len(c) for e in got.replan_log for c in e.candidates] == \
+        [len(c) for e in rec.replan_log for c in e.candidates]
+    assert len(got.states[0].humans) == len(rec.states[0].humans)
+
+
+def test_scene2_decodes_a_closed_loop_scene_to_the_scene1_reference(two_human_scene):
+    _assert_codecs_agree(two_human_scene)
+
+
+def _block_array(block):
+    return np.frombuffer(base64.b64decode(block["f8"]), dtype="<f8").reshape(block["shape"])
+
+
+def _set_block(block, arr):
+    block["shape"] = list(arr.shape)
+    block["f8"] = base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode()
+
+
+@pytest.mark.parametrize("where,value,msg", _BAD_CANDIDATE_VALUES)
+def test_scene2_decode_rejects_a_bad_candidate_block(two_human_scene, where, value, msg):
+    d = scene_to_dict(two_human_scene)
+    k, step, comp = where
+    cands = d["replan_log"][1]["candidates"]
+    flat = _block_array(cands["actions"]).copy()
+    flat[sum(cands["len"][:k]) + step, comp] = value
+    _set_block(cands["actions"], flat)
+    with pytest.raises(ValueError) as err:
+        scene_from_dict(d)
+    assert str(err.value) == msg
+    d = scene_to_dict(two_human_scene)
+    d["replan_log"][0]["candidates"]["start_t"][2] = -1
+    with pytest.raises(ValueError, match="start_t must be >= 0, got -1"):
+        scene_from_dict(d)
+
+
+@pytest.mark.parametrize("field", ["states", "executed_robot", "human_actions",
+                                   "candidates", "modes"])
+def test_scene2_bad_values_raise_the_scene1_messages(two_human_scene, field):
+    d1, d2 = scene1_dict(two_human_scene), scene_to_dict(two_human_scene)
+    if field == "states":
+        d1["states"][2]["humans"][1][3] = -0.5
+        arr = _block_array(d2["states"]).copy()
+        arr[2, 2, 3] = -0.5
+        _set_block(d2["states"], arr)
+    else:
+        if field in ("executed_robot", "human_actions"):
+            trajs1, trajs2 = d1[field], d2[field]
+        elif field == "candidates":
+            trajs1, trajs2 = d1["replan_log"][1]["candidates"], d2["replan_log"][1]["candidates"]
+        else:
+            trajs1 = [m["traj"] for h in d1["replan_log"][1]["predicted_humans"] for m in h]
+            trajs2 = d2["replan_log"][1]["predicted_humans"]["trajs"]
+        trajs1[1]["actions"][0][1] = float("nan")
+        arr = _block_array(trajs2["actions"]).copy()
+        arr[trajs2["len"][0], 1] = float("nan")
+        _set_block(trajs2["actions"], arr)
+    with pytest.raises(ValueError) as err1:
+        scene_from_dict(d1)
+    with pytest.raises(ValueError) as err2:
+        scene_from_dict(d2)
+    assert str(err2.value) == str(err1.value)
+
+
+@pytest.mark.parametrize("path,name", [
+    (("states",), "states"),
+    (("executed_robot", "actions"), "executed_robot"),
+    (("human_actions", "actions"), "human_actions"),
+    (("replan_log", 1, "candidates", "actions"), "replan_log[1].candidates"),
+    (("replan_log", 0, "predicted_humans", "trajs", "actions"),
+     "replan_log[0].predicted_humans"),
+])
+def test_scene2_block_of_the_wrong_size_names_its_field(two_human_scene, path, name):
+    for cut in (8, 1):
+        d = scene_to_dict(two_human_scene)
+        block = d
+        for key in path:
+            block = block[key]
+        raw = base64.b64decode(block["f8"])
+        block["f8"] = base64.b64encode(raw[:-cut]).decode()
+        with pytest.raises(ValueError, match=f"^{re.escape(name)}: block holds {len(raw) - cut} bytes"):
+            scene_from_dict(d)
+
+
+def test_scene2_lengths_must_fit_the_block(two_human_scene):
+    d = scene_to_dict(two_human_scene)
+    d["replan_log"][1]["candidates"]["len"][0] += 1
+    with pytest.raises(ValueError, match=r"^replan_log\[1\]\.candidates: "):
+        scene_from_dict(d)
+    d = scene_to_dict(two_human_scene)
+    d["t"].pop()
+    with pytest.raises(ValueError, match="^states: "):
+        scene_from_dict(d)
+    d = scene_to_dict(two_human_scene)
+    d["replan_log"][0]["predicted_humans"]["label"][1].pop()
+    with pytest.raises(ValueError, match=r"^replan_log\[0\]\.predicted_humans: "):
+        scene_from_dict(d)
+
+
+@pytest.mark.parametrize("schema", ["scene/0", "scene/3", None])
+def test_scene_decode_rejects_an_unknown_schema(two_human_scene, schema):
+    d = scene_to_dict(two_human_scene)
+    assert d["schema"] == SCENE_SCHEMA == "scene/2"
+    d["schema"] = schema
+    with pytest.raises(ValueError, match=f"unsupported schema {schema!r}"):
         scene_from_dict(d)
 
 
