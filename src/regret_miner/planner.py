@@ -266,19 +266,23 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     expectation over independent per-human modes is a per-human weighted sum.
 
     Each candidate and each distinct human mode trajectory is rolled out once.
-    The predictor is asked once per replan for a per-candidate function,
-    ``predictor.for_replan(joint, history, ctx, n_modes, dt)``, which is then
-    called as ``predict_candidate(candidate, ego_xy)`` with the candidate's
-    rollout at ``dt``.
+    The predictor is asked once per replan for one PredictionSet per candidate,
+    ``predictor.predict_candidates(joint, history, candidates, ego_xys, ctx,
+    n_modes, dt)``, with the candidates' stacked (K, T, 2) rollouts at ``dt``.
+    Progress, lane and control come from one terms_matrix over the candidates,
+    and each (human, mode trajectory) has one overlap pass over all rollouts;
+    every candidate's expectation is then accumulated per human and mode in
+    the order a per-candidate loop would, so each value is that loop's.
     """
     candidates = sample_candidates(handle, joint.robot, ctx, rng, start_t=joint.t)
     if not candidates:
         raise ValueError("empty candidate set")
     M = len(joint.humans)
     radii = list(human_radii) if human_radii is not None else [CAR_RADIUS] * M
+    if len(radii) != M:
+        raise ValueError(f"need one radius per human: {len(radii)} radii for {M} humans")
     w = handle.weights
     dt = handle.dt
-    predict_candidate = predictor.for_replan(joint, history, ctx, handle.n_modes, dt)
     mode_rollouts: dict[tuple[int, bytes], np.ndarray] = {}
 
     def human_xy(i: int, traj: ActionTraj) -> np.ndarray:
@@ -288,20 +292,27 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
             mode_rollouts[key] = rollout_positions(joint.humans[i], traj, dt)
         return mode_rollouts[key]
 
-    ego_xys = [rollout_positions(joint.robot, cand, dt) for cand in candidates]
-    expected = []
-    pred_sets = []
-    for cand, ego_xy in zip(candidates, ego_xys):
-        pred = predict_candidate(cand, ego_xy)
-        pred_sets.append(pred)
-        progress, lane, _, ctrl = terms_from_positions(ego_xy, cand.actions, [], [],
-                                                       joint.robot, ctx)
-        exp_r = w.w_progress * progress + w.w_lane * lane + w.w_ctrl * ctrl
+    ego_xys = np.stack([rollout_positions(joint.robot, cand, dt) for cand in candidates])
+    pred_sets = predictor.predict_candidates(joint, history, candidates, ego_xys, ctx,
+                                             handle.n_modes, dt)
+    acts = np.stack([cand.actions for cand in candidates])
+    progress, lane, _, ctrl = terms_matrix(ego_xys, acts, [], [], joint.robot, ctx)
+    expected = w.w_progress * progress + w.w_lane * lane + w.w_ctrl * ctrl
+    overlaps: dict[tuple[int, int], np.ndarray] = {}  # (human, id(traj)) -> (K,)
+    # Candidates in one predictor bucket share one PredictionSet; each
+    # distinct set is accumulated over the rows of its candidates at once.
+    rows_of: dict[int, tuple[PredictionSet, list[int]]] = {}
+    for k, pred in enumerate(pred_sets):
+        rows_of.setdefault(id(pred), (pred, []))[1].append(k)
+    for pred, rows in rows_of.values():
+        exp_r = expected[rows]
         for i in range(M):
             for mp in pred.humans[i]:
-                exp_r += w.w_col * mp.prob * float(
-                    _overlap_sum(ego_xy, human_xy(i, mp.traj), radii[i]))
-        expected.append(exp_r)
+                key = (i, id(mp.traj))
+                if key not in overlaps:
+                    overlaps[key] = _overlap_sum(ego_xys, human_xy(i, mp.traj), radii[i])
+                exp_r = exp_r + w.w_col * mp.prob * overlaps[key][rows]
+        expected[rows] = exp_r
 
     chosen_idx = int(np.argmax(expected))
     chosen = candidates[chosen_idx]
@@ -325,7 +336,7 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
         t=joint.t,
         candidates=candidates,
         predicted_humans=chosen_pred,
-        candidate_rewards_predicted=[float(r) for r in expected],
+        candidate_rewards_predicted=expected.tolist(),
         executed_index=chosen_idx,
         predicted_reward_samples=samples,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -141,27 +141,31 @@ def _mean_recent_speed(human_idx: int, joint: JointState,
     return float(np.mean(speeds))
 
 
-def _approaching_flag(human_pos: np.ndarray, robot_now: AgentState,
-                      ego_positions: np.ndarray) -> int:
-    d_now = float(np.hypot(*(human_pos - robot_now.position())))
-    d_future = float(np.min(np.hypot(ego_positions[:, 0] - human_pos[0],
-                                     ego_positions[:, 1] - human_pos[1])))
-    return 1 if d_future < d_now - APPROACH_MARGIN else 0
+def _fixed_features(human_idx: int, joint: JointState, history: Sequence[JointState],
+                    ctx: Context, h: int) -> tuple[int, int, int, float]:
+    """(speed bucket, distance bucket, lane bucket, d_now) of one human: the
+    features that do not depend on the ego candidate."""
+    human = joint.humans[human_idx]
+    speed = _mean_recent_speed(human_idx, joint, history, h)
+    dist = human.distance_to(joint.robot)
+    d_now = float(np.hypot(human.x - joint.robot.x, human.y - joint.robot.y))
+    return (_bucket_of(speed, SPEED_EDGES), _bucket_of(dist, DIST_EDGES),
+            _lane_bucket(human, ctx), d_now)
+
+
+def approaching_flags(human: AgentState, d_now: float, ego_xys: np.ndarray) -> list[int]:
+    """Approaching flag (0 or 1) of each ego rollout in ego_xys (K, T, 2): 1 when
+    its closest point to the human is nearer than d_now - APPROACH_MARGIN."""
+    d_future = np.hypot(ego_xys[:, :, 0] - human.x, ego_xys[:, :, 1] - human.y).min(axis=1)
+    return (d_future < d_now - APPROACH_MARGIN).astype(int).tolist()
 
 
 def feature_bucket(human_idx: int, joint: JointState, history: Sequence[JointState],
                    ego_positions: np.ndarray, ctx: Context, h: int) -> tuple:
     """Feature bucket for one human against a candidate ego rollout."""
-    human = joint.humans[human_idx]
-    speed = _mean_recent_speed(human_idx, joint, history, h)
-    dist = human.distance_to(joint.robot)
-    appr = _approaching_flag(human.position(), joint.robot, ego_positions)
-    return (
-        _bucket_of(speed, SPEED_EDGES),
-        _bucket_of(dist, DIST_EDGES),
-        appr,
-        _lane_bucket(human, ctx),
-    )
+    speed_b, dist_b, lane_b, d_now = _fixed_features(human_idx, joint, history, ctx, h)
+    appr = approaching_flags(joint.humans[human_idx], d_now, ego_positions[None])[0]
+    return (speed_b, dist_b, appr, lane_b)
 
 
 # ---------------------------------------------------------------------------
@@ -202,68 +206,64 @@ def _template_actions(mode: str, human: AgentState, ctx: Context, T: int,
     return np.array(acts, dtype=float)
 
 
-class ModeTemplates:
-    """Mode trajectories of the humans of one joint state, built on first use.
+def predict_block(params: PredictorParams, joint: JointState,
+                  history: Sequence[JointState], ego_xys: np.ndarray, ctx: Context,
+                  n_modes_out: int = 3) -> list[PredictionSet]:
+    """Top n_modes_out behavior modes per human, one PredictionSet per ego
+    rollout of ego_xys (K, T, 2), made at params.dt from T actions.
 
-    A template depends on (human, mode, T) and the joint state only, never on
-    the ego candidate, so every candidate of a replan shares one ActionTraj
-    per (human, mode, T).
-    """
-
-    def __init__(self, params: PredictorParams, joint: JointState, ctx: Context):
-        self.params = params
-        self.joint = joint
-        self.ctx = ctx
-        self._trajs: dict[tuple[int, str, int], ActionTraj] = {}
-
-    def get(self, human_idx: int, mode: str, T: int) -> ActionTraj:
-        key = (human_idx, mode, T)
-        traj = self._trajs.get(key)
-        if traj is None:
-            p = self.params
-            acts = _template_actions(mode, self.joint.humans[human_idx], self.ctx, T,
-                                     p.dt, p.cruise_speed)
-            traj = self._trajs[key] = ActionTraj(acts, start_t=self.joint.t)
-        return traj
-
-
-def predict(params: PredictorParams, joint: JointState,
-            history: Sequence[JointState], ego_candidate: ActionTraj,
-            ctx: Context, n_modes_out: int = 3, *,
-            ego_xy: Optional[np.ndarray] = None,
-            templates: Optional[ModeTemplates] = None) -> PredictionSet:
-    """Top n_modes_out behavior modes per human, conditioned on ego_candidate.
-
-    The robot-approaching feature is computed from the candidate's rollout,
-    so different candidates can receive different human predictions.
-    ego_xy, when given, must be that rollout at params.dt; templates, when
-    given, must have been built for the same params, joint state and context.
+    Only the approaching flag depends on the rollout, so the other features
+    are computed once per human, and candidates whose flags agree share one
+    PredictionSet. Every set holds one template trajectory per (human, mode).
     """
     if n_modes_out < 1:
         raise ValueError("n_modes_out must be >= 1")
     n_modes_out = min(n_modes_out, N_MODES)
-    if ego_xy is None:
-        ego_xy = rollout_positions(joint.robot, ego_candidate, params.dt)
-    if templates is None:
-        templates = ModeTemplates(params, joint, ctx)
-    elif (templates.params is not params or templates.joint is not joint
-          or templates.ctx is not ctx):
-        raise ValueError("templates were built for other params, joint state or context")
-    T = len(ego_candidate)
+    K, T = ego_xys.shape[:2]
+    templates: dict[tuple[int, int], ActionTraj] = {}
+    per_human = []  # per human: {flag: its modes}
+    flags = []
+    for i, human in enumerate(joint.humans):
+        speed_b, dist_b, lane_b, d_now = _fixed_features(i, joint, history, ctx,
+                                                         params.history_window)
+        flags.append(approaching_flags(human, d_now, ego_xys))
+        modes_of = {}
+        for appr in set(flags[-1]):
+            probs = params.mode_probs((speed_b, dist_b, appr, lane_b))
+            order = np.argsort(-probs, kind="stable")[:n_modes_out]
+            kept = probs[order]
+            kept = kept / kept.sum()
+            modes = []
+            for j, pj in zip(order.tolist(), kept.tolist()):
+                traj = templates.get((i, j))
+                if traj is None:
+                    acts = _template_actions(MODES[j], human, ctx, T, params.dt,
+                                             params.cruise_speed)
+                    traj = templates[(i, j)] = ActionTraj(acts, start_t=joint.t)
+                modes.append(ModePrediction(label=MODES[j], prob=pj, traj=traj))
+            modes_of[appr] = tuple(modes)
+        per_human.append(modes_of)
+    sets: dict[tuple[int, ...], PredictionSet] = {}
     out = []
-    for i in range(len(joint.humans)):
-        bucket = feature_bucket(i, joint, history, ego_xy, ctx, params.history_window)
-        probs = params.mode_probs(bucket)
-        order = np.argsort(-probs, kind="stable")[:n_modes_out]
-        kept = probs[order]
-        kept = kept / kept.sum()
-        modes = tuple(
-            ModePrediction(label=MODES[j], prob=float(pj),
-                           traj=templates.get(i, MODES[j], T))
-            for j, pj in zip(order, kept)
-        )
-        out.append(modes)
-    return PredictionSet(humans=tuple(out))
+    for key in (zip(*flags) if flags else [()] * K):
+        pred = sets.get(key)
+        if pred is None:
+            pred = sets[key] = PredictionSet(
+                humans=tuple(m[appr] for m, appr in zip(per_human, key)))
+        out.append(pred)
+    return out
+
+
+def predict(params: PredictorParams, joint: JointState,
+            history: Sequence[JointState], ego_candidate: ActionTraj,
+            ctx: Context, n_modes_out: int = 3) -> PredictionSet:
+    """Top n_modes_out behavior modes per human, conditioned on ego_candidate.
+
+    The robot-approaching feature is computed from the candidate's rollout,
+    so different candidates can receive different human predictions.
+    """
+    ego_xy = rollout_positions(joint.robot, ego_candidate, params.dt)
+    return predict_block(params, joint, history, ego_xy[None], ctx, n_modes_out)[0]
 
 
 @dataclass(frozen=True)
@@ -275,22 +275,16 @@ class TablePredictor:
     def predict(self, joint, history, ego_candidate, ctx, n_modes_out=3):
         return predict(self.params, joint, history, ego_candidate, ctx, n_modes_out)
 
-    def for_replan(self, joint, history, ctx, n_modes_out, dt):
-        """predict() for every candidate of one replan.
-
-        The mode templates are built once and shared by all candidates. The
-        planner's ego rollout, made at dt, stands in for the predictor's own
-        only when dt equals params.dt.
-        """
+    def predict_candidates(self, joint, history, candidates, ego_xys, ctx,
+                           n_modes_out, dt):
+        """predict() of every candidate of one replan, from the candidates'
+        stacked (K, T, 2) rollouts at dt. The rollouts stand in for the
+        predictor's own only when dt equals params.dt."""
         params = self.params
-        templates = ModeTemplates(params, joint, ctx)
-        reuse = dt == params.dt
-
-        def predict_candidate(ego_candidate, ego_xy):
-            return predict(params, joint, history, ego_candidate, ctx, n_modes_out,
-                           ego_xy=ego_xy if reuse else None, templates=templates)
-
-        return predict_candidate
+        if dt != params.dt:
+            ego_xys = np.stack([rollout_positions(joint.robot, c, params.dt)
+                                for c in candidates])
+        return predict_block(params, joint, history, ego_xys, ctx, n_modes_out)
 
 
 # ---------------------------------------------------------------------------

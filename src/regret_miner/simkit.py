@@ -307,14 +307,11 @@ class OraclePredictor:
         )
         return PredictionSet(humans=humans)
 
-    def for_replan(self, joint: JointState, history, ctx: Context, n_modes_out: int,
-                   dt: float):
-        """predict() for every candidate of one replan; the oracle re-simulates
-        the humans itself, so the planner's ego rollout is not used."""
-        def predict_candidate(ego_candidate: ActionTraj, ego_xy) -> PredictionSet:
-            return self.predict(joint, history, ego_candidate, ctx, n_modes_out)
-
-        return predict_candidate
+    def predict_candidates(self, joint: JointState, history, candidates, ego_xys,
+                           ctx: Context, n_modes_out: int, dt: float) -> list[PredictionSet]:
+        """predict() of every candidate of one replan; the oracle re-simulates
+        the humans under each candidate, so the planner's rollouts are not used."""
+        return [self.predict(joint, history, cand, ctx, n_modes_out) for cand in candidates]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from regret_miner.predictor import (
     TablePredictor,
     predict,
 )
+from regret_miner.simkit import OraclePredictor, generate_scenario_batch, run_closed_loop
 
 TWO_LANE = DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7, length=400.0)
 UNIFORM = TablePredictor(PredictorParams.fresh())
@@ -281,10 +282,16 @@ def _reference_terms(handle, ego, humans, joint, ctx, radii):
     """reward_terms written out per call on unicycle_rollout positions."""
     L = min([len(ego)] + [len(h) for h in humans])
     ego_xy = _reference_xy(joint.robot, ego, handle.dt)[:L]
-    progress = float(ego_xy[-1, 0] - joint.robot.x)
-    centers = np.array(ctx.lane_centers)
-    offs = np.abs(ego_xy[:, 1][:, None] - centers[None, :]).min(axis=1)
-    lane = float(np.mean(offs ** 2))
+    if isinstance(ctx, NavWorld):
+        gx, gy = ctx.goal_primary
+        progress = float(np.hypot(joint.robot.x - gx, joint.robot.y - gy)) - float(
+            np.hypot(ego_xy[-1, 0] - gx, ego_xy[-1, 1] - gy))
+        lane = 0.0
+    else:
+        progress = float(ego_xy[-1, 0] - joint.robot.x)
+        centers = np.array(ctx.lane_centers)
+        offs = np.abs(ego_xy[:, 1][:, None] - centers[None, :]).min(axis=1)
+        lane = float(np.mean(offs ** 2))
     col = 0.0
     for i, (htraj, r) in enumerate(zip(humans, radii)):
         h_xy = _reference_xy(joint.humans[i], htraj, handle.dt)[:L]
@@ -294,13 +301,14 @@ def _reference_terms(handle, ego, humans, joint, ctx, radii):
     return progress, lane, col, ctrl
 
 
-def _reference_plan(handle, params, joint, history, ctx, rng, radii):
-    """plan() as one predict() call and fresh rollouts per candidate and mode."""
+def _reference_plan(handle, predict_one, joint, history, ctx, rng, radii):
+    """plan() as one predict_one(candidate) call and fresh rollouts per
+    candidate and mode."""
     candidates = sample_candidates(handle, joint.robot, ctx, rng, start_t=joint.t)
     w = handle.weights
     expected, preds = [], []
     for cand in candidates:
-        pred = predict(params, joint, history, cand, ctx, handle.n_modes)
+        pred = predict_one(cand)
         progress, lane, _, ctrl = _reference_terms(handle, cand, [], joint, ctx, [])
         exp_r = w.w_progress * progress + w.w_lane * lane + w.w_ctrl * ctrl
         ego_xy = _reference_xy(joint.robot, cand, handle.dt)
@@ -328,27 +336,73 @@ def _reference_plan(handle, params, joint, history, ctx, rng, radii):
     return expected, idx, samples, chosen_pred
 
 
-@pytest.mark.parametrize("n_modes,predictor_dt", [(1, 0.1), (3, 0.1), (2, 0.2)])
-def test_plan_matches_per_candidate_reference(n_modes, predictor_dt):
-    """Sharing rollouts and templates across candidates changes no number,
-    including when the predictor integrates at another dt than the planner."""
+def _table_trials(n_modes, predictor_dt, ctx):
+    """Six replans of a random count table, with 1 or 2 humans near the robot.
+    In the last two a slow robot has humans just ahead, so braking candidates
+    do not approach them and accelerating ones do."""
     rng = np.random.default_rng(11)
     counts = rng.integers(0, 6, size=BUCKET_SHAPE + (N_MODES,)).astype(float)
     params = PredictorParams(counts=counts, dt=predictor_dt)
-    handle = PlannerHandle(n_modes=n_modes)
-    for trial in range(4):
-        humans = tuple(AgentState(rng.uniform(4, 30), rng.choice([0.0, 3.7]) + rng.normal(0, 0.3),
-                                  rng.normal(0, 0.2), rng.uniform(0, 7))
-                       for _ in range(1 + trial % 2))
+    for trial in range(6):
+        if isinstance(ctx, NavWorld):
+            humans = tuple(AgentState(rng.uniform(-2, 2), rng.uniform(1, 5),
+                                      rng.uniform(-np.pi, np.pi), rng.uniform(0, 2))
+                           for _ in range(1 + trial % 2))
+            robot = AgentState(rng.normal(0, 0.3), 0.0, np.pi / 2 + rng.normal(0, 0.3),
+                               rng.uniform(0.5, 2))
+        else:
+            humans = tuple(AgentState(rng.uniform(4, 30),
+                                      rng.choice([0.0, 3.7]) + rng.normal(0, 0.3),
+                                      rng.normal(0, 0.2), rng.uniform(0, 7))
+                           for _ in range(1 + trial % 2))
+            robot = AgentState(0, rng.normal(0, 0.3), 0.0, rng.uniform(4, 9))
+            if trial >= 4:
+                humans = tuple(AgentState(rng.uniform(1.5, 4), lane + rng.normal(0, 0.3),
+                                          0.0, rng.uniform(0, 1))
+                               for _, lane in zip(humans, (0.0, 3.7)))
+                robot = AgentState(0, robot.y, 0.0, rng.uniform(0.5, 1.5))
         radii = [CAR_RADIUS, 0.3][:len(humans)]
-        joint = JointState(AgentState(0, rng.normal(0, 0.3), 0.0, rng.uniform(4, 9)),
-                           humans, 20)
+        joint = JointState(robot, humans, 20)
         history = [JointState(joint.robot, humans, t) for t in range(16, 20)]
-        _, entry = plan(handle, TablePredictor(params), joint, history, TWO_LANE,
-                        RngStream(trial), human_radii=radii)
+        yield (TablePredictor(params),
+               lambda cand, j=joint, hist=history: predict(params, j, hist, cand, ctx, n_modes),
+               joint, history, ctx, radii, RngStream(trial))
+
+
+def _oracle_trials():
+    """Replans of an oracle bound to a real 2-human scene, at three states of
+    its run, under the scene's own human radii."""
+    spec = generate_scenario_batch("StoppedTraffic", 1, base_seed=5, horizon=20)[0]
+    oracle = OraclePredictor()
+    rec = run_closed_loop(spec, PlannerHandle(), oracle, 10)
+    radii = [p.radius for _, p in spec.humans]
+    for t in (0, 10, 20):
+        joint, history = rec.states[t], rec.states[max(0, t - 16):t]
+        yield (oracle, lambda cand, j=joint, hist=history: oracle.predict(j, hist, cand, spec.context),
+               joint, history, spec.context, radii, RngStream(spec.seed).derive(t))
+
+
+@pytest.mark.parametrize("world,n_modes,predictor_dt", [
+    pytest.param("corridor", 1, 0.1, id="1-0.1"),
+    pytest.param("corridor", 3, 0.1, id="3-0.1"),
+    pytest.param("corridor", 2, 0.2, id="2-0.2"),
+    pytest.param("oracle", 1, 0.1, id="oracle"),
+    pytest.param("nav", 2, 0.1, id="nav"),
+])
+def test_plan_matches_per_candidate_reference(world, n_modes, predictor_dt):
+    """Scoring a replan's candidates as one block, with shared rollouts and
+    templates, changes no number against the per-candidate formula: for the
+    table predictor (also at another dt than the planner's), for the oracle
+    bound to a scene, and in both terms_matrix branches."""
+    handle = PlannerHandle(n_modes=n_modes)
+    trials = (_oracle_trials() if world == "oracle" else
+              _table_trials(n_modes, predictor_dt, NavWorld() if world == "nav" else TWO_LANE))
+    for predictor, predict_one, joint, history, ctx, radii, rng in trials:
+        _, entry = plan(handle, predictor, joint, history, ctx, rng, human_radii=radii)
         expected, idx, samples, pred = _reference_plan(
-            handle, params, joint, history, TWO_LANE, RngStream(trial), radii)
+            handle, predict_one, joint, history, ctx, rng, radii)
         assert entry.candidate_rewards_predicted == expected
+        assert all(type(r) is float for r in entry.candidate_rewards_predicted)
         assert entry.executed_index == idx
         assert entry.predicted_reward_samples == samples
         assert [[(m.label, m.prob) for m in h] for h in entry.predicted_humans.humans] == \
@@ -356,3 +410,12 @@ def test_plan_matches_per_candidate_reference(n_modes, predictor_dt):
         for got, want in zip(entry.predicted_humans.humans, pred.humans):
             for mg, mw in zip(got, want):
                 assert mg.traj == mw.traj
+
+
+@pytest.mark.parametrize("n_humans,radii", [(1, []), (1, [CAR_RADIUS, 0.3]),
+                                             (2, [CAR_RADIUS]), (2, [CAR_RADIUS] * 3)])
+def test_plan_rejects_radii_that_do_not_match_the_humans(n_humans, radii):
+    humans = (AgentState(12.0, 0.0, 0.0, 0.0), AgentState(20.0, 3.7, 0.0, 5.0))[:n_humans]
+    joint = JointState(AgentState(0, 0, 0, 8.0), humans, 0)
+    with pytest.raises(ValueError, match="one radius per human"):
+        plan(PlannerHandle(), UNIFORM, joint, [], TWO_LANE, RngStream(1), human_radii=radii)

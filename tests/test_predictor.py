@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regret_miner.core import (
     ACCEL_LIMIT,
@@ -15,12 +17,21 @@ from regret_miner.core import (
 )
 from regret_miner.planner import PlannerHandle, sample_candidates
 from regret_miner.predictor import (
+    APPROACH_MARGIN,
     BUCKET_SHAPE,
+    DIST_EDGES,
     MODES,
     N_MODES,
+    SPEED_EDGES,
     PredictorParams,
     TablePredictor,
+    _bucket_of,
+    _fixed_features,
+    _lane_bucket,
+    _template_actions,
     ade_fde,
+    approaching_flags,
+    feature_bucket,
     fit,
     label_segment,
     params_from_json,
@@ -253,27 +264,119 @@ def _approach_sensitive_params(dt):
     return PredictorParams(counts=counts, dt=dt)
 
 
+def _reference_approaching(human_pos, robot_now, ego_positions):
+    """The approaching flag of one rollout, as predict() computed it per
+    candidate before predictions were made as one block."""
+    d_now = float(np.hypot(*(human_pos - robot_now.position())))
+    d_future = float(np.min(np.hypot(ego_positions[:, 0] - human_pos[0],
+                                     ego_positions[:, 1] - human_pos[1])))
+    return 1 if d_future < d_now - APPROACH_MARGIN else 0
+
+
+def _reference_predict(params, joint, history, cand, ctx, n):
+    """predict() written out for one candidate: (label, prob, actions) per
+    human mode, from the per-candidate bucket."""
+    ego_xy = rollout_positions(joint.robot, cand, params.dt)
+    out = []
+    for i, human in enumerate(joint.humans):
+        speeds = [js.humans[i].speed for js in list(history)[-params.history_window:]]
+        speed = float(np.mean(speeds + [human.speed]))
+        bucket = (_bucket_of(speed, SPEED_EDGES), _bucket_of(human.distance_to(joint.robot), DIST_EDGES),
+                  _reference_approaching(human.position(), joint.robot, ego_xy),
+                  _lane_bucket(human, ctx))
+        probs = params.mode_probs(bucket)
+        order = np.argsort(-probs, kind="stable")[:n]
+        kept = probs[order] / probs[order].sum()
+        out.append([(MODES[j], float(p),
+                     _template_actions(MODES[j], human, ctx, len(cand), params.dt,
+                                       params.cruise_speed).tobytes())
+                    for j, p in zip(order, kept)])
+    return out
+
+
 @pytest.mark.parametrize("predictor_dt", [0.1, 0.2])
-def test_for_replan_matches_predict(predictor_dt):
-    """Per-replan prediction equals predict() for every candidate, and every
-    candidate shares one template trajectory per (human, mode)."""
+def test_predict_candidates_matches_predict(predictor_dt):
+    """One block call equals predict() and the per-candidate formula for every
+    candidate; candidates in one bucket share one PredictionSet, and every set
+    shares one template trajectory per (human, mode)."""
     params = _approach_sensitive_params(predictor_dt)
     # At 0.06 m/s the maintain candidate closes 0.18 m in 30 steps of 0.1 s
     # (not approaching, margin 0.25 m) but 0.36 m in steps of 0.2 s.
     joint = JointState(AgentState(0.0, 0.0, 0.0, 0.06),
                        (AgentState(10.0, 0.0, 0.0, 3.0), AgentState(2.0, 3.7, 0.0, 6.0)), 5)
+    history = [JointState(joint.robot, (AgentState(9.0, 0.0, 0.0, 1.0),
+                                        AgentState(1.0, 3.7, 0.0, 4.0)), t) for t in (3, 4)]
     handle = PlannerHandle(n_modes=2)
     cands = sample_candidates(handle, joint.robot, TWO_LANE, RngStream(3), start_t=5)
-    predict_candidate = TablePredictor(params).for_replan(joint, [], TWO_LANE, 2, handle.dt)
+    ego_xys = np.stack([rollout_positions(joint.robot, c, handle.dt) for c in cands])
+    got = TablePredictor(params).predict_candidates(joint, history, cands, ego_xys,
+                                                    TWO_LANE, 2, handle.dt)
+    assert len(got) == len(cands)
     trajs = {}
+    sets = {}
     labels = set()
-    for cand in cands:
-        got = predict_candidate(cand, rollout_positions(joint.robot, cand, handle.dt))
-        want = predict(params, joint, [], cand, TWO_LANE, 2)
-        assert [[(m.label, m.prob, m.traj) for m in h] for h in got.humans] == \
+    for cand, pred in zip(cands, got):
+        want = predict(params, joint, history, cand, TWO_LANE, 2)
+        assert [[(m.label, m.prob, m.traj) for m in h] for h in pred.humans] == \
             [[(m.label, m.prob, m.traj) for m in h] for h in want.humans]
-        for i, modes in enumerate(got.humans):
+        assert [[(m.label, m.prob, m.traj.actions.tobytes()) for m in h]
+                for h in pred.humans] == \
+            _reference_predict(params, joint, history, cand, TWO_LANE, 2)
+        for i, modes in enumerate(pred.humans):
             for m in modes:
+                assert m.traj.start_t == 5
                 assert trajs.setdefault((i, m.label), m.traj) is m.traj
-        labels.add(got.humans[0][0].label)
+        key = tuple(_reference_approaching(h.position(), joint.robot,
+                                           rollout_positions(joint.robot, cand, predictor_dt))
+                    for h in joint.humans)
+        assert sets.setdefault(key, pred) is pred
+        labels.add(pred.humans[0][0].label)
+    assert len({id(p) for p in got}) == len(sets) >= 2
     assert labels == {"brake", "go_straight"}
+
+
+def test_predict_candidates_without_humans():
+    joint = JointState(AgentState(0.0, 0.0, 0.0, 5.0), (), 0)
+    cands = sample_candidates(PlannerHandle(), joint.robot, TWO_LANE, RngStream(1))
+    ego_xys = np.stack([rollout_positions(joint.robot, c) for c in cands])
+    got = TablePredictor(PredictorParams.fresh()).predict_candidates(
+        joint, [], cands, ego_xys, TWO_LANE, 3, 0.1)
+    assert len(got) == len(cands)
+    assert all(p.humans == () for p in got)
+
+
+_COORD = st.floats(-40.0, 40.0)
+_ROWS = st.lists(st.lists(st.tuples(_COORD, _COORD), min_size=4, max_size=4),
+                 min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(robot=st.tuples(_COORD, _COORD), human=st.tuples(_COORD, _COORD), rows=_ROWS,
+       human_at_robot=st.booleans())
+# Closest point exactly d_now - APPROACH_MARGIN away: 9.75 == 10 - 0.25.
+@example(robot=(0.0, 0.0), human=(10.0, 0.0),
+         rows=[[(0.0, 0.0), (0.25, 0.0), (0.125, 0.0), (0.0, 0.0)],
+               [(0.0, 0.0), (0.25, 1e-9), (0.0, 0.0), (0.0, 0.0)],
+               [(0.5, 0.0)] * 4], human_at_robot=False)
+@example(robot=(3.0, -4.0), human=(0.0, 0.0),
+         rows=[[(3.0, -4.0)] * 4, [(2.85, -3.8)] * 4, [(6.0, -8.0)] * 4],
+         human_at_robot=False)
+@example(robot=(1.5, 2.5), human=(0.0, 0.0), rows=[[(1.5, 2.5)] * 4, [(1.5, 2.75)] * 4],
+         human_at_robot=True)
+def test_approaching_flags_equal_the_per_row_formula(robot, human, rows, human_at_robot):
+    """The block flags equal the per-candidate formula on every row, at the
+    margin, for rows that never approach (the robot standing still or
+    backing off) and for a human at the robot's position."""
+    if human_at_robot:
+        human = robot
+    joint = JointState(AgentState(*robot, 0.3, 2.0), (AgentState(*human, 0.0, 1.0),), 0)
+    still = [robot] * 4
+    away = [(2 * robot[0] - human[0], 2 * robot[1] - human[1])] * 4
+    ego_xys = np.array(rows + [still, away], dtype=float)
+    d_now = _fixed_features(0, joint, [], TWO_LANE, 4)[3]
+    flags = approaching_flags(joint.humans[0], d_now, ego_xys)
+    want = [_reference_approaching(joint.humans[0].position(), joint.robot, xy)
+            for xy in ego_xys]
+    assert flags == want
+    assert flags[-2:] == [0, 0]
+    assert [feature_bucket(0, joint, [], xy, TWO_LANE, 4)[2] for xy in ego_xys] == want
