@@ -55,6 +55,8 @@ class AgentState:
     speed: float = 0.0
 
     def __post_init__(self):
+        # joint_states builds AgentStates without running this method: a
+        # check or normalisation added here must be added there too.
         _require_finite("AgentState", self.x, self.y, self.heading, self.speed)
         if self.speed < 0.0:
             raise ValueError(f"speed must be >= 0, got {self.speed}")
@@ -76,9 +78,49 @@ class JointState:
     t: int = 0
 
     def __post_init__(self):
+        # joint_states builds JointStates without running this method: a
+        # check or normalisation added here must be added there too.
         object.__setattr__(self, "humans", tuple(self.humans))
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
+
+
+def joint_states(block, ts: Sequence[int]) -> list[JointState]:
+    """One JointState per frame of a (F, 1+M, 4) block of (x, y, heading,
+    speed) rows, robot first, at frame times ts.
+
+    The checks are those of AgentState and JointState: finite values, speed
+    >= 0 and t >= 0. When a frame fails one, its states are passed to the
+    constructors, so the error raised is the one building the states one by
+    one raises. The heading column is wrapped once as an array, as AgentState
+    wraps it, and the records are then built without re-running the checks,
+    so this function must mirror both __post_init__ methods.
+    """
+    arr = np.array(block, dtype=float)
+    if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != 4 or len(arr) != len(ts):
+        raise ValueError(f"need a (F, 1+M, 4) block with one time per frame, "
+                         f"got shape {arr.shape} and {len(ts)} times")
+    bad = ((~np.isfinite(arr)).any(axis=(1, 2)) | (arr[:, :, 3] < 0.0).any(axis=1)
+           | np.array([t < 0 for t in ts], dtype=bool))
+    if bad.any():
+        f = int(np.argmax(bad))
+        robot, *humans = (AgentState(*s) for s in arr[f].tolist())
+        JointState(robot, tuple(humans), ts[f])
+    arr[:, :, 2] = (arr[:, :, 2] + _PI) % TWO_PI - _PI
+    new = object.__new__
+    out = []
+    for frame, t in zip(arr.tolist(), ts):
+        agents = []
+        for x, y, heading, speed in frame:
+            s = new(AgentState)
+            d = s.__dict__
+            d["x"], d["y"], d["heading"], d["speed"] = x, y, heading, speed
+            agents.append(s)
+        js = new(JointState)
+        d = js.__dict__
+        d["robot"], d["humans"], d["t"] = agents[0], tuple(agents[1:]), t
+        out.append(js)
+    return out
 
 
 class ActionTraj:
@@ -359,12 +401,22 @@ def rollout_positions_batch(x0, y0, h0, v0, actions: np.ndarray,
     """(B, T, 2) positions of B rollouts, one per row of a (B, T, 2) action
     array, from per-row start states x0, y0, h0, v0 (each of shape (B,)).
 
-    Each row repeats rollout_positions's operations in the same order, with
-    the turn branch chosen per element, so every row equals rollout_positions
-    of that row's start state and actions bit for bit. It raises the same
-    ValueErrors: dt <= 0, a non-finite dt, and a rollout leaving the finite
-    range. Non-finite start states or actions, which AgentState and
-    ActionTraj reject, raise ValueError as well.
+    Every row equals rollout_positions of that row's start state and actions
+    bit for bit. Only the speed and heading recurrences are sequential:
+    - speed: while max(0.0, v) leaves v unchanged, v_k = v_{k-1} + a_k*dt is
+      one cumsum over [v0, a_1*dt..a_T*dt], a sequential left fold like the
+      scalar loop; a row whose sum is negative, -0.0 or NaN at some step
+      would be clamped there, so it is stepped one by one instead (such
+      rows are few, and one cumsum costs less than T steps over the block);
+    - heading: one scalar loop (wrapped twice per step) per distinct row of
+      [start heading, turn*dt], which the heading depends on alone; rows are
+      keyed by their bytes, so -0.0 and 0.0 stay apart;
+    - positions: the straight or arc increments of all (B, T) steps in one
+      pass, with rollout_positions's expressions, then one cumsum over
+      [x0, dx_1..dx_T], so x_k = x_{k-1} + dx_k as in the scalar loop.
+    It raises the ValueErrors of rollout_positions: dt <= 0, a non-finite dt,
+    and a rollout leaving the finite range. Non-finite start states or
+    actions, which AgentState and ActionTraj reject, raise ValueError as well.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -373,33 +425,59 @@ def rollout_positions_batch(x0, y0, h0, v0, actions: np.ndarray,
     if acts.ndim != 3 or acts.shape[2] != 2:
         raise ValueError(f"actions must have shape (B, T, 2), got {acts.shape}")
     B, T = acts.shape[:2]
-    pi, two_pi = math.pi, TWO_PI
     x, y, h, v = (np.asarray(s, dtype=float) for s in (x0, y0, h0, v0))
     if any(a.shape != (B,) for a in (x, y, h, v)):
         raise ValueError(f"start states must have shape ({B},)")
     if not all(np.isfinite(a).all() for a in (x, y, h, v, acts)):
         raise ValueError("rollout_positions_batch: start states and actions must be finite")
-    out = np.empty((B, T, 2))
+    turn = acts[:, :, 1]
+    pi, two_pi = _PI, TWO_PI
     with np.errstate(all="ignore"):
-        for k in range(T):
-            accel, turn = acts[:, k, 0], acts[:, k, 1]
-            v = v + accel * dt
-            v = np.where(v > 0.0, v, 0.0)  # max(0.0, v) exactly: -0.0 becomes 0.0
-            straight = np.abs(turn) < 1e-12
-            safe_turn = np.where(straight, 1.0, turn)
-            h1 = h + turn * dt
-            sin_h, cos_h = np.sin(h), np.cos(h)
-            x = np.where(straight, x + v * cos_h * dt,
-                         x + (v / safe_turn) * (np.sin(h1) - sin_h))
-            y = np.where(straight, y + v * sin_h * dt,
-                         y + -(v / safe_turn) * (np.cos(h1) - cos_h))
-            h = (h + turn * dt + pi) % two_pi - pi
-            h = (h + pi) % two_pi - pi
-            out[:, k, 0] = x
-            out[:, k, 1] = y
-    if not (np.isfinite(h).all() and np.isfinite(v).all() and np.isfinite(out).all()):
+        vs = np.empty((B, T + 1))
+        vs[:, 0] = v
+        vs[:, 1:] = acts[:, :, 0] * dt
+        V = np.cumsum(vs, axis=1)[:, 1:]
+        clamped = ~(V >= 0.0) | np.signbit(V)
+        for b in np.flatnonzero(clamped.any(axis=1)).tolist():
+            vb, speeds = float(v[b]), []
+            for a in acts[b, :, 0].tolist():
+                vb = vb + a * dt
+                vb = vb if vb > 0.0 else 0.0  # max(0.0, vb), NaN and -0.0 included
+                speeds.append(vb)
+            V[b] = speeds
+        hw = np.empty((B, T + 1))
+        hw[:, 0] = h
+        hw[:, 1:] = turn * dt
+        index: dict[bytes, int] = {}
+        heads, inv = [], []
+        for key, row in zip(hw.view(f"V{8 * (T + 1)}").ravel().tolist(), hw.tolist()):
+            u = index.get(key)
+            if u is None:
+                u = index[key] = len(heads)
+                hb = row[0]
+                seq = [hb]
+                for wdt in row[1:]:
+                    hb = (hb + wdt + pi) % two_pi - pi
+                    hb = (hb + pi) % two_pi - pi
+                    seq.append(hb)
+                heads.append(seq)
+            inv.append(u)
+        H = np.array(heads, dtype=float).reshape(len(heads), T + 1)[inv]
+        h0s = H[:, :-1]
+        h1s = h0s + hw[:, 1:]
+        sin_h, cos_h = np.sin(h0s), np.cos(h0s)
+        straight = np.abs(turn) < 1e-12
+        r = V / np.where(straight, 1.0, turn)
+        steps = np.empty((B, T + 1, 2))
+        steps[:, 0, 0] = x
+        steps[:, 0, 1] = y
+        steps[:, 1:, 0] = np.where(straight, V * cos_h * dt, r * (np.sin(h1s) - sin_h))
+        steps[:, 1:, 1] = np.where(straight, V * sin_h * dt, -r * (np.cos(h1s) - cos_h))
+        out = np.cumsum(steps, axis=1)[:, 1:]
+    if not (np.isfinite(H[:, -1]).all() and np.isfinite(V[:, -1:]).all()
+            and np.isfinite(out).all()):
         raise ValueError("rollout_positions: rollout left the finite range")
-    return out
+    return np.ascontiguousarray(out)
 
 
 def footprint_overlap(a: AgentState, b: AgentState, radius_a: float,

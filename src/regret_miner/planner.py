@@ -29,6 +29,7 @@ from .core import (
     NavWorld,
     RngStream,
     rollout_positions,
+    rollout_positions_batch,
 )
 from .predictor import PredictionSet
 
@@ -220,7 +221,12 @@ def weighted_reward(weights: RewardWeights, terms):
 def reward_terms(handle: PlannerHandle, ego: ActionTraj,
                  humans: Sequence[ActionTraj], joint: JointState, ctx: Context,
                  human_radii: Optional[Sequence[float]] = None):
-    """(progress, mean sq lane offset, summed overlap, sum sq actions)."""
+    """(progress, mean sq lane offset, summed overlap, sum sq actions) of one
+    ego trajectory against human trajectories.
+
+    The package scores blocks of rollouts with terms_matrix; this is the
+    one-trajectory reference it is tested against.
+    """
     ego_xy = rollout_positions(joint.robot, ego, handle.dt)
     human_xys = [rollout_positions(joint.humans[i], h, handle.dt)
                  for i, h in enumerate(humans)]
@@ -231,7 +237,11 @@ def reward_terms(handle: PlannerHandle, ego: ActionTraj,
 def reward(handle: PlannerHandle, ego: ActionTraj, humans: Sequence[ActionTraj],
            joint: JointState, ctx: Context,
            human_radii: Optional[Sequence[float]] = None) -> float:
-    """R = w_progress*progress + w_lane*lane + w_col*overlap + w_ctrl*ctrl."""
+    """R = w_progress*progress + w_lane*lane + w_col*overlap + w_ctrl*ctrl.
+
+    The reference reward of one trajectory, as reward_terms is the reference
+    of its terms.
+    """
     return weighted_reward(handle.weights,
                            reward_terms(handle, ego, humans, joint, ctx, human_radii))
 
@@ -265,10 +275,11 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     the candidate, and the collision term is additive over humans, so the
     expectation over independent per-human modes is a per-human weighted sum.
 
-    Each candidate and each distinct human mode trajectory is rolled out once.
-    The predictor is asked once per replan for one PredictionSet per candidate,
+    The candidates are rolled out as one rollout_positions_batch block, and
+    each distinct human mode trajectory once. The predictor is asked once per
+    replan for one PredictionSet per candidate,
     ``predictor.predict_candidates(joint, history, candidates, ego_xys, ctx,
-    n_modes, dt)``, with the candidates' stacked (K, T, 2) rollouts at ``dt``.
+    n_modes, dt)``, with the candidates' (K, T, 2) rollouts at ``dt``.
     Progress, lane and control come from one terms_matrix over the candidates,
     and each (human, mode trajectory) has one overlap pass over all rollouts;
     every candidate's expectation is then accumulated per human and mode in
@@ -292,10 +303,12 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
             mode_rollouts[key] = rollout_positions(joint.humans[i], traj, dt)
         return mode_rollouts[key]
 
-    ego_xys = np.stack([rollout_positions(joint.robot, cand, dt) for cand in candidates])
+    acts = np.stack([cand.actions for cand in candidates])
+    robot, K = joint.robot, len(candidates)
+    ego_xys = rollout_positions_batch([robot.x] * K, [robot.y] * K, [robot.heading] * K,
+                                      [robot.speed] * K, acts, dt)
     pred_sets = predictor.predict_candidates(joint, history, candidates, ego_xys, ctx,
                                              handle.n_modes, dt)
-    acts = np.stack([cand.actions for cand in candidates])
     progress, lane, _, ctrl = terms_matrix(ego_xys, acts, [], [], joint.robot, ctx)
     expected = w.w_progress * progress + w.w_lane * lane + w.w_ctrl * ctrl
     overlaps: dict[tuple[int, int], np.ndarray] = {}  # (human, id(traj)) -> (K,)

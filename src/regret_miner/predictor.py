@@ -27,6 +27,7 @@ from .core import (
     DrivingCorridor,
     JointState,
     rollout_positions,
+    rollout_positions_batch,
     wrap_angle,
 )
 
@@ -279,11 +280,14 @@ class TablePredictor:
                            n_modes_out, dt):
         """predict() of every candidate of one replan, from the candidates'
         stacked (K, T, 2) rollouts at dt. The rollouts stand in for the
-        predictor's own only when dt equals params.dt."""
+        predictor's own only when dt equals params.dt; otherwise the
+        candidates are rolled out again at params.dt as one block."""
         params = self.params
         if dt != params.dt:
-            ego_xys = np.stack([rollout_positions(joint.robot, c, params.dt)
-                                for c in candidates])
+            robot, K = joint.robot, len(candidates)
+            ego_xys = rollout_positions_batch(
+                [robot.x] * K, [robot.y] * K, [robot.heading] * K, [robot.speed] * K,
+                np.stack([c.actions for c in candidates]), params.dt)
         return predict_block(params, joint, history, ego_xys, ctx, n_modes_out)
 
 

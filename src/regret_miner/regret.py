@@ -17,13 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    ActionTraj,
-    Context,
-    JointState,
-    rollout_positions,
-    rollout_positions_batch,
-)
+from .core import ActionTraj, Context, JointState, rollout_positions_batch
 from .planner import RewardWeights, terms_from_positions, terms_matrix, weighted_reward
 
 
@@ -82,12 +76,14 @@ def _rewards_from_rollouts(weights: RewardWeights, candidates: Sequence[ActionTr
 def _hindsight_rewards(weights: RewardWeights, candidates: Sequence[ActionTraj],
                        realized_humans: Sequence[ActionTraj], joint: JointState,
                        ctx: Context, human_radii=None, dt: float = 0.1) -> np.ndarray:
-    """Reward of every candidate against the realized humans; each realized
-    human is rolled out once and shared by all candidates."""
-    human_xys = [rollout_positions(joint.humans[i], h, dt)
-                 for i, h in enumerate(realized_humans)]
-    ego_xys = [rollout_positions(joint.robot, cand, dt) for cand in candidates]
-    return _rewards_from_rollouts(weights, candidates, ego_xys, human_xys,
+    """Reward of every candidate against the realized humans; the candidates
+    and the realized humans are rolled out together, each human once and
+    shared by all candidates."""
+    M = len(realized_humans)
+    xys = _rollouts_by_length(
+        [joint.humans[i] for i in range(M)] + [joint.robot] * len(candidates),
+        [h.actions for h in realized_humans] + [c.actions for c in candidates], dt)
+    return _rewards_from_rollouts(weights, candidates, xys[M:], xys[:M],
                                   human_radii, joint.robot, ctx)
 
 

@@ -32,6 +32,7 @@ from .core import (
     NavWorld,
     RngStream,
     footprint_overlap,
+    joint_states,
     unicycle_step_floats,
     wrap_angle,
 )
@@ -364,11 +365,10 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
         executed.append(ActionTraj(seg_actions, start_t=t))
         h_acts, step_states = simulate_humans(spec, joint, memories,
                                               seg_actions, rng_root, dt)
-        for k in range(n_exec):
-            human_actions_acc[:, t + k, :] = h_acts[:, k, :]
-            robot, *humans = (AgentState(x, y, once, v)
-                              for x, y, _, v, once in step_states[k])
-            js = JointState(robot, tuple(humans), t + k + 1)
+        human_actions_acc[:, t:t + n_exec, :] = h_acts
+        # (x, y, heading_once, speed): the states AgentState(x, y, once, v) builds.
+        block = np.array(step_states)[:, :, [0, 1, 4, 3]]
+        for js in joint_states(block, range(t + 1, t + n_exec + 1)):
             states.append(js)
             cost = sum(
                 footprint_overlap(js.robot, h, ROBOT_RADIUS, radii[i]) * dt * w_col_mag
@@ -680,7 +680,8 @@ def _scene1_arrays(d: dict):
 def scene_from_dict(d: dict) -> SceneRecord:
     """Decode a scene/2 (or scene/1) dict. Every value passes the checks of
     the record types it becomes: AgentState (finite, speed >= 0, heading
-    wrapped), ActionTraj, ReplanEntry and PredictionSet."""
+    wrapped) and JointState through core.joint_states, ActionTraj,
+    ReplanEntry and PredictionSet."""
     schema = d.get("schema")
     if schema == SCENE_SCHEMA:
         frame_t, states, executed, human_actions, replans = _scene2_arrays(d)
@@ -688,8 +689,7 @@ def scene_from_dict(d: dict) -> SceneRecord:
         frame_t, states, executed, human_actions, replans = _scene1_arrays(d)
     else:
         raise ValueError(f"unsupported schema {schema!r}")
-    joints = [JointState(_state_from_list(robot), tuple(_state_from_list(h) for h in humans), t)
-              for (robot, *humans), t in zip(states.tolist(), frame_t)]
+    joints = joint_states(states, frame_t)
     entries = []
     for e, candidates, labels, probs, modes in replans:
         cands = _trajs(*candidates)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from regret_miner.core import (
     RngStream,
     dubins_step,
     footprint_overlap,
+    joint_states,
     rollout_positions,
     rollout_positions_batch,
     unicycle_rollout,
@@ -335,6 +337,130 @@ def test_rollout_positions_batch_rejects_what_rollout_positions_rejects():
         rollout_positions_batch(0, 0, 0, 1, acts[0], 0.1)
     with pytest.raises(ValueError):
         rollout_positions_batch(0.0, 0.0, 0.0, 1.0, acts, 0.1)  # start states must be (B,)
+
+
+# Start states as the batch kernel takes them, unwrapped: signed zeros, +pi
+# and -pi, and ordinary values.
+_RAW_START = st.tuples(
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+    st.one_of(_NEAR_PI, st.just(-0.0), st.floats(-math.pi, math.pi)),
+    st.one_of(st.sampled_from([0.0, -0.0, 0.05, 8.0]), st.floats(0.0, 12.0)),
+)
+
+
+def _hexes(xy):
+    return [v.hex() for v in np.asarray(xy).ravel().tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    starts=st.lists(_RAW_START, min_size=1, max_size=4),
+    T=st.integers(1, 40),
+    data=st.data(),
+    dt=st.one_of(st.sampled_from([0.05, 0.1, 0.2]), st.floats(1e-3, 1.0)),
+)
+@example(starts=[(0.0, -0.0, -0.0, 8.0), (0.0, -0.0, 0.0, 8.0), (0.0, 0.0, -math.pi, 1.0),
+                 (-0.0, -0.0, 0.0, -0.0)], T=3, data=None, dt=0.1)
+def test_rollout_positions_batch_on_plan_shaped_blocks(starts, T, data, dt):
+    # A replan's candidates share one start state and a few turn rows, and a
+    # scene's block stacks many replans: rows pick a start, a turn row and an
+    # acceleration row from small pools, so rows share heading sequences, the
+    # same turns run from different start headings, and constant braking
+    # levels reach zero speed.
+    if data is None:
+        # -0.0 against 0.0 start headings going straight; a heading step to
+        # just below -pi; a -0.0 speed that max(0.0, v) turns into 0.0.
+        turns = [[0.0] * T, [-3e-15] + [0.0] * (T - 1)]
+        accels = [[0.0] * T, [-0.0] * T]
+        rows = [(i, w, a) for i in range(len(starts)) for w in range(2) for a in range(2)]
+    else:
+        turns = data.draw(st.lists(st.lists(_TURNS, min_size=T, max_size=T),
+                                   min_size=1, max_size=4))
+        accels = data.draw(st.lists(
+            st.one_of(st.sampled_from([-4.0, -3.0, -1.0, 0.0, 1.0]).map(lambda a: [a] * T),
+                      st.lists(_ACCELS, min_size=T, max_size=T)),
+            min_size=1, max_size=5))
+        rows = data.draw(st.lists(st.tuples(st.integers(0, len(starts) - 1),
+                                            st.integers(0, len(turns) - 1),
+                                            st.integers(0, len(accels) - 1)),
+                                  min_size=1, max_size=160))
+    acts = np.array([np.column_stack([accels[a], turns[w]]) for _, w, a in rows])
+    sel = [SimpleNamespace(x=starts[i][0], y=starts[i][1], heading=starts[i][2],
+                           speed=starts[i][3]) for i, _, _ in rows]
+    got = rollout_positions_batch([s.x for s in sel], [s.y for s in sel],
+                                  [s.heading for s in sel], [s.speed for s in sel], acts, dt)
+    assert got.shape == (len(rows), T, 2) and got.flags.c_contiguous
+    for b, s in enumerate(sel):
+        assert _hexes(got[b]) == _hexes(rollout_positions(s, ActionTraj(acts[b]), dt))
+
+
+def _states_one_by_one(block, ts):
+    return [JointState(AgentState(*frame[0]), tuple(AgentState(*h) for h in frame[1:]), t)
+            for frame, t in zip(np.asarray(block).tolist(), ts)]
+
+
+def _state_hexes(js):
+    return [js.t, type(js.t)] + [[v.hex() for v in (a.x, a.y, a.heading, a.speed)]
+                                 for a in (js.robot, *js.humans)]
+
+
+_STATE_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.pi, -math.pi]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(F=st.integers(1, 6), A=st.integers(1, 3), data=st.data())
+def test_joint_states_equal_the_constructors(F, A, data):
+    xyh = data.draw(st.lists(_STATE_VALUE, min_size=F * A * 3, max_size=F * A * 3))
+    speeds = data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(0.0, 1e308)),
+        min_size=F * A, max_size=F * A))
+    block = np.column_stack([np.reshape(xyh, (-1, 3)), speeds]).reshape(F, A, 4)
+    ts = data.draw(st.lists(st.integers(0, 10**6), min_size=F, max_size=F))
+    got = joint_states(block, ts)
+    want = _states_one_by_one(block, ts)
+    assert [_state_hexes(js) for js in got] == [_state_hexes(js) for js in want]
+    assert got == want and [hash(js) for js in got] == [hash(js) for js in want]
+    assert all(isinstance(js.humans, tuple) for js in got)
+
+
+def test_joint_states_rewraps_a_stored_plus_pi():
+    block = [[[-0.0, 5e-324, math.pi, -0.0], [1.0, -0.0, math.nextafter(-math.pi, -4.0), 5e-324]]]
+    (js,) = joint_states(block, [0])
+    assert js.robot.heading == -math.pi
+    assert js.humans[0].heading == math.pi  # one wrap of -pi - 4e-16, as AgentState does
+    assert _state_hexes(js) == _state_hexes(_states_one_by_one(block, [0])[0])
+
+
+@pytest.mark.parametrize("at,value,t_bad", [
+    ((1, 0, 0), float("nan"), None),
+    ((1, 1, 2), float("inf"), None),
+    ((2, 0, 3), -0.5, None),
+    ((1, 1, 3), float("nan"), None),
+    (None, None, 1),         # a negative t before a bad state
+    ((1, 1, 1), float("-inf"), 1),  # a bad state and t in one frame: the state first
+])
+def test_joint_states_raise_the_first_one_by_one_error(at, value, t_bad):
+    block = np.tile([[0.0, 1.0, 0.5, 2.0], [3.0, 4.0, -0.5, 0.0]], (4, 1, 1))
+    if at is not None:
+        block[at] = value
+    block[3, 0, 1] = float("nan")  # a later bad frame never wins
+    ts = [0, 1, 2, 3]
+    if t_bad is not None:
+        ts[t_bad] = -1
+    with pytest.raises(ValueError) as block_err:
+        joint_states(block, ts)
+    with pytest.raises(ValueError) as one_err:
+        _states_one_by_one(block, ts)
+    assert str(block_err.value) == str(one_err.value)
+
+
+def test_joint_states_reject_a_block_of_the_wrong_shape():
+    for block, ts in [(np.zeros((2, 1, 3)), [0, 1]), (np.zeros((2, 0, 4)), [0, 1]),
+                      (np.zeros((2, 1, 4)), [0]), (np.zeros((1, 4)), [0])]:
+        with pytest.raises(ValueError):
+            joint_states(block, ts)
 
 
 def test_action_traj_block_views_and_checks():

@@ -22,7 +22,7 @@ from regret_miner.core import (
     wrap_angle,
 )
 from regret_miner.planner import PlannerHandle, ReplanEntry
-from regret_miner.predictor import ModePrediction, PredictionSet
+from regret_miner.predictor import ModePrediction, PredictionSet, PredictorParams, TablePredictor
 from regret_miner.simkit import (
     FAMILIES,
     RESUME_CLEAR_SECONDS,
@@ -170,6 +170,23 @@ def test_replay_property():
         spec = generate_scenario_batch(fam, 1, base_seed=9, horizon=40)[0]
         rec = run_closed_loop(spec, PlannerHandle(), OraclePredictor(), 10)
         assert replay_max_deviation(rec) < 1e-9
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_table_closed_loop_records_the_reference_states(family):
+    # The engine builds each executed segment's states as one block; they
+    # equal stepping AgentState with unicycle_step through the logged actions.
+    spec = generate_scenario_batch(family, 1, base_seed=5, horizon=40)[0]
+    rec = run_closed_loop(spec, PlannerHandle(), TablePredictor(PredictorParams.fresh()), 10)
+    assert not rec.aborted and replay_max_deviation(rec) == 0.0
+    acts = [np.concatenate([e.actions for e in rec.executed_robot]).tolist()]
+    acts += [h.actions.tolist() for h in rec.human_actions]
+    agents = [rec.states[0].robot, *rec.states[0].humans]
+    for k, js in enumerate(rec.states[1:]):
+        agents = [unicycle_step(a, *acts[j][k]) for j, a in enumerate(agents)]
+        assert js.t == k + 1 and isinstance(js.humans, tuple)
+        assert [_hex(a.x, a.y, a.heading, a.speed) for a in (js.robot, *js.humans)] == \
+            [_hex(a.x, a.y, a.heading, a.speed) for a in agents]
 
 
 def test_collision_cost_zero_without_overlap():
