@@ -1,8 +1,10 @@
 """Command-line front end.
 
-One subcommand per pipeline stage so stages can run (and be rerun)
-separately against the same run directory (`compare` reads the regret
-reports in reports.jsonl, so `score` must run before it):
+One subcommand per pipeline stage, so stages can run (and be rerun)
+separately against the same run directory. Each driving subcommand parses
+its arguments, calls the `harness` stage of the same name (`report` calls
+`harness.render`) and prints one line; `harness.run_full_pipeline` calls
+the same stages in order. A missing input names the stage to run first:
 
     regret-miner simulate --config cfg.yaml --out runs/exp
     regret-miner score --in runs/exp --model luce --agg mean
@@ -15,7 +17,9 @@ reports in reports.jsonl, so `score` must run before it):
     regret-miner navregret --in runs/nav
     regret-miner perception-case --out runs/perception
 
-Failures exit nonzero after printing a one-line error JSON to stderr.
+A stage uses its --config file if given, else the config `simulate`
+recorded in the run's manifest.json, else the defaults. Failures exit
+nonzero after printing a one-line error JSON to stderr.
 """
 
 from __future__ import annotations
@@ -24,16 +28,15 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import genplan, harness, simkit
-from .baselines import label_scenes, write_comparison
+from . import genplan, harness
 from .core import RngStream
-from .predictor import params_from_json
-from .regret import reports_from_jsonl
 
+_RUN_CONFIG_HELP = "config YAML (default: the one recorded in manifest.json)"
 _ARM_ALIASES = {"base": "Base", "low": "LowRegretFT", "random": "RandomFT",
                 "high": "HighRegretFT", "all": "AllFT"}
 
@@ -51,122 +54,78 @@ def _fail(kind: str, message: str, code: int = 1):
     raise SystemExit(code)
 
 
-def _load_config(args) -> harness.ExperimentConfig:
-    """--config wins; otherwise the run directory's saved config; otherwise
-    defaults."""
-    if getattr(args, "config", None):
-        return harness.config_from_yaml(args.config)
-    run_dir = getattr(args, "in_dir", None)
-    if run_dir:
-        for name in ("config.yaml", "manifest.json"):
-            p = Path(run_dir) / name
-            if p.exists():
-                if name == "config.yaml":
-                    return harness.config_from_yaml(p)
-                return harness.ExperimentConfig.from_dict(
-                    json.loads(p.read_text())["config"])
-    return harness.ExperimentConfig()
-
-
-def _require(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise FileNotFoundError(f"{path} not found — run `{hint}` first")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Driving-pipeline stages
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    out = Path(args.out or config.out_dir)
-    params = harness.pretrain_predictor(config)
-    scenes, paths = harness.deploy(config, params, out)
-    harness.config_to_yaml(config, out / "config.yaml")
-    print(f"simulated {len(scenes)} scenes -> {paths['scenes']}")
+    config = harness.run_config(None, args.config)
+    run = Path(args.out or config.out_dir)
+    scenes = harness.simulate(config, run)
+    print(f"simulated {len(scenes)} scenes -> {run / 'scenes.jsonl'}")
     return 0
 
 
 def cmd_score(args) -> int:
     run = Path(args.in_dir)
-    config = _load_config(args)
-    if args.agg:
-        config = harness.ExperimentConfig.from_dict(
-            {**config.to_dict(), "aggregation": args.agg})
     if args.model == "gen":
         return _score_generative(run)
-    scenes = simkit.scenes_from_jsonl(_require(run / "scenes.jsonl", "simulate"))
-    _, reports = harness.score_deployment(scenes, config)
-    scores = harness.write_scores(run, reports, config.aggregation)
+    config = harness.run_config(run, args.config)
+    if args.agg:
+        config = replace(config, aggregation=args.agg)
+    scores = harness.score(run, config)
     print(f"scored {len(scores)} scenes -> {run / 'scores.json'}")
     return 0
 
 
 def _score_generative(run: Path) -> int:
     cb = genplan.codebook_from_json(
-        _require(run / "codebook.json", "navgen").read_text())
+        harness.need(run, "codebook.json", "navgen").read_text())
     samples = genplan.nav_samples_from_json(
-        _require(run / "nav_samples.json", "navgen").read_text())
-    scores = {}
-    for i, s in enumerate(samples):
-        scores[f"nav-{i:05d}"] = genplan.generative_regret(
-            cb, s.robot_traj, s.human_traj, s.delta_h, s.goal)
-    (run / "scores.json").write_text(json.dumps({
-        "schema": "scores/1", "aggregation": "mean",
-        "scores": scores}, indent=2))
+        harness.need(run, "nav_samples.json", "navgen").read_text())
+    scores = {f"nav-{i:05d}": genplan.generative_regret(
+                  cb, s.robot_traj, s.human_traj, s.delta_h, s.goal)
+              for i, s in enumerate(samples)}
+    harness.write_scores(run, scores, "mean")
     print(f"scored {len(scores)} nav samples -> {run / 'scores.json'}")
     return 0
 
 
 def cmd_mine(args) -> int:
     run = Path(args.in_dir)
-    doc = json.loads(_require(run / "scores.json", "score").read_text())
-    mined = harness.write_mined(run, doc["scores"], args.p,
-                                doc.get("aggregation", "mean"))
-    print(f"mined {mined['k']} of {len(doc['scores'])} (p={args.p:g}%) "
-          f"-> {run / 'mined.json'}")
+    mined = harness.mine(run, args.p)
+    print(f"mined {mined['k']} scenes (p={args.p:g}%) -> {run / 'mined.json'}")
     return 0
 
 
 def cmd_compare(args) -> int:
     run = Path(args.in_dir)
-    config = _load_config(args)
     wanted = [m.strip().upper() for m in args.metrics.split(",") if m.strip()]
-    unknown = [m for m in wanted if m not in ("GRM", "RM", "ADE", "TRFD")]
-    if unknown:
-        raise ValueError(f"unknown metrics {unknown}; choose from grm,rm,ade,trfd")
-    scenes = simkit.scenes_from_jsonl(_require(run / "scenes.jsonl", "simulate"))
-    reports = reports_from_jsonl(_require(run / "reports.jsonl", "score"))
-    labelings = label_scenes(scenes, reports, p=config.p,
-                             handle=config.planner_handle(),
-                             aggregation=config.aggregation)
-    labelings = {m: labelings[m] for m in wanted}
-    paths = write_comparison(labelings, run / "comparison")
-    print(f"compared {','.join(wanted)} -> {paths[0].parent}")
+    harness.compare(run, harness.run_config(run, args.config), wanted)
+    print(f"compared {','.join(wanted)} -> {run / 'comparison'}")
     return 0
 
 
 def cmd_finetune(args) -> int:
     run = Path(args.in_dir)
-    config, scenes, _, base_params = harness.load_deployment(run)
+    config = harness.run_config(run)
     seeds = _pick_seeds(args.seeds, config)
     arms = _pick_arms(args.arms)
-    doc = json.loads(_require(run / "scores.json", "score").read_text())
-    _, fitted = harness.fit_arms(run, config, base_params, scenes,
-                                 doc["scores"], arms, seeds)
+    fitted = harness.finetune(run, config, arms, seeds)
     print(f"fitted {len(fitted)} predictors ({','.join(arms)} x seeds "
           f"{','.join(str(s) for s in seeds)}) -> {run / 'predictors'}")
     return 0
 
 
 def _pick_seeds(raw: str, config: harness.ExperimentConfig) -> tuple[int, ...]:
+    """The first `raw` of config.seeds; all of them when raw is empty."""
     if not raw:
         return config.seeds
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if len(parts) == 1 and int(parts[0]) <= len(config.seeds):
-        return config.seeds[:int(parts[0])]
-    return tuple(int(p) for p in parts)
+    n = len(config.seeds)
+    if not raw.strip().isdigit() or not 1 <= int(raw) <= n:
+        raise ValueError(f"--seeds must be a count in 1..{n} (the config's "
+                         f"seeds are {list(config.seeds)}), got {raw!r}")
+    return config.seeds[:int(raw)]
 
 
 def _pick_arms(raw: str) -> tuple[str, ...]:
@@ -184,42 +143,15 @@ def _pick_arms(raw: str) -> tuple[str, ...]:
 
 def cmd_redeploy(args) -> int:
     run = Path(args.in_dir)
-    config, _, specs_by_id, base_params = harness.load_deployment(
-        run, with_scenes=False)
-    subsets = harness.Subsets.from_dict(json.loads(
-        _require(run / "subsets.json", "finetune").read_text()))
-    fitted = {}
-    for fp in sorted((run / "predictors").glob("*-*.json")):
-        arm, seed = fp.stem.rsplit("-", 1)
-        fitted[(arm, int(seed))] = params_from_json(fp.read_text())
-    arms = tuple(["Base"] + sorted({a for a, _ in fitted},
-                                   key=harness.ARMS.index))
-    # The scenes are needed only to fit an (arm, seed) with no saved predictor.
-    scenes_by_id = {}
-    if any((arm, seed) not in fitted
-           for arm in arms if arm != "Base" for seed in config.seeds):
-        scenes_by_id = {s.scenario_id: s
-                        for s in simkit.scenes_from_jsonl(run / "scenes.jsonl")}
-    case = harness.finetune_and_redeploy(
-        config, scenes_by_id, specs_by_id, subsets, base_params, arms=arms,
-        fitted=fitted)
-    path = harness.write_case_study(run, case)
-    print(f"redeployed {','.join(arms)} -> {path}")
+    case = harness.redeploy(run, harness.run_config(run))
+    print(f"redeployed {','.join(case.values)} -> {run / 'case_study.json'}")
     return 0
 
 
 def cmd_report(args) -> int:
     run = Path(args.in_dir)
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    case = scores = None
-    if (run / "case_study.json").exists():
-        case = harness.CaseStudyReport.from_dict(
-            json.loads((run / "case_study.json").read_text()))
-    if (run / "scores.json").exists():
-        scores = json.loads((run / "scores.json").read_text())["scores"]
-    config = _load_config(args)
-    paths = harness.report(case, formats, run / "report", scores=scores,
-                           p=config.p)
+    paths = harness.render(run, harness.run_config(run, args.config), formats)
     print(f"wrote {', '.join(p.name for p in paths)} -> {run / 'report'}")
     return 0
 
@@ -246,7 +178,7 @@ def cmd_navgen(args) -> int:
 def cmd_navregret(args) -> int:
     run = Path(args.in_dir)
     cb = genplan.codebook_from_json(
-        _require(run / "codebook.json", "navgen").read_text())
+        harness.need(run, "codebook.json", "navgen").read_text())
     rng = RngStream(args.seed, 17)
     results = genplan.build_mismatch_scenarios(cb, rng, n_reps=args.reps)
     (run / "mismatch_regret.json").write_text(json.dumps(
@@ -292,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("score", cmd_score, help="per-scene regret scores")
     p.add_argument("--in", dest="in_dir", required=True, help="run directory")
-    p.add_argument("--config")
+    p.add_argument("--config", help=_RUN_CONFIG_HELP)
     p.add_argument("--model", choices=("luce", "gen"), default="luce",
                    help="reward-softmax or codebook-KDE likelihoods")
     p.add_argument("--agg", choices=("mean", "worst"), default=None)
@@ -303,20 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("compare", cmd_compare, help="mined-set overlap across metrics")
     p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--config")
+    p.add_argument("--config", help=_RUN_CONFIG_HELP)
     p.add_argument("--metrics", default="grm,rm,ade,trfd")
 
     p = add("finetune", cmd_finetune, help="fit per-arm fine-tuned predictors")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--arms", default="", help="comma list: base,low,random,high,all")
-    p.add_argument("--seeds", default="", help="count or comma list of seeds")
+    p.add_argument("--seeds", default="",
+                   help="fit the first N of the config's seeds (default: all)")
 
     p = add("redeploy", cmd_redeploy, help="re-run holdouts per arm and seed")
     p.add_argument("--in", dest="in_dir", required=True)
 
     p = add("report", cmd_report, help="render case-study tables and plots")
     p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--config")
+    p.add_argument("--config", help=_RUN_CONFIG_HELP)
     p.add_argument("--format", default="md,csv,svg")
 
     p = add("navgen", cmd_navgen, help="synthetic nav dataset + codebook")

@@ -1,9 +1,15 @@
 """End-to-end experiment pipelines.
 
-deploy -> score -> mine -> build_subsets -> finetune_and_redeploy, plus the
-report renderers. Every stage is a pure function of (config, seeds) and the
-files the previous stage wrote, so a rerun from the same config reproduces
-every artifact byte for byte (manifest timestamp aside).
+The driving case study is seven stages over one run directory: simulate ->
+score -> mine -> compare -> finetune -> redeploy -> render. Each stage
+reads its inputs from the directory (`need` names the stage to run first
+when one is missing) and is the only writer of its own files. The CLI
+subcommand of the same name calls one stage; `run_full_pipeline` calls all
+seven in order. The run's config has one reader, `run_config`.
+
+Every stage is a pure function of (config, seeds) and the files the
+previous stage wrote, so a rerun from the same config reproduces every
+artifact byte for byte (manifest timestamp aside).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -21,7 +27,12 @@ import numpy as np
 import yaml
 
 from . import simkit
-from .baselines import label_scenes, scene_prediction_errors, write_comparison
+from .baselines import (
+    METRICS,
+    label_scenes,
+    scene_prediction_errors,
+    write_comparison,
+)
 from .core import RngStream
 from .planner import PlannerHandle, RewardWeights
 from .predictor import (
@@ -35,6 +46,7 @@ from .regret import (
     LuceShepard,
     mine_top_quantile,
     mined_to_doc,
+    reports_from_jsonl,
     reports_to_jsonl,
     score_scene,
 )
@@ -120,27 +132,16 @@ class ExperimentConfig:
         return sum(n for _, n in self.families)
 
     def to_dict(self) -> dict:
-        return {
-            "families": [list(x) for x in self.families],
-            "base_seed": self.base_seed,
-            "pretrain_families": [list(x) for x in self.pretrain_families],
-            "pretrain_seed": self.pretrain_seed,
-            "seeds": list(self.seeds),
-            "p": self.p,
-            "holdout_frac": self.holdout_frac,
-            "finetune_lambda": self.finetune_lambda,
-            "aggregation": self.aggregation,
-            "replan_every": self.replan_every,
-            "planner": dict(self.planner),
-            "weights": dict(self.weights),
-            "predictor": dict(self.predictor),
-            "out_dir": self.out_dir,
-        }
+        """Plain lists and dicts, keys in field order."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**d, "families": [list(x) for x in self.families],
+                "pretrain_families": [list(x) for x in self.pretrain_families],
+                "seeds": list(self.seeds), "planner": dict(self.planner),
+                "weights": dict(self.weights), "predictor": dict(self.predictor)}
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        known = set(ExperimentConfig().to_dict())
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kw = dict(d)
@@ -162,11 +163,37 @@ def config_to_yaml(config: ExperimentConfig, path) -> Path:
     return path
 
 
+# libyaml's loader parses a config about 10x faster and gives an equal dict.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def config_from_yaml(path) -> ExperimentConfig:
-    doc = yaml.safe_load(Path(path).read_text())
+    doc = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
     if not isinstance(doc, dict):
         raise ValueError("config file must contain a mapping")
     return ExperimentConfig.from_dict(doc)
+
+
+def run_config(run, path=None) -> ExperimentConfig:
+    """The run's config: the `path` YAML file if given, else the config that
+    `deploy` recorded in run/manifest.json, else the defaults.
+
+    run/config.yaml is written for people to read and is never read back.
+    """
+    if path:
+        return config_from_yaml(path)
+    if run is not None and (Path(run) / "manifest.json").exists():
+        doc = json.loads((Path(run) / "manifest.json").read_text())
+        return ExperimentConfig.from_dict(doc["config"])
+    return ExperimentConfig()
+
+
+def need(run, name: str, stage: str) -> Path:
+    """run/name, or FileNotFoundError naming the stage that writes it."""
+    path = Path(run) / name
+    if not path.exists():
+        raise FileNotFoundError(f"{path} not found — run `{stage}` first")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +258,25 @@ def deploy(config: ExperimentConfig, params: PredictorParams,
     return scenes, paths
 
 
-def load_deployment(out_dir, with_scenes: bool = True
-                    ) -> tuple[ExperimentConfig, Optional[list], dict, PredictorParams]:
-    """(config, scenes, specs_by_id, base params) from a deployment directory.
+def _scenes(run) -> list:
+    return simkit.scenes_from_jsonl(need(run, "scenes.jsonl", "simulate"))
 
-    With with_scenes=False, scenes.jsonl is not read and scenes is None.
-    """
-    out = Path(out_dir)
-    manifest = json.loads((out / "manifest.json").read_text())
-    config = ExperimentConfig.from_dict(manifest["config"])
-    scenes = simkit.scenes_from_jsonl(out / "scenes.jsonl") if with_scenes else None
-    doc = json.loads((out / "scenarios.json").read_text())
+
+def _specs_by_id(run) -> dict:
+    doc = json.loads(need(run, "scenarios.json", "simulate").read_text())
     specs = [simkit.spec_from_dict(d) for d in doc["scenarios"]]
-    params = params_from_json((out / "predictor_base.json").read_text())
-    return config, scenes, {s.scenario_id: s for s in specs}, params
+    return {s.scenario_id: s for s in specs}
+
+
+def _base_params(run) -> PredictorParams:
+    return params_from_json(need(run, "predictor_base.json", "simulate").read_text())
+
+
+def load_deployment(out_dir) -> tuple[ExperimentConfig, list, dict, PredictorParams]:
+    """(config, scenes, specs_by_id, base params) from a deployment directory."""
+    need(out_dir, "manifest.json", "simulate")
+    return (run_config(out_dir), _scenes(out_dir), _specs_by_id(out_dir),
+            _base_params(out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +293,11 @@ def score_deployment(scenes: Sequence, config: ExperimentConfig):
     return scores, reports
 
 
-def write_scores(out_dir, reports, aggregation: str) -> dict[str, float]:
-    """Write reports.jsonl and scores.json; return the scores by scene id."""
-    reports_to_jsonl(Path(out_dir) / "reports.jsonl", reports)
-    scores = {r.scenario_id: r.score for r in reports}
-    (Path(out_dir) / "scores.json").write_text(json.dumps({
+def write_scores(run, scores: dict[str, float], aggregation: str) -> None:
+    """Write scores.json, the scores sorted by scene id."""
+    (Path(run) / "scores.json").write_text(json.dumps({
         "schema": "scores/1", "aggregation": aggregation,
         "scores": {k: scores[k] for k in sorted(scores)}}, indent=2))
-    return scores
-
-
-def write_mined(out_dir, scores: dict[str, float], p: float,
-                aggregation: str) -> dict:
-    """Flag the top p% of scores and write mined.json; return its document."""
-    doc = mined_to_doc(sorted(scores.items()), p, aggregation)
-    (Path(out_dir) / "mined.json").write_text(json.dumps(doc, indent=2))
-    return doc
 
 
 @dataclass(frozen=True)
@@ -444,32 +465,6 @@ def finetune_params(arm: str, config: ExperimentConfig,
                lam=config.finetune_lambda, **config.fit_kwargs())
 
 
-def fit_arms(out_dir, config: ExperimentConfig, base_params: PredictorParams,
-             scenes: Sequence, scores: dict[str, float], arms: Sequence[str],
-             seeds: Sequence[int]) -> tuple[Subsets, dict]:
-    """Split the scored deployment into holdouts and fine-tuning pools and fit
-    one predictor per (arm, seed), Base excepted; writes subsets.json and
-    predictors/<arm>-<seed>.json. Returns (subsets, {(arm, seed): params})."""
-    out = Path(out_dir)
-    subsets = build_subsets([s.scenario_id for s in scenes], scores, config.p,
-                            config.holdout_frac,
-                            RngStream(config.base_seed, _SUBSET_STREAM))
-    (out / "subsets.json").write_text(json.dumps(subsets.to_dict(), indent=2))
-    scenes_by_id = {s.scenario_id: s for s in scenes}
-    pred_dir = out / "predictors"
-    pred_dir.mkdir(exist_ok=True)
-    fitted = {}
-    for arm in arms:
-        if arm == "Base":
-            continue
-        for seed in seeds:
-            params = finetune_params(arm, config, base_params, subsets,
-                                     scenes_by_id, seed)
-            fitted[(arm, seed)] = params
-            (pred_dir / f"{arm}-{seed}.json").write_text(params_to_json(params))
-    return subsets, fitted
-
-
 def _split_cell(scenes: Sequence, config: ExperimentConfig) -> dict:
     per_scene = {s.scenario_id: s.total_collision_cost for s in scenes}
     frames = sum(s.collision_frames for s in scenes)
@@ -537,13 +532,6 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
     return CaseStudyReport(seeds=config.seeds, values=values)
 
 
-def write_case_study(out_dir, case: CaseStudyReport) -> Path:
-    """Write case_study.json; return its path."""
-    path = Path(out_dir) / "case_study.json"
-    path.write_text(json.dumps(case.to_dict(), indent=2))
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Report rendering
 # ---------------------------------------------------------------------------
@@ -554,24 +542,19 @@ def write_case_markdown(report: CaseStudyReport, path) -> Path:
     path = Path(path)
     lines = ["# Fine-tuning case study", "",
              f"Seeds: {', '.join(str(s) for s in report.seeds)}", ""]
-    lines += ["## Closed-loop metrics", "",
-              "| arm | split | collision cost | collision severity | mean regret |",
-              "| --- | --- | --- | --- | --- |"]
-    for arm in report.values:
-        for split in SPLITS:
-            cells = [f"{report.aggregate(arm, split, m)[0]:.4f} ± "
-                     f"{report.aggregate(arm, split, m)[1]:.4f}"
-                     for m in CORE_METRICS]
-            lines.append(f"| {arm} | {split} | " + " | ".join(cells) + " |")
-    lines += ["", "## Prediction errors", "",
-              "| arm | split | ADE | FDE |", "| --- | --- | --- | --- |"]
-    for arm in report.values:
-        for split in SPLITS:
-            cells = [f"{report.aggregate(arm, split, m)[0]:.4f} ± "
-                     f"{report.aggregate(arm, split, m)[1]:.4f}"
-                     for m in ("ade", "fde")]
-            lines.append(f"| {arm} | {split} | " + " | ".join(cells) + " |")
-    path.write_text("\n".join(lines) + "\n")
+    for title, header, metrics in (
+            ("Closed-loop metrics",
+             "collision cost | collision severity | mean regret", CORE_METRICS),
+            ("Prediction errors", "ADE | FDE", ("ade", "fde"))):
+        lines += [f"## {title}", "", f"| arm | split | {header} |",
+                  "| --- " * (2 + len(metrics)) + "|"]
+        for arm in report.values:
+            for split in SPLITS:
+                cells = ["{:.4f} ± {:.4f}".format(*report.aggregate(arm, split, m))
+                         for m in metrics]
+                lines.append(f"| {arm} | {split} | " + " | ".join(cells) + " |")
+        lines.append("")
+    path.write_text("\n".join(lines))
     return path
 
 
@@ -662,17 +645,16 @@ def report(case: Optional[CaseStudyReport], formats: Sequence[str], out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for fmt in formats:
-        if fmt == "md":
+        if fmt in ("md", "csv"):
             if case is None:
-                raise ValueError("markdown report needs a case study")
-            written.append(write_case_markdown(case, out_dir / "case_study.md"))
-        elif fmt == "csv":
-            if case is None:
-                raise ValueError("csv report needs a case study")
-            written.append(write_case_csv(case, out_dir / "case_study.csv"))
+                raise ValueError(f"{fmt} report needs a case study — run "
+                                 "`redeploy` first")
+            writer = write_case_markdown if fmt == "md" else write_case_csv
+            written.append(writer(case, out_dir / f"case_study.{fmt}"))
         elif fmt == "svg":
             if scores is None:
-                raise ValueError("svg histogram needs deployment scores")
+                raise ValueError("svg histogram needs deployment scores — run "
+                                 "`score` first")
             written.append(write_regret_histogram(scores, p,
                                                   out_dir / "regret_hist.svg"))
         else:
@@ -681,51 +663,125 @@ def report(case: Optional[CaseStudyReport], formats: Sequence[str], out_dir,
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline
+# Stages over a run directory
 # ---------------------------------------------------------------------------
 
-def run_full_pipeline(config: ExperimentConfig,
-                      out_dir=None) -> dict[str, Path]:
-    """pretrain -> deploy -> score -> mine -> compare -> subsets ->
-    finetune/redeploy -> reports, all under one output directory."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    paths["config"] = config_to_yaml(config, out / "config.yaml")
+def simulate(config: ExperimentConfig, run) -> list:
+    """Pretrain the base predictor and deploy it into run; writes the files of
+    `deploy` and config.yaml. Returns the scenes."""
+    scenes, _ = deploy(config, pretrain_predictor(config), run)
+    config_to_yaml(config, Path(run) / "config.yaml")
+    return scenes
 
-    base_params = pretrain_predictor(config)
-    scenes, dep_paths = deploy(config, base_params, out)
-    paths.update(dep_paths)
 
-    _, reports = score_deployment(scenes, config)
-    scores = write_scores(out, reports, config.aggregation)
-    paths["reports"] = out / "reports.jsonl"
-    paths["scores"] = out / "scores.json"
-    write_mined(out, scores, config.p, config.aggregation)
-    paths["mined"] = out / "mined.json"
+def score(run, config: ExperimentConfig) -> dict[str, float]:
+    """Score every deployed scene under config.aggregation; writes
+    reports.jsonl and scores.json. Returns the scores by scene id."""
+    scores, reports = score_deployment(_scenes(run), config)
+    reports_to_jsonl(Path(run) / "reports.jsonl", reports)
+    write_scores(run, scores, config.aggregation)
+    return scores
 
+
+def mine(run, p: float) -> dict:
+    """Flag the top p% of scores.json under its aggregation; writes
+    mined.json. Returns its document."""
+    doc = json.loads(need(run, "scores.json", "score").read_text())
+    mined = mined_to_doc(sorted(doc["scores"].items()), p,
+                         doc.get("aggregation", "mean"))
+    (Path(run) / "mined.json").write_text(json.dumps(mined, indent=2))
+    return mined
+
+
+def compare(run, config: ExperimentConfig,
+            metrics: Sequence[str] = METRICS) -> list[Path]:
+    """Mined-set overlap of the regret reports and the baselines; writes
+    comparison/. Returns the written paths."""
+    unknown = [m for m in metrics if m not in METRICS]
+    if unknown:
+        raise ValueError(f"unknown metrics {unknown}; choose from "
+                         f"{','.join(METRICS).lower()}")
+    scenes = _scenes(run)
+    reports = reports_from_jsonl(need(run, "reports.jsonl", "score"))
     labelings = label_scenes(scenes, reports, p=config.p,
                              handle=config.planner_handle(),
                              aggregation=config.aggregation)
-    for pth in write_comparison(labelings, out / "comparison"):
-        paths[f"comparison/{pth.name}"] = pth
+    return write_comparison({m: labelings[m] for m in metrics},
+                            Path(run) / "comparison")
 
-    subsets, fitted = fit_arms(out, config, base_params, scenes, scores, ARMS,
-                               config.seeds)
-    paths["subsets"] = out / "subsets.json"
-    for arm, seed in fitted:
-        name = f"predictors/{arm}-{seed}.json"
-        paths[name] = out / name
 
+def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
+             seeds: Optional[Sequence[int]] = None) -> dict:
+    """Split the scored deployment into holdouts and fine-tuning pools and fit
+    one predictor per (arm, seed), Base excepted, for config.seeds unless
+    seeds is given; writes subsets.json and predictors/<arm>-<seed>.json.
+    Returns {(arm, seed): params}."""
+    run = Path(run)
+    scenes = _scenes(run)
+    scores = json.loads(need(run, "scores.json", "score").read_text())["scores"]
+    base_params = _base_params(run)
+    subsets = build_subsets([s.scenario_id for s in scenes], scores, config.p,
+                            config.holdout_frac,
+                            RngStream(config.base_seed, _SUBSET_STREAM))
+    (run / "subsets.json").write_text(json.dumps(subsets.to_dict(), indent=2))
     scenes_by_id = {s.scenario_id: s for s in scenes}
-    specs_by_id = {s.scenario_id: s
-                   for s in _batch_specs(config.families, config.base_seed)}
-    case = finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
-                                 base_params, fitted=fitted)
-    paths["case_study"] = write_case_study(out, case)
+    (run / "predictors").mkdir(exist_ok=True)
+    fitted = {}
+    for arm in arms:
+        if arm == "Base":
+            continue
+        for seed in (config.seeds if seeds is None else seeds):
+            params = finetune_params(arm, config, base_params, subsets,
+                                     scenes_by_id, seed)
+            fitted[(arm, seed)] = params
+            (run / "predictors" / f"{arm}-{seed}.json").write_text(
+                params_to_json(params))
+    return fitted
 
-    rep_dir = out / "report"
-    for pth in report(case, ("md", "csv", "svg"), rep_dir, scores=scores,
-                      p=config.p):
-        paths[f"report/{pth.name}"] = pth
-    return paths
+
+def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
+    """Re-run the holdouts for Base and every arm with a saved predictor;
+    writes case_study.json. scenes.jsonl is read only to fit an (arm, seed)
+    of config.seeds that predictors/ lacks."""
+    run = Path(run)
+    subsets = Subsets.from_dict(json.loads(
+        need(run, "subsets.json", "finetune").read_text()))
+    fitted = {}
+    for fp in sorted((run / "predictors").glob("*-*.json")):
+        arm, seed = fp.stem.rsplit("-", 1)
+        fitted[(arm, int(seed))] = params_from_json(fp.read_text())
+    arms = ("Base",) + tuple(sorted({a for a, _ in fitted}, key=ARMS.index))
+    scenes_by_id = {}
+    if any((arm, seed) not in fitted for arm in arms[1:] for seed in config.seeds):
+        scenes_by_id = {s.scenario_id: s for s in _scenes(run)}
+    case = finetune_and_redeploy(config, scenes_by_id, _specs_by_id(run),
+                                 subsets, _base_params(run), arms=arms,
+                                 fitted=fitted)
+    (run / "case_study.json").write_text(json.dumps(case.to_dict(), indent=2))
+    return case
+
+
+def render(run, config: ExperimentConfig,
+           formats: Sequence[str] = ("md", "csv", "svg")) -> list[Path]:
+    """Render the case study and the scores that exist under run/report.
+    Returns the written paths."""
+    run = Path(run)
+    case = scores = None
+    if (run / "case_study.json").exists():
+        case = CaseStudyReport.from_dict(
+            json.loads((run / "case_study.json").read_text()))
+    if (run / "scores.json").exists():
+        scores = json.loads((run / "scores.json").read_text())["scores"]
+    return report(case, formats, run / "report", scores=scores, p=config.p)
+
+
+def run_full_pipeline(config: ExperimentConfig, out_dir=None) -> None:
+    """Every stage in order, all under one run directory."""
+    run = Path(out_dir if out_dir is not None else config.out_dir)
+    simulate(config, run)
+    score(run, config)
+    mine(run, config.p)
+    compare(run, config)
+    finetune(run, config)
+    redeploy(run, config)
+    render(run, config)

@@ -86,8 +86,11 @@ def test_pick_seeds():
     config = ExperimentConfig(seeds=(101, 202, 303))
     assert _pick_seeds("", config) == (101, 202, 303)
     assert _pick_seeds("2", config) == (101, 202)  # count prefix
-    assert _pick_seeds("7", config) == (7,)        # too large for a count: literal
-    assert _pick_seeds("5,6", config) == (5, 6)
+    assert _pick_seeds("3", config) == (101, 202, 303)
+    # Only a count in 1..len(config.seeds); never a literal seed.
+    for raw in ("7", "5,6", "0", "-1", "two", "1.5"):
+        with pytest.raises(ValueError, match=r"1\.\.3"):
+            _pick_seeds(raw, config)
 
 
 def test_navgen_writes_artifacts(tmp_path, capsys):
@@ -215,6 +218,43 @@ def test_compare_requires_score(cli_and_full_runs, tmp_path, capsys):
 def _copy_run(src, dst):
     shutil.copytree(src, dst)
     return dst
+
+
+@pytest.mark.parametrize("stage, kind, first", [
+    ("score", "FileNotFoundError", "simulate"),
+    ("mine", "FileNotFoundError", "score"),
+    ("compare", "FileNotFoundError", "simulate"),
+    ("finetune", "FileNotFoundError", "simulate"),
+    ("redeploy", "FileNotFoundError", "finetune"),
+    ("report", "ValueError", "redeploy"),
+])
+def test_stage_on_an_empty_run_names_the_stage_to_run_first(stage, kind, first,
+                                                            tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([stage, "--in", str(tmp_path)])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == kind
+    assert f"run `{first}` first" in err["message"]
+
+
+def test_stages_read_the_manifest_config_not_config_yaml(cli_and_full_runs, tmp_path,
+                                                         capsys):
+    cli_run, _ = cli_and_full_runs
+    run = _copy_run(cli_run, tmp_path / "run")
+    text = (run / "config.yaml").read_text()
+    assert "\np: 25.0\n" in text and "\naggregation: mean\n" in text
+    (run / "config.yaml").write_text(
+        text.replace("\np: 25.0\n", "\np: 50\n")
+            .replace("\naggregation: mean\n", "\naggregation: worst\n"))
+    for stage in ("score", "compare", "finetune", "report"):
+        assert main([stage, "--in", str(run)]) == 0, stage
+    capsys.readouterr()
+    got, want = _run_files(run), _run_files(cli_run)
+    assert got.pop("config.yaml") != want.pop("config.yaml")
+    assert sorted(got) == sorted(want)
+    for name, data in got.items():
+        assert data == want[name], f"{name} differs"
 
 
 def test_scene1_run_scores_like_scene2(cli_and_full_runs, tmp_path, capsys):

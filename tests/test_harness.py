@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
+from regret_miner import harness
 from regret_miner.core import RngStream
 from regret_miner.harness import (
     ALL_METRICS,
@@ -64,6 +66,24 @@ def test_config_yaml_round_trip(tmp_path):
                              p=25.0, planner={"horizon": 20},
                              weights={"w_col": -8.0})
     assert other.config_hash() != config.config_hash()
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(),
+    ExperimentConfig(planner={"horizon": 20, "accel_levels": [-2.0, 0.0]},
+                     weights={"w_col": -8.0},
+                     predictor={"smoothing": 2.0, "yield_radius": 6.0}),
+])
+def test_libyaml_and_pure_python_loaders_agree(config, tmp_path, monkeypatch):
+    if yaml.__with_libyaml__:
+        assert harness._YAML_LOADER is yaml.CSafeLoader
+    path = config_to_yaml(config, tmp_path / "config.yaml")
+    loaders = [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
+    loaded = []
+    for loader in loaders:
+        monkeypatch.setattr(harness, "_YAML_LOADER", loader)
+        loaded.append(config_from_yaml(path))
+    assert loaded == [config, config]
 
 
 def test_config_helpers():
