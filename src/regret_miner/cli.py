@@ -69,6 +69,9 @@ def cmd_simulate(args) -> int:
 def cmd_score(args) -> int:
     run = Path(args.in_dir)
     if args.model == "gen":
+        if args.agg:
+            _fail("usage", "--agg is not supported by the generative scorer "
+                  "(--model gen), which has one score per sample", code=2)
         return _score_generative(run)
     config = harness.run_config(run, args.config)
     if args.agg:

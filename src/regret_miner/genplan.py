@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .core import TURN_LIMIT, TWO_PI, ActionTraj, NavWorld, RngStream, wrap_angle
+from .core import TURN_LIMIT, ActionTraj, NavWorld, RngStream, unicycle_step_floats, wrap_angle
 
 GOALS = ("Primary", "Backup")
 HUMAN_CLASSES = ("left", "straight", "right")
@@ -47,32 +47,9 @@ class OutOfSupportError(ValueError):
 # Domain types
 # ---------------------------------------------------------------------------
 
-def _nav_step(x: float, y: float, h: float, v: float,
-              w: float) -> tuple[float, float, float]:
-    """One constant-speed nav step: (x, y, heading) after turning at w.
-
-    A scalar copy of unicycle_step(state, 0.0, w, NAV_DT) that builds no
-    AgentState, with the same operations in the same order, so the results
-    are equal bit for bit. The heading is wrapped twice, as dubins_step and
-    AgentState each wrap it: wrap_angle is not idempotent near -pi.
-    """
-    if not math.isfinite(w):
-        raise ValueError(f"turn rate must be finite, got {w!r}")
-    dt = NAV_DT
-    if abs(w) < 1e-12:
-        x = x + v * math.cos(h) * dt
-        y = y + v * math.sin(h) * dt
-    else:
-        h1 = h + w * dt
-        x = x + (v / w) * (math.sin(h1) - math.sin(h))
-        y = y + -(v / w) * (math.cos(h1) - math.cos(h))
-    h = (h + w * dt + math.pi) % TWO_PI - math.pi
-    return x, y, (h + math.pi) % TWO_PI - math.pi
-
-
 def _clamp_turn(w: float) -> float:
     """Clamp to the turn limit. NaN stays NaN (w is the first argument of
-    both max and min), so _nav_step still rejects it."""
+    both max and min), so the step kernel still rejects it."""
     return min(max(w, -TURN_LIMIT), TURN_LIMIT)
 
 
@@ -82,7 +59,7 @@ def _nav_positions(start_xy, heading0: float, speed: float,
     x, y, h = start_xy[0], start_xy[1], wrap_angle(heading0)
     out = []
     for w in turns.tolist():
-        x, y, h = _nav_step(x, y, h, speed, w)
+        x, y, h = unicycle_step_floats(x, y, h, speed, 0.0, w, NAV_DT)[:3]
         out.append((x, y))
     return np.array(out)
 
@@ -96,17 +73,6 @@ def classify_human_direction(human_traj: ActionTraj,
     targets = [_HUMAN_TARGETS[c] for c in HUMAN_CLASSES]
     d = [math.hypot(end[0] - tx, end[1] - ty) for tx, ty in targets]
     return int(np.argmin(d))
-
-
-def classify_final_goal(robot_traj: ActionTraj,
-                        ctx: Optional[NavWorld] = None) -> str:
-    """Goal whose location is nearer the robot's rollout endpoint."""
-    ctx = ctx if ctx is not None else NavWorld()
-    end = _nav_positions(ctx.robot_start, math.pi / 2, ROBOT_NAV_SPEED,
-                         robot_traj.actions[:, 1])[-1]
-    d_primary = math.hypot(end[0] - ctx.goal_primary[0], end[1] - ctx.goal_primary[1])
-    d_backup = math.hypot(end[0] - ctx.goal_backup[0], end[1] - ctx.goal_backup[1])
-    return GOALS[0] if d_primary <= d_backup else GOALS[1]
 
 
 @dataclass(frozen=True)
@@ -232,7 +198,7 @@ def _simulate_human(cue_class: str, gen: np.random.Generator,
     for _ in range(NAV_STEPS):
         w = _clamp_turn(_pc_turn(x, y, h, target)
                         + float(gen.normal(0.0, exec_noise)))
-        x, y, h = _nav_step(x, y, h, HUMAN_NAV_SPEED, w)
+        x, y, h = unicycle_step_floats(x, y, h, HUMAN_NAV_SPEED, 0.0, w, NAV_DT)[:3]
         turns.append(w)
         pos.append((x, y))
     return _turns_traj(turns), pos
@@ -257,7 +223,7 @@ def _simulate_robot(goal: str, human_pos: Sequence[tuple[float, float]],
                 current = GOALS[1 - GOALS.index(current)]
         w = _clamp_turn(_pc_turn(x, y, h, targets[current])
                         + float(gen.normal(0.0, exec_noise)))
-        x, y, h = _nav_step(x, y, h, ROBOT_NAV_SPEED, w)
+        x, y, h = unicycle_step_floats(x, y, h, ROBOT_NAV_SPEED, 0.0, w, NAV_DT)[:3]
         turns.append(w)
     return _turns_traj(turns), triggered, current
 
@@ -462,7 +428,7 @@ def _proportional_candidates(ctx: NavWorld) -> tuple[ActionTraj, ...]:
             turns = []
             for _ in range(NAV_STEPS):
                 w = _pc_turn(x, y, h, target, gain)
-                x, y, h = _nav_step(x, y, h, ROBOT_NAV_SPEED, w)
+                x, y, h = unicycle_step_floats(x, y, h, ROBOT_NAV_SPEED, 0.0, w, NAV_DT)[:3]
                 turns.append(w)
             cands.append(_turns_traj(turns))
     return tuple(cands)
@@ -604,7 +570,7 @@ def _perception_robot(goal: str, gen: np.random.Generator, exec_noise: float,
     for _ in range(NAV_STEPS):
         w = _clamp_turn(_pc_turn(x, y, h, target)
                         + float(gen.normal(0.0, exec_noise)))
-        x, y, h = _nav_step(x, y, h, ROBOT_NAV_SPEED, w)
+        x, y, h = unicycle_step_floats(x, y, h, ROBOT_NAV_SPEED, 0.0, w, NAV_DT)[:3]
         turns.append(w)
     return _turns_traj(turns)
 

@@ -715,7 +715,9 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
     """Split the scored deployment into holdouts and fine-tuning pools and fit
     one predictor per (arm, seed), Base excepted, for config.seeds unless
     seeds is given; writes subsets.json and predictors/<arm>-<seed>.json.
-    Returns {(arm, seed): params}."""
+    finetune owns predictors/: it deletes every predictor this call did not
+    fit, since one fitted on an earlier split would be redeployed on these
+    holdouts. Returns {(arm, seed): params}."""
     run = Path(run)
     scenes = _scenes(run)
     scores = json.loads(need(run, "scores.json", "score").read_text())["scores"]
@@ -736,6 +738,10 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
             fitted[(arm, seed)] = params
             (run / "predictors" / f"{arm}-{seed}.json").write_text(
                 params_to_json(params))
+    written = {f"{arm}-{seed}.json" for arm, seed in fitted}
+    for fp in (run / "predictors").glob("*-*.json"):
+        if fp.name not in written:
+            fp.unlink()
     return fitted
 
 

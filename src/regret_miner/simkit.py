@@ -1,10 +1,15 @@
 """Closed-loop worlds: reactive rule-based humans plus the deployment engine.
 
+One human engine, step_humans, steps the humans under one or more robot
+lanes. The closed loop is its one-lane case, and the oracle predictor steps
+all candidates of a replan as one lane each. A human's policy sees the robot
+only through robot_view, so lanes that give every human the same view share
+one human step, and the oracle steps each distinct human future once.
+
 Human randomness is drawn from streams derived per (human, absolute step), so
-any component that re-simulates a span of the scene — the engine itself, or
-the oracle predictor evaluating a candidate — sees identical draws. Policy
-state that must persist across steps (resume timers, yield latches) lives in
-an engine-owned per-human memory dict of scalar values.
+every lane sees the draws of the closed loop itself. Policy state that must
+persist across steps (resume timers, yield latches) lives in an engine-owned
+per-human memory dict of scalar values.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .core import (
     RngStream,
     footprint_overlap,
     joint_states,
+    rollout_positions_batch,
     unicycle_step_floats,
     wrap_angle,
 )
@@ -117,21 +123,30 @@ class SceneRecord:
 # ---------------------------------------------------------------------------
 # Human policies
 # ---------------------------------------------------------------------------
+#
+# A human's decision reads the robot only through robot_view: a few
+# comparisons between the robot's state and its own. The policy reads the
+# other humans' states, its own memory and the view, and never states[0].
+# The human engine below relies on this: robot lanes that give every human
+# the same view cannot give different human steps.
 
-def _agents_ahead(i: int, states: Sequence[tuple], radii: Sequence[float],
+def _humans_ahead(i: int, states: Sequence[tuple], radii: Sequence[float],
                   reach: float, lateral_window: float = 2.0) -> bool:
-    """Is any other agent within reach in front of human i (body frame)?
+    """Is any other human within reach in front of human i (body frame)?
 
-    states are the step's float states, robot first; the robot's radius is
-    ROBOT_RADIUS and a human without an entry in radii has CAR_RADIUS.
+    states are the step's float states, robot first (not read here); a human
+    without an entry in radii has CAR_RADIUS.
     """
+    if len(states) < 3:  # no other human
+        return False
     me = states[i + 1]
     x, y = me[0], me[1]
     c, s = math.cos(me[2]), math.sin(me[2])
-    for j, other in enumerate(states):
+    for j in range(1, len(states)):
         if j == i + 1:
             continue
-        r = ROBOT_RADIUS if j == 0 else (radii[j - 1] if j - 1 < len(radii) else CAR_RADIUS)
+        other = states[j]
+        r = radii[j - 1] if j - 1 < len(radii) else CAR_RADIUS
         dx, dy = other[0] - x, other[1] - y
         proj = dx * c + dy * s
         lat = abs(-dx * s + dy * c)
@@ -140,8 +155,62 @@ def _agents_ahead(i: int, states: Sequence[tuple], radii: Sequence[float],
     return False
 
 
+def robot_views(profile: HumanProfile, i: int, states: Sequence[tuple],
+                memory: dict, robots: Sequence[tuple]) -> list:
+    """robot_view of human i under each robot state in robots, each
+    (x, y, any, speed); states[0] is not read."""
+    if profile.never_moves or profile.mode == "stranded":
+        return [None] * len(robots)
+    x, y, heading = states[i + 1][:3]
+    views = []
+    if profile.mode == "intersection_cross":
+        latch = memory.get("yield_latch")
+        ahead_1, ahead_3 = x + 1.0, x + 3.0
+        for r in robots:
+            robot_x = r[0]
+            on_course = None
+            if latch is None:
+                approaching = robot_x < ahead_1
+                t_arrive = (x - robot_x) / max(r[3], 0.5)
+                on_course = approaching and 0.0 <= t_arrive <= 4.0
+            views.append((on_course, robot_x < ahead_3 if (latch is True or on_course) else None))
+        return views
+    # The robot-ahead test of the agents-ahead check, in the human's body frame.
+    c, s = math.cos(heading), math.sin(heading)
+    reach = profile.reaction_radius + ROBOT_RADIUS
+    yields = profile.mode == "yield_if_close"
+    close = None
+    for r in robots:
+        if yields:
+            close = math.hypot(x - r[0], y - r[1]) < profile.reaction_radius
+            if close:
+                views.append((True, None))
+                continue
+        dx, dy = r[0] - x, r[1] - y
+        proj = dx * c + dy * s
+        views.append((close, 0.0 < proj < reach and abs(-dx * s + dy * c) < 2.0))
+    return views
+
+
+def robot_view(profile: HumanProfile, i: int, states: Sequence[tuple],
+               memory: dict) -> Optional[tuple]:
+    """The robot as human i's policy sees it, from the robot's state
+    states[0] (x, y, any, speed) and the human's states[i + 1] and memory.
+
+    None for a human that never moves. For intersection_cross,
+    (on_course, near): on_course is robot_x < x + 1 and 0 <= t_arrive <= 4
+    while the yield latch is undrawn, near is robot_x < x + 3 while the latch
+    is or may become True, each None when the policy will not read it. For
+    every other mode, (close, ahead): close is hypot < reaction_radius
+    (yield_if_close only, else None), and ahead is whether the robot is
+    within reaction_radius + ROBOT_RADIUS in front of the human and within
+    2.0 of its heading line (None when close).
+    """
+    return robot_views(profile, i, states, memory, [states[0]])[0]
+
+
 def _cruise_action(profile: HumanProfile, i: int, states: Sequence[tuple],
-                   ctx: Context, radii: Sequence[float]) -> tuple[float, float]:
+                   ctx: Context, radii: Sequence[float], robot_ahead: bool) -> tuple[float, float]:
     _, y, heading, speed = states[i + 1][:4]
     if isinstance(ctx, DrivingCorridor):
         center = ctx.nearest_center(y)
@@ -149,7 +218,7 @@ def _cruise_action(profile: HumanProfile, i: int, states: Sequence[tuple],
         w = min(max(2.0 * wrap_angle(desired - heading), -1.0), 1.0)
     else:
         w = 0.0
-    if _agents_ahead(i, states, radii, profile.reaction_radius):
+    if robot_ahead or _humans_ahead(i, states, radii, profile.reaction_radius):
         a = -3.0 if speed > 0 else 0.0
     else:
         a = min(max(0.6 * (profile.target_speed - speed), -2.0), 2.0)
@@ -162,53 +231,38 @@ def _crossing_target_heading(memory: dict, heading: float) -> float:
     return memory["cross_dir"] * math.pi / 2
 
 
-def human_policy_step(profile: HumanProfile, i: int, states: Sequence[tuple],
-                      ctx: Context, rng: RngStream,
-                      memory: Optional[dict] = None,
-                      radii: Sequence[float] = ()) -> tuple[float, float]:
+def human_policy(profile: HumanProfile, i: int, states: Sequence[tuple],
+                 ctx: Context, rng, memory: dict, radii: Sequence[float],
+                 view: Optional[tuple]) -> tuple[float, float]:
     """One (accel, turn_rate) decision for human i, whose state is
-    states[i + 1].
-
-    states are the step's float states, robot first, each starting
-    (x, y, heading, speed). radii[j] is human j's footprint radius
-    (CAR_RADIUS past its end). memory persists per human across steps (owned
-    by the engine); passing a fresh dict makes the call stateless, which the
-    one-shot yield draw test relies on.
-    """
-    if memory is None:
-        memory = {}
+    states[i + 1], given its robot_view. states[0] is not read."""
     if profile.never_moves or profile.mode == "stranded":
         return (0.0, 0.0)
 
     if profile.mode == "cruise":
-        return _cruise_action(profile, i, states, ctx, radii)
+        return _cruise_action(profile, i, states, ctx, radii, view[1])
 
-    x, y, heading, speed = states[i + 1][:4]
+    heading, speed = states[i + 1][2:4]
     if profile.mode == "yield_if_close":
-        robot = states[0]
-        if math.hypot(x - robot[0], y - robot[1]) < profile.reaction_radius:
+        if view[0]:
             return (-3.5 if speed > 0 else 0.0, 0.0)
-        return _cruise_action(profile, i, states, ctx, radii)
+        return _cruise_action(profile, i, states, ctx, radii, view[1])
 
     if profile.mode == "stopped":
         if not memory.get("resumed", False):
-            clear = not _agents_ahead(i, states, radii, profile.reaction_radius)
+            clear = not (view[1] or _humans_ahead(i, states, radii, profile.reaction_radius))
             memory["clear_steps"] = memory.get("clear_steps", 0) + 1 if clear else 0
             if memory["clear_steps"] >= int(round(RESUME_CLEAR_SECONDS / DT_DEFAULT)):
                 memory["resumed"] = True
             else:
                 return (-3.0 if speed > 0 else 0.0, 0.0)
-        return _cruise_action(profile, i, states, ctx, radii)
+        return _cruise_action(profile, i, states, ctx, radii, view[1])
 
     if profile.mode == "intersection_cross":
-        robot_x, robot_speed = states[0][0], states[0][3]
-        if memory.get("yield_latch") is None:
-            approaching = robot_x < x + 1.0
-            t_arrive = (x - robot_x) / max(robot_speed, 0.5)
-            on_course = approaching and 0.0 <= t_arrive <= 4.0
-            if on_course:
-                memory["yield_latch"] = bool(rng.generator().uniform() < YIELD_PROBABILITY)
-        if memory.get("yield_latch") is True and robot_x < x + 3.0:
+        on_course, near = view
+        if on_course:
+            memory["yield_latch"] = bool(rng.generator().uniform() < YIELD_PROBABILITY)
+        if memory.get("yield_latch") is True and near:
             return (-3.0 if speed > 0 else 0.0, 0.0)
         target_h = _crossing_target_heading(memory, heading)
         w = min(max(2.0 * wrap_angle(target_h - heading), -1.0), 1.0)
@@ -218,13 +272,32 @@ def human_policy_step(profile: HumanProfile, i: int, states: Sequence[tuple],
     raise ValueError(f"unhandled mode {profile.mode!r}")
 
 
+def human_policy_step(profile: HumanProfile, i: int, states: Sequence[tuple],
+                      ctx: Context, rng: RngStream,
+                      memory: Optional[dict] = None,
+                      radii: Sequence[float] = ()) -> tuple[float, float]:
+    """One (accel, turn_rate) decision for human i, whose state is
+    states[i + 1]: human_policy under robot_view.
+
+    states are the step's float states, robot first, each starting
+    (x, y, heading, speed). radii[j] is human j's footprint radius
+    (CAR_RADIUS past its end). memory persists per human across steps (owned
+    by the engine); passing a fresh dict makes the call stateless, which the
+    one-shot yield draw test relies on.
+    """
+    if memory is None:
+        memory = {}
+    return human_policy(profile, i, states, ctx, rng, memory, radii,
+                        robot_view(profile, i, states, memory))
+
+
 # ---------------------------------------------------------------------------
-# Forward simulation of humans under a fixed robot action sequence
+# The human engine: humans stepped under one or more robot lanes
 # ---------------------------------------------------------------------------
 
 class _LazyStream:
-    """Stands in for root.derive(*ids) as human_policy_step's rng, deriving
-    the stream only when the policy calls generator().
+    """Stands in for root.derive(*ids) as human_policy's rng, deriving the
+    stream only when the policy calls generator().
 
     Most policy steps draw nothing, and deriving a stream costs a SeedSequence.
     Streams are keyed by their ids, so deriving late gives the same draws.
@@ -240,40 +313,91 @@ class _LazyStream:
         return self.root.derive(*self.ids).generator()
 
 
+def step_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
+                robots: Sequence[Sequence[tuple]], rng_root: RngStream,
+                dt: float = DT_DEFAULT) -> list[tuple[list[int], list[dict], np.ndarray, list]]:
+    """Advance all humans from joint and memories for T steps under each of
+    L = len(robots) robot lanes: robots[l] lists lane l's robot at steps
+    0..T-1, each as robot_views reads it (x, y, any, speed).
+
+    Lanes are stepped in groups that share their human states and memories:
+    one human_policy and one unicycle_step_floats per human step a whole
+    group. A group splits when a human's robot view differs between its
+    lanes. The part holding the group's first lane keeps its memory dicts and
+    the others step copies, so the given memories end as lane 0's. Draws are
+    keyed by (human, t), so a shared step draws what each lane alone would.
+
+    Returns one (lanes, memories, actions, states) per final group, in order
+    of first lane: actions is the (M, T, 2) array of the humans' actions,
+    and states[k] lists each human's float state after step k as
+    unicycle_step_floats returns it: (x, y, heading, speed, heading_once).
+    """
+    profiles = [p for _, p in spec.humans]
+    radii = [p.radius for p in profiles]
+    ctx = spec.context
+    M = len(profiles)
+    by_step = list(zip(*robots))
+    T = len(by_step)
+    humans = list(enumerate(profiles))
+    # (lanes, memories, human states, actions per step, states per step)
+    groups = [(list(range(len(robots))), memories,
+               [(s.x, s.y, s.heading, s.speed) for s in joint.humans], [], [])]
+    for k in range(T):
+        t = joint.t + k
+        robots_k = by_step[k]
+        stepped = []
+        for lanes, mems, cur, acts_k, states_k in groups:
+            # The policy sees the robot only through its view: states[0] is None.
+            states = [None, *cur]
+            rows = robots_k if len(lanes) == len(robots_k) else [robots_k[lane] for lane in lanes]
+            keys = (list(zip(*[robot_views(p, i, states, mems[i], rows) for i, p in humans]))
+                    if M else [()] * len(lanes))
+            if keys.count(keys[0]) == len(lanes):
+                parts = [(keys[0], lanes, mems, acts_k, states_k)]
+            else:
+                by_key: dict[tuple, list[int]] = {}
+                for key, lane in zip(keys, lanes):
+                    by_key.setdefault(key, []).append(lane)
+                # Copies are taken before the first part's step writes to mems.
+                parts = [(key, part, [dict(m) for m in mems] if n else mems,
+                          list(acts_k) if n else acts_k, list(states_k) if n else states_k)
+                         for n, (key, part) in enumerate(by_key.items())]
+            for views, part, part_mems, part_acts, part_states in parts:
+                acts, nxt = [], []
+                for i, p in humans:
+                    a, w = human_policy(p, i, states, ctx, _LazyStream(rng_root, (_STREAM_HUMAN, i, t)),
+                                        part_mems[i], radii, views[i])
+                    h = cur[i]
+                    acts.append((a, w))
+                    nxt.append(unicycle_step_floats(h[0], h[1], h[2], h[3], a, w, dt))
+                part_acts.append(acts)
+                part_states.append(nxt)
+                stepped.append((part, part_mems, nxt, part_acts, part_states))
+        groups = stepped
+    return [(lanes, mems, np.array(acts_k, dtype=float).reshape(T, M, 2).transpose(1, 0, 2),
+             states_k)
+            for lanes, mems, _, acts_k, states_k in groups]
+
+
 def simulate_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
                     ego_actions: np.ndarray, rng_root: RngStream,
                     dt: float = DT_DEFAULT):
     """Advance all humans for len(ego_actions) steps while the robot plays
-    ego_actions. Mutates the given memories.
+    ego_actions: step_humans with the robot's one lane. Mutates the given
+    memories.
 
     Returns (actions, states): actions is the (M, T, 2) array of human
     actions, and states[k] lists every agent's float state after step k,
     robot first, as unicycle_step_floats returns it:
     (x, y, heading, speed, heading_once).
     """
-    profiles = [p for _, p in spec.humans]
-    radii = [p.radius for p in profiles]
-    ctx = spec.context
-    M = len(profiles)
-    T = len(ego_actions)
-    cur = [(s.x, s.y, s.heading, s.speed) for s in (joint.robot, *joint.humans)]
-    step_actions = []
-    states = []
-    for k, (ego_a, ego_w) in enumerate(ego_actions.tolist()):
-        t = joint.t + k
-        acts = [human_policy_step(profiles[i], i, cur, ctx,
-                                  _LazyStream(rng_root, (_STREAM_HUMAN, i, t)),
-                                  memory=memories[i], radii=radii)
-                for i in range(M)]
-        r = cur[0]
-        nxt = [unicycle_step_floats(r[0], r[1], r[2], r[3], ego_a, ego_w, dt)]
-        for h, (a, w) in zip(cur[1:], acts):
-            nxt.append(unicycle_step_floats(h[0], h[1], h[2], h[3], a, w, dt))
-        step_actions.append(acts)
-        states.append(nxt)
-        cur = nxt
-    actions = np.array(step_actions, dtype=float).reshape(T, M, 2).transpose(1, 0, 2)
-    return actions, states
+    r = joint.robot
+    robot = [(r.x, r.y, r.heading, r.speed)]
+    for a, w in ego_actions.tolist():
+        p = robot[-1]
+        robot.append(unicycle_step_floats(p[0], p[1], p[2], p[3], a, w, dt))
+    [(_, _, actions, states)] = step_humans(spec, joint, memories, [robot[:-1]], rng_root, dt)
+    return actions, [[rs, *hs] for rs, hs in zip(robot[1:], states)]
 
 
 @dataclass
@@ -285,8 +409,11 @@ class _SceneBinding:
 
 
 class OraclePredictor:
-    """Ground-truth-future predictor: re-runs the scene's own human policies
-    under each candidate, with the same derived rng draws the engine uses."""
+    """Ground-truth-future predictor: steps the scene's own human policies,
+    with the same derived rng draws the engine uses, under every candidate of
+    a replan as one step_humans call. Candidates that give every human the
+    same robot view share its human steps, and candidates with equal human
+    futures share one PredictionSet."""
 
     def __init__(self):
         self._binding: Optional[_SceneBinding] = None
@@ -294,25 +421,54 @@ class OraclePredictor:
     def bind_scene(self, binding: _SceneBinding):
         self._binding = binding
 
+    def _bound(self) -> _SceneBinding:
+        if self._binding is None:
+            raise RuntimeError("oracle predictor used outside a scene")
+        return self._binding
+
     def predict(self, joint: JointState, history, ego_candidate: ActionTraj,
                 ctx: Context, n_modes_out: int = 1) -> PredictionSet:
-        b = self._binding
-        if b is None:
-            raise RuntimeError("oracle predictor used outside a scene")
-        memories = [dict(m) for m in b.memories]  # memory values are scalars
-        actions, _ = simulate_humans(b.spec, joint, memories,
-                                     ego_candidate.actions, b.rng_root, b.dt)
-        humans = tuple(
-            (ModePrediction("oracle", 1.0, ActionTraj(actions[i], start_t=joint.t)),)
-            for i in range(len(joint.humans))
-        )
-        return PredictionSet(humans=humans)
+        """predict_candidates of the one candidate, rolled out at the scene's dt."""
+        dt = self._bound().dt
+        r = joint.robot
+        xy = rollout_positions_batch([r.x], [r.y], [r.heading], [r.speed],
+                                     ego_candidate.actions[None], dt)
+        return self.predict_candidates(joint, history, [ego_candidate], xy, ctx,
+                                       n_modes_out, dt)[0]
 
     def predict_candidates(self, joint: JointState, history, candidates, ego_xys,
                            ctx: Context, n_modes_out: int, dt: float) -> list[PredictionSet]:
-        """predict() of every candidate of one replan; the oracle re-simulates
-        the humans under each candidate, so the planner's rollouts are not used."""
-        return [self.predict(joint, history, cand, ctx, n_modes_out) for cand in candidates]
+        """One PredictionSet per candidate, shared by candidates whose human
+        futures are equal byte for byte.
+
+        The robot lanes read the robot's positions from ego_xys, the
+        candidates' (K, T, 2) rollouts at dt, and step only its speed, as
+        unicycle_step_floats does; the humans step at the scene's dt.
+        """
+        b = self._bound()
+        r = joint.robot
+        start = (r.x, r.y, r.heading, r.speed)
+        lanes = []
+        for cand, xys in zip(candidates, ego_xys.tolist()):
+            v, lane = r.speed, [start]
+            for (a, _), (x, y) in zip(cand.actions.tolist(), xys[:-1]):
+                v = v + a * dt
+                v = v if v > 0.0 else 0.0
+                lane.append((x, y, None, v))
+            lanes.append(lane)
+        groups = step_humans(b.spec, joint, [dict(m) for m in b.memories], lanes,
+                             b.rng_root, b.dt)
+        out: list[Optional[PredictionSet]] = [None] * len(lanes)
+        sets: dict[bytes, PredictionSet] = {}
+        for lane_ids, _, actions, _ in groups:
+            key = actions.tobytes()
+            if key not in sets:
+                sets[key] = PredictionSet(humans=tuple(
+                    (ModePrediction("oracle", 1.0, ActionTraj(a, start_t=joint.t)),)
+                    for a in actions))
+            for lane in lane_ids:
+                out[lane] = sets[key]
+        return out
 
 
 # ---------------------------------------------------------------------------

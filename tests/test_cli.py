@@ -123,6 +123,24 @@ def test_navgen_writes_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("agg", ["worst", "mean"])
+def test_generative_score_rejects_agg(tmp_path, capsys, agg):
+    """The generative scorer has one score per sample, so --agg is a usage
+    error that leaves the scores it wrote before untouched."""
+    assert main(["navgen", "--out", str(tmp_path), "--n", "50", "--seed", "2"]) == 0
+    assert main(["score", "--in", str(tmp_path), "--model", "gen"]) == 0
+    before = (tmp_path / "scores.json").read_bytes()
+    assert json.loads(before)["aggregation"] == "mean"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--in", str(tmp_path), "--model", "gen", "--agg", agg])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "usage" and "--agg" in err["message"]
+    assert "generative" in err["message"]
+    assert (tmp_path / "scores.json").read_bytes() == before
+
+
 def test_navregret_and_perception(tmp_path, capsys):
     rc = main(["navgen", "--out", str(tmp_path), "--n", "400", "--seed", "1"])
     assert rc == 0
@@ -331,6 +349,23 @@ def test_redeploy_with_a_missing_predictor_reads_scenes(two_seed_run, tmp_path,
         main(["redeploy", "--in", str(run)])
     assert exc.value.code == 1
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "FileNotFoundError"
+
+
+def test_finetune_drops_predictors_it_did_not_fit(cli_and_full_runs, tmp_path, capsys):
+    """A rescore changes the split; the low arm fitted on the old split is
+    not redeployed on the new holdouts."""
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    r = str(run)
+    for argv in (["finetune", "--in", r, "--arms", "high,low"],
+                 ["score", "--in", r, "--agg", "worst"],
+                 ["finetune", "--in", r, "--arms", "high"]):
+        assert main(argv) == 0, argv
+    assert sorted(p.name for p in (run / "predictors").iterdir()) == ["HighRegretFT-101.json"]
+    assert main(["redeploy", "--in", r]) == 0
+    case = json.loads((run / "case_study.json").read_text())
+    assert case["arms"] == ["Base", "HighRegretFT"]
+    assert "LowRegretFT" not in case["values"]
+    capsys.readouterr()
 
 
 def _fresh_cli(argv):

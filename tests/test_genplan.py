@@ -31,7 +31,7 @@ from regret_miner.genplan import (
     SensorModel,
     _clamp_turn,
     _code_draws,
-    _nav_step,
+    _nav_positions,
     build_mismatch_scenarios,
     codebook_from_json,
     codebook_to_json,
@@ -432,21 +432,22 @@ _NAV_TURNS = st.one_of(
          turns=[-3e-16, 0.0])
 def test_nav_step_equals_unicycle_step(x, y, heading, speed, turns):
     state = AgentState(x, y, heading, speed)
-    kx, ky, kh = x, y, wrap_angle(heading)
-    for w in turns:
+    positions = _nav_positions((x, y), heading, speed,
+                               np.array([_clamp_turn(w) for w in turns]))
+    for w, (kx, ky) in zip(turns, positions.tolist()):
         state = unicycle_step(state, 0.0, float(np.clip(w, -TURN_LIMIT, TURN_LIMIT)),
                               NAV_DT)
-        kx, ky, kh = _nav_step(kx, ky, kh, speed, _clamp_turn(w))
-        assert (kx, ky, kh) == (state.x, state.y, state.heading)
+        assert (kx, ky) == (state.x, state.y)
 
 
 def test_nav_step_rejects_non_finite_turn():
     for w in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError):
-            _nav_step(0.0, 0.0, 0.0, ROBOT_NAV_SPEED, w)
+        with pytest.raises(ValueError, match="^dubins_step must be finite"):
+            _nav_positions((0.0, 0.0), 0.0, ROBOT_NAV_SPEED, np.array([0.1, w]))
     # clamping keeps NaN, so a NaN turn is still rejected after the clamp
-    with pytest.raises(ValueError):
-        _nav_step(0.0, 0.0, 0.0, ROBOT_NAV_SPEED, _clamp_turn(float("nan")))
+    with pytest.raises(ValueError, match="^dubins_step must be finite"):
+        _nav_positions((0.0, 0.0), 0.0, ROBOT_NAV_SPEED,
+                       np.array([_clamp_turn(float("nan"))]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,17 @@ from regret_miner.core import (
     AgentState,
     DrivingCorridor,
     JointState,
+    NavWorld,
     RngStream,
     unicycle_step,
     wrap_angle,
 )
-from regret_miner.planner import PlannerHandle, ReplanEntry
+from regret_miner.planner import PlannerHandle, ReplanEntry, plan
 from regret_miner.predictor import ModePrediction, PredictionSet, PredictorParams, TablePredictor
 from regret_miner.simkit import (
+    _STREAM_PLANNER,
     FAMILIES,
+    HUMAN_MODES,
     RESUME_CLEAR_SECONDS,
     SCENE_SCHEMA,
     YIELD_PROBABILITY,
@@ -32,6 +35,7 @@ from regret_miner.simkit import (
     OraclePredictor,
     ScenarioSpec,
     SceneRecord,
+    _SceneBinding,
     generate_scenario_batch,
     human_policy_step,
     replay_max_deviation,
@@ -41,6 +45,7 @@ from regret_miner.simkit import (
     scenes_from_jsonl,
     scenes_to_jsonl,
     simulate_humans,
+    step_humans,
 )
 from scene1_reference import scene1_dict, scene1_record
 
@@ -572,7 +577,8 @@ def test_scene_decode_rejects_an_unknown_schema(two_human_scene, schema):
 
 # The human simulation written on AgentState and JointState, one validated
 # state per agent per step, as the package stepped humans before the float
-# kernel: the reference simulate_humans must equal.
+# kernel and the robot view: the policy reads the robot's state directly. The
+# human engine must equal it, in the closed loop and lane by lane.
 
 def _ref_agents_ahead(me, others, reach, lateral_window=2.0):
     c, s = math.cos(me.heading), math.sin(me.heading)
@@ -643,22 +649,28 @@ def _ref_policy_step(profile, me, joint, ctx, rng, memory, radii):
     return a, w
 
 
-def _ref_simulate_humans(spec, joint, memories, ego_actions, rng_root, dt=DT_DEFAULT):
+def _ref_step(spec, robot, humans, memories, t, rng_root, dt=DT_DEFAULT):
+    """Every human's reference decision while the robot is at robot, then its
+    step: (actions, next human states)."""
     profiles = [p for _, p in spec.humans]
     radii = [p.radius for p in profiles]
-    M, T = len(profiles), len(ego_actions)
+    now = JointState(robot, tuple(humans), t)
+    acts = [_ref_policy_step(p, humans[i], now, spec.context, rng_root.derive(1, i, t),
+                             memories[i], radii)
+            for i, p in enumerate(profiles)]
+    return acts, [unicycle_step(h, a, w, dt) for h, (a, w) in zip(humans, acts)]
+
+
+def _ref_simulate_humans(spec, joint, memories, ego_actions, rng_root, dt=DT_DEFAULT):
+    M, T = len(spec.humans), len(ego_actions)
     robot, humans = joint.robot, list(joint.humans)
     actions = np.zeros((M, T, 2))
     human_states, robot_states = [], []
     for k in range(T):
-        now = JointState(robot, tuple(humans), joint.t + k)
-        for i in range(M):
-            rng = rng_root.derive(1, i, joint.t + k)
-            actions[i, k] = _ref_policy_step(profiles[i], humans[i], now, spec.context,
-                                             rng, memories[i], radii)
+        acts, humans = _ref_step(spec, robot, humans, memories, joint.t + k, rng_root, dt)
+        for i, a in enumerate(acts):
+            actions[i, k] = a
         robot = unicycle_step(robot, float(ego_actions[k, 0]), float(ego_actions[k, 1]), dt)
-        humans = [unicycle_step(h, float(actions[i, k, 0]), float(actions[i, k, 1]), dt)
-                  for i, h in enumerate(humans)]
         human_states.append(tuple(humans))
         robot_states.append(robot)
     return actions, human_states, robot_states
@@ -740,3 +752,201 @@ def test_oracle_predict_leaves_engine_memories_unchanged(family):
     for i, modes in enumerate(first.humans):
         assert modes[0].traj.start_t == joint.t
         assert modes[0].traj.actions.tobytes() == ref_actions[i].tobytes()
+
+
+# The grouped engine against each lane stepped alone on the reference. Tie
+# robots sit on the boundary of one robot-view comparison of one human; they
+# are exact for a human at small quarter-integer coordinates with heading 0,
+# which step 0 often draws (test_tie_robots_sit_on_the_view_boundaries).
+
+# The ties that can change each mode's decision.
+_TIES = {"intersection_cross": ("t0", "t4", "x1", "x3"),
+         "yield_if_close": ("hypot", "proj0", "proj_reach", "lat2")}
+_AHEAD_TIES = ("proj0", "proj_reach", "lat2")
+
+
+def _tie_robot(kind, human, profile, v):
+    """(x, y) of a robot at speed v on one comparison's boundary for human."""
+    x, y, c, s = human.x, human.y, math.cos(human.heading), math.sin(human.heading)
+    if kind == "proj0":  # proj == 0 (and hypot == 0, t_arrive == 0)
+        return x, y
+    if kind == "proj_reach":  # proj == reaction_radius + ROBOT_RADIUS
+        d = profile.reaction_radius + ROBOT_RADIUS
+        return x + d * c, y + d * s
+    if kind == "lat2":  # proj == 1, lat == 2.0
+        return x + c - 2.0 * s, y + s + 2.0 * c
+    if kind == "hypot":  # hypot == reaction_radius, a 3-4-5 triangle
+        k = profile.reaction_radius / 5.0
+        return x + 3.0 * k, y + 4.0 * k
+    if kind == "t0":  # t_arrive == 0
+        return x, y + 5.0
+    if kind == "t4":  # t_arrive == 4
+        return x - 4.0 * max(v, 0.5), y
+    return x + (1.0 if kind == "x1" else 3.0), y  # robot_x == x + 1, x + 3
+
+
+def _quarters(lo, hi):
+    return st.integers(4 * lo, 4 * hi).map(lambda n: n / 4)
+
+
+@st.composite
+def _engine_cases(draw):
+    """(spec, per-human initial memories, lanes as row specs, start t)."""
+    humans, memories = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        mode = draw(st.sampled_from(HUMAN_MODES + ("intersection_cross", "yield_if_close")))
+        heading = draw(st.sampled_from([0.0, 0.0, math.pi / 2, -math.pi / 2])
+                       | st.floats(-math.pi, math.pi))
+        state = AgentState(draw(_quarters(0, 60)), draw(st.sampled_from([0.0, 3.7]) | _quarters(-4, 8)),
+                           heading, draw(_quarters(0, 8)))
+        profile = HumanProfile(mode, target_speed=draw(_quarters(0, 8)),
+                               reaction_radius=draw(st.sampled_from([5.0, 10.0, 12.5, 15.0])),
+                               radius=draw(st.sampled_from([CAR_RADIUS, 0.3, 1.8])))
+        memory = {}
+        if mode == "stopped":
+            if draw(st.booleans()):
+                memory["clear_steps"] = draw(st.integers(0, 25))
+            if draw(st.booleans()):
+                memory["resumed"] = draw(st.booleans())
+        if mode == "intersection_cross":
+            latch = draw(st.sampled_from([None, None, True, False]))
+            if latch is not None:
+                memory["yield_latch"] = latch
+            if draw(st.booleans()):
+                memory["cross_dir"] = draw(st.sampled_from([1.0, -1.0]))
+        humans.append((state, profile))
+        memories.append(memory)
+    ctx = draw(st.sampled_from([TWO_LANE, NavWorld()]))
+    spec = ScenarioSpec(ctx, AgentState(0.0, 0.0, 0.0, 8.0), tuple(humans),
+                        seed=draw(st.integers(0, 2 ** 16)))
+    M, T = len(humans), draw(st.integers(1, 6))
+
+    def row():
+        if draw(st.booleans()):
+            return ("free", draw(_quarters(-10, 80) | st.floats(-10, 80)),
+                    draw(_quarters(-6, 8)), draw(_quarters(0, 10)))
+        j = draw(st.integers(0, M - 1))
+        kind = draw(st.sampled_from(_TIES.get(humans[j][1].mode, _AHEAD_TIES)))
+        return (kind, j, draw(_quarters(0, 10)))
+
+    lanes = []
+    for n in range(draw(st.integers(1, 5))):
+        # Lanes that copy an earlier lane's first `cut` rows share those steps.
+        cut = draw(st.integers(0, T)) if n else 0
+        base = lanes[draw(st.integers(0, n - 1))][:cut] if cut else []
+        lanes.append(base + [row() for _ in range(T - cut)])
+    return spec, memories, lanes, draw(st.integers(0, 50))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_engine_cases())
+def test_grouped_engine_equals_each_lane_alone(case):
+    spec, memories, lane_specs, t0 = case
+    root = RngStream(spec.seed)
+    joint = JointState(spec.robot_init, tuple(s for s, _ in spec.humans), t0)
+    # Each lane alone on the reference; a tie row is placed against the
+    # state that lane's human has reached.
+    lanes, ref = [], []
+    for rows in lane_specs:
+        humans, mems, robot_rows, acts, states = list(joint.humans), copy.deepcopy(memories), [], [], []
+        for k, spec_row in enumerate(rows):
+            if spec_row[0] == "free":
+                x, y, v = spec_row[1:]
+            else:
+                kind, j, v = spec_row
+                x, y = _tie_robot(kind, humans[j], spec.humans[j][1], v)
+            robot_rows.append((x, y, None, v))
+            a, humans = _ref_step(spec, AgentState(x, y, 0.0, v), humans, mems, t0 + k, root)
+            acts.append(a)
+            states.append(humans)
+        lanes.append(robot_rows)
+        ref.append((acts, states, mems))
+
+    given_memories = copy.deepcopy(memories)
+    groups = step_humans(spec, joint, given_memories, lanes, root)
+    assert sorted(lane for g in groups for lane in g[0]) == list(range(len(lanes)))
+    assert groups[0][0][0] == 0 and groups[0][1] is given_memories
+    M, T = len(spec.humans), len(lane_specs[0])
+    for lane_ids, mems, actions, states in groups:
+        assert actions.shape == (M, T, 2)
+        for lane in lane_ids:
+            ref_acts, ref_states, ref_mems = ref[lane]
+            assert [[_hex(*actions[i, k]) for i in range(M)] for k in range(T)] == \
+                [[_hex(*a) for a in step] for step in ref_acts]
+            assert [[_hex(*s[:4]) for s in step] for step in states] == \
+                [[_hex(h.x, h.y, h.heading, h.speed) for h in step] for step in ref_states]
+            assert [sorted((k, type(v), v) for k, v in m.items()) for m in mems] == \
+                [sorted((k, type(v), v) for k, v in m.items()) for m in ref_mems]
+
+
+def test_tie_robots_sit_on_the_view_boundaries():
+    """Against a human at quarter-integer coordinates with heading 0, each
+    tie robot meets its comparison's boundary exactly."""
+    human = AgentState(20.25, 3.5, 0.0, 2.0)
+    profile = HumanProfile("cruise", reaction_radius=12.5)
+
+    def rel(kind, v=2.0):
+        x, y = _tie_robot(kind, human, profile, v)
+        return x - human.x, y - human.y
+
+    assert rel("proj0") == (0.0, 0.0)
+    assert rel("proj_reach") == (12.5 + ROBOT_RADIUS, 0.0)
+    assert rel("lat2") == (1.0, 2.0)
+    assert math.hypot(*rel("hypot")) == 12.5
+    assert rel("t0")[0] == 0.0
+    assert -rel("t4", 2.0)[0] / max(2.0, 0.5) == 4.0 and -rel("t4", 0.25)[0] / 0.5 == 4.0
+    assert _tie_robot("x1", human, profile, 0.0)[0] == human.x + 1.0
+    assert _tie_robot("x3", human, profile, 0.0)[0] == human.x + 3.0
+
+
+class _Recording(OraclePredictor):
+    """The oracle, keeping each replan's inputs, memories and prediction sets."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def predict_candidates(self, joint, history, candidates, *rest):
+        out = super().predict_candidates(joint, history, candidates, *rest)
+        self.calls.append((joint, list(history), copy.deepcopy(self._binding.memories),
+                           candidates, out))
+        return out
+
+
+class _OneByOne:
+    """The per-candidate path: predict once per candidate, so every candidate
+    has its own PredictionSet object."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def predict_candidates(self, joint, history, candidates, ego_xys, ctx, n_modes_out, dt):
+        return [self.oracle.predict(joint, history, c, ctx, n_modes_out) for c in candidates]
+
+
+@pytest.mark.parametrize("family", ["StoppedTraffic", "Intersection"])
+def test_oracle_replan_shares_one_prediction_set_per_distinct_future(family):
+    spec = generate_scenario_batch(family, 1, base_seed=4, horizon=60)[0]
+    handle = PlannerHandle()
+    radii = [p.radius for _, p in spec.humans]
+    oracle = _Recording()
+    rec = run_closed_loop(spec, handle, oracle, 10)
+    n_distinct = []
+    for (joint, history, memories, candidates, sets), entry in zip(oracle.calls, rec.replan_log):
+        alone = OraclePredictor()
+        alone.bind_scene(_SceneBinding(spec, RngStream(spec.seed), memories, handle.dt))
+        futures = {}
+        for cand, pred in zip(candidates, sets):
+            one = alone.predict(joint, history, cand, spec.context)
+            assert [m[0].traj for m in pred.humans] == [m[0].traj for m in one.humans]
+            future = b"".join(m[0].traj.actions.tobytes() for m in pred.humans)
+            futures.setdefault(future, set()).add(id(pred))
+        # Equal futures share one object, and distinct futures do not.
+        assert all(len(ids) == 1 for ids in futures.values())
+        assert len({id(p) for p in sets}) == len(futures)
+        n_distinct.append(len(futures))
+        _, ref = plan(handle, _OneByOne(alone), joint, history, spec.context,
+                      RngStream(spec.seed).derive(_STREAM_PLANNER, joint.t), human_radii=radii)
+        assert entry.candidate_rewards_predicted == ref.candidate_rewards_predicted
+        assert entry.executed_index == ref.executed_index
+    assert min(n_distinct) < handle.n_candidates and max(n_distinct) > 1
