@@ -47,14 +47,8 @@ class MetricLabeling:
 # ---------------------------------------------------------------------------
 
 def _human_xy_from_states(scene, human_idx: int, t0: int, T: int) -> np.ndarray:
-    rows = []
-    for k in range(T):
-        idx = t0 + 1 + k
-        if idx >= len(scene.states):
-            break
-        h = scene.states[idx].humans[human_idx]
-        rows.append((h.x, h.y))
-    return np.array(rows)
+    """(<=T, 2) realized positions of one human in the frames after t0."""
+    return scene.states.block[t0 + 1:t0 + 1 + T, 1 + human_idx, :2]
 
 
 def scene_prediction_errors(scene, predictor_params=None,

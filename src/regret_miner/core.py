@@ -8,8 +8,10 @@ trajectories, world contexts, and a hierarchical deterministic RNG.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from itertools import accumulate
+from typing import Optional, Union
 
 import numpy as np
 
@@ -26,6 +28,9 @@ ROBOT_RADIUS = 1.0
 CAR_RADIUS = 1.0
 TRUCK_RADIUS = 1.8
 PEDESTRIAN_RADIUS = 0.3
+
+# Largest |accel| and |turn_rate| an ActionTraj accepts, one per column.
+_ACTION_BOUNDS = np.array([ACCEL_LIMIT + 1e-12, TURN_LIMIT + 1e-12])
 
 TWO_PI = 2.0 * math.pi
 _PI, _cos, _sin, _isfinite = math.pi, math.cos, math.sin, math.isfinite
@@ -55,8 +60,8 @@ class AgentState:
     speed: float = 0.0
 
     def __post_init__(self):
-        # joint_states builds AgentStates without running this method: a
-        # check or normalisation added here must be added there too.
+        # JointStates builds its frames' AgentStates without running this
+        # method: a check or normalisation added here must be added there too.
         _require_finite("AgentState", self.x, self.y, self.heading, self.speed)
         if self.speed < 0.0:
             raise ValueError(f"speed must be >= 0, got {self.speed}")
@@ -78,49 +83,127 @@ class JointState:
     t: int = 0
 
     def __post_init__(self):
-        # joint_states builds JointStates without running this method: a
+        # JointStates builds its frames without running this method: a
         # check or normalisation added here must be added there too.
         object.__setattr__(self, "humans", tuple(self.humans))
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
 
 
-def joint_states(block, ts: Sequence[int]) -> list[JointState]:
-    """One JointState per frame of a (F, 1+M, 4) block of (x, y, heading,
-    speed) rows, robot first, at frame times ts.
+class JointStates(Sequence):
+    """A scene's states, one JointState per frame, held as one read-only
+    (F, 1+M, 4) block of (x, y, heading, speed) rows, robot first, with the
+    frame times ts.
 
-    The checks are those of AgentState and JointState: finite values, speed
-    >= 0 and t >= 0. When a frame fails one, its states are passed to the
-    constructors, so the error raised is the one building the states one by
-    one raises. The heading column is wrapped once as an array, as AgentState
-    wraps it, and the records are then built without re-running the checks,
-    so this function must mirror both __post_init__ methods.
+    Every check of AgentState and JointState runs on the whole block when it
+    is built: finite values, speed >= 0 and t >= 0. When a frame fails one,
+    its states are passed to the constructors, so the error raised is the
+    one building the states one by one raises. A frame's JointState is built
+    without re-running the checks when the frame is first read, and is then
+    kept, so this class must mirror both __post_init__ methods.
+
+    JointStates(block, ts) takes raw rows and wraps the heading column once,
+    as AgentState wraps it; of() and concat() take states built already and
+    keep their headings, since wrap_angle is not idempotent (an AgentState
+    can hold +pi, which wraps again to -pi). Code that scans every frame
+    reads the block instead of the frames.
     """
-    arr = np.array(block, dtype=float)
-    if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != 4 or len(arr) != len(ts):
-        raise ValueError(f"need a (F, 1+M, 4) block with one time per frame, "
-                         f"got shape {arr.shape} and {len(ts)} times")
-    bad = ((~np.isfinite(arr)).any(axis=(1, 2)) | (arr[:, :, 3] < 0.0).any(axis=1)
-           | np.array([t < 0 for t in ts], dtype=bool))
-    if bad.any():
+
+    __slots__ = ("block", "ts", "_frames")
+
+    def __init__(self, block, ts: Sequence[int]):
+        arr = np.array(block, dtype=float)
+        self._check(arr, ts)
+        arr[:, :, 2] = (arr[:, :, 2] + _PI) % TWO_PI - _PI
+        self._freeze(arr, ts, None)
+
+    @classmethod
+    def of(cls, frames: Sequence[JointState]) -> "JointStates":
+        """The states of existing JointStates, which are kept as the frames."""
+        frames = list(frames)
+        arr = np.array([[(s.x, s.y, s.heading, s.speed) for s in (js.robot, *js.humans)]
+                        for js in frames], dtype=float)
+        ts = [js.t for js in frames]
+        out = cls.__new__(cls)
+        out._check(arr, ts)
+        out._freeze(arr, ts, frames)
+        return out
+
+    @classmethod
+    def concat(cls, parts: Sequence["JointStates"]) -> "JointStates":
+        """The frames of parts, in order, with the frames each has built."""
+        out = cls.__new__(cls)
+        out._freeze(np.concatenate([p.block for p in parts]),
+                    [t for p in parts for t in p.ts],
+                    [js for p in parts for js in p._frames])
+        return out
+
+    @staticmethod
+    def _check(arr: np.ndarray, ts: Sequence[int]) -> None:
+        if (arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != 4
+                or len(arr) != len(ts)):
+            raise ValueError(f"need a (F, 1+M, 4) block with one time per frame, "
+                             f"got shape {arr.shape} and {len(ts)} times")
+        if np.isfinite(arr).all() and (arr[:, :, 3] >= 0.0).all() and min(ts, default=0) >= 0:
+            return
+        bad = ((~np.isfinite(arr)).any(axis=(1, 2)) | (arr[:, :, 3] < 0.0).any(axis=1)
+               | np.array([t < 0 for t in ts], dtype=bool))
         f = int(np.argmax(bad))
         robot, *humans = (AgentState(*s) for s in arr[f].tolist())
         JointState(robot, tuple(humans), ts[f])
-    arr[:, :, 2] = (arr[:, :, 2] + _PI) % TWO_PI - _PI
-    new = object.__new__
-    out = []
-    for frame, t in zip(arr.tolist(), ts):
+
+    def _freeze(self, arr: np.ndarray, ts: Sequence[int], frames) -> None:
+        arr.setflags(write=False)
+        self.block = arr
+        self.ts = tuple(ts)
+        self._frames = frames if frames is not None else [None] * len(arr)
+
+    def _build(self, f: int, rows: list) -> JointState:
+        new = object.__new__
         agents = []
-        for x, y, heading, speed in frame:
+        for x, y, heading, speed in rows:
             s = new(AgentState)
             d = s.__dict__
             d["x"], d["y"], d["heading"], d["speed"] = x, y, heading, speed
             agents.append(s)
         js = new(JointState)
         d = js.__dict__
-        d["robot"], d["humans"], d["t"] = agents[0], tuple(agents[1:]), t
-        out.append(js)
-    return out
+        d["robot"], d["humans"], d["t"] = agents[0], tuple(agents[1:]), self.ts[f]
+        self._frames[f] = js
+        return js
+
+    def __getitem__(self, i):
+        frames = self._frames
+        if isinstance(i, slice):
+            idx = range(*i.indices(len(frames)))
+            if any(frames[f] is None for f in idx):
+                for f, rows in zip(idx, self.block[i].tolist()):
+                    if frames[f] is None:
+                        self._build(f, rows)
+            return [frames[f] for f in idx]
+        js = frames[i]
+        if js is None:
+            f = range(len(frames))[i]
+            js = self._build(f, self.block[f].tolist())
+        return js
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, JointStates):
+            return self.ts == other.ts and np.array_equal(self.block, other.block)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"JointStates(F={len(self)}, humans={self.block.shape[1] - 1})"
 
 
 class ActionTraj:
@@ -150,34 +233,57 @@ class ActionTraj:
         self.start_t = int(start_t)
 
     @classmethod
-    def block(cls, actions, start_ts: Sequence[int]) -> list["ActionTraj"]:
-        """K trajectories from one (K, T, 2) action block, validated at once.
+    def block(cls, actions, start_ts: Sequence[int],
+              lens: Optional[Sequence[int]] = None) -> list["ActionTraj"]:
+        """K trajectories from one action block, validated at once: a
+        (K, T, 2) block, or, given lens, a (sum(lens), 2) block of K
+        trajectories stacked in order, trajectory k holding lens[k] rows.
 
         The block is copied and frozen read-only, and each trajectory's
-        actions are a view of one row. The checks are those of __init__:
-        when a row fails one, that row is passed to __init__ so the error
-        raised is the one constructing the trajectories one by one raises.
+        actions are a view of its rows. The checks are those of __init__:
+        when a trajectory fails one, its rows are passed to __init__ so the
+        error raised is the one constructing the trajectories one by one
+        raises.
         """
         arr = np.array(actions, dtype=float)
-        if arr.ndim != 3:
-            raise ValueError(f"action block must have shape (K, T, 2), got {arr.shape}")
-        if len(start_ts) != arr.shape[0]:
-            raise ValueError("need one start_t per trajectory")
-        if arr.shape[0] == 0:
-            return []
-        if arr.shape[1] < 1 or arr.shape[2] != 2:
-            raise ValueError(f"actions must have shape (T>=1, 2), got {arr.shape[1:]}")
-        bad = ((~np.isfinite(arr)).any(axis=(1, 2))
-               | (np.abs(arr[:, :, 0]) > ACCEL_LIMIT + 1e-12).any(axis=1)
-               | (np.abs(arr[:, :, 1]) > TURN_LIMIT + 1e-12).any(axis=1)
-               | (np.asarray(start_ts) < 0))
-        if bad.any():
+        if lens is None:
+            if arr.ndim != 3:
+                raise ValueError(f"action block must have shape (K, T, 2), got {arr.shape}")
+            if len(start_ts) != arr.shape[0]:
+                raise ValueError("need one start_t per trajectory")
+            if arr.shape[0] == 0:
+                return []
+            if arr.shape[1] < 1 or arr.shape[2] != 2:
+                raise ValueError(f"actions must have shape (T>=1, 2), got {arr.shape[1:]}")
+            lens = [arr.shape[1]] * arr.shape[0]
+            arr.setflags(write=False)  # so the views below cannot be made writeable
+            arr = arr.reshape(-1, 2)
+        elif (arr.ndim != 2 or arr.shape[1] != 2 or len(lens) != len(start_ts)
+              or sum(lens) != len(arr)):
+            raise ValueError(f"need a (sum of lens, 2) action block with one start_t "
+                             f"per length, got shape {arr.shape}, {len(lens)} lengths "
+                             f"and {len(start_ts)} start_t")
+        lens, start_ts = list(lens), list(start_ts)
+        # |a| <= limit is False for NaN and inf, so one test covers the
+        # finiteness and bound checks.
+        ok = np.abs(arr) <= _ACTION_BOUNDS
+        if not (ok.all() and min(lens, default=1) >= 1 and min(start_ts, default=0) >= 0):
+            ends = np.cumsum(lens, dtype=np.int64)
+            bad = (np.array(lens) < 1) | (np.array(start_ts) < 0)
+            bad_rows = np.flatnonzero(~ok.all(axis=1))
+            bad[np.searchsorted(ends, bad_rows, side="right")] = True
             k = int(np.argmax(bad))
-            cls(arr[k], start_ts[k])
+            cls(arr[ends[k] - lens[k]:ends[k]], start_ts[k])
         arr.setflags(write=False)
+        if len(set(lens)) == 1:
+            rows = list(arr.reshape(len(lens), lens[0], 2))
+        else:
+            ends = list(accumulate(lens))
+            rows = [arr[e - n:e] for n, e in zip(lens, ends)]
+        new = cls.__new__
         out = []
-        for row, start_t in zip(arr, start_ts):
-            traj = cls.__new__(cls)
+        for row, start_t in zip(rows, start_ts):
+            traj = new(cls)
             traj.actions = row
             traj.start_t = int(start_t)
             out.append(traj)
@@ -266,62 +372,22 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def dubins_step(state: AgentState, turn_rate: float, speed: float,
-                dt: float = DT_DEFAULT) -> AgentState:
-    """One step of constant-speed Dubins dynamics (xdot = v cos h, ydot = v sin h,
-    hdot = u), integrated exactly over dt.
-
-    For turn_rate == 0 this is the straight-line update x += v cos(h) dt;
-    for turn_rate != 0 the exact circular arc is used, which makes the step
-    invariant to substep refinement (stepping dt is identical to stepping
-    dt/k k times). Speed is carried through unchanged. Only unicycle_step
-    calls it; it stays as part of the reference the float kernels are
-    tested against.
-    """
-    _require_finite("dubins_step", turn_rate, speed, dt)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    h0 = state.heading
-    if abs(turn_rate) < 1e-12:
-        dx = speed * math.cos(h0) * dt
-        dy = speed * math.sin(h0) * dt
-    else:
-        h1 = h0 + turn_rate * dt
-        dx = (speed / turn_rate) * (math.sin(h1) - math.sin(h0))
-        dy = -(speed / turn_rate) * (math.cos(h1) - math.cos(h0))
-    return AgentState(
-        x=state.x + dx,
-        y=state.y + dy,
-        heading=wrap_angle(h0 + turn_rate * dt),
-        speed=max(0.0, speed),
-    )
-
-
-def unicycle_step(state: AgentState, accel: float, turn_rate: float,
-                  dt: float = DT_DEFAULT) -> AgentState:
-    """One unicycle step: speed updates first (clamped at 0), then a
-    dubins_step at the new speed.
-
-    The package steps agents with unicycle_step_floats and
-    rollout_positions; this is the reference they are tested against.
-    """
-    new_speed = max(0.0, state.speed + accel * dt)
-    return dubins_step(state, turn_rate, new_speed, dt)
-
-
 def unicycle_step_floats(x: float, y: float, heading: float, speed: float,
                          accel: float, turn_rate: float, dt: float = DT_DEFAULT
                          ) -> tuple[float, float, float, float, float]:
-    """unicycle_step on plain floats: (x, y, heading, speed, heading_once).
+    """One unicycle step on plain floats: (x, y, heading, speed, heading_once).
 
-    It repeats unicycle_step's operations in order: the speed update clamped
-    at 0, the |turn_rate| < 1e-12 straight or arc branch, and the heading
-    wrapped twice, once by dubins_step and once by AgentState (wrap_angle is
-    not idempotent near -pi). So x, y, heading and speed equal the fields of
-    unicycle_step's state bit for bit. heading_once is the heading after the
-    first wrap: AgentState(x, y, heading_once, speed) is that state. It
-    raises the ValueErrors of dubins_step (dt <= 0; a non-finite turn rate,
-    speed or dt) and of AgentState (a non-finite x, y or heading).
+    The reference is unicycle_step in tests/kinematics_reference.py, one
+    AgentState per step: the speed updated first, then an exact Dubins step
+    at the new speed. This kernel repeats its operations in order: the speed
+    update clamped at 0, the |turn_rate| < 1e-12 straight or arc branch, and
+    the heading wrapped twice, once by dubins_step and once by AgentState
+    (wrap_angle is not idempotent near -pi). So x, y, heading and speed equal
+    the fields of unicycle_step's state bit for bit. heading_once is the
+    heading after the first wrap: AgentState(x, y, heading_once, speed) is
+    that state. It raises the ValueErrors of dubins_step (dt <= 0; a
+    non-finite turn rate, speed or dt) and of AgentState (a non-finite x, y
+    or heading).
     """
     v = speed + accel * dt
     v = v if v > 0.0 else 0.0  # max(0.0, v), NaN and -0.0 included
@@ -342,30 +408,13 @@ def unicycle_step_floats(x: float, y: float, heading: float, speed: float,
     return x, y, (once + _PI) % TWO_PI - _PI, v, once
 
 
-def unicycle_rollout(state: AgentState, traj: ActionTraj,
-                     dt: float = DT_DEFAULT) -> list[AgentState]:
-    """Roll an action trajectory forward from state.
-
-    Returns the T states reached after each of the T actions (the initial
-    state is not included). The package rolls out with rollout_positions;
-    this is the reference it is tested against.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    out: list[AgentState] = []
-    cur = state
-    for accel, turn in traj.actions:
-        cur = unicycle_step(cur, float(accel), float(turn), dt)
-        out.append(cur)
-    return out
-
-
 def rollout_positions(state: AgentState, traj: ActionTraj,
                       dt: float = DT_DEFAULT) -> np.ndarray:
     """(T, 2) array of x,y positions along a rollout.
 
-    A scalar kernel of unicycle_rollout that builds no per-step AgentState.
-    It repeats unicycle_step's operations in the same order, so its positions
+    A scalar kernel of the reference unicycle_rollout (in
+    tests/kinematics_reference.py) that builds no per-step AgentState. It
+    repeats unicycle_step's operations in the same order, so its positions
     equal unicycle_rollout's bit for bit. The heading is wrapped twice per
     step, as dubins_step and AgentState each wrap it: wrap_angle is not
     idempotent near -pi in floating point.

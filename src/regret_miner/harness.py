@@ -262,6 +262,10 @@ def _scenes(run) -> list:
     return simkit.scenes_from_jsonl(need(run, "scenes.jsonl", "simulate"))
 
 
+def _scores_doc(run) -> dict:
+    return json.loads(need(run, "scores.json", "score").read_text())
+
+
 def _specs_by_id(run) -> dict:
     doc = json.loads(need(run, "scenarios.json", "simulate").read_text())
     specs = [simkit.spec_from_dict(d) for d in doc["scenarios"]]
@@ -293,11 +297,15 @@ def score_deployment(scenes: Sequence, config: ExperimentConfig):
     return scores, reports
 
 
-def write_scores(run, scores: dict[str, float], aggregation: str) -> None:
-    """Write scores.json, the scores sorted by scene id."""
-    (Path(run) / "scores.json").write_text(json.dumps({
-        "schema": "scores/1", "aggregation": aggregation,
-        "scores": {k: scores[k] for k in sorted(scores)}}, indent=2))
+def write_scores(run, scores: dict[str, float], aggregation: str,
+                 skipped: Optional[dict[str, str]] = None) -> None:
+    """Write scores.json, the scores sorted by scene id, and, when a scene
+    was skipped, "skipped": {scene id: reason} sorted by scene id."""
+    doc = {"schema": "scores/1", "aggregation": aggregation,
+           "scores": {k: scores[k] for k in sorted(scores)}}
+    if skipped:
+        doc["skipped"] = {k: skipped[k] for k in sorted(skipped)}
+    (Path(run) / "scores.json").write_text(json.dumps(doc, indent=2))
 
 
 @dataclass(frozen=True)
@@ -676,10 +684,14 @@ def simulate(config: ExperimentConfig, run) -> list:
 
 def score(run, config: ExperimentConfig) -> dict[str, float]:
     """Score every deployed scene under config.aggregation; writes
-    reports.jsonl and scores.json. Returns the scores by scene id."""
-    scores, reports = score_deployment(_scenes(run), config)
+    reports.jsonl and scores.json. A scene aborted before its first replan
+    has no replan to score: it is left out, and scores.json lists it under
+    "skipped" with its abort reason. Returns the scores by scene id."""
+    scenes = _scenes(run)
+    skipped = {s.scenario_id: s.abort_reason for s in scenes if not s.replan_log}
+    scores, reports = score_deployment([s for s in scenes if s.replan_log], config)
     reports_to_jsonl(Path(run) / "reports.jsonl", reports)
-    write_scores(run, scores, config.aggregation)
+    write_scores(run, scores, config.aggregation, skipped)
     return scores
 
 
@@ -695,15 +707,18 @@ def mine(run, p: float) -> dict:
 
 def compare(run, config: ExperimentConfig,
             metrics: Sequence[str] = METRICS) -> list[Path]:
-    """Mined-set overlap of the regret reports and the baselines; writes
-    comparison/. Returns the written paths."""
+    """Mined-set overlap of the regret reports and the baselines over the
+    scenes `score` did not skip; writes comparison/. Returns the written
+    paths."""
     unknown = [m for m in metrics if m not in METRICS]
     if unknown:
         raise ValueError(f"unknown metrics {unknown}; choose from "
                          f"{','.join(METRICS).lower()}")
     scenes = _scenes(run)
     reports = reports_from_jsonl(need(run, "reports.jsonl", "score"))
-    labelings = label_scenes(scenes, reports, p=config.p,
+    skipped = _scores_doc(run).get("skipped", {})
+    labelings = label_scenes([s for s in scenes if s.scenario_id not in skipped],
+                             reports, p=config.p,
                              handle=config.planner_handle(),
                              aggregation=config.aggregation)
     return write_comparison({m: labelings[m] for m in metrics},
@@ -720,10 +735,11 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
     holdouts. Returns {(arm, seed): params}."""
     run = Path(run)
     scenes = _scenes(run)
-    scores = json.loads(need(run, "scores.json", "score").read_text())["scores"]
+    doc = _scores_doc(run)
+    scores, skipped = doc["scores"], doc.get("skipped", {})
     base_params = _base_params(run)
-    subsets = build_subsets([s.scenario_id for s in scenes], scores, config.p,
-                            config.holdout_frac,
+    subsets = build_subsets([s.scenario_id for s in scenes if s.scenario_id not in skipped],
+                            scores, config.p, config.holdout_frac,
                             RngStream(config.base_seed, _SUBSET_STREAM))
     (run / "subsets.json").write_text(json.dumps(subsets.to_dict(), indent=2))
     scenes_by_id = {s.scenario_id: s for s in scenes}

@@ -34,10 +34,10 @@ from .core import (
     Context,
     DrivingCorridor,
     JointState,
+    JointStates,
     NavWorld,
     RngStream,
     footprint_overlap,
-    joint_states,
     rollout_positions_batch,
     unicycle_step_floats,
     wrap_angle,
@@ -93,11 +93,15 @@ class ScenarioSpec:
 
 @dataclass
 class SceneRecord:
-    """One closed-loop deployment: realized states, actions, and replan logs."""
+    """One closed-loop deployment: realized states, actions, and replan logs.
+
+    states may be given as a list of JointState frames; it is held as one
+    JointStates.
+    """
 
     scenario_id: str
     context: Context
-    states: list[JointState]
+    states: JointStates
     executed_robot: list[ActionTraj]
     human_actions: list[ActionTraj]
     replan_log: list[ReplanEntry]
@@ -105,6 +109,10 @@ class SceneRecord:
     aborted: bool = False
     abort_reason: str = ""
     human_radii: list[float] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not isinstance(self.states, JointStates):
+            self.states = JointStates.of(self.states)
 
     def radii_or_default(self) -> list[float]:
         if self.human_radii:
@@ -493,7 +501,8 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
         predictor.bind_scene(_SceneBinding(spec, rng_root, memories, dt))
 
     joint0 = JointState(spec.robot_init, tuple(s for s, _ in spec.humans), 0)
-    states = [joint0]
+    parts = [JointStates.of([joint0])]
+    frames = [joint0]
     executed: list[ActionTraj] = []
     replan_log: list[ReplanEntry] = []
     M = len(profiles)
@@ -505,8 +514,8 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
     aborted = False
     abort_reason = ""
     while t < spec.horizon:
-        joint = states[-1]
-        history = states[max(0, t - 16):t]
+        joint = frames[-1]
+        history = frames[max(0, t - 16):t]
         plan_rng = rng_root.derive(_STREAM_PLANNER, t)
         try:
             chosen, entry = plan(planner_handle, predictor, joint, history, ctx,
@@ -523,9 +532,11 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
                                               seg_actions, rng_root, dt)
         human_actions_acc[:, t:t + n_exec, :] = h_acts
         # (x, y, heading_once, speed): the states AgentState(x, y, once, v) builds.
-        block = np.array(step_states)[:, :, [0, 1, 4, 3]]
-        for js in joint_states(block, range(t + 1, t + n_exec + 1)):
-            states.append(js)
+        seg = JointStates(np.array(step_states)[:, :, [0, 1, 4, 3]],
+                          range(t + 1, t + n_exec + 1))
+        parts.append(seg)
+        for js in seg:
+            frames.append(js)
             cost = sum(
                 footprint_overlap(js.robot, h, ROBOT_RADIUS, radii[i]) * dt * w_col_mag
                 for i, h in enumerate(js.humans)
@@ -537,7 +548,7 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
     return SceneRecord(
         scenario_id=spec.scenario_id,
         context=ctx,
-        states=states,
+        states=JointStates.concat(parts),
         executed_robot=executed,
         human_actions=human_trajs,
         replan_log=replan_log,
@@ -551,18 +562,16 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
 def replay_max_deviation(record: SceneRecord, dt: float = DT_DEFAULT) -> float:
     """Re-integrate logged actions from the initial state; max abs coordinate
     deviation from the logged state sequence."""
-    joint0 = record.states[0]
-    cur = [(s.x, s.y, s.heading, s.speed) for s in (joint0.robot, *joint0.humans)]
+    logged = record.states.block.tolist()
+    cur = logged[0]
     robot_acts = np.concatenate([e.actions for e in record.executed_robot]) if record.executed_robot else np.zeros((0, 2))
     acts = [robot_acts.tolist()] + [tr.actions.tolist() for tr in record.human_actions]
     dev = 0.0
-    T = len(record.states) - 1
-    for k in range(T):
-        logged = record.states[k + 1]
+    for k, frame in enumerate(logged[1:]):
         cur = [unicycle_step_floats(*s[:4], *acts[j][k], dt)
                for j, s in enumerate(cur)]
-        for (x, y, h, v, _), ls in zip(cur, (logged.robot, *logged.humans)):
-            dev = max(dev, abs(x - ls.x), abs(y - ls.y), abs(h - ls.heading), abs(v - ls.speed))
+        for (x, y, h, v, _), (lx, ly, lh, lv) in zip(cur, frame):
+            dev = max(dev, abs(x - lx), abs(y - ly), abs(h - lh), abs(v - lv))
     return dev
 
 
@@ -726,50 +735,78 @@ def _pack_trajs(trajs: Sequence[ActionTraj]) -> dict:
 
 
 def _unpack_trajs(d: dict, name: str):
-    """(start_ts, actions) of a scene/2 trajectory list: actions is one
-    (K, T, 2) block when every length is equal, else one (T_k, 2) view per
-    trajectory."""
+    """(start_ts, lens, actions) of a scene/2 trajectory list: actions is
+    the (sum of lens, 2) block of every trajectory's rows in order."""
     start_ts, lens = d["start_t"], d["len"]
     flat = _unpack(d["actions"], name)
     if (flat.ndim != 2 or flat.shape[1] != 2 or len(lens) != len(start_ts)
             or sum(lens) != len(flat)):
         raise ValueError(f"{name}: {len(start_ts)} start_t and lengths {lens} "
                          f"do not fit an actions block of shape {list(flat.shape)}")
-    if len(set(lens)) <= 1:
-        return start_ts, flat.reshape(len(lens), lens[0] if lens else 0, 2)
-    return start_ts, np.split(flat, np.cumsum(lens[:-1]))
+    return start_ts, lens, flat
 
 
 def _scene1_trajs(ds: Sequence[dict]):
-    """(start_ts, actions) of a scene/1 trajectory list, as _unpack_trajs
-    gives them; actions of mixed lengths stay as their JSON lists."""
-    actions = [d["actions"] for d in ds]
+    """(start_ts, lens, actions) of a scene/1 trajectory list, as
+    _unpack_trajs gives them. When some trajectory's actions do not form a
+    (T, 2) array, lens is None and actions stays the JSON lists."""
+    start_ts = [d["start_t"] for d in ds]
     try:
-        block = np.array(actions, dtype=float)
+        arrs = [np.array(d["actions"], dtype=float) for d in ds]
     except ValueError:
-        block = None
-    if block is not None and block.ndim == 3:
-        actions = block
-    return [d["start_t"] for d in ds], actions
+        arrs = None
+    if arrs is None or any(a.ndim != 2 or a.shape[1] != 2 for a in arrs):
+        return start_ts, None, [d["actions"] for d in ds]
+    return start_ts, [len(a) for a in arrs], np.concatenate(arrs or [np.zeros((0, 2))])
 
 
-def _trajs(start_ts, actions) -> list[ActionTraj]:
-    """Validated read-only trajectories: one ActionTraj.block for a (K, T, 2)
-    block, else one ActionTraj per trajectory."""
-    if isinstance(actions, np.ndarray):
-        return ActionTraj.block(actions, start_ts)
-    return [ActionTraj(a, start_t=st) for a, st in zip(actions, start_ts)]
+def _trajs(start_ts, lens, actions) -> list[ActionTraj]:
+    """Validated read-only trajectories: one ActionTraj.block over the
+    stacked rows, or one ActionTraj per trajectory when lens is None."""
+    if lens is None:
+        return [ActionTraj(a, start_t=st) for a, st in zip(actions, start_ts)]
+    return ActionTraj.block(actions, start_ts, lens)
+
+
+def _replan_trajs(lst, name: str) -> list[ActionTraj]:
+    """_trajs of one replan's list; an error it raises gets a note naming
+    the list."""
+    try:
+        return _trajs(*lst)
+    except ValueError as exc:
+        exc.add_note(name)
+        raise
+
+
+def _joined_trajs(lists) -> Optional[list[list[ActionTraj]]]:
+    """The trajectories of several (start_ts, lens, actions) lists, checked
+    by one ActionTraj.block call over all their rows and split back into one
+    list per list; None when a list has no lens or a trajectory fails a
+    check."""
+    if not lists:
+        return []
+    if any(lens is None for _, lens, _ in lists):
+        return None
+    try:
+        trajs = ActionTraj.block(np.concatenate([a for _, _, a in lists]),
+                                 [t for start_ts, _, _ in lists for t in start_ts],
+                                 [n for _, lens, _ in lists for n in lens])
+    except ValueError:
+        return None
+    out, start = [], 0
+    for start_ts, _, _ in lists:
+        out.append(trajs[start:start + len(start_ts)])
+        start += len(start_ts)
+    return out
 
 
 def scene_to_dict(rec: SceneRecord) -> dict:
-    states = np.array([[_state_to_list(s) for s in (js.robot, *js.humans)]
-                       for js in rec.states], dtype=float)
     return {
         "schema": SCENE_SCHEMA,
         "scenario_id": rec.scenario_id,
         "context": context_to_dict(rec.context),
-        "t": [js.t for js in rec.states],
-        "states": _pack(states),
+        "t": list(rec.states.ts),
+        "states": _pack(rec.states.block),
         "executed_robot": _pack_trajs(rec.executed_robot),
         "human_actions": _pack_trajs(rec.human_actions),
         "replan_log": [
@@ -835,9 +872,14 @@ def _scene1_arrays(d: dict):
 
 def scene_from_dict(d: dict) -> SceneRecord:
     """Decode a scene/2 (or scene/1) dict. Every value passes the checks of
-    the record types it becomes: AgentState (finite, speed >= 0, heading
-    wrapped) and JointState through core.joint_states, ActionTraj,
-    ReplanEntry and PredictionSet."""
+    the record types it becomes, at once: AgentState (finite, speed >= 0,
+    heading wrapped) and JointState through core.JointStates, ActionTraj,
+    ReplanEntry and PredictionSet.
+
+    All candidate rows of the scene are checked by one ActionTraj.block
+    call, and all mode rows by another. When a row fails, the replans are
+    decoded one by one again, so the error raised is the one that decoding
+    replan by replan raises first, with a note naming the replan's field."""
     schema = d.get("schema")
     if schema == SCENE_SCHEMA:
         frame_t, states, executed, human_actions, replans = _scene2_arrays(d)
@@ -845,11 +887,17 @@ def scene_from_dict(d: dict) -> SceneRecord:
         frame_t, states, executed, human_actions, replans = _scene1_arrays(d)
     else:
         raise ValueError(f"unsupported schema {schema!r}")
-    joints = joint_states(states, frame_t)
+    joints = JointStates(states, frame_t)
+    joined_cands = _joined_trajs([r[1] for r in replans])
+    joined_modes = _joined_trajs([r[4] for r in replans])
+    one_by_one = joined_cands is None or joined_modes is None
     entries = []
-    for e, candidates, labels, probs, modes in replans:
-        cands = _trajs(*candidates)
-        trajs = iter(_trajs(*modes))
+    for i, (e, candidates, labels, probs, modes) in enumerate(replans):
+        if one_by_one:
+            cands = _replan_trajs(candidates, f"replan_log[{i}].candidates")
+            trajs = iter(_replan_trajs(modes, f"replan_log[{i}].predicted_humans"))
+        else:
+            cands, trajs = joined_cands[i], iter(joined_modes[i])
         entries.append(ReplanEntry(
             t=e["t"],
             candidates=cands,
@@ -884,12 +932,22 @@ def scenes_to_jsonl(path, records: Sequence[SceneRecord]):
 
 
 def scenes_from_jsonl(path) -> list[SceneRecord]:
+    """The scenes of a JSONL file, one per non-blank line. A ValueError from
+    a line gets a note naming the line (1-based) and the scenario id."""
     out = []
     with open(path) as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
-            if line:
-                out.append(scene_from_dict(json.loads(line)))
+            if not line:
+                continue
+            d = None
+            try:
+                d = json.loads(line)
+                out.append(scene_from_dict(d))
+            except ValueError as exc:
+                sid = d.get("scenario_id") if isinstance(d, dict) else None
+                exc.add_note(f"{path}: line {n}, scenario {sid!r}")
+                raise
     return out
 
 

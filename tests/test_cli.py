@@ -421,3 +421,43 @@ def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
     for (_, _, err), _ in fresh[1::2]:
         assert json.loads(err)["error"]["type"] == "usage"
     assert builds == [1]
+
+
+def test_a_scene_aborted_at_t0_is_skipped_by_every_stage(tmp_path, capsys):
+    root = tmp_path
+    config = ExperimentConfig(
+        families=(("StrandedTruck", 2), ("SparseCruise", 4)),
+        pretrain_families=(("SparseCruise", 1),), seeds=(101,), p=25.0,
+        holdout_frac=0.25, replan_every=20, base_seed=3, pretrain_seed=10_003,
+        out_dir="run")
+    harness.config_to_yaml(config, root / "config.yaml")
+    run = root / "run"
+    r = str(run)
+    assert main(["simulate", "--config", str(root / "config.yaml"), "--out", r]) == 0
+    lines = (run / "scenes.jsonl").read_text().splitlines(keepends=True)
+    scene = simkit.scene_from_dict(json.loads(lines[2]))
+    reason = "planner failed at t=0: empty candidate set"
+    aborted = simkit.SceneRecord(scene.scenario_id, scene.context, scene.states[:1],
+                                 [], [], [], [], aborted=True, abort_reason=reason,
+                                 human_radii=scene.human_radii)
+    lines[2] = json.dumps(simkit.scene_to_dict(aborted)) + "\n"
+    (run / "scenes.jsonl").write_text("".join(lines))
+    for argv in (["score", "--in", r], ["mine", "--in", r, "--p", "25"],
+                 ["compare", "--in", r], ["finetune", "--in", r],
+                 ["redeploy", "--in", r], ["report", "--in", r]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    sid = scene.scenario_id
+    doc = json.loads((run / "scores.json").read_text())
+    assert doc["skipped"] == {sid: reason}
+    assert len(doc["scores"]) == 5 and sid not in doc["scores"]
+    assert sid not in (run / "reports.jsonl").read_text()
+    mined_sets = json.loads((run / "comparison" / "mined_sets.json").read_text())
+    assert all(sid not in m["scores"] for m in mined_sets["metrics"].values())
+    assert sid not in (run / "subsets.json").read_text()
+    assert (run / "case_study.json").is_file()
+
+
+def test_scores_json_has_no_skipped_key_when_nothing_was_skipped(cli_and_full_runs):
+    doc = json.loads((cli_and_full_runs[0] / "scores.json").read_text())
+    assert "skipped" not in doc

@@ -11,18 +11,16 @@ from regret_miner.core import (
     AgentState,
     DrivingCorridor,
     JointState,
+    JointStates,
     NavWorld,
     RngStream,
-    dubins_step,
     footprint_overlap,
-    joint_states,
     rollout_positions,
     rollout_positions_batch,
-    unicycle_rollout,
-    unicycle_step,
     unicycle_step_floats,
     wrap_angle,
 )
+from kinematics_reference import dubins_step, unicycle_rollout, unicycle_step
 
 
 def test_wrap_angle_interval():
@@ -418,7 +416,7 @@ def test_joint_states_equal_the_constructors(F, A, data):
         min_size=F * A, max_size=F * A))
     block = np.column_stack([np.reshape(xyh, (-1, 3)), speeds]).reshape(F, A, 4)
     ts = data.draw(st.lists(st.integers(0, 10**6), min_size=F, max_size=F))
-    got = joint_states(block, ts)
+    got = JointStates(block, ts)
     want = _states_one_by_one(block, ts)
     assert [_state_hexes(js) for js in got] == [_state_hexes(js) for js in want]
     assert got == want and [hash(js) for js in got] == [hash(js) for js in want]
@@ -427,7 +425,7 @@ def test_joint_states_equal_the_constructors(F, A, data):
 
 def test_joint_states_rewraps_a_stored_plus_pi():
     block = [[[-0.0, 5e-324, math.pi, -0.0], [1.0, -0.0, math.nextafter(-math.pi, -4.0), 5e-324]]]
-    (js,) = joint_states(block, [0])
+    (js,) = JointStates(block, [0])
     assert js.robot.heading == -math.pi
     assert js.humans[0].heading == math.pi  # one wrap of -pi - 4e-16, as AgentState does
     assert _state_hexes(js) == _state_hexes(_states_one_by_one(block, [0])[0])
@@ -450,7 +448,7 @@ def test_joint_states_raise_the_first_one_by_one_error(at, value, t_bad):
     if t_bad is not None:
         ts[t_bad] = -1
     with pytest.raises(ValueError) as block_err:
-        joint_states(block, ts)
+        JointStates(block, ts)
     with pytest.raises(ValueError) as one_err:
         _states_one_by_one(block, ts)
     assert str(block_err.value) == str(one_err.value)
@@ -460,7 +458,87 @@ def test_joint_states_reject_a_block_of_the_wrong_shape():
     for block, ts in [(np.zeros((2, 1, 3)), [0, 1]), (np.zeros((2, 0, 4)), [0, 1]),
                       (np.zeros((2, 1, 4)), [0]), (np.zeros((1, 4)), [0])]:
         with pytest.raises(ValueError):
-            joint_states(block, ts)
+            JointStates(block, ts)
+
+
+_EDGE_HEADINGS = (-math.pi - 4e-16, -math.pi, math.pi, -0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(F=st.integers(1, 5), M=st.integers(0, 2), data=st.data())
+def test_joint_states_frames_equal_the_constructors_read_in_any_order(F, M, data):
+    # -pi - 4e-16 wraps to +pi, which a second wrap turns into -pi.
+    heading = st.one_of(st.sampled_from(_EDGE_HEADINGS), st.floats(-4.0, 4.0))
+    block = np.array([[[data.draw(_STATE_VALUE), data.draw(_STATE_VALUE), data.draw(heading),
+                        data.draw(st.sampled_from([0.0, -0.0, 5e-324, 7.5]))]
+                       for _ in range(1 + M)] for _ in range(F)])
+    ts = data.draw(st.lists(st.integers(0, 10**6), min_size=F, max_size=F))
+    want = _states_one_by_one(block, ts)
+    got = JointStates(block, ts)
+    for f in data.draw(st.permutations(range(-F, F))):
+        assert _state_hexes(got[f]) == _state_hexes(want[f])
+    assert got[0] is got[-F]  # a frame is built once
+    again = JointStates(block, ts)
+    start, stop = data.draw(st.integers(-F, F)), data.draw(st.integers(-F, F))
+    assert [_state_hexes(js) for js in again[start:stop]] == \
+        [_state_hexes(js) for js in want[start:stop]]
+    assert [_state_hexes(js) for js in again] == [_state_hexes(js) for js in want]
+    # Built from JointStates, the headings are kept: a stored +pi stays +pi.
+    kept = JointStates.of(want)
+    assert [_state_hexes(js) for js in kept] == [_state_hexes(js) for js in want]
+    assert all(a is b for a, b in zip(kept, want))
+    assert [v.hex() for v in kept.block.ravel()] == [v.hex() for v in got.block.ravel()]
+    assert not got.block.flags.writeable
+
+
+@pytest.mark.parametrize("frame", [0, 2, 4])
+@pytest.mark.parametrize("agent,field,value,t", [
+    (0, 0, float("nan"), None),
+    (1, 2, float("inf"), None),
+    (1, 3, -0.5, None),
+    (None, None, None, -1),
+])
+def test_joint_states_check_every_frame_when_built(frame, agent, field, value, t):
+    block = np.tile([[0.0, 1.0, 0.5, 2.0], [3.0, 4.0, -0.5, 0.0]], (5, 1, 1))
+    ts = [0, 1, 2, 3, 4]
+    if agent is not None:
+        block[frame, agent, field] = value
+    else:
+        ts[frame] = t
+    with pytest.raises(ValueError) as one_err:
+        _states_one_by_one(block, ts)
+    with pytest.raises(ValueError) as err:
+        JointStates(block, ts)  # no frame is read
+    assert str(err.value) == str(one_err.value)
+
+
+def test_joint_states_is_a_sequence_of_its_frames():
+    block = np.arange(4 * 2 * 4, dtype=float).reshape(4, 2, 4)
+    ts = [0, 1, 2, 3]
+    states = JointStates(block, ts)
+    frames = _states_one_by_one(block, ts)
+    assert len(states) == 4
+    assert states[1] == frames[1] and states[-1] == frames[3]
+    assert states[1:3] == frames[1:3] and states[::-2] == frames[::-2]
+    assert states[5:] == []
+    with pytest.raises(IndexError):
+        states[4]
+    with pytest.raises(IndexError):
+        states[-5]
+    assert list(states) == frames and [js for js in states] == frames
+    assert states == frames and frames == states and states == tuple(frames)
+    assert states != frames[:3] and states != frames[::-1]
+    assert states == JointStates(block, ts) and states != JointStates(block, [0, 1, 2, 4])
+    assert frames[2] in states and states.index(frames[2]) == 2
+    assert len(JointStates(block[:1], [7])) == 1 and JointStates(block[:1], [7])[0].t == 7
+    with pytest.raises(TypeError):
+        hash(states)
+    tail = JointStates(block[2:], ts[2:])
+    last = tail[1]
+    joined = JointStates.concat([JointStates(block[:2], ts[:2]), tail])
+    assert joined == states and joined[3] is last
+    with pytest.raises(ValueError):  # frames with other human counts
+        JointStates.of(frames + [JointState(AgentState(0.0, 0.0, 0.0, 0.0), (), 4)])
 
 
 def test_action_traj_block_views_and_checks():
@@ -499,6 +577,35 @@ def test_action_traj_block_views_and_checks():
         ActionTraj.block(np.zeros((4, 2)), [0] * 4)
     with pytest.raises(ValueError):
         ActionTraj.block(np.zeros((2, 4, 2)), [0])
+
+
+def test_action_traj_block_of_stacked_rows_of_mixed_lengths():
+    rng = np.random.default_rng(1)
+    lens = [3, 1, 4, 2]
+    flat = rng.uniform(-1, 1, (sum(lens), 2))
+    parts = np.split(flat, np.cumsum(lens)[:-1])
+    trajs = ActionTraj.block(flat, [0, 2, 2, 9], lens)
+    assert trajs == [ActionTraj(a, start_t=t) for a, t in zip(parts, [0, 2, 2, 9])]
+    assert [tr.actions.shape for tr in trajs] == [(n, 2) for n in lens]
+    assert not any(tr.actions.flags.writeable for tr in trajs)
+    assert ActionTraj.block(np.zeros((0, 2)), [], []) == []
+    # The first bad trajectory raises what constructing it alone raises.
+    for row, value, start_t, bad_len, msg in [
+            (4, np.nan, 0, 4, "actions must be finite"),
+            (3, -4.5, 0, 4, "|accel| exceeds bound 4.0"),
+            (9, 0.0, -3, 4, "start_t must be >= 0, got -3"),
+            (9, 0.0, 0, 0, "actions must have shape (T>=1, 2), got (0, 2)")]:
+        bad = flat.copy()
+        bad[row, 0] = value
+        bad[-1, 1] = 2.0  # a later bad trajectory never wins
+        bad_lens = [3, 1, bad_len, 6 - bad_len]
+        with pytest.raises(ValueError) as err:
+            ActionTraj.block(bad, [0, 0, start_t, 0], bad_lens)
+        assert str(err.value) == msg
+    for flat_shape, lens_, starts in [((10, 3), lens, [0] * 4), ((9, 2), lens, [0] * 4),
+                                      ((10, 2), lens, [0] * 3)]:
+        with pytest.raises(ValueError, match="^need a"):
+            ActionTraj.block(np.zeros(flat_shape), starts, lens_)
 
 
 def test_footprint_overlap():

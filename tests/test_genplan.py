@@ -14,7 +14,6 @@ from regret_miner.core import (
     AgentState,
     NavWorld,
     RngStream,
-    unicycle_step,
     wrap_angle,
 )
 from regret_miner.genplan import (
@@ -49,6 +48,7 @@ from regret_miner.genplan import (
     plan_generative,
     simulate_nav_scene,
 )
+from kinematics_reference import unicycle_step
 
 
 def _direction(sample):

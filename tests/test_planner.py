@@ -15,7 +15,6 @@ from regret_miner.core import (
     NavWorld,
     RngStream,
     rollout_positions,
-    unicycle_rollout,
 )
 from regret_miner.planner import (
     PlannerHandle,
@@ -35,6 +34,7 @@ from regret_miner.predictor import (
     predict,
 )
 from regret_miner.simkit import OraclePredictor, generate_scenario_batch, run_closed_loop
+from kinematics_reference import unicycle_rollout
 
 TWO_LANE = DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7, length=400.0)
 UNIFORM = TablePredictor(PredictorParams.fresh())

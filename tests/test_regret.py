@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from regret_miner.core import ROBOT_RADIUS, ActionTraj, DrivingCorridor, unicycle_rollout
+from regret_miner.core import ROBOT_RADIUS, ActionTraj, DrivingCorridor
 from regret_miner.genplan import N_CUE_BUCKETS, Codebook
 from regret_miner.planner import PlannerHandle, RewardWeights
 from regret_miner.regret import (
@@ -33,6 +33,7 @@ from regret_miner.simkit import (
     scene_from_dict,
     scene_to_dict,
 )
+from kinematics_reference import unicycle_rollout
 
 
 def test_softmax_known_values():

@@ -1,6 +1,7 @@
 import base64
 import copy
 import dataclasses
+import json
 import math
 import re
 
@@ -17,9 +18,9 @@ from regret_miner.core import (
     AgentState,
     DrivingCorridor,
     JointState,
+    JointStates,
     NavWorld,
     RngStream,
-    unicycle_step,
     wrap_angle,
 )
 from regret_miner.planner import PlannerHandle, ReplanEntry, plan
@@ -47,6 +48,7 @@ from regret_miner.simkit import (
     simulate_humans,
     step_humans,
 )
+from kinematics_reference import unicycle_step
 from scene1_reference import scene1_dict, scene1_record
 
 TWO_LANE = DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7, length=400.0)
@@ -323,7 +325,8 @@ def test_scene_decode_mixed_length_candidates(two_human_scene_dict):
 
 def _hexed(x):
     """x with every float as float.hex, so -0.0 and 0.0 differ; every array
-    with its shape, dtype and writeability; every object with its type."""
+    with its shape, dtype and writeability; every object with its type; a
+    JointStates as the sequence of its JointStates."""
     if isinstance(x, float):
         return x.hex()
     if isinstance(x, (bool, int, str)):
@@ -334,6 +337,8 @@ def _hexed(x):
         return type(x).__name__, [_hexed(v) for v in x]
     if isinstance(x, ActionTraj):
         return "ActionTraj", _hexed(x.actions), _hexed(x.start_t)
+    if isinstance(x, JointStates):
+        return "JointStates", [_hexed(js) for js in x]
     assert dataclasses.is_dataclass(x), type(x)
     return type(x).__name__, {f.name: _hexed(getattr(x, f.name))
                               for f in dataclasses.fields(x)}
@@ -564,6 +569,81 @@ def test_scene2_lengths_must_fit_the_block(two_human_scene):
     d["replan_log"][0]["predicted_humans"]["label"][1].pop()
     with pytest.raises(ValueError, match=r"^replan_log\[0\]\.predicted_humans: "):
         scene_from_dict(d)
+
+
+@pytest.fixture(scope="module")
+def five_replan_scene():
+    spec = generate_scenario_batch("StoppedTraffic", 1, base_seed=31, horizon=50)[0]
+    rec = run_closed_loop(spec, PlannerHandle(horizon=10), OraclePredictor(), 10)
+    assert len(rec.replan_log) == 5
+    return rec
+
+
+@pytest.mark.parametrize("field,trajs_of", [
+    ("candidates", lambda e: e["candidates"]),
+    ("predicted_humans", lambda e: e["predicted_humans"]["trajs"]),
+])
+def test_scene2_bad_row_in_a_later_replan_is_named(five_replan_scene, field, trajs_of):
+    d = scene_to_dict(five_replan_scene)
+    trajs = trajs_of(d["replan_log"][3])
+    arr = _block_array(trajs["actions"]).copy()
+    arr[trajs["len"][0] + 1, 0] = float("nan")
+    _set_block(trajs["actions"], arr)
+    later = trajs_of(d["replan_log"][4])
+    arr = _block_array(later["actions"]).copy()
+    arr[0, 1] = 1.5
+    _set_block(later["actions"], arr)
+    with pytest.raises(ValueError) as err:
+        scene_from_dict(d)
+    assert str(err.value) == "actions must be finite"
+    assert err.value.__notes__ == [f"replan_log[3].{field}"]
+
+
+def test_scene2_an_earlier_replan_error_wins_over_a_later_bad_row(five_replan_scene):
+    d = scene_to_dict(five_replan_scene)
+    d["replan_log"][1]["predicted_humans"]["prob"][0][0] += 0.5
+    with pytest.raises(ValueError) as want:
+        scene_from_dict(d)
+    cands = d["replan_log"][3]["candidates"]
+    arr = _block_array(cands["actions"]).copy()
+    arr[0, 0] = float("inf")
+    _set_block(cands["actions"], arr)
+    with pytest.raises(ValueError) as err:
+        scene_from_dict(d)
+    assert str(err.value) == str(want.value)
+    assert str(want.value).startswith("mode probabilities must sum to 1")
+
+
+def test_scene2_replans_of_mixed_lengths_decode(five_replan_scene):
+    log = [dataclasses.replace(e, candidates=[ActionTraj(c.actions[:n], start_t=c.start_t)
+                                              for c in e.candidates])
+           for e, n in zip(five_replan_scene.replan_log, (10, 4, 1, 7, 10))]
+    log[2] = dataclasses.replace(log[2], candidates=[
+        ActionTraj(c.actions[:1 + k % 3], start_t=c.start_t)
+        for k, c in enumerate(log[2].candidates)])
+    rec = dataclasses.replace(five_replan_scene, replan_log=log)
+    got = _assert_codecs_agree(rec)
+    assert [[len(c) for c in e.candidates] for e in got.replan_log] == \
+        [[len(c) for c in e.candidates] for e in log]
+
+
+def test_scenes_from_jsonl_names_the_bad_line(two_human_scene, tmp_path):
+    good = scene_to_dict(two_human_scene)
+    bad = scene_to_dict(two_human_scene)
+    bad["scenario_id"] = "the-bad-one"
+    arr = _block_array(bad["states"]).copy()
+    arr[3, 1, 3] = -0.25
+    _set_block(bad["states"], arr)
+    path = tmp_path / "scenes.jsonl"
+    path.write_text("".join(json.dumps(x) + "\n" for x in (good, bad, good)))
+    with pytest.raises(ValueError) as err:
+        scenes_from_jsonl(path)
+    assert str(err.value) == "speed must be >= 0, got -0.25"
+    assert err.value.__notes__ == [f"{path}: line 2, scenario 'the-bad-one'"]
+    path.write_text(json.dumps(good) + "\n{\n")
+    with pytest.raises(ValueError) as err:
+        scenes_from_jsonl(path)
+    assert err.value.__notes__ == [f"{path}: line 2, scenario None"]
 
 
 @pytest.mark.parametrize("schema", ["scene/0", "scene/3", None])
