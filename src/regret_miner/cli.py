@@ -194,11 +194,11 @@ def cmd_navregret(args) -> int:
 
 def cmd_perception_case(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     sensor = genplan.SensorModel(detect_true_positive=args.tp,
                                  detect_false_positive=args.fp)
     rows = genplan.perception_case_study(
         sensor, n_samples_per_condition=args.n, rng=RngStream(args.seed))
+    out.mkdir(parents=True, exist_ok=True)
     (out / "perception_case.json").write_text(json.dumps(
         {"schema": "perception/1", "n_per_condition": args.n,
          "mean_regret": dict(rows)}, indent=2))

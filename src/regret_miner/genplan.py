@@ -121,13 +121,17 @@ class Codebook:
     means: np.ndarray
     stds: np.ndarray
     noise_sigma: float = 0.05
-    # Memos of values fixed by the arrays above (see _code_draws and
-    # _robot_masses); the arrays are read-only copies, so they cannot go
-    # stale.
+    # Memos of values fixed by the arrays above (see _code_draws,
+    # _draw_halves, _robot_masses and _human_masses); the arrays are
+    # read-only copies, so they cannot go stale.
     _draws: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    _halves: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
     _robot_masses: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
+    _human_memo: Optional[tuple] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("encoder", "means", "stds"):
@@ -139,8 +143,14 @@ class Codebook:
         sums = self.encoder.sum(axis=2)
         if not np.allclose(sums, 1.0, atol=1e-12):
             raise ValueError("encoder rows must sum to 1 within 1e-12")
+        # Weights >= 0 and finite means keep every window mass finite and
+        # let generative_regret skip the codes of weight 0.
+        if not np.all(self.encoder >= 0):
+            raise ValueError("encoder weights must be >= 0")
         if self.means.shape != (self.K, 2 * NAV_STEPS):
             raise ValueError("decoder means shape mismatch")
+        if not np.all(np.isfinite(self.means)):
+            raise ValueError("decoder means must be finite")
         if self.stds.shape != (self.K, 2 * NAV_STEPS):
             raise ValueError("decoder stds shape mismatch")
         if not np.all(self.stds > 0):
@@ -345,6 +355,16 @@ def plan_generative(cb: Codebook, delta_h: float, goal: str,
 # KDE likelihoods
 # ---------------------------------------------------------------------------
 
+def _check_kde(delta: float, bandwidth: float,
+               n_samples: Optional[int] = None) -> None:
+    """Raise ValueError unless delta and bandwidth are > 0 (NaN is not) and
+    n_samples, when given, is >= 1."""
+    if n_samples is not None and not n_samples >= 1:
+        raise ValueError("n_samples must be >= 1")
+    if not (bandwidth > 0 and delta > 0):
+        raise ValueError("bandwidth and delta must be positive")
+
+
 def kde_window_mass(samples, bandwidth: float, center: float,
                     delta: float) -> float:
     """Mass of the Gaussian KDE within [center-delta, center+delta]:
@@ -352,8 +372,7 @@ def kde_window_mass(samples, bandwidth: float, center: float,
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("samples must be a non-empty vector")
-    if bandwidth <= 0 or delta <= 0:
-        raise ValueError("bandwidth and delta must be positive")
+    _check_kde(delta, bandwidth)
     hi = ndtr((center + delta - x) / bandwidth)
     lo = ndtr((center - delta - x) / bandwidth)
     return float(np.mean(hi - lo))
@@ -376,15 +395,41 @@ def _code_draws(cb: Codebook, n_samples: int) -> np.ndarray:
     return out
 
 
+def _draw_halves(cb: Codebook, n_samples: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The robot and human halves of _code_draws, each a read-only
+    C-contiguous (K, n_samples, 6) copy, made once per (codebook,
+    n_samples)."""
+    out = cb._halves.get(n_samples)
+    if out is None:
+        draws = _code_draws(cb, n_samples)
+        out = (np.ascontiguousarray(draws[:, :, :NAV_STEPS]),
+               np.ascontiguousarray(draws[:, :, NAV_STEPS:]))
+        for half in out:
+            half.setflags(write=False)
+        cb._halves[n_samples] = out
+    return out
+
+
 def _window_masses(draws: np.ndarray, queries: np.ndarray, delta: float,
                    bandwidth: float) -> np.ndarray:
-    """draws (K, n, D), queries (..., D) -> masses (K, ..., D)."""
+    """draws (K, n, D), queries (..., D) -> masses (K, ..., D).
+
+    Each bound is computed in one buffer, in the order of
+    ndtr((q + delta - d) / bandwidth), so the masses equal that
+    expression's bit for bit.
+    """
     q = queries[np.newaxis, ..., np.newaxis, :]       # (1, ..., 1, D)
     d = draws.reshape(draws.shape[0], *([1] * (queries.ndim - 1)),
                       draws.shape[1], draws.shape[2])  # (K, 1.., n, D)
-    hi = ndtr((q + delta - d) / bandwidth)
-    lo = ndtr((q - delta - d) / bandwidth)
-    return np.mean(hi - lo, axis=-2)                   # (K, ..., D)
+    hi = np.subtract(q + delta, d)
+    hi /= bandwidth
+    ndtr(hi, out=hi)
+    lo = np.subtract(q - delta, d)
+    lo /= bandwidth
+    ndtr(lo, out=lo)
+    hi -= lo
+    return np.mean(hi, axis=-2)                        # (K, ..., D)
 
 
 _DEN_FLOOR = 1e-300
@@ -399,8 +444,7 @@ def counterfactual_prob(cb: Codebook, robot_traj: ActionTraj,
     and agents; the denominator marginalizes the robot dimensions."""
     if len(robot_traj) != NAV_STEPS or len(observed_human_traj) != NAV_STEPS:
         raise ValueError(f"trajectories must have exactly {NAV_STEPS} steps")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_kde(delta, bandwidth, n_samples)
     w = cb.encoder_row(delta_h, goal)
     draws = _code_draws(cb, n_samples)
     query = np.concatenate([robot_traj.actions[:, 1],
@@ -445,23 +489,60 @@ def default_hindsight_candidates(executed: ActionTraj,
 
 def _robot_masses(cb: Codebook, turns: np.ndarray, n_samples: int,
                   delta: float, bandwidth: float,
-                  executed_turns: bytes) -> np.ndarray:
+                  executed_turns: bytes, live: np.ndarray) -> np.ndarray:
     """(K, 6) robot window masses of one candidate's turns.
 
     Memoised on the codebook by (n_samples, delta, bandwidth, turns) for
-    every candidate but the executed one, which is computed fresh: in every
-    caller the other candidates are a fixed set, so the memo does not grow
-    with the number of trajectories scored.
+    every candidate but the executed one: in every caller the other
+    candidates are a fixed set, so the memo does not grow with the number
+    of trajectories scored. The executed one is computed fresh, and only
+    for the codes in live (those of encoder weight > 0); the rows of the
+    other codes are 0, which leaves every weighted sum unchanged, since
+    0 * finite = +0.0 whatever the mass.
     """
     key = (n_samples, delta, bandwidth, turns.tobytes())
     out = cb._robot_masses.get(key)
     if out is None:
-        draws = _code_draws(cb, n_samples)
-        out = _window_masses(draws[:, :, :NAV_STEPS], turns, delta, bandwidth)
+        robot = _draw_halves(cb, n_samples)[0]
         if key[3] != executed_turns:
+            out = _window_masses(robot, turns, delta, bandwidth)
             out.setflags(write=False)
             cb._robot_masses[key] = out
+        else:
+            out = np.zeros((cb.K, NAV_STEPS))
+            out[live] = _window_masses(robot[live], turns, delta, bandwidth)
     return out
+
+
+def _human_masses(cb: Codebook, observed: np.ndarray, n_samples: int,
+                  delta: float, bandwidth: float) -> np.ndarray:
+    """(K, 6) window masses of the observed human turns.
+
+    The codebook keeps the last result, one entry: callers that score many
+    deployments against the same human (the perception study) compute it
+    once, and any other call replaces it.
+    """
+    key = (n_samples, delta, bandwidth, observed.tobytes())
+    memo = cb._human_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    out = _window_masses(_draw_halves(cb, n_samples)[1], observed, delta,
+                         bandwidth)
+    out.setflags(write=False)
+    cb._human_memo = (key, out)
+    return out
+
+
+def _executed_index(cands: Sequence[ActionTraj], executed: ActionTraj) -> int:
+    """Index of the first candidate equal to executed (ActionTraj.__eq__),
+    found by one comparison over the stacked candidates."""
+    if cands and all(c.actions.shape == executed.actions.shape for c in cands):
+        hit = (np.array([c.actions for c in cands]) == executed.actions).all(
+            axis=(1, 2))
+        hit &= np.array([c.start_t for c in cands]) == executed.start_t
+        if hit.any():
+            return int(hit.argmax())
+    raise ValueError("executed trajectory must be in hindsight_candidates")
 
 
 def generative_regret(cb: Codebook, executed_robot_traj: ActionTraj,
@@ -471,27 +552,29 @@ def generative_regret(cb: Codebook, executed_robot_traj: ActionTraj,
                       n_samples: int = 250, delta: float = 0.1,
                       bandwidth: float = 0.05) -> float:
     """Mean over timesteps of (max candidate likelihood - executed
-    likelihood), with per-timestep likelihoods from the code-mixture KDE."""
+    likelihood), with per-timestep likelihoods from the code-mixture KDE.
+
+    What is fixed per codebook is computed once and kept on it: the
+    decoder draws, the robot masses of every candidate but the executed
+    one, and the masses of the last observed human (see _robot_masses and
+    _human_masses). The executed trajectory's masses are computed only for
+    codes of encoder weight > 0; the others contribute 0 to every sum
+    either way.
+    """
+    _check_kde(delta, bandwidth, n_samples)
     if hindsight_candidates is None:
         cands = default_hindsight_candidates(executed_robot_traj)
     else:
         cands = list(hindsight_candidates)
-    exec_idx = None
-    for i, c in enumerate(cands):
-        if c == executed_robot_traj:
-            exec_idx = i
-            break
-    if exec_idx is None:
-        raise ValueError("executed trajectory must be in hindsight_candidates")
+    exec_idx = _executed_index(cands, executed_robot_traj)
 
     w = cb.encoder_row(delta_h, goal)
-    draws = _code_draws(cb, n_samples)
-    obs = observed_human_traj.actions[:, 1]
-
-    m_h = _window_masses(draws[:, :, NAV_STEPS:], obs, delta, bandwidth)  # (K, 6)
+    live = np.flatnonzero(w > 0)
+    m_h = _human_masses(cb, observed_human_traj.actions[:, 1], n_samples,
+                        delta, bandwidth)                      # (K, 6)
     exec_turns = executed_robot_traj.actions[:, 1].tobytes()
     m_r = np.stack([_robot_masses(cb, c.actions[:, 1], n_samples, delta,
-                                  bandwidth, exec_turns)
+                                  bandwidth, exec_turns, live)
                     for c in cands], axis=1)                   # (K, C, 6)
     den = np.einsum("k,kt->t", w, m_h)                        # (6,)
     if np.any(den < _DEN_FLOOR):
@@ -527,6 +610,8 @@ def build_mismatch_scenarios(cb: Codebook, rng: RngStream, n_reps: int = 30,
     interacts with; the robot's path is unaffected regardless of what was
     anticipated for the human.
     """
+    if n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
     configs = {
         "nominal": (0.5, "Primary", True),
         "collision": (0.5, "Primary", False),
@@ -562,17 +647,25 @@ def hashn(name: str) -> int:
 # Perception-failure case study
 # ---------------------------------------------------------------------------
 
-def _perception_robot(goal: str, gen: np.random.Generator, exec_noise: float,
-                      ctx: NavWorld) -> ActionTraj:
+def _perception_turns(goal: str, noise: Sequence[float],
+                      ctx: NavWorld) -> list[float]:
+    """Turns of proportional control to the goal plus one noise term per
+    step, clamped, as plain floats."""
     target = ctx.goal_primary if goal == "Primary" else ctx.goal_backup
     x, y, h = ctx.robot_start[0], ctx.robot_start[1], wrap_angle(math.pi / 2)
     turns = []
-    for _ in range(NAV_STEPS):
-        w = _clamp_turn(_pc_turn(x, y, h, target)
-                        + float(gen.normal(0.0, exec_noise)))
+    for e in noise:
+        w = _clamp_turn(_pc_turn(x, y, h, target) + e)
         x, y, h = unicycle_step_floats(x, y, h, ROBOT_NAV_SPEED, 0.0, w, NAV_DT)[:3]
         turns.append(w)
-    return _turns_traj(turns)
+    return turns
+
+
+def _perception_robot(goal: str, gen: np.random.Generator, exec_noise: float,
+                      ctx: NavWorld) -> ActionTraj:
+    # One normal(0, s, 6) call draws the values of six scalar draws.
+    noise = gen.normal(0.0, exec_noise, NAV_STEPS).tolist()
+    return _turns_traj(_perception_turns(goal, noise, ctx))
 
 
 def _fit_perception_codebook(n_fit: int, exec_noise: float,
@@ -582,18 +675,17 @@ def _fit_perception_codebook(n_fit: int, exec_noise: float,
     keys on the goal implied by the ground-truth obstacle bit; human
     dimensions are inert (no walker in this world)."""
     ctx = NavWorld()
-    vecs = {0: [], 1: []}
+    rows = {0: [], 1: []}
+    inert = [0.0] * NAV_STEPS
     for i in range(n_fit):
-        for bit in (0, 1):
-            gen = rng.derive(bit, i).generator()
-            goal = "Primary" if bit == 0 else "Backup"
-            traj = _perception_robot(goal, gen, exec_noise, ctx)
-            vec = np.concatenate([traj.actions[:, 1], np.zeros(NAV_STEPS)])
-            vecs[bit].append(vec)
+        for bit, goal in enumerate(GOALS):
+            noise = rng.derive(bit, i).generator().normal(
+                0.0, exec_noise, NAV_STEPS).tolist()
+            rows[bit].append(_perception_turns(goal, noise, ctx) + inert)
     means = np.empty((2, 2 * NAV_STEPS))
     stds = np.empty((2, 2 * NAV_STEPS))
     for bit in (0, 1):
-        arr = np.array(vecs[bit])
+        arr = np.array(rows[bit])
         means[bit] = arr.mean(axis=0)
         stds[bit] = np.maximum(arr.std(axis=0), 1e-3)
     enc = np.zeros((N_CUE_BUCKETS, len(GOALS), 2))
@@ -615,6 +707,8 @@ def perception_case_study(sensor: SensorModel,
     Regret conditions on the ground-truth obstacle bit, so deployments where
     the sensed bit disagrees with reality score high.
     """
+    if n_samples_per_condition < 1:
+        raise ValueError("n_samples_per_condition must be >= 1")
     if rng is None:
         rng = RngStream(0)
     ctx = NavWorld()

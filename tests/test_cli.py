@@ -159,6 +159,22 @@ def test_navregret_and_perception(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_zero_counts_exit_1_and_write_nothing(tmp_path, capsys):
+    assert main(["navgen", "--out", str(tmp_path), "--n", "50", "--seed", "2"]) == 0
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    for argv, name in ((["navregret", "--in", str(tmp_path), "--reps", "0"],
+                        "n_reps"),
+                       (["perception-case", "--out", str(tmp_path / "perc"),
+                         "--n", "0"], "n_samples_per_condition")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError" and name in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_navregret_requires_codebook(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["navregret", "--in", str(tmp_path)])

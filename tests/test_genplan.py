@@ -8,6 +8,7 @@ from scipy.integrate import simpson
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from regret_miner import genplan
 from regret_miner.core import (
     TURN_LIMIT,
     ActionTraj,
@@ -30,7 +31,10 @@ from regret_miner.genplan import (
     SensorModel,
     _clamp_turn,
     _code_draws,
+    _executed_index,
+    _fit_perception_codebook,
     _nav_positions,
+    _perception_robot,
     build_mismatch_scenarios,
     codebook_from_json,
     codebook_to_json,
@@ -613,3 +617,269 @@ def test_codebook_arrays_are_read_only_copies():
     for arr in (cb.encoder, cb.means, cb.stds, _code_draws(cb, 10)):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# Generative fixed costs against per-row and per-deployment references
+# ---------------------------------------------------------------------------
+
+def _hex(values):
+    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), scale=st.floats(0.0, 5.0))
+def test_vector_normal_equals_scalar_draws(seed, scale):
+    vec = RngStream(seed).generator().normal(0.0, scale, NAV_STEPS)
+    gen = RngStream(seed).generator()
+    scalars = [float(gen.normal(0.0, scale)) for _ in range(NAV_STEPS)]
+    assert _hex(vec) == _hex(scalars)
+
+
+def _reference_perception_robot(goal, gen, exec_noise, ctx):
+    """One ActionTraj per row, one scalar draw per step."""
+    target = ctx.goal_primary if goal == "Primary" else ctx.goal_backup
+    state = AgentState(ctx.robot_start[0], ctx.robot_start[1], math.pi / 2,
+                       ROBOT_NAV_SPEED)
+    turns = []
+    for _ in range(NAV_STEPS):
+        desired = math.atan2(target[1] - state.y, target[0] - state.x)
+        w = _clamp_turn(_clamp_turn(wrap_angle(desired - state.heading))
+                        + float(gen.normal(0.0, exec_noise)))
+        state = unicycle_step(state, 0.0, w, NAV_DT)
+        turns.append(w)
+    return ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns]))
+
+
+def _reference_perception_codebook(n_fit, exec_noise, rng):
+    ctx = NavWorld()
+    vecs = {0: [], 1: []}
+    for i in range(n_fit):
+        for bit in (0, 1):
+            traj = _reference_perception_robot(
+                GOALS[bit], rng.derive(bit, i).generator(), exec_noise, ctx)
+            vecs[bit].append(np.concatenate([traj.actions[:, 1],
+                                             np.zeros(NAV_STEPS)]))
+    means = np.array([np.array(vecs[b]).mean(axis=0) for b in (0, 1)])
+    stds = np.array([np.maximum(np.array(vecs[b]).std(axis=0), 1e-3)
+                     for b in (0, 1)])
+    return means, stds
+
+
+@pytest.mark.parametrize("n_fit,exec_noise,seed",
+                         [(200, 0.02, 0), (30, 0.3, 5), (2, 0.0, 9)])
+def test_perception_codebook_fit_equals_reference(n_fit, exec_noise, seed):
+    rng = RngStream(seed).derive(0)
+    cb = _fit_perception_codebook(n_fit, exec_noise, rng)
+    means, stds = _reference_perception_codebook(n_fit, exec_noise, rng)
+    assert _hex(cb.means) == _hex(means)
+    assert _hex(cb.stds) == _hex(stds)
+    gen, ref_gen = (RngStream(seed, 3).generator() for _ in range(2))
+    for goal in GOALS:
+        assert _perception_robot(goal, gen, exec_noise, NavWorld()) == \
+            _reference_perception_robot(goal, ref_gen, exec_noise, NavWorld())
+
+
+def _outcome(fn, *args, **kw):
+    """fn's value, or the type of the OutOfSupportError it raised."""
+    try:
+        return fn(*args, **kw)
+    except OutOfSupportError as exc:
+        return type(exc)
+
+
+def _reference_outcome(cb, executed, observed, delta_h, goal, cands=None,
+                       n_samples=250, delta=0.1, bandwidth=0.05):
+    """_reference_regret, or OutOfSupportError where the reference
+    denominator is below generative_regret's floor."""
+    m_h = _reference_masses(_reference_draws(cb, n_samples)[:, :, NAV_STEPS:],
+                            observed.actions[:, 1], delta, bandwidth)
+    if np.any(np.einsum("k,kt->t", cb.encoder_row(delta_h, goal), m_h) < 1e-300):
+        return OutOfSupportError
+    return _reference_regret(cb, executed, observed, delta_h, goal, cands,
+                             n_samples, delta, bandwidth)
+
+
+def _zeroed_codebook(cb, drop):
+    """cb with the encoder weights of the codes in drop set to 0 in every
+    row (each row keeps at least one code), renormalized."""
+    enc = np.array(cb.encoder)
+    enc[:, :, list(drop)] = 0.0
+    enc /= enc.sum(axis=2, keepdims=True)
+    return Codebook(K=cb.K, encoder=enc, means=cb.means, stds=cb.stds,
+                    noise_sigma=cb.noise_sigma)
+
+
+@pytest.mark.parametrize("drop", [(0, 2, 3, 5), (1, 2, 3, 4, 5), (4,)])
+def test_regret_with_zeroed_codes_equals_reference(nav_data, scored_samples,
+                                                   drop):
+    cb = _zeroed_codebook(fit_codebook(nav_data, K=6), drop)
+    divert = divert_shape_candidate()
+    for s in scored_samples + scored_samples[::-1]:
+        args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
+        cands = [divert] + default_hindsight_candidates(s.robot_traj)
+        for kw in ({}, dict(hindsight_candidates=cands),
+                   dict(n_samples=120, bandwidth=0.1)):
+            ref_kw = dict(kw)
+            ref_kw["cands"] = ref_kw.pop("hindsight_candidates", None)
+            assert _outcome(generative_regret, cb, *args, **kw) == \
+                _reference_outcome(cb, *args, **ref_kw)
+
+
+def test_regret_on_perception_codebook_equals_reference():
+    cb = _fit_perception_codebook(200, 0.02, RngStream(3).derive(0))
+    assert set(np.unique(cb.encoder)) == {0.0, 1.0}
+    flat = ActionTraj(np.zeros((NAV_STEPS, 2)))
+    for i in range(6):
+        gen = RngStream(3, i).generator()
+        executed = _perception_robot(GOALS[i % 2], gen, 0.02, NavWorld())
+        for true_goal in GOALS:
+            for kw in ({}, dict(n_samples=120, delta=0.2)):
+                assert generative_regret(cb, executed, flat, 0.5, true_goal,
+                                         **kw) == \
+                    _reference_regret(cb, executed, flat, 0.5, true_goal, **kw)
+
+
+def _reference_perception_case(n, rng, delta=0.1, bandwidth=0.05,
+                               n_samples=250, exec_noise=0.02):
+    """perception_case_study one deployment at a time, on the reference
+    codebook fit, trajectories and regret."""
+    means, stds = _reference_perception_codebook(200, exec_noise, rng.derive(0))
+    enc = np.zeros((N_CUE_BUCKETS, 2, 2))
+    enc[:, 0, 0] = enc[:, 1, 1] = 1.0
+    cb = Codebook(K=2, encoder=enc, means=means, stds=stds,
+                  noise_sigma=exec_noise)
+    flat = ActionTraj(np.zeros((NAV_STEPS, 2)))
+    out = []
+    for tag, obstacle, sensed in (("obstacle-detected", True, True),
+                                  ("obstacle-missed", True, False),
+                                  ("empty-clear", False, False),
+                                  ("empty-false-alarm", False, True)):
+        vals = []
+        for i in range(n):
+            gen = rng.derive(genplan.hashn(tag), i).generator()
+            executed = _reference_perception_robot(
+                "Backup" if sensed else "Primary", gen, exec_noise, NavWorld())
+            vals.append(_reference_regret(
+                cb, executed, flat, 0.5, "Backup" if obstacle else "Primary",
+                n_samples=n_samples, delta=delta, bandwidth=bandwidth))
+        out.append((tag, float(np.mean(vals))))
+    return out
+
+
+@pytest.mark.parametrize("seed,kw", [(8, {}),
+                                     (2, dict(n_samples=120, bandwidth=0.1))])
+def test_perception_case_study_equals_reference(seed, kw):
+    got = perception_case_study(SensorModel(0.7, 0.2), 6, rng=RngStream(seed),
+                                **kw)
+    assert got == _reference_perception_case(6, RngStream(seed), **kw)
+
+
+def test_perception_study_computes_the_human_masses_once(monkeypatch):
+    halves, calls = [], []
+    real_halves, real_masses = genplan._draw_halves, genplan._window_masses
+
+    def recorded_halves(cb, n_samples):
+        out = real_halves(cb, n_samples)
+        halves.append(out)
+        return out
+
+    def counted(draws, queries, delta, bandwidth):
+        calls.append((draws, queries.tobytes()))
+        return real_masses(draws, queries, delta, bandwidth)
+
+    monkeypatch.setattr(genplan, "_draw_halves", recorded_halves)
+    monkeypatch.setattr(genplan, "_window_masses", counted)
+    perception_case_study(SensorModel(), 5, rng=RngStream(4))
+    robot, human = halves[0]
+    assert [q for d, q in calls if d is human] == [np.zeros(NAV_STEPS).tobytes()]
+    fixed = {c.actions[:, 1].tobytes()
+             for c in default_hindsight_candidates(None)[:-1]}
+    executed = [d.shape[0] for d, q in calls if d is not human and q not in fixed]
+    # one per deployment, over the one code of weight > 0
+    assert executed == [1] * 20
+
+
+def test_human_memo_holds_one_entry(nav_data, scored_samples):
+    cb_a = fit_codebook(nav_data, K=6)
+    cb_b = fit_codebook(nav_data[100:], K=6)
+    settings_ = [dict(n_samples=250, delta=0.1, bandwidth=0.05),
+                 dict(n_samples=120, delta=0.1, bandwidth=0.05),
+                 dict(n_samples=250, delta=0.2, bandwidth=0.05),
+                 dict(n_samples=250, delta=0.1, bandwidth=0.1)]
+    human = scored_samples[0].human_traj
+    for i, s in enumerate(scored_samples[:4]):
+        for kw in settings_ + settings_[::-1]:
+            for cb in ((cb_a, cb_b) if i % 2 else (cb_b, cb_a)):
+                args = (s.robot_traj, human, s.delta_h, s.goal)
+                assert _outcome(generative_regret, cb, *args, **kw) == \
+                    _reference_outcome(cb, *args, **kw)
+                key, masses = cb._human_memo
+                assert key == (kw["n_samples"], kw["delta"], kw["bandwidth"],
+                               human.actions[:, 1].tobytes())
+                assert masses.shape == (6, NAV_STEPS)
+                assert not masses.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [dict(n_samples=0), dict(n_samples=-3),
+                                 dict(bandwidth=0.0), dict(bandwidth=-0.05),
+                                 dict(bandwidth=float("nan")),
+                                 dict(delta=0.0), dict(delta=float("nan"))])
+def test_kde_parameters_are_checked_before_the_memo(codebook, scored_samples,
+                                                    bad):
+    cb = _fresh(codebook)
+    s = scored_samples[0]
+    args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
+    generative_regret(cb, *args)
+    sizes = (len(cb._draws), len(cb._halves), len(cb._robot_masses))
+    human = cb._human_memo
+    with pytest.raises(ValueError, match="must be"):
+        generative_regret(cb, *args, **bad)
+    with pytest.raises(ValueError, match="must be"):
+        counterfactual_prob(cb, *args, **bad)
+    assert (len(cb._draws), len(cb._halves), len(cb._robot_masses)) == sizes
+    assert cb._human_memo is human
+    if "n_samples" not in bad:
+        kw = dict(dict(bandwidth=0.05, delta=0.1), **bad)
+        with pytest.raises(ValueError, match="must be positive"):
+            kde_window_mass([0.0, 0.1], kw["bandwidth"], 0.0, kw["delta"])
+
+
+def test_zero_counts_are_rejected(codebook):
+    with pytest.raises(ValueError, match="n_samples_per_condition"):
+        perception_case_study(SensorModel(), 0)
+    with pytest.raises(ValueError, match="n_reps"):
+        build_mismatch_scenarios(codebook, RngStream(1), n_reps=0)
+
+
+def test_codebook_rejects_negative_weights_and_non_finite_means():
+    enc = np.full((N_CUE_BUCKETS, 2, 2), 0.5)
+    means = np.zeros((2, 12))
+    stds = np.full((2, 12), 0.1)
+    bad_enc = enc.copy()
+    bad_enc[3, 1] = (-0.5, 1.5)
+    with pytest.raises(ValueError, match=">= 0"):
+        Codebook(K=2, encoder=bad_enc, means=means, stds=stds)
+    for v in (float("nan"), float("inf")):
+        bad_means = means.copy()
+        bad_means[1, 7] = v
+        with pytest.raises(ValueError, match="finite"):
+            Codebook(K=2, encoder=enc, means=bad_means, stds=stds)
+
+
+def test_executed_index_matches_equality_scan():
+    def traj(v, start_t=0, n=NAV_STEPS):
+        return ActionTraj(np.column_stack([np.zeros(n), np.full(n, v)]), start_t)
+
+    executed = traj(0.1)
+    cases = [[traj(0.0), traj(0.1), traj(0.1)],
+             [traj(0.1, start_t=2), traj(0.2), traj(0.1)],
+             [traj(-0.0), traj(0.0)],
+             [executed]]
+    for cands in cases:
+        want = next(i for i, c in enumerate(cands) if c == cands[-1])
+        assert _executed_index(cands, cands[-1]) == want
+    for cands in ([], [traj(0.1, start_t=1)], [traj(0.1, n=5)],
+                  [traj(0.1, n=7), traj(0.2)]):
+        with pytest.raises(ValueError, match="must be in"):
+            _executed_index(cands, executed)
