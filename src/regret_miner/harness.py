@@ -33,7 +33,7 @@ from .baselines import (
     scene_prediction_errors,
     write_comparison,
 )
-from .core import RngStream
+from .core import DT_DEFAULT, JointState, RngStream
 from .planner import PlannerHandle, RewardWeights
 from .predictor import (
     PredictorParams,
@@ -57,6 +57,8 @@ CORE_METRICS = ("collision_cost", "collision_severity", "mean_regret")
 ALL_METRICS = CORE_METRICS + ("ade", "fde")
 
 _ARM_STREAM = {"HighRegretFT": 21, "LowRegretFT": 22, "RandomFT": 23, "AllFT": 24}
+_ARM_POOL = {"HighRegretFT": "pool_high", "LowRegretFT": "pool_low",
+             "RandomFT": "pool_random", "AllFT": "pool_all"}
 _SUBSET_STREAM = 31
 
 
@@ -109,6 +111,13 @@ class ExperimentConfig:
             raise ValueError("aggregation must be 'mean' or 'worst'")
         if self.replan_every < 1:
             raise ValueError("replan_every must be >= 1")
+        for name in ("planner", "predictor"):
+            dt = dict(getattr(self, name)).get("dt", DT_DEFAULT)
+            if dt != DT_DEFAULT:
+                raise ValueError(
+                    f"{name} dt={dt!r} is not supported: the scorer, replay and "
+                    f"the human policies step at dt={DT_DEFAULT} until dt is "
+                    "recorded in the scene (ROADMAP item 1)")
 
     def planner_handle(self) -> PlannerHandle:
         kw = dict(self.planner)
@@ -458,12 +467,7 @@ def finetune_params(arm: str, config: ExperimentConfig,
     and blend the refit counts into the base table. Base passes through."""
     if arm == "Base":
         return base_params
-    pool_ids = sorted({
-        "HighRegretFT": subsets.pool_high,
-        "LowRegretFT": subsets.pool_low,
-        "RandomFT": subsets.pool_random,
-        "AllFT": subsets.pool_all,
-    }[arm])
+    pool_ids = sorted(getattr(subsets, _ARM_POOL[arm]))
     if not pool_ids:
         raise ValueError(f"{arm}: empty fine-tuning pool")
     gen = RngStream(seed, _ARM_STREAM[arm]).generator()
@@ -471,6 +475,12 @@ def finetune_params(arm: str, config: ExperimentConfig,
     scenes = [scenes_by_id[pool_ids[int(j)]] for j in take]
     return fit(scenes, init=base_params, learning="finetune",
                lam=config.finetune_lambda, **config.fit_kwargs())
+
+
+def _arm_pools(subsets: Subsets, arms: Sequence[str]) -> frozenset[str]:
+    """The scene ids that fitting arms reads: the union of their pools."""
+    return frozenset().union(*(getattr(subsets, _ARM_POOL[arm])
+                               for arm in arms if arm != "Base"))
 
 
 def _split_cell(scenes: Sequence, config: ExperimentConfig) -> dict:
@@ -490,6 +500,37 @@ def _split_cell(scenes: Sequence, config: ExperimentConfig) -> dict:
     }
 
 
+def _deployed_holdouts(ids: Sequence[str], scenes_by_id: dict, specs_by_id: dict,
+                       config: ExperimentConfig, handle: PlannerHandle) -> list:
+    """The deployed records of the holdout ids, each checked to be a run of
+    config's closed loop from its spec: replans every
+    min(replan_every, horizon) steps from t=0, each with the handle's
+    candidate set, and frame 0 the spec's initial state."""
+    step = min(config.replan_every, handle.horizon)
+    out = []
+    for sid in ids:
+        rec = scenes_by_id.get(sid)
+        if rec is None:
+            raise ValueError(f"holdout scene {sid!r} is not in the deployment")
+        spec = specs_by_id[sid]
+        ts = [e.t for e in rec.replan_log]
+        if ts != list(range(0, step * len(ts), step)):
+            raise ValueError(f"holdout scene {sid!r}: replan times {ts} are not "
+                             f"every {step} steps from 0")
+        if any(len(e.candidates) != handle.n_candidates
+               or any(len(c) != handle.horizon for c in e.candidates)
+               for e in rec.replan_log):
+            raise ValueError(f"holdout scene {sid!r}: a replan does not have "
+                             f"{handle.n_candidates} candidates of "
+                             f"{handle.horizon} steps")
+        if rec.states[0] != JointState(spec.robot_init,
+                                       tuple(s for s, _ in spec.humans), 0):
+            raise ValueError(f"holdout scene {sid!r}: frame 0 is not the initial "
+                             "state of its scenario")
+        out.append(rec)
+    return out
+
+
 def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
                           specs_by_id: dict, subsets: Subsets,
                           base_params: PredictorParams,
@@ -498,10 +539,18 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
     """Refit per (arm, seed), re-run the holdout scenarios closed-loop, and
     collect metrics.
 
-    The Base arm never refits, so its redeployment is seed-independent and is
-    run once. Pass fitted={(arm, seed): params} to reuse saved predictors;
-    scenes_by_id is read only to fit an (arm, seed) that fitted lacks.
+    scenes_by_id must be the deployment of base_params under config. The
+    Base arm never refits, so its holdout cells are those deployed records,
+    the closed loops a Base redeployment would run again; each is checked to
+    fit config's closed loop (ValueError naming the scene otherwise), and
+    Base's cells are the same for every seed. Pass
+    fitted={(arm, seed): params} to reuse saved predictors; base_params and
+    the pool scenes of scenes_by_id are read only to fit an (arm, seed) that
+    fitted lacks.
     """
+    unknown = [arm for arm in arms if arm not in ARMS]
+    if unknown:
+        raise ValueError(f"unknown arm {unknown[0]!r}; known: {ARMS}")
     handle = config.planner_handle()
     split_ids = {"high": sorted(subsets.holdout_high),
                  "low": sorted(subsets.holdout_low)}
@@ -517,18 +566,15 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
                             for sid in ids], config)
 
     values: dict[str, dict[str, list[dict]]] = {}
-    base_cells = None
     for arm in arms:
-        if arm not in ARMS:
-            raise ValueError(f"unknown arm {arm!r}; known: {ARMS}")
-        values[arm] = {"high": [], "low": []}
         if arm == "Base":
-            base_cells = {split: run_split(base_params, ids)
-                          for split, ids in split_ids.items()}
-            for split in SPLITS:
-                values[arm][split] = [dict(base_cells[split])
-                                      for _ in config.seeds]
+            values[arm] = {}
+            for split, ids in split_ids.items():
+                cell = _split_cell(_deployed_holdouts(ids, scenes_by_id, specs_by_id,
+                                                      config, handle), config)
+                values[arm][split] = [dict(cell) for _ in config.seeds]
             continue
+        values[arm] = {"high": [], "low": []}
         for seed in config.seeds:
             if fitted is not None and (arm, seed) in fitted:
                 params = fitted[(arm, seed)]
@@ -730,19 +776,28 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
     """Split the scored deployment into holdouts and fine-tuning pools and fit
     one predictor per (arm, seed), Base excepted, for config.seeds unless
     seeds is given; writes subsets.json and predictors/<arm>-<seed>.json.
-    finetune owns predictors/: it deletes every predictor this call did not
-    fit, since one fitted on an earlier split would be redeployed on these
-    holdouts. Returns {(arm, seed): params}."""
+    The split covers every scene of scenes.jsonl that `score` did not skip,
+    and only the pools of the fitted arms are decoded. finetune owns
+    predictors/: it deletes every predictor this call did not fit, since one
+    fitted on an earlier split would be redeployed on these holdouts.
+    Returns {(arm, seed): params}."""
     run = Path(run)
-    scenes = _scenes(run)
+    scenes_path = need(run, "scenes.jsonl", "simulate")
     doc = _scores_doc(run)
     scores, skipped = doc["scores"], doc.get("skipped", {})
     base_params = _base_params(run)
-    subsets = build_subsets([s.scenario_id for s in scenes if s.scenario_id not in skipped],
-                            scores, config.p, config.holdout_frac,
-                            RngStream(config.base_seed, _SUBSET_STREAM))
+    subsets = None
+
+    def pools(scene_ids):
+        nonlocal subsets
+        subsets = build_subsets([i for i in scene_ids if i not in skipped],
+                                scores, config.p, config.holdout_frac,
+                                RngStream(config.base_seed, _SUBSET_STREAM))
+        return _arm_pools(subsets, arms)
+
+    scenes_by_id = {s.scenario_id: s
+                    for s in simkit.scenes_from_jsonl(scenes_path, pools)}
     (run / "subsets.json").write_text(json.dumps(subsets.to_dict(), indent=2))
-    scenes_by_id = {s.scenario_id: s for s in scenes}
     (run / "predictors").mkdir(exist_ok=True)
     fitted = {}
     for arm in arms:
@@ -762,9 +817,10 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
 
 
 def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
-    """Re-run the holdouts for Base and every arm with a saved predictor;
-    writes case_study.json. scenes.jsonl is read only to fit an (arm, seed)
-    of config.seeds that predictors/ lacks."""
+    """Re-run the holdouts for every arm with a saved predictor, and take
+    Base's holdouts from the deployment; writes case_study.json. Decodes the
+    holdout scenes of scenes.jsonl, and the pool of an arm only when
+    predictors/ lacks one of its (arm, seed) for config.seeds."""
     run = Path(run)
     subsets = Subsets.from_dict(json.loads(
         need(run, "subsets.json", "finetune").read_text()))
@@ -773,12 +829,13 @@ def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
         arm, seed = fp.stem.rsplit("-", 1)
         fitted[(arm, int(seed))] = params_from_json(fp.read_text())
     arms = ("Base",) + tuple(sorted({a for a, _ in fitted}, key=ARMS.index))
-    scenes_by_id = {}
-    if any((arm, seed) not in fitted for arm in arms[1:] for seed in config.seeds):
-        scenes_by_id = {s.scenario_id: s for s in _scenes(run)}
-    case = finetune_and_redeploy(config, scenes_by_id, _specs_by_id(run),
-                                 subsets, _base_params(run), arms=arms,
-                                 fitted=fitted)
+    unfitted = {arm for arm in arms[1:] for seed in config.seeds
+                if (arm, seed) not in fitted}
+    wanted = subsets.holdout_high | subsets.holdout_low | _arm_pools(subsets, unfitted)
+    scenes = simkit.scenes_from_jsonl(need(run, "scenes.jsonl", "simulate"), wanted)
+    case = finetune_and_redeploy(config, {s.scenario_id: s for s in scenes},
+                                 _specs_by_id(run), subsets, _base_params(run),
+                                 arms=arms, fitted=fitted)
     (run / "case_study.json").write_text(json.dumps(case.to_dict(), indent=2))
     return case
 

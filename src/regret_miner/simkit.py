@@ -931,23 +931,48 @@ def scenes_to_jsonl(path, records: Sequence[SceneRecord]):
             f.write(json.dumps(scene_to_dict(rec)) + "\n")
 
 
-def scenes_from_jsonl(path) -> list[SceneRecord]:
-    """The scenes of a JSONL file, one per non-blank line. A ValueError from
-    a line gets a note naming the line (1-based) and the scenario id."""
-    out = []
+def _line_scenario_id(d):
+    return d.get("scenario_id") if isinstance(d, dict) else None
+
+
+def _jsonl_values(path):
+    """(line number, JSON value) of each non-blank line, numbered from 1."""
     with open(path) as f:
         for n, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            d = None
             try:
-                d = json.loads(line)
-                out.append(scene_from_dict(d))
+                yield n, json.loads(line)
             except ValueError as exc:
-                sid = d.get("scenario_id") if isinstance(d, dict) else None
-                exc.add_note(f"{path}: line {n}, scenario {sid!r}")
+                exc.add_note(f"{path}: line {n}, scenario None")
                 raise
+
+
+def scenes_from_jsonl(path, ids=None) -> list[SceneRecord]:
+    """The scenes of a JSONL file, one per non-blank line, in line order.
+
+    Every line is JSON-parsed, so a line that is not JSON always fails. With
+    ids given, only the lines whose scenario id is in ids are decoded. ids
+    may also be a function that takes the scenario ids of all lines, in line
+    order, and returns that set; every line is then parsed before any is
+    decoded. A line with no string scenario id is always decoded. A
+    ValueError from a line gets a note naming the line (1-based) and the
+    scenario id."""
+    lines = _jsonl_values(path)
+    if callable(ids):
+        lines = list(lines)
+        ids = ids([_line_scenario_id(d) for _, d in lines])
+    out = []
+    for n, d in lines:
+        sid = _line_scenario_id(d)
+        if ids is not None and isinstance(sid, str) and sid not in ids:
+            continue
+        try:
+            out.append(scene_from_dict(d))
+        except ValueError as exc:
+            exc.add_note(f"{path}: line {n}, scenario {sid!r}")
+            raise
     return out
 
 

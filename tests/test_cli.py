@@ -11,6 +11,7 @@ import regret_miner
 from regret_miner import cli, harness, simkit
 from regret_miner.cli import _pick_arms, _pick_seeds, build_parser, main
 from regret_miner.harness import ARMS, ExperimentConfig
+from regret_miner.predictor import TablePredictor, params_from_json
 from scene1_reference import scene1_dict
 
 
@@ -314,13 +315,52 @@ def test_scene1_run_scores_like_scene2(cli_and_full_runs, tmp_path, capsys):
         assert got[name] == want[name], f"{name} differs"
 
 
-def test_redeploy_with_every_predictor_reads_no_scenes(cli_and_full_runs, tmp_path, capsys):
+def _count_decodes(monkeypatch):
+    """The scenario id of every scene_from_dict call, in call order."""
+    decoded = []
+    real = simkit.scene_from_dict
+    monkeypatch.setattr(simkit, "scene_from_dict",
+                        lambda d: decoded.append(d["scenario_id"]) or real(d))
+    return decoded
+
+
+def _subsets(run):
+    return json.loads((run / "subsets.json").read_text())
+
+
+def test_redeploy_with_every_predictor_decodes_only_the_holdouts(
+        cli_and_full_runs, tmp_path, monkeypatch, capsys):
     cli_run, full_run = cli_and_full_runs
     run = _copy_run(cli_run, tmp_path / "run")
-    (run / "scenes.jsonl").unlink()
     (run / "case_study.json").unlink()
+    decoded = _count_decodes(monkeypatch)
     assert main(["redeploy", "--in", str(run)]) == 0
+    subsets = _subsets(run)
+    assert sorted(decoded) == sorted(subsets["holdout_high"] + subsets["holdout_low"])
     assert (run / "case_study.json").read_bytes() == (full_run / "case_study.json").read_bytes()
+    # The Base arm is read from the deployment, so redeploy needs the scenes.
+    (run / "scenes.jsonl").unlink()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["redeploy", "--in", str(run)])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "FileNotFoundError"
+    assert "run `simulate` first" in err["message"]
+
+
+def test_finetune_decodes_only_the_pools_it_fits(cli_and_full_runs, tmp_path,
+                                                 monkeypatch, capsys):
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    decoded = _count_decodes(monkeypatch)
+    assert main(["finetune", "--in", str(run), "--arms", "high"]) == 0
+    assert sorted(decoded) == _subsets(run)["pool_high"]
+    assert (run / "subsets.json").read_bytes() == \
+        (cli_and_full_runs[0] / "subsets.json").read_bytes()
+    decoded.clear()
+    assert main(["finetune", "--in", str(run), "--arms", "low,random"]) == 0
+    subsets = _subsets(run)
+    assert sorted(decoded) == sorted(set(subsets["pool_low"] + subsets["pool_random"]))
     capsys.readouterr()
 
 
@@ -352,7 +392,8 @@ def test_redeploy_with_a_missing_predictor_reads_scenes(two_seed_run, tmp_path,
     reads = []
     real = simkit.scenes_from_jsonl
     monkeypatch.setattr(simkit, "scenes_from_jsonl",
-                        lambda path: reads.append(Path(path).name) or real(path))
+                        lambda path, ids=None: reads.append(Path(path).name)
+                        or real(path, ids))
     assert main(["redeploy", "--in", str(run)]) == 0
     assert reads == ["scenes.jsonl"]
     # The refit predictor is the one finetune saved, so the case study is too.
@@ -365,6 +406,74 @@ def test_redeploy_with_a_missing_predictor_reads_scenes(two_seed_run, tmp_path,
         main(["redeploy", "--in", str(run)])
     assert exc.value.code == 1
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "FileNotFoundError"
+
+
+def _reference_case(config, scenes_by_id, specs_by_id, subsets, base_params, arms,
+                    fitted):
+    """The case study as finetune_and_redeploy computed it when the Base arm
+    ran its holdouts closed-loop again with base_params."""
+    handle = config.planner_handle()
+    split_ids = {"high": sorted(subsets.holdout_high),
+                 "low": sorted(subsets.holdout_low)}
+
+    def run_split(params, ids):
+        return harness._split_cell([simkit.run_closed_loop(specs_by_id[sid], handle,
+                                                           TablePredictor(params),
+                                                           config.replan_every)
+                                    for sid in ids], config)
+
+    values = {}
+    for arm in arms:
+        values[arm] = {"high": [], "low": []}
+        if arm == "Base":
+            base_cells = {split: run_split(base_params, ids)
+                          for split, ids in split_ids.items()}
+            for split in harness.SPLITS:
+                values[arm][split] = [dict(base_cells[split]) for _ in config.seeds]
+            continue
+        for seed in config.seeds:
+            if fitted is not None and (arm, seed) in fitted:
+                params = fitted[(arm, seed)]
+            else:
+                params = harness.finetune_params(arm, config, base_params, subsets,
+                                                 scenes_by_id, seed)
+            for split, ids in split_ids.items():
+                values[arm][split].append(run_split(params, ids))
+    return harness.CaseStudyReport(seeds=config.seeds, values=values)
+
+
+@pytest.mark.parametrize("base_seed", [3, 4])
+def test_base_arm_equals_a_closed_loop_rerun_of_its_holdouts(base_seed, tmp_path, capsys):
+    config = ExperimentConfig(
+        families=(("StrandedTruck", 2), ("SparseCruise", 3)),
+        pretrain_families=(("SparseCruise", 1),), seeds=(101, 102), p=25.0,
+        holdout_frac=0.25, replan_every=20, base_seed=base_seed,
+        pretrain_seed=10_000 + base_seed, out_dir="run")
+    harness.config_to_yaml(config, tmp_path / "config.yaml")
+    run = tmp_path / "run"
+    r = str(run)
+    for argv in (["simulate", "--config", str(tmp_path / "config.yaml"), "--out", r],
+                 ["score", "--in", r],
+                 ["finetune", "--in", r, "--arms", "high"],
+                 ["redeploy", "--in", r]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    config, scenes, specs_by_id, base_params = harness.load_deployment(run)
+    scenes_by_id = {s.scenario_id: s for s in scenes}
+    subsets = harness.Subsets.from_dict(_subsets(run))
+    fitted = {("HighRegretFT", seed): params_from_json(
+        (run / "predictors" / f"HighRegretFT-{seed}.json").read_text())
+        for seed in config.seeds}
+    want = _reference_case(config, scenes_by_id, specs_by_id, subsets, base_params,
+                           ("Base", "HighRegretFT"), fitted)
+    assert (run / "case_study.json").read_text() == json.dumps(want.to_dict(), indent=2)
+    for split, ids in (("high", subsets.holdout_high), ("low", subsets.holdout_low)):
+        assert sorted(want.values["Base"][split][0]["per_scene_collision_cost"]) == \
+            sorted(ids)
+    got = harness.finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
+                                        base_params)
+    assert got == _reference_case(config, scenes_by_id, specs_by_id, subsets,
+                                  base_params, ARMS, None)
 
 
 def test_finetune_drops_predictors_it_did_not_fit(cli_and_full_runs, tmp_path, capsys):

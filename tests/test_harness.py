@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 import yaml
 
 from regret_miner import harness
-from regret_miner.core import RngStream
+from regret_miner.core import AgentState, RngStream
 from regret_miner.harness import (
     ALL_METRICS,
     ARMS,
@@ -354,3 +355,66 @@ def test_finetune_and_redeploy_shape(small_run):
     with pytest.raises(ValueError):
         finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
                               PredictorParams.fresh(), arms=("Sideways",))
+
+
+@pytest.fixture(scope="module")
+def small_split(small_run):
+    config, scenes, _, out = small_run
+    scores, _ = score_deployment(scenes, config)
+    subsets = build_subsets(sorted(scores), scores, config.p,
+                            config.holdout_frac, RngStream(config.base_seed, 31))
+    _, _, specs_by_id, _ = load_deployment(out)
+    return config, {s.scenario_id: s for s in scenes}, specs_by_id, subsets
+
+
+def test_base_arm_accepts_its_own_deployment(small_split):
+    config, scenes_by_id, specs_by_id, subsets = small_split
+    case = finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
+                                 PredictorParams.fresh(), arms=("Base",))
+    for split, ids in (("high", subsets.holdout_high), ("low", subsets.holdout_low)):
+        assert sorted(case.values["Base"][split][0]["per_scene_collision_cost"]) == \
+            sorted(ids)
+
+
+def _replace_spec_start(spec):
+    r = spec.robot_init
+    return dataclasses.replace(spec, robot_init=AgentState(r.x + 0.5, r.y, r.heading, r.speed))
+
+
+@pytest.mark.parametrize("case, config_change, message", [
+    ("missing", {}, "is not in the deployment"),
+    ("replan", {"replan_every": 20}, "replan times [0, 10"),
+    ("count", {"planner": {"horizon": 20, "accel_levels": [-3.0, 0.0]}},
+     "does not have 7 candidates of 20 steps"),
+    ("length", {"planner": {"horizon": 30}}, "does not have 13 candidates of 30 steps"),
+    ("start", {}, "frame 0 is not the initial state"),
+])
+def test_base_arm_rejects_a_holdout_that_is_not_this_deployment(
+        small_split, case, config_change, message):
+    config, scenes_by_id, specs_by_id, subsets = small_split
+    config = dataclasses.replace(config, **config_change)
+    # A config change fails the first holdout checked; the scene or spec
+    # changed here is the last.
+    sid = sorted(subsets.holdout_high)[0]
+    if case == "missing":
+        sid = sorted(subsets.holdout_low)[-1]
+        scenes_by_id = {k: v for k, v in scenes_by_id.items() if k != sid}
+    if case == "start":
+        sid = sorted(subsets.holdout_low)[-1]
+        specs_by_id = {**specs_by_id, sid: _replace_spec_start(specs_by_id[sid])}
+    with pytest.raises(ValueError) as err:
+        finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
+                              PredictorParams.fresh(), arms=("Base",))
+    assert repr(sid) in str(err.value)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["planner", "predictor"])
+def test_config_rejects_a_dt_other_than_the_default(name):
+    with pytest.raises(ValueError, match="ROADMAP item 1"):
+        ExperimentConfig(**{name: {"dt": 0.2}})
+    with pytest.raises(ValueError, match="ROADMAP item 1"):
+        ExperimentConfig.from_dict({name: {"dt": 0.2}})
+    config = ExperimentConfig(**{name: {"dt": 0.1}})
+    assert config.planner_handle().dt == 0.1
+    assert config.fresh_predictor().dt == 0.1

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from regret_miner import simkit
 from regret_miner.core import (
     CAR_RADIUS,
     DT_DEFAULT,
@@ -644,6 +645,51 @@ def test_scenes_from_jsonl_names_the_bad_line(two_human_scene, tmp_path):
     with pytest.raises(ValueError) as err:
         scenes_from_jsonl(path)
     assert err.value.__notes__ == [f"{path}: line 2, scenario None"]
+
+
+def test_scenes_from_jsonl_decodes_only_the_wanted_ids(two_human_scene, tmp_path,
+                                                       monkeypatch):
+    lines = []
+    for sid in ("a", "bad", "c"):
+        d = scene_to_dict(two_human_scene)
+        d["scenario_id"] = sid
+        lines.append(d)
+    arr = _block_array(lines[1]["states"]).copy()
+    arr[3, 1, 3] = -0.25
+    _set_block(lines[1]["states"], arr)
+    path = tmp_path / "scenes.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n\n" for d in lines))
+    decoded = []
+    real = simkit.scene_from_dict
+    monkeypatch.setattr(simkit, "scene_from_dict",
+                        lambda d: decoded.append(d["scenario_id"]) or real(d))
+
+    got = scenes_from_jsonl(path, {"c", "a", "elsewhere"})
+    assert [s.scenario_id for s in got] == ["a", "c"] == decoded
+    assert scene_to_dict(got[1]) == lines[2]
+    assert scenes_from_jsonl(path, set()) == []
+    seen = []
+    got = scenes_from_jsonl(path, lambda ids: seen.append(ids) or {"c"})
+    assert seen == [["a", "bad", "c"]]
+    assert [s.scenario_id for s in got] == ["c"]
+    # A wanted line fails with the note it fails with when every line is decoded.
+    for ids in ({"bad"}, lambda ids: {"bad"}, None):
+        with pytest.raises(ValueError) as err:
+            scenes_from_jsonl(path, ids)
+        assert str(err.value) == "speed must be >= 0, got -0.25"
+        assert err.value.__notes__ == [f"{path}: line 3, scenario 'bad'"]
+    # Every line is parsed: a line that is not JSON fails whatever is wanted.
+    path.write_text(json.dumps(lines[0]) + "\n{\n")
+    for ids in ({"a"}, set(), lambda ids: set()):
+        with pytest.raises(ValueError) as err:
+            scenes_from_jsonl(path, ids)
+        assert err.value.__notes__ == [f"{path}: line 2, scenario None"]
+    # A line with no scenario id is decoded whatever is wanted.
+    monkeypatch.undo()
+    del lines[0]["scenario_id"]
+    path.write_text(json.dumps(lines[0]) + "\n")
+    with pytest.raises(KeyError):
+        scenes_from_jsonl(path, set())
 
 
 @pytest.mark.parametrize("schema", ["scene/0", "scene/3", None])
