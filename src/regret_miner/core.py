@@ -445,18 +445,43 @@ def rollout_positions(state: AgentState, traj: ActionTraj,
     return xy
 
 
-def rollout_positions_batch(x0, y0, h0, v0, actions: np.ndarray,
-                            dt: float = DT_DEFAULT) -> np.ndarray:
-    """(B, T, 2) positions of B rollouts, one per row of a (B, T, 2) action
-    array, from per-row start states x0, y0, h0, v0 (each of shape (B,)).
+def rollout_speeds(v0, accel: np.ndarray, dt: float) -> np.ndarray:
+    """(B, T) speeds after each step of B rollouts from start speeds v0 (B,)
+    under a (B, T) acceleration array: v_k = max(0.0, v_{k-1} + a_k*dt), the
+    speed recurrence of rollout_positions, bit for bit.
 
-    Every row equals rollout_positions of that row's start state and actions
-    bit for bit. Only the speed and heading recurrences are sequential:
-    - speed: while max(0.0, v) leaves v unchanged, v_k = v_{k-1} + a_k*dt is
-      one cumsum over [v0, a_1*dt..a_T*dt], a sequential left fold like the
-      scalar loop; a row whose sum is negative, -0.0 or NaN at some step
-      would be clamped there, so it is stepped one by one instead (such
-      rows are few, and one cumsum costs less than T steps over the block);
+    While max(0.0, v) leaves v unchanged, v_k = v_{k-1} + a_k*dt is one
+    cumsum over [v0, a_1*dt..a_T*dt], a sequential left fold like the scalar
+    loop. A row whose sum is negative, -0.0 or NaN at some step would be
+    clamped there, so it is stepped one by one instead (such rows are few,
+    and one cumsum costs less than T steps over the block). Non-finite
+    values raise nothing here; rollout_positions_from_speeds rejects what
+    they lead to.
+    """
+    B, T = accel.shape
+    with np.errstate(all="ignore"):
+        vs = np.empty((B, T + 1))
+        vs[:, 0] = v0
+        vs[:, 1:] = accel * dt
+        V = np.cumsum(vs, axis=1)[:, 1:]
+        clamped = ~(V >= 0.0) | np.signbit(V)
+        for b in np.flatnonzero(clamped.any(axis=1)).tolist():
+            vb, speeds = float(vs[b, 0]), []
+            for a in accel[b].tolist():
+                vb = vb + a * dt
+                vb = vb if vb > 0.0 else 0.0  # max(0.0, vb), NaN and -0.0 included
+                speeds.append(vb)
+            V[b] = speeds
+    return V
+
+
+def rollout_positions_from_speeds(x0, y0, h0, speeds: np.ndarray, turns: np.ndarray,
+                                  dt: float = DT_DEFAULT) -> np.ndarray:
+    """(B, T, 2) positions of B rollouts from per-row start poses x0, y0, h0
+    (each of shape (B,)), (B, T) speeds after each step and (B, T) turn rates.
+
+    With speeds from rollout_speeds, or any speeds equal to them bit for bit,
+    every row equals rollout_positions of that row's start state and actions:
     - heading: one scalar loop (wrapped twice per step) per distinct row of
       [start heading, turn*dt], which the heading depends on alone; rows are
       keyed by their bytes, so -0.0 and 0.0 stay apart;
@@ -464,38 +489,17 @@ def rollout_positions_batch(x0, y0, h0, v0, actions: np.ndarray,
       pass, with rollout_positions's expressions, then one cumsum over
       [x0, dx_1..dx_T], so x_k = x_{k-1} + dx_k as in the scalar loop.
     It raises the ValueErrors of rollout_positions: dt <= 0, a non-finite dt,
-    and a rollout leaving the finite range. Non-finite start states or
-    actions, which AgentState and ActionTraj reject, raise ValueError as well.
+    and a rollout leaving the finite range.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     _require_finite("rollout_positions", dt)
-    acts = np.asarray(actions, dtype=float)
-    if acts.ndim != 3 or acts.shape[2] != 2:
-        raise ValueError(f"actions must have shape (B, T, 2), got {acts.shape}")
-    B, T = acts.shape[:2]
-    x, y, h, v = (np.asarray(s, dtype=float) for s in (x0, y0, h0, v0))
-    if any(a.shape != (B,) for a in (x, y, h, v)):
-        raise ValueError(f"start states must have shape ({B},)")
-    if not all(np.isfinite(a).all() for a in (x, y, h, v, acts)):
-        raise ValueError("rollout_positions_batch: start states and actions must be finite")
-    turn = acts[:, :, 1]
+    B, T = speeds.shape
+    V, turn = speeds, turns
     pi, two_pi = _PI, TWO_PI
     with np.errstate(all="ignore"):
-        vs = np.empty((B, T + 1))
-        vs[:, 0] = v
-        vs[:, 1:] = acts[:, :, 0] * dt
-        V = np.cumsum(vs, axis=1)[:, 1:]
-        clamped = ~(V >= 0.0) | np.signbit(V)
-        for b in np.flatnonzero(clamped.any(axis=1)).tolist():
-            vb, speeds = float(v[b]), []
-            for a in acts[b, :, 0].tolist():
-                vb = vb + a * dt
-                vb = vb if vb > 0.0 else 0.0  # max(0.0, vb), NaN and -0.0 included
-                speeds.append(vb)
-            V[b] = speeds
         hw = np.empty((B, T + 1))
-        hw[:, 0] = h
+        hw[:, 0] = h0
         hw[:, 1:] = turn * dt
         index: dict[bytes, int] = {}
         heads, inv = [], []
@@ -518,8 +522,8 @@ def rollout_positions_batch(x0, y0, h0, v0, actions: np.ndarray,
         straight = np.abs(turn) < 1e-12
         r = V / np.where(straight, 1.0, turn)
         steps = np.empty((B, T + 1, 2))
-        steps[:, 0, 0] = x
-        steps[:, 0, 1] = y
+        steps[:, 0, 0] = x0
+        steps[:, 0, 1] = y0
         steps[:, 1:, 0] = np.where(straight, V * cos_h * dt, r * (np.sin(h1s) - sin_h))
         steps[:, 1:, 1] = np.where(straight, V * sin_h * dt, -r * (np.cos(h1s) - cos_h))
         out = np.cumsum(steps, axis=1)[:, 1:]
@@ -527,6 +531,32 @@ def rollout_positions_batch(x0, y0, h0, v0, actions: np.ndarray,
             and np.isfinite(out).all()):
         raise ValueError("rollout_positions: rollout left the finite range")
     return np.ascontiguousarray(out)
+
+
+def rollout_positions_batch(x0, y0, h0, v0, actions: np.ndarray,
+                            dt: float = DT_DEFAULT) -> np.ndarray:
+    """(B, T, 2) positions of B rollouts, one per row of a (B, T, 2) action
+    array, from per-row start states x0, y0, h0, v0 (each of shape (B,)).
+
+    Every row equals rollout_positions of that row's start state and actions
+    bit for bit. It is its speed half, rollout_speeds, followed by its
+    position half, rollout_positions_from_speeds; only the speed and heading
+    recurrences are sequential. It raises the ValueErrors of
+    rollout_positions: dt <= 0, a non-finite dt, and a rollout leaving the
+    finite range. Non-finite start states or actions, which AgentState and
+    ActionTraj reject, raise ValueError as well.
+    """
+    acts = np.asarray(actions, dtype=float)
+    if acts.ndim != 3 or acts.shape[2] != 2:
+        raise ValueError(f"actions must have shape (B, T, 2), got {acts.shape}")
+    B = acts.shape[0]
+    x, y, h, v = (np.asarray(s, dtype=float) for s in (x0, y0, h0, v0))
+    if any(a.shape != (B,) for a in (x, y, h, v)):
+        raise ValueError(f"start states must have shape ({B},)")
+    if not all(np.isfinite(a).all() for a in (x, y, h, v, acts)):
+        raise ValueError("rollout_positions_batch: start states and actions must be finite")
+    return rollout_positions_from_speeds(x, y, h, rollout_speeds(v, acts[:, :, 0], dt),
+                                         acts[:, :, 1], dt)
 
 
 def footprint_overlap(a: AgentState, b: AgentState, radius_a: float,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +31,7 @@ from .core import (
     NavWorld,
     RngStream,
     rollout_positions,
-    rollout_positions_batch,
+    rollout_positions_from_speeds,
 )
 from .predictor import PredictionSet
 
@@ -72,8 +74,14 @@ class PlannerHandle:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.speed_cap <= 0:
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.speed_cap > 0:  # NaN too: it would compare False and lift the cap
             raise ValueError("speed_cap must be positive")
+        if not self.accel_jitter >= 0:
+            raise ValueError(f"accel_jitter must be non-negative, got {self.accel_jitter}")
+        if self.n_modes < 1:
+            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
         for p in self.steer_profiles:
             if p not in STEER_PROFILES:
                 raise ValueError(f"unknown steer profile {p!r}")
@@ -96,62 +104,114 @@ def _steer_sequence(profile: str, T: int, turn: float) -> np.ndarray:
     return w
 
 
-def _cap_speed(accel: np.ndarray, v0: float, cap: float, dt: float) -> list[float]:
-    """Clamp an acceleration sequence so rolled-out speed never exceeds cap.
+@lru_cache(maxsize=32)
+def _steer_rows(profiles: tuple[str, ...], T: int, turn: float, n_levels: int) -> np.ndarray:
+    """Read-only (n_levels * len(profiles), T) turn rates of the library's
+    rows after the maintain one: the profiles in order, once per level,
+    clipped to TURN_LIMIT."""
+    rows = np.clip([_steer_sequence(p, T, turn) for p in profiles],
+                   -TURN_LIMIT, TURN_LIMIT).reshape(len(profiles), T)
+    rows = np.tile(rows, (n_levels, 1))
+    rows.setflags(write=False)
+    return rows
+
+
+def _cap_piece(a: float, n: int, v: float, cap: float, dt: float,
+               accels: list, speeds: list) -> float:
+    """Cap n steps of the constant acceleration a from speed v: append each
+    capped acceleration to accels and the speed after it to speeds, and
+    return the last speed.
 
     Each step is a = min(a, (cap - v) / dt), then a clipped to
-    [-ACCEL_LIMIT, ACCEL_LIMIT], then v = max(0.0, v + a * dt), written as
-    comparisons: `c if c < a else a` is min(a, c) and `u if u > 0.0 else 0.0`
-    is max(0.0, u), NaN and signed zeros included, without the builtin calls.
+    [-ACCEL_LIMIT, ACCEL_LIMIT], then v = max(0.0, v + a * dt). Clipping a
+    once first changes no step: min(a, c) clipped equals min(clip(a), c)
+    clipped. The minima are written as comparisons: `c if c < a else a` is
+    min(a, c) and `u if u > 0.0 else 0.0` is max(0.0, u), NaN and signed
+    zeros included, without the builtin calls. A step depends only on the
+    speed it starts from (0.0 and -0.0 step alike), so once a step leaves
+    the speed unchanged the rest of the piece repeats it.
     """
     lo, hi = -ACCEL_LIMIT, ACCEL_LIMIT
-    out = []
-    v = v0
-    for a in accel.tolist():
+    a = lo if lo > a else a
+    a = hi if hi < a else a
+    adt = a * dt
+    add_a, add_v = accels.append, speeds.append
+    for k in range(n):
         c = (cap - v) / dt
-        a = c if c < a else a
-        a = lo if lo > a else a
-        a = hi if hi < a else a
-        out.append(a)
-        v = v + a * dt
-        v = v if v > 0.0 else 0.0
+        if c < a:
+            b = lo if lo > c else c
+            u = v + b * dt
+        else:
+            b = a
+            u = v + adt
+        u = u if u > 0.0 else 0.0
+        if u == v:
+            accels.extend([b] * (n - k))
+            speeds.extend([u] * (n - k))
+            return u
+        add_a(b)
+        add_v(u)
+        v = u
+    return v
+
+
+def _cap_speed(accel: np.ndarray, v0: float, cap: float, dt: float) -> list[float]:
+    """Clamp an acceleration sequence so rolled-out speed never exceeds cap:
+    _cap_piece over each run of bitwise-equal accelerations."""
+    out: list[float] = []
+    v = v0
+    for _, run in groupby(accel.tolist(), key=float.hex):
+        run = list(run)
+        v = _cap_piece(run[0], len(run), v, cap, dt, out, [])
     return out
+
+
+def _candidate_block(handle: PlannerHandle, v0: float, rng: RngStream, start_t: int
+                     ) -> tuple[list[ActionTraj], np.ndarray, np.ndarray]:
+    """The candidate library from start speed v0: its trajectories, their
+    read-only (K, T, 2) action block, and the (K, T) speed after each step,
+    equal bit for bit to the speeds of rollout_speeds on the block.
+
+    The K - 1 jitters are one normal draw, which equals K - 1 scalar draws
+    bit for bit. Each candidate holds one or two constant acceleration
+    pieces (two_stage), each clipped once and speed-capped by _cap_piece.
+    """
+    T, dt, cap = handle.horizon, handle.dt, handle.speed_cap
+    half = T // 2
+    levels = [float(a) for a in handle.accel_levels]
+    # Each level row as its constant pieces: (acceleration level, steps).
+    rows = ([((a1, half), (a2, T - half)) for a1 in levels for a2 in levels]
+            if handle.two_stage else [((a, T),) for a in levels])
+    P = len(handle.steer_profiles)
+    K = 1 + len(rows) * P
+    jits = iter(rng.generator().normal(0.0, handle.accel_jitter, K - 1).tolist())
+    accels: list[float] = []
+    speeds: list[float] = []
+    _cap_piece(0.0, T, v0, cap, dt, accels, speeds)
+    for pieces in rows:
+        for _ in range(P):
+            jit = next(jits)
+            v = v0
+            for a, n in pieces:
+                v = _cap_piece(a + jit, n, v, cap, dt, accels, speeds)
+    acts = np.zeros((K, T, 2))
+    acts[:, :, 0] = np.array(accels).reshape(K, T)
+    acts[1:, :, 1] = _steer_rows(handle.steer_profiles, T, handle.lane_change_turn, len(rows))
+    acts.setflags(write=False)
+    return (ActionTraj.block(acts, [start_t] * K), acts,
+            np.array(speeds).reshape(K, T))
 
 
 def sample_candidates(handle: PlannerHandle, state: AgentState, ctx: Context,
                       rng: RngStream, start_t: int = 0) -> list[ActionTraj]:
-    """Enumerate the candidate library with rng jitter on accelerations.
+    """Enumerate the candidate library with rng jitter on accelerations: the
+    trajectories of _candidate_block, whose action block and speeds plan()
+    uses as well.
 
-    Index 0 is always the maintain trajectory; every candidate's acceleration
-    is clamped so speed stays at or below the handle's speed cap.
+    In the library, index 0 is the maintain trajectory; every candidate's
+    acceleration is clamped so speed stays at or below the handle's speed cap.
     """
-    gen = rng.generator()
-    T = handle.horizon
-    cap = handle.speed_cap
-    block = np.zeros((handle.n_candidates, T, 2))
-    block[0, :, 0] = _cap_speed(np.zeros(T), state.speed, cap, handle.dt)
-    steer = {p: np.clip(_steer_sequence(p, T, handle.lane_change_turn),
-                        -TURN_LIMIT, TURN_LIMIT)
-             for p in handle.steer_profiles}
-    if handle.two_stage:
-        accel_seqs = []
-        half = T // 2
-        for a1 in handle.accel_levels:
-            for a2 in handle.accel_levels:
-                seq = np.full(T, a2)
-                seq[:half] = a1
-                accel_seqs.append(seq)
-    else:
-        accel_seqs = [np.full(T, a) for a in handle.accel_levels]
-    k = 1
-    for accel in accel_seqs:
-        for profile in handle.steer_profiles:
-            jit = gen.normal(0.0, handle.accel_jitter)
-            a = np.clip(accel + jit, -ACCEL_LIMIT, ACCEL_LIMIT)
-            block[k, :, 0] = _cap_speed(a, state.speed, cap, handle.dt)
-            block[k, :, 1] = steer[profile]
-            k += 1
-    return ActionTraj.block(block, [start_t] * len(block))
+    return _candidate_block(handle, state.speed, rng, start_t)[0]
 
 
 def _overlap_sum(ego_xy: np.ndarray, h_xy: np.ndarray, r: float):
@@ -275,19 +335,23 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     the candidate, and the collision term is additive over humans, so the
     expectation over independent per-human modes is a per-human weighted sum.
 
-    The candidates are rolled out as one rollout_positions_batch block, and
-    each distinct human mode trajectory once. The predictor is asked once per
+    The candidate library is built as one block with the speed after each
+    step (_candidate_block), and rolled out from those speeds by the position
+    half of rollout_positions_batch; each distinct human mode trajectory is
+    rolled out once. The predictor is asked once per
     replan for one PredictionSet per candidate,
     ``predictor.predict_candidates(joint, history, candidates, ego_xys, ctx,
     n_modes, dt)``, with the candidates' (K, T, 2) rollouts at ``dt``.
     Progress, lane and control come from one terms_matrix over the candidates,
     and each (human, mode trajectory) has one overlap pass over all rollouts;
     every candidate's expectation is then accumulated per human and mode in
-    the order a per-candidate loop would, so each value is that loop's.
+    the order a per-candidate loop would, so each value is that loop's. The
+    chosen plan's reward samples reuse its terms_matrix row and overlap rows;
+    only a mode trajectory shorter than the horizon, which crops every term,
+    sends a sample through terms_from_positions.
     """
-    candidates = sample_candidates(handle, joint.robot, ctx, rng, start_t=joint.t)
-    if not candidates:
-        raise ValueError("empty candidate set")
+    robot = joint.robot
+    candidates, acts, speeds = _candidate_block(handle, robot.speed, rng, joint.t)
     M = len(joint.humans)
     radii = list(human_radii) if human_radii is not None else [CAR_RADIUS] * M
     if len(radii) != M:
@@ -303,13 +367,13 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
             mode_rollouts[key] = rollout_positions(joint.humans[i], traj, dt)
         return mode_rollouts[key]
 
-    acts = np.stack([cand.actions for cand in candidates])
-    robot, K = joint.robot, len(candidates)
-    ego_xys = rollout_positions_batch([robot.x] * K, [robot.y] * K, [robot.heading] * K,
-                                      [robot.speed] * K, acts, dt)
+    K = len(candidates)
+    ego_xys = rollout_positions_from_speeds(np.full(K, robot.x), np.full(K, robot.y),
+                                            np.full(K, robot.heading), speeds,
+                                            acts[:, :, 1], dt)
     pred_sets = predictor.predict_candidates(joint, history, candidates, ego_xys, ctx,
                                              handle.n_modes, dt)
-    progress, lane, _, ctrl = terms_matrix(ego_xys, acts, [], [], joint.robot, ctx)
+    progress, lane, _, ctrl = terms_matrix(ego_xys, acts, [], [], robot, ctx)
     expected = w.w_progress * progress + w.w_lane * lane + w.w_ctrl * ctrl
     overlaps: dict[tuple[int, int], np.ndarray] = {}  # (human, id(traj)) -> (K,)
     # Candidates in one predictor bucket share one PredictionSet; each
@@ -338,11 +402,22 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
         combos = [(idx + (k,), p * chosen_pred.humans[i][k].prob)
                   for idx, p in combos
                   for k in range(len(chosen_pred.humans[i]))]
+    T = handle.horizon
+    row = (float(progress[chosen_idx]), float(lane[chosen_idx]), float(ctrl[chosen_idx]))
     samples: list[tuple[float, float]] = []
     for idx, weight in combos:
-        h_xys = [human_xy(i, chosen_pred.humans[i][idx[i]].traj) for i in range(M)]
-        terms = terms_from_positions(chosen_xy, chosen.actions, h_xys, radii,
-                                     joint.robot, ctx)
+        trajs = [chosen_pred.humans[i][idx[i]].traj for i in range(M)]
+        if all(len(traj) >= T for traj in trajs):
+            # Nothing crops the rollout: the terms are the replan's own
+            # terms_matrix row and overlap rows, summed as terms_matrix does.
+            col = 0.0
+            for i, traj in enumerate(trajs):
+                col = col + float(overlaps[(i, id(traj))][chosen_idx])
+            terms = (row[0], row[1], col, row[2])
+        else:
+            h_xys = [human_xy(i, traj) for i, traj in enumerate(trajs)]
+            terms = terms_from_positions(chosen_xy, chosen.actions, h_xys, radii,
+                                         robot, ctx)
         samples.append((weighted_reward(w, terms), float(weight)))
 
     entry = ReplanEntry(

@@ -17,6 +17,8 @@ from regret_miner.core import (
     footprint_overlap,
     rollout_positions,
     rollout_positions_batch,
+    rollout_positions_from_speeds,
+    rollout_speeds,
     unicycle_step_floats,
     wrap_angle,
 )
@@ -337,6 +339,23 @@ def test_rollout_positions_batch_rejects_what_rollout_positions_rejects():
         rollout_positions_batch(0.0, 0.0, 0.0, 1.0, acts, 0.1)  # start states must be (B,)
 
 
+def test_rollout_positions_from_speeds_keeps_the_batch_checks():
+    acts = np.array([[[1.0, 0.0]] * 3, [[0.0, 0.5]] * 3])
+    start = ([0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    speeds = rollout_speeds(np.array([1.0, 1.0]), acts[:, :, 0], 0.1)
+    assert np.array_equal(rollout_positions_from_speeds(*start, speeds, acts[:, :, 1], 0.1),
+                          rollout_positions_batch(*start, [1.0, 1.0], acts, 0.1))
+    for dt in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            rollout_positions_from_speeds(*start, speeds, acts[:, :, 1], dt)
+    for bad in (float("nan"), float("inf")):
+        for at in ((0, 2), (1, 0)):
+            nonfinite = speeds.copy()
+            nonfinite[at] = bad
+            with pytest.raises(ValueError, match="left the finite range"):
+                rollout_positions_from_speeds(*start, nonfinite, acts[:, :, 1], 0.1)
+
+
 # Start states as the batch kernel takes them, unwrapped: signed zeros, +pi
 # and -pi, and ordinary values.
 _RAW_START = st.tuples(
@@ -653,6 +672,17 @@ def test_rng_stream_determinism():
     assert np.array_equal(a, b)
     c = RngStream(12345, 7).generator().uniform(size=8)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("n", [1, 12, 48])
+def test_rng_stream_normal_block_equals_scalar_draws(sigma, n):
+    # The planner's candidate jitters and the perception codebook draw their
+    # normals as one block where they were drawn one by one.
+    block = RngStream(2024, 3).generator().normal(0.0, sigma, n)
+    gen = RngStream(2024, 3).generator()
+    scalars = [gen.normal(0.0, sigma) for _ in range(n)]
+    assert [v.hex() for v in block.tolist()] == [float(v).hex() for v in scalars]
 
 
 def test_rng_stream_derive():

@@ -15,11 +15,14 @@ from regret_miner.core import (
     NavWorld,
     RngStream,
     rollout_positions,
+    rollout_positions_batch,
+    rollout_speeds,
 )
 from regret_miner.planner import (
     PlannerHandle,
     ReplanEntry,
     RewardWeights,
+    _candidate_block,
     _cap_speed,
     plan,
     reward,
@@ -29,6 +32,8 @@ from regret_miner.planner import (
 from regret_miner.predictor import (
     BUCKET_SHAPE,
     N_MODES,
+    ModePrediction,
+    PredictionSet,
     PredictorParams,
     TablePredictor,
     predict,
@@ -79,7 +84,10 @@ def _reference_candidates(h, state, rng, start_t):
 
 
 @pytest.mark.parametrize("handle", [PlannerHandle(), PlannerHandle(two_stage=True, horizon=17),
-                                    PlannerHandle(speed_cap=6.0, lane_change_turn=1.5)])
+                                    PlannerHandle(speed_cap=6.0, lane_change_turn=1.5),
+                                    # an int second-stage level next to a float first one
+                                    PlannerHandle(two_stage=True, accel_levels=(-3, 1.5),
+                                                  horizon=9)])
 @pytest.mark.parametrize("speed", [0.0, 0.1, 5.95, 9.99])
 def test_sample_candidates_equal_per_candidate_construction(handle, speed):
     state = AgentState(0.0, 1.0, 0.2, speed)
@@ -112,6 +120,13 @@ def _cap_speed_min_max(accel, v0, cap, dt):
 @example(accel=[0.0] * 5, v0=10.0, cap=10.0, dt=0.1)      # v0 == cap
 @example(accel=[-4.0, -4.0, 1.0], v0=0.0, cap=10.0, dt=0.2)  # braking at rest
 @example(accel=[-0.0, 0.0, -0.0], v0=0.0, cap=10.0, dt=0.05)
+# Long constant pieces whose speed stops changing, so the rest of the piece
+# repeats its last step: held at the cap from the start, reaching the cap,
+# braking to rest, and a -0.0 start speed that steps like 0.0.
+@example(accel=[1.0] * 30, v0=10.0, cap=10.0, dt=0.1)
+@example(accel=[2.0] * 40 + [-1.0] * 5, v0=6.0, cap=10.0, dt=0.1)
+@example(accel=[-3.0] * 40 + [0.5] * 10, v0=2.0, cap=10.0, dt=0.1)
+@example(accel=[0.0] * 20 + [-0.0] * 20, v0=-0.0, cap=10.0, dt=0.1)
 def test_cap_speed_equals_min_max_formula(accel, v0, cap, dt):
     got = _cap_speed(np.array(accel), v0, cap, dt)
     want = _cap_speed_min_max(np.array(accel), v0, cap, dt)
@@ -129,6 +144,24 @@ def test_weight_validation():
         RewardWeights(w_lane=float("nan"))
     with pytest.raises(ValueError):
         PlannerHandle(steer_profiles=("sideways",))
+
+
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"dt": 0.0}, id="dt-zero"),
+    pytest.param({"dt": -0.1}, id="dt-negative"),
+    pytest.param({"dt": float("nan")}, id="dt-nan"),
+    pytest.param({"dt": float("inf")}, id="dt-inf"),
+    pytest.param({"speed_cap": float("nan")}, id="speed_cap-nan"),
+    pytest.param({"accel_jitter": -0.01}, id="accel_jitter-negative"),
+    pytest.param({"accel_jitter": float("nan")}, id="accel_jitter-nan"),
+    pytest.param({"n_modes": 0}, id="n_modes-zero"),
+])
+def test_planner_handle_rejects_bad_settings(kwargs):
+    # A zero dt would divide by zero in the speed cap, which run_closed_loop's
+    # ValueError abort handler does not catch, and a NaN speed cap compares
+    # False with every speed and would cap nothing.
+    with pytest.raises(ValueError):
+        PlannerHandle(**kwargs)
 
 
 def test_candidates_deterministic_and_bounded():
@@ -315,7 +348,8 @@ def _reference_plan(handle, predict_one, joint, history, ctx, rng, radii):
         for i, modes in enumerate(pred.humans):
             for mp in modes:
                 h_xy = _reference_xy(joint.humans[i], mp.traj, handle.dt)
-                d = np.hypot(ego_xy[:, 0] - h_xy[:, 0], ego_xy[:, 1] - h_xy[:, 1])
+                L = min(len(ego_xy), len(h_xy))
+                d = np.hypot(ego_xy[:L, 0] - h_xy[:L, 0], ego_xy[:L, 1] - h_xy[:L, 1])
                 overlap = float(np.maximum(0.0, ROBOT_RADIUS + radii[i] - d).sum())
                 exp_r += w.w_col * mp.prob * overlap
         expected.append(exp_r)
@@ -419,3 +453,96 @@ def test_plan_rejects_radii_that_do_not_match_the_humans(n_humans, radii):
     joint = JointState(AgentState(0, 0, 0, 8.0), humans, 0)
     with pytest.raises(ValueError, match="one radius per human"):
         plan(PlannerHandle(), UNIFORM, joint, [], TWO_LANE, RngStream(1), human_radii=radii)
+
+
+class _ShortModePredictor:
+    """Two modes per human, a keep-turning mode and a braking one, whose
+    probabilities depend on whether the candidate brakes. Every mode is
+    `short` steps shorter than the horizon, except the keep modes when
+    `mixed`."""
+
+    def __init__(self, horizon, short, mixed):
+        self.horizon, self.short, self.mixed = horizon, short, mixed
+
+    def predict_one(self, joint, cand):
+        p = 0.7 if cand.actions[0, 0] < 0 else 0.4
+        humans = []
+        for i in range(len(joint.humans)):
+            n = self.horizon - self.short
+            keep_n = self.horizon if self.mixed else n
+            keep = ActionTraj(np.column_stack([np.zeros(keep_n), np.full(keep_n, 0.05 * (i + 1))]))
+            brake = ActionTraj(np.column_stack([np.full(n, -2.0), np.zeros(n)]))
+            humans.append((ModePrediction("keep", p, keep), ModePrediction("brake", 1.0 - p, brake)))
+        return PredictionSet(humans=tuple(humans))
+
+    def predict_candidates(self, joint, history, candidates, ego_xys, ctx, n_modes, dt):
+        return [self.predict_one(joint, cand) for cand in candidates]
+
+
+@pytest.mark.parametrize("n_humans,mixed", [(1, False), (2, False), (2, True)],
+                         ids=["1-human", "2-humans", "2-humans-full-keep-modes"])
+def test_plan_falls_back_for_mode_trajectories_shorter_than_the_horizon(n_humans, mixed):
+    """A mode trajectory shorter than the horizon crops every reward term of
+    the chosen plan's samples, which plan() then computes from positions;
+    a combination of full-length modes still reuses the replan's rows."""
+    handle = PlannerHandle(n_modes=2)
+    predictor = _ShortModePredictor(handle.horizon, 5, mixed)
+    humans = (AgentState(8.0, 0.3, 0.0, 2.0), AgentState(10.0, 3.5, 0.1, 1.0))[:n_humans]
+    radii = [CAR_RADIUS, 0.3][:n_humans]
+    for trial in range(4):
+        joint = JointState(AgentState(0.0, 0.2 * trial, 0.0, 4.0 + trial), humans, 7)
+        rng = RngStream(trial)
+        _, entry = plan(handle, predictor, joint, [], TWO_LANE, rng, human_radii=radii)
+        expected, idx, samples, _ = _reference_plan(
+            handle, lambda cand, j=joint: predictor.predict_one(j, cand), joint, [],
+            TWO_LANE, rng, radii)
+        assert entry.candidate_rewards_predicted == expected
+        assert entry.executed_index == idx
+        assert entry.predicted_reward_samples == samples
+
+
+class _RecordingPredictor:
+    """Predicts a scene without humans and keeps the candidate rollouts
+    plan() passes it."""
+
+    def predict_candidates(self, joint, history, candidates, ego_xys, ctx, n_modes, dt):
+        self.ego_xys = ego_xys
+        return [PredictionSet(humans=())] * len(candidates)
+
+
+def _hexes(arr):
+    return [v.hex() for v in np.asarray(arr).ravel().tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # start speed as a fraction of the cap: at rest, just under, at and above it
+    frac=st.one_of(st.sampled_from([0.0, 1.0 - 1e-9, 1.0, 1.05, 1.6]), st.floats(0.0, 1.6)),
+    cap=st.sampled_from([10.0, 6.0, 0.5]),
+    heading=st.one_of(st.sampled_from([-np.pi, 3.14159, 0.0]), st.floats(-np.pi, np.pi)),
+    two_stage=st.booleans(),
+    horizon=st.one_of(st.sampled_from([1, 2, 17, 30, 31]), st.integers(1, 40)),
+    jitter=st.sampled_from([0.0, 0.05, 0.5]),
+    dt=st.sampled_from([0.05, 0.1, 0.2]),
+    seed=st.integers(0, 2 ** 32),
+)
+@example(frac=0.0, cap=10.0, heading=0.0, two_stage=True, horizon=31, jitter=0.05, dt=0.1, seed=1)
+@example(frac=1.0 - 1e-9, cap=10.0, heading=0.0, two_stage=False, horizon=17, jitter=0.05,
+         dt=0.1, seed=2)
+@example(frac=1.05, cap=10.0, heading=-np.pi, two_stage=True, horizon=31, jitter=0.5, dt=0.2,
+         seed=3)
+def test_library_speeds_and_plan_rollouts_equal_rollout_positions_batch(
+        frac, cap, heading, two_stage, horizon, jitter, dt, seed):
+    handle = PlannerHandle(two_stage=two_stage, horizon=horizon, accel_jitter=jitter, dt=dt,
+                           speed_cap=cap)
+    robot = AgentState(1.0, 0.5, heading, frac * cap)
+    cands, acts, speeds = _candidate_block(handle, robot.speed, RngStream(seed), 3)
+    assert cands == sample_candidates(handle, robot, TWO_LANE, RngStream(seed), start_t=3)
+    assert np.array_equal(acts, np.stack([c.actions for c in cands]))
+    K = len(cands)
+    assert _hexes(speeds) == _hexes(rollout_speeds(np.full(K, robot.speed), acts[:, :, 0], dt))
+    recorder = _RecordingPredictor()
+    plan(handle, recorder, JointState(robot, (), 3), [], TWO_LANE, RngStream(seed))
+    want = rollout_positions_batch([robot.x] * K, [robot.y] * K, [robot.heading] * K,
+                                   [robot.speed] * K, acts, dt)
+    assert _hexes(recorder.ego_xys) == _hexes(want)
