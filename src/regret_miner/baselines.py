@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import DT_DEFAULT, rollout_positions
 from .planner import PlannerHandle, terms_from_positions, weighted_reward
-from .predictor import ade_fde, predict
+from .predictor import ade_fde
 from .regret import RegretReport, _rollouts_by_length, mine_top_quantile
 
 METRICS = ("GRM", "RM", "ADE", "TRFD")
@@ -51,28 +51,24 @@ def _human_xy_from_states(scene, human_idx: int, t0: int, T: int) -> np.ndarray:
     return scene.states.block[t0 + 1:t0 + 1 + T, 1 + human_idx, :2]
 
 
-def scene_prediction_errors(scene, predictor_params=None,
-                            dt: float = DT_DEFAULT) -> tuple[float, float]:
+def scene_prediction_errors(scene, dt: float = DT_DEFAULT) -> tuple[float, float]:
     """(ADE, FDE) of the most-likely predicted mode, averaged over every
     (human, replan) pair.
 
-    Uses the predictions logged at planning time; when a scene carries no
-    replan log, predictor_params re-creates them from the executed actions.
-    Comparisons cover only the consumed part of each prediction: once the
-    robot replans, the realized humans react to actions the scored candidate
-    never took.
+    Uses the predictions logged at planning time, so a scene with humans
+    and no replan log is a ValueError naming the scene. Comparisons cover
+    only the consumed part of each prediction: once the robot replans, the
+    realized humans react to actions the scored candidate never took.
     """
     n_humans = len(scene.states[0].humans)
     if n_humans == 0:
         warnings.warn(f"scene {scene.scenario_id} has no humans; ADE = 0")
         return 0.0, 0.0
-    entries = scene.replan_log
-    if not entries:
-        if predictor_params is None:
-            raise ValueError("scene has no replan log and no predictor_params")
-        entries = _recreate_predictions(scene, predictor_params)
+    if not scene.replan_log:
+        raise ValueError(f"scene {scene.scenario_id} has no replan log to "
+                         "take predictions from")
     ades, fdes = [], []
-    for e, seg in zip(entries, scene.executed_robot):
+    for e, seg in zip(scene.replan_log, scene.executed_robot):
         joint = scene.states[e.t]
         for i, modes in enumerate(e.predicted_humans.humans):
             best = max(modes, key=lambda m: m.prob)
@@ -89,27 +85,10 @@ def scene_prediction_errors(scene, predictor_params=None,
     return float(np.mean(ades)), float(np.mean(fdes))
 
 
-def ade_scene_score(scene, predictor_params=None, dt: float = DT_DEFAULT) -> float:
+def ade_scene_score(scene, dt: float = DT_DEFAULT) -> float:
     """Mean displacement error of the most-likely predicted mode, averaged
     over every (human, replan) pair."""
-    return scene_prediction_errors(scene, predictor_params, dt)[0]
-
-
-def _recreate_predictions(scene, params):
-    """Minimal stand-in replan entries (predictions only) for logless scenes."""
-    from .planner import ReplanEntry
-
-    out = []
-    for seg in scene.executed_robot:
-        t = seg.start_t
-        joint = scene.states[t]
-        history = scene.states[max(0, t - 16):t]
-        pred = predict(params, joint, history, seg, scene.context, 1)
-        out.append(ReplanEntry(t=t, candidates=[seg], predicted_humans=pred,
-                               candidate_rewards_predicted=[0.0],
-                               executed_index=0,
-                               predicted_reward_samples=[(0.0, 1.0)]))
-    return out
+    return scene_prediction_errors(scene, dt)[0]
 
 
 # ---------------------------------------------------------------------------

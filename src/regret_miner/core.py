@@ -67,9 +67,6 @@ class AgentState:
             raise ValueError(f"speed must be >= 0, got {self.speed}")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
     def distance_to(self, other: "AgentState") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
@@ -503,13 +500,13 @@ def rollout_positions_from_speeds(x0, y0, h0, speeds: np.ndarray, turns: np.ndar
         hw[:, 1:] = turn * dt
         index: dict[bytes, int] = {}
         heads, inv = [], []
-        for key, row in zip(hw.view(f"V{8 * (T + 1)}").ravel().tolist(), hw.tolist()):
+        for b, key in enumerate(hw.view(f"V{8 * (T + 1)}").ravel().tolist()):
             u = index.get(key)
             if u is None:
                 u = index[key] = len(heads)
-                hb = row[0]
+                hb, *row = hw[b].tolist()
                 seq = [hb]
-                for wdt in row[1:]:
+                for wdt in row:
                     hb = (hb + wdt + pi) % two_pi - pi
                     hb = (hb + pi) % two_pi - pi
                     seq.append(hb)

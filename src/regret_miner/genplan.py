@@ -338,19 +338,6 @@ def fit_codebook(data: Sequence[NavSample], K: int = 6,
                     noise_sigma=noise_sigma)
 
 
-def plan_generative(cb: Codebook, delta_h: float, goal: str,
-                    rng: RngStream) -> tuple[ActionTraj, ActionTraj]:
-    """Sample a code from the encoder row, decode mean + jitter, split."""
-    gen = rng.generator()
-    row = cb.encoder_row(delta_h, goal)
-    z = int(gen.choice(cb.K, p=row))
-    joint = cb.means[z] + cb.noise_sigma * gen.standard_normal(2 * NAV_STEPS)
-    joint = np.clip(joint, -TURN_LIMIT, TURN_LIMIT)
-    robot = ActionTraj(np.column_stack([np.zeros(NAV_STEPS), joint[:NAV_STEPS]]))
-    human = ActionTraj(np.column_stack([np.zeros(NAV_STEPS), joint[NAV_STEPS:]]))
-    return robot, human
-
-
 # ---------------------------------------------------------------------------
 # KDE likelihoods
 # ---------------------------------------------------------------------------
@@ -433,29 +420,6 @@ def _window_masses(draws: np.ndarray, queries: np.ndarray, delta: float,
 
 
 _DEN_FLOOR = 1e-300
-
-
-def counterfactual_prob(cb: Codebook, robot_traj: ActionTraj,
-                        observed_human_traj: ActionTraj, delta_h: float,
-                        goal: str, n_samples: int = 250, delta: float = 0.1,
-                        bandwidth: float = 0.05) -> float:
-    """P(robot actions | observed human actions, cue, goal) under the code
-    mixture, via per-timestep KDE window masses multiplied across timesteps
-    and agents; the denominator marginalizes the robot dimensions."""
-    if len(robot_traj) != NAV_STEPS or len(observed_human_traj) != NAV_STEPS:
-        raise ValueError(f"trajectories must have exactly {NAV_STEPS} steps")
-    _check_kde(delta, bandwidth, n_samples)
-    w = cb.encoder_row(delta_h, goal)
-    draws = _code_draws(cb, n_samples)
-    query = np.concatenate([robot_traj.actions[:, 1],
-                            observed_human_traj.actions[:, 1]])
-    masses = _window_masses(draws, query, delta, bandwidth)  # (K, 12)
-    num = float(np.dot(w, masses.prod(axis=1)))
-    den = float(np.dot(w, masses[:, NAV_STEPS:].prod(axis=1)))
-    if den < _DEN_FLOOR:
-        raise OutOfSupportError(
-            "observed human behavior has no support under the codebook")
-    return float(np.clip(num / den, 0.0, 1.0))
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -153,17 +152,6 @@ def _cap_piece(a: float, n: int, v: float, cap: float, dt: float,
         add_v(u)
         v = u
     return v
-
-
-def _cap_speed(accel: np.ndarray, v0: float, cap: float, dt: float) -> list[float]:
-    """Clamp an acceleration sequence so rolled-out speed never exceeds cap:
-    _cap_piece over each run of bitwise-equal accelerations."""
-    out: list[float] = []
-    v = v0
-    for _, run in groupby(accel.tolist(), key=float.hex):
-        run = list(run)
-        v = _cap_piece(run[0], len(run), v, cap, dt, out, [])
-    return out
 
 
 def _candidate_block(handle: PlannerHandle, v0: float, rng: RngStream, start_t: int

@@ -27,7 +27,6 @@ from .core import (
     DrivingCorridor,
     JointState,
     rollout_positions,
-    rollout_positions_batch,
     wrap_angle,
 )
 
@@ -90,14 +89,6 @@ class PredictorParams:
         if z <= 0:
             return np.full(N_MODES, 1.0 / N_MODES)
         return smoothed / z
-
-    @property
-    def mode_logits(self) -> np.ndarray:
-        """Log-probability table, shape BUCKET_SHAPE + (N_MODES,)."""
-        prior = self.mode_prior()
-        smoothed = self.counts + self.smoothing * prior
-        z = smoothed.sum(axis=-1, keepdims=True)
-        return np.log(smoothed / z)
 
 
 @dataclass(frozen=True)
@@ -269,26 +260,20 @@ def predict(params: PredictorParams, joint: JointState,
 
 @dataclass(frozen=True)
 class TablePredictor:
-    """Planner-facing handle binding predict() to a fixed parameter table."""
+    """Planner-facing handle binding predict_block to a fixed parameter table."""
 
     params: PredictorParams
-
-    def predict(self, joint, history, ego_candidate, ctx, n_modes_out=3):
-        return predict(self.params, joint, history, ego_candidate, ctx, n_modes_out)
 
     def predict_candidates(self, joint, history, candidates, ego_xys, ctx,
                            n_modes_out, dt):
         """predict() of every candidate of one replan, from the candidates'
-        stacked (K, T, 2) rollouts at dt. The rollouts stand in for the
-        predictor's own only when dt equals params.dt; otherwise the
-        candidates are rolled out again at params.dt as one block."""
-        params = self.params
-        if dt != params.dt:
-            robot, K = joint.robot, len(candidates)
-            ego_xys = rollout_positions_batch(
-                [robot.x] * K, [robot.y] * K, [robot.heading] * K, [robot.speed] * K,
-                np.stack([c.actions for c in candidates]), params.dt)
-        return predict_block(params, joint, history, ego_xys, ctx, n_modes_out)
+        stacked (K, T, 2) rollouts at dt, which must be the table's dt: the
+        templates are made at params.dt, and plan() rolls them out at its
+        own."""
+        if dt != self.params.dt:
+            raise ValueError(f"candidates rolled out at dt={dt}, but the "
+                             f"predictor table is at dt={self.params.dt}")
+        return predict_block(self.params, joint, history, ego_xys, ctx, n_modes_out)
 
 
 # ---------------------------------------------------------------------------

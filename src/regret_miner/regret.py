@@ -100,24 +100,6 @@ def luce_shepard_likelihoods(weights: RewardWeights, candidates: Sequence[Action
     return softmax_likelihoods(r)
 
 
-def canonical_regret(weights: RewardWeights, candidates: Sequence[ActionTraj],
-                     executed_index: int, realized_humans: Sequence[ActionTraj],
-                     joint: JointState, ctx: Context, human_radii=None,
-                     dt: float = 0.1) -> float:
-    r = _hindsight_rewards(weights, candidates, realized_humans, joint, ctx,
-                           human_radii, dt)
-    return canonical_from_rewards(r, executed_index)
-
-
-def generalized_regret_t(model: LuceShepard, candidates: Sequence[ActionTraj],
-                         executed_index: int, realized_humans: Sequence[ActionTraj],
-                         joint: JointState, ctx: Context, human_radii=None,
-                         dt: float = 0.1) -> float:
-    p = luce_shepard_likelihoods(model.weights, candidates, realized_humans,
-                                 joint, ctx, human_radii, dt)
-    return generalized_from_likelihoods(p, executed_index)
-
-
 @dataclass
 class RegretReport:
     """Per-replan regrets plus aggregates for one scene."""

@@ -3,7 +3,7 @@
 One human engine, step_humans, steps the humans under one or more robot
 lanes. The closed loop is its one-lane case, and the oracle predictor steps
 all candidates of a replan as one lane each. A human's policy sees the robot
-only through robot_view, so lanes that give every human the same view share
+only through robot_views, so lanes that give every human the same view share
 one human step, and the oracle steps each distinct human future once.
 
 Human randomness is drawn from streams derived per (human, absolute step), so
@@ -39,6 +39,7 @@ from .core import (
     RngStream,
     footprint_overlap,
     rollout_positions_batch,
+    rollout_speeds,
     unicycle_step_floats,
     wrap_angle,
 )
@@ -132,7 +133,7 @@ class SceneRecord:
 # Human policies
 # ---------------------------------------------------------------------------
 #
-# A human's decision reads the robot only through robot_view: a few
+# A human's decision reads the robot only through robot_views: a few
 # comparisons between the robot's state and its own. The policy reads the
 # other humans' states, its own memory and the view, and never states[0].
 # The human engine below relies on this: robot lanes that give every human
@@ -165,8 +166,19 @@ def _humans_ahead(i: int, states: Sequence[tuple], radii: Sequence[float],
 
 def robot_views(profile: HumanProfile, i: int, states: Sequence[tuple],
                 memory: dict, robots: Sequence[tuple]) -> list:
-    """robot_view of human i under each robot state in robots, each
-    (x, y, any, speed); states[0] is not read."""
+    """The robot as human i's policy sees it, under each robot state in
+    robots, each (x, y, any, speed), from the human's states[i + 1] and
+    memory; states[0] is not read.
+
+    None for a human that never moves. For intersection_cross,
+    (on_course, near): on_course is robot_x < x + 1 and 0 <= t_arrive <= 4
+    while the yield latch is undrawn, near is robot_x < x + 3 while the latch
+    is or may become True, each None when the policy will not read it. For
+    every other mode, (close, ahead): close is hypot < reaction_radius
+    (yield_if_close only, else None), and ahead is whether the robot is
+    within reaction_radius + ROBOT_RADIUS in front of the human and within
+    2.0 of its heading line (None when close).
+    """
     if profile.never_moves or profile.mode == "stranded":
         return [None] * len(robots)
     x, y, heading = states[i + 1][:3]
@@ -200,23 +212,6 @@ def robot_views(profile: HumanProfile, i: int, states: Sequence[tuple],
     return views
 
 
-def robot_view(profile: HumanProfile, i: int, states: Sequence[tuple],
-               memory: dict) -> Optional[tuple]:
-    """The robot as human i's policy sees it, from the robot's state
-    states[0] (x, y, any, speed) and the human's states[i + 1] and memory.
-
-    None for a human that never moves. For intersection_cross,
-    (on_course, near): on_course is robot_x < x + 1 and 0 <= t_arrive <= 4
-    while the yield latch is undrawn, near is robot_x < x + 3 while the latch
-    is or may become True, each None when the policy will not read it. For
-    every other mode, (close, ahead): close is hypot < reaction_radius
-    (yield_if_close only, else None), and ahead is whether the robot is
-    within reaction_radius + ROBOT_RADIUS in front of the human and within
-    2.0 of its heading line (None when close).
-    """
-    return robot_views(profile, i, states, memory, [states[0]])[0]
-
-
 def _cruise_action(profile: HumanProfile, i: int, states: Sequence[tuple],
                    ctx: Context, radii: Sequence[float], robot_ahead: bool) -> tuple[float, float]:
     _, y, heading, speed = states[i + 1][:4]
@@ -243,7 +238,13 @@ def human_policy(profile: HumanProfile, i: int, states: Sequence[tuple],
                  ctx: Context, rng, memory: dict, radii: Sequence[float],
                  view: Optional[tuple]) -> tuple[float, float]:
     """One (accel, turn_rate) decision for human i, whose state is
-    states[i + 1], given its robot_view. states[0] is not read."""
+    states[i + 1], given its view from robot_views.
+
+    states are the step's float states, robot first, each starting
+    (x, y, heading, speed); states[0] is not read. radii[j] is human j's
+    footprint radius (CAR_RADIUS past its end). memory persists per human
+    across steps (owned by the engine).
+    """
     if profile.never_moves or profile.mode == "stranded":
         return (0.0, 0.0)
 
@@ -278,25 +279,6 @@ def human_policy(profile: HumanProfile, i: int, states: Sequence[tuple],
         return a, w
 
     raise ValueError(f"unhandled mode {profile.mode!r}")
-
-
-def human_policy_step(profile: HumanProfile, i: int, states: Sequence[tuple],
-                      ctx: Context, rng: RngStream,
-                      memory: Optional[dict] = None,
-                      radii: Sequence[float] = ()) -> tuple[float, float]:
-    """One (accel, turn_rate) decision for human i, whose state is
-    states[i + 1]: human_policy under robot_view.
-
-    states are the step's float states, robot first, each starting
-    (x, y, heading, speed). radii[j] is human j's footprint radius
-    (CAR_RADIUS past its end). memory persists per human across steps (owned
-    by the engine); passing a fresh dict makes the call stateless, which the
-    one-shot yield draw test relies on.
-    """
-    if memory is None:
-        memory = {}
-    return human_policy(profile, i, states, ctx, rng, memory, radii,
-                        robot_view(profile, i, states, memory))
 
 
 # ---------------------------------------------------------------------------
@@ -450,20 +432,17 @@ class OraclePredictor:
         futures are equal byte for byte.
 
         The robot lanes read the robot's positions from ego_xys, the
-        candidates' (K, T, 2) rollouts at dt, and step only its speed, as
-        unicycle_step_floats does; the humans step at the scene's dt.
+        candidates' (K, T, 2) rollouts at dt, and its speeds from
+        core.rollout_speeds, those rollouts' speed recurrence; the humans
+        step at the scene's dt.
         """
         b = self._bound()
         r = joint.robot
         start = (r.x, r.y, r.heading, r.speed)
-        lanes = []
-        for cand, xys in zip(candidates, ego_xys.tolist()):
-            v, lane = r.speed, [start]
-            for (a, _), (x, y) in zip(cand.actions.tolist(), xys[:-1]):
-                v = v + a * dt
-                v = v if v > 0.0 else 0.0
-                lane.append((x, y, None, v))
-            lanes.append(lane)
+        speeds = rollout_speeds([r.speed] * len(candidates),
+                                np.stack([c.actions[:, 0] for c in candidates]), dt)
+        lanes = [[start] + [(x, y, None, v) for (x, y), v in zip(xys[:-1], vs)]
+                 for xys, vs in zip(ego_xys.tolist(), speeds.tolist())]
         groups = step_humans(b.spec, joint, [dict(m) for m in b.memories], lanes,
                              b.rng_root, b.dt)
         out: list[Optional[PredictionSet]] = [None] * len(lanes)
@@ -678,9 +657,8 @@ def generate_scenario_batch(family: str, n: int, base_seed: int,
 #   a trajectory list (executed robot segments, human actions, one replan's
 #   candidates or mode trajectories) is {"start_t", "len", "actions"}, with
 #   every trajectory's actions stacked into one (sum of len, 2) block.
-# scene/1 lines, which spell every value out in JSON, are still read: both
-# schemas become the same arrays, which one decode core checks and turns
-# into records.
+# The older scene/1, which spelled every value out in JSON, is not read:
+# nothing writes it, and decoding it is an unsupported-schema ValueError.
 
 SCENE_SCHEMA = "scene/2"
 
@@ -735,66 +713,42 @@ def _pack_trajs(trajs: Sequence[ActionTraj]) -> dict:
 
 
 def _unpack_trajs(d: dict, name: str):
-    """(start_ts, lens, actions) of a scene/2 trajectory list: actions is
-    the (sum of lens, 2) block of every trajectory's rows in order."""
+    """(actions, start_ts, lens) of a scene/2 trajectory list, in the order
+    of ActionTraj.block's arguments: actions is the (sum of lens, 2) block
+    of every trajectory's rows in order."""
     start_ts, lens = d["start_t"], d["len"]
     flat = _unpack(d["actions"], name)
     if (flat.ndim != 2 or flat.shape[1] != 2 or len(lens) != len(start_ts)
             or sum(lens) != len(flat)):
         raise ValueError(f"{name}: {len(start_ts)} start_t and lengths {lens} "
                          f"do not fit an actions block of shape {list(flat.shape)}")
-    return start_ts, lens, flat
-
-
-def _scene1_trajs(ds: Sequence[dict]):
-    """(start_ts, lens, actions) of a scene/1 trajectory list, as
-    _unpack_trajs gives them. When some trajectory's actions do not form a
-    (T, 2) array, lens is None and actions stays the JSON lists."""
-    start_ts = [d["start_t"] for d in ds]
-    try:
-        arrs = [np.array(d["actions"], dtype=float) for d in ds]
-    except ValueError:
-        arrs = None
-    if arrs is None or any(a.ndim != 2 or a.shape[1] != 2 for a in arrs):
-        return start_ts, None, [d["actions"] for d in ds]
-    return start_ts, [len(a) for a in arrs], np.concatenate(arrs or [np.zeros((0, 2))])
-
-
-def _trajs(start_ts, lens, actions) -> list[ActionTraj]:
-    """Validated read-only trajectories: one ActionTraj.block over the
-    stacked rows, or one ActionTraj per trajectory when lens is None."""
-    if lens is None:
-        return [ActionTraj(a, start_t=st) for a, st in zip(actions, start_ts)]
-    return ActionTraj.block(actions, start_ts, lens)
+    return flat, start_ts, lens
 
 
 def _replan_trajs(lst, name: str) -> list[ActionTraj]:
-    """_trajs of one replan's list; an error it raises gets a note naming
-    the list."""
+    """ActionTraj.block of one replan's list; an error it raises gets a note
+    naming the list."""
     try:
-        return _trajs(*lst)
+        return ActionTraj.block(*lst)
     except ValueError as exc:
         exc.add_note(name)
         raise
 
 
 def _joined_trajs(lists) -> Optional[list[list[ActionTraj]]]:
-    """The trajectories of several (start_ts, lens, actions) lists, checked
+    """The trajectories of several (actions, start_ts, lens) lists, checked
     by one ActionTraj.block call over all their rows and split back into one
-    list per list; None when a list has no lens or a trajectory fails a
-    check."""
+    list per list; None when a trajectory fails a check."""
     if not lists:
         return []
-    if any(lens is None for _, lens, _ in lists):
-        return None
     try:
-        trajs = ActionTraj.block(np.concatenate([a for _, _, a in lists]),
-                                 [t for start_ts, _, _ in lists for t in start_ts],
-                                 [n for _, lens, _ in lists for n in lens])
+        trajs = ActionTraj.block(np.concatenate([a for a, _, _ in lists]),
+                                 [t for _, start_ts, _ in lists for t in start_ts],
+                                 [n for _, _, lens in lists for n in lens])
     except ValueError:
         return None
     out, start = [], 0
-    for start_ts, _, _ in lists:
+    for _, start_ts, _ in lists:
         out.append(trajs[start:start + len(start_ts)])
         start += len(start_ts)
     return out
@@ -846,7 +800,7 @@ def _scene2_arrays(d: dict):
         ph = e["predicted_humans"]
         modes = _unpack_trajs(ph["trajs"], f"replan_log[{i}].predicted_humans")
         if ([len(h) for h in ph["label"]] != [len(h) for h in ph["prob"]]
-                or sum(map(len, ph["label"])) != len(modes[0])):
+                or sum(map(len, ph["label"])) != len(modes[1])):
             raise ValueError(f"replan_log[{i}].predicted_humans: mode labels, "
                              f"probabilities and trajectories do not match")
         replans.append((e, _unpack_trajs(e["candidates"], f"replan_log[{i}].candidates"),
@@ -856,37 +810,19 @@ def _scene2_arrays(d: dict):
             _unpack_trajs(d["human_actions"], "human_actions"), replans)
 
 
-def _scene1_arrays(d: dict):
-    """_scene2_arrays for a scene/1 dict, whose values are JSON lists."""
-    states = np.array([[s["robot"], *s["humans"]] for s in d["states"]], dtype=float)
-    replans = [
-        (e, _scene1_trajs(e["candidates"]),
-         [[m["label"] for m in h] for h in e["predicted_humans"]],
-         [[m["prob"] for m in h] for h in e["predicted_humans"]],
-         _scene1_trajs([m["traj"] for h in e["predicted_humans"] for m in h]))
-        for e in d["replan_log"]
-    ]
-    return ([s["t"] for s in d["states"]], states, _scene1_trajs(d["executed_robot"]),
-            _scene1_trajs(d["human_actions"]), replans)
-
-
 def scene_from_dict(d: dict) -> SceneRecord:
-    """Decode a scene/2 (or scene/1) dict. Every value passes the checks of
-    the record types it becomes, at once: AgentState (finite, speed >= 0,
-    heading wrapped) and JointState through core.JointStates, ActionTraj,
-    ReplanEntry and PredictionSet.
+    """Decode a scene/2 dict; any other schema is a ValueError. Every value
+    passes the checks of the record types it becomes, at once: AgentState
+    (finite, speed >= 0, heading wrapped) and JointState through
+    core.JointStates, ActionTraj, ReplanEntry and PredictionSet.
 
     All candidate rows of the scene are checked by one ActionTraj.block
     call, and all mode rows by another. When a row fails, the replans are
     decoded one by one again, so the error raised is the one that decoding
     replan by replan raises first, with a note naming the replan's field."""
-    schema = d.get("schema")
-    if schema == SCENE_SCHEMA:
-        frame_t, states, executed, human_actions, replans = _scene2_arrays(d)
-    elif schema == "scene/1":
-        frame_t, states, executed, human_actions, replans = _scene1_arrays(d)
-    else:
-        raise ValueError(f"unsupported schema {schema!r}")
+    if d.get("schema") != SCENE_SCHEMA:
+        raise ValueError(f"unsupported schema {d.get('schema')!r}")
+    frame_t, states, executed, human_actions, replans = _scene2_arrays(d)
     joints = JointStates(states, frame_t)
     joined_cands = _joined_trajs([r[1] for r in replans])
     joined_modes = _joined_trajs([r[4] for r in replans])
@@ -914,8 +850,8 @@ def scene_from_dict(d: dict) -> SceneRecord:
         scenario_id=d["scenario_id"],
         context=context_from_dict(d["context"]),
         states=joints,
-        executed_robot=_trajs(*executed),
-        human_actions=_trajs(*human_actions),
+        executed_robot=ActionTraj.block(*executed),
+        human_actions=ActionTraj.block(*human_actions),
         replan_log=entries,
         per_frame_collision_cost=list(d["per_frame_collision_cost"]),
         aborted=d.get("aborted", False),

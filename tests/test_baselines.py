@@ -96,6 +96,12 @@ def test_ade_no_humans_warns():
         assert ade_scene_score(scene) == 0.0
 
 
+def test_ade_of_a_logless_scene_names_it(scenes):
+    scene = replace(scenes[2], replan_log=[])
+    with pytest.raises(ValueError, match=f"^scene {scene.scenario_id} has no replan log"):
+        ade_scene_score(scene)
+
+
 def test_trfd_quantile_logic(scenes):
     scene = scenes[0]
     r = realized_scene_reward(scene)

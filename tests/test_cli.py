@@ -292,27 +292,42 @@ def test_stages_read_the_manifest_config_not_config_yaml(cli_and_full_runs, tmp_
         assert data == want[name], f"{name} differs"
 
 
-def test_scene1_run_scores_like_scene2(cli_and_full_runs, tmp_path, capsys):
+def test_score_rejects_a_scene1_run(cli_and_full_runs, tmp_path, capsys):
+    """scene/1 is no longer read: score on a run whose scenes are scene/1
+    lines exits 1 and names the schema."""
     cli_run, _ = cli_and_full_runs
     run = _copy_run(cli_run, tmp_path / "run")
-    assert '"schema": "scene/2"' in (run / "scenes.jsonl").read_text().splitlines()[0]
     scenes = simkit.scenes_from_jsonl(run / "scenes.jsonl")
     (run / "scenes.jsonl").write_text(
         "".join(json.dumps(scene1_dict(s)) + "\n" for s in scenes))
-    for name in ("reports.jsonl", "scores.json", "subsets.json"):
-        (run / name).unlink()
-    shutil.rmtree(run / "comparison")
-    shutil.rmtree(run / "predictors")
-    r = str(run)
-    for argv in (["score", "--in", r], ["compare", "--in", r], ["finetune", "--in", r]):
-        assert main(argv) == 0, argv
     capsys.readouterr()
-    got, want = _run_files(run), _run_files(cli_run)
-    names = [n for n in want if n in ("reports.jsonl", "scores.json", "subsets.json")
-             or n.startswith(("comparison/", "predictors/"))]
-    assert len(names) > 5
-    for name in names:
-        assert got[name] == want[name], f"{name} differs"
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--in", str(run)])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "ValueError", "message": "unsupported schema 'scene/1'"}
+
+
+class _NoPrediction(TablePredictor):
+    """A table predictor that fails every replan, so a closed loop under it
+    aborts at t=0 with an empty replan log."""
+
+    def predict_candidates(self, joint, *args):
+        raise ValueError(f"no prediction at t={joint.t}")
+
+
+def test_redeploy_of_a_holdout_aborted_at_t0_names_the_scene(cli_and_full_runs, tmp_path,
+                                                            capsys, monkeypatch):
+    cli_run, _ = cli_and_full_runs
+    run = _copy_run(cli_run, tmp_path / "run")
+    first = sorted(json.loads((run / "subsets.json").read_text())["holdout_high"])[0]
+    monkeypatch.setattr(harness, "TablePredictor", _NoPrediction)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["redeploy", "--in", str(run)])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "ValueError", "message": f"scene {first} has no replan log to score"}
 
 
 def _count_decodes(monkeypatch):

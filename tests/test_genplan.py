@@ -38,7 +38,6 @@ from regret_miner.genplan import (
     build_mismatch_scenarios,
     codebook_from_json,
     codebook_to_json,
-    counterfactual_prob,
     cue_bucket,
     default_hindsight_candidates,
     divert_shape_candidate,
@@ -49,7 +48,6 @@ from regret_miner.genplan import (
     nav_samples_from_json,
     nav_samples_to_json,
     perception_case_study,
-    plan_generative,
     simulate_nav_scene,
 )
 from kinematics_reference import unicycle_step
@@ -191,37 +189,11 @@ def test_codebook_validation():
         Codebook(K=2, encoder=enc, means=means, stds=stds * 0.0)
 
 
-def _k1_codebook(mean_val=0.2, std=0.05, noise=0.0):
+def _k1_codebook(mean_val=0.2, std=0.05):
     enc = np.ones((N_CUE_BUCKETS, 2, 1))
     means = np.full((1, 12), mean_val)
     stds = np.full((1, 12), std)
-    return Codebook(K=1, encoder=enc, means=means, stds=stds, noise_sigma=noise)
-
-
-def test_plan_generative_zero_noise_decodes_mean():
-    cb = _k1_codebook(mean_val=0.3, noise=0.0)
-    robot, human = plan_generative(cb, 0.5, "Primary", RngStream(4))
-    np.testing.assert_allclose(robot.actions[:, 1], 0.3, atol=1e-12)
-    np.testing.assert_allclose(human.actions[:, 1], 0.3, atol=1e-12)
-    assert np.all(robot.actions[:, 0] == 0)
-    assert len(robot) == len(human) == NAV_STEPS
-
-
-def test_plan_generative_code_frequencies():
-    enc = np.ones((N_CUE_BUCKETS, 2, 2)) * np.array([0.3, 0.7])
-    means = np.vstack([np.full(12, -0.4), np.full(12, 0.4)])
-    cb = Codebook(K=2, encoder=enc, means=means, stds=np.full((2, 12), 0.01),
-                  noise_sigma=0.0)
-    root = RngStream(31)
-    picks = []
-    for i in range(4000):
-        robot, _ = plan_generative(cb, 0.5, "Primary", root.derive(i))
-        picks.append(int(robot.actions[0, 1] > 0))
-    assert abs(np.mean(picks) - 0.7) < 0.03
-    # same stream, same plan
-    a = plan_generative(cb, 0.5, "Primary", RngStream(6))
-    b = plan_generative(cb, 0.5, "Primary", RngStream(6))
-    assert a[0] == b[0] and a[1] == b[1]
+    return Codebook(K=1, encoder=enc, means=means, stds=stds)
 
 
 def test_kde_window_mass_single_sample_analytic():
@@ -265,24 +237,28 @@ def test_kde_window_mass_matches_quadrature():
         assert kde_window_mass(samples, h, c, d) == pytest.approx(want, abs=1e-6)
 
 
-def test_counterfactual_prob_k1_factorizes():
-    """With one code the conditioning cancels and the probability is exactly
-    the product of per-robot-dimension window masses."""
+def test_generative_regret_k1_factorizes():
+    """With one code the conditioning on the human cancels: each timestep's
+    likelihood is the window mass of that robot dimension alone, and the
+    regret is the mean over timesteps of best minus executed."""
     cb = _k1_codebook(mean_val=0.1, std=0.08)
     robot = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.15)]))
+    best = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.1)]))
     human = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.05)]))
     n, d, h = 300, 0.1, 0.05
-    p = counterfactual_prob(cb, robot, human, 0.5, "Primary",
-                            n_samples=n, delta=d, bandwidth=h)
+    g = generative_regret(cb, robot, human, 0.5, "Primary",
+                          hindsight_candidates=[best, robot],
+                          n_samples=n, delta=d, bandwidth=h)
     draws = _code_draws(cb, n)[0]
-    manual = 1.0
+    per_t = []
     for dim in range(6):
-        manual *= kde_window_mass(draws[:, dim], h, 0.15, d)
-    assert p == pytest.approx(manual, abs=1e-12)
-    assert 0.0 <= p <= 1.0
+        liks = [kde_window_mass(draws[:, dim], h, turn, d) for turn in (0.1, 0.15)]
+        per_t.append(max(liks) - liks[1])
+    assert g == pytest.approx(np.mean(per_t), abs=1e-12)
+    assert 0.0 < g <= 1.0
 
 
-def test_counterfactual_prob_permutation_symmetry():
+def test_generative_regret_permutation_symmetry():
     rng = np.random.default_rng(27)
     enc = rng.uniform(0.2, 1.0, (N_CUE_BUCKETS, 2, 3))
     enc /= enc.sum(axis=2, keepdims=True)
@@ -294,23 +270,23 @@ def test_counterfactual_prob_permutation_symmetry():
                     stds=stds[perm])
     robot = ActionTraj(np.column_stack([np.zeros(6), rng.uniform(-0.2, 0.2, 6)]))
     human = ActionTraj(np.column_stack([np.zeros(6), rng.uniform(-0.2, 0.2, 6)]))
-    a = counterfactual_prob(cb, robot, human, 0.3, "Backup", n_samples=200)
+    a = generative_regret(cb, robot, human, 0.3, "Backup", n_samples=200)
     # permuted codebooks draw per-code samples from per-code streams, so use
     # large-n agreement rather than bitwise equality
-    b = counterfactual_prob(cb_p, robot, human, 0.3, "Backup", n_samples=200)
+    b = generative_regret(cb_p, robot, human, 0.3, "Backup", n_samples=200)
     assert a == pytest.approx(b, abs=0.05)
     assert 0.0 <= a <= 1.0
 
 
-def test_counterfactual_prob_out_of_support(codebook):
+def test_generative_regret_out_of_support(codebook):
     robot = ActionTraj(np.column_stack([np.zeros(6), np.zeros(6)]))
     far = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 1.0)]))
     with pytest.raises(OutOfSupportError):
-        counterfactual_prob(codebook, robot, far, 0.5, "Primary",
-                            n_samples=50, delta=0.01, bandwidth=0.005)
+        generative_regret(codebook, robot, far, 0.5, "Primary",
+                          n_samples=50, delta=0.01, bandwidth=0.005)
     with pytest.raises(ValueError):
-        counterfactual_prob(codebook, ActionTraj(np.zeros((3, 2))), far, 0.5,
-                            "Primary")
+        generative_regret(codebook, ActionTraj(np.zeros((3, 2))), far, 0.5,
+                          "Primary")
 
 
 def test_generative_regret_basics(codebook):
@@ -513,17 +489,6 @@ def _reference_regret(cb, executed, observed, delta_h, goal, cands=None,
     return float(np.mean(lik.max(axis=0) - lik[exec_idx]))
 
 
-def _reference_prob(cb, robot, observed, delta_h, goal, n_samples=250,
-                    delta=0.1, bandwidth=0.05):
-    w = cb.encoder_row(delta_h, goal)
-    query = np.concatenate([robot.actions[:, 1], observed.actions[:, 1]])
-    masses = _reference_masses(_reference_draws(cb, n_samples), query, delta,
-                               bandwidth)
-    num = float(np.dot(w, masses.prod(axis=1)))
-    den = float(np.dot(w, masses[:, NAV_STEPS:].prod(axis=1)))
-    return float(np.clip(num / den, 0.0, 1.0))
-
-
 @pytest.fixture(scope="module")
 def scored_samples(nav_data):
     return nav_data[:8]
@@ -553,7 +518,6 @@ def test_memoised_regret_equals_reference(nav_data, scored_samples, K):
         cands = [divert] + default_hindsight_candidates(s.robot_traj)
         assert generative_regret(cb, *args, hindsight_candidates=cands) == \
             _reference_regret(cb, *args, cands=cands)
-        assert counterfactual_prob(cb, *args) == _reference_prob(cb, *args)
 
 
 def test_memo_does_not_leak_across_codebooks(nav_data, scored_samples):
@@ -581,8 +545,6 @@ def test_memo_keys_on_kde_parameters(codebook, scored_samples):
         for kw in settings_ + settings_[::-1]:
             assert generative_regret(cb, *args, **kw) == \
                 _reference_regret(cb, *args, **kw)
-            assert counterfactual_prob(cb, *args, **kw) == \
-                _reference_prob(cb, *args, **kw)
     # only the fixed candidates are memoised (7 distinct turn sequences: the
     # three gains toward the primary goal all drive straight), once per
     # setting, however many executed trajectories were scored
@@ -835,8 +797,6 @@ def test_kde_parameters_are_checked_before_the_memo(codebook, scored_samples,
     human = cb._human_memo
     with pytest.raises(ValueError, match="must be"):
         generative_regret(cb, *args, **bad)
-    with pytest.raises(ValueError, match="must be"):
-        counterfactual_prob(cb, *args, **bad)
     assert (len(cb._draws), len(cb._halves), len(cb._robot_masses)) == sizes
     assert cb._human_memo is human
     if "n_samples" not in bad:

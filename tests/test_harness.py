@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from regret_miner.harness import (
     write_case_markdown,
     write_regret_histogram,
 )
-from regret_miner.predictor import PredictorParams
+from regret_miner.predictor import PredictorParams, TablePredictor
 
 
 def test_config_validation():
@@ -407,6 +408,24 @@ def test_base_arm_rejects_a_holdout_that_is_not_this_deployment(
                               PredictorParams.fresh(), arms=("Base",))
     assert repr(sid) in str(err.value)
     assert message in str(err.value)
+
+
+class _NoPrediction(TablePredictor):
+    """A table predictor that fails every replan, so a closed loop under it
+    aborts at t=0 with an empty replan log."""
+
+    def predict_candidates(self, joint, *args):
+        raise ValueError(f"no prediction at t={joint.t}")
+
+
+def test_redeploy_of_a_holdout_aborted_at_t0_names_the_scene(small_split, monkeypatch):
+    config, scenes_by_id, specs_by_id, subsets = small_split
+    monkeypatch.setattr(harness, "TablePredictor", _NoPrediction)
+    first = sorted(subsets.holdout_high)[0]
+    with pytest.raises(ValueError,
+                       match=f"^scene {re.escape(first)} has no replan log to score$"):
+        finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
+                              PredictorParams.fresh(), arms=("Base", "HighRegretFT"))
 
 
 @pytest.mark.parametrize("name", ["planner", "predictor"])

@@ -23,7 +23,7 @@ from regret_miner.planner import (
     ReplanEntry,
     RewardWeights,
     _candidate_block,
-    _cap_speed,
+    _cap_piece,
     plan,
     reward,
     reward_terms,
@@ -98,41 +98,51 @@ def test_sample_candidates_equal_per_candidate_construction(handle, speed):
 
 
 def _cap_speed_min_max(accel, v0, cap, dt):
-    """_cap_speed written with the builtin min and max."""
-    out, v = [], v0
-    for a in accel.tolist():
+    """Speed capping written with the builtin min and max: the capped
+    accelerations and the speed after each step."""
+    accels, speeds, v = [], [], v0
+    for a in accel:
         a = min(a, (cap - v) / dt)
         a = min(max(a, -ACCEL_LIMIT), ACCEL_LIMIT)
-        out.append(a)
+        accels.append(a)
         v = max(0.0, v + a * dt)
-    return out
+        speeds.append(v)
+    return accels, speeds
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    accel=st.lists(st.one_of(
+    pieces=st.lists(st.tuples(st.one_of(
         st.sampled_from([0.0, -0.0, ACCEL_LIMIT, -ACCEL_LIMIT, 4.5, -5.0, float("nan")]),
-        st.floats(-5.0, 5.0)), min_size=1, max_size=40),
+        st.floats(-5.0, 5.0)), st.integers(1, 40)), min_size=1, max_size=40),
     v0=st.one_of(st.sampled_from([0.0, 10.0, 6.0]), st.floats(0.0, 12.0)),
     cap=st.sampled_from([10.0, 6.0, 0.5]),
     dt=st.sampled_from([0.05, 0.1, 0.2]),
 )
-@example(accel=[0.0] * 5, v0=10.0, cap=10.0, dt=0.1)      # v0 == cap
-@example(accel=[-4.0, -4.0, 1.0], v0=0.0, cap=10.0, dt=0.2)  # braking at rest
-@example(accel=[-0.0, 0.0, -0.0], v0=0.0, cap=10.0, dt=0.05)
+@example(pieces=[(0.0, 5)], v0=10.0, cap=10.0, dt=0.1)      # v0 == cap
+@example(pieces=[(-4.0, 2), (1.0, 1)], v0=0.0, cap=10.0, dt=0.2)  # braking at rest
+@example(pieces=[(-0.0, 1), (0.0, 1), (-0.0, 1)], v0=0.0, cap=10.0, dt=0.05)
 # Long constant pieces whose speed stops changing, so the rest of the piece
 # repeats its last step: held at the cap from the start, reaching the cap,
 # braking to rest, and a -0.0 start speed that steps like 0.0.
-@example(accel=[1.0] * 30, v0=10.0, cap=10.0, dt=0.1)
-@example(accel=[2.0] * 40 + [-1.0] * 5, v0=6.0, cap=10.0, dt=0.1)
-@example(accel=[-3.0] * 40 + [0.5] * 10, v0=2.0, cap=10.0, dt=0.1)
-@example(accel=[0.0] * 20 + [-0.0] * 20, v0=-0.0, cap=10.0, dt=0.1)
-def test_cap_speed_equals_min_max_formula(accel, v0, cap, dt):
-    got = _cap_speed(np.array(accel), v0, cap, dt)
-    want = _cap_speed_min_max(np.array(accel), v0, cap, dt)
+@example(pieces=[(1.0, 30)], v0=10.0, cap=10.0, dt=0.1)
+@example(pieces=[(2.0, 40), (-1.0, 5)], v0=6.0, cap=10.0, dt=0.1)
+@example(pieces=[(-3.0, 40), (0.5, 10)], v0=2.0, cap=10.0, dt=0.1)
+@example(pieces=[(0.0, 20), (-0.0, 20)], v0=-0.0, cap=10.0, dt=0.1)
+def test_cap_speed_equals_min_max_formula(pieces, v0, cap, dt):
+    """_cap_piece chained over constant (acceleration, length) pieces, as
+    _candidate_block chains it, equals the step-by-step formula. Pieces of
+    length 1 make any acceleration sequence."""
+    accels, speeds, v = [], [], v0
+    for a, n in pieces:
+        v = _cap_piece(a, n, v, cap, dt, accels, speeds)
+    want_a, want_v = _cap_speed_min_max([a for a, n in pieces for _ in range(n)],
+                                        v0, cap, dt)
     # float.hex tells -0.0 from 0.0; NaN reads as 'nan' on both sides.
-    assert [a.hex() for a in got] == [a.hex() for a in want]
-    assert all(type(a) is float for a in got)
+    assert [a.hex() for a in accels] == [a.hex() for a in want_a]
+    assert [u.hex() for u in speeds] == [u.hex() for u in want_v]
+    assert v.hex() == want_v[-1].hex()
+    assert all(type(a) is float for a in accels + speeds)
 
 
 def test_weight_validation():
@@ -246,8 +256,8 @@ def test_nav_progress_toward_goal():
 
 def test_replan_entry_validation():
     cands = [ActionTraj(np.zeros((5, 2)))]
-    pred = UNIFORM.predict(JointState(AgentState(0, 0, 0, 5), (), 0),
-                                     [], cands[0], TWO_LANE, 1)
+    pred = predict(UNIFORM.params, JointState(AgentState(0, 0, 0, 5), (), 0),
+                   [], cands[0], TWO_LANE, 1)
     with pytest.raises(ValueError):
         ReplanEntry(0, cands, pred, [1.0], executed_index=2,
                     predicted_reward_samples=[])
@@ -370,13 +380,13 @@ def _reference_plan(handle, predict_one, joint, history, ctx, rng, radii):
     return expected, idx, samples, chosen_pred
 
 
-def _table_trials(n_modes, predictor_dt, ctx):
+def _table_trials(n_modes, dt, ctx):
     """Six replans of a random count table, with 1 or 2 humans near the robot.
     In the last two a slow robot has humans just ahead, so braking candidates
     do not approach them and accelerating ones do."""
     rng = np.random.default_rng(11)
     counts = rng.integers(0, 6, size=BUCKET_SHAPE + (N_MODES,)).astype(float)
-    params = PredictorParams(counts=counts, dt=predictor_dt)
+    params = PredictorParams(counts=counts, dt=dt)
     for trial in range(6):
         if isinstance(ctx, NavWorld):
             humans = tuple(AgentState(rng.uniform(-2, 2), rng.uniform(1, 5),
@@ -416,21 +426,21 @@ def _oracle_trials():
                joint, history, spec.context, radii, RngStream(spec.seed).derive(t))
 
 
-@pytest.mark.parametrize("world,n_modes,predictor_dt", [
+@pytest.mark.parametrize("world,n_modes,dt", [
     pytest.param("corridor", 1, 0.1, id="1-0.1"),
     pytest.param("corridor", 3, 0.1, id="3-0.1"),
     pytest.param("corridor", 2, 0.2, id="2-0.2"),
     pytest.param("oracle", 1, 0.1, id="oracle"),
     pytest.param("nav", 2, 0.1, id="nav"),
 ])
-def test_plan_matches_per_candidate_reference(world, n_modes, predictor_dt):
+def test_plan_matches_per_candidate_reference(world, n_modes, dt):
     """Scoring a replan's candidates as one block, with shared rollouts and
     templates, changes no number against the per-candidate formula: for the
-    table predictor (also at another dt than the planner's), for the oracle
-    bound to a scene, and in both terms_matrix branches."""
-    handle = PlannerHandle(n_modes=n_modes)
+    table predictor (also with planner and table at a dt of 0.2), for the
+    oracle bound to a scene, and in both terms_matrix branches."""
+    handle = PlannerHandle(n_modes=n_modes, dt=dt)
     trials = (_oracle_trials() if world == "oracle" else
-              _table_trials(n_modes, predictor_dt, NavWorld() if world == "nav" else TWO_LANE))
+              _table_trials(n_modes, dt, NavWorld() if world == "nav" else TWO_LANE))
     for predictor, predict_one, joint, history, ctx, radii, rng in trials:
         _, entry = plan(handle, predictor, joint, history, ctx, rng, human_radii=radii)
         expected, idx, samples, pred = _reference_plan(

@@ -190,8 +190,6 @@ def test_mode_probs_normalized():
         probs = params.mode_probs(bucket)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= 0)
-    logits = params.mode_logits
-    np.testing.assert_allclose(np.exp(logits).sum(axis=-1), 1.0, atol=1e-9)
 
 
 def test_predict_output_contract():
@@ -267,7 +265,7 @@ def _approach_sensitive_params(dt):
 def _reference_approaching(human_pos, robot_now, ego_positions):
     """The approaching flag of one rollout, as predict() computed it per
     candidate before predictions were made as one block."""
-    d_now = float(np.hypot(*(human_pos - robot_now.position())))
+    d_now = float(np.hypot(human_pos[0] - robot_now.x, human_pos[1] - robot_now.y))
     d_future = float(np.min(np.hypot(ego_positions[:, 0] - human_pos[0],
                                      ego_positions[:, 1] - human_pos[1])))
     return 1 if d_future < d_now - APPROACH_MARGIN else 0
@@ -282,7 +280,7 @@ def _reference_predict(params, joint, history, cand, ctx, n):
         speeds = [js.humans[i].speed for js in list(history)[-params.history_window:]]
         speed = float(np.mean(speeds + [human.speed]))
         bucket = (_bucket_of(speed, SPEED_EDGES), _bucket_of(human.distance_to(joint.robot), DIST_EDGES),
-                  _reference_approaching(human.position(), joint.robot, ego_xy),
+                  _reference_approaching((human.x, human.y), joint.robot, ego_xy),
                   _lane_bucket(human, ctx))
         probs = params.mode_probs(bucket)
         order = np.argsort(-probs, kind="stable")[:n]
@@ -294,23 +292,29 @@ def _reference_predict(params, joint, history, cand, ctx, n):
     return out
 
 
-@pytest.mark.parametrize("predictor_dt", [0.1, 0.2])
-def test_predict_candidates_matches_predict(predictor_dt):
-    """One block call equals predict() and the per-candidate formula for every
-    candidate; candidates in one bucket share one PredictionSet, and every set
-    shares one template trajectory per (human, mode)."""
-    params = _approach_sensitive_params(predictor_dt)
-    # At 0.06 m/s the maintain candidate closes 0.18 m in 30 steps of 0.1 s
-    # (not approaching, margin 0.25 m) but 0.36 m in steps of 0.2 s.
+def _candidate_fixture(dt):
+    """A two-human replan at t=5 with its history, candidates and their
+    rollouts at dt."""
     joint = JointState(AgentState(0.0, 0.0, 0.0, 0.06),
                        (AgentState(10.0, 0.0, 0.0, 3.0), AgentState(2.0, 3.7, 0.0, 6.0)), 5)
     history = [JointState(joint.robot, (AgentState(9.0, 0.0, 0.0, 1.0),
                                         AgentState(1.0, 3.7, 0.0, 4.0)), t) for t in (3, 4)]
-    handle = PlannerHandle(n_modes=2)
+    handle = PlannerHandle(n_modes=2, dt=dt)
     cands = sample_candidates(handle, joint.robot, TWO_LANE, RngStream(3), start_t=5)
-    ego_xys = np.stack([rollout_positions(joint.robot, c, handle.dt) for c in cands])
+    ego_xys = np.stack([rollout_positions(joint.robot, c, dt) for c in cands])
+    return joint, history, cands, ego_xys
+
+
+@pytest.mark.parametrize("predictor_dt", [0.1, 0.2])
+def test_predict_candidates_matches_predict(predictor_dt):
+    """One block call equals predict() and the per-candidate formula for every
+    candidate, at the table's dt; candidates in one bucket share one
+    PredictionSet, and every set shares one template trajectory per
+    (human, mode)."""
+    params = _approach_sensitive_params(predictor_dt)
+    joint, history, cands, ego_xys = _candidate_fixture(predictor_dt)
     got = TablePredictor(params).predict_candidates(joint, history, cands, ego_xys,
-                                                    TWO_LANE, 2, handle.dt)
+                                                    TWO_LANE, 2, predictor_dt)
     assert len(got) == len(cands)
     trajs = {}
     sets = {}
@@ -326,13 +330,22 @@ def test_predict_candidates_matches_predict(predictor_dt):
             for m in modes:
                 assert m.traj.start_t == 5
                 assert trajs.setdefault((i, m.label), m.traj) is m.traj
-        key = tuple(_reference_approaching(h.position(), joint.robot,
+        key = tuple(_reference_approaching((h.x, h.y), joint.robot,
                                            rollout_positions(joint.robot, cand, predictor_dt))
                     for h in joint.humans)
         assert sets.setdefault(key, pred) is pred
         labels.add(pred.humans[0][0].label)
     assert len({id(p) for p in got}) == len(sets) >= 2
     assert labels == {"brake", "go_straight"}
+
+
+def test_predict_candidates_rejects_rollouts_at_another_dt():
+    """Rollouts at a dt other than the table's are an error: the templates
+    would be made at one dt and rolled out by plan() at the other."""
+    joint, history, cands, ego_xys = _candidate_fixture(0.1)
+    table = TablePredictor(_approach_sensitive_params(0.2))
+    with pytest.raises(ValueError, match=r"dt=0\.1, but the predictor table is at dt=0\.2"):
+        table.predict_candidates(joint, history, cands, ego_xys, TWO_LANE, 2, 0.1)
 
 
 def test_predict_candidates_without_humans():
@@ -375,7 +388,7 @@ def test_approaching_flags_equal_the_per_row_formula(robot, human, rows, human_a
     ego_xys = np.array(rows + [still, away], dtype=float)
     d_now = _fixed_features(0, joint, [], TWO_LANE, 4)[3]
     flags = approaching_flags(joint.humans[0], d_now, ego_xys)
-    want = [_reference_approaching(joint.humans[0].position(), joint.robot, xy)
+    want = [_reference_approaching((joint.humans[0].x, joint.humans[0].y), joint.robot, xy)
             for xy in ego_xys]
     assert flags == want
     assert flags[-2:] == [0, 0]

@@ -10,10 +10,8 @@ from regret_miner.regret import (
     LuceShepard,
     build_calibration_pair,
     canonical_from_rewards,
-    canonical_regret,
     generalized_from_likelihoods,
     generalized_from_rewards,
-    generalized_regret_t,
     luce_shepard_likelihoods,
     mine_top_quantile,
     mined_to_doc,
@@ -130,13 +128,6 @@ def test_luce_shepard_matches_hindsight_softmax():
                     scene.radii_or_default()) for c in entry.candidates]
         np.testing.assert_allclose(p, softmax_likelihoods(r), atol=1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
-        g = generalized_regret_t(LuceShepard(weights), entry.candidates,
-                                 entry.executed_index, realized, joint,
-                                 scene.context, scene.radii_or_default())
-        assert g == pytest.approx(float(p.max() - p[entry.executed_index]), abs=1e-12)
-        c = canonical_regret(weights, entry.candidates, entry.executed_index,
-                             realized, joint, scene.context, scene.radii_or_default())
-        assert c == pytest.approx(float(np.max(r) - r[entry.executed_index]), abs=1e-9)
 
 
 def test_generative_model_rejected_for_corridor_scoring():

@@ -39,8 +39,9 @@ from regret_miner.simkit import (
     SceneRecord,
     _SceneBinding,
     generate_scenario_batch,
-    human_policy_step,
+    human_policy,
     replay_max_deviation,
+    robot_views,
     run_closed_loop,
     scene_from_dict,
     scene_to_dict,
@@ -60,7 +61,7 @@ def _joint(robot, humans, t=0):
 
 
 def _floats(joint):
-    """A JointState as human_policy_step's float states, robot first."""
+    """A JointState as the human policies' float states, robot first."""
     return [(s.x, s.y, s.heading, s.speed) for s in (joint.robot, *joint.humans)]
 
 
@@ -68,9 +69,11 @@ def test_stranded_profile_never_acts():
     p = HumanProfile("stranded", target_speed=0.0)
     assert p.never_moves
     me = AgentState(50, 0, 0, 0)
-    joint = _joint(AgentState(0, 0, 0, 8), [me])
+    states = _floats(_joint(AgentState(0, 0, 0, 8), [me]))
     for t in range(5):
-        a, w = human_policy_step(p, 0, _floats(joint), TWO_LANE, RngStream(t), memory={})
+        memory: dict = {}
+        view = robot_views(p, 0, states, memory, [states[0]])[0]
+        a, w = human_policy(p, 0, states, TWO_LANE, RngStream(t), memory, (), view)
         assert (a, w) == (0.0, 0.0)
 
 
@@ -79,8 +82,9 @@ def test_cruise_setpoint_equilibrium():
     # already at its setpoint.
     p = HumanProfile("cruise", target_speed=6.0, reaction_radius=10.0)
     me = AgentState(50, 0, 0, 6.0)
-    joint = _joint(AgentState(0, 0, 0, 6.0), [me])
-    a, w = human_policy_step(p, 0, _floats(joint), TWO_LANE, RngStream(0), memory={})
+    states = _floats(_joint(AgentState(0, 0, 0, 6.0), [me]))
+    view = robot_views(p, 0, states, {}, [states[0]])[0]
+    a, w = human_policy(p, 0, states, TWO_LANE, RngStream(0), {}, (), view)
     assert abs(a) < 1e-9
     assert abs(w) < 1e-9
 
@@ -88,8 +92,9 @@ def test_cruise_setpoint_equilibrium():
 def test_cruise_brakes_for_agent_ahead():
     p = HumanProfile("cruise", target_speed=6.0, reaction_radius=10.0)
     me = AgentState(50, 0, 0, 6.0)
-    joint = _joint(AgentState(55, 0, 0, 0.0), [me])
-    a, _ = human_policy_step(p, 0, _floats(joint), TWO_LANE, RngStream(0), memory={})
+    states = _floats(_joint(AgentState(55, 0, 0, 0.0), [me]))
+    view = robot_views(p, 0, states, {}, [states[0]])[0]
+    a, _ = human_policy(p, 0, states, TWO_LANE, RngStream(0), {}, (), view)
     assert a == -3.0
 
 
@@ -98,12 +103,13 @@ def test_intersection_yield_frequency():
     probability 0.8 +/- 0.02."""
     p = HumanProfile("intersection_cross", target_speed=1.2, reaction_radius=15.0)
     me = AgentState(55, -4, math.pi / 2, 1.2)
-    joint = _joint(AgentState(50, 0, 0, 8.0), [me])
+    states = _floats(_joint(AgentState(50, 0, 0, 8.0), [me]))
     yields = 0
     n = 10_000
     for i in range(n):
         memory: dict = {}
-        human_policy_step(p, 0, _floats(joint), TWO_LANE, RngStream(777, i), memory=memory)
+        view = robot_views(p, 0, states, memory, [states[0]])[0]
+        human_policy(p, 0, states, TWO_LANE, RngStream(777, i), memory, (), view)
         assert memory.get("yield_latch") is not None  # on course by construction
         yields += bool(memory["yield_latch"])
     assert abs(yields / n - 0.8) < 0.02
@@ -298,28 +304,29 @@ _BAD_CANDIDATE_VALUES = [
 
 
 @pytest.mark.parametrize("where,value,msg", _BAD_CANDIDATE_VALUES)
-def test_scene_decode_rejects_a_bad_candidate_block(two_human_scene_dict, where, value, msg):
-    d = copy.deepcopy(two_human_scene_dict)
+def test_scene_decode_rejects_a_bad_candidate_block(two_human_scene, two_human_scene_dict,
+                                                   where, value, msg):
+    """A bad candidate value raises msg in the scene/1 reference decoder,
+    and the same message in the scene/2 decode."""
     k, step, comp = where
-    d["replan_log"][1]["candidates"][k]["actions"][step][comp] = value
-    with pytest.raises(ValueError) as err:
-        scene_from_dict(d)
-    assert str(err.value) == msg
-    d = copy.deepcopy(two_human_scene_dict)
-    d["replan_log"][0]["candidates"][2]["start_t"] = -1
-    with pytest.raises(ValueError, match="start_t must be >= 0, got -1"):
-        scene_from_dict(d)
-
-
-def test_scene_decode_mixed_length_candidates(two_human_scene_dict):
-    d = copy.deepcopy(two_human_scene_dict)
-    cands = d["replan_log"][0]["candidates"]
-    cands[4]["actions"] = cands[4]["actions"][:3]
-    rec = scene_from_dict(d)
-    assert [len(c) for c in rec.replan_log[0].candidates] == [len(c["actions"]) for c in cands]
-    cands[6]["actions"][1] = [0.0, 0.0, 0.0]
-    with pytest.raises(ValueError):
-        scene_from_dict(d)
+    d1 = copy.deepcopy(two_human_scene_dict)
+    d1["replan_log"][1]["candidates"][k]["actions"][step][comp] = value
+    d2 = scene_to_dict(two_human_scene)
+    cands = d2["replan_log"][1]["candidates"]
+    flat = _block_array(cands["actions"]).copy()
+    flat[sum(cands["len"][:k]) + step, comp] = value
+    _set_block(cands["actions"], flat)
+    for decode, d in ((scene1_record, d1), (scene_from_dict, d2)):
+        with pytest.raises(ValueError) as err:
+            decode(d)
+        assert str(err.value) == msg
+    d1 = copy.deepcopy(two_human_scene_dict)
+    d1["replan_log"][0]["candidates"][2]["start_t"] = -1
+    d2 = scene_to_dict(two_human_scene)
+    d2["replan_log"][0]["candidates"]["start_t"][2] = -1
+    for decode, d in ((scene1_record, d1), (scene_from_dict, d2)):
+        with pytest.raises(ValueError, match="start_t must be >= 0, got -1"):
+            decode(d)
 
 
 # scene/2 against the scene/1 reference codec.
@@ -346,12 +353,10 @@ def _hexed(x):
 
 
 def _assert_codecs_agree(rec):
-    """Decoding rec's scene/2 and scene/1 encodings gives the record the
-    reference scene/1 reader gives."""
-    want = _hexed(scene1_record(scene1_dict(rec)))
+    """Decoding rec's scene/2 encoding gives the record the reference
+    scene/1 reader gives for its scene/1 encoding."""
     got = scene_from_dict(scene_to_dict(rec))
-    assert _hexed(got) == want
-    assert _hexed(scene_from_dict(scene1_dict(rec))) == want
+    assert _hexed(got) == _hexed(scene1_record(scene1_dict(rec)))
     return got
 
 
@@ -531,7 +536,7 @@ def test_scene2_bad_values_raise_the_scene1_messages(two_human_scene, field):
         arr[trajs2["len"][0], 1] = float("nan")
         _set_block(trajs2["actions"], arr)
     with pytest.raises(ValueError) as err1:
-        scene_from_dict(d1)
+        scene1_record(d1)
     with pytest.raises(ValueError) as err2:
         scene_from_dict(d2)
     assert str(err2.value) == str(err1.value)
