@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DT_DEFAULT, rollout_positions
-from .planner import PlannerHandle, terms_from_positions, weighted_reward
+from .planner import PlannerHandle
 from .predictor import ade_fde
-from .regret import RegretReport, _rollouts_by_length, mine_top_quantile
+from .regret import RegretReport, hindsight_rewards, mine_top_quantile, realized_human_actions
 
 METRICS = ("GRM", "RM", "ADE", "TRFD")
 
@@ -103,36 +103,25 @@ def realized_scene_reward(scene, handle: Optional[PlannerHandle] = None) -> floa
     candidate horizon, so the realized counterpart uses the same window:
     the actions the robot really executed (crossing later replans) against
     the realized human motion. Windows cut short by the scene end are
-    skipped when at least one complete window exists. Every window and its
-    realized human segments are rolled out in one batch, as score_scene
-    does, and each window's reward is planner.reward's.
+    skipped when at least one complete window exists. Each window is one
+    regret.hindsight_rewards window, so its reward is planner.reward's, and
+    the scene's windows are priced in one call.
     """
     handle = handle if handle is not None else PlannerHandle()
     if not scene.replan_log:
         raise ValueError("scene has no replan log")
-    radii = scene.radii_or_default()
     all_exec = np.concatenate([seg.actions for seg in scene.executed_robot])
-    human_actions = [scene.human_actions[i].actions
-                     for i in range(len(scene.states[0].humans))]
-    windows, starts, actions, complete = [], [], [], []
+    windows, complete = [], []
     for e in scene.replan_log:
         W = len(e.candidates[e.executed_index])
         window = all_exec[e.t:e.t + W]
         if len(window) < 1:
             continue
-        joint = scene.states[e.t]
-        segs = [seg for seg in (h[e.t:e.t + len(window)] for h in human_actions) if len(seg)]
-        windows.append((joint.robot, window, len(segs)))
-        starts += [joint.robot] + list(joint.humans[:len(segs)])
-        actions += [window] + segs
+        windows.append((scene.states[e.t], [window],
+                        realized_human_actions(scene, e.t, len(window))))
         complete.append(len(window) == W)
-    xys = iter(_rollouts_by_length(starts, actions, handle.dt))
-    vals = []
-    for robot, window, n_humans in windows:
-        ego_xy = next(xys)
-        human_xys = [next(xys) for _ in range(n_humans)]
-        vals.append(weighted_reward(handle.weights, terms_from_positions(
-            ego_xy, window, human_xys, radii, robot, scene.context)))
+    vals = [float(r[0]) for r in hindsight_rewards(handle.weights, windows, scene.context,
+                                                   scene.radii_or_default(), handle.dt)]
     if any(complete):
         vals = [v for v, c in zip(vals, complete) if c]
     return float(np.mean(vals))

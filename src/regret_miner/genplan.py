@@ -198,19 +198,29 @@ def _turns_traj(turns: list[float]) -> ActionTraj:
     return ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns]))
 
 
+def _steer(start_xy, heading: float, speed: float, target, noise: Sequence[float],
+           gain: float = 1.0) -> tuple[list[float], list[tuple[float, float]]]:
+    """Proportional control toward target at constant speed from start_xy
+    and heading, one step per noise term: the turn is gain times the bearing
+    error plus the noise term, clamped. Returns the turns and the position
+    after each step, as plain floats."""
+    x, y, h = start_xy[0], start_xy[1], wrap_angle(heading)
+    turns, pos = [], []
+    for e in noise:
+        w = _clamp_turn(_pc_turn(x, y, h, target, gain) + e)
+        x, y, h = unicycle_step_floats(x, y, h, speed, 0.0, w, NAV_DT)[:3]
+        turns.append(w)
+        pos.append((x, y))
+    return turns, pos
+
+
 def _simulate_human(cue_class: str, gen: np.random.Generator,
                     exec_noise: float, ctx: NavWorld
                     ) -> tuple[ActionTraj, list[tuple[float, float]]]:
-    target = _HUMAN_TARGETS[cue_class]
-    x, y, h = ctx.human_start[0], ctx.human_start[1], wrap_angle(-math.pi / 2)
-    turns = []
-    pos = []
-    for _ in range(NAV_STEPS):
-        w = _clamp_turn(_pc_turn(x, y, h, target)
-                        + float(gen.normal(0.0, exec_noise)))
-        x, y, h = unicycle_step_floats(x, y, h, HUMAN_NAV_SPEED, 0.0, w, NAV_DT)[:3]
-        turns.append(w)
-        pos.append((x, y))
+    # One normal(0, s, 6) call draws the values of six scalar draws.
+    noise = gen.normal(0.0, exec_noise, NAV_STEPS).tolist()
+    turns, pos = _steer(ctx.human_start, -math.pi / 2, HUMAN_NAV_SPEED,
+                        _HUMAN_TARGETS[cue_class], noise)
     return _turns_traj(turns), pos
 
 
@@ -428,18 +438,12 @@ def _proportional_candidates(ctx: NavWorld) -> tuple[ActionTraj, ...]:
     (3 bearings x 3 gains) of a world, built once per world."""
     mid = ((ctx.goal_primary[0] + ctx.goal_backup[0]) / 2.0,
            (ctx.goal_primary[1] + ctx.goal_backup[1]) / 2.0)
-    cands = []
-    for target in (ctx.goal_primary, ctx.goal_backup, mid):
-        for gain in (0.5, 1.0, 2.0):
-            x, y = ctx.robot_start
-            h = wrap_angle(math.pi / 2)
-            turns = []
-            for _ in range(NAV_STEPS):
-                w = _pc_turn(x, y, h, target, gain)
-                x, y, h = unicycle_step_floats(x, y, h, ROBOT_NAV_SPEED, 0.0, w, NAV_DT)[:3]
-                turns.append(w)
-            cands.append(_turns_traj(turns))
-    return tuple(cands)
+    # x + -0.0 is x for every x, signed zeros included, and _pc_turn's turn
+    # is already clamped, so these steps are the noise-free controller's.
+    return tuple(_turns_traj(_steer(ctx.robot_start, math.pi / 2, ROBOT_NAV_SPEED, target,
+                                    [-0.0] * NAV_STEPS, gain)[0])
+                 for target in (ctx.goal_primary, ctx.goal_backup, mid)
+                 for gain in (0.5, 1.0, 2.0))
 
 
 def default_hindsight_candidates(executed: ActionTraj,
@@ -616,13 +620,7 @@ def _perception_turns(goal: str, noise: Sequence[float],
     """Turns of proportional control to the goal plus one noise term per
     step, clamped, as plain floats."""
     target = ctx.goal_primary if goal == "Primary" else ctx.goal_backup
-    x, y, h = ctx.robot_start[0], ctx.robot_start[1], wrap_angle(math.pi / 2)
-    turns = []
-    for e in noise:
-        w = _clamp_turn(_pc_turn(x, y, h, target) + e)
-        x, y, h = unicycle_step_floats(x, y, h, ROBOT_NAV_SPEED, 0.0, w, NAV_DT)[:3]
-        turns.append(w)
-    return turns
+    return _steer(ctx.robot_start, math.pi / 2, ROBOT_NAV_SPEED, target, noise)[0]
 
 
 def _perception_robot(goal: str, gen: np.random.Generator, exec_noise: float,

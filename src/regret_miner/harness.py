@@ -484,12 +484,17 @@ def _arm_pools(subsets: Subsets, arms: Sequence[str]) -> frozenset[str]:
 
 
 def _split_cell(scenes: Sequence, config: ExperimentConfig) -> dict:
+    """One (arm, split, seed) cell. A scene with no replan log (aborted at
+    t=0) keeps its collision cost but is left out of mean_regret, ade and
+    fde, and the cell lists it as "skipped": {scene id: abort reason}."""
     per_scene = {s.scenario_id: s.total_collision_cost for s in scenes}
     frames = sum(s.collision_frames for s in scenes)
     total = sum(per_scene.values())
-    regrets = [r.score for r in score_deployment(scenes, config)[1]]
-    errs = [scene_prediction_errors(s) for s in scenes]
-    return {
+    scored = [s for s in scenes if s.replan_log]
+    skipped = {s.scenario_id: s.abort_reason for s in scenes if not s.replan_log}
+    regrets = [r.score for r in score_deployment(scored, config)[1]]
+    errs = [scene_prediction_errors(s) for s in scored]
+    cell = {
         "collision_cost": total / len(per_scene) if per_scene else 0.0,
         "collision_severity": total / frames if frames > 0 else 0.0,
         "mean_regret": float(np.mean(regrets)) if regrets else 0.0,
@@ -498,6 +503,9 @@ def _split_cell(scenes: Sequence, config: ExperimentConfig) -> dict:
         "collision_frames": frames,
         "per_scene_collision_cost": per_scene,
     }
+    if skipped:
+        cell["skipped"] = skipped
+    return cell
 
 
 def _deployed_holdouts(ids: Sequence[str], scenes_by_id: dict, specs_by_id: dict,

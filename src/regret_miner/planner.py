@@ -247,16 +247,6 @@ def terms_matrix(ego_xys: np.ndarray, acts: np.ndarray,
     return progress, lane, col, ctrl
 
 
-def terms_from_positions(ego_xy: np.ndarray, acts: np.ndarray,
-                         human_xys: Sequence[np.ndarray],
-                         radii: Optional[Sequence[float]],
-                         robot: AgentState, ctx: Context):
-    """terms_matrix of one ego rollout (T, 2) and its actions (T, 2), as
-    floats."""
-    terms = terms_matrix(ego_xy[None], acts[None], human_xys, radii, robot, ctx)
-    return tuple(float(t[0]) for t in terms)
-
-
 def weighted_reward(weights: RewardWeights, terms):
     """R = w_progress*progress + w_lane*lane + w_col*overlap + w_ctrl*ctrl,
     elementwise when the terms are arrays."""
@@ -278,8 +268,9 @@ def reward_terms(handle: PlannerHandle, ego: ActionTraj,
     ego_xy = rollout_positions(joint.robot, ego, handle.dt)
     human_xys = [rollout_positions(joint.humans[i], h, handle.dt)
                  for i, h in enumerate(humans)]
-    return terms_from_positions(ego_xy, ego.actions, human_xys, human_radii,
-                                joint.robot, ctx)
+    terms = terms_matrix(ego_xy[None], ego.actions[None], human_xys, human_radii,
+                         joint.robot, ctx)
+    return tuple(float(t[0]) for t in terms)
 
 
 def reward(handle: PlannerHandle, ego: ActionTraj, humans: Sequence[ActionTraj],
@@ -334,9 +325,10 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     and each (human, mode trajectory) has one overlap pass over all rollouts;
     every candidate's expectation is then accumulated per human and mode in
     the order a per-candidate loop would, so each value is that loop's. The
-    chosen plan's reward samples reuse its terms_matrix row and overlap rows;
-    only a mode trajectory shorter than the horizon, which crops every term,
-    sends a sample through terms_from_positions.
+    chosen plan's reward samples reuse its terms_matrix row and overlap rows.
+    A mode trajectory shorter than the horizon would crop every term of a
+    sample but only the overlap of the expectation, so it is a ValueError
+    naming the human, the mode and the lengths.
     """
     robot = joint.robot
     candidates, acts, speeds = _candidate_block(handle, robot.speed, rng, joint.t)
@@ -375,13 +367,15 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
             for mp in pred.humans[i]:
                 key = (i, id(mp.traj))
                 if key not in overlaps:
+                    if len(mp.traj) < handle.horizon:
+                        raise ValueError(f"human {i} mode {mp.label!r} is {len(mp.traj)} "
+                                         f"steps, shorter than the horizon {handle.horizon}")
                     overlaps[key] = _overlap_sum(ego_xys, human_xy(i, mp.traj), radii[i])
                 exp_r = exp_r + w.w_col * mp.prob * overlaps[key][rows]
         expected[rows] = exp_r
 
     chosen_idx = int(np.argmax(expected))
     chosen = candidates[chosen_idx]
-    chosen_xy = ego_xys[chosen_idx]
     chosen_pred = pred_sets[chosen_idx]
 
     # Reward of the chosen plan under every joint prediction mode combo.
@@ -390,22 +384,15 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
         combos = [(idx + (k,), p * chosen_pred.humans[i][k].prob)
                   for idx, p in combos
                   for k in range(len(chosen_pred.humans[i]))]
-    T = handle.horizon
     row = (float(progress[chosen_idx]), float(lane[chosen_idx]), float(ctrl[chosen_idx]))
     samples: list[tuple[float, float]] = []
     for idx, weight in combos:
-        trajs = [chosen_pred.humans[i][idx[i]].traj for i in range(M)]
-        if all(len(traj) >= T for traj in trajs):
-            # Nothing crops the rollout: the terms are the replan's own
-            # terms_matrix row and overlap rows, summed as terms_matrix does.
-            col = 0.0
-            for i, traj in enumerate(trajs):
-                col = col + float(overlaps[(i, id(traj))][chosen_idx])
-            terms = (row[0], row[1], col, row[2])
-        else:
-            h_xys = [human_xy(i, traj) for i, traj in enumerate(trajs)]
-            terms = terms_from_positions(chosen_xy, chosen.actions, h_xys, radii,
-                                         robot, ctx)
+        # The terms are the replan's own terms_matrix row and overlap rows,
+        # summed as terms_matrix does.
+        col = 0.0
+        for i in range(M):
+            col = col + float(overlaps[(i, id(chosen_pred.humans[i][idx[i]].traj))][chosen_idx])
+        terms = (row[0], row[1], col, row[2])
         samples.append((weighted_reward(w, terms), float(weight)))
 
     entry = ReplanEntry(

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ActionTraj, Context, JointState, rollout_positions_batch
-from .planner import RewardWeights, terms_from_positions, terms_matrix, weighted_reward
+from .core import DT_DEFAULT, ActionTraj, Context, JointState, rollout_positions_batch
+from .planner import RewardWeights, terms_matrix, weighted_reward
 
 
 @dataclass(frozen=True)
@@ -56,48 +56,64 @@ def generalized_from_likelihoods(likelihoods, executed_index: int) -> float:
     return float(p.max() - p[executed_index])
 
 
-def _rewards_from_rollouts(weights: RewardWeights, candidates: Sequence[ActionTraj],
-                           ego_xys: Sequence[np.ndarray], human_xys: Sequence[np.ndarray],
-                           human_radii, robot, ctx: Context) -> np.ndarray:
-    """Reward of every candidate from its rollout against the human rollouts:
-    one reward matrix when the candidates share one length, else one
-    candidate at a time."""
-    if len({len(c) for c in candidates}) == 1:
-        acts = np.array([c.actions for c in candidates])
-        return weighted_reward(weights, terms_matrix(np.array(ego_xys), acts, human_xys,
-                                                     human_radii, robot, ctx))
-    return np.array([
-        weighted_reward(weights, terms_from_positions(xy, cand.actions, human_xys,
-                                                      human_radii, robot, ctx))
-        for cand, xy in zip(candidates, ego_xys)
-    ])
+def _by_length(arrays: Sequence[np.ndarray]) -> dict[int, list[int]]:
+    """Indices of the arrays grouped by length, in order."""
+    out: dict[int, list[int]] = {}
+    for n, arr in enumerate(arrays):
+        out.setdefault(len(arr), []).append(n)
+    return out
 
 
-def _hindsight_rewards(weights: RewardWeights, candidates: Sequence[ActionTraj],
-                       realized_humans: Sequence[ActionTraj], joint: JointState,
-                       ctx: Context, human_radii=None, dt: float = 0.1) -> np.ndarray:
-    """Reward of every candidate against the realized humans; the candidates
-    and the realized humans are rolled out together, each human once and
-    shared by all candidates."""
-    M = len(realized_humans)
-    xys = _rollouts_by_length(
-        [joint.humans[i] for i in range(M)] + [joint.robot] * len(candidates),
-        [h.actions for h in realized_humans] + [c.actions for c in candidates], dt)
-    return _rewards_from_rollouts(weights, candidates, xys[M:], xys[:M],
-                                  human_radii, joint.robot, ctx)
+def hindsight_rewards(weights: RewardWeights, windows: Sequence, ctx: Context,
+                      human_radii, dt: float) -> list[np.ndarray]:
+    """The reward of every robot action sequence of every window against
+    that window's realized humans: one (K,) array per window.
+
+    A window is (joint, robot action arrays, realized human action arrays);
+    the robot sequences start from joint.robot and realized human n from
+    joint.humans[n]. Every rollout of every window goes through one
+    rollout_positions_batch call per distinct length. The robot sequences
+    of one window that share a length are priced by one terms_matrix call,
+    whose rows are independent, so a window of mixed lengths prices each
+    sequence as a window of its own would.
+    """
+    starts, actions = [], []
+    for joint, robot_acts, human_acts in windows:
+        starts += [joint.robot] * len(robot_acts) + list(joint.humans[:len(human_acts)])
+        actions += list(robot_acts) + list(human_acts)
+    xys: list = [None] * len(actions)
+    for idx in _by_length(actions).values():
+        rows = [starts[n] for n in idx]
+        batch = rollout_positions_batch([s.x for s in rows], [s.y for s in rows],
+                                        [s.heading for s in rows], [s.speed for s in rows],
+                                        [actions[n] for n in idx], dt)
+        for n, xy in zip(idx, batch):
+            xys[n] = xy
+    out, n = [], 0
+    for joint, robot_acts, human_acts in windows:
+        K = len(robot_acts)
+        ego_xys, human_xys = xys[n:n + K], xys[n + K:n + K + len(human_acts)]
+        n += K + len(human_acts)
+        r = np.empty(K)
+        for rows in _by_length(robot_acts).values():
+            r[rows] = weighted_reward(weights, terms_matrix(
+                np.array([ego_xys[k] for k in rows]), np.array([robot_acts[k] for k in rows]),
+                human_xys, human_radii, joint.robot, ctx))
+        out.append(r)
+    return out
 
 
 def luce_shepard_likelihoods(weights: RewardWeights, candidates: Sequence[ActionTraj],
                              realized_humans: Sequence[ActionTraj], joint: JointState,
                              ctx: Context, human_radii=None,
-                             dt: float = 0.1) -> np.ndarray:
+                             dt: float = DT_DEFAULT) -> np.ndarray:
     """P(candidate i) = exp(r_i - max r) / sum_k exp(r_k - max r), rewards
-    evaluated against realized human behavior."""
+    evaluated against realized human behavior: hindsight_rewards of one
+    window, as score_scene prices each replan."""
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    r = _hindsight_rewards(weights, candidates, realized_humans, joint, ctx,
-                           human_radii, dt)
-    return softmax_likelihoods(r)
+    window = (joint, [c.actions for c in candidates], [h.actions for h in realized_humans])
+    return softmax_likelihoods(hindsight_rewards(weights, [window], ctx, human_radii, dt)[0])
 
 
 @dataclass
@@ -117,30 +133,20 @@ class RegretReport:
         return self.worst_regret if self.aggregation == "worst" else self.mean_regret
 
 
+def realized_human_actions(scene, t0: int, T: int) -> list[np.ndarray]:
+    """The humans' realized actions over steps [t0, t0 + T), in human order,
+    or [] when the scene's logs end before t0. Every human's log runs to the
+    scene's last executed step, so the segments share one length."""
+    segs = [scene.human_actions[i].actions[t0:t0 + T]
+            for i in range(len(scene.states[0].humans))]
+    return segs if segs and len(segs[0]) else []
+
+
 def _realized_human_segment(scene, human_idx: int, t0: int, T: int) -> Optional[ActionTraj]:
-    acts = scene.human_actions[human_idx].actions
-    seg = acts[t0:t0 + T]
-    if len(seg) < 1:
-        return None
-    return ActionTraj(seg, start_t=t0)
-
-
-def _rollouts_by_length(starts: Sequence, actions: Sequence[np.ndarray],
-                        dt: float) -> list[np.ndarray]:
-    """rollout_positions of each (start state, (T, 2) actions) pair, with one
-    rollout_positions_batch call per distinct T."""
-    by_len: dict[int, list[int]] = {}
-    for n, acts in enumerate(actions):
-        by_len.setdefault(len(acts), []).append(n)
-    out: list = [None] * len(actions)
-    for idx in by_len.values():
-        rows = [starts[n] for n in idx]
-        xys = rollout_positions_batch([s.x for s in rows], [s.y for s in rows],
-                                      [s.heading for s in rows], [s.speed for s in rows],
-                                      [actions[n] for n in idx], dt)
-        for n, xy in zip(idx, xys):
-            out[n] = xy
-    return out
+    """Human human_idx's segment of realized_human_actions as a trajectory
+    starting at t0, or None when the logs end before t0."""
+    segs = realized_human_actions(scene, t0, T)
+    return ActionTraj(segs[human_idx], start_t=t0) if segs else None
 
 
 def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretReport:
@@ -148,8 +154,9 @@ def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretR
 
     Candidate rewards are recomputed against the realized human actions
     sliced from the scene log, never against the predictions that were used
-    at planning time. Every logged candidate and realized human segment of
-    the scene is rolled out in one batch before the replans are scored.
+    at planning time: each replan is one hindsight_rewards window, its
+    candidates against the realized humans over the first candidate's
+    length, and the scene's windows are priced in one call.
     """
     if aggregation not in ("mean", "worst"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
@@ -157,26 +164,14 @@ def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretR
         raise TypeError("score_scene requires the reward-based likelihood model")
     if not scene.replan_log:
         raise ValueError(f"scene {scene.scenario_id} has no replan log to score")
-    radii = scene.radii_or_default()
-    human_actions = [scene.human_actions[i].actions
-                     for i in range(len(scene.states[0].humans))]
-    starts, actions, realized = [], [], []
-    for entry in scene.replan_log:
-        joint = scene.states[entry.t]
-        T = len(entry.candidates[0])
-        segs = [seg for seg in (h[entry.t:entry.t + T] for h in human_actions) if len(seg)]
-        realized.append(len(segs))
-        starts += [joint.robot] * len(entry.candidates) + list(joint.humans[:len(segs)])
-        actions += [c.actions for c in entry.candidates] + segs
-    xys = iter(_rollouts_by_length(starts, actions, dt=0.1))
+    windows = [(scene.states[e.t], [c.actions for c in e.candidates],
+                realized_human_actions(scene, e.t, len(e.candidates[0])))
+               for e in scene.replan_log]
+    rewards = hindsight_rewards(model.weights, windows, scene.context,
+                                scene.radii_or_default(), DT_DEFAULT)
     per_t = []
     canon = []
-    for entry, n_humans in zip(scene.replan_log, realized):
-        ego_xys = [next(xys) for _ in entry.candidates]
-        human_xys = [next(xys) for _ in range(n_humans)]
-        r = _rewards_from_rollouts(model.weights, entry.candidates, ego_xys, human_xys,
-                                   radii[:n_humans], scene.states[entry.t].robot,
-                                   scene.context)
+    for entry, r in zip(scene.replan_log, rewards):
         p = softmax_likelihoods(r)
         g = generalized_from_likelihoods(p, entry.executed_index)
         per_t.append((entry.t, float(p[entry.executed_index]), float(p.max()), g))

@@ -19,8 +19,8 @@ from regret_miner.baselines import (
     with_inflated_predictions,
     write_comparison,
 )
-from regret_miner.core import AgentState, DrivingCorridor
-from regret_miner.planner import PlannerHandle
+from regret_miner.core import ActionTraj, AgentState, DrivingCorridor
+from regret_miner.planner import PlannerHandle, reward
 from regret_miner.regret import (
     LuceShepard,
     mine_top_quantile,
@@ -117,6 +117,32 @@ def test_trfd_quantile_logic(scenes):
     entries = [replace(e, predicted_reward_samples=list(high))
                for e in scene.replan_log]
     assert trfd_flag(replace(scene, replan_log=entries), 20.0) is True
+
+
+def test_realized_scene_reward_is_the_mean_reference_reward_of_complete_windows(scenes):
+    """TRFD's realized side: planner.reward of each executed window against
+    the realized humans over the same steps, averaged over the windows the
+    scene end does not cut short."""
+    handle = PlannerHandle()
+    cut_short = 0
+    for scene in scenes:
+        executed = np.concatenate([seg.actions for seg in scene.executed_robot])
+        rewards = []
+        for e in scene.replan_log:
+            W = len(e.candidates[e.executed_index])
+            window = executed[e.t:e.t + W]
+            if len(window) < W:
+                cut_short += 1
+                continue
+            humans = [ActionTraj(h.actions[e.t:e.t + W], start_t=e.t)
+                      for h in scene.human_actions]
+            rewards.append(reward(handle, ActionTraj(window, start_t=e.t), humans,
+                                  scene.states[e.t], scene.context,
+                                  scene.radii_or_default()))
+        assert rewards
+        assert realized_scene_reward(scene, handle) == float(np.mean(rewards))
+    assert cut_short > 0
+    assert any(len(s.human_actions) == 2 for s in scenes)
 
 
 def test_trfd_ignores_benign_speedup_phase():

@@ -317,17 +317,27 @@ class _NoPrediction(TablePredictor):
 
 
 def test_redeploy_of_a_holdout_aborted_at_t0_names_the_scene(cli_and_full_runs, tmp_path,
-                                                            capsys, monkeypatch):
+                                                            monkeypatch):
+    # Every fine-tuned holdout aborts at t=0: redeploy still writes the case
+    # study, and each fine-tuned cell names its holdouts under "skipped".
     cli_run, _ = cli_and_full_runs
     run = _copy_run(cli_run, tmp_path / "run")
-    first = sorted(json.loads((run / "subsets.json").read_text())["holdout_high"])[0]
+    holdout = {split: sorted(json.loads((run / "subsets.json").read_text())[f"holdout_{split}"])
+               for split in ("high", "low")}
     monkeypatch.setattr(harness, "TablePredictor", _NoPrediction)
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["redeploy", "--in", str(run)])
-    assert exc.value.code == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err == {"type": "ValueError", "message": f"scene {first} has no replan log to score"}
+    assert main(["redeploy", "--in", str(run)]) == 0
+    values = json.loads((run / "case_study.json").read_text())["values"]
+    assert "HighRegretFT" in values
+    for arm, by_split in values.items():
+        for split, cells in by_split.items():
+            for cell in cells:
+                if arm == "Base":
+                    assert "skipped" not in cell
+                else:
+                    assert cell["skipped"] == {
+                        sid: "planner failed at t=0: no prediction at t=0"
+                        for sid in holdout[split]}
+                    assert cell["mean_regret"] == 0.0
 
 
 def _count_decodes(monkeypatch):

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -419,13 +418,20 @@ class _NoPrediction(TablePredictor):
 
 
 def test_redeploy_of_a_holdout_aborted_at_t0_names_the_scene(small_split, monkeypatch):
+    # A holdout that aborts at t=0 keeps its collision cost but has no
+    # replan to score: the cell leaves it out of mean_regret, ade and fde
+    # and names it under "skipped" with its abort reason.
     config, scenes_by_id, specs_by_id, subsets = small_split
     monkeypatch.setattr(harness, "TablePredictor", _NoPrediction)
-    first = sorted(subsets.holdout_high)[0]
-    with pytest.raises(ValueError,
-                       match=f"^scene {re.escape(first)} has no replan log to score$"):
-        finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
-                              PredictorParams.fresh(), arms=("Base", "HighRegretFT"))
+    case = finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
+                                 PredictorParams.fresh(), arms=("Base", "HighRegretFT"))
+    for split, ids in (("high", subsets.holdout_high), ("low", subsets.holdout_low)):
+        assert all("skipped" not in cell for cell in case.values["Base"][split])
+        for cell in case.values["HighRegretFT"][split]:
+            assert cell["skipped"] == {sid: "planner failed at t=0: no prediction at t=0"
+                                       for sid in sorted(ids)}
+            assert sorted(cell["per_scene_collision_cost"]) == sorted(ids)
+            assert (cell["mean_regret"], cell["ade"], cell["fde"]) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("name", ["planner", "predictor"])

@@ -491,24 +491,24 @@ class _ShortModePredictor:
 
 @pytest.mark.parametrize("n_humans,mixed", [(1, False), (2, False), (2, True)],
                          ids=["1-human", "2-humans", "2-humans-full-keep-modes"])
-def test_plan_falls_back_for_mode_trajectories_shorter_than_the_horizon(n_humans, mixed):
-    """A mode trajectory shorter than the horizon crops every reward term of
-    the chosen plan's samples, which plan() then computes from positions;
-    a combination of full-length modes still reuses the replan's rows."""
+def test_plan_rejects_mode_trajectories_shorter_than_the_horizon(n_humans, mixed):
+    """A mode trajectory shorter than the horizon would crop every reward
+    term of the chosen plan's samples but only the overlap of its expected
+    reward, so plan() raises a ValueError naming the human, the mode and the
+    lengths, and a closed loop under such a predictor aborts with it."""
     handle = PlannerHandle(n_modes=2)
     predictor = _ShortModePredictor(handle.horizon, 5, mixed)
+    label = "brake" if mixed else "keep"
+    message = f"human 0 mode {label!r} is 25 steps, shorter than the horizon 30"
     humans = (AgentState(8.0, 0.3, 0.0, 2.0), AgentState(10.0, 3.5, 0.1, 1.0))[:n_humans]
     radii = [CAR_RADIUS, 0.3][:n_humans]
-    for trial in range(4):
-        joint = JointState(AgentState(0.0, 0.2 * trial, 0.0, 4.0 + trial), humans, 7)
-        rng = RngStream(trial)
-        _, entry = plan(handle, predictor, joint, [], TWO_LANE, rng, human_radii=radii)
-        expected, idx, samples, _ = _reference_plan(
-            handle, lambda cand, j=joint: predictor.predict_one(j, cand), joint, [],
-            TWO_LANE, rng, radii)
-        assert entry.candidate_rewards_predicted == expected
-        assert entry.executed_index == idx
-        assert entry.predicted_reward_samples == samples
+    joint = JointState(AgentState(0.0, 0.2, 0.0, 5.0), humans, 7)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        plan(handle, predictor, joint, [], TWO_LANE, RngStream(1), human_radii=radii)
+    spec = generate_scenario_batch("StrandedTruck", 1, base_seed=3, horizon=40)[0]
+    scene = run_closed_loop(spec, handle, predictor, 10)
+    assert scene.aborted and scene.replan_log == []
+    assert scene.abort_reason == f"planner failed at t=0: {message}"
 
 
 class _RecordingPredictor:

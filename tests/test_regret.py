@@ -8,6 +8,7 @@ from regret_miner.genplan import N_CUE_BUCKETS, Codebook
 from regret_miner.planner import PlannerHandle, RewardWeights
 from regret_miner.regret import (
     LuceShepard,
+    _realized_human_segment,
     build_calibration_pair,
     canonical_from_rewards,
     generalized_from_likelihoods,
@@ -237,14 +238,39 @@ def test_score_scene_equals_per_candidate_reference(family_scenes):
 
 
 def test_score_scene_mixed_length_candidates_match_reference(family_scenes):
-    # A replan whose candidates differ in length is scored one candidate at a
-    # time; the other replans of the scene still share one batch.
+    # A replan whose candidates differ in length is priced one terms_matrix
+    # call per length; the other replans of the scene still share one batch.
     scene = scene_from_dict(scene_to_dict(family_scenes[2]))
     entry = scene.replan_log[1]
     entry.candidates = [ActionTraj(c.actions[:len(c) - 3 * (k % 2)], start_t=c.start_t)
                         for k, c in enumerate(entry.candidates)]
     rep = score_scene(LuceShepard(), scene)
     assert (rep.per_t, rep.canonical_per_t) == _reference_report(RewardWeights(), scene)
+
+
+def test_score_scene_likelihoods_are_luce_shepard_likelihoods(family_scenes):
+    """Criterion 01 checks luce_shepard_likelihoods; score_scene prices each
+    replan as the same hindsight_rewards window, so its executed and max
+    likelihoods are those floats, on a mixed-length replan too."""
+    mixed = scene_from_dict(scene_to_dict(family_scenes[2]))
+    entry = mixed.replan_log[1]
+    entry.candidates = [ActionTraj(c.actions[:len(c) - 3 * (k % 2)], start_t=c.start_t)
+                        for k, c in enumerate(entry.candidates)]
+    weights = RewardWeights()
+    n = 0
+    for scene in [*family_scenes, mixed]:
+        rep = score_scene(LuceShepard(weights), scene)
+        for e, (t, exec_lik, max_lik, _) in zip(scene.replan_log, rep.per_t):
+            segs = [_realized_human_segment(scene, i, e.t, len(e.candidates[0]))
+                    for i in range(len(scene.states[0].humans))]
+            p = luce_shepard_likelihoods(weights, e.candidates,
+                                         [h for h in segs if h is not None],
+                                         scene.states[e.t], scene.context,
+                                         scene.radii_or_default())
+            assert (t, exec_lik, max_lik) == (e.t, float(p[e.executed_index]), float(p.max()))
+            n += 1
+    assert n == sum(len(s.replan_log) for s in family_scenes) + len(mixed.replan_log)
+    assert len({len(c) for c in entry.candidates}) == 2
 
 
 def test_mine_top_quantile_sizes():
