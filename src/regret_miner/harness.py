@@ -18,7 +18,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -197,6 +197,10 @@ def run_config(run, path=None) -> ExperimentConfig:
     return ExperimentConfig()
 
 
+class StaleRunError(ValueError):
+    """A stage's input was made from other files than the run holds now."""
+
+
 def need(run, name: str, stage: str) -> Path:
     """run/name, or FileNotFoundError naming the stage that writes it."""
     path = Path(run) / name
@@ -307,14 +311,52 @@ def score_deployment(scenes: Sequence, config: ExperimentConfig):
 
 
 def write_scores(run, scores: dict[str, float], aggregation: str,
-                 skipped: Optional[dict[str, str]] = None) -> None:
+                 skipped: Optional[dict[str, str]] = None,
+                 inputs_sha256: Optional[str] = None) -> None:
     """Write scores.json, the scores sorted by scene id, and, when a scene
-    was skipped, "skipped": {scene id: reason} sorted by scene id."""
-    doc = {"schema": "scores/1", "aggregation": aggregation,
-           "scores": {k: scores[k] for k in sorted(scores)}}
+    was skipped, "skipped": {scene id: reason} sorted by scene id. The
+    "inputs_sha256" key of the scores is written when given."""
+    doc = {"schema": "scores/1", "aggregation": aggregation}
+    if inputs_sha256 is not None:
+        doc["inputs_sha256"] = inputs_sha256
+    doc["scores"] = {k: scores[k] for k in sorted(scores)}
     if skipped:
         doc["skipped"] = {k: skipped[k] for k in sorted(skipped)}
     (Path(run) / "scores.json").write_text(json.dumps(doc, indent=2))
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _scoring_key(scenes_path: Path, weights: RewardWeights) -> str:
+    """The SHA-256 of scenes.jsonl's bytes followed by the reward weights:
+    everything a scene's regret report is priced from."""
+    h = hashlib.sha256(scenes_path.read_bytes())
+    h.update(json.dumps(asdict(weights)).encode())
+    return h.hexdigest()
+
+
+def _stored_reports(run: Path, key: str) -> Optional[tuple[list, dict]]:
+    """(reports, skipped) of the last `score` of run, when its scores.json
+    carries key, reports.jsonl parses, its scene ids are the scores' ids and
+    each report's score under the recorded aggregation is the stored score;
+    else None."""
+    try:
+        doc = json.loads((run / "scores.json").read_text())
+        if doc.get("inputs_sha256") != key or doc.get("aggregation") not in ("mean", "worst"):
+            return None
+        reports = reports_from_jsonl(run / "reports.jsonl")
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    scores = doc.get("scores")
+    if not isinstance(scores, dict) or sorted(r.scenario_id for r in reports) != sorted(scores):
+        return None
+    for r in reports:
+        r.aggregation = doc["aggregation"]
+        if r.score != scores[r.scenario_id]:
+            return None
+    return reports, doc.get("skipped", {})
 
 
 @dataclass(frozen=True)
@@ -738,14 +780,28 @@ def simulate(config: ExperimentConfig, run) -> list:
 
 def score(run, config: ExperimentConfig) -> dict[str, float]:
     """Score every deployed scene under config.aggregation; writes
-    reports.jsonl and scores.json. A scene aborted before its first replan
-    has no replan to score: it is left out, and scores.json lists it under
-    "skipped" with its abort reason. Returns the scores by scene id."""
-    scenes = _scenes(run)
-    skipped = {s.scenario_id: s.abort_reason for s in scenes if not s.replan_log}
-    scores, reports = score_deployment([s for s in scenes if s.replan_log], config)
-    reports_to_jsonl(Path(run) / "reports.jsonl", reports)
-    write_scores(run, scores, config.aggregation, skipped)
+    reports.jsonl and scores.json, keyed by the SHA-256 of scenes.jsonl and
+    the reward weights. A scene aborted before its first replan has no
+    replan to score: it is left out, and scores.json lists it under
+    "skipped" with its abort reason. When the run's last `score` had the
+    same key and left its files as written, its reports are re-aggregated
+    without decoding a scene, to the bytes a full rescore writes. Returns
+    the scores by scene id."""
+    run = Path(run)
+    scenes_path = need(run, "scenes.jsonl", "simulate")
+    key = _scoring_key(scenes_path, config.planner_handle().weights)
+    stored = _stored_reports(run, key)
+    if stored is not None:
+        reports, skipped = stored
+        for r in reports:
+            r.aggregation = config.aggregation
+        scores = {r.scenario_id: r.score for r in reports}
+    else:
+        scenes = simkit.scenes_from_jsonl(scenes_path)
+        skipped = {s.scenario_id: s.abort_reason for s in scenes if not s.replan_log}
+        scores, reports = score_deployment([s for s in scenes if s.replan_log], config)
+    reports_to_jsonl(run / "reports.jsonl", reports)
+    write_scores(run, scores, config.aggregation, skipped, key)
     return scores
 
 
@@ -785,13 +841,15 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
     one predictor per (arm, seed), Base excepted, for config.seeds unless
     seeds is given; writes subsets.json and predictors/<arm>-<seed>.json.
     The split covers every scene of scenes.jsonl that `score` did not skip,
-    and only the pools of the fitted arms are decoded. finetune owns
+    and only the pools of the fitted arms are decoded, and subsets.json
+    records the SHA-256 of the scores.json it was split from. finetune owns
     predictors/: it deletes every predictor this call did not fit, since one
     fitted on an earlier split would be redeployed on these holdouts.
     Returns {(arm, seed): params}."""
     run = Path(run)
     scenes_path = need(run, "scenes.jsonl", "simulate")
-    doc = _scores_doc(run)
+    scores_bytes = need(run, "scores.json", "score").read_bytes()
+    doc = json.loads(scores_bytes)
     scores, skipped = doc["scores"], doc.get("skipped", {})
     base_params = _base_params(run)
     subsets = None
@@ -805,7 +863,8 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
 
     scenes_by_id = {s.scenario_id: s
                     for s in simkit.scenes_from_jsonl(scenes_path, pools)}
-    (run / "subsets.json").write_text(json.dumps(subsets.to_dict(), indent=2))
+    (run / "subsets.json").write_text(json.dumps(
+        {**subsets.to_dict(), "scores_sha256": _sha256(scores_bytes)}, indent=2))
     (run / "predictors").mkdir(exist_ok=True)
     fitted = {}
     for arm in arms:
@@ -828,10 +887,16 @@ def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
     """Re-run the holdouts for every arm with a saved predictor, and take
     Base's holdouts from the deployment; writes case_study.json. Decodes the
     holdout scenes of scenes.jsonl, and the pool of an arm only when
-    predictors/ lacks one of its (arm, seed) for config.seeds."""
+    predictors/ lacks one of its (arm, seed) for config.seeds. Raises
+    StaleRunError when subsets.json was not split from the run's current
+    scores.json."""
     run = Path(run)
-    subsets = Subsets.from_dict(json.loads(
-        need(run, "subsets.json", "finetune").read_text()))
+    doc = json.loads(need(run, "subsets.json", "finetune").read_text())
+    scores_path = need(run, "scores.json", "score")
+    if doc.get("scores_sha256") != _sha256(scores_path.read_bytes()):
+        raise StaleRunError(f"{run / 'subsets.json'} was not split from the current "
+                            f"{scores_path} — run `finetune` first")
+    subsets = Subsets.from_dict(doc)
     fitted = {}
     for fp in sorted((run / "predictors").glob("*-*.json")):
         arm, seed = fp.stem.rsplit("-", 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import regret_miner
-from regret_miner import cli, harness, simkit
+from regret_miner import cli, harness, regret, simkit
 from regret_miner.cli import _pick_arms, _pick_seeds, build_parser, main
 from regret_miner.harness import ARMS, ExperimentConfig
 from regret_miner.predictor import TablePredictor, params_from_json
@@ -584,20 +585,13 @@ def test_a_scene_aborted_at_t0_is_skipped_by_every_stage(tmp_path, capsys):
     run = root / "run"
     r = str(run)
     assert main(["simulate", "--config", str(root / "config.yaml"), "--out", r]) == 0
-    lines = (run / "scenes.jsonl").read_text().splitlines(keepends=True)
-    scene = simkit.scene_from_dict(json.loads(lines[2]))
     reason = "planner failed at t=0: empty candidate set"
-    aborted = simkit.SceneRecord(scene.scenario_id, scene.context, scene.states[:1],
-                                 [], [], [], [], aborted=True, abort_reason=reason,
-                                 human_radii=scene.human_radii)
-    lines[2] = json.dumps(simkit.scene_to_dict(aborted)) + "\n"
-    (run / "scenes.jsonl").write_text("".join(lines))
+    sid = _abort_at_t0(run, 2, reason)
     for argv in (["score", "--in", r], ["mine", "--in", r, "--p", "25"],
                  ["compare", "--in", r], ["finetune", "--in", r],
                  ["redeploy", "--in", r], ["report", "--in", r]):
         assert main(argv) == 0, argv
     capsys.readouterr()
-    sid = scene.scenario_id
     doc = json.loads((run / "scores.json").read_text())
     assert doc["skipped"] == {sid: reason}
     assert len(doc["scores"]) == 5 and sid not in doc["scores"]
@@ -611,3 +605,170 @@ def test_a_scene_aborted_at_t0_is_skipped_by_every_stage(tmp_path, capsys):
 def test_scores_json_has_no_skipped_key_when_nothing_was_skipped(cli_and_full_runs):
     doc = json.loads((cli_and_full_runs[0] / "scores.json").read_text())
     assert "skipped" not in doc
+
+
+def _abort_at_t0(run, line: int, reason: str) -> str:
+    """Replace scene `line` (0-based) of run's scenes.jsonl by its record
+    aborted at t=0, with an empty replan log. Returns the scene id."""
+    lines = (run / "scenes.jsonl").read_text().splitlines(keepends=True)
+    scene = simkit.scene_from_dict(json.loads(lines[line]))
+    aborted = simkit.SceneRecord(scene.scenario_id, scene.context, scene.states[:1],
+                                 [], [], [], [], aborted=True, abort_reason=reason,
+                                 human_radii=scene.human_radii)
+    lines[line] = json.dumps(simkit.scene_to_dict(aborted)) + "\n"
+    (run / "scenes.jsonl").write_text("".join(lines))
+    return scene.scenario_id
+
+
+def _scored_files(run):
+    return {name: (run / name).read_bytes() for name in ("reports.jsonl", "scores.json")}
+
+
+def _full_rescore(run, dst, argv=()):
+    """_scored_files of a copy of run whose reports.jsonl was deleted, scored
+    with the extra argv."""
+    copy = _copy_run(run, dst)
+    (copy / "reports.jsonl").unlink(missing_ok=True)
+    assert main(["score", "--in", str(copy), *argv]) == 0
+    return _scored_files(copy)
+
+
+def _forbid_rescoring(monkeypatch):
+    def rescored(*args, **kwargs):
+        raise AssertionError("score decoded or rescored a scene")
+
+    monkeypatch.setattr(simkit, "scenes_from_jsonl", rescored)
+    monkeypatch.setattr(regret, "score_scene", rescored)
+    monkeypatch.setattr(harness, "score_scene", rescored)
+
+
+@pytest.mark.parametrize("abort", [False, True])
+def test_score_reaggregates_an_unchanged_deployment_without_decoding(
+        abort, cli_and_full_runs, tmp_path, monkeypatch, capsys):
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    reason = "planner failed at t=0: empty candidate set"
+    sid = _abort_at_t0(run, 2, reason) if abort else None
+    r = str(run)
+    assert main(["score", "--in", r]) == 0
+    first = _scored_files(run)
+    assert first == _full_rescore(run, tmp_path / "fresh-mean")
+    assert json.loads(first["scores.json"]).get("skipped") == ({sid: reason} if abort else None)
+
+    with monkeypatch.context() as m:
+        _forbid_rescoring(m)
+        assert main(["score", "--in", r, "--agg", "worst"]) == 0
+    worst = _scored_files(run)
+    assert worst != first
+    assert worst == _full_rescore(run, tmp_path / "fresh-worst", ["--agg", "worst"])
+    assert json.loads(worst["scores.json"]).get("skipped") == ({sid: reason} if abort else None)
+
+    with monkeypatch.context() as m:
+        _forbid_rescoring(m)
+        assert main(["score", "--in", r]) == 0
+        assert _scored_files(run) == first
+        # The patches do catch a full rescore.
+        (run / "reports.jsonl").unlink()
+        with pytest.raises(AssertionError, match="rescored"):
+            main(["score", "--in", r])
+    capsys.readouterr()
+
+
+def _edit_reports(run, edit):
+    lines = (run / "reports.jsonl").read_text().splitlines(keepends=True)
+    (run / "reports.jsonl").write_text("".join(edit(lines)))
+
+
+def _change_score(lines):
+    doc = json.loads(lines[0])
+    doc["mean_regret"] += 0.125
+    return [json.dumps(doc) + "\n"] + lines[1:]
+
+
+def _extra_id(lines):
+    doc = json.loads(lines[0])
+    doc["scenario_id"] = "Extra-0-000"
+    return lines + [json.dumps(doc) + "\n"]
+
+
+def _drop_key(run):
+    doc = json.loads((run / "scores.json").read_text())
+    del doc["inputs_sha256"]
+    (run / "scores.json").write_text(json.dumps(doc, indent=2))
+
+
+def _heavier_collisions(run, tmp_path):
+    config = harness.run_config(run)
+    harness.config_to_yaml(dataclasses.replace(config, weights={"w_col": -20.0}),
+                           tmp_path / "weights.yaml")
+    return ["--config", str(tmp_path / "weights.yaml")]
+
+
+@pytest.mark.parametrize("case", ["scene byte", "weights", "no reports",
+                                  "changed score", "dropped line", "extra id",
+                                  "no key"])
+def test_each_invalidation_forces_a_full_rescore(case, cli_and_full_runs, tmp_path,
+                                                 monkeypatch, capsys):
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    argv = []
+    if case == "scene byte":
+        # One space of the first line's JSON becomes a tab: the same scenes.
+        data = (run / "scenes.jsonl").read_bytes()
+        at = data.index(b": ")
+        (run / "scenes.jsonl").write_bytes(data[:at + 1] + b"\t" + data[at + 2:])
+    elif case == "weights":
+        argv = _heavier_collisions(run, tmp_path)
+    elif case == "no reports":
+        (run / "reports.jsonl").unlink()
+    elif case == "changed score":
+        _edit_reports(run, _change_score)
+    elif case == "dropped line":
+        _edit_reports(run, lambda lines: lines[1:])
+    elif case == "extra id":
+        _edit_reports(run, _extra_id)
+    else:
+        _drop_key(run)
+    want = _full_rescore(run, tmp_path / "fresh", argv)
+    reads = []
+    real = simkit.scenes_from_jsonl
+    monkeypatch.setattr(simkit, "scenes_from_jsonl",
+                        lambda path, ids=None: reads.append(Path(path).name)
+                        or real(path, ids))
+    assert main(["score", "--in", str(run), *argv]) == 0
+    assert reads == ["scenes.jsonl"]
+    assert _scored_files(run) == want
+    if case == "weights":
+        assert want != _scored_files(cli_and_full_runs[0])
+    capsys.readouterr()
+
+
+def test_redeploy_refuses_a_split_made_from_other_scores(cli_and_full_runs, tmp_path,
+                                                         capsys):
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    r = str(run)
+    for argv in (["score", "--in", r], ["finetune", "--in", r]):
+        assert main(argv) == 0, argv
+    mean_scores = (run / "scores.json").read_bytes()
+    case_study = (run / "case_study.json").read_bytes()
+    assert main(["score", "--in", r, "--agg", "worst"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["redeploy", "--in", r])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "StaleRunError"
+    assert "scores.json" in err["message"] and "run `finetune` first" in err["message"]
+    assert (run / "case_study.json").read_bytes() == case_study
+
+    assert main(["score", "--in", r, "--agg", "mean"]) == 0
+    assert (run / "scores.json").read_bytes() == mean_scores
+    (run / "case_study.json").unlink()
+    assert main(["redeploy", "--in", r]) == 0
+    assert (run / "case_study.json").read_bytes() == case_study
+
+    doc = _subsets(run)
+    del doc["scores_sha256"]
+    (run / "subsets.json").write_text(json.dumps(doc, indent=2))
+    with pytest.raises(harness.StaleRunError, match="run `finetune` first"):
+        harness.redeploy(run, harness.run_config(run))
+    assert issubclass(harness.StaleRunError, ValueError)
+    capsys.readouterr()

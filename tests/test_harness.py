@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from regret_miner import harness
 from regret_miner.core import AgentState, RngStream
 from regret_miner.harness import (
     ALL_METRICS,
-    ARMS,
     CaseStudyReport,
     ExperimentConfig,
     Subsets,
