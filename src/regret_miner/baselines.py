@@ -95,6 +95,22 @@ def ade_scene_score(scene, dt: float = DT_DEFAULT) -> float:
 # TRFD
 # ---------------------------------------------------------------------------
 
+def _executed_windows(scene) -> list[tuple]:
+    """(replan entry, executed window) of every replan that TRFD compares:
+    the actions the robot really executed from the replan's t over its
+    executed candidate's horizon, crossing later replans. Empty windows are
+    left out, and so are windows cut short by the scene end whenever at
+    least one complete window exists."""
+    if not scene.replan_log:
+        raise ValueError("scene has no replan log")
+    all_exec = np.concatenate([seg.actions for seg in scene.executed_robot])
+    windows = [(e, all_exec[e.t:e.t + len(e.candidates[e.executed_index])])
+               for e in scene.replan_log]
+    windows = [(e, w) for e, w in windows if len(w) >= 1]
+    complete = [(e, w) for e, w in windows if len(w) == len(e.candidates[e.executed_index])]
+    return complete or windows
+
+
 def realized_scene_reward(scene, handle: Optional[PlannerHandle] = None) -> float:
     """Mean over replans of the reward the robot actually incurred over each
     replan's full planning window.
@@ -102,28 +118,15 @@ def realized_scene_reward(scene, handle: Optional[PlannerHandle] = None) -> floa
     The anticipated reward samples logged at a replan cover the whole
     candidate horizon, so the realized counterpart uses the same window:
     the actions the robot really executed (crossing later replans) against
-    the realized human motion. Windows cut short by the scene end are
-    skipped when at least one complete window exists. Each window is one
-    regret.hindsight_rewards window, so its reward is planner.reward's, and
-    the scene's windows are priced in one call.
+    the realized human motion. The windows are _executed_windows's. Each
+    is one regret.hindsight_rewards window, so its reward is
+    planner.reward's, and the scene's windows are priced in one call.
     """
     handle = handle if handle is not None else PlannerHandle()
-    if not scene.replan_log:
-        raise ValueError("scene has no replan log")
-    all_exec = np.concatenate([seg.actions for seg in scene.executed_robot])
-    windows, complete = [], []
-    for e in scene.replan_log:
-        W = len(e.candidates[e.executed_index])
-        window = all_exec[e.t:e.t + W]
-        if len(window) < 1:
-            continue
-        windows.append((scene.states[e.t], [window],
-                        realized_human_actions(scene, e.t, len(window))))
-        complete.append(len(window) == W)
+    windows = [(scene.states[e.t], [w], realized_human_actions(scene, e.t, len(w)))
+               for e, w in _executed_windows(scene)]
     vals = [float(r[0]) for r in hindsight_rewards(handle.weights, windows, scene.context,
                                                    scene.radii_or_default(), handle.dt)]
-    if any(complete):
-        vals = [v for v, c in zip(vals, complete) if c]
     return float(np.mean(vals))
 
 
@@ -164,28 +167,17 @@ def trfd_flag(scene, p: float, handle: Optional[PlannerHandle] = None) -> bool:
     p-quantile: quantiles are taken per window so that ordinary reward
     variation across time (speed-up phases, waiting) does not masquerade as
     anticipation spread. The realized side is the matching per-window mean
-    from realized_scene_reward; windows cut short by the scene end are
-    excluded from both sides whenever at least one complete window exists.
+    from realized_scene_reward; both sides take the windows of
+    _executed_windows.
     """
     if not (0.0 < p < 100.0):
         raise ValueError("p must be in (0, 100)")
-    if not scene.replan_log:
-        raise ValueError("scene has no replan log")
-    all_exec = np.concatenate([seg.actions for seg in scene.executed_robot])
-    quantiles, complete = [], []
     for e in scene.replan_log:
         if not e.predicted_reward_samples:
             raise ValueError(f"replan at t={e.t} has no predicted reward samples")
-        W = len(e.candidates[e.executed_index])
-        n_exec = len(all_exec[e.t:e.t + W])
-        if n_exec < 1:
-            continue
-        values = [r for r, _ in e.predicted_reward_samples]
-        weights = [w for _, w in e.predicted_reward_samples]
-        quantiles.append(weighted_quantile(values, weights, p / 100.0))
-        complete.append(n_exec == W)
-    if any(complete):
-        quantiles = [q for q, c in zip(quantiles, complete) if c]
+    quantiles = [weighted_quantile([r for r, _ in e.predicted_reward_samples],
+                                   [w for _, w in e.predicted_reward_samples], p / 100.0)
+                 for e, _ in _executed_windows(scene)]
     threshold = float(np.mean(quantiles))
     return realized_scene_reward(scene, handle) < threshold - TRFD_SLACK
 

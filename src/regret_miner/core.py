@@ -3,6 +3,15 @@
 Everything downstream (simulation, planning, scoring) builds on the small
 vocabulary defined here: agent states on SE(2) x speed, bounded action
 trajectories, world contexts, and a hierarchical deterministic RNG.
+
+The unicycle step is written twice: once on plain floats
+(unicycle_step_floats, which rollout_positions and every other scalar loop
+call) and once on arrays (rollout_speeds, then
+rollout_positions_from_speeds, the two halves of rollout_positions_batch).
+plan() rolls its candidate library out with the array halves and hands the
+predictor both results, ``predictor.predict_candidates(joint, history,
+ego_xys, speeds, ctx, n_modes_out, dt)``: the (K, T, 2) positions and the
+(K, T) speed after each step, so no predictor steps the robot again.
 """
 
 from __future__ import annotations
@@ -407,45 +416,24 @@ def unicycle_step_floats(x: float, y: float, heading: float, speed: float,
 
 def rollout_positions(state: AgentState, traj: ActionTraj,
                       dt: float = DT_DEFAULT) -> np.ndarray:
-    """(T, 2) array of x,y positions along a rollout.
-
-    A scalar kernel of the reference unicycle_rollout (in
-    tests/kinematics_reference.py) that builds no per-step AgentState. It
-    repeats unicycle_step's operations in the same order, so its positions
-    equal unicycle_rollout's bit for bit. The heading is wrapped twice per
-    step, as dubins_step and AgentState each wrap it: wrap_angle is not
-    idempotent near -pi in floating point.
+    """(T, 2) array of x,y positions along a rollout: unicycle_step_floats
+    once per action, so the positions equal those of the reference
+    unicycle_rollout (in tests/kinematics_reference.py) bit for bit. It
+    raises the kernel's ValueErrors: dt <= 0, a non-finite dt, and a step
+    leaving the finite range.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    _require_finite("rollout_positions", dt)
-    pi, two_pi, cos, sin = math.pi, TWO_PI, math.cos, math.sin
     x, y, h, v = state.x, state.y, state.heading, state.speed
     out = []
     for accel, turn in traj.actions.tolist():
-        v = max(0.0, v + accel * dt)
-        if abs(turn) < 1e-12:
-            x = x + v * cos(h) * dt
-            y = y + v * sin(h) * dt
-        else:
-            h1 = h + turn * dt
-            x = x + (v / turn) * (sin(h1) - sin(h))
-            y = y + -(v / turn) * (cos(h1) - cos(h))
-        h = (h + turn * dt + pi) % two_pi - pi
-        h = (h + pi) % two_pi - pi
+        x, y, h, v, _ = unicycle_step_floats(x, y, h, v, accel, turn, dt)
         out.append((x, y))
-    # A non-finite x, y, heading or speed stays non-finite in every later
-    # step, so checking once at the end rejects what a per-step check would.
-    xy = np.array(out)
-    if not (math.isfinite(h) and math.isfinite(v) and np.isfinite(xy).all()):
-        raise ValueError("rollout_positions: rollout left the finite range")
-    return xy
+    return np.array(out)
 
 
 def rollout_speeds(v0, accel: np.ndarray, dt: float) -> np.ndarray:
     """(B, T) speeds after each step of B rollouts from start speeds v0 (B,)
     under a (B, T) acceleration array: v_k = max(0.0, v_{k-1} + a_k*dt), the
-    speed recurrence of rollout_positions, bit for bit.
+    speed update of unicycle_step_floats, bit for bit.
 
     While max(0.0, v) leaves v unchanged, v_k = v_{k-1} + a_k*dt is one
     cumsum over [v0, a_1*dt..a_T*dt], a sequential left fold like the scalar
@@ -483,7 +471,7 @@ def rollout_positions_from_speeds(x0, y0, h0, speeds: np.ndarray, turns: np.ndar
       [start heading, turn*dt], which the heading depends on alone; rows are
       keyed by their bytes, so -0.0 and 0.0 stay apart;
     - positions: the straight or arc increments of all (B, T) steps in one
-      pass, with rollout_positions's expressions, then one cumsum over
+      pass, with unicycle_step_floats's expressions, then one cumsum over
       [x0, dx_1..dx_T], so x_k = x_{k-1} + dx_k as in the scalar loop.
     It raises the ValueErrors of rollout_positions: dt <= 0, a non-finite dt,
     and a rollout leaving the finite range.

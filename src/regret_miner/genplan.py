@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .core import TURN_LIMIT, ActionTraj, NavWorld, RngStream, unicycle_step_floats, wrap_angle
+from .core import (TURN_LIMIT, ActionTraj, AgentState, NavWorld, RngStream, rollout_positions,
+                   unicycle_step_floats, wrap_angle)
 
 GOALS = ("Primary", "Backup")
 HUMAN_CLASSES = ("left", "straight", "right")
@@ -53,23 +54,16 @@ def _clamp_turn(w: float) -> float:
     return min(max(w, -TURN_LIMIT), TURN_LIMIT)
 
 
-def _nav_positions(start_xy, heading0: float, speed: float,
-                   turns: np.ndarray) -> np.ndarray:
-    """Positions after each of the 6 constant-speed steps."""
-    x, y, h = start_xy[0], start_xy[1], wrap_angle(heading0)
-    out = []
-    for w in turns.tolist():
-        x, y, h = unicycle_step_floats(x, y, h, speed, 0.0, w, NAV_DT)[:3]
-        out.append((x, y))
-    return np.array(out)
-
-
 def classify_human_direction(human_traj: ActionTraj,
                              ctx: Optional[NavWorld] = None) -> int:
-    """0 left / 1 straight / 2 right, by nearest rollout endpoint target."""
+    """0 left / 1 straight / 2 right, by nearest rollout endpoint target.
+
+    The human starts at ctx.human_start heading -pi/2 at HUMAN_NAV_SPEED; a
+    nav human's accelerations are 0.0 (_turns_traj), so it keeps that speed.
+    """
     ctx = ctx if ctx is not None else NavWorld()
-    end = _nav_positions(ctx.human_start, -math.pi / 2, HUMAN_NAV_SPEED,
-                         human_traj.actions[:, 1])[-1]
+    start = AgentState(*ctx.human_start, -math.pi / 2, HUMAN_NAV_SPEED)
+    end = rollout_positions(start, human_traj, NAV_DT)[-1]
     targets = [_HUMAN_TARGETS[c] for c in HUMAN_CLASSES]
     d = [math.hypot(end[0] - tx, end[1] - ty) for tx, ty in targets]
     return int(np.argmin(d))
@@ -120,12 +114,9 @@ class Codebook:
     encoder: np.ndarray
     means: np.ndarray
     stds: np.ndarray
-    noise_sigma: float = 0.05
-    # Memos of values fixed by the arrays above (see _code_draws,
-    # _draw_halves, _robot_masses and _human_masses); the arrays are
-    # read-only copies, so they cannot go stale.
-    _draws: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    # Memos of values fixed by the arrays above (see _draw_halves,
+    # _robot_masses and _human_masses); the arrays are read-only copies,
+    # so they cannot go stale.
     _halves: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
     _robot_masses: dict = field(default_factory=dict, init=False, repr=False,
@@ -320,7 +311,7 @@ def _joint_vector(s: NavSample) -> np.ndarray:
 
 
 def fit_codebook(data: Sequence[NavSample], K: int = 6,
-                 smoothing: float = 0.5, noise_sigma: float = 0.05) -> Codebook:
+                 smoothing: float = 0.5) -> Codebook:
     """Codes are anchored to outcome classes; the encoder is the smoothed
     empirical code frequency per (cue bucket, goal); the decoder is the
     per-code sample mean/std of the concatenated joint turn trajectory."""
@@ -344,8 +335,7 @@ def fit_codebook(data: Sequence[NavSample], K: int = 6,
         sel = vecs[codes == z]
         means[z] = sel.mean(axis=0)
         stds[z] = np.maximum(sel.std(axis=0), 1e-3)
-    return Codebook(K=K, encoder=enc, means=means, stds=stds,
-                    noise_sigma=noise_sigma)
+    return Codebook(K=K, encoder=enc, means=means, stds=stds)
 
 
 # ---------------------------------------------------------------------------
@@ -375,33 +365,20 @@ def kde_window_mass(samples, bandwidth: float, center: float,
     return float(np.mean(hi - lo))
 
 
-def _code_draws(cb: Codebook, n_samples: int) -> np.ndarray:
-    """(K, n_samples, 12) decoder draws from a fixed internal stream.
-
-    Drawn once per (codebook, n_samples) and returned read-only after that.
-    """
-    out = cb._draws.get(n_samples)
-    if out is None:
-        out = np.empty((cb.K, n_samples, 2 * NAV_STEPS))
-        for z in range(cb.K):
-            gen = RngStream(_KDE_SEED, 11).derive(z, n_samples).generator()
-            out[z] = cb.means[z] + cb.stds[z] * gen.standard_normal(
-                (n_samples, 2 * NAV_STEPS))
-        out.setflags(write=False)
-        cb._draws[n_samples] = out
-    return out
-
-
 def _draw_halves(cb: Codebook, n_samples: int
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The robot and human halves of _code_draws, each a read-only
-    C-contiguous (K, n_samples, 6) copy, made once per (codebook,
-    n_samples)."""
+    """The robot and human halves of the (K, n_samples, 12) decoder draws
+    from a fixed internal stream, each a read-only C-contiguous
+    (K, n_samples, 6) array, drawn once per (codebook, n_samples)."""
     out = cb._halves.get(n_samples)
     if out is None:
-        draws = _code_draws(cb, n_samples)
-        out = (np.ascontiguousarray(draws[:, :, :NAV_STEPS]),
-               np.ascontiguousarray(draws[:, :, NAV_STEPS:]))
+        out = (np.empty((cb.K, n_samples, NAV_STEPS)),
+               np.empty((cb.K, n_samples, NAV_STEPS)))
+        for z in range(cb.K):
+            gen = RngStream(_KDE_SEED, 11).derive(z, n_samples).generator()
+            draws = cb.means[z] + cb.stds[z] * gen.standard_normal(
+                (n_samples, 2 * NAV_STEPS))
+            out[0][z], out[1][z] = draws[:, :NAV_STEPS], draws[:, NAV_STEPS:]
         for half in out:
             half.setflags(write=False)
         cb._halves[n_samples] = out
@@ -653,8 +630,7 @@ def _fit_perception_codebook(n_fit: int, exec_noise: float,
     enc = np.zeros((N_CUE_BUCKETS, len(GOALS), 2))
     enc[:, 0, 0] = 1.0   # goal Primary rows -> code 0
     enc[:, 1, 1] = 1.0   # goal Backup rows -> code 1
-    return Codebook(K=2, encoder=enc, means=means, stds=stds,
-                    noise_sigma=exec_noise)
+    return Codebook(K=2, encoder=enc, means=means, stds=stds)
 
 
 def perception_case_study(sensor: SensorModel,
@@ -742,7 +718,6 @@ def codebook_to_json(cb: Codebook) -> str:
         "encoder": cb.encoder.tolist(),
         "means": cb.means.tolist(),
         "stds": cb.stds.tolist(),
-        "noise_sigma": cb.noise_sigma,
     })
 
 
@@ -755,5 +730,4 @@ def codebook_from_json(text: str) -> Codebook:
         encoder=np.array(doc["encoder"]),
         means=np.array(doc["means"]),
         stds=np.array(doc["stds"]),
-        noise_sigma=doc["noise_sigma"],
     )

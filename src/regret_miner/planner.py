@@ -317,10 +317,11 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     The candidate library is built as one block with the speed after each
     step (_candidate_block), and rolled out from those speeds by the position
     half of rollout_positions_batch; each distinct human mode trajectory is
-    rolled out once. The predictor is asked once per
-    replan for one PredictionSet per candidate,
-    ``predictor.predict_candidates(joint, history, candidates, ego_xys, ctx,
-    n_modes, dt)``, with the candidates' (K, T, 2) rollouts at ``dt``.
+    rolled out once. The predictor is asked once per replan for one
+    PredictionSet per candidate, ``predictor.predict_candidates(joint,
+    history, ego_xys, speeds, ctx, n_modes, dt)``, with the candidates'
+    (K, T, 2) rollouts at ``dt`` and their (K, T) speeds after each step,
+    row k being candidate k; no predictor reads the action block.
     Progress, lane and control come from one terms_matrix over the candidates,
     and each (human, mode trajectory) has one overlap pass over all rollouts;
     every candidate's expectation is then accumulated per human and mode in
@@ -351,7 +352,7 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     ego_xys = rollout_positions_from_speeds(np.full(K, robot.x), np.full(K, robot.y),
                                             np.full(K, robot.heading), speeds,
                                             acts[:, :, 1], dt)
-    pred_sets = predictor.predict_candidates(joint, history, candidates, ego_xys, ctx,
+    pred_sets = predictor.predict_candidates(joint, history, ego_xys, speeds, ctx,
                                              handle.n_modes, dt)
     progress, lane, _, ctrl = terms_matrix(ego_xys, acts, [], [], robot, ctx)
     expected = w.w_progress * progress + w.w_lane * lane + w.w_ctrl * ctrl

@@ -264,12 +264,12 @@ class TablePredictor:
 
     params: PredictorParams
 
-    def predict_candidates(self, joint, history, candidates, ego_xys, ctx,
+    def predict_candidates(self, joint, history, ego_xys, speeds, ctx,
                            n_modes_out, dt):
         """predict() of every candidate of one replan, from the candidates'
         stacked (K, T, 2) rollouts at dt, which must be the table's dt: the
         templates are made at params.dt, and plan() rolls them out at its
-        own."""
+        own. The table's features read positions only, not speeds."""
         if dt != self.params.dt:
             raise ValueError(f"candidates rolled out at dt={dt}, but the "
                              f"predictor table is at dt={self.params.dt}")

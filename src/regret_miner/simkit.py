@@ -38,7 +38,7 @@ from .core import (
     NavWorld,
     RngStream,
     footprint_overlap,
-    rollout_positions_batch,
+    rollout_positions_from_speeds,
     rollout_speeds,
     unicycle_step_floats,
     wrap_angle,
@@ -403,7 +403,11 @@ class OraclePredictor:
     with the same derived rng draws the engine uses, under every candidate of
     a replan as one step_humans call. Candidates that give every human the
     same robot view share its human steps, and candidates with equal human
-    futures share one PredictionSet."""
+    futures share one PredictionSet.
+
+    plan() calls predict_candidates(joint, history, ego_xys, speeds, ctx,
+    n_modes_out, dt) with each candidate's rollout and speeds, so the oracle
+    steps no robot itself; predict() is its one-candidate case."""
 
     def __init__(self):
         self._binding: Optional[_SceneBinding] = None
@@ -420,27 +424,26 @@ class OraclePredictor:
                 ctx: Context, n_modes_out: int = 1) -> PredictionSet:
         """predict_candidates of the one candidate, rolled out at the scene's dt."""
         dt = self._bound().dt
-        r = joint.robot
-        xy = rollout_positions_batch([r.x], [r.y], [r.heading], [r.speed],
-                                     ego_candidate.actions[None], dt)
-        return self.predict_candidates(joint, history, [ego_candidate], xy, ctx,
+        r, acts = joint.robot, ego_candidate.actions[None]
+        speeds = rollout_speeds([r.speed], acts[:, :, 0], dt)
+        xy = rollout_positions_from_speeds([r.x], [r.y], [r.heading], speeds,
+                                           acts[:, :, 1], dt)
+        return self.predict_candidates(joint, history, xy, speeds, ctx,
                                        n_modes_out, dt)[0]
 
-    def predict_candidates(self, joint: JointState, history, candidates, ego_xys,
+    def predict_candidates(self, joint: JointState, history, ego_xys, speeds,
                            ctx: Context, n_modes_out: int, dt: float) -> list[PredictionSet]:
         """One PredictionSet per candidate, shared by candidates whose human
         futures are equal byte for byte.
 
-        The robot lanes read the robot's positions from ego_xys, the
-        candidates' (K, T, 2) rollouts at dt, and its speeds from
-        core.rollout_speeds, those rollouts' speed recurrence; the humans
-        step at the scene's dt.
+        Candidate k's robot lane is its rollout ego_xys[k] at dt and its
+        speed after each step, speeds[k]: plan() passes its library's speeds
+        from _candidate_block, equal to rollout_speeds of the candidates'
+        accelerations. The humans step at the scene's dt.
         """
         b = self._bound()
         r = joint.robot
         start = (r.x, r.y, r.heading, r.speed)
-        speeds = rollout_speeds([r.speed] * len(candidates),
-                                np.stack([c.actions[:, 0] for c in candidates]), dt)
         lanes = [[start] + [(x, y, None, v) for (x, y), v in zip(xys[:-1], vs)]
                  for xys, vs in zip(ego_xys.tolist(), speeds.tolist())]
         groups = step_humans(b.spec, joint, [dict(m) for m in b.memories], lanes,

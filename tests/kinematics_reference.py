@@ -1,9 +1,11 @@
 """The unicycle kernels on AgentState, kept as the kinematics tests' reference.
 
-The package steps agents with core.unicycle_step_floats and rolls them out
-with core.rollout_positions and core.rollout_positions_batch. These are the
-per-step AgentState kernels those float kernels repeat operation by
-operation; the property tests compare every kernel with them bit for bit.
+The package writes the unicycle step twice: core.unicycle_step_floats on
+plain floats, which core.rollout_positions and every other scalar loop
+call, and core.rollout_speeds followed by core.rollout_positions_from_speeds
+on arrays, which core.rollout_positions_batch chains. These are the per-step
+AgentState kernels both repeat operation by operation; the property tests
+compare every kernel with them bit for bit.
 """
 
 import math

@@ -22,6 +22,7 @@ from regret_miner.core import (
     unicycle_step_floats,
     wrap_angle,
 )
+from regret_miner.genplan import NAV_DT
 from kinematics_reference import dubins_step, unicycle_rollout, unicycle_step
 
 
@@ -165,7 +166,8 @@ _ACCELS = st.one_of(st.sampled_from([-4.0, -3.5, 0.0, 4.0]), st.floats(-4.0, 4.0
     heading=st.one_of(_NEAR_PI, st.floats(-math.pi, math.pi)),
     speed=st.one_of(st.sampled_from([0.0, 0.05, 8.0]), st.floats(0.0, 12.0)),
     actions=st.lists(st.tuples(_ACCELS, _TURNS), min_size=1, max_size=40),
-    dt=st.one_of(st.sampled_from([0.05, 0.1, 0.2, 0.5]), st.floats(1e-3, 1.0)),
+    # NAV_DT: classify_human_direction rolls the nav human out at it
+    dt=st.one_of(st.sampled_from([0.05, 0.1, 0.2, 0.5, NAV_DT]), st.floats(1e-3, 1.0)),
 )
 @example(x=0.0, y=0.0, heading=-math.pi, speed=1.0,
          actions=[(0.0, -3e-15), (0.0, 0.0)], dt=0.1)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from regret_miner.core import (
     AgentState,
     NavWorld,
     RngStream,
+    rollout_positions,
     wrap_angle,
 )
 from regret_miner.genplan import (
@@ -30,12 +32,13 @@ from regret_miner.genplan import (
     OutOfSupportError,
     SensorModel,
     _clamp_turn,
-    _code_draws,
+    _draw_halves,
     _executed_index,
     _fit_perception_codebook,
-    _nav_positions,
     _perception_robot,
+    _steer,
     build_mismatch_scenarios,
+    classify_human_direction,
     codebook_from_json,
     codebook_to_json,
     cue_bucket,
@@ -249,7 +252,7 @@ def test_generative_regret_k1_factorizes():
     g = generative_regret(cb, robot, human, 0.5, "Primary",
                           hindsight_candidates=[best, robot],
                           n_samples=n, delta=d, bandwidth=h)
-    draws = _code_draws(cb, n)[0]
+    draws = _draw_halves(cb, n)[0][0]
     per_t = []
     for dim in range(6):
         liks = [kde_window_mass(draws[:, dim], h, turn, d) for turn in (0.1, 0.15)]
@@ -372,7 +375,7 @@ def test_nav_serialization_round_trip(nav_data, codebook):
     np.testing.assert_array_equal(cb2.encoder, codebook.encoder)
     np.testing.assert_array_equal(cb2.means, codebook.means)
     np.testing.assert_array_equal(cb2.stds, codebook.stds)
-    assert cb2.K == codebook.K and cb2.noise_sigma == codebook.noise_sigma
+    assert cb2.K == codebook.K
     with pytest.raises(ValueError):
         nav_samples_from_json('{"schema": "nav/2", "samples": []}')
     with pytest.raises(ValueError):
@@ -411,9 +414,12 @@ _NAV_TURNS = st.one_of(
 @example(x=0.0, y=0.0, heading=-math.pi, speed=ROBOT_NAV_SPEED,
          turns=[-3e-16, 0.0])
 def test_nav_step_equals_unicycle_step(x, y, heading, speed, turns):
+    # classify_human_direction's rollout: rollout_positions at NAV_DT with
+    # the accelerations of a nav trajectory, all 0.0
     state = AgentState(x, y, heading, speed)
-    positions = _nav_positions((x, y), heading, speed,
-                               np.array([_clamp_turn(w) for w in turns]))
+    traj = ActionTraj(np.column_stack([np.zeros(len(turns)),
+                                       [_clamp_turn(w) for w in turns]]))
+    positions = rollout_positions(state, traj, NAV_DT)
     for w, (kx, ky) in zip(turns, positions.tolist()):
         state = unicycle_step(state, 0.0, float(np.clip(w, -TURN_LIMIT, TURN_LIMIT)),
                               NAV_DT)
@@ -421,13 +427,38 @@ def test_nav_step_equals_unicycle_step(x, y, heading, speed, turns):
 
 
 def test_nav_step_rejects_non_finite_turn():
-    for w in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match="^dubins_step must be finite"):
-            _nav_positions((0.0, 0.0), 0.0, ROBOT_NAV_SPEED, np.array([0.1, w]))
-    # clamping keeps NaN, so a NaN turn is still rejected after the clamp
+    # _steer steps its clamped turns through the kernel. Clamping keeps NaN,
+    # so a NaN noise term gives a NaN turn, which the kernel rejects, and so
+    # does a non-finite heading, which wraps to NaN.
+    target = (0.0, 5.0)
     with pytest.raises(ValueError, match="^dubins_step must be finite"):
-        _nav_positions((0.0, 0.0), 0.0, ROBOT_NAV_SPEED,
-                       np.array([_clamp_turn(float("nan"))]))
+        _steer((0.0, 0.0), 0.0, ROBOT_NAV_SPEED, target, [0.1, float("nan")])
+    for heading in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^dubins_step must be finite"):
+            _steer((0.0, 0.0), heading, ROBOT_NAV_SPEED, target, [0.1])
+    # an infinite noise term is clamped to the turn limit before the step
+    for e in (float("inf"), float("-inf")):
+        turns, pos = _steer((0.0, 0.0), 0.0, ROBOT_NAV_SPEED, target, [0.1, e])
+        assert turns[1] == math.copysign(TURN_LIMIT, e)
+        assert all(math.isfinite(v) for xy in pos for v in xy)
+
+
+def test_classify_human_direction_equals_unicycle_step_reference(nav_data):
+    # The human steps from the nav world's human start, heading -pi/2 at
+    # HUMAN_NAV_SPEED, one reference unicycle_step per turn; its class is
+    # the target nearest the endpoint.
+    ctx = NavWorld()
+    targets = [genplan._HUMAN_TARGETS[c] for c in HUMAN_CLASSES]
+    bent = [ActionTraj(np.column_stack([np.zeros(NAV_STEPS), np.full(NAV_STEPS, w)]))
+            for w in (-TURN_LIMIT, -0.3, -3e-16, 0.0, 0.3, TURN_LIMIT)]
+    trajs = [s.human_traj for s in nav_data] + bent
+    for traj in trajs:
+        state = AgentState(*ctx.human_start, -math.pi / 2, HUMAN_NAV_SPEED)
+        for w in traj.actions[:, 1].tolist():
+            state = unicycle_step(state, 0.0, w, NAV_DT)
+        d = [math.hypot(state.x - tx, state.y - ty) for tx, ty in targets]
+        assert classify_human_direction(traj, ctx) == int(np.argmin(d))
+    assert {classify_human_direction(t) for t in trajs} == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +583,7 @@ def test_memo_keys_on_kde_parameters(codebook, scored_samples):
              for c in default_hindsight_candidates(s.robot_traj)[:-1]}
     assert len(fixed) == 7
     assert len(cb._robot_masses) == len(fixed) * len(settings_)
-    assert set(cb._draws) == {250, 120}
+    assert set(cb._halves) == {250, 120}
 
 
 def test_warm_memo_keeps_errors(codebook, scored_samples):
@@ -576,9 +607,31 @@ def test_codebook_arrays_are_read_only_copies():
     cb = Codebook(K=2, encoder=enc, means=means, stds=np.full((2, 12), 0.1))
     means[0, 0] = 5.0
     assert cb.means[0, 0] == 0.0
-    for arr in (cb.encoder, cb.means, cb.stds, _code_draws(cb, 10)):
+    for arr in (cb.encoder, cb.means, cb.stds, *_draw_halves(cb, 10)):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_draw_halves_equal_the_slices_of_the_full_draws(codebook):
+    cb = _fresh(codebook)
+    for n in (1, 120, 250):
+        draws = _reference_draws(cb, n)
+        robot, human = _draw_halves(cb, n)
+        assert robot.flags.c_contiguous and human.flags.c_contiguous
+        assert _hex(robot) == _hex(draws[:, :, :NAV_STEPS])
+        assert _hex(human) == _hex(draws[:, :, NAV_STEPS:])
+        assert _draw_halves(cb, n) is cb._halves[n]
+
+
+def test_codebook_document_with_noise_sigma_still_decodes(codebook):
+    # codebook/1 documents written before the unused noise_sigma field was
+    # dropped carry its key; it is ignored.
+    doc = json.loads(codebook_to_json(codebook))
+    assert "noise_sigma" not in doc
+    old = codebook_from_json(json.dumps(dict(doc, noise_sigma=0.05)))
+    assert old.K == codebook.K
+    for name in ("encoder", "means", "stds"):
+        assert _hex(getattr(old, name)) == _hex(getattr(codebook, name))
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +721,7 @@ def _zeroed_codebook(cb, drop):
     enc = np.array(cb.encoder)
     enc[:, :, list(drop)] = 0.0
     enc /= enc.sum(axis=2, keepdims=True)
-    return Codebook(K=cb.K, encoder=enc, means=cb.means, stds=cb.stds,
-                    noise_sigma=cb.noise_sigma)
+    return Codebook(K=cb.K, encoder=enc, means=cb.means, stds=cb.stds)
 
 
 @pytest.mark.parametrize("drop", [(0, 2, 3, 5), (1, 2, 3, 4, 5), (4,)])
@@ -709,8 +761,7 @@ def _reference_perception_case(n, rng, delta=0.1, bandwidth=0.05,
     means, stds = _reference_perception_codebook(200, exec_noise, rng.derive(0))
     enc = np.zeros((N_CUE_BUCKETS, 2, 2))
     enc[:, 0, 0] = enc[:, 1, 1] = 1.0
-    cb = Codebook(K=2, encoder=enc, means=means, stds=stds,
-                  noise_sigma=exec_noise)
+    cb = Codebook(K=2, encoder=enc, means=means, stds=stds)
     flat = ActionTraj(np.zeros((NAV_STEPS, 2)))
     out = []
     for tag, obstacle, sensed in (("obstacle-detected", True, True),
@@ -793,11 +844,11 @@ def test_kde_parameters_are_checked_before_the_memo(codebook, scored_samples,
     s = scored_samples[0]
     args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
     generative_regret(cb, *args)
-    sizes = (len(cb._draws), len(cb._halves), len(cb._robot_masses))
+    sizes = (len(cb._halves), len(cb._robot_masses))
     human = cb._human_memo
     with pytest.raises(ValueError, match="must be"):
         generative_regret(cb, *args, **bad)
-    assert (len(cb._draws), len(cb._halves), len(cb._robot_masses)) == sizes
+    assert (len(cb._halves), len(cb._robot_masses)) == sizes
     assert cb._human_memo is human
     if "n_samples" not in bad:
         kw = dict(dict(bandwidth=0.05, delta=0.1), **bad)

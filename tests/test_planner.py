@@ -467,15 +467,15 @@ def test_plan_rejects_radii_that_do_not_match_the_humans(n_humans, radii):
 
 class _ShortModePredictor:
     """Two modes per human, a keep-turning mode and a braking one, whose
-    probabilities depend on whether the candidate brakes. Every mode is
-    `short` steps shorter than the horizon, except the keep modes when
-    `mixed`."""
+    probabilities depend on whether the candidate brakes (its first speed is
+    below the robot's). Every mode is `short` steps shorter than the
+    horizon, except the keep modes when `mixed`."""
 
     def __init__(self, horizon, short, mixed):
         self.horizon, self.short, self.mixed = horizon, short, mixed
 
-    def predict_one(self, joint, cand):
-        p = 0.7 if cand.actions[0, 0] < 0 else 0.4
+    def predict_one(self, joint, brakes):
+        p = 0.7 if brakes else 0.4
         humans = []
         for i in range(len(joint.humans)):
             n = self.horizon - self.short
@@ -485,8 +485,8 @@ class _ShortModePredictor:
             humans.append((ModePrediction("keep", p, keep), ModePrediction("brake", 1.0 - p, brake)))
         return PredictionSet(humans=tuple(humans))
 
-    def predict_candidates(self, joint, history, candidates, ego_xys, ctx, n_modes, dt):
-        return [self.predict_one(joint, cand) for cand in candidates]
+    def predict_candidates(self, joint, history, ego_xys, speeds, ctx, n_modes, dt):
+        return [self.predict_one(joint, v < joint.robot.speed) for v in speeds[:, 0].tolist()]
 
 
 @pytest.mark.parametrize("n_humans,mixed", [(1, False), (2, False), (2, True)],
@@ -512,12 +512,12 @@ def test_plan_rejects_mode_trajectories_shorter_than_the_horizon(n_humans, mixed
 
 
 class _RecordingPredictor:
-    """Predicts a scene without humans and keeps the candidate rollouts
-    plan() passes it."""
+    """Predicts a scene without humans and keeps the candidate rollouts and
+    speeds plan() passes it."""
 
-    def predict_candidates(self, joint, history, candidates, ego_xys, ctx, n_modes, dt):
-        self.ego_xys = ego_xys
-        return [PredictionSet(humans=())] * len(candidates)
+    def predict_candidates(self, joint, history, ego_xys, speeds, ctx, n_modes, dt):
+        self.ego_xys, self.speeds = ego_xys, speeds
+        return [PredictionSet(humans=())] * len(ego_xys)
 
 
 def _hexes(arr):
@@ -556,3 +556,6 @@ def test_library_speeds_and_plan_rollouts_equal_rollout_positions_batch(
     want = rollout_positions_batch([robot.x] * K, [robot.y] * K, [robot.heading] * K,
                                    [robot.speed] * K, acts, dt)
     assert _hexes(recorder.ego_xys) == _hexes(want)
+    assert recorder.speeds.shape == (K, horizon)
+    assert _hexes(recorder.speeds) == _hexes(rollout_speeds(np.full(K, robot.speed),
+                                                            acts[:, :, 0], dt))

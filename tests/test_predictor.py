@@ -14,6 +14,7 @@ from regret_miner.core import (
     JointState,
     RngStream,
     rollout_positions,
+    rollout_speeds,
 )
 from regret_miner.planner import PlannerHandle, sample_candidates
 from regret_miner.predictor import (
@@ -293,8 +294,8 @@ def _reference_predict(params, joint, history, cand, ctx, n):
 
 
 def _candidate_fixture(dt):
-    """A two-human replan at t=5 with its history, candidates and their
-    rollouts at dt."""
+    """A two-human replan at t=5 with its history, candidates, and their
+    rollouts and speeds at dt."""
     joint = JointState(AgentState(0.0, 0.0, 0.0, 0.06),
                        (AgentState(10.0, 0.0, 0.0, 3.0), AgentState(2.0, 3.7, 0.0, 6.0)), 5)
     history = [JointState(joint.robot, (AgentState(9.0, 0.0, 0.0, 1.0),
@@ -302,7 +303,12 @@ def _candidate_fixture(dt):
     handle = PlannerHandle(n_modes=2, dt=dt)
     cands = sample_candidates(handle, joint.robot, TWO_LANE, RngStream(3), start_t=5)
     ego_xys = np.stack([rollout_positions(joint.robot, c, dt) for c in cands])
-    return joint, history, cands, ego_xys
+    return joint, history, cands, ego_xys, _speeds(joint.robot, cands, dt)
+
+
+def _speeds(robot, cands, dt):
+    return rollout_speeds(np.full(len(cands), robot.speed),
+                          np.stack([c.actions[:, 0] for c in cands]), dt)
 
 
 @pytest.mark.parametrize("predictor_dt", [0.1, 0.2])
@@ -312,8 +318,8 @@ def test_predict_candidates_matches_predict(predictor_dt):
     PredictionSet, and every set shares one template trajectory per
     (human, mode)."""
     params = _approach_sensitive_params(predictor_dt)
-    joint, history, cands, ego_xys = _candidate_fixture(predictor_dt)
-    got = TablePredictor(params).predict_candidates(joint, history, cands, ego_xys,
+    joint, history, cands, ego_xys, speeds = _candidate_fixture(predictor_dt)
+    got = TablePredictor(params).predict_candidates(joint, history, ego_xys, speeds,
                                                     TWO_LANE, 2, predictor_dt)
     assert len(got) == len(cands)
     trajs = {}
@@ -342,10 +348,10 @@ def test_predict_candidates_matches_predict(predictor_dt):
 def test_predict_candidates_rejects_rollouts_at_another_dt():
     """Rollouts at a dt other than the table's are an error: the templates
     would be made at one dt and rolled out by plan() at the other."""
-    joint, history, cands, ego_xys = _candidate_fixture(0.1)
+    joint, history, cands, ego_xys, speeds = _candidate_fixture(0.1)
     table = TablePredictor(_approach_sensitive_params(0.2))
     with pytest.raises(ValueError, match=r"dt=0\.1, but the predictor table is at dt=0\.2"):
-        table.predict_candidates(joint, history, cands, ego_xys, TWO_LANE, 2, 0.1)
+        table.predict_candidates(joint, history, ego_xys, speeds, TWO_LANE, 2, 0.1)
 
 
 def test_predict_candidates_without_humans():
@@ -353,7 +359,7 @@ def test_predict_candidates_without_humans():
     cands = sample_candidates(PlannerHandle(), joint.robot, TWO_LANE, RngStream(1))
     ego_xys = np.stack([rollout_positions(joint.robot, c) for c in cands])
     got = TablePredictor(PredictorParams.fresh()).predict_candidates(
-        joint, [], cands, ego_xys, TWO_LANE, 3, 0.1)
+        joint, [], ego_xys, _speeds(joint.robot, cands, 0.1), TWO_LANE, 3, 0.1)
     assert len(got) == len(cands)
     assert all(p.humans == () for p in got)
 

@@ -1037,10 +1037,9 @@ class _Recording(OraclePredictor):
         super().__init__()
         self.calls = []
 
-    def predict_candidates(self, joint, history, candidates, *rest):
-        out = super().predict_candidates(joint, history, candidates, *rest)
-        self.calls.append((joint, list(history), copy.deepcopy(self._binding.memories),
-                           candidates, out))
+    def predict_candidates(self, joint, history, *rest):
+        out = super().predict_candidates(joint, history, *rest)
+        self.calls.append((joint, list(history), copy.deepcopy(self._binding.memories), out))
         return out
 
 
@@ -1051,8 +1050,10 @@ class _OneByOne:
     def __init__(self, oracle):
         self.oracle = oracle
 
-    def predict_candidates(self, joint, history, candidates, ego_xys, ctx, n_modes_out, dt):
-        return [self.oracle.predict(joint, history, c, ctx, n_modes_out) for c in candidates]
+    def predict_candidates(self, joint, history, ego_xys, speeds, ctx, n_modes_out, dt):
+        return [self.oracle.predict_candidates(joint, history, ego_xys[k:k + 1], speeds[k:k + 1],
+                                               ctx, n_modes_out, dt)[0]
+                for k in range(len(ego_xys))]
 
 
 @pytest.mark.parametrize("family", ["StoppedTraffic", "Intersection"])
@@ -1063,11 +1064,11 @@ def test_oracle_replan_shares_one_prediction_set_per_distinct_future(family):
     oracle = _Recording()
     rec = run_closed_loop(spec, handle, oracle, 10)
     n_distinct = []
-    for (joint, history, memories, candidates, sets), entry in zip(oracle.calls, rec.replan_log):
+    for (joint, history, memories, sets), entry in zip(oracle.calls, rec.replan_log):
         alone = OraclePredictor()
         alone.bind_scene(_SceneBinding(spec, RngStream(spec.seed), memories, handle.dt))
         futures = {}
-        for cand, pred in zip(candidates, sets):
+        for cand, pred in zip(entry.candidates, sets):
             one = alone.predict(joint, history, cand, spec.context)
             assert [m[0].traj for m in pred.humans] == [m[0].traj for m in one.humans]
             future = b"".join(m[0].traj.actions.tobytes() for m in pred.humans)
