@@ -292,7 +292,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, TypeError, RuntimeError, FileNotFoundError, KeyError,
             OSError, genplan.OutOfSupportError) as exc:
-        _fail(type(exc).__name__, str(exc))
+        # A note, such as the line and scene of a bad scenes.jsonl line,
+        # follows the message on a line of its own, as in a traceback.
+        _fail(type(exc).__name__, "\n".join([str(exc), *getattr(exc, "__notes__", ())]))
     except np.linalg.LinAlgError as exc:
         _fail("LinAlgError", str(exc))
     return 1

@@ -271,8 +271,16 @@ def deploy(config: ExperimentConfig, params: PredictorParams,
     return scenes, paths
 
 
+def _scenes_path(run) -> Path:
+    """run/scenes.jsonl, when it and its sidecar scenes.bin both exist; else
+    FileNotFoundError naming `simulate`."""
+    path = need(run, "scenes.jsonl", "simulate")
+    need(run, "scenes.bin", "simulate")
+    return path
+
+
 def _scenes(run) -> list:
-    return simkit.scenes_from_jsonl(need(run, "scenes.jsonl", "simulate"))
+    return simkit.scenes_from_jsonl(_scenes_path(run))
 
 
 def _scores_doc(run) -> dict:
@@ -329,19 +337,34 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _scenes_part(scenes_path: Path) -> str:
+    """The scenes part of a scoring key: the first 128 bits, in hex, of the
+    SHA-256 of scenes.jsonl's bytes."""
+    return _sha256(scenes_path.read_bytes())[:32]
+
+
 def _scoring_key(scenes_path: Path, weights: RewardWeights) -> str:
-    """The SHA-256 of scenes.jsonl's bytes followed by the reward weights:
-    everything a scene's regret report is priced from."""
-    h = hashlib.sha256(scenes_path.read_bytes())
-    h.update(json.dumps(asdict(weights)).encode())
-    return h.hexdigest()
+    """The scenes part followed by the first 128 bits, in hex, of the
+    SHA-256 of the reward weights: everything a scene's regret report is
+    priced from, in the 64 hex digits of one SHA-256."""
+    return _scenes_part(scenes_path) + _sha256(json.dumps(asdict(weights)).encode())[:32]
+
+
+def _check_scored(scenes_path: Path, doc: dict) -> None:
+    """StaleRunError naming `score` unless doc, the run's scores.json, was
+    scored from the scenes.jsonl at scenes_path, under any reward weights."""
+    key = doc.get("inputs_sha256")
+    if not isinstance(key, str) or key[:32] != _scenes_part(scenes_path):
+        raise StaleRunError(f"{scenes_path.parent / 'scores.json'} was not scored from "
+                            f"the current {scenes_path} — run `score` first")
 
 
 def _stored_reports(run: Path, key: str) -> Optional[tuple[list, dict]]:
     """(reports, skipped) of the last `score` of run, when its scores.json
-    carries key, reports.jsonl parses, its scene ids are the scores' ids and
-    each report's score under the recorded aggregation is the stored score;
-    else None."""
+    carries key, reports.jsonl parses, its scene ids are the scores' ids,
+    each report's mean and worst regret are those of its per-replan
+    regrets, as score_scene aggregates them, and each report's score under
+    the recorded aggregation is the stored score; else None."""
     try:
         doc = json.loads((run / "scores.json").read_text())
         if doc.get("inputs_sha256") != key or doc.get("aggregation") not in ("mean", "worst"):
@@ -353,6 +376,10 @@ def _stored_reports(run: Path, key: str) -> Optional[tuple[list, dict]]:
     if not isinstance(scores, dict) or sorted(r.scenario_id for r in reports) != sorted(scores):
         return None
     for r in reports:
+        regrets = [g for *_, g in r.per_t]
+        if (not regrets or r.mean_regret != float(np.mean(regrets))
+                or r.worst_regret != float(np.max(regrets))):
+            return None
         r.aggregation = doc["aggregation"]
         if r.score != scores[r.scenario_id]:
             return None
@@ -780,7 +807,7 @@ def simulate(config: ExperimentConfig, run) -> list:
 
 def score(run, config: ExperimentConfig) -> dict[str, float]:
     """Score every deployed scene under config.aggregation; writes
-    reports.jsonl and scores.json, keyed by the SHA-256 of scenes.jsonl and
+    reports.jsonl and scores.json, keyed by digests of scenes.jsonl and of
     the reward weights. A scene aborted before its first replan has no
     replan to score: it is left out, and scores.json lists it under
     "skipped" with its abort reason. When the run's last `score` had the
@@ -788,7 +815,7 @@ def score(run, config: ExperimentConfig) -> dict[str, float]:
     without decoding a scene, to the bytes a full rescore writes. Returns
     the scores by scene id."""
     run = Path(run)
-    scenes_path = need(run, "scenes.jsonl", "simulate")
+    scenes_path = _scenes_path(run)
     key = _scoring_key(scenes_path, config.planner_handle().weights)
     stored = _stored_reports(run, key)
     if stored is not None:
@@ -845,11 +872,14 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
     records the SHA-256 of the scores.json it was split from. finetune owns
     predictors/: it deletes every predictor this call did not fit, since one
     fitted on an earlier split would be redeployed on these holdouts.
-    Returns {(arm, seed): params}."""
+    Raises StaleRunError when scores.json was not scored from the run's
+    current scenes.jsonl, under whichever reward weights. Returns
+    {(arm, seed): params}."""
     run = Path(run)
-    scenes_path = need(run, "scenes.jsonl", "simulate")
+    scenes_path = _scenes_path(run)
     scores_bytes = need(run, "scores.json", "score").read_bytes()
     doc = json.loads(scores_bytes)
+    _check_scored(scenes_path, doc)
     scores, skipped = doc["scores"], doc.get("skipped", {})
     base_params = _base_params(run)
     subsets = None
@@ -888,12 +918,16 @@ def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
     Base's holdouts from the deployment; writes case_study.json. Decodes the
     holdout scenes of scenes.jsonl, and the pool of an arm only when
     predictors/ lacks one of its (arm, seed) for config.seeds. Raises
-    StaleRunError when subsets.json was not split from the run's current
-    scores.json."""
+    StaleRunError when scores.json was not scored from the run's current
+    scenes.jsonl, under whichever reward weights, or subsets.json was not
+    split from the run's current scores.json."""
     run = Path(run)
     doc = json.loads(need(run, "subsets.json", "finetune").read_text())
     scores_path = need(run, "scores.json", "score")
-    if doc.get("scores_sha256") != _sha256(scores_path.read_bytes()):
+    scores_bytes = scores_path.read_bytes()
+    scenes_path = _scenes_path(run)
+    _check_scored(scenes_path, json.loads(scores_bytes))
+    if doc.get("scores_sha256") != _sha256(scores_bytes):
         raise StaleRunError(f"{run / 'subsets.json'} was not split from the current "
                             f"{scores_path} — run `finetune` first")
     subsets = Subsets.from_dict(doc)
@@ -905,7 +939,7 @@ def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
     unfitted = {arm for arm in arms[1:] for seed in config.seeds
                 if (arm, seed) not in fitted}
     wanted = subsets.holdout_high | subsets.holdout_low | _arm_pools(subsets, unfitted)
-    scenes = simkit.scenes_from_jsonl(need(run, "scenes.jsonl", "simulate"), wanted)
+    scenes = simkit.scenes_from_jsonl(scenes_path, wanted)
     case = finetune_and_redeploy(config, {s.scenario_id: s for s in scenes},
                                  _specs_by_id(run), subsets, _base_params(run),
                                  arms=arms, fitted=fitted)

@@ -14,10 +14,11 @@ per-human memory dict of scalar values.
 
 from __future__ import annotations
 
-import base64
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,7 +98,7 @@ class SceneRecord:
     """One closed-loop deployment: realized states, actions, and replan logs.
 
     states may be given as a list of JointState frames; it is held as one
-    JointStates.
+    JointStates. dt is the step the scene was simulated at.
     """
 
     scenario_id: str
@@ -110,6 +111,7 @@ class SceneRecord:
     aborted: bool = False
     abort_reason: str = ""
     human_radii: list[float] = field(default_factory=list)
+    dt: float = DT_DEFAULT
 
     def __post_init__(self):
         if not isinstance(self.states, JointStates):
@@ -538,6 +540,7 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
         aborted=aborted,
         abort_reason=abort_reason,
         human_radii=list(radii),
+        dt=dt,
     )
 
 
@@ -649,21 +652,27 @@ def generate_scenario_batch(family: str, n: int, base_seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Serialization (scene/2 JSONL)
+# Serialization (scene/3: JSONL plus a binary sidecar)
 # ---------------------------------------------------------------------------
 #
-# A scene is one JSON object per line. Ids, the context, flags, radii, frame
-# and replan times, mode labels and probabilities, and the per-frame and
-# predicted rewards are plain JSON. Every numeric block is a {"shape", "f8"}
-# object, "f8" holding the base64 of the little-endian float64 values:
+# A scene is one JSON object per line of a .jsonl file, plus one span of
+# bytes in the .bin sidecar beside it (scenes.jsonl and scenes.bin). Ids, the
+# context, the step dt, flags, radii, frame and replan times, mode labels and
+# probabilities, and the per-frame and predicted rewards are plain JSON. Every
+# numeric block is a {"shape", "at"} object: its little-endian float64 values
+# start "at" bytes into the scene's span, in the order they were written:
 #   states is (T+1, 1+M, 4): x, y, heading, speed, robot first;
 #   a trajectory list (executed robot segments, human actions, one replan's
 #   candidates or mode trajectories) is {"start_t", "len", "actions"}, with
 #   every trajectory's actions stacked into one (sum of len, 2) block.
-# The older scene/1, which spelled every value out in JSON, is not read:
-# nothing writes it, and decoding it is an unsupported-schema ValueError.
+# The line's "bin": {"at", "n", "sha256"} places its span in the sidecar and
+# holds the SHA-256 of the span, so the .jsonl file commits to the sidecar.
+# Decode checks the digest of the scene's own span and that every block lies
+# inside it. The older scene/1 and scene/2, which spelled the blocks out as
+# JSON numbers and as base64, are not read: decoding them is an
+# unsupported-schema ValueError.
 
-SCENE_SCHEMA = "scene/2"
+SCENE_SCHEMA = "scene/3"
 
 
 def _state_to_list(s: AgentState) -> list[float]:
@@ -693,34 +702,36 @@ def context_from_dict(d) -> Context:
     raise ValueError(f"unknown context kind {d.get('kind')!r}")
 
 
-def _pack(arr: np.ndarray) -> dict:
+def _pack(arr: np.ndarray, span: bytearray) -> dict:
+    """Append arr's float64 bytes to span; its {"shape", "at"} block."""
     arr = np.ascontiguousarray(arr, dtype="<f8")
-    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+    block = {"shape": list(arr.shape), "at": len(span)}
+    span += arr.tobytes()
+    return block
 
 
-def _unpack(block: dict, name: str) -> np.ndarray:
-    """The read-only float64 array of a {"shape", "f8"} block."""
+def _unpack(block: dict, name: str, span: bytes) -> np.ndarray:
+    """The read-only float64 array of a {"shape", "at"} block of span."""
     shape = [int(n) for n in block["shape"]]
-    buf = base64.b64decode(block["f8"])
-    want = 8 * math.prod(shape)
-    if min(shape, default=0) < 0 or len(buf) != want:
-        raise ValueError(f"{name}: block holds {len(buf)} bytes, "
-                         f"but its shape {shape} needs {want}")
-    return np.frombuffer(buf, dtype="<f8").reshape(shape)
+    at, count = int(block["at"]), math.prod(shape)
+    if min(shape, default=0) < 0 or at < 0 or at + 8 * count > len(span):
+        raise ValueError(f"{name}: block of shape {shape} at byte {at} runs past "
+                         f"the scene's {len(span)}-byte span")
+    return np.frombuffer(span, dtype="<f8", count=count, offset=at).reshape(shape)
 
 
-def _pack_trajs(trajs: Sequence[ActionTraj]) -> dict:
+def _pack_trajs(trajs: Sequence[ActionTraj], span: bytearray) -> dict:
     actions = np.concatenate([tr.actions for tr in trajs]) if trajs else np.zeros((0, 2))
     return {"start_t": [tr.start_t for tr in trajs], "len": [len(tr) for tr in trajs],
-            "actions": _pack(actions)}
+            "actions": _pack(actions, span)}
 
 
-def _unpack_trajs(d: dict, name: str):
-    """(actions, start_ts, lens) of a scene/2 trajectory list, in the order
+def _unpack_trajs(d: dict, name: str, span: bytes):
+    """(actions, start_ts, lens) of a scene/3 trajectory list, in the order
     of ActionTraj.block's arguments: actions is the (sum of lens, 2) block
     of every trajectory's rows in order."""
     start_ts, lens = d["start_t"], d["len"]
-    flat = _unpack(d["actions"], name)
+    flat = _unpack(d["actions"], name, span)
     if (flat.ndim != 2 or flat.shape[1] != 2 or len(lens) != len(start_ts)
             or sum(lens) != len(flat)):
         raise ValueError(f"{name}: {len(start_ts)} start_t and lengths {lens} "
@@ -757,24 +768,28 @@ def _joined_trajs(lists) -> Optional[list[list[ActionTraj]]]:
     return out
 
 
-def scene_to_dict(rec: SceneRecord) -> dict:
-    return {
+def scene_to_dict(rec: SceneRecord, at: int = 0) -> tuple[dict, bytes]:
+    """The scene/3 line of rec and the bytes of its span, for a span that
+    starts at byte `at` of the sidecar."""
+    span = bytearray()
+    d = {
         "schema": SCENE_SCHEMA,
         "scenario_id": rec.scenario_id,
         "context": context_to_dict(rec.context),
+        "dt": rec.dt,
         "t": list(rec.states.ts),
-        "states": _pack(rec.states.block),
-        "executed_robot": _pack_trajs(rec.executed_robot),
-        "human_actions": _pack_trajs(rec.human_actions),
+        "states": _pack(rec.states.block, span),
+        "executed_robot": _pack_trajs(rec.executed_robot, span),
+        "human_actions": _pack_trajs(rec.human_actions, span),
         "replan_log": [
             {
                 "t": e.t,
-                "candidates": _pack_trajs(e.candidates),
+                "candidates": _pack_trajs(e.candidates, span),
                 "predicted_humans": {
                     "label": [[m.label for m in h] for h in e.predicted_humans.humans],
                     "prob": [[m.prob for m in h] for h in e.predicted_humans.humans],
                     "trajs": _pack_trajs([m.traj for h in e.predicted_humans.humans
-                                          for m in h]),
+                                          for m in h], span),
                 },
                 "candidate_rewards_predicted": e.candidate_rewards_predicted,
                 "executed_index": e.executed_index,
@@ -787,37 +802,63 @@ def scene_to_dict(rec: SceneRecord) -> dict:
         "abort_reason": rec.abort_reason,
         "human_radii": rec.radii_or_default(),
     }
+    span = bytes(span)
+    d["bin"] = {"at": at, "n": len(span), "sha256": hashlib.sha256(span).hexdigest()}
+    return d, span
 
 
-def _scene2_arrays(d: dict):
-    """(frame times, states, executed, human actions, replans) of a scene/2
+def _scene_span(d: dict, sidecar: bytes) -> bytes:
+    """The bytes of d's span of sidecar, checked against its "bin" record."""
+    rec = d.get("bin")
+    if (not isinstance(rec, dict) or not isinstance(rec.get("sha256"), str)
+            or any(type(rec.get(k)) is not int or rec[k] < 0 for k in ("at", "n"))):
+        raise ValueError(f"bin: {rec!r} is not a span record of an int at >= 0, "
+                         "an int n >= 0 and a str sha256")
+    at, n = rec["at"], rec["n"]
+    span = bytes(sidecar[at:at + n])
+    if len(span) != n:
+        raise ValueError(f"bin: the sidecar holds {len(span)} of the {n} bytes "
+                         f"of the scene's span at byte {at}")
+    if hashlib.sha256(span).hexdigest() != rec["sha256"]:
+        raise ValueError(f"bin: the SHA-256 of the scene's span at byte {at} "
+                         "is not the one its line records")
+    return span
+
+
+def _scene3_arrays(d: dict, span: bytes):
+    """(frame times, states, executed, human actions, replans) of a scene/3
     dict; each replan is (entry dict, candidates, mode labels, mode probs,
     mode trajectories)."""
     frame_t = d["t"]
-    states = _unpack(d["states"], "states")
+    states = _unpack(d["states"], "states", span)
     if states.ndim != 3 or states.shape[2] != 4 or len(states) != len(frame_t):
         raise ValueError(f"states: block of shape {list(states.shape)} does not "
                          f"fit {len(frame_t)} frames of (1+M, 4) states")
     replans = []
     for i, e in enumerate(d["replan_log"]):
         ph = e["predicted_humans"]
-        modes = _unpack_trajs(ph["trajs"], f"replan_log[{i}].predicted_humans")
+        modes = _unpack_trajs(ph["trajs"], f"replan_log[{i}].predicted_humans", span)
         if ([len(h) for h in ph["label"]] != [len(h) for h in ph["prob"]]
                 or sum(map(len, ph["label"])) != len(modes[1])):
             raise ValueError(f"replan_log[{i}].predicted_humans: mode labels, "
                              f"probabilities and trajectories do not match")
-        replans.append((e, _unpack_trajs(e["candidates"], f"replan_log[{i}].candidates"),
+        replans.append((e, _unpack_trajs(e["candidates"], f"replan_log[{i}].candidates", span),
                         ph["label"], ph["prob"], modes))
     return (frame_t, states,
-            _unpack_trajs(d["executed_robot"], "executed_robot"),
-            _unpack_trajs(d["human_actions"], "human_actions"), replans)
+            _unpack_trajs(d["executed_robot"], "executed_robot", span),
+            _unpack_trajs(d["human_actions"], "human_actions", span), replans)
 
 
-def scene_from_dict(d: dict) -> SceneRecord:
-    """Decode a scene/2 dict; any other schema is a ValueError. Every value
-    passes the checks of the record types it becomes, at once: AgentState
-    (finite, speed >= 0, heading wrapped) and JointState through
-    core.JointStates, ActionTraj, ReplanEntry and PredictionSet.
+def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
+    """Decode a scene/3 line whose span lies in sidecar (the bytes of the
+    .bin file, or of any buffer that holds the span at the line's "bin"
+    offset); any other schema is a ValueError, and so are a missing dt or a
+    dt other than DT_DEFAULT, a "bin" record that is not {"at": int >= 0,
+    "n": int >= 0, "sha256": str}, a span whose length or SHA-256 is not the
+    line's and a block that runs past the span. Every value passes the
+    checks of the record types it becomes, at once: AgentState (finite,
+    speed >= 0, heading wrapped) and JointState through core.JointStates,
+    ActionTraj, ReplanEntry and PredictionSet.
 
     All candidate rows of the scene are checked by one ActionTraj.block
     call, and all mode rows by another. When a row fails, the replans are
@@ -825,7 +866,14 @@ def scene_from_dict(d: dict) -> SceneRecord:
     replan by replan raises first, with a note naming the replan's field."""
     if d.get("schema") != SCENE_SCHEMA:
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
-    frame_t, states, executed, human_actions, replans = _scene2_arrays(d)
+    if "dt" not in d:
+        raise ValueError("dt: the scene line records no dt")
+    if d["dt"] != DT_DEFAULT:
+        raise ValueError(f"dt={d['dt']!r} is not supported: the scorer, replay and "
+                         f"the human policies step at dt={DT_DEFAULT} until dt is "
+                         "threaded from the scene (ROADMAP item 1)")
+    span = _scene_span(d, sidecar)
+    frame_t, states, executed, human_actions, replans = _scene3_arrays(d, span)
     joints = JointStates(states, frame_t)
     joined_cands = _joined_trajs([r[1] for r in replans])
     joined_modes = _joined_trajs([r[4] for r in replans])
@@ -864,10 +912,19 @@ def scene_from_dict(d: dict) -> SceneRecord:
     return rec
 
 
+def sidecar_path(path) -> Path:
+    """The .bin sidecar that holds the blocks of the scenes of a .jsonl file."""
+    return Path(path).with_suffix(".bin")
+
+
 def scenes_to_jsonl(path, records: Sequence[SceneRecord]):
-    with open(path, "w") as f:
+    """Write records as scene/3 lines to path and their spans, in line
+    order, to its sidecar."""
+    with open(path, "w") as f, open(sidecar_path(path), "wb") as b:
         for rec in records:
-            f.write(json.dumps(scene_to_dict(rec)) + "\n")
+            d, span = scene_to_dict(rec, b.tell())
+            b.write(span)
+            f.write(json.dumps(d) + "\n")
 
 
 def _line_scenario_id(d):
@@ -895,20 +952,22 @@ def scenes_from_jsonl(path, ids=None) -> list[SceneRecord]:
     ids given, only the lines whose scenario id is in ids are decoded. ids
     may also be a function that takes the scenario ids of all lines, in line
     order, and returns that set; every line is then parsed before any is
-    decoded. A line with no string scenario id is always decoded. A
-    ValueError from a line gets a note naming the line (1-based) and the
-    scenario id."""
+    decoded. A line with no string scenario id is always decoded. The
+    sidecar is read when the first line is decoded. A ValueError from a line
+    gets a note naming the line (1-based) and the scenario id."""
     lines = _jsonl_values(path)
     if callable(ids):
         lines = list(lines)
         ids = ids([_line_scenario_id(d) for _, d in lines])
-    out = []
+    out, sidecar = [], None
     for n, d in lines:
         sid = _line_scenario_id(d)
         if ids is not None and isinstance(sid, str) and sid not in ids:
             continue
+        if sidecar is None:
+            sidecar = sidecar_path(path).read_bytes()
         try:
-            out.append(scene_from_dict(d))
+            out.append(scene_from_dict(d, sidecar))
         except ValueError as exc:
             exc.add_note(f"{path}: line {n}, scenario {sid!r}")
             raise

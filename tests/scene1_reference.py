@@ -1,9 +1,9 @@
 """The scene/1 codec as the package had it, kept as the codec tests' reference.
 
 scene/1 spells every state and action out as JSON numbers. The package now
-writes and reads only scene/2; tests encode records with this copy of the
+writes and reads only scene/3; tests encode records with this copy of the
 old writer, and decode them with this copy of the old reader, to check that
-the package's scene/2 decode of the same records equals it.
+the package's scene/3 decode of the same records equals it.
 """
 
 import numpy as np

@@ -240,7 +240,8 @@ def test_cli_stages_match_full_pipeline(cli_and_full_runs, capsys):
 
 def test_compare_requires_score(cli_and_full_runs, tmp_path, capsys):
     cli_run, _ = cli_and_full_runs
-    shutil.copy(cli_run / "scenes.jsonl", tmp_path / "scenes.jsonl")
+    for name in ("scenes.jsonl", "scenes.bin"):
+        shutil.copy(cli_run / name, tmp_path / name)
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--in", str(tmp_path)])
@@ -295,7 +296,7 @@ def test_stages_read_the_manifest_config_not_config_yaml(cli_and_full_runs, tmp_
 
 def test_score_rejects_a_scene1_run(cli_and_full_runs, tmp_path, capsys):
     """scene/1 is no longer read: score on a run whose scenes are scene/1
-    lines exits 1 and names the schema."""
+    lines exits 1 and names the schema, the line and the scene."""
     cli_run, _ = cli_and_full_runs
     run = _copy_run(cli_run, tmp_path / "run")
     scenes = simkit.scenes_from_jsonl(run / "scenes.jsonl")
@@ -306,7 +307,10 @@ def test_score_rejects_a_scene1_run(cli_and_full_runs, tmp_path, capsys):
         main(["score", "--in", str(run)])
     assert exc.value.code == 1
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err == {"type": "ValueError", "message": "unsupported schema 'scene/1'"}
+    assert err == {"type": "ValueError",
+                   "message": "unsupported schema 'scene/1'\n"
+                              f"{run / 'scenes.jsonl'}: line 1, "
+                              f"scenario {scenes[0].scenario_id!r}"}
 
 
 class _NoPrediction(TablePredictor):
@@ -346,7 +350,8 @@ def _count_decodes(monkeypatch):
     decoded = []
     real = simkit.scene_from_dict
     monkeypatch.setattr(simkit, "scene_from_dict",
-                        lambda d: decoded.append(d["scenario_id"]) or real(d))
+                        lambda d, sidecar: decoded.append(d["scenario_id"])
+                        or real(d, sidecar))
     return decoded
 
 
@@ -373,6 +378,44 @@ def test_redeploy_with_every_predictor_decodes_only_the_holdouts(
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "FileNotFoundError"
     assert "run `simulate` first" in err["message"]
+
+
+@pytest.mark.parametrize("stage", ["score", "compare", "finetune", "redeploy"])
+def test_a_run_without_its_scene_sidecar_names_simulate(stage, cli_and_full_runs, tmp_path,
+                                                         capsys):
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    (run / "scenes.bin").unlink()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([stage, "--in", str(run)])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "FileNotFoundError",
+                   "message": f"{run / 'scenes.bin'} not found — run `simulate` first"}
+
+
+def test_compare_fails_on_a_flipped_sidecar_byte(cli_and_full_runs, tmp_path, capsys):
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    data = (run / "scenes.bin").read_bytes()
+    flipped = bytearray(data)
+    flipped[len(data) // 2] ^= 0x80
+    (run / "scenes.bin").write_bytes(flipped)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--in", str(run)])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    lines = [json.loads(line) for line in (run / "scenes.jsonl").read_text().splitlines()]
+    n, d = next((n, d) for n, d in enumerate(lines, 1)
+                if d["bin"]["at"] <= len(data) // 2 < d["bin"]["at"] + d["bin"]["n"])
+    assert err == {"type": "ValueError",
+                   "message": f"bin: the SHA-256 of the scene's span at byte "
+                              f"{d['bin']['at']} is not the one its line records\n"
+                              f"{run / 'scenes.jsonl'}: line {n}, "
+                              f"scenario {d['scenario_id']!r}"}
+    (run / "scenes.bin").write_bytes(data)
+    assert main(["compare", "--in", str(run)]) == 0
+    capsys.readouterr()
 
 
 def test_finetune_decodes_only_the_pools_it_fits(cli_and_full_runs, tmp_path,
@@ -610,13 +653,12 @@ def test_scores_json_has_no_skipped_key_when_nothing_was_skipped(cli_and_full_ru
 def _abort_at_t0(run, line: int, reason: str) -> str:
     """Replace scene `line` (0-based) of run's scenes.jsonl by its record
     aborted at t=0, with an empty replan log. Returns the scene id."""
-    lines = (run / "scenes.jsonl").read_text().splitlines(keepends=True)
-    scene = simkit.scene_from_dict(json.loads(lines[line]))
-    aborted = simkit.SceneRecord(scene.scenario_id, scene.context, scene.states[:1],
-                                 [], [], [], [], aborted=True, abort_reason=reason,
-                                 human_radii=scene.human_radii)
-    lines[line] = json.dumps(simkit.scene_to_dict(aborted)) + "\n"
-    (run / "scenes.jsonl").write_text("".join(lines))
+    scenes = simkit.scenes_from_jsonl(run / "scenes.jsonl")
+    scene = scenes[line]
+    scenes[line] = simkit.SceneRecord(scene.scenario_id, scene.context, scene.states[:1],
+                                      [], [], [], [], aborted=True, abort_reason=reason,
+                                      human_radii=scene.human_radii)
+    simkit.scenes_to_jsonl(run / "scenes.jsonl", scenes)
     return scene.scenario_id
 
 
@@ -684,6 +726,13 @@ def _change_score(lines):
     return [json.dumps(doc) + "\n"] + lines[1:]
 
 
+def _change_worst(lines):
+    doc = json.loads(lines[0])
+    assert doc["worst_regret"] != 0.9
+    doc["worst_regret"] = 0.9
+    return [json.dumps(doc) + "\n"] + lines[1:]
+
+
 def _extra_id(lines):
     doc = json.loads(lines[0])
     doc["scenario_id"] = "Extra-0-000"
@@ -704,8 +753,8 @@ def _heavier_collisions(run, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["scene byte", "weights", "no reports",
-                                  "changed score", "dropped line", "extra id",
-                                  "no key"])
+                                  "changed score", "changed worst", "dropped line",
+                                  "extra id", "no key"])
 def test_each_invalidation_forces_a_full_rescore(case, cli_and_full_runs, tmp_path,
                                                  monkeypatch, capsys):
     run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
@@ -721,6 +770,11 @@ def test_each_invalidation_forces_a_full_rescore(case, cli_and_full_runs, tmp_pa
         (run / "reports.jsonl").unlink()
     elif case == "changed score":
         _edit_reports(run, _change_score)
+    elif case == "changed worst":
+        # The stored score is the mean, so only re-aggregating the reports
+        # finds the edit: score --agg worst would write 0.9.
+        _edit_reports(run, _change_worst)
+        argv = ["--agg", "worst"]
     elif case == "dropped line":
         _edit_reports(run, lambda lines: lines[1:])
     elif case == "extra id":
@@ -738,6 +792,46 @@ def test_each_invalidation_forces_a_full_rescore(case, cli_and_full_runs, tmp_pa
     assert _scored_files(run) == want
     if case == "weights":
         assert want != _scored_files(cli_and_full_runs[0])
+    capsys.readouterr()
+
+
+def test_finetune_and_redeploy_refuse_scores_of_other_scenes(cli_and_full_runs, tmp_path,
+                                                            capsys):
+    # Simulate again into the scored run at another replan_every: the scene
+    # ids are the same, but scores.json was priced from the old scenes.
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    r = str(run)
+    config = dataclasses.replace(harness.run_config(run), replan_every=10)
+    harness.config_to_yaml(config, tmp_path / "every10.yaml")
+    assert main(["simulate", "--config", str(tmp_path / "every10.yaml"), "--out", r]) == 0
+    subsets = (run / "subsets.json").read_bytes()
+    for argv in (["finetune", "--in", r, "--arms", "high"], ["redeploy", "--in", r]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "StaleRunError"
+        assert "scenes.jsonl" in err["message"] and "run `score` first" in err["message"]
+    assert (run / "subsets.json").read_bytes() == subsets
+    for argv in (["score", "--in", r], ["finetune", "--in", r, "--arms", "high"],
+                 ["redeploy", "--in", r]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_finetune_and_redeploy_take_scores_of_other_weights(cli_and_full_runs, tmp_path,
+                                                           capsys):
+    # score --config may price the run's scenes under other reward weights;
+    # the scores are still of the current scenes, so the later stages, run
+    # with the recorded config, take them.
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    r = str(run)
+    for argv in (["score", "--in", r, *_heavier_collisions(run, tmp_path)],
+                 ["finetune", "--in", r, "--arms", "high"], ["redeploy", "--in", r]):
+        assert main(argv) == 0, argv
+    assert (run / "scores.json").read_bytes() != \
+        (cli_and_full_runs[0] / "scores.json").read_bytes()
     capsys.readouterr()
 
 

@@ -227,7 +227,7 @@ def test_score_scene_equals_per_candidate_reference(family_scenes):
         per_t, canon = _reference_report(weights, scene)
         cut_short += sum(len(scene.human_actions[0]) - e.t < len(e.candidates[0])
                          for e in scene.replan_log if scene.human_actions)
-        decoded = scene_from_dict(scene_to_dict(scene))
+        decoded = scene_from_dict(*scene_to_dict(scene))
         for s in (scene, decoded):
             rep = score_scene(LuceShepard(weights), s)
             assert rep.per_t == per_t
@@ -240,7 +240,7 @@ def test_score_scene_equals_per_candidate_reference(family_scenes):
 def test_score_scene_mixed_length_candidates_match_reference(family_scenes):
     # A replan whose candidates differ in length is priced one terms_matrix
     # call per length; the other replans of the scene still share one batch.
-    scene = scene_from_dict(scene_to_dict(family_scenes[2]))
+    scene = scene_from_dict(*scene_to_dict(family_scenes[2]))
     entry = scene.replan_log[1]
     entry.candidates = [ActionTraj(c.actions[:len(c) - 3 * (k % 2)], start_t=c.start_t)
                         for k, c in enumerate(entry.candidates)]
@@ -252,7 +252,7 @@ def test_score_scene_likelihoods_are_luce_shepard_likelihoods(family_scenes):
     """Criterion 01 checks luce_shepard_likelihoods; score_scene prices each
     replan as the same hindsight_rewards window, so its executed and max
     likelihoods are those floats, on a mixed-length replan too."""
-    mixed = scene_from_dict(scene_to_dict(family_scenes[2]))
+    mixed = scene_from_dict(*scene_to_dict(family_scenes[2]))
     entry = mixed.replan_log[1]
     entry.candidates = [ActionTraj(c.actions[:len(c) - 3 * (k % 2)], start_t=c.start_t)
                         for k, c in enumerate(entry.candidates)]

@@ -1,6 +1,6 @@
-import base64
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -247,7 +247,11 @@ def test_scene_jsonl_round_trip(tmp_path):
     path = tmp_path / "scenes.jsonl"
     scenes_to_jsonl(path, recs)
     first = path.read_text().splitlines()[0]
-    assert '"schema": "scene/2"' in first
+    assert '"schema": "scene/3"' in first
+    assert json.loads(first)["dt"] == DT_DEFAULT
+    assert simkit.sidecar_path(path) == tmp_path / "scenes.bin"
+    spans = [scene_to_dict(r)[1] for r in recs]
+    assert (tmp_path / "scenes.bin").read_bytes() == b"".join(spans)
     loaded = scenes_from_jsonl(path)
     assert len(loaded) == 2
     for orig, back in zip(recs, loaded):
@@ -277,10 +281,10 @@ def two_human_scene_dict(two_human_scene):
 
 
 def test_scene_decode_round_trip_is_equal_and_read_only(two_human_scene):
-    d = scene_to_dict(two_human_scene)
-    rec = scene_from_dict(d)
-    assert scene_to_dict(rec) == d
-    again = scene_from_dict(scene_to_dict(rec))
+    d, span = scene_to_dict(two_human_scene)
+    rec = scene_from_dict(d, span)
+    assert scene_to_dict(rec) == (d, span)
+    again = scene_from_dict(*scene_to_dict(rec))
     trajs = [*rec.executed_robot, *rec.human_actions]
     for e, e2 in zip(rec.replan_log, again.replan_log):
         assert e.candidates == e2.candidates
@@ -307,29 +311,30 @@ _BAD_CANDIDATE_VALUES = [
 def test_scene_decode_rejects_a_bad_candidate_block(two_human_scene, two_human_scene_dict,
                                                    where, value, msg):
     """A bad candidate value raises msg in the scene/1 reference decoder,
-    and the same message in the scene/2 decode."""
+    and the same message in the scene/3 decode."""
     k, step, comp = where
     d1 = copy.deepcopy(two_human_scene_dict)
     d1["replan_log"][1]["candidates"][k]["actions"][step][comp] = value
-    d2 = scene_to_dict(two_human_scene)
+    d2, span = _encoded(two_human_scene)
     cands = d2["replan_log"][1]["candidates"]
-    flat = _block_array(cands["actions"]).copy()
+    flat = _block_array(span, cands["actions"])
     flat[sum(cands["len"][:k]) + step, comp] = value
-    _set_block(cands["actions"], flat)
-    for decode, d in ((scene1_record, d1), (scene_from_dict, d2)):
+    _set_block(d2, span, cands["actions"], flat)
+    for decode in (lambda: scene1_record(d1), lambda: scene_from_dict(d2, span)):
         with pytest.raises(ValueError) as err:
-            decode(d)
+            decode()
         assert str(err.value) == msg
     d1 = copy.deepcopy(two_human_scene_dict)
     d1["replan_log"][0]["candidates"][2]["start_t"] = -1
-    d2 = scene_to_dict(two_human_scene)
+    d2, span = scene_to_dict(two_human_scene)
     d2["replan_log"][0]["candidates"]["start_t"][2] = -1
-    for decode, d in ((scene1_record, d1), (scene_from_dict, d2)):
+    for decode in (lambda: scene1_record(d1), lambda: scene_from_dict(d2, span)):
         with pytest.raises(ValueError, match="start_t must be >= 0, got -1"):
-            decode(d)
+            decode()
 
 
-# scene/2 against the scene/1 reference codec.
+# scene/3 against the scene/1 reference codec. The tests named scene2 were
+# written for the base64 scene/2 blocks and now check the scene/3 decode.
 
 def _hexed(x):
     """x with every float as float.hex, so -0.0 and 0.0 differ; every array
@@ -353,9 +358,9 @@ def _hexed(x):
 
 
 def _assert_codecs_agree(rec):
-    """Decoding rec's scene/2 encoding gives the record the reference
+    """Decoding rec's scene/3 encoding gives the record the reference
     scene/1 reader gives for its scene/1 encoding."""
-    got = scene_from_dict(scene_to_dict(rec))
+    got = scene_from_dict(*scene_to_dict(rec))
     assert _hexed(got) == _hexed(scene1_record(scene1_dict(rec)))
     return got
 
@@ -488,41 +493,65 @@ def test_scene2_decodes_a_closed_loop_scene_to_the_scene1_reference(two_human_sc
     _assert_codecs_agree(two_human_scene)
 
 
-def _block_array(block):
-    return np.frombuffer(base64.b64decode(block["f8"]), dtype="<f8").reshape(block["shape"])
+def _encoded(rec):
+    """rec's scene/3 line and a mutable copy of its span."""
+    d, span = scene_to_dict(rec)
+    return d, bytearray(span)
 
 
-def _set_block(block, arr):
-    block["shape"] = list(arr.shape)
-    block["f8"] = base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode()
+def _block_array(span, block):
+    """A writable copy of the float64 array of a {"shape", "at"} block."""
+    return np.frombuffer(bytes(span), dtype="<f8", count=math.prod(block["shape"]),
+                         offset=block["at"]).reshape(block["shape"]).copy()
+
+
+def _set_block(d, span, block, arr):
+    """Write arr, of the block's shape, over the block's bytes of span, and
+    record the span's new SHA-256 in the line d."""
+    assert list(arr.shape) == block["shape"]
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    span[block["at"]:block["at"] + len(raw)] = raw
+    d["bin"]["sha256"] = hashlib.sha256(span).hexdigest()
+
+
+def _write_scenes(path, encoded, end="\n"):
+    """Write (line, span) pairs as a .jsonl file, each line followed by end,
+    and its sidecar, each line's "bin" offset set to where its span lands."""
+    at = 0
+    for d, span in encoded:
+        d["bin"]["at"] = at
+        at += len(span)
+    simkit.sidecar_path(path).write_bytes(b"".join(bytes(span) for _, span in encoded))
+    path.write_text("".join(json.dumps(d) + end for d, _ in encoded))
 
 
 @pytest.mark.parametrize("where,value,msg", _BAD_CANDIDATE_VALUES)
 def test_scene2_decode_rejects_a_bad_candidate_block(two_human_scene, where, value, msg):
-    d = scene_to_dict(two_human_scene)
+    d, span = _encoded(two_human_scene)
     k, step, comp = where
     cands = d["replan_log"][1]["candidates"]
-    flat = _block_array(cands["actions"]).copy()
+    flat = _block_array(span, cands["actions"])
     flat[sum(cands["len"][:k]) + step, comp] = value
-    _set_block(cands["actions"], flat)
+    _set_block(d, span, cands["actions"], flat)
     with pytest.raises(ValueError) as err:
-        scene_from_dict(d)
+        scene_from_dict(d, span)
     assert str(err.value) == msg
-    d = scene_to_dict(two_human_scene)
+    d, span = scene_to_dict(two_human_scene)
     d["replan_log"][0]["candidates"]["start_t"][2] = -1
     with pytest.raises(ValueError, match="start_t must be >= 0, got -1"):
-        scene_from_dict(d)
+        scene_from_dict(d, span)
 
 
 @pytest.mark.parametrize("field", ["states", "executed_robot", "human_actions",
                                    "candidates", "modes"])
 def test_scene2_bad_values_raise_the_scene1_messages(two_human_scene, field):
-    d1, d2 = scene1_dict(two_human_scene), scene_to_dict(two_human_scene)
+    d1 = scene1_dict(two_human_scene)
+    d2, span = _encoded(two_human_scene)
     if field == "states":
         d1["states"][2]["humans"][1][3] = -0.5
-        arr = _block_array(d2["states"]).copy()
+        arr = _block_array(span, d2["states"])
         arr[2, 2, 3] = -0.5
-        _set_block(d2["states"], arr)
+        _set_block(d2, span, d2["states"], arr)
     else:
         if field in ("executed_robot", "human_actions"):
             trajs1, trajs2 = d1[field], d2[field]
@@ -532,13 +561,13 @@ def test_scene2_bad_values_raise_the_scene1_messages(two_human_scene, field):
             trajs1 = [m["traj"] for h in d1["replan_log"][1]["predicted_humans"] for m in h]
             trajs2 = d2["replan_log"][1]["predicted_humans"]["trajs"]
         trajs1[1]["actions"][0][1] = float("nan")
-        arr = _block_array(trajs2["actions"]).copy()
+        arr = _block_array(span, trajs2["actions"])
         arr[trajs2["len"][0], 1] = float("nan")
-        _set_block(trajs2["actions"], arr)
+        _set_block(d2, span, trajs2["actions"], arr)
     with pytest.raises(ValueError) as err1:
         scene1_record(d1)
     with pytest.raises(ValueError) as err2:
-        scene_from_dict(d2)
+        scene_from_dict(d2, span)
     assert str(err2.value) == str(err1.value)
 
 
@@ -551,30 +580,42 @@ def test_scene2_bad_values_raise_the_scene1_messages(two_human_scene, field):
      "replan_log[0].predicted_humans"),
 ])
 def test_scene2_block_of_the_wrong_size_names_its_field(two_human_scene, path, name):
-    for cut in (8, 1):
-        d = scene_to_dict(two_human_scene)
+    """A block that runs past the scene's span, by 8 bytes or by 1, by a
+    shape that needs more bytes than the span holds, or at a negative
+    offset or shape, is a ValueError naming its field."""
+    _, span = scene_to_dict(two_human_scene)
+    edits = [
+        lambda b: b.update(at=len(span) - 8 * math.prod(b["shape"]) + 8),
+        lambda b: b.update(at=len(span) - 8 * math.prod(b["shape"]) + 1),
+        lambda b: b.update(shape=[len(span)] + b["shape"][1:]),
+        lambda b: b.update(at=-8),
+        lambda b: b.update(shape=[-1] + b["shape"][1:]),
+    ]
+    for edit in edits:
+        d, _ = scene_to_dict(two_human_scene)
         block = d
         for key in path:
             block = block[key]
-        raw = base64.b64decode(block["f8"])
-        block["f8"] = base64.b64encode(raw[:-cut]).decode()
-        with pytest.raises(ValueError, match=f"^{re.escape(name)}: block holds {len(raw) - cut} bytes"):
-            scene_from_dict(d)
+        edit(block)
+        with pytest.raises(ValueError, match=f"^{re.escape(name)}: block of shape "
+                           r"\[.*\] at byte -?\d+ runs past the scene's "
+                           f"{len(span)}-byte span$"):
+            scene_from_dict(d, span)
 
 
 def test_scene2_lengths_must_fit_the_block(two_human_scene):
-    d = scene_to_dict(two_human_scene)
+    d, span = scene_to_dict(two_human_scene)
     d["replan_log"][1]["candidates"]["len"][0] += 1
     with pytest.raises(ValueError, match=r"^replan_log\[1\]\.candidates: "):
-        scene_from_dict(d)
-    d = scene_to_dict(two_human_scene)
+        scene_from_dict(d, span)
+    d, span = scene_to_dict(two_human_scene)
     d["t"].pop()
     with pytest.raises(ValueError, match="^states: "):
-        scene_from_dict(d)
-    d = scene_to_dict(two_human_scene)
+        scene_from_dict(d, span)
+    d, span = scene_to_dict(two_human_scene)
     d["replan_log"][0]["predicted_humans"]["label"][1].pop()
     with pytest.raises(ValueError, match=r"^replan_log\[0\]\.predicted_humans: "):
-        scene_from_dict(d)
+        scene_from_dict(d, span)
 
 
 @pytest.fixture(scope="module")
@@ -590,32 +631,32 @@ def five_replan_scene():
     ("predicted_humans", lambda e: e["predicted_humans"]["trajs"]),
 ])
 def test_scene2_bad_row_in_a_later_replan_is_named(five_replan_scene, field, trajs_of):
-    d = scene_to_dict(five_replan_scene)
+    d, span = _encoded(five_replan_scene)
     trajs = trajs_of(d["replan_log"][3])
-    arr = _block_array(trajs["actions"]).copy()
+    arr = _block_array(span, trajs["actions"])
     arr[trajs["len"][0] + 1, 0] = float("nan")
-    _set_block(trajs["actions"], arr)
+    _set_block(d, span, trajs["actions"], arr)
     later = trajs_of(d["replan_log"][4])
-    arr = _block_array(later["actions"]).copy()
+    arr = _block_array(span, later["actions"])
     arr[0, 1] = 1.5
-    _set_block(later["actions"], arr)
+    _set_block(d, span, later["actions"], arr)
     with pytest.raises(ValueError) as err:
-        scene_from_dict(d)
+        scene_from_dict(d, span)
     assert str(err.value) == "actions must be finite"
     assert err.value.__notes__ == [f"replan_log[3].{field}"]
 
 
 def test_scene2_an_earlier_replan_error_wins_over_a_later_bad_row(five_replan_scene):
-    d = scene_to_dict(five_replan_scene)
+    d, span = _encoded(five_replan_scene)
     d["replan_log"][1]["predicted_humans"]["prob"][0][0] += 0.5
     with pytest.raises(ValueError) as want:
-        scene_from_dict(d)
+        scene_from_dict(d, span)
     cands = d["replan_log"][3]["candidates"]
-    arr = _block_array(cands["actions"]).copy()
+    arr = _block_array(span, cands["actions"])
     arr[0, 0] = float("inf")
-    _set_block(cands["actions"], arr)
+    _set_block(d, span, cands["actions"], arr)
     with pytest.raises(ValueError) as err:
-        scene_from_dict(d)
+        scene_from_dict(d, span)
     assert str(err.value) == str(want.value)
     assert str(want.value).startswith("mode probabilities must sum to 1")
 
@@ -635,18 +676,18 @@ def test_scene2_replans_of_mixed_lengths_decode(five_replan_scene):
 
 def test_scenes_from_jsonl_names_the_bad_line(two_human_scene, tmp_path):
     good = scene_to_dict(two_human_scene)
-    bad = scene_to_dict(two_human_scene)
-    bad["scenario_id"] = "the-bad-one"
-    arr = _block_array(bad["states"]).copy()
+    bad = _encoded(two_human_scene)
+    bad[0]["scenario_id"] = "the-bad-one"
+    arr = _block_array(bad[1], bad[0]["states"])
     arr[3, 1, 3] = -0.25
-    _set_block(bad["states"], arr)
+    _set_block(*bad, bad[0]["states"], arr)
     path = tmp_path / "scenes.jsonl"
-    path.write_text("".join(json.dumps(x) + "\n" for x in (good, bad, good)))
+    _write_scenes(path, [copy.deepcopy(good), bad, copy.deepcopy(good)])
     with pytest.raises(ValueError) as err:
         scenes_from_jsonl(path)
     assert str(err.value) == "speed must be >= 0, got -0.25"
     assert err.value.__notes__ == [f"{path}: line 2, scenario 'the-bad-one'"]
-    path.write_text(json.dumps(good) + "\n{\n")
+    path.write_text(json.dumps(good[0]) + "\n{\n")
     with pytest.raises(ValueError) as err:
         scenes_from_jsonl(path)
     assert err.value.__notes__ == [f"{path}: line 2, scenario None"]
@@ -654,24 +695,26 @@ def test_scenes_from_jsonl_names_the_bad_line(two_human_scene, tmp_path):
 
 def test_scenes_from_jsonl_decodes_only_the_wanted_ids(two_human_scene, tmp_path,
                                                        monkeypatch):
-    lines = []
+    encoded = []
     for sid in ("a", "bad", "c"):
-        d = scene_to_dict(two_human_scene)
+        d, span = _encoded(two_human_scene)
         d["scenario_id"] = sid
-        lines.append(d)
-    arr = _block_array(lines[1]["states"]).copy()
+        encoded.append((d, span))
+    lines = [d for d, _ in encoded]
+    arr = _block_array(encoded[1][1], lines[1]["states"])
     arr[3, 1, 3] = -0.25
-    _set_block(lines[1]["states"], arr)
+    _set_block(*encoded[1], lines[1]["states"], arr)
     path = tmp_path / "scenes.jsonl"
-    path.write_text("".join(json.dumps(d) + "\n\n" for d in lines))
+    _write_scenes(path, encoded, "\n\n")
     decoded = []
     real = simkit.scene_from_dict
     monkeypatch.setattr(simkit, "scene_from_dict",
-                        lambda d: decoded.append(d["scenario_id"]) or real(d))
+                        lambda d, sidecar: decoded.append(d["scenario_id"])
+                        or real(d, sidecar))
 
     got = scenes_from_jsonl(path, {"c", "a", "elsewhere"})
     assert [s.scenario_id for s in got] == ["a", "c"] == decoded
-    assert scene_to_dict(got[1]) == lines[2]
+    assert scene_to_dict(got[1], lines[2]["bin"]["at"]) == (lines[2], encoded[2][1])
     assert scenes_from_jsonl(path, set()) == []
     seen = []
     got = scenes_from_jsonl(path, lambda ids: seen.append(ids) or {"c"})
@@ -697,13 +740,104 @@ def test_scenes_from_jsonl_decodes_only_the_wanted_ids(two_human_scene, tmp_path
         scenes_from_jsonl(path, set())
 
 
-@pytest.mark.parametrize("schema", ["scene/0", "scene/3", None])
+@pytest.mark.parametrize("schema", ["scene/0", "scene/2", None])
 def test_scene_decode_rejects_an_unknown_schema(two_human_scene, schema):
-    d = scene_to_dict(two_human_scene)
-    assert d["schema"] == SCENE_SCHEMA == "scene/2"
+    d, span = scene_to_dict(two_human_scene)
+    assert d["schema"] == SCENE_SCHEMA == "scene/3"
     d["schema"] = schema
     with pytest.raises(ValueError, match=f"unsupported schema {schema!r}"):
-        scene_from_dict(d)
+        scene_from_dict(d, span)
+    # A scene/2 line has no "dt" or "bin": the schema is checked first.
+    del d["dt"], d["bin"]
+    with pytest.raises(ValueError, match=f"unsupported schema {schema!r}"):
+        scene_from_dict(d, b"")
+
+
+def test_a_flipped_sidecar_byte_names_the_line_and_scene(two_human_scene, tmp_path):
+    path = tmp_path / "scenes.jsonl"
+    other = dataclasses.replace(two_human_scene, scenario_id="other")
+    scenes_to_jsonl(path, [two_human_scene, other])
+    data = bytearray((tmp_path / "scenes.bin").read_bytes())
+    second = json.loads(path.read_text().splitlines()[1])["bin"]
+    assert second["at"] == len(data) // 2 and second["n"] == len(data) // 2
+    for at in (second["at"], second["at"] + 1234, len(data) - 1):
+        flipped = bytearray(data)
+        flipped[at] ^= 0x01
+        (tmp_path / "scenes.bin").write_bytes(flipped)
+        with pytest.raises(ValueError) as err:
+            scenes_from_jsonl(path)
+        assert str(err.value) == (f"bin: the SHA-256 of the scene's span at byte "
+                                  f"{second['at']} is not the one its line records")
+        assert err.value.__notes__ == [f"{path}: line 2, scenario 'other'"]
+        # Each line hashes only its own span: the first scene still decodes.
+        assert [s.scenario_id for s in scenes_from_jsonl(path, {two_human_scene.scenario_id})] \
+            == [two_human_scene.scenario_id]
+
+
+def test_a_truncated_sidecar_fails_loudly(two_human_scene, tmp_path):
+    path = tmp_path / "scenes.jsonl"
+    scenes_to_jsonl(path, [two_human_scene] * 2)
+    data = (tmp_path / "scenes.bin").read_bytes()
+    n = len(data) // 2
+    # (bytes kept, the line that fails, the bytes of its span kept)
+    for keep, line, held in ((len(data) - 1, 2, n - 1), (n + 8, 2, 8), (n, 2, 0),
+                             (n - 1, 1, n - 1), (0, 1, 0)):
+        (tmp_path / "scenes.bin").write_bytes(data[:keep])
+        with pytest.raises(ValueError) as err:
+            scenes_from_jsonl(path)
+        assert str(err.value) == (f"bin: the sidecar holds {held} of the {n} bytes "
+                                  f"of the scene's span at byte {n * (line - 1)}")
+        assert err.value.__notes__ == [f"{path}: line {line}, scenario "
+                                       f"{two_human_scene.scenario_id!r}"]
+    (tmp_path / "scenes.bin").unlink()
+    with pytest.raises(FileNotFoundError):
+        scenes_from_jsonl(path)
+    # Nothing to decode reads no sidecar.
+    assert scenes_from_jsonl(path, set()) == []
+
+
+def test_scene_records_its_dt_and_decode_rejects_another(two_human_scene):
+    assert two_human_scene.dt == DT_DEFAULT
+    d, span = scene_to_dict(two_human_scene)
+    assert d["dt"] == DT_DEFAULT
+    spec = generate_scenario_batch("StoppedTraffic", 1, base_seed=31, horizon=20)[0]
+    rec = run_closed_loop(spec, PlannerHandle(horizon=10, dt=0.2), OraclePredictor(), 10)
+    assert rec.dt == 0.2
+    d, span = scene_to_dict(rec)
+    assert d["dt"] == 0.2
+    with pytest.raises(ValueError, match=r"^dt=0\.2 is not supported: .*ROADMAP item 1"):
+        scene_from_dict(d, span)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.pop("dt"), "^dt: the scene line records no dt"),
+    (lambda d: d.update(dt="0.1"), r"^dt='0\.1' is not supported"),
+    (lambda d: d.pop("bin"), "^bin: None is not a span record"),
+    (lambda d: d.update(bin=[0, 1]), r"^bin: \[0, 1\] is not a span record"),
+    (lambda d: d["bin"].pop("at"), "^bin: .* is not a span record"),
+    (lambda d: d["bin"].update(at=0.0), "^bin: .* is not a span record"),
+    (lambda d: d["bin"].update(at=True), "^bin: .* is not a span record"),
+    (lambda d: d["bin"].update(at=-1), "^bin: .* is not a span record"),
+    (lambda d: d["bin"].pop("n"), "^bin: .* is not a span record"),
+    (lambda d: d["bin"].update(n="8"), "^bin: .* is not a span record"),
+    (lambda d: d["bin"].update(n=-8), "^bin: .* is not a span record"),
+    (lambda d: d["bin"].pop("sha256"), "^bin: .* is not a span record"),
+    (lambda d: d["bin"].update(sha256=None), "^bin: .* is not a span record"),
+])
+def test_scene_decode_names_a_missing_or_malformed_dt_or_bin(two_human_scene, tmp_path,
+                                                               edit, message):
+    """dt and the "bin" span record come from outside the program: a line
+    that lacks them or holds the wrong types is a ValueError naming the
+    field, which scenes_from_jsonl notes with the line and the scene."""
+    path = tmp_path / "scenes.jsonl"
+    scenes_to_jsonl(path, [two_human_scene])
+    d = json.loads(path.read_text())
+    edit(d)
+    path.write_text(json.dumps(d) + "\n")
+    with pytest.raises(ValueError, match=message) as err:
+        scenes_from_jsonl(path)
+    assert err.value.__notes__ == [f"{path}: line 1, scenario "
+                                   f"{two_human_scene.scenario_id!r}"]
 
 
 # The human simulation written on AgentState and JointState, one validated
