@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DT_DEFAULT, rollout_positions
+from .core import rollout_positions
 from .planner import PlannerHandle
 from .predictor import ade_fde
 from .regret import RegretReport, hindsight_rewards, mine_top_quantile, realized_human_actions
@@ -51,9 +51,9 @@ def _human_xy_from_states(scene, human_idx: int, t0: int, T: int) -> np.ndarray:
     return scene.states.block[t0 + 1:t0 + 1 + T, 1 + human_idx, :2]
 
 
-def scene_prediction_errors(scene, dt: float = DT_DEFAULT) -> tuple[float, float]:
-    """(ADE, FDE) of the most-likely predicted mode, averaged over every
-    (human, replan) pair.
+def scene_prediction_errors(scene) -> tuple[float, float]:
+    """(ADE, FDE) of the most-likely predicted mode, rolled out at the
+    scene's dt, averaged over every (human, replan) pair.
 
     Uses the predictions logged at planning time, so a scene with humans
     and no replan log is a ValueError naming the scene. Comparisons cover
@@ -72,7 +72,7 @@ def scene_prediction_errors(scene, dt: float = DT_DEFAULT) -> tuple[float, float
         joint = scene.states[e.t]
         for i, modes in enumerate(e.predicted_humans.humans):
             best = max(modes, key=lambda m: m.prob)
-            pred_xy = rollout_positions(joint.humans[i], best.traj, dt)
+            pred_xy = rollout_positions(joint.humans[i], best.traj, scene.dt)
             true_xy = _human_xy_from_states(scene, i, e.t, len(best.traj))
             L = min(len(pred_xy), len(true_xy), len(seg))
             if L < 1:
@@ -85,10 +85,10 @@ def scene_prediction_errors(scene, dt: float = DT_DEFAULT) -> tuple[float, float
     return float(np.mean(ades)), float(np.mean(fdes))
 
 
-def ade_scene_score(scene, dt: float = DT_DEFAULT) -> float:
+def ade_scene_score(scene) -> float:
     """Mean displacement error of the most-likely predicted mode, averaged
     over every (human, replan) pair."""
-    return scene_prediction_errors(scene, dt)[0]
+    return scene_prediction_errors(scene)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def realized_scene_reward(scene, handle: Optional[PlannerHandle] = None) -> floa
     windows = [(scene.states[e.t], [w], realized_human_actions(scene, e.t, len(w)))
                for e, w in _executed_windows(scene)]
     vals = [float(r[0]) for r in hindsight_rewards(handle.weights, windows, scene.context,
-                                                   scene.radii_or_default(), handle.dt)]
+                                                   scene.radii_or_default(), scene.dt)]
     return float(np.mean(vals))
 
 

@@ -33,7 +33,7 @@ from .baselines import (
     scene_prediction_errors,
     write_comparison,
 )
-from .core import DT_DEFAULT, JointState, RngStream
+from .core import JointState, RngStream
 from .planner import PlannerHandle, RewardWeights
 from .predictor import (
     PredictorParams,
@@ -111,13 +111,9 @@ class ExperimentConfig:
             raise ValueError("aggregation must be 'mean' or 'worst'")
         if self.replan_every < 1:
             raise ValueError("replan_every must be >= 1")
-        for name in ("planner", "predictor"):
-            dt = dict(getattr(self, name)).get("dt", DT_DEFAULT)
-            if dt != DT_DEFAULT:
-                raise ValueError(
-                    f"{name} dt={dt!r} is not supported: the scorer, replay and "
-                    f"the human policies step at dt={DT_DEFAULT} until dt is "
-                    "recorded in the scene (ROADMAP item 1)")
+        # A bad or unknown planner, weights or predictor key fails at load.
+        self.planner_handle()
+        self.fresh_predictor()
 
     def planner_handle(self) -> PlannerHandle:
         kw = dict(self.planner)
@@ -279,10 +275,6 @@ def _scenes_path(run) -> Path:
     return path
 
 
-def _scenes(run) -> list:
-    return simkit.scenes_from_jsonl(_scenes_path(run))
-
-
 def _scores_doc(run) -> dict:
     return json.loads(need(run, "scores.json", "score").read_text())
 
@@ -300,8 +292,8 @@ def _base_params(run) -> PredictorParams:
 def load_deployment(out_dir) -> tuple[ExperimentConfig, list, dict, PredictorParams]:
     """(config, scenes, specs_by_id, base params) from a deployment directory."""
     need(out_dir, "manifest.json", "simulate")
-    return (run_config(out_dir), _scenes(out_dir), _specs_by_id(out_dir),
-            _base_params(out_dir))
+    return (run_config(out_dir), simkit.scenes_from_jsonl(_scenes_path(out_dir)),
+            _specs_by_id(out_dir), _base_params(out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -846,14 +838,17 @@ def compare(run, config: ExperimentConfig,
             metrics: Sequence[str] = METRICS) -> list[Path]:
     """Mined-set overlap of the regret reports and the baselines over the
     scenes `score` did not skip; writes comparison/. Returns the written
-    paths."""
+    paths. Raises StaleRunError as finetune does."""
     unknown = [m for m in metrics if m not in METRICS]
     if unknown:
         raise ValueError(f"unknown metrics {unknown}; choose from "
                          f"{','.join(METRICS).lower()}")
-    scenes = _scenes(run)
+    scenes_path = _scenes_path(run)
     reports = reports_from_jsonl(need(run, "reports.jsonl", "score"))
-    skipped = _scores_doc(run).get("skipped", {})
+    doc = _scores_doc(run)
+    _check_scored(scenes_path, doc)
+    scenes = simkit.scenes_from_jsonl(scenes_path)
+    skipped = doc.get("skipped", {})
     labelings = label_scenes([s for s in scenes if s.scenario_id not in skipped],
                              reports, p=config.p,
                              handle=config.planner_handle(),

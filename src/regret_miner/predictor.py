@@ -58,7 +58,6 @@ class PredictorParams:
     smoothing: float = 1.0
     history_window: int = 4
     cruise_speed: float = 8.0
-    dt: float = DT_DEFAULT
 
     def __post_init__(self):
         arr = np.asarray(self.counts, dtype=float)
@@ -68,6 +67,8 @@ class PredictorParams:
             raise ValueError("counts must be finite and non-negative")
         if self.smoothing < 0:
             raise ValueError("smoothing must be >= 0")
+        if not isinstance(self.history_window, int) or self.history_window < 1:
+            raise ValueError(f"history_window must be an int >= 1, got {self.history_window!r}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
@@ -128,7 +129,7 @@ def _lane_bucket(state: AgentState, ctx: Context) -> int:
 
 def _mean_recent_speed(human_idx: int, joint: JointState,
                        history: Sequence[JointState], h: int) -> float:
-    speeds = [js.humans[human_idx].speed for js in list(history)[-h:]]
+    speeds = [js.humans[human_idx].speed for js in history[-h:]]
     speeds.append(joint.humans[human_idx].speed)
     return float(np.mean(speeds))
 
@@ -200,9 +201,10 @@ def _template_actions(mode: str, human: AgentState, ctx: Context, T: int,
 
 def predict_block(params: PredictorParams, joint: JointState,
                   history: Sequence[JointState], ego_xys: np.ndarray, ctx: Context,
-                  n_modes_out: int = 3) -> list[PredictionSet]:
+                  n_modes_out: int, dt: float) -> list[PredictionSet]:
     """Top n_modes_out behavior modes per human, one PredictionSet per ego
-    rollout of ego_xys (K, T, 2), made at params.dt from T actions.
+    rollout of ego_xys (K, T, 2), made at dt from T actions; the mode
+    templates are made at the same dt.
 
     Only the approaching flag depends on the rollout, so the other features
     are computed once per human, and candidates whose flags agree share one
@@ -229,7 +231,7 @@ def predict_block(params: PredictorParams, joint: JointState,
             for j, pj in zip(order.tolist(), kept.tolist()):
                 traj = templates.get((i, j))
                 if traj is None:
-                    acts = _template_actions(MODES[j], human, ctx, T, params.dt,
+                    acts = _template_actions(MODES[j], human, ctx, T, dt,
                                              params.cruise_speed)
                     traj = templates[(i, j)] = ActionTraj(acts, start_t=joint.t)
                 modes.append(ModePrediction(label=MODES[j], prob=pj, traj=traj))
@@ -248,14 +250,14 @@ def predict_block(params: PredictorParams, joint: JointState,
 
 def predict(params: PredictorParams, joint: JointState,
             history: Sequence[JointState], ego_candidate: ActionTraj,
-            ctx: Context, n_modes_out: int = 3) -> PredictionSet:
+            ctx: Context, n_modes_out: int = 3, dt: float = DT_DEFAULT) -> PredictionSet:
     """Top n_modes_out behavior modes per human, conditioned on ego_candidate.
 
-    The robot-approaching feature is computed from the candidate's rollout,
-    so different candidates can receive different human predictions.
+    The robot-approaching feature is computed from the candidate's rollout
+    at dt, so different candidates can receive different human predictions.
     """
-    ego_xy = rollout_positions(joint.robot, ego_candidate, params.dt)
-    return predict_block(params, joint, history, ego_xy[None], ctx, n_modes_out)[0]
+    ego_xy = rollout_positions(joint.robot, ego_candidate, dt)
+    return predict_block(params, joint, history, ego_xy[None], ctx, n_modes_out, dt)[0]
 
 
 @dataclass(frozen=True)
@@ -267,13 +269,9 @@ class TablePredictor:
     def predict_candidates(self, joint, history, ego_xys, speeds, ctx,
                            n_modes_out, dt):
         """predict() of every candidate of one replan, from the candidates'
-        stacked (K, T, 2) rollouts at dt, which must be the table's dt: the
-        templates are made at params.dt, and plan() rolls them out at its
-        own. The table's features read positions only, not speeds."""
-        if dt != self.params.dt:
-            raise ValueError(f"candidates rolled out at dt={dt}, but the "
-                             f"predictor table is at dt={self.params.dt}")
-        return predict_block(self.params, joint, history, ego_xys, ctx, n_modes_out)
+        stacked (K, T, 2) rollouts at plan()'s dt, at which the templates are
+        made too. The table's features read positions only, not speeds."""
+        return predict_block(self.params, joint, history, ego_xys, ctx, n_modes_out, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +365,6 @@ def params_to_json(params: PredictorParams) -> str:
         "smoothing": params.smoothing,
         "history_window": params.history_window,
         "cruise_speed": params.cruise_speed,
-        "dt": params.dt,
     }
     return json.dumps(doc)
 
@@ -381,5 +378,4 @@ def params_from_json(text: str) -> PredictorParams:
         smoothing=doc["smoothing"],
         history_window=doc["history_window"],
         cruise_speed=doc["cruise_speed"],
-        dt=doc["dt"],
     )

@@ -156,7 +156,7 @@ def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretR
     sliced from the scene log, never against the predictions that were used
     at planning time: each replan is one hindsight_rewards window, its
     candidates against the realized humans over the first candidate's
-    length, and the scene's windows are priced in one call.
+    length, and the scene's windows are priced in one call at the scene's dt.
     """
     if aggregation not in ("mean", "worst"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
@@ -168,7 +168,7 @@ def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretR
                 realized_human_actions(scene, e.t, len(e.candidates[0])))
                for e in scene.replan_log]
     rewards = hindsight_rewards(model.weights, windows, scene.context,
-                                scene.radii_or_default(), DT_DEFAULT)
+                                scene.radii_or_default(), scene.dt)
     per_t = []
     canon = []
     for entry, r in zip(scene.replan_log, rewards):

@@ -238,14 +238,15 @@ def _crossing_target_heading(memory: dict, heading: float) -> float:
 
 def human_policy(profile: HumanProfile, i: int, states: Sequence[tuple],
                  ctx: Context, rng, memory: dict, radii: Sequence[float],
-                 view: Optional[tuple]) -> tuple[float, float]:
+                 view: Optional[tuple], dt: float = DT_DEFAULT) -> tuple[float, float]:
     """One (accel, turn_rate) decision for human i, whose state is
     states[i + 1], given its view from robot_views.
 
     states are the step's float states, robot first, each starting
     (x, y, heading, speed); states[0] is not read. radii[j] is human j's
     footprint radius (CAR_RADIUS past its end). memory persists per human
-    across steps (owned by the engine).
+    across steps (owned by the engine); a stopped car's resume timer counts
+    steps of dt.
     """
     if profile.never_moves or profile.mode == "stranded":
         return (0.0, 0.0)
@@ -263,7 +264,7 @@ def human_policy(profile: HumanProfile, i: int, states: Sequence[tuple],
         if not memory.get("resumed", False):
             clear = not (view[1] or _humans_ahead(i, states, radii, profile.reaction_radius))
             memory["clear_steps"] = memory.get("clear_steps", 0) + 1 if clear else 0
-            if memory["clear_steps"] >= int(round(RESUME_CLEAR_SECONDS / DT_DEFAULT)):
+            if memory["clear_steps"] >= int(round(RESUME_CLEAR_SECONDS / dt)):
                 memory["resumed"] = True
             else:
                 return (-3.0 if speed > 0 else 0.0, 0.0)
@@ -358,7 +359,7 @@ def step_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
                 acts, nxt = [], []
                 for i, p in humans:
                     a, w = human_policy(p, i, states, ctx, _LazyStream(rng_root, (_STREAM_HUMAN, i, t)),
-                                        part_mems[i], radii, views[i])
+                                        part_mems[i], radii, views[i], dt)
                     h = cur[i]
                     acts.append((a, w))
                     nxt.append(unicycle_step_floats(h[0], h[1], h[2], h[3], a, w, dt))
@@ -499,7 +500,7 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
     abort_reason = ""
     while t < spec.horizon:
         joint = frames[-1]
-        history = frames[max(0, t - 16):t]
+        history = frames[:t]
         plan_rng = rng_root.derive(_STREAM_PLANNER, t)
         try:
             chosen, entry = plan(planner_handle, predictor, joint, history, ctx,
@@ -544,16 +545,16 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
     )
 
 
-def replay_max_deviation(record: SceneRecord, dt: float = DT_DEFAULT) -> float:
-    """Re-integrate logged actions from the initial state; max abs coordinate
-    deviation from the logged state sequence."""
+def replay_max_deviation(record: SceneRecord) -> float:
+    """Re-integrate logged actions from the initial state at the scene's dt;
+    max abs coordinate deviation from the logged state sequence."""
     logged = record.states.block.tolist()
     cur = logged[0]
     robot_acts = np.concatenate([e.actions for e in record.executed_robot]) if record.executed_robot else np.zeros((0, 2))
     acts = [robot_acts.tolist()] + [tr.actions.tolist() for tr in record.human_actions]
     dev = 0.0
     for k, frame in enumerate(logged[1:]):
-        cur = [unicycle_step_floats(*s[:4], *acts[j][k], dt)
+        cur = [unicycle_step_floats(*s[:4], *acts[j][k], record.dt)
                for j, s in enumerate(cur)]
         for (x, y, h, v, _), (lx, ly, lh, lv) in zip(cur, frame):
             dev = max(dev, abs(x - lx), abs(y - ly), abs(h - lh), abs(v - lv))
@@ -852,8 +853,8 @@ def _scene3_arrays(d: dict, span: bytes):
 def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
     """Decode a scene/3 line whose span lies in sidecar (the bytes of the
     .bin file, or of any buffer that holds the span at the line's "bin"
-    offset); any other schema is a ValueError, and so are a missing dt or a
-    dt other than DT_DEFAULT, a "bin" record that is not {"at": int >= 0,
+    offset); any other schema is a ValueError, and so are a dt that is not
+    a positive finite float, a "bin" record that is not {"at": int >= 0,
     "n": int >= 0, "sha256": str}, a span whose length or SHA-256 is not the
     line's and a block that runs past the span. Every value passes the
     checks of the record types it becomes, at once: AgentState (finite,
@@ -868,10 +869,9 @@ def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
     if "dt" not in d:
         raise ValueError("dt: the scene line records no dt")
-    if d["dt"] != DT_DEFAULT:
-        raise ValueError(f"dt={d['dt']!r} is not supported: the scorer, replay and "
-                         f"the human policies step at dt={DT_DEFAULT} until dt is "
-                         "threaded from the scene (ROADMAP item 1)")
+    dt = d["dt"]
+    if type(dt) is not float or not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt={dt!r} is not a positive finite float")
     span = _scene_span(d, sidecar)
     frame_t, states, executed, human_actions, replans = _scene3_arrays(d, span)
     joints = JointStates(states, frame_t)
@@ -907,6 +907,7 @@ def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
         per_frame_collision_cost=list(d["per_frame_collision_cost"]),
         aborted=d.get("aborted", False),
         abort_reason=d.get("abort_reason", ""),
+        dt=dt,
     )
     rec.human_radii = list(d.get("human_radii", []))
     return rec

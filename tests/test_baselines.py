@@ -61,6 +61,35 @@ def test_oracle_ade_near_zero(scenes):
         assert fde <= 1e-9
 
 
+def _windows_reward(handle, scene):
+    """The mean reference reward of the scene's complete executed windows."""
+    executed = np.concatenate([seg.actions for seg in scene.executed_robot])
+    rewards = []
+    for e in scene.replan_log:
+        W = len(e.candidates[e.executed_index])
+        window = executed[e.t:e.t + W]
+        if len(window) == W:
+            humans = [ActionTraj(h.actions[e.t:e.t + W], start_t=e.t)
+                      for h in scene.human_actions]
+            rewards.append(reward(handle, ActionTraj(window, start_t=e.t), humans,
+                                  scene.states[e.t], scene.context,
+                                  scene.radii_or_default()))
+    return float(np.mean(rewards))
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.2])
+def test_ade_and_trfd_read_the_scene_dt(dt):
+    """ADE rolls the logged modes out, and TRFD prices the executed
+    windows, at the dt the scene records, whatever handle is passed: under
+    the oracle ADE stays numerically zero, and the realized reward is the
+    reference's at the scene's dt."""
+    handle = PlannerHandle(dt=dt)
+    for spec in generate_scenario_batch("Intersection", 2, base_seed=19, horizon=40):
+        scene = run_closed_loop(spec, handle, OraclePredictor(), 10)
+        assert max(scene_prediction_errors(scene)) <= 1e-9
+        assert realized_scene_reward(scene, PlannerHandle()) == _windows_reward(handle, scene)
+
+
 def test_ade_flat_list_averaging(scenes):
     # the scene score is the plain mean over (human, replan) pairs, which we
     # recompute here from the per-pair errors
@@ -126,21 +155,9 @@ def test_realized_scene_reward_is_the_mean_reference_reward_of_complete_windows(
     handle = PlannerHandle()
     cut_short = 0
     for scene in scenes:
-        executed = np.concatenate([seg.actions for seg in scene.executed_robot])
-        rewards = []
-        for e in scene.replan_log:
-            W = len(e.candidates[e.executed_index])
-            window = executed[e.t:e.t + W]
-            if len(window) < W:
-                cut_short += 1
-                continue
-            humans = [ActionTraj(h.actions[e.t:e.t + W], start_t=e.t)
-                      for h in scene.human_actions]
-            rewards.append(reward(handle, ActionTraj(window, start_t=e.t), humans,
-                                  scene.states[e.t], scene.context,
-                                  scene.radii_or_default()))
-        assert rewards
-        assert realized_scene_reward(scene, handle) == float(np.mean(rewards))
+        cut_short += sum(len(scene.states) - 1 - e.t < len(e.candidates[e.executed_index])
+                         for e in scene.replan_log)
+        assert realized_scene_reward(scene, handle) == _windows_reward(handle, scene)
     assert cut_short > 0
     assert any(len(s.human_actions) == 2 for s in scenes)
 

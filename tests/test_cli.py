@@ -820,6 +820,33 @@ def test_finetune_and_redeploy_refuse_scores_of_other_scenes(cli_and_full_runs, 
     capsys.readouterr()
 
 
+def test_compare_refuses_scores_of_other_scenes(cli_and_full_runs, tmp_path, capsys):
+    # Simulate again into the scored run under other reward weights: the
+    # scene ids and replan times are the same, but the scenes are not, so
+    # reports.jsonl no longer prices them.
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    r = str(run)
+    old_scenes = simkit.scenes_from_jsonl(run / "scenes.jsonl")
+    assert main(["simulate", *_heavier_collisions(run, tmp_path), "--out", r]) == 0
+    new_scenes = simkit.scenes_from_jsonl(run / "scenes.jsonl")
+    assert [(s.scenario_id, [e.t for e in s.replan_log]) for s in new_scenes] == \
+        [(s.scenario_id, [e.t for e in s.replan_log]) for s in old_scenes]
+    assert (run / "scenes.jsonl").read_bytes() != \
+        (cli_and_full_runs[0] / "scenes.jsonl").read_bytes()
+    comparison = {p.name: p.read_bytes() for p in (run / "comparison").iterdir()}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--in", r])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "StaleRunError"
+    assert "scenes.jsonl" in err["message"] and "run `score` first" in err["message"]
+    assert {p.name: p.read_bytes() for p in (run / "comparison").iterdir()} == comparison
+    for argv in (["score", "--in", r], ["compare", "--in", r]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
 def test_finetune_and_redeploy_take_scores_of_other_weights(cli_and_full_runs, tmp_path,
                                                            capsys):
     # score --config may price the run's scenes under other reward weights;

@@ -432,12 +432,17 @@ def test_redeploy_of_a_holdout_aborted_at_t0_names_the_scene(small_split, monkey
             assert (cell["mean_regret"], cell["ade"], cell["fde"]) == (0.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("name", ["planner", "predictor"])
-def test_config_rejects_a_dt_other_than_the_default(name):
-    with pytest.raises(ValueError, match="ROADMAP item 1"):
-        ExperimentConfig(**{name: {"dt": 0.2}})
-    with pytest.raises(ValueError, match="ROADMAP item 1"):
-        ExperimentConfig.from_dict({name: {"dt": 0.2}})
-    config = ExperimentConfig(**{name: {"dt": 0.1}})
-    assert config.planner_handle().dt == 0.1
-    assert config.fresh_predictor().dt == 0.1
+def test_config_builds_its_planner_and_predictor_at_load():
+    # planner.dt is the one step setting: any positive finite value loads.
+    config = ExperimentConfig.from_dict({"planner": {"dt": 0.2}})
+    assert config.planner_handle().dt == 0.2
+    # A bad value or an unknown key in the planner, weights or predictor
+    # section fails when the config is loaded, not in a later stage; the
+    # predictor's dt is retired, since its templates use the planner's.
+    for section, value, error in (("planner", {"dt": -0.1}, ValueError),
+                                  ("planner", {"dtt": 0.1}, TypeError),
+                                  ("weights", {"w_speed": 1.0}, TypeError),
+                                  ("predictor", {"dt": 0.1}, TypeError),
+                                  ("predictor", {"history_window": 0}, ValueError)):
+        with pytest.raises(error):
+            ExperimentConfig.from_dict({section: value})

@@ -386,7 +386,7 @@ def _table_trials(n_modes, dt, ctx):
     do not approach them and accelerating ones do."""
     rng = np.random.default_rng(11)
     counts = rng.integers(0, 6, size=BUCKET_SHAPE + (N_MODES,)).astype(float)
-    params = PredictorParams(counts=counts, dt=dt)
+    params = PredictorParams(counts=counts)
     for trial in range(6):
         if isinstance(ctx, NavWorld):
             humans = tuple(AgentState(rng.uniform(-2, 2), rng.uniform(1, 5),
@@ -409,7 +409,7 @@ def _table_trials(n_modes, dt, ctx):
         joint = JointState(robot, humans, 20)
         history = [JointState(joint.robot, humans, t) for t in range(16, 20)]
         yield (TablePredictor(params),
-               lambda cand, j=joint, hist=history: predict(params, j, hist, cand, ctx, n_modes),
+               lambda cand, j=joint, hist=history: predict(params, j, hist, cand, ctx, n_modes, dt),
                joint, history, ctx, radii, RngStream(trial))
 
 
@@ -421,7 +421,7 @@ def _oracle_trials():
     rec = run_closed_loop(spec, PlannerHandle(), oracle, 10)
     radii = [p.radius for _, p in spec.humans]
     for t in (0, 10, 20):
-        joint, history = rec.states[t], rec.states[max(0, t - 16):t]
+        joint, history = rec.states[t], rec.states[:t]
         yield (oracle, lambda cand, j=joint, hist=history: oracle.predict(j, hist, cand, spec.context),
                joint, history, spec.context, radii, RngStream(spec.seed).derive(t))
 
@@ -436,7 +436,7 @@ def _oracle_trials():
 def test_plan_matches_per_candidate_reference(world, n_modes, dt):
     """Scoring a replan's candidates as one block, with shared rollouts and
     templates, changes no number against the per-candidate formula: for the
-    table predictor (also with planner and table at a dt of 0.2), for the
+    table predictor (also at a dt of 0.2, where its templates are made), for the
     oracle bound to a scene, and in both terms_matrix branches."""
     handle = PlannerHandle(n_modes=n_modes, dt=dt)
     trials = (_oracle_trials() if world == "oracle" else

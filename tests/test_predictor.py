@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from regret_miner import predictor as predictor_module
 from regret_miner.core import (
     ACCEL_LIMIT,
+    DT_DEFAULT,
     ActionTraj,
     AgentState,
     DrivingCorridor,
@@ -174,6 +177,10 @@ def test_params_validation():
         PredictorParams(counts=bad)
     with pytest.raises(ValueError):
         PredictorParams.fresh(smoothing=-0.5)
+    for window in (0, -1, 2.5):
+        # An empty window would read the whole history as history[-0:].
+        with pytest.raises(ValueError, match="history_window must be an int >= 1"):
+            PredictorParams.fresh(history_window=window)
     params = PredictorParams.fresh()
     with pytest.raises(ValueError):
         params.counts[0, 0, 0, 0, 0] = 1.0  # table is read-only
@@ -191,6 +198,34 @@ def test_mode_probs_normalized():
         probs = params.mode_probs(bucket)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= 0)
+
+
+@pytest.mark.parametrize("window", [1, 4, 20])
+def test_plan_and_fit_read_the_same_speed_history(window, monkeypatch):
+    """The closed loop hands plan() every frame before the replan, and the
+    table reads the last history_window of them, as fit does for the
+    segment that starts there: each replan's speed bucket is the one fit
+    puts its segment in."""
+    seen = {"plan": {}, "fit": {}}
+    phase = "plan"
+    real = predictor_module._fixed_features
+
+    def recording(human_idx, joint, history, ctx, h):
+        out = real(human_idx, joint, history, ctx, h)
+        seen[phase][(joint.t, human_idx)] = out[0]
+        return out
+
+    monkeypatch.setattr(predictor_module, "_fixed_features", recording)
+    params = PredictorParams.fresh(history_window=window)
+    for spec in generate_scenario_batch("Intersection", 2, base_seed=4, horizon=100):
+        seen["plan"], seen["fit"] = {}, {}
+        phase = "plan"
+        scene = run_closed_loop(spec, PlannerHandle(), TablePredictor(params), 10)
+        phase = "fit"
+        fit([scene], init=params)
+        assert len(seen["fit"]) == 2 * len(scene.replan_log)
+        assert seen["plan"] == seen["fit"]
+        assert len(set(seen["fit"].values())) > 1
 
 
 def test_predict_output_contract():
@@ -222,7 +257,7 @@ def test_go_straight_template_accelerates_to_cruise():
     stay = next(m for m in pred.humans[0] if m.label == "stay")
     v = 5.0
     for a, _ in stay.traj.actions:
-        v = max(0.0, v + a * params.dt)
+        v = max(0.0, v + a * DT_DEFAULT)
     assert v == pytest.approx(0.0, abs=1e-9)
 
 
@@ -249,18 +284,25 @@ def test_params_json_round_trip():
     params = fit(_two_scene_fixture())
     back = params_from_json(params_to_json(params))
     np.testing.assert_array_equal(back.counts, params.counts)
-    assert (back.smoothing, back.history_window, back.cruise_speed, back.dt) == (
-        params.smoothing, params.history_window, params.cruise_speed, params.dt)
+    assert (back.smoothing, back.history_window, back.cruise_speed) == (
+        params.smoothing, params.history_window, params.cruise_speed)
+    assert "dt" not in json.loads(params_to_json(params))
+    # A predictor/1 document written while the table carried its own dt
+    # still loads, to the same table.
+    old = json.loads(params_to_json(params))
+    for dt in (0.1, 0.2):
+        old["dt"] = dt
+        assert params_to_json(params_from_json(json.dumps(old))) == params_to_json(params)
     with pytest.raises(ValueError):
         params_from_json('{"schema": "predictor/2", "counts": []}')
 
 
-def _approach_sensitive_params(dt):
+def _approach_sensitive_params():
     """Approaching humans are predicted to brake, others to go straight."""
     counts = np.zeros(BUCKET_SHAPE + (N_MODES,))
     counts[:, :, 1, :, MODES.index("brake")] = 10.0
     counts[:, :, 0, :, MODES.index("go_straight")] = 10.0
-    return PredictorParams(counts=counts, dt=dt)
+    return PredictorParams(counts=counts)
 
 
 def _reference_approaching(human_pos, robot_now, ego_positions):
@@ -272,10 +314,10 @@ def _reference_approaching(human_pos, robot_now, ego_positions):
     return 1 if d_future < d_now - APPROACH_MARGIN else 0
 
 
-def _reference_predict(params, joint, history, cand, ctx, n):
-    """predict() written out for one candidate: (label, prob, actions) per
-    human mode, from the per-candidate bucket."""
-    ego_xy = rollout_positions(joint.robot, cand, params.dt)
+def _reference_predict(params, joint, history, cand, ctx, n, dt):
+    """predict() written out for one candidate at dt: (label, prob, actions)
+    per human mode, from the per-candidate bucket."""
+    ego_xy = rollout_positions(joint.robot, cand, dt)
     out = []
     for i, human in enumerate(joint.humans):
         speeds = [js.humans[i].speed for js in list(history)[-params.history_window:]]
@@ -287,7 +329,7 @@ def _reference_predict(params, joint, history, cand, ctx, n):
         order = np.argsort(-probs, kind="stable")[:n]
         kept = probs[order] / probs[order].sum()
         out.append([(MODES[j], float(p),
-                     _template_actions(MODES[j], human, ctx, len(cand), params.dt,
+                     _template_actions(MODES[j], human, ctx, len(cand), dt,
                                        params.cruise_speed).tobytes())
                     for j, p in zip(order, kept)])
     return out
@@ -314,10 +356,10 @@ def _speeds(robot, cands, dt):
 @pytest.mark.parametrize("predictor_dt", [0.1, 0.2])
 def test_predict_candidates_matches_predict(predictor_dt):
     """One block call equals predict() and the per-candidate formula for every
-    candidate, at the table's dt; candidates in one bucket share one
-    PredictionSet, and every set shares one template trajectory per
-    (human, mode)."""
-    params = _approach_sensitive_params(predictor_dt)
+    candidate, with the templates made at the rollouts' dt; candidates in one
+    bucket share one PredictionSet, and every set shares one template
+    trajectory per (human, mode)."""
+    params = _approach_sensitive_params()
     joint, history, cands, ego_xys, speeds = _candidate_fixture(predictor_dt)
     got = TablePredictor(params).predict_candidates(joint, history, ego_xys, speeds,
                                                     TWO_LANE, 2, predictor_dt)
@@ -326,12 +368,12 @@ def test_predict_candidates_matches_predict(predictor_dt):
     sets = {}
     labels = set()
     for cand, pred in zip(cands, got):
-        want = predict(params, joint, history, cand, TWO_LANE, 2)
+        want = predict(params, joint, history, cand, TWO_LANE, 2, predictor_dt)
         assert [[(m.label, m.prob, m.traj) for m in h] for h in pred.humans] == \
             [[(m.label, m.prob, m.traj) for m in h] for h in want.humans]
         assert [[(m.label, m.prob, m.traj.actions.tobytes()) for m in h]
                 for h in pred.humans] == \
-            _reference_predict(params, joint, history, cand, TWO_LANE, 2)
+            _reference_predict(params, joint, history, cand, TWO_LANE, 2, predictor_dt)
         for i, modes in enumerate(pred.humans):
             for m in modes:
                 assert m.traj.start_t == 5
@@ -343,15 +385,6 @@ def test_predict_candidates_matches_predict(predictor_dt):
         labels.add(pred.humans[0][0].label)
     assert len({id(p) for p in got}) == len(sets) >= 2
     assert labels == {"brake", "go_straight"}
-
-
-def test_predict_candidates_rejects_rollouts_at_another_dt():
-    """Rollouts at a dt other than the table's are an error: the templates
-    would be made at one dt and rolled out by plan() at the other."""
-    joint, history, cands, ego_xys, speeds = _candidate_fixture(0.1)
-    table = TablePredictor(_approach_sensitive_params(0.2))
-    with pytest.raises(ValueError, match=r"dt=0\.1, but the predictor table is at dt=0\.2"):
-        table.predict_candidates(joint, history, ego_xys, speeds, TWO_LANE, 2, 0.1)
 
 
 def test_predict_candidates_without_humans():

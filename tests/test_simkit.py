@@ -796,7 +796,7 @@ def test_a_truncated_sidecar_fails_loudly(two_human_scene, tmp_path):
     assert scenes_from_jsonl(path, set()) == []
 
 
-def test_scene_records_its_dt_and_decode_rejects_another(two_human_scene):
+def test_scene_records_its_dt_and_decode_keeps_it(two_human_scene):
     assert two_human_scene.dt == DT_DEFAULT
     d, span = scene_to_dict(two_human_scene)
     assert d["dt"] == DT_DEFAULT
@@ -805,13 +805,21 @@ def test_scene_records_its_dt_and_decode_rejects_another(two_human_scene):
     assert rec.dt == 0.2
     d, span = scene_to_dict(rec)
     assert d["dt"] == 0.2
-    with pytest.raises(ValueError, match=r"^dt=0\.2 is not supported: .*ROADMAP item 1"):
-        scene_from_dict(d, span)
+    back = scene_from_dict(d, span)
+    assert back.dt == 0.2
+    assert back.states == rec.states
+    assert replay_max_deviation(back) < 1e-9
 
 
 @pytest.mark.parametrize("edit,message", [
     (lambda d: d.pop("dt"), "^dt: the scene line records no dt"),
-    (lambda d: d.update(dt="0.1"), r"^dt='0\.1' is not supported"),
+    (lambda d: d.update(dt="0.1"), r"^dt='0\.1' is not a positive finite float"),
+    (lambda d: d.update(dt=1), r"^dt=1 is not a positive finite float"),
+    (lambda d: d.update(dt=True), r"^dt=True is not a positive finite float"),
+    (lambda d: d.update(dt=0.0), r"^dt=0\.0 is not a positive finite float"),
+    (lambda d: d.update(dt=-0.1), r"^dt=-0\.1 is not a positive finite float"),
+    (lambda d: d.update(dt=float("nan")), r"^dt=nan is not a positive finite float"),
+    (lambda d: d.update(dt=float("inf")), r"^dt=inf is not a positive finite float"),
     (lambda d: d.pop("bin"), "^bin: None is not a span record"),
     (lambda d: d.update(bin=[0, 1]), r"^bin: \[0, 1\] is not a span record"),
     (lambda d: d["bin"].pop("at"), "^bin: .* is not a span record"),
@@ -878,7 +886,7 @@ def _ref_cruise_action(profile, me, ctx, others):
     return a, w
 
 
-def _ref_policy_step(profile, me, joint, ctx, rng, memory, radii):
+def _ref_policy_step(profile, me, joint, ctx, rng, memory, radii, dt=DT_DEFAULT):
     if profile.never_moves or profile.mode == "stranded":
         return (0.0, 0.0)
     idx_self = next((j for j, h in enumerate(joint.humans) if h is me), None)
@@ -893,7 +901,7 @@ def _ref_policy_step(profile, me, joint, ctx, rng, memory, radii):
         if not memory.get("resumed", False):
             clear = not _ref_agents_ahead(me, others, profile.reaction_radius)
             memory["clear_steps"] = memory.get("clear_steps", 0) + 1 if clear else 0
-            if memory["clear_steps"] >= int(round(RESUME_CLEAR_SECONDS / DT_DEFAULT)):
+            if memory["clear_steps"] >= int(round(RESUME_CLEAR_SECONDS / dt)):
                 memory["resumed"] = True
             else:
                 return (-3.0 if me.speed > 0 else 0.0, 0.0)
@@ -921,7 +929,7 @@ def _ref_step(spec, robot, humans, memories, t, rng_root, dt=DT_DEFAULT):
     radii = [p.radius for p in profiles]
     now = JointState(robot, tuple(humans), t)
     acts = [_ref_policy_step(p, humans[i], now, spec.context, rng_root.derive(1, i, t),
-                             memories[i], radii)
+                             memories[i], radii, dt)
             for i, p in enumerate(profiles)]
     return acts, [unicycle_step(h, a, w, dt) for h, (a, w) in zip(humans, acts)]
 
@@ -993,6 +1001,24 @@ def test_simulate_humans_equals_agentstate_reference(name):
     # The engine recorded the reference states.
     assert [[_hex(a.x, a.y, a.heading, a.speed) for a in (js.robot, *js.humans)]
             for js in rec.states[1:]] == ref_states
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.2])
+def test_simulate_humans_equals_agentstate_reference_at_the_scene_dt(dt):
+    # The engine steps the humans, and counts a stopped car's resume timer,
+    # at the dt it is given: the closed loop's, which the scene records.
+    spec = _reference_spec("StoppedTraffic")
+    rec = run_closed_loop(spec, PlannerHandle(dt=dt), OraclePredictor(), 10)
+    assert not rec.aborted and rec.dt == dt
+    ego = np.concatenate([e.actions for e in rec.executed_robot])
+    root = RngStream(spec.seed)
+    memories, ref_memories = [{} for _ in spec.humans], [{} for _ in spec.humans]
+    actions, _ = simulate_humans(spec, rec.states[0], memories, ego, root, dt)
+    ref_actions, _, _ = _ref_simulate_humans(spec, rec.states[0], ref_memories, ego, root, dt)
+    assert actions.tobytes() == ref_actions.tobytes()
+    assert actions.tobytes() == np.array([h.actions for h in rec.human_actions]).tobytes()
+    assert memories == ref_memories and memories[0].get("resumed")
+    assert replay_max_deviation(rec) < 1e-9
 
 
 @pytest.mark.parametrize("family", ["StoppedTraffic", "Intersection"])
