@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import rollout_positions
+from .core import by_length, rollout_positions_batch
 from .planner import PlannerHandle
 from .predictor import ade_fde
 from .regret import RegretReport, hindsight_rewards, mine_top_quantile, realized_human_actions
@@ -53,7 +53,9 @@ def _human_xy_from_states(scene, human_idx: int, t0: int, T: int) -> np.ndarray:
 
 def scene_prediction_errors(scene) -> tuple[float, float]:
     """(ADE, FDE) of the most-likely predicted mode, rolled out at the
-    scene's dt, averaged over every (human, replan) pair.
+    scene's dt, averaged over every (human, replan) pair. All pairs' modes
+    are rolled out by one rollout_positions_batch call per distinct length,
+    whose rows equal rollout_positions bit for bit.
 
     Uses the predictions logged at planning time, so a scene with humans
     and no replan log is a ValueError naming the scene. Comparisons cover
@@ -67,19 +69,28 @@ def scene_prediction_errors(scene) -> tuple[float, float]:
     if not scene.replan_log:
         raise ValueError(f"scene {scene.scenario_id} has no replan log to "
                          "take predictions from")
+    # (replan entry, executed segment, human, best mode's actions)
+    pairs = [(e, seg, i, max(modes, key=lambda m: m.prob).traj.actions)
+             for e, seg in zip(scene.replan_log, scene.executed_robot)
+             for i, modes in enumerate(e.predicted_humans.humans)]
+    pred_xys: list = [None] * len(pairs)
+    for idx in by_length([acts for *_, acts in pairs]).values():
+        # Each human's (x, y, heading, speed) at its replan's frame.
+        x0, y0, h0, v0 = scene.states.block[[pairs[n][0].t for n in idx],
+                                            [1 + pairs[n][2] for n in idx]].T
+        batch = rollout_positions_batch(x0, y0, h0, v0, np.array([pairs[n][3] for n in idx]),
+                                        scene.dt)
+        for n, xy in zip(idx, batch):
+            pred_xys[n] = xy
     ades, fdes = [], []
-    for e, seg in zip(scene.replan_log, scene.executed_robot):
-        joint = scene.states[e.t]
-        for i, modes in enumerate(e.predicted_humans.humans):
-            best = max(modes, key=lambda m: m.prob)
-            pred_xy = rollout_positions(joint.humans[i], best.traj, scene.dt)
-            true_xy = _human_xy_from_states(scene, i, e.t, len(best.traj))
-            L = min(len(pred_xy), len(true_xy), len(seg))
-            if L < 1:
-                continue
-            a, f = ade_fde(pred_xy[:L], true_xy[:L])
-            ades.append(a)
-            fdes.append(f)
+    for (e, seg, i, acts), pred_xy in zip(pairs, pred_xys):
+        true_xy = _human_xy_from_states(scene, i, e.t, len(acts))
+        L = min(len(pred_xy), len(true_xy), len(seg))
+        if L < 1:
+            continue
+        a, f = ade_fde(pred_xy[:L], true_xy[:L])
+        ades.append(a)
+        fdes.append(f)
     if not ades:
         return 0.0, 0.0
     return float(np.mean(ades)), float(np.mean(fdes))
@@ -130,21 +141,40 @@ def realized_scene_reward(scene, handle: Optional[PlannerHandle] = None) -> floa
     return float(np.mean(vals))
 
 
-def weighted_quantile(values: Sequence[float], weights: Sequence[float],
-                      q: float) -> float:
-    """Smallest value whose cumulative normalized weight reaches q."""
+def weighted_quantiles(values: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
+    """weighted_quantile of each row of (W, n) values and weights, as row
+    operations: a stable argsort per row, a cumsum per row over the sorted
+    weights, and the count of cum < q, which equals searchsorted(cum, q,
+    side="left") on a row that never decreases. Non-negative weights make
+    every row non-decreasing. Non-finite values or weights are a ValueError.
+    """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if v.size < 1 or v.shape != w.shape:
+    if v.ndim != 2 or v.shape[1] < 1 or v.shape != w.shape:
         raise ValueError("need matching non-empty values and weights")
-    if np.any(w < 0) or w.sum() <= 0:
+    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+        raise ValueError("values and weights must be finite")
+    total = w.sum(axis=1)
+    if np.any(w < 0) or np.any(total <= 0):
         raise ValueError("weights must be non-negative with positive sum")
     if not (0.0 <= q <= 1.0):
         raise ValueError("q must be in [0, 1]")
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order]) / w.sum()
-    idx = int(np.searchsorted(cum, q, side="left"))
-    return float(v[order[min(idx, v.size - 1)]])
+    order = np.argsort(v, axis=1, kind="stable")
+    cum = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1) / total[:, None]
+    idx = np.minimum((cum < q).sum(axis=1), v.shape[1] - 1)
+    rows = np.arange(len(v))
+    return v[rows, order[rows, idx]]
+
+
+def weighted_quantile(values: Sequence[float], weights: Sequence[float],
+                      q: float) -> float:
+    """Smallest value whose cumulative normalized weight reaches q: the
+    one-row case of weighted_quantiles."""
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if v.ndim != 1 or v.shape != w.shape:
+        raise ValueError("need matching non-empty values and weights")
+    return float(weighted_quantiles(v[None], w[None], q)[0])
 
 
 # Reward slack below the anticipated quantile before a scene is flagged.
@@ -175,9 +205,15 @@ def trfd_flag(scene, p: float, handle: Optional[PlannerHandle] = None) -> bool:
     for e in scene.replan_log:
         if not e.predicted_reward_samples:
             raise ValueError(f"replan at t={e.t} has no predicted reward samples")
-    quantiles = [weighted_quantile([r for r, _ in e.predicted_reward_samples],
-                                   [w for _, w in e.predicted_reward_samples], p / 100.0)
-                 for e, _ in _executed_windows(scene)]
+    windows = _executed_windows(scene)
+    quantiles: list = [None] * len(windows)
+    # The windows with n samples as one (W, n) block, one quantile per row.
+    for idx in by_length([e.predicted_reward_samples for e, _ in windows]).values():
+        samples = np.array([windows[j][0].predicted_reward_samples for j in idx], dtype=float)
+        rows = weighted_quantiles(np.ascontiguousarray(samples[:, :, 0]),
+                                  np.ascontiguousarray(samples[:, :, 1]), p / 100.0)
+        for j, v in zip(idx, rows.tolist()):
+            quantiles[j] = v
     threshold = float(np.mean(quantiles))
     return realized_scene_reward(scene, handle) < threshold - TRFD_SLACK
 
@@ -212,7 +248,8 @@ def label_scenes(scenes: Sequence, reports: Sequence[RegretReport],
 
     GRM and RM are read from each scene's regret report under `aggregation`,
     whichever aggregation it was written with; ADE from logged predictions;
-    TRFD from the anticipated-reward quantile test at the same p.
+    TRFD from the anticipated-reward quantile test at the same p. A
+    ValueError from ADE or TRFD gets a note naming the scene.
     """
     if aggregation not in ("mean", "worst"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
@@ -229,8 +266,12 @@ def label_scenes(scenes: Sequence, reports: Sequence[RegretReport],
             grm[sid], rm[sid] = rep.mean_regret, rep.canonical_mean
         else:
             grm[sid], rm[sid] = rep.worst_regret, max(rep.canonical_per_t)
-        ade[sid] = ade_scene_score(scene)
-        trfd[sid] = float(trfd_flag(scene, p, handle))
+        try:
+            ade[sid] = ade_scene_score(scene)
+            trfd[sid] = float(trfd_flag(scene, p, handle))
+        except ValueError as exc:
+            exc.add_note(f"scenario {sid!r}")
+            raise
     return {
         "GRM": MetricLabeling("GRM", grm,
                               mine_top_quantile(sorted(grm.items()), p)),

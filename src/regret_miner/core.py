@@ -414,6 +414,15 @@ def unicycle_step_floats(x: float, y: float, heading: float, speed: float,
     return x, y, (once + _PI) % TWO_PI - _PI, v, once
 
 
+def by_length(items: Sequence) -> dict[int, list[int]]:
+    """Indices of the items grouped by length, in order: the rows that one
+    block operation can take at once."""
+    out: dict[int, list[int]] = {}
+    for n, item in enumerate(items):
+        out.setdefault(len(item), []).append(n)
+    return out
+
+
 def rollout_positions(state: AgentState, traj: ActionTraj,
                       dt: float = DT_DEFAULT) -> np.ndarray:
     """(T, 2) array of x,y positions along a rollout: unicycle_step_floats

@@ -203,47 +203,59 @@ def sample_candidates(handle: PlannerHandle, state: AgentState, ctx: Context,
 
 
 def _overlap_sum(ego_xy: np.ndarray, h_xy: np.ndarray, r: float):
-    """Summed footprint overlap of ego rollouts (..., T, 2) against one human
-    rollout, cropped to the shorter; one contiguous sum per rollout."""
-    L = min(ego_xy.shape[-2], len(h_xy))
-    d = np.hypot(ego_xy[..., :L, 0] - h_xy[:L, 0], ego_xy[..., :L, 1] - h_xy[:L, 1])
+    """Summed footprint overlap of ego rollouts (..., B, T, 2) against one
+    human rollout (..., Th, 2) per window, cropped to the shorter; one
+    contiguous sum per rollout."""
+    L = min(ego_xy.shape[-2], h_xy.shape[-2])
+    h = h_xy[..., None, :L, :]
+    d = np.hypot(ego_xy[..., :L, 0] - h[..., 0], ego_xy[..., :L, 1] - h[..., 1])
     return np.maximum(0.0, ROBOT_RADIUS + r - d).sum(axis=-1)
 
 
 def terms_matrix(ego_xys: np.ndarray, acts: np.ndarray,
                  human_xys: Sequence[np.ndarray], radii: Optional[Sequence[float]],
-                 robot: AgentState, ctx: Context):
+                 start_xy, ctx: Context):
     """(progress, mean sq lane offset, summed overlap, sum sq actions), each a
-    (B,) array, of B ego rollouts (B, T, 2) with their actions (B, T, 2)
-    against human rollouts, all cropped to the shortest of them.
+    (..., B) array, of ego rollouts (..., B, T, 2) with their actions
+    (..., B, T, 2) against human rollouts, all cropped to the shortest of them.
 
-    radii defaults to CAR_RADIUS for every human. human_xys pairs with radii
-    as zip does: a human without a radius adds no overlap. Each term is a
-    per-row contiguous reduction, so row b equals the terms of rollout b
-    computed on its own.
+    The leading axes, if any, index windows: start_xy (..., 2) holds each
+    window's robot start position, and each of human_xys is one human's
+    (..., Th, 2) rollout in every window. plan() prices its one window with
+    no leading axis. radii defaults to CAR_RADIUS for every human. human_xys
+    pairs with radii as zip does: a human without a radius adds no overlap.
+    Each term is elementwise or a per-row contiguous reduction over the last
+    axis, so row b of a window equals the terms of rollout b computed on its
+    own.
     """
     if radii is None:
         radii = [CAR_RADIUS] * len(human_xys)
-    B = ego_xys.shape[0]
-    L = min([ego_xys.shape[1]] + [len(h) for h in human_xys])
-    ego = ego_xys[:, :L]
+    start = np.asarray(start_xy, dtype=float)
+    L = min([ego_xys.shape[-2]] + [h.shape[-2] for h in human_xys])
+    ego = ego_xys[..., :L, :]
+    rows = ego.shape[:-2]
     if isinstance(ctx, DrivingCorridor):
-        progress = ego[:, -1, 0] - robot.x
-        centers = np.array(ctx.lane_centers)
-        offs = np.abs(ego[:, :, 1][:, :, None] - centers).min(axis=2)
-        lane = (offs ** 2).sum(axis=1) / L  # np.mean's arithmetic, without its overhead
+        progress = ego[..., -1, 0] - start[..., 0, None]
+        # The offset to the nearest lane center, one elementwise minimum per
+        # center: the values of a min over a centers axis, which numpy reduces
+        # one short row at a time.
+        y = ego[..., 1]
+        offs = np.abs(y - ctx.lane_centers[0])
+        for c in ctx.lane_centers[1:]:
+            np.minimum(offs, np.abs(y - c), out=offs)
+        lane = (offs ** 2).sum(axis=-1) / L  # np.mean's arithmetic, without its overhead
     elif isinstance(ctx, NavWorld):
         goal = np.array(ctx.goal_primary)
-        d0 = float(np.hypot(robot.x - goal[0], robot.y - goal[1]))
-        d1 = np.hypot(ego[:, -1, 0] - goal[0], ego[:, -1, 1] - goal[1])
+        d0 = np.hypot(start[..., 0, None] - goal[0], start[..., 1, None] - goal[1])
+        d1 = np.hypot(ego[..., -1, 0] - goal[0], ego[..., -1, 1] - goal[1])
         progress = d0 - d1
-        lane = np.zeros(B)
+        lane = np.zeros(rows)
     else:
         raise TypeError(f"unsupported context {type(ctx)}")
-    col = np.zeros(B)
+    col = np.zeros(rows)
     for h_xy, r in zip(human_xys, radii):
         col = col + _overlap_sum(ego, h_xy, r)
-    ctrl = (acts[:, :L] ** 2).reshape(B, -1).sum(axis=1)
+    ctrl = (acts[..., :L, :] ** 2).reshape(*rows, -1).sum(axis=-1)
     return progress, lane, col, ctrl
 
 
@@ -269,7 +281,7 @@ def reward_terms(handle: PlannerHandle, ego: ActionTraj,
     human_xys = [rollout_positions(joint.humans[i], h, handle.dt)
                  for i, h in enumerate(humans)]
     terms = terms_matrix(ego_xy[None], ego.actions[None], human_xys, human_radii,
-                         joint.robot, ctx)
+                         (joint.robot.x, joint.robot.y), ctx)
     return tuple(float(t[0]) for t in terms)
 
 
@@ -354,7 +366,7 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
                                             acts[:, :, 1], dt)
     pred_sets = predictor.predict_candidates(joint, history, ego_xys, speeds, ctx,
                                              handle.n_modes, dt)
-    progress, lane, _, ctrl = terms_matrix(ego_xys, acts, [], [], robot, ctx)
+    progress, lane, _, ctrl = terms_matrix(ego_xys, acts, [], [], (robot.x, robot.y), ctx)
     expected = w.w_progress * progress + w.w_lane * lane + w.w_ctrl * ctrl
     overlaps: dict[tuple[int, int], np.ndarray] = {}  # (human, id(traj)) -> (K,)
     # Candidates in one predictor bucket share one PredictionSet; each

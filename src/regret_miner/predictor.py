@@ -107,7 +107,11 @@ class PredictionSet:
 
     def __post_init__(self):
         object.__setattr__(self, "humans", tuple(tuple(h) for h in self.humans))
-        for h in self.humans:
+        for i, h in enumerate(self.humans):
+            for m in h:
+                if not 0.0 <= m.prob < math.inf:  # NaN fails both comparisons
+                    raise ValueError(f"human {i} mode {m.label!r}: probability {m.prob} "
+                                     "is not a finite non-negative number")
             s = sum(m.prob for m in h)
             if abs(s - 1.0) > 1e-9:
                 raise ValueError(f"mode probabilities must sum to 1, got {s}")

@@ -17,7 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DT_DEFAULT, ActionTraj, Context, JointState, rollout_positions_batch
+from .core import (
+    DT_DEFAULT,
+    ActionTraj,
+    Context,
+    JointState,
+    by_length,
+    rollout_positions_batch,
+)
 from .planner import RewardWeights, terms_matrix, weighted_reward
 
 
@@ -28,13 +35,20 @@ class LuceShepard:
     weights: RewardWeights = field(default_factory=RewardWeights)
 
 
+def _softmax_rows(r: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax of each row of a (W, K) reward block: a
+    per-row max and a per-row sum over the contiguous last axis, so each row
+    equals the softmax of that row alone."""
+    z = np.exp(r - r.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True)
+
+
 def softmax_likelihoods(rewards) -> np.ndarray:
     """Max-subtracted softmax over a reward vector."""
     r = np.asarray(rewards, dtype=float)
     if r.ndim != 1 or r.size < 1:
         raise ValueError("rewards must be a non-empty vector")
-    z = np.exp(r - r.max())
-    return z / z.sum()
+    return _softmax_rows(r[None])[0]
 
 
 def canonical_from_rewards(rewards, executed_index: int) -> float:
@@ -56,14 +70,6 @@ def generalized_from_likelihoods(likelihoods, executed_index: int) -> float:
     return float(p.max() - p[executed_index])
 
 
-def _by_length(arrays: Sequence[np.ndarray]) -> dict[int, list[int]]:
-    """Indices of the arrays grouped by length, in order."""
-    out: dict[int, list[int]] = {}
-    for n, arr in enumerate(arrays):
-        out.setdefault(len(arr), []).append(n)
-    return out
-
-
 def hindsight_rewards(weights: RewardWeights, windows: Sequence, ctx: Context,
                       human_radii, dt: float) -> list[np.ndarray]:
     """The reward of every robot action sequence of every window against
@@ -73,33 +79,52 @@ def hindsight_rewards(weights: RewardWeights, windows: Sequence, ctx: Context,
     the robot sequences start from joint.robot and realized human n from
     joint.humans[n]. Every rollout of every window goes through one
     rollout_positions_batch call per distinct length. The robot sequences
-    of one window that share a length are priced by one terms_matrix call,
-    whose rows are independent, so a window of mixed lengths prices each
-    sequence as a window of its own would.
+    of one window that share a length form a block, and all blocks of one
+    shape (sequences, their length, the human lengths) are priced by one
+    terms_matrix call with a window axis. Its rows are independent, so a
+    window of mixed lengths prices each sequence as a window of its own
+    would, and every window is priced as a call with it alone would.
     """
     starts, actions = [], []
     for joint, robot_acts, human_acts in windows:
         starts += [joint.robot] * len(robot_acts) + list(joint.humans[:len(human_acts)])
         actions += list(robot_acts) + list(human_acts)
-    xys: list = [None] * len(actions)
-    for idx in _by_length(actions).values():
+    # Per distinct length: the stacked actions and their rollouts; each
+    # action's row in its length's stack.
+    stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    row_of = [0] * len(actions)
+    for T, idx in by_length(actions).items():
         rows = [starts[n] for n in idx]
-        batch = rollout_positions_batch([s.x for s in rows], [s.y for s in rows],
-                                        [s.heading for s in rows], [s.speed for s in rows],
-                                        [actions[n] for n in idx], dt)
-        for n, xy in zip(idx, batch):
-            xys[n] = xy
+        acts = np.array([actions[n] for n in idx], dtype=float)
+        stacks[T] = acts, rollout_positions_batch(
+            [s.x for s in rows], [s.y for s in rows], [s.heading for s in rows],
+            [s.speed for s in rows], acts, dt)
+        for row, n in enumerate(idx):
+            row_of[n] = row
+    # Blocks by shape: (window, its rows, their stack rows, its humans' stack rows).
+    shapes: dict[tuple, list] = {}
     out, n = [], 0
-    for joint, robot_acts, human_acts in windows:
-        K = len(robot_acts)
-        ego_xys, human_xys = xys[n:n + K], xys[n + K:n + K + len(human_acts)]
-        n += K + len(human_acts)
-        r = np.empty(K)
-        for rows in _by_length(robot_acts).values():
-            r[rows] = weighted_reward(weights, terms_matrix(
-                np.array([ego_xys[k] for k in rows]), np.array([robot_acts[k] for k in rows]),
-                human_xys, human_radii, joint.robot, ctx))
-        out.append(r)
+    for w, (joint, robot_acts, human_acts) in enumerate(windows):
+        K, M = len(robot_acts), len(human_acts)
+        h_rows = [row_of[n + K + i] for i in range(M)]
+        for T, rows in by_length(robot_acts).items():
+            key = (len(rows), T, tuple(len(h) for h in human_acts))
+            shapes.setdefault(key, []).append(
+                (w, rows, [row_of[n + k] for k in rows], h_rows))
+        n += K + M
+        out.append(np.empty(K))
+    for (B, T, human_lens), blocks in shapes.items():
+        W = len(blocks)
+        ego_rows = [r for _, _, stack_rows, _ in blocks for r in stack_rows]
+        acts, xys = stacks[T]
+        human_xys = [stacks[Th][1][[h_rows[i] for *_, h_rows in blocks]]
+                     for i, Th in enumerate(human_lens)]
+        start_xy = [(windows[w][0].robot.x, windows[w][0].robot.y) for w, *_ in blocks]
+        r = weighted_reward(weights, terms_matrix(
+            xys[ego_rows].reshape(W, B, T, 2), acts[ego_rows].reshape(W, B, T, 2),
+            human_xys, human_radii, start_xy, ctx))
+        for (w, rows, _, _), rw in zip(blocks, r):
+            out[w][rows] = rw
     return out
 
 
@@ -157,6 +182,10 @@ def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretR
     at planning time: each replan is one hindsight_rewards window, its
     candidates against the realized humans over the first candidate's
     length, and the scene's windows are priced in one call at the scene's dt.
+    The likelihoods and both regrets of the replans with K candidates are row
+    operations over their (W, K) reward block, each row's values those of
+    softmax_likelihoods, generalized_from_likelihoods and
+    canonical_from_rewards on that replan alone.
     """
     if aggregation not in ("mean", "worst"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
@@ -169,20 +198,27 @@ def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretR
                for e in scene.replan_log]
     rewards = hindsight_rewards(model.weights, windows, scene.context,
                                 scene.radii_or_default(), scene.dt)
-    per_t = []
-    canon = []
-    for entry, r in zip(scene.replan_log, rewards):
-        p = softmax_likelihoods(r)
-        g = generalized_from_likelihoods(p, entry.executed_index)
-        per_t.append((entry.t, float(p[entry.executed_index]), float(p.max()), g))
-        canon.append(canonical_from_rewards(r, entry.executed_index))
+    per_t: list = [None] * len(rewards)
+    canon: list = [None] * len(rewards)
+    for idx in by_length(rewards).values():
+        # The replans with K candidates as one (W, K) block, priced by rows.
+        r = np.array([rewards[i] for i in idx])
+        rows = np.arange(len(idx))
+        ex = [scene.replan_log[i].executed_index for i in idx]
+        p = _softmax_rows(r)
+        p_exec, p_max = p[rows, ex], p.max(axis=1)
+        for i, el, ml, g, c in zip(idx, p_exec.tolist(), p_max.tolist(),
+                                   (p_max - p_exec).tolist(),
+                                   (r.max(axis=1) - r[rows, ex]).tolist()):
+            per_t[i] = (scene.replan_log[i].t, el, ml, g)
+            canon[i] = c
     regrets = [x[3] for x in per_t]
     return RegretReport(
         scenario_id=scene.scenario_id,
         per_t=per_t,
         mean_regret=float(np.mean(regrets)),
         worst_regret=float(np.max(regrets)),
-        canonical_per_t=[float(c) for c in canon],
+        canonical_per_t=canon,
         canonical_mean=float(np.mean(canon)),
         aggregation=aggregation,
     )

@@ -16,11 +16,13 @@ from regret_miner.baselines import (
     scene_prediction_errors,
     trfd_flag,
     weighted_quantile,
+    weighted_quantiles,
     with_inflated_predictions,
     write_comparison,
 )
-from regret_miner.core import ActionTraj, AgentState, DrivingCorridor
+from regret_miner.core import ActionTraj, AgentState, DrivingCorridor, rollout_positions
 from regret_miner.planner import PlannerHandle, reward
+from regret_miner.predictor import PredictorParams, TablePredictor, ade_fde
 from regret_miner.regret import (
     LuceShepard,
     mine_top_quantile,
@@ -29,10 +31,13 @@ from regret_miner.regret import (
     score_scene,
 )
 from regret_miner.simkit import (
+    FAMILIES,
     OraclePredictor,
     ScenarioSpec,
     generate_scenario_batch,
     run_closed_loop,
+    scene_from_dict,
+    scene_to_dict,
 )
 
 TWO_LANE = DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7, length=400.0)
@@ -211,6 +216,143 @@ def test_weighted_quantile_matches_numpy():
         cur = weighted_quantile(vals, w, q)
         assert cur >= prev
         prev = cur
+
+
+@pytest.fixture(scope="module")
+def table_scenes():
+    """One scene per family under the untrained table predictor at 2 modes:
+    nonzero ADE, and 4 reward samples per window where 2 humans move."""
+    out = []
+    for family in FAMILIES:
+        spec = generate_scenario_batch(family, 1, base_seed=4, horizon=40)[0]
+        out.append(run_closed_loop(spec, PlannerHandle(n_modes=2),
+                                   TablePredictor(PredictorParams.fresh()), 10))
+    return out
+
+
+def _reference_prediction_errors(scene):
+    """scene_prediction_errors with one scalar rollout_positions per
+    (replan, human) pair."""
+    ades, fdes = [], []
+    for e, seg in zip(scene.replan_log, scene.executed_robot):
+        joint = scene.states[e.t]
+        for i, modes in enumerate(e.predicted_humans.humans):
+            best = max(modes, key=lambda m: m.prob)
+            pred_xy = rollout_positions(joint.humans[i], best.traj, scene.dt)
+            true_xy = scene.states.block[e.t + 1:e.t + 1 + len(best.traj), 1 + i, :2]
+            L = min(len(pred_xy), len(true_xy), len(seg))
+            if L >= 1:
+                a, f = ade_fde(pred_xy[:L], true_xy[:L])
+                ades.append(a)
+                fdes.append(f)
+    return (float(np.mean(ades)), float(np.mean(fdes))) if ades else (0.0, 0.0)
+
+
+def test_ade_batch_equals_one_rollout_per_pair(scenes, table_scenes):
+    """One rollout batch per distinct mode length gives the floats of one
+    scalar rollout per (replan, human) pair, before and after decode, with
+    modes of two lengths in one scene too."""
+    mixed = scene_from_dict(*scene_to_dict(table_scenes[2]))
+    for e in mixed.replan_log[::2]:
+        for h in e.predicted_humans.humans:
+            for m in h:
+                object.__setattr__(m, "traj", ActionTraj(m.traj.actions[:-7],
+                                                         start_t=m.traj.start_t))
+    assert len({len(m.traj) for e in mixed.replan_log
+                for h in e.predicted_humans.humans for m in h}) == 2
+    nonzero = 0
+    for scene in [*scenes, *table_scenes, mixed]:
+        for s in (scene, scene_from_dict(*scene_to_dict(scene))):
+            got = scene_prediction_errors(s)
+            assert [v.hex() for v in got] == \
+                [v.hex() for v in _reference_prediction_errors(s)]
+        nonzero += got[0] > 0.0
+    assert nonzero >= 3
+
+
+def _reference_quantile(values, weights, q):
+    """weighted_quantile's per-window arithmetic: searchsorted on the
+    normalized cumulative weight of the stably sorted values."""
+    v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    order = np.argsort(v, kind="stable")
+    cum = np.cumsum(w[order]) / w.sum()
+    return float(v[order[min(int(np.searchsorted(cum, q, side="left")), v.size - 1)]])
+
+
+def test_row_quantiles_equal_weighted_quantile_per_window():
+    """Ties, zero weights and q at the exact cumulative steps: each row of
+    weighted_quantiles is weighted_quantile of that row alone, and both
+    equal the per-window searchsorted arithmetic."""
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        W, n = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+        values = rng.integers(-2, 3, (W, n)).astype(float) * 0.5
+        if rng.random() < 0.5:
+            values += rng.normal(0.0, 1.0, (W, n))
+        weights = rng.choice([0.0, 0.25, 1.0, 1.0 / 3.0, 2.0], (W, n))
+        weights[:, int(rng.integers(n))] += 1.0
+        for q in (0.0, 1.0, 0.2, float(rng.uniform()), 1.0 / n, 0.5):
+            rows = weighted_quantiles(values, weights, q)
+            assert rows.shape == (W,)
+            assert [v.hex() for v in rows.tolist()] == \
+                [weighted_quantile(v, w, q).hex() for v, w in zip(values, weights)]
+            assert [v.hex() for v in rows.tolist()] == \
+                [_reference_quantile(v, w, q).hex() for v, w in zip(values, weights)]
+
+
+def _reference_threshold(scene, p):
+    """trfd_flag's threshold with one weighted_quantile call per window."""
+    from regret_miner.baselines import TRFD_SLACK, _executed_windows
+
+    qs = [weighted_quantile([r for r, _ in e.predicted_reward_samples],
+                            [w for _, w in e.predicted_reward_samples], p / 100.0)
+          for e, _ in _executed_windows(scene)]
+    return float(np.mean(qs)) - TRFD_SLACK
+
+
+def test_trfd_row_quantiles_equal_one_quantile_per_window(table_scenes):
+    """On 2-mode scenes (4 samples per window where 2 humans move), and with
+    every other window cut to fewer samples, the flag equals the
+    per-window reference at offsets that put the threshold a few ulps either
+    side of the realized reward."""
+    cut = replace(table_scenes[1], replan_log=[
+        replace(e, predicted_reward_samples=e.predicted_reward_samples[:3 - k % 2 * 2])
+        for k, e in enumerate(table_scenes[1].replan_log)])
+    assert any(len(e.predicted_reward_samples) == 4
+               for s in table_scenes for e in s.replan_log)
+    flags = set()
+    for scene in [*table_scenes, cut]:
+        realized = realized_scene_reward(scene)
+        for p in (10.0, 50.0, 90.0):
+            edge = realized - _reference_threshold(scene, p)
+            for off in (0.0, edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf),
+                        edge + 1e-12, edge - 1e-12):
+                doctored = with_inflated_predictions(scene, float(off))
+                flag = trfd_flag(doctored, p)
+                assert flag == (realized < _reference_threshold(doctored, p))
+                flags.add(flag)
+    assert flags == {True, False}
+
+
+@pytest.mark.parametrize("values, weights", [
+    ([1.0, 2.0], [float("nan"), 1.0]),
+    ([float("nan"), 2.0], [1.0, 1.0]),
+    ([1.0, 2.0], [float("inf"), 1.0]),
+    ([float("inf"), 2.0], [1.0, 1.0]),
+], ids=["nan-weight", "nan-value", "inf-weight", "inf-value"])
+def test_quantiles_reject_non_finite_inputs(values, weights, scenes):
+    with pytest.raises(ValueError, match="values and weights must be finite"):
+        weighted_quantile(values, weights, 0.5)
+    with pytest.raises(ValueError, match="values and weights must be finite"):
+        weighted_quantiles([values, [0.0, 1.0]], [weights, [1.0, 1.0]], 0.5)
+    # A scene with one such logged reward sample fails TRFD, the row path.
+    scene = scenes[0]
+    e = scene.replan_log[0]
+    bad = [(values[0], weights[0])] + list(e.predicted_reward_samples[1:])
+    doctored = replace(scene, replan_log=[replace(e, predicted_reward_samples=bad),
+                                          *scene.replan_log[1:]])
+    with pytest.raises(ValueError, match="values and weights must be finite"):
+        trfd_flag(doctored, 20.0)
 
 
 def test_weighted_quantile_validation():

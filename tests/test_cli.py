@@ -418,6 +418,57 @@ def test_compare_fails_on_a_flipped_sidecar_byte(cli_and_full_runs, tmp_path, ca
     capsys.readouterr()
 
 
+def _edit_scene_line(run, n, edit):
+    """Apply edit to the dict of line n (1-based) of the run's scenes.jsonl;
+    return the line's scenario id."""
+    path = run / "scenes.jsonl"
+    lines = path.read_text().splitlines()
+    d = json.loads(lines[n - 1])
+    edit(d)
+    lines[n - 1] = json.dumps(d)
+    path.write_text("\n".join(lines) + "\n")
+    return d["scenario_id"]
+
+
+def test_score_and_compare_reject_nan_probabilities_and_weights(cli_and_full_runs, tmp_path,
+                                                                capsys):
+    # A NaN mode probability fails decode, so score names the line and the
+    # scene; a NaN reward-sample weight decodes and scores, and TRFD refuses
+    # it in compare, naming the scene. Restored, both stages pass again.
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    r, path = str(run), run / "scenes.jsonl"
+    original = path.read_bytes()
+
+    def set_prob(d):
+        d["replan_log"][0]["predicted_humans"]["prob"][0][0] = float("nan")
+
+    def set_weight(d):
+        d["replan_log"][0]["predicted_reward_samples"][0][1] = float("nan")
+
+    sid = _edit_scene_line(run, 2, set_prob)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--in", r])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith("human 0 mode ")
+    assert err["message"].endswith(f"\n{path}: line 2, scenario {sid!r}")
+    path.write_bytes(original)
+    _edit_scene_line(run, 2, set_weight)
+    assert main(["score", "--in", r]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--in", r])
+    assert exc.value.code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "ValueError", "message": f"values and weights must be finite\nscenario {sid!r}"}
+    path.write_bytes(original)
+    for argv in (["score", "--in", r], ["compare", "--in", r]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
 def test_finetune_decodes_only_the_pools_it_fits(cli_and_full_runs, tmp_path,
                                                  monkeypatch, capsys):
     run = _copy_run(cli_and_full_runs[0], tmp_path / "run")

@@ -27,6 +27,8 @@ from regret_miner.predictor import (
     MODES,
     N_MODES,
     SPEED_EDGES,
+    ModePrediction,
+    PredictionSet,
     PredictorParams,
     TablePredictor,
     _bucket_of,
@@ -64,6 +66,26 @@ def _states(robot_xs, human_speeds, human_x0=6.0, human_y=0.0, robot_speed=0.0):
         out.append(JointState(robot, (human,), t))
         hx += hv * 0.1
     return out
+
+
+@pytest.mark.parametrize("probs, bad", [
+    ([float("nan")], 0),
+    ([0.5, float("nan")], 1),
+    ([1.5, -0.5], 1),
+    ([float("inf"), float("-inf")], 0),
+])
+def test_prediction_set_rejects_invalid_mode_probabilities(probs, bad):
+    """NaN compares False with everything, so the sum-to-one check alone let
+    these through; each mode's probability must be finite and >= 0, and the
+    error names the human and the mode."""
+    traj = ActionTraj(np.zeros((3, 2)))
+    valid = (ModePrediction("go", 1.0, traj),)
+    modes = tuple(ModePrediction(f"m{k}", p, traj) for k, p in enumerate(probs))
+    with pytest.raises(ValueError, match=rf"^human 1 mode 'm{bad}': probability "
+                                         r".* is not a finite non-negative number"):
+        PredictionSet((valid, modes))
+    assert PredictionSet((valid, (ModePrediction("a", 0.0, traj),
+                                  ModePrediction("b", 1.0, traj))))
 
 
 def test_label_segment_rules():

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regret_miner.core import ROBOT_RADIUS, ActionTraj, DrivingCorridor
+from regret_miner.core import (
+    ROBOT_RADIUS,
+    ActionTraj,
+    AgentState,
+    DrivingCorridor,
+    JointState,
+    NavWorld,
+)
 from regret_miner.genplan import N_CUE_BUCKETS, Codebook
-from regret_miner.planner import PlannerHandle, RewardWeights
+from regret_miner.planner import PlannerHandle, RewardWeights, reward
 from regret_miner.regret import (
     LuceShepard,
     _realized_human_segment,
@@ -15,6 +22,7 @@ from regret_miner.regret import (
     canonical_from_rewards,
     generalized_from_likelihoods,
     generalized_from_rewards,
+    hindsight_rewards,
     luce_shepard_likelihoods,
     mine_top_quantile,
     mined_to_doc,
@@ -281,6 +289,65 @@ def test_score_scene_mixed_length_candidates_match_reference(family_scenes):
                         for k, c in enumerate(entry.candidates)]
     rep = score_scene(LuceShepard(), scene)
     assert (rep.per_t, rep.canonical_per_t) == _reference_report(RewardWeights(), scene)
+
+
+@st.composite
+def _hindsight_call(draw):
+    """(ctx, radii, dt, windows) of one hindsight_rewards call: windows of
+    one scene's human count (0, 1 or 2) over a few shared shapes, some with
+    candidates of mixed lengths, some with realized humans cut short at the
+    scene end or gone once the logs end."""
+    ctx = draw(st.sampled_from([DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7,
+                                                length=400.0), NavWorld()]))
+    n_humans = draw(st.integers(0, 2))
+    radii = draw(st.lists(st.floats(0.2, 2.5), min_size=n_humans, max_size=n_humans))
+    T = draw(st.integers(2, 8))
+    K = draw(st.integers(1, 4))
+    coord, heading = st.floats(-15.0, 15.0), st.floats(-3.1, 3.1)
+
+    def state():
+        return AgentState(draw(coord), draw(coord), draw(heading), draw(st.floats(0.0, 9.0)))
+
+    def actions(n):
+        flat = draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * n, max_size=2 * n))
+        acts = np.array(flat).reshape(n, 2)
+        acts[:, 1] /= 6.0
+        return acts
+
+    windows = []
+    for _ in range(draw(st.integers(1, 6))):
+        joint = JointState(state(), tuple(state() for _ in range(n_humans)), 0)
+        mixed = draw(st.booleans())
+        robot = [actions(T - (draw(st.sampled_from([0, 1])) if mixed else 0))
+                 for _ in range(K)]
+        Th = draw(st.sampled_from([T, T, T - 1, 1, 0]))
+        windows.append((joint, robot, [actions(Th) for _ in range(n_humans)] if Th else []))
+    return ctx, radii, draw(st.sampled_from([0.05, 0.1, 0.2])), windows
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(call=_hindsight_call())
+def test_windowed_hindsight_rewards_equal_one_call_per_window(call):
+    """Pricing all windows of a call together, one terms pass per shape,
+    gives every window the floats it gets alone, and every sequence the
+    float it gets as a window of its own and the reference reward()."""
+    ctx, radii, dt, windows = call
+    weights, handle = RewardWeights(), PlannerHandle(dt=dt)
+    got = hindsight_rewards(weights, windows, ctx, radii, dt)
+    assert len(got) == len(windows)
+    for (joint, robot, humans), r in zip(windows, got):
+        alone = hindsight_rewards(weights, [(joint, robot, humans)], ctx, radii, dt)[0]
+        assert _hex(r) == _hex(alone)
+        one_by_one = [hindsight_rewards(weights, [(joint, [a], humans)], ctx, radii, dt)[0][0]
+                      for a in robot]
+        assert _hex(r) == _hex(one_by_one)
+        ref = [reward(handle, ActionTraj(a), [ActionTraj(h) for h in humans], joint, ctx, radii)
+               for a in robot]
+        assert _hex(r) == _hex(ref)
 
 
 def test_score_scene_likelihoods_are_luce_shepard_likelihoods(family_scenes):

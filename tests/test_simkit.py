@@ -831,12 +831,17 @@ def test_scene_records_its_dt_and_decode_keeps_it(two_human_scene):
     (lambda d: d["bin"].update(n=-8), "^bin: .* is not a span record"),
     (lambda d: d["bin"].pop("sha256"), "^bin: .* is not a span record"),
     (lambda d: d["bin"].update(sha256=None), "^bin: .* is not a span record"),
+    (lambda d: d["replan_log"][1]["predicted_humans"]["prob"][1].__setitem__(0, float("nan")),
+     r"^human 1 mode '\w+': probability nan is not a finite non-negative number"),
+    (lambda d: d["replan_log"][0]["predicted_humans"]["prob"][0].__setitem__(0, -0.5),
+     r"^human 0 mode '\w+': probability -0\.5 is not a finite non-negative number"),
 ])
 def test_scene_decode_names_a_missing_or_malformed_dt_or_bin(two_human_scene, tmp_path,
                                                                edit, message):
-    """dt and the "bin" span record come from outside the program: a line
-    that lacks them or holds the wrong types is a ValueError naming the
-    field, which scenes_from_jsonl notes with the line and the scene."""
+    """dt, the "bin" span record and the mode probabilities come from outside
+    the program: a line that lacks them or holds the wrong types or values is
+    a ValueError naming the field, which scenes_from_jsonl notes with the
+    line and the scene."""
     path = tmp_path / "scenes.jsonl"
     scenes_to_jsonl(path, [two_human_scene])
     d = json.loads(path.read_text())
