@@ -20,6 +20,9 @@ the same stages in order. A missing input names the stage to run first:
 A stage uses its --config file if given, else the config `simulate`
 recorded in the run's manifest.json, else the defaults. Failures exit
 nonzero after printing a one-line error JSON to stderr.
+
+The nav commands import `genplan`, and with it scipy, when they run, so the
+driving commands start without them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import genplan, harness
+from . import harness
 from .core import RngStream
 
 _RUN_CONFIG_HELP = "config YAML (default: the one recorded in manifest.json)"
@@ -82,6 +85,7 @@ def cmd_score(args) -> int:
 
 
 def _score_generative(run: Path) -> int:
+    from . import genplan
     cb = genplan.codebook_from_json(
         harness.need(run, "codebook.json", "navgen").read_text())
     samples = genplan.nav_samples_from_json(
@@ -164,6 +168,7 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_navgen(args) -> int:
+    from . import genplan
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stats: dict = {}
@@ -179,6 +184,7 @@ def cmd_navgen(args) -> int:
 
 
 def cmd_navregret(args) -> int:
+    from . import genplan
     run = Path(args.in_dir)
     cb = genplan.codebook_from_json(
         harness.need(run, "codebook.json", "navgen").read_text())
@@ -193,6 +199,7 @@ def cmd_navregret(args) -> int:
 
 
 def cmd_perception_case(args) -> int:
+    from . import genplan
     out = Path(args.out)
     sensor = genplan.SensorModel(detect_true_positive=args.tp,
                                  detect_false_positive=args.fp)
@@ -291,7 +298,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, TypeError, RuntimeError, FileNotFoundError, KeyError,
-            OSError, genplan.OutOfSupportError) as exc:
+            OSError) as exc:
         # A note, such as the line and scene of a bad scenes.jsonl line,
         # follows the message on a line of its own, as in a traceback.
         _fail(type(exc).__name__, "\n".join([str(exc), *getattr(exc, "__notes__", ())]))

@@ -144,6 +144,13 @@ class JointStates(Sequence):
                     [js for p in parts for js in p._frames])
         return out
 
+    def prefix(self, n: int) -> "JointStates":
+        """The first n frames, with the frames built so far; frames built in
+        the prefix later are not shared back."""
+        out = type(self).__new__(type(self))
+        out._freeze(self.block[:n], self.ts[:n], self._frames[:n])
+        return out
+
     @staticmethod
     def _check(arr: np.ndarray, ts: Sequence[int]) -> None:
         if (arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != 4

@@ -2,9 +2,11 @@
 
 One human engine, step_humans, steps the humans under one or more robot
 lanes. The closed loop is its one-lane case, and the oracle predictor steps
-all candidates of a replan as one lane each. A human's policy sees the robot
-only through robot_views, so lanes that give every human the same view share
-one human step, and the oracle steps each distinct human future once.
+all candidates of a replan as one lane each; under the oracle, the closed
+loop takes the executed candidate's lane from that call instead of stepping
+it again. A human's policy sees the robot only through robot_views, so
+lanes that give every human the same view share one human step, and the
+oracle steps each distinct human future once.
 
 Human randomness is drawn from streams derived per (human, absolute step), so
 every lane sees the draws of the closed loop itself. Policy state that must
@@ -38,7 +40,6 @@ from .core import (
     JointStates,
     NavWorld,
     RngStream,
-    footprint_overlap,
     rollout_positions_from_speeds,
     rollout_speeds,
     unicycle_step_floats,
@@ -74,6 +75,9 @@ class HumanProfile:
             raise ValueError(f"unknown human mode {self.mode!r}")
         if self.mode == "stranded":
             object.__setattr__(self, "never_moves", True)
+        for name in ("target_speed", "reaction_radius", "radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)!r} is not finite")
         if self.target_speed < 0 or self.reaction_radius <= 0 or self.radius <= 0:
             raise ValueError("profile parameters out of range")
 
@@ -308,7 +312,8 @@ class _LazyStream:
 
 def step_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
                 robots: Sequence[Sequence[tuple]], rng_root: RngStream,
-                dt: float = DT_DEFAULT) -> list[tuple[list[int], list[dict], np.ndarray, list]]:
+                dt: float = DT_DEFAULT, memories_at: Optional[int] = None
+                ) -> list[tuple[list[int], list[dict], np.ndarray, list]]:
     """Advance all humans from joint and memories for T steps under each of
     L = len(robots) robot lanes: robots[l] lists lane l's robot at steps
     0..T-1, each as robot_views reads it (x, y, any, speed).
@@ -324,6 +329,9 @@ def step_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
     of first lane: actions is the (M, T, 2) array of the humans' actions,
     and states[k] lists each human's float state after step k as
     unicycle_step_floats returns it: (x, y, heading, speed, heading_once).
+    memories are the group's dicts after the last step or, with memories_at
+    given (1 <= memories_at <= T), copies of its dicts after step
+    memories_at, shared by the groups that split from one group later.
     """
     profiles = [p for _, p in spec.humans]
     radii = [p.radius for p in profiles]
@@ -332,14 +340,15 @@ def step_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
     by_step = list(zip(*robots))
     T = len(by_step)
     humans = list(enumerate(profiles))
-    # (lanes, memories, human states, actions per step, states per step)
+    # (lanes, memories, human states, actions per step, states per step,
+    # memories kept after step memories_at)
     groups = [(list(range(len(robots))), memories,
-               [(s.x, s.y, s.heading, s.speed) for s in joint.humans], [], [])]
+               [(s.x, s.y, s.heading, s.speed) for s in joint.humans], [], [], None)]
     for k in range(T):
         t = joint.t + k
         robots_k = by_step[k]
         stepped = []
-        for lanes, mems, cur, acts_k, states_k in groups:
+        for lanes, mems, cur, acts_k, states_k, kept in groups:
             # The policy sees the robot only through its view: states[0] is None.
             states = [None, *cur]
             rows = robots_k if len(lanes) == len(robots_k) else [robots_k[lane] for lane in lanes]
@@ -365,11 +374,13 @@ def step_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
                     nxt.append(unicycle_step_floats(h[0], h[1], h[2], h[3], a, w, dt))
                 part_acts.append(acts)
                 part_states.append(nxt)
-                stepped.append((part, part_mems, nxt, part_acts, part_states))
+                stepped.append((part, part_mems, nxt, part_acts, part_states, kept))
+        if k + 1 == memories_at:
+            stepped = [(*g[:5], [dict(m) for m in g[1]]) for g in stepped]
         groups = stepped
-    return [(lanes, mems, np.array(acts_k, dtype=float).reshape(T, M, 2).transpose(1, 0, 2),
-             states_k)
-            for lanes, mems, _, acts_k, states_k in groups]
+    return [(lanes, mems if memories_at is None else kept,
+             np.array(acts_k, dtype=float).reshape(T, M, 2).transpose(1, 0, 2), states_k)
+            for lanes, mems, _, acts_k, states_k, kept in groups]
 
 
 def simulate_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
@@ -384,21 +395,35 @@ def simulate_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
     robot first, as unicycle_step_floats returns it:
     (x, y, heading, speed, heading_once).
     """
-    r = joint.robot
-    robot = [(r.x, r.y, r.heading, r.speed)]
-    for a, w in ego_actions.tolist():
-        p = robot[-1]
-        robot.append(unicycle_step_floats(p[0], p[1], p[2], p[3], a, w, dt))
+    robot = _robot_steps(joint.robot, ego_actions, dt)
     [(_, _, actions, states)] = step_humans(spec, joint, memories, [robot[:-1]], rng_root, dt)
     return actions, [[rs, *hs] for rs, hs in zip(robot[1:], states)]
 
 
+def _robot_steps(r: AgentState, ego_actions: np.ndarray, dt: float) -> list[tuple]:
+    """The robot's (x, y, heading, speed) before the first action, then its
+    float state after each action as unicycle_step_floats returns it."""
+    robot = [(r.x, r.y, r.heading, r.speed)]
+    for a, w in ego_actions.tolist():
+        p = robot[-1]
+        robot.append(unicycle_step_floats(p[0], p[1], p[2], p[3], a, w, dt))
+    return robot
+
+
 @dataclass
 class _SceneBinding:
+    """The scene an oracle steps: its spec, human streams, the engine's
+    memories and dt. In the closed loop, replan_every is the loop's, and
+    stepped is the oracle's last call, from which the loop takes the
+    executed segment: (t, lane count, steps the loop executes of the plan,
+    step_humans groups with their memories after those steps)."""
+
     spec: ScenarioSpec
     rng_root: RngStream
     memories: list[dict]
     dt: float
+    replan_every: Optional[int] = None
+    stepped: Optional[tuple] = None
 
 
 class OraclePredictor:
@@ -410,7 +435,9 @@ class OraclePredictor:
 
     plan() calls predict_candidates(joint, history, ego_xys, speeds, ctx,
     n_modes_out, dt) with each candidate's rollout and speeds, so the oracle
-    steps no robot itself; predict() is its one-candidate case."""
+    steps no robot itself; predict() is its one-candidate case. Each call
+    leaves its groups in the binding's stepped, so the closed loop takes the
+    executed candidate's human steps instead of stepping them again."""
 
     def __init__(self):
         self._binding: Optional[_SceneBinding] = None
@@ -449,8 +476,11 @@ class OraclePredictor:
         start = (r.x, r.y, r.heading, r.speed)
         lanes = [[start] + [(x, y, None, v) for (x, y), v in zip(xys[:-1], vs)]
                  for xys, vs in zip(ego_xys.tolist(), speeds.tolist())]
+        n_exec = (min(b.replan_every, b.spec.horizon - joint.t, ego_xys.shape[1])
+                  if b.replan_every else 0)
         groups = step_humans(b.spec, joint, [dict(m) for m in b.memories], lanes,
-                             b.rng_root, b.dt)
+                             b.rng_root, b.dt, n_exec if n_exec > 0 else None)
+        b.stepped = (joint.t, len(lanes), n_exec, groups) if n_exec > 0 else None
         out: list[Optional[PredictionSet]] = [None] * len(lanes)
         sets: dict[bytes, PredictionSet] = {}
         for lane_ids, _, actions, _ in groups:
@@ -468,9 +498,31 @@ class OraclePredictor:
 # Closed-loop engine
 # ---------------------------------------------------------------------------
 
+def _frame_cost(robot: Sequence[float], humans: Sequence[Sequence[float]],
+                radii: Sequence[float], dt: float, w: float) -> float:
+    """A frame's collision cost from float states, each starting (x, y):
+    footprint_overlap(robot, human, ROBOT_RADIUS, r) * dt * w per human,
+    summed in human order from 0.0."""
+    cost = 0.0
+    for h, r in zip(humans, radii):
+        d = math.hypot(robot[0] - h[0], robot[1] - h[1])
+        cost += max(0.0, ROBOT_RADIUS + r - d) * dt * w
+    return cost
+
+
 def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor,
                     replan_every: int = 10) -> SceneRecord:
-    """Deploy the planner in the scene, replanning every replan_every steps."""
+    """Deploy the planner in the scene, replanning every replan_every steps.
+
+    When the predictor is an oracle bound to the scene whose call of this
+    replan stepped every candidate, the executed segment's human actions,
+    states and memories are its executed lane's: its robot lane is the
+    planner's rollout, equal bit for bit to the loop's unicycle_step_floats,
+    and draws are keyed by (human, t). Any other segment is stepped by
+    simulate_humans. Frame costs are priced from the step floats as
+    footprint_overlap prices them, and plan() gets history as the
+    JointStates of every frame before t, so only the frames it reads are
+    built."""
     if replan_every < 1:
         raise ValueError("replan_every must be >= 1")
     if spec.horizon % replan_every != 0:
@@ -481,13 +533,12 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
     radii = [p.radius for p in profiles]
     rng_root = RngStream(spec.seed)
     memories: list[dict] = [dict() for _ in profiles]
-
+    binding = _SceneBinding(spec, rng_root, memories, dt, replan_every)
     if hasattr(predictor, "bind_scene"):
-        predictor.bind_scene(_SceneBinding(spec, rng_root, memories, dt))
+        predictor.bind_scene(binding)
 
     joint0 = JointState(spec.robot_init, tuple(s for s, _ in spec.humans), 0)
     parts = [JointStates.of([joint0])]
-    frames = [joint0]
     executed: list[ActionTraj] = []
     replan_log: list[ReplanEntry] = []
     M = len(profiles)
@@ -499,8 +550,8 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
     aborted = False
     abort_reason = ""
     while t < spec.horizon:
-        joint = frames[-1]
-        history = frames[:t]
+        states = JointStates.concat(parts)
+        joint, history = states[t], states.prefix(t)
         plan_rng = rng_root.derive(_STREAM_PLANNER, t)
         try:
             chosen, entry = plan(planner_handle, predictor, joint, history, ctx,
@@ -513,20 +564,22 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
         n_exec = min(replan_every, spec.horizon - t, len(chosen))
         seg_actions = chosen.actions[:n_exec]
         executed.append(ActionTraj(seg_actions, start_t=t))
-        h_acts, step_states = simulate_humans(spec, joint, memories,
-                                              seg_actions, rng_root, dt)
+        stepped = binding.stepped
+        if stepped is not None and stepped[:3] == (t, len(entry.candidates), n_exec):
+            _, mems, h_acts, h_states = next(g for g in stepped[3]
+                                             if entry.executed_index in g[0])
+            memories[:] = mems
+            h_acts = h_acts[:, :n_exec]
+            robot = _robot_steps(joint.robot, seg_actions, dt)
+            step_states = [[rs, *hs] for rs, hs in zip(robot[1:], h_states)]
+        else:
+            h_acts, step_states = simulate_humans(spec, joint, memories,
+                                                  seg_actions, rng_root, dt)
         human_actions_acc[:, t:t + n_exec, :] = h_acts
         # (x, y, heading_once, speed): the states AgentState(x, y, once, v) builds.
-        seg = JointStates(np.array(step_states)[:, :, [0, 1, 4, 3]],
-                          range(t + 1, t + n_exec + 1))
-        parts.append(seg)
-        for js in seg:
-            frames.append(js)
-            cost = sum(
-                footprint_overlap(js.robot, h, ROBOT_RADIUS, radii[i]) * dt * w_col_mag
-                for i, h in enumerate(js.humans)
-            )
-            frame_costs.append(cost)
+        parts.append(JointStates(np.array(step_states)[:, :, [0, 1, 4, 3]],
+                                 range(t + 1, t + n_exec + 1)))
+        frame_costs += [_frame_cost(rs, hs, radii, dt, w_col_mag) for rs, *hs in step_states]
         t += n_exec
 
     human_trajs = [ActionTraj(human_actions_acc[i, :t], start_t=0) for i in range(M)] if (M and t) else []
@@ -856,7 +909,8 @@ def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
     offset); any other schema is a ValueError, and so are a dt that is not
     a positive finite float, a "bin" record that is not {"at": int >= 0,
     "n": int >= 0, "sha256": str}, a span whose length or SHA-256 is not the
-    line's and a block that runs past the span. Every value passes the
+    line's, a block that runs past the span and a human_radii list that
+    does not hold one finite radius > 0 per human. Every value passes the
     checks of the record types it becomes, at once: AgentState (finite,
     speed >= 0, heading wrapped) and JointState through core.JointStates,
     ActionTraj, ReplanEntry and PredictionSet.
@@ -909,7 +963,14 @@ def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
         abort_reason=d.get("abort_reason", ""),
         dt=dt,
     )
-    rec.human_radii = list(d.get("human_radii", []))
+    if "human_radii" in d:
+        radii, M = d["human_radii"], states.shape[1] - 1
+        if (not isinstance(radii, list) or len(radii) != M
+                or not all(type(r) in (int, float) and math.isfinite(r) and r > 0
+                           for r in radii)):
+            raise ValueError(f"human_radii: {radii!r} is not one finite radius > 0 "
+                             f"for each of the scene's {M} humans")
+        rec.human_radii = list(radii)
     return rec
 
 

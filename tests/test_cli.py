@@ -621,6 +621,15 @@ def _fresh_cli(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_the_cli_starts_without_scipy_or_genplan():
+    """Only the nav commands import genplan, and with it scipy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(regret_miner.__file__).parents[1]))
+    code = ("import sys, regret_miner.cli as cli; cli.build_parser(); "
+            "print(sorted(m for m in ('scipy', 'regret_miner.genplan') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def _in_process_cli(argv, capsys):
     try:
         code = main(argv)

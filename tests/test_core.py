@@ -533,6 +533,18 @@ def test_joint_states_check_every_frame_when_built(frame, agent, field, value, t
     assert str(err.value) == str(one_err.value)
 
 
+def test_joint_states_prefix_is_the_first_frames():
+    block = np.arange(4 * 2 * 4, dtype=float).reshape(4, 2, 4)
+    states = JointStates(block, [0, 1, 2, 3])
+    built = states[1]
+    for n in range(5):
+        head = states.prefix(n)
+        assert isinstance(head, JointStates) and len(head) == n
+        assert head == JointStates(block[:n], [0, 1, 2, 3][:n]) and list(head) == states[:n]
+        assert not head.block.flags.writeable
+    assert states.prefix(2)[1] is built
+
+
 def test_joint_states_is_a_sequence_of_its_frames():
     block = np.arange(4 * 2 * 4, dtype=float).reshape(4, 2, 4)
     ts = [0, 1, 2, 3]

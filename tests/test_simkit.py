@@ -22,6 +22,7 @@ from regret_miner.core import (
     JointStates,
     NavWorld,
     RngStream,
+    footprint_overlap,
     wrap_angle,
 )
 from regret_miner.planner import PlannerHandle, ReplanEntry, plan
@@ -1087,7 +1088,8 @@ def _quarters(lo, hi):
 
 @st.composite
 def _engine_cases(draw):
-    """(spec, per-human initial memories, lanes as row specs, start t)."""
+    """(spec, per-human initial memories, lanes as row specs, start t,
+    memories_at: None or a step 1..T)."""
     humans, memories = [], []
     for _ in range(draw(st.integers(1, 3))):
         mode = draw(st.sampled_from(HUMAN_MODES + ("intersection_cross", "yield_if_close")))
@@ -1131,13 +1133,13 @@ def _engine_cases(draw):
         cut = draw(st.integers(0, T)) if n else 0
         base = lanes[draw(st.integers(0, n - 1))][:cut] if cut else []
         lanes.append(base + [row() for _ in range(T - cut)])
-    return spec, memories, lanes, draw(st.integers(0, 50))
+    return spec, memories, lanes, draw(st.integers(0, 50)), draw(st.none() | st.integers(1, T))
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_engine_cases())
 def test_grouped_engine_equals_each_lane_alone(case):
-    spec, memories, lane_specs, t0 = case
+    spec, memories, lane_specs, t0, memories_at = case
     root = RngStream(spec.seed)
     joint = JointState(spec.robot_init, tuple(s for s, _ in spec.humans), t0)
     # Each lane alone on the reference; a tie row is placed against the
@@ -1145,6 +1147,7 @@ def test_grouped_engine_equals_each_lane_alone(case):
     lanes, ref = [], []
     for rows in lane_specs:
         humans, mems, robot_rows, acts, states = list(joint.humans), copy.deepcopy(memories), [], [], []
+        kept = []
         for k, spec_row in enumerate(rows):
             if spec_row[0] == "free":
                 x, y, v = spec_row[1:]
@@ -1155,24 +1158,27 @@ def test_grouped_engine_equals_each_lane_alone(case):
             a, humans = _ref_step(spec, AgentState(x, y, 0.0, v), humans, mems, t0 + k, root)
             acts.append(a)
             states.append(humans)
+            kept.append(copy.deepcopy(mems))
         lanes.append(robot_rows)
-        ref.append((acts, states, mems))
+        ref.append((acts, states, mems, kept))
 
     given_memories = copy.deepcopy(memories)
-    groups = step_humans(spec, joint, given_memories, lanes, root)
+    groups = step_humans(spec, joint, given_memories, lanes, root, memories_at=memories_at)
     assert sorted(lane for g in groups for lane in g[0]) == list(range(len(lanes)))
-    assert groups[0][0][0] == 0 and groups[0][1] is given_memories
+    assert groups[0][0][0] == 0 and (groups[0][1] is given_memories) == (memories_at is None)
     M, T = len(spec.humans), len(lane_specs[0])
     for lane_ids, mems, actions, states in groups:
         assert actions.shape == (M, T, 2)
         for lane in lane_ids:
-            ref_acts, ref_states, ref_mems = ref[lane]
+            ref_acts, ref_states, ref_mems, ref_kept = ref[lane]
             assert [[_hex(*actions[i, k]) for i in range(M)] for k in range(T)] == \
                 [[_hex(*a) for a in step] for step in ref_acts]
             assert [[_hex(*s[:4]) for s in step] for step in states] == \
                 [[_hex(h.x, h.y, h.heading, h.speed) for h in step] for step in ref_states]
-            assert [sorted((k, type(v), v) for k, v in m.items()) for m in mems] == \
-                [sorted((k, type(v), v) for k, v in m.items()) for m in ref_mems]
+            want = ref_mems if memories_at is None else ref_kept[memories_at - 1]
+            assert _memory_items(mems) == _memory_items(want)
+    # The given memories end as lane 0's after the last step.
+    assert _memory_items(given_memories) == _memory_items(ref[0][2])
 
 
 def test_tie_robots_sit_on_the_view_boundaries():
@@ -1247,3 +1253,173 @@ def test_oracle_replan_shares_one_prediction_set_per_distinct_future(family):
         assert entry.candidate_rewards_predicted == ref.candidate_rewards_predicted
         assert entry.executed_index == ref.executed_index
     assert min(n_distinct) < handle.n_candidates and max(n_distinct) > 1
+
+
+# The closed loop under the oracle takes each executed segment from the
+# oracle's own call: the executed lane's human actions, states and memories.
+
+class _NoHandBack:
+    """The oracle bound to a copy of the loop's binding, over the same
+    memories: it predicts as the oracle does, but the loop never sees its
+    calls, so simulate_humans steps every segment."""
+
+    def __init__(self):
+        self.oracle = OraclePredictor()
+
+    def bind_scene(self, binding):
+        self.oracle.bind_scene(dataclasses.replace(binding))
+
+    def predict_candidates(self, *args):
+        return self.oracle.predict_candidates(*args)
+
+
+class _BoundOneByOne(_OneByOne):
+    """_OneByOne bound to the loop's binding: its last call of a replan
+    stepped one candidate, so the loop must not take it."""
+
+    def bind_scene(self, binding):
+        self.oracle.bind_scene(binding)
+
+
+def _memory_items(memories):
+    return [sorted((k, type(v), v) for k, v in m.items()) for m in memories]
+
+
+def _counting_simulate_humans(monkeypatch):
+    calls = []
+    real = simkit.simulate_humans
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].t)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simkit, "simulate_humans", counting)
+    return calls
+
+
+@pytest.mark.parametrize("replan_every", [10, 20, 30, 60])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_oracle_hand_back_writes_the_record_of_simulate_humans(family, replan_every,
+                                                                   monkeypatch):
+    """At replan_every 60 on horizon 60 each segment is the whole 30-step
+    plan. Intersection's walker draws its yield latch, and StoppedTraffic's
+    resume timer runs across segments."""
+    spec = generate_scenario_batch(family, 1, base_seed=4, horizon=60)[0]
+    calls = _counting_simulate_humans(monkeypatch)
+    oracle = OraclePredictor()
+    rec = run_closed_loop(spec, PlannerHandle(), oracle, replan_every)
+    assert calls == []
+    wrapper = _NoHandBack()
+    ref = run_closed_loop(spec, PlannerHandle(), wrapper, replan_every)
+    assert calls == [e.t for e in ref.replan_log]
+    assert _hexed(rec) == _hexed(ref)
+    assert scene_to_dict(rec) == scene_to_dict(ref)
+    memories = oracle._binding.memories
+    assert _memory_items(memories) == _memory_items(wrapper.oracle._binding.memories)
+    if family in ("StoppedTraffic", "Intersection"):
+        assert memories[0]
+
+
+def test_a_one_candidate_oracle_call_is_not_taken(monkeypatch):
+    spec = generate_scenario_batch("Intersection", 1, base_seed=4, horizon=20)[0]
+    calls = _counting_simulate_humans(monkeypatch)
+    rec = run_closed_loop(spec, PlannerHandle(), _BoundOneByOne(OraclePredictor()), 10)
+    assert calls == [0, 10]
+    ref = run_closed_loop(spec, PlannerHandle(), OraclePredictor(), 10)
+    assert _hexed(rec) == _hexed(ref)
+
+
+_FRAME_COORD = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.75)),
+                         st.floats(-100.0, 100.0))
+
+
+@st.composite
+def _frames(draw):
+    """(robot (x, y), humans' (x, y), radii): humans are free, at the robot
+    (with either sign of zero) or touching its disc along an axis."""
+    rx, ry = draw(_FRAME_COORD), draw(_FRAME_COORD)
+    humans, radii = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.sampled_from((CAR_RADIUS, 0.3, 1.8, 0.5)) | st.floats(1e-3, 5.0))
+        kind = draw(st.sampled_from(("free", "same", "touch")))
+        if kind == "free":
+            h = (draw(_FRAME_COORD), draw(_FRAME_COORD))
+        elif kind == "same":
+            h = (draw(st.sampled_from((rx, -rx))), draw(st.sampled_from((ry, -ry))))
+        else:
+            h = draw(st.sampled_from(((rx + ROBOT_RADIUS + r, ry), (rx, ry - ROBOT_RADIUS - r))))
+        humans.append(h)
+        radii.append(r)
+    return (rx, ry), humans, radii
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=_frames(),
+       dt=st.sampled_from((0.05, 0.1, 0.2)) | st.floats(1e-3, 1.0),
+       w=st.sampled_from((0.0, 1.0, 50.0)) | st.floats(0.0, 1e3))
+def test_the_float_frame_cost_is_footprint_overlap(frame, dt, w):
+    robot, humans, radii = frame
+    # Float states as unicycle_step_floats returns them: the rest is not read.
+    cost = simkit._frame_cost((*robot, 0.3, 2.0, 0.3), [(*h, -1.0, 0.0, -1.0) for h in humans],
+                              radii, dt, w)
+    ref = sum(footprint_overlap(AgentState(*robot, 0.0, 0.0), AgentState(*h, 0.0, 0.0),
+                                ROBOT_RADIUS, r) * dt * w
+              for h, r in zip(humans, radii))
+    assert cost.hex() == ref.hex()
+
+
+@pytest.mark.parametrize("family,seed", [("StrandedTruck", 2), ("NavWorld", 0)])
+def test_closed_loop_frame_costs_are_footprint_overlap_of_the_frames(family, seed):
+    spec = generate_scenario_batch(family, 1, base_seed=seed, horizon=60)[0]
+    handle = PlannerHandle()
+    rec = run_closed_loop(spec, handle, TablePredictor(PredictorParams.fresh()), 10)
+    w = abs(handle.weights.w_col)
+    ref = [sum(footprint_overlap(js.robot, h, ROBOT_RADIUS, r) * rec.dt * w
+               for h, r in zip(js.humans, rec.human_radii))
+           for js in rec.states[1:]]
+    assert rec.collision_frames > 0
+    assert [c.hex() for c in rec.per_frame_collision_cost] == [c.hex() for c in ref]
+
+
+def test_a_humanless_scene_logs_float_zero_costs(tmp_path):
+    spec = ScenarioSpec(TWO_LANE, AgentState(0, 0, 0, 8.0), (), horizon=20,
+                        seed=3, scenario_id="empty-road")
+    rec = run_closed_loop(spec, PlannerHandle(horizon=10), OraclePredictor(), 10)
+    assert [c.hex() for c in rec.per_frame_collision_cost] == [(0.0).hex()] * 20
+    path = tmp_path / "scenes.jsonl"
+    scenes_to_jsonl(path, [rec])
+    assert '"per_frame_collision_cost": [' + ", ".join(["0.0"] * 20) + "]" in path.read_text()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["target_speed", "reaction_radius", "radius"])
+def test_human_profile_rejects_non_finite_parameters(field, value):
+    with pytest.raises(ValueError, match=f"^{field}={value!r} is not finite"):
+        HumanProfile("cruise", **{field: value})
+    truck = generate_scenario_batch("StrandedTruck", 1, base_seed=2, horizon=20)[0].humans[0][1]
+    with pytest.raises(ValueError, match=f"^{field}="):
+        dataclasses.replace(truck, **{field: value})
+
+
+@pytest.mark.parametrize("radii", [
+    [float("nan"), 1.0], [1.0, float("inf")], [-1.0, 1.0], [1.0, 0.0], [1.0, -0.0],
+    [float("nan")], [1.0], [1.0, 1.0, 1.0], [], [True, 1.0], ["1.0", 1.0], [None, 1.0],
+    None, 1.0, {"0": 1.0},
+], ids=["nan", "inf", "negative", "zero", "minus-zero", "one-nan", "too-few", "too-many",
+        "empty", "bool", "str", "null-radius", "null", "number", "dict"])
+def test_scene_decode_rejects_human_radii_that_do_not_fit_the_humans(two_human_scene, tmp_path,
+                                                                     radii):
+    """A human_radii list must hold one finite radius > 0 per human: a ValueError
+    naming human_radii, noted with the line and the scene."""
+    path = tmp_path / "scenes.jsonl"
+    scenes_to_jsonl(path, [two_human_scene])
+    d = json.loads(path.read_text())
+    d["human_radii"] = radii
+    path.write_text(json.dumps(d) + "\n")
+    with pytest.raises(ValueError, match="^human_radii: ") as err:
+        scenes_from_jsonl(path)
+    assert err.value.__notes__ == [f"{path}: line 1, scenario "
+                                   f"{two_human_scene.scenario_id!r}"]
+    d["human_radii"] = [2, 0.5]
+    path.write_text(json.dumps(d) + "\n")
+    assert scenes_from_jsonl(path)[0].human_radii == [2, 0.5]
