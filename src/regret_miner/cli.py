@@ -116,23 +116,11 @@ def cmd_compare(args) -> int:
 def cmd_finetune(args) -> int:
     run = Path(args.in_dir)
     config = harness.run_config(run)
-    seeds = _pick_seeds(args.seeds, config)
     arms = _pick_arms(args.arms)
-    fitted = harness.finetune(run, config, arms, seeds)
+    fitted = harness.finetune(run, config, arms)
     print(f"fitted {len(fitted)} predictors ({','.join(arms)} x seeds "
-          f"{','.join(str(s) for s in seeds)}) -> {run / 'predictors'}")
+          f"{','.join(str(s) for s in config.seeds)}) -> {run / 'predictors'}")
     return 0
-
-
-def _pick_seeds(raw: str, config: harness.ExperimentConfig) -> tuple[int, ...]:
-    """The first `raw` of config.seeds; all of them when raw is empty."""
-    if not raw:
-        return config.seeds
-    n = len(config.seeds)
-    if not raw.strip().isdigit() or not 1 <= int(raw) <= n:
-        raise ValueError(f"--seeds must be a count in 1..{n} (the config's "
-                         f"seeds are {list(config.seeds)}), got {raw!r}")
-    return config.seeds[:int(raw)]
 
 
 def _pick_arms(raw: str) -> tuple[str, ...]:
@@ -251,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("finetune", cmd_finetune, help="fit per-arm fine-tuned predictors")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--arms", default="", help="comma list: base,low,random,high,all")
-    p.add_argument("--seeds", default="",
-                   help="fit the first N of the config's seeds (default: all)")
 
     p = add("redeploy", cmd_redeploy, help="re-run holdouts per arm and seed")
     p.add_argument("--in", dest="in_dir", required=True)

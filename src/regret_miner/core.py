@@ -558,11 +558,3 @@ def rollout_positions_batch(x0, y0, h0, v0, actions: np.ndarray,
         raise ValueError("rollout_positions_batch: start states and actions must be finite")
     return rollout_positions_from_speeds(x, y, h, rollout_speeds(v, acts[:, :, 0], dt),
                                          acts[:, :, 1], dt)
-
-
-def footprint_overlap(a: AgentState, b: AgentState, radius_a: float,
-                      radius_b: float) -> float:
-    """Penetration depth of two disc footprints: max(0, ra + rb - dist)."""
-    if radius_a < 0 or radius_b < 0:
-        raise ValueError("radii must be non-negative")
-    return max(0.0, radius_a + radius_b - a.distance_to(b))

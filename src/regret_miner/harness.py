@@ -538,10 +538,13 @@ def finetune_params(arm: str, config: ExperimentConfig,
                lam=config.finetune_lambda, **config.fit_kwargs())
 
 
-def _arm_pools(subsets: Subsets, arms: Sequence[str]) -> frozenset[str]:
-    """The scene ids that fitting arms reads: the union of their pools."""
-    return frozenset().union(*(getattr(subsets, _ARM_POOL[arm])
-                               for arm in arms if arm != "Base"))
+def _fit_arms(config: ExperimentConfig, base_params: PredictorParams,
+              subsets: Subsets, scenes_by_id: dict, arms: Sequence[str]) -> dict:
+    """{(arm, seed): params} for every arm of arms but Base at every seed of
+    config.seeds: the one place the fine-tuned predictors are fitted."""
+    return {(arm, seed): finetune_params(arm, config, base_params, subsets,
+                                         scenes_by_id, seed)
+            for arm in arms if arm != "Base" for seed in config.seeds}
 
 
 def _split_cell(scenes: Sequence, config: ExperimentConfig) -> dict:
@@ -602,20 +605,21 @@ def _deployed_holdouts(ids: Sequence[str], scenes_by_id: dict, specs_by_id: dict
 
 def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
                           specs_by_id: dict, subsets: Subsets,
-                          base_params: PredictorParams,
+                          base_params: Optional[PredictorParams],
                           arms: Sequence[str] = ARMS,
                           fitted: Optional[dict] = None) -> CaseStudyReport:
-    """Refit per (arm, seed), re-run the holdout scenarios closed-loop, and
-    collect metrics.
+    """Re-run the holdout scenarios closed-loop under each arm's fine-tuned
+    predictor per seed, and collect metrics.
 
     scenes_by_id must be the deployment of base_params under config. The
-    Base arm never refits, so its holdout cells are those deployed records,
-    the closed loops a Base redeployment would run again; each is checked to
-    fit config's closed loop (ValueError naming the scene otherwise), and
-    Base's cells are the same for every seed. Pass
-    fitted={(arm, seed): params} to reuse saved predictors; base_params and
-    the pool scenes of scenes_by_id are read only to fit an (arm, seed) that
-    fitted lacks.
+    Base arm is not fine-tuned, so its holdout cells are those deployed
+    records, the closed loops a Base redeployment would run again; each is
+    checked to fit config's closed loop (ValueError naming the scene
+    otherwise), and Base's cells are the same for every seed.
+    fitted={(arm, seed): params} must hold every other arm at every seed of
+    config.seeds (ValueError naming the first missing one). With
+    fitted=None they are fitted from base_params and the pool scenes of
+    scenes_by_id, which are read for nothing else.
     """
     unknown = [arm for arm in arms if arm not in ARMS]
     if unknown:
@@ -627,6 +631,13 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
         missing = [i for i in ids if i not in specs_by_id]
         if missing:
             raise ValueError(f"{split} holdout specs missing: {missing[:3]}")
+    if fitted is None:
+        fitted = _fit_arms(config, base_params, subsets, scenes_by_id, arms)
+    missing = [(arm, seed) for arm in arms if arm != "Base"
+               for seed in config.seeds if (arm, seed) not in fitted]
+    if missing:
+        arm, seed = missing[0]
+        raise ValueError(f"no fitted predictor for arm {arm!r} at seed {seed}")
 
     def run_split(params, ids):
         return _split_cell([simkit.run_closed_loop(specs_by_id[sid], handle,
@@ -645,13 +656,8 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
             continue
         values[arm] = {"high": [], "low": []}
         for seed in config.seeds:
-            if fitted is not None and (arm, seed) in fitted:
-                params = fitted[(arm, seed)]
-            else:
-                params = finetune_params(arm, config, base_params, subsets,
-                                         scenes_by_id, seed)
             for split, ids in split_ids.items():
-                values[arm][split].append(run_split(params, ids))
+                values[arm][split].append(run_split(fitted[(arm, seed)], ids))
     return CaseStudyReport(seeds=config.seeds, values=values)
 
 
@@ -857,14 +863,14 @@ def compare(run, config: ExperimentConfig,
                             Path(run) / "comparison")
 
 
-def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
-             seeds: Optional[Sequence[int]] = None) -> dict:
+def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS) -> dict:
     """Split the scored deployment into holdouts and fine-tuning pools and fit
-    one predictor per (arm, seed), Base excepted, for config.seeds unless
-    seeds is given; writes subsets.json and predictors/<arm>-<seed>.json.
-    The split covers every scene of scenes.jsonl that `score` did not skip,
-    and only the pools of the fitted arms are decoded, and subsets.json
-    records the SHA-256 of the scores.json it was split from. finetune owns
+    one predictor per (arm, seed), Base excepted, for every seed of
+    config.seeds; writes subsets.json and predictors/<arm>-<seed>.json. It
+    is the only stage that fits or writes a predictor. The split covers
+    every scene of scenes.jsonl that `score` did not skip, and only the
+    pools of the fitted arms are decoded, and subsets.json records the
+    SHA-256 of the scores.json it was split from. finetune owns
     predictors/: it deletes every predictor this call did not fit, since one
     fitted on an earlier split would be redeployed on these holdouts.
     Raises StaleRunError when scores.json was not scored from the run's
@@ -884,23 +890,17 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
         subsets = build_subsets([i for i in scene_ids if i not in skipped],
                                 scores, config.p, config.holdout_frac,
                                 RngStream(config.base_seed, _SUBSET_STREAM))
-        return _arm_pools(subsets, arms)
+        return frozenset().union(*(getattr(subsets, _ARM_POOL[arm])
+                                   for arm in arms if arm != "Base"))
 
     scenes_by_id = {s.scenario_id: s
                     for s in simkit.scenes_from_jsonl(scenes_path, pools)}
     (run / "subsets.json").write_text(json.dumps(
         {**subsets.to_dict(), "scores_sha256": _sha256(scores_bytes)}, indent=2))
+    fitted = _fit_arms(config, base_params, subsets, scenes_by_id, arms)
     (run / "predictors").mkdir(exist_ok=True)
-    fitted = {}
-    for arm in arms:
-        if arm == "Base":
-            continue
-        for seed in (config.seeds if seeds is None else seeds):
-            params = finetune_params(arm, config, base_params, subsets,
-                                     scenes_by_id, seed)
-            fitted[(arm, seed)] = params
-            (run / "predictors" / f"{arm}-{seed}.json").write_text(
-                params_to_json(params))
+    for (arm, seed), params in fitted.items():
+        (run / "predictors" / f"{arm}-{seed}.json").write_text(params_to_json(params))
     written = {f"{arm}-{seed}.json" for arm, seed in fitted}
     for fp in (run / "predictors").glob("*-*.json"):
         if fp.name not in written:
@@ -910,12 +910,14 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS,
 
 def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
     """Re-run the holdouts for every arm with a saved predictor, and take
-    Base's holdouts from the deployment; writes case_study.json. Decodes the
-    holdout scenes of scenes.jsonl, and the pool of an arm only when
-    predictors/ lacks one of its (arm, seed) for config.seeds. Raises
-    StaleRunError when scores.json was not scored from the run's current
-    scenes.jsonl, under whichever reward weights, or subsets.json was not
-    split from the run's current scores.json."""
+    Base's holdouts from the deployment; writes case_study.json. Decodes
+    only the holdout scenes of scenes.jsonl and fits nothing. Raises
+    FileNotFoundError naming `finetune` when such an arm has no
+    predictors/<arm>-<seed>.json for a seed of config.seeds, ValueError
+    naming a predictors/*-*.json file not named for a fine-tuned arm and an
+    integer seed, and StaleRunError when scores.json was not scored from
+    the run's current scenes.jsonl, under whichever reward weights, or
+    subsets.json was not split from the run's current scores.json."""
     run = Path(run)
     doc = json.loads(need(run, "subsets.json", "finetune").read_text())
     scores_path = need(run, "scores.json", "score")
@@ -926,17 +928,22 @@ def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
         raise StaleRunError(f"{run / 'subsets.json'} was not split from the current "
                             f"{scores_path} — run `finetune` first")
     subsets = Subsets.from_dict(doc)
-    fitted = {}
+    saved = set()
     for fp in sorted((run / "predictors").glob("*-*.json")):
-        arm, seed = fp.stem.rsplit("-", 1)
-        fitted[(arm, int(seed))] = params_from_json(fp.read_text())
-    arms = ("Base",) + tuple(sorted({a for a, _ in fitted}, key=ARMS.index))
-    unfitted = {arm for arm in arms[1:] for seed in config.seeds
-                if (arm, seed) not in fitted}
-    wanted = subsets.holdout_high | subsets.holdout_low | _arm_pools(subsets, unfitted)
-    scenes = simkit.scenes_from_jsonl(scenes_path, wanted)
+        arm, _, seed = fp.stem.rpartition("-")
+        if arm not in ARMS[1:] or not seed.isdecimal():
+            raise ValueError(f"{fp}: a predictor file is named <arm>-<seed>.json, "
+                             f"with an arm of {', '.join(ARMS[1:])} and an "
+                             "integer seed")
+        saved.add(arm)
+    arms = ("Base",) + tuple(sorted(saved, key=ARMS.index))
+    fitted = {(arm, seed): params_from_json(
+                  need(run, f"predictors/{arm}-{seed}.json", "finetune").read_text())
+              for arm in arms[1:] for seed in config.seeds}
+    scenes = simkit.scenes_from_jsonl(scenes_path,
+                                      subsets.holdout_high | subsets.holdout_low)
     case = finetune_and_redeploy(config, {s.scenario_id: s for s in scenes},
-                                 _specs_by_id(run), subsets, _base_params(run),
+                                 _specs_by_id(run), subsets, None,
                                  arms=arms, fitted=fitted)
     (run / "case_study.json").write_text(json.dumps(case.to_dict(), indent=2))
     return case

@@ -500,9 +500,9 @@ class OraclePredictor:
 
 def _frame_cost(robot: Sequence[float], humans: Sequence[Sequence[float]],
                 radii: Sequence[float], dt: float, w: float) -> float:
-    """A frame's collision cost from float states, each starting (x, y):
-    footprint_overlap(robot, human, ROBOT_RADIUS, r) * dt * w per human,
-    summed in human order from 0.0."""
+    """A frame's collision cost from float states, each starting (x, y): the
+    disc footprints' penetration depth max(0, ROBOT_RADIUS + r - distance)
+    per human, times dt * w, summed in human order from 0.0."""
     cost = 0.0
     for h, r in zip(humans, radii):
         d = math.hypot(robot[0] - h[0], robot[1] - h[1])
@@ -519,8 +519,8 @@ def run_closed_loop(spec: ScenarioSpec, planner_handle: PlannerHandle, predictor
     states and memories are its executed lane's: its robot lane is the
     planner's rollout, equal bit for bit to the loop's unicycle_step_floats,
     and draws are keyed by (human, t). Any other segment is stepped by
-    simulate_humans. Frame costs are priced from the step floats as
-    footprint_overlap prices them, and plan() gets history as the
+    simulate_humans. Frame costs are priced from the step floats by
+    _frame_cost, and plan() gets history as the
     JointStates of every frame before t, so only the frames it reads are
     built."""
     if replan_every < 1:

@@ -5,7 +5,8 @@ plain floats, which core.rollout_positions and every other scalar loop
 call, and core.rollout_speeds followed by core.rollout_positions_from_speeds
 on arrays, which core.rollout_positions_batch chains. These are the per-step
 AgentState kernels both repeat operation by operation; the property tests
-compare every kernel with them bit for bit.
+compare every kernel with them bit for bit. footprint_overlap, the disc
+overlap on AgentState, is the frame-cost tests' reference in the same way.
 """
 
 import math
@@ -65,3 +66,12 @@ def unicycle_rollout(state: AgentState, traj: ActionTraj,
         cur = unicycle_step(cur, float(accel), float(turn), dt)
         out.append(cur)
     return out
+
+
+def footprint_overlap(a: AgentState, b: AgentState, radius_a: float,
+                      radius_b: float) -> float:
+    """Penetration depth of two disc footprints: max(0, ra + rb - dist).
+    simkit._frame_cost prices a frame with this expression on floats."""
+    if radius_a < 0 or radius_b < 0:
+        raise ValueError("radii must be non-negative")
+    return max(0.0, radius_a + radius_b - a.distance_to(b))

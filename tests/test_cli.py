@@ -10,7 +10,7 @@ import pytest
 
 import regret_miner
 from regret_miner import cli, harness, regret, simkit
-from regret_miner.cli import _pick_arms, _pick_seeds, build_parser, main
+from regret_miner.cli import _pick_arms, build_parser, main
 from regret_miner.harness import ARMS, ExperimentConfig
 from regret_miner.predictor import TablePredictor, params_from_json
 from scene1_reference import scene1_dict
@@ -23,7 +23,7 @@ def test_parser_covers_every_subcommand():
         ["score", "--in", "x", "--model", "gen", "--agg", "worst"],
         ["mine", "--in", "x", "--p", "15"],
         ["compare", "--in", "x", "--metrics", "grm,ade"],
-        ["finetune", "--in", "x", "--arms", "base,high", "--seeds", "2"],
+        ["finetune", "--in", "x", "--arms", "base,high"],
         ["redeploy", "--in", "x"],
         ["report", "--in", "x", "--format", "md,csv"],
         ["navgen", "--out", "x", "--n", "50", "--codes", "6", "--seed", "3"],
@@ -82,17 +82,6 @@ def test_pick_arms():
     assert _pick_arms("ALL") == ("AllFT",)
     with pytest.raises(ValueError):
         _pick_arms("base,warp")
-
-
-def test_pick_seeds():
-    config = ExperimentConfig(seeds=(101, 202, 303))
-    assert _pick_seeds("", config) == (101, 202, 303)
-    assert _pick_seeds("2", config) == (101, 202)  # count prefix
-    assert _pick_seeds("3", config) == (101, 202, 303)
-    # Only a count in 1..len(config.seeds); never a literal seed.
-    for raw in ("7", "5,6", "0", "-1", "two", "1.5"):
-        with pytest.raises(ValueError, match=r"1\.\.3"):
-            _pick_seeds(raw, config)
 
 
 def test_navgen_writes_artifacts(tmp_path, capsys):
@@ -359,13 +348,26 @@ def _subsets(run):
     return json.loads((run / "subsets.json").read_text())
 
 
+def _count_fits(monkeypatch):
+    """The (arm, seed) of every harness.finetune_params call, in call order."""
+    fits = []
+    real = harness.finetune_params
+    monkeypatch.setattr(harness, "finetune_params",
+                        lambda arm, *args: fits.append((arm, args[-1]))
+                        or real(arm, *args))
+    return fits
+
+
 def test_redeploy_with_every_predictor_decodes_only_the_holdouts(
         cli_and_full_runs, tmp_path, monkeypatch, capsys):
     cli_run, full_run = cli_and_full_runs
     run = _copy_run(cli_run, tmp_path / "run")
     (run / "case_study.json").unlink()
+    (run / "predictor_base.json").unlink()  # only a fit would read it
     decoded = _count_decodes(monkeypatch)
+    fits = _count_fits(monkeypatch)
     assert main(["redeploy", "--in", str(run)]) == 0
+    assert fits == []
     subsets = _subsets(run)
     assert sorted(decoded) == sorted(subsets["holdout_high"] + subsets["holdout_low"])
     assert (run / "case_study.json").read_bytes() == (full_run / "case_study.json").read_bytes()
@@ -504,28 +506,47 @@ def two_seed_run(tmp_path_factory):
     return run
 
 
-def test_redeploy_with_a_missing_predictor_reads_scenes(two_seed_run, tmp_path,
-                                                        monkeypatch, capsys):
+def test_redeploy_with_a_missing_predictor_names_finetune(two_seed_run, tmp_path,
+                                                          monkeypatch, capsys):
     run = _copy_run(two_seed_run, tmp_path / "run")
-    (run / "predictors" / "HighRegretFT-102.json").unlink()
+    missing = run / "predictors" / "HighRegretFT-102.json"
+    missing.unlink()
     (run / "case_study.json").unlink()
-    reads = []
-    real = simkit.scenes_from_jsonl
-    monkeypatch.setattr(simkit, "scenes_from_jsonl",
-                        lambda path, ids=None: reads.append(Path(path).name)
-                        or real(path, ids))
-    assert main(["redeploy", "--in", str(run)]) == 0
-    assert reads == ["scenes.jsonl"]
-    # The refit predictor is the one finetune saved, so the case study is too.
-    assert (run / "case_study.json").read_bytes() == \
-        (two_seed_run / "case_study.json").read_bytes()
-    # Without the scenes the missing predictor cannot be fitted.
-    (run / "scenes.jsonl").unlink()
+    decoded = _count_decodes(monkeypatch)
+    fits = _count_fits(monkeypatch)
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["redeploy", "--in", str(run)])
     assert exc.value.code == 1
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "FileNotFoundError"
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "FileNotFoundError", "message": f"{missing} not found — run `finetune` first"}
+    assert not (run / "case_study.json").exists()
+    assert (decoded, fits) == ([], [])
+    # finetune fits both seeds again, to the predictors it saved before, and
+    # redeploy then writes the old case study without fitting one.
+    assert main(["finetune", "--in", str(run), "--arms", "high"]) == 0
+    assert fits == [("HighRegretFT", 101), ("HighRegretFT", 102)]
+    assert main(["redeploy", "--in", str(run)]) == 0
+    assert len(fits) == 2
+    assert (run / "case_study.json").read_bytes() == \
+        (two_seed_run / "case_study.json").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["Foo-101.json", "HighRegretFT-x.json"])
+def test_redeploy_names_a_predictor_file_it_cannot_read(name, two_seed_run, tmp_path,
+                                                        capsys):
+    run = _copy_run(two_seed_run, tmp_path / "run")
+    shutil.copy(run / "predictors" / "HighRegretFT-101.json", run / "predictors" / name)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["redeploy", "--in", str(run)])
+    assert exc.value.code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "ValueError",
+        "message": f"{run / 'predictors' / name}: a predictor file is named "
+                   "<arm>-<seed>.json, with an arm of HighRegretFT, LowRegretFT, "
+                   "RandomFT, AllFT and an integer seed"}
 
 
 def _reference_case(config, scenes_by_id, specs_by_id, subsets, base_params, arms,

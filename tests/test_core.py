@@ -14,7 +14,6 @@ from regret_miner.core import (
     JointStates,
     NavWorld,
     RngStream,
-    footprint_overlap,
     rollout_positions,
     rollout_positions_batch,
     rollout_positions_from_speeds,
@@ -23,7 +22,8 @@ from regret_miner.core import (
     wrap_angle,
 )
 from regret_miner.genplan import NAV_DT
-from kinematics_reference import dubins_step, unicycle_rollout, unicycle_step
+from kinematics_reference import (dubins_step, footprint_overlap, unicycle_rollout,
+                                 unicycle_step)
 
 
 def test_wrap_angle_interval():

@@ -353,6 +353,12 @@ def test_finetune_and_redeploy_shape(small_run):
     with pytest.raises(ValueError):
         finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
                               PredictorParams.fresh(), arms=("Sideways",))
+    # Given predictors, nothing is fitted: a missing (arm, seed) is named.
+    fitted = {("HighRegretFT", config.seeds[0]): PredictorParams.fresh()}
+    with pytest.raises(ValueError, match=f"no fitted predictor for arm 'HighRegretFT' "
+                                         f"at seed {config.seeds[1]}"):
+        finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets, None,
+                              arms=("Base", "HighRegretFT"), fitted=fitted)
 
 
 @pytest.fixture(scope="module")

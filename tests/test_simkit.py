@@ -22,7 +22,6 @@ from regret_miner.core import (
     JointStates,
     NavWorld,
     RngStream,
-    footprint_overlap,
     wrap_angle,
 )
 from regret_miner.planner import PlannerHandle, ReplanEntry, plan
@@ -51,7 +50,7 @@ from regret_miner.simkit import (
     simulate_humans,
     step_humans,
 )
-from kinematics_reference import unicycle_step
+from kinematics_reference import footprint_overlap, unicycle_step
 from scene1_reference import scene1_dict, scene1_record
 
 TWO_LANE = DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7, length=400.0)
