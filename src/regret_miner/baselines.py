@@ -137,7 +137,7 @@ def realized_scene_reward(scene, handle: Optional[PlannerHandle] = None) -> floa
     windows = [(scene.states[e.t], [w], realized_human_actions(scene, e.t, len(w)))
                for e, w in _executed_windows(scene)]
     vals = [float(r[0]) for r in hindsight_rewards(handle.weights, windows, scene.context,
-                                                   scene.radii_or_default(), scene.dt)]
+                                                   scene.human_radii, scene.dt)]
     return float(np.mean(vals))
 
 

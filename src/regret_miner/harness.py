@@ -540,8 +540,11 @@ def finetune_params(arm: str, config: ExperimentConfig,
 
 def _fit_arms(config: ExperimentConfig, base_params: PredictorParams,
               subsets: Subsets, scenes_by_id: dict, arms: Sequence[str]) -> dict:
-    """{(arm, seed): params} for every arm of arms but Base at every seed of
-    config.seeds: the one place the fine-tuned predictors are fitted."""
+    """{(arm, seed): params} for every arm of arms, which must be of ARMS,
+    but Base at every seed of config.seeds: the one fitting place."""
+    unknown = [arm for arm in arms if arm not in ARMS]
+    if unknown:
+        raise ValueError(f"unknown arm {unknown[0]!r}; known: {ARMS}")
     return {(arm, seed): finetune_params(arm, config, base_params, subsets,
                                          scenes_by_id, seed)
             for arm in arms if arm != "Base" for seed in config.seeds}
@@ -618,12 +621,9 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
     otherwise), and Base's cells are the same for every seed.
     fitted={(arm, seed): params} must hold every other arm at every seed of
     config.seeds (ValueError naming the first missing one). With
-    fitted=None they are fitted from base_params and the pool scenes of
-    scenes_by_id, which are read for nothing else.
+    fitted=None, _fit_arms fits them from base_params and the pool scenes
+    of scenes_by_id, which are read for nothing else.
     """
-    unknown = [arm for arm in arms if arm not in ARMS]
-    if unknown:
-        raise ValueError(f"unknown arm {unknown[0]!r}; known: {ARMS}")
     handle = config.planner_handle()
     split_ids = {"high": sorted(subsets.holdout_high),
                  "low": sorted(subsets.holdout_low)}
@@ -874,8 +874,8 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS) -> dict:
     predictors/: it deletes every predictor this call did not fit, since one
     fitted on an earlier split would be redeployed on these holdouts.
     Raises StaleRunError when scores.json was not scored from the run's
-    current scenes.jsonl, under whichever reward weights. Returns
-    {(arm, seed): params}."""
+    current scenes.jsonl, under whichever reward weights, and _fit_arms's
+    ValueError before it writes anything. Returns {(arm, seed): params}."""
     run = Path(run)
     scenes_path = _scenes_path(run)
     scores_bytes = need(run, "scores.json", "score").read_bytes()
@@ -891,13 +891,13 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS) -> dict:
                                 scores, config.p, config.holdout_frac,
                                 RngStream(config.base_seed, _SUBSET_STREAM))
         return frozenset().union(*(getattr(subsets, _ARM_POOL[arm])
-                                   for arm in arms if arm != "Base"))
+                                   for arm in arms if arm in _ARM_POOL))
 
     scenes_by_id = {s.scenario_id: s
                     for s in simkit.scenes_from_jsonl(scenes_path, pools)}
+    fitted = _fit_arms(config, base_params, subsets, scenes_by_id, arms)
     (run / "subsets.json").write_text(json.dumps(
         {**subsets.to_dict(), "scores_sha256": _sha256(scores_bytes)}, indent=2))
-    fitted = _fit_arms(config, base_params, subsets, scenes_by_id, arms)
     (run / "predictors").mkdir(exist_ok=True)
     for (arm, seed), params in fitted.items():
         (run / "predictors" / f"{arm}-{seed}.json").write_text(params_to_json(params))
@@ -914,8 +914,8 @@ def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
     only the holdout scenes of scenes.jsonl and fits nothing. Raises
     FileNotFoundError naming `finetune` when such an arm has no
     predictors/<arm>-<seed>.json for a seed of config.seeds, ValueError
-    naming a predictors/*-*.json file not named for a fine-tuned arm and an
-    integer seed, and StaleRunError when scores.json was not scored from
+    naming a predictors/*-*.json file not named for a fine-tuned arm and a
+    seed of config.seeds, and StaleRunError when scores.json was not scored from
     the run's current scenes.jsonl, under whichever reward weights, or
     subsets.json was not split from the run's current scores.json."""
     run = Path(run)
@@ -931,10 +931,10 @@ def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
     saved = set()
     for fp in sorted((run / "predictors").glob("*-*.json")):
         arm, _, seed = fp.stem.rpartition("-")
-        if arm not in ARMS[1:] or not seed.isdecimal():
+        if arm not in ARMS[1:] or not seed.isdecimal() or int(seed) not in config.seeds:
             raise ValueError(f"{fp}: a predictor file is named <arm>-<seed>.json, "
-                             f"with an arm of {', '.join(ARMS[1:])} and an "
-                             "integer seed")
+                             f"with an arm of {', '.join(ARMS[1:])} and a seed "
+                             f"of {', '.join(map(str, config.seeds))}")
         saved.add(arm)
     arms = ("Base",) + tuple(sorted(saved, key=ARMS.index))
     fitted = {(arm, seed): params_from_json(

@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
     ACCEL_LIMIT,
-    CAR_RADIUS,
     DT_DEFAULT,
     ROBOT_RADIUS,
     TURN_LIMIT,
@@ -213,7 +212,7 @@ def _overlap_sum(ego_xy: np.ndarray, h_xy: np.ndarray, r: float):
 
 
 def terms_matrix(ego_xys: np.ndarray, acts: np.ndarray,
-                 human_xys: Sequence[np.ndarray], radii: Optional[Sequence[float]],
+                 human_xys: Sequence[np.ndarray], radii: Sequence[float],
                  start_xy, ctx: Context):
     """(progress, mean sq lane offset, summed overlap, sum sq actions), each a
     (..., B) array, of ego rollouts (..., B, T, 2) with their actions
@@ -222,14 +221,12 @@ def terms_matrix(ego_xys: np.ndarray, acts: np.ndarray,
     The leading axes, if any, index windows: start_xy (..., 2) holds each
     window's robot start position, and each of human_xys is one human's
     (..., Th, 2) rollout in every window. plan() prices its one window with
-    no leading axis. radii defaults to CAR_RADIUS for every human. human_xys
-    pairs with radii as zip does: a human without a radius adds no overlap.
+    no leading axis. human_xys pairs with radii as zip does: a human without
+    a radius adds no overlap.
     Each term is elementwise or a per-row contiguous reduction over the last
     axis, so row b of a window equals the terms of rollout b computed on its
     own.
     """
-    if radii is None:
-        radii = [CAR_RADIUS] * len(human_xys)
     start = np.asarray(start_xy, dtype=float)
     L = min([ego_xys.shape[-2]] + [h.shape[-2] for h in human_xys])
     ego = ego_xys[..., :L, :]
@@ -270,7 +267,7 @@ def weighted_reward(weights: RewardWeights, terms):
 
 def reward_terms(handle: PlannerHandle, ego: ActionTraj,
                  humans: Sequence[ActionTraj], joint: JointState, ctx: Context,
-                 human_radii: Optional[Sequence[float]] = None):
+                 human_radii: Sequence[float]):
     """(progress, mean sq lane offset, summed overlap, sum sq actions) of one
     ego trajectory against human trajectories.
 
@@ -286,8 +283,7 @@ def reward_terms(handle: PlannerHandle, ego: ActionTraj,
 
 
 def reward(handle: PlannerHandle, ego: ActionTraj, humans: Sequence[ActionTraj],
-           joint: JointState, ctx: Context,
-           human_radii: Optional[Sequence[float]] = None) -> float:
+           joint: JointState, ctx: Context, human_radii: Sequence[float]) -> float:
     """R = w_progress*progress + w_lane*lane + w_col*overlap + w_ctrl*ctrl.
 
     The reference reward of one trajectory, as reward_terms is the reference
@@ -317,8 +313,7 @@ class ReplanEntry:
 
 def plan(handle: PlannerHandle, predictor, joint: JointState,
          history: Sequence[JointState], ctx: Context, rng: RngStream,
-         human_radii: Optional[Sequence[float]] = None
-         ) -> tuple[ActionTraj, ReplanEntry]:
+         human_radii: Sequence[float]) -> tuple[ActionTraj, ReplanEntry]:
     """Score every candidate by expected reward under the predictor's modes
     and execute the argmax (ties to the lowest candidate index).
 
@@ -346,9 +341,8 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     robot = joint.robot
     candidates, acts, speeds = _candidate_block(handle, robot.speed, rng, joint.t)
     M = len(joint.humans)
-    radii = list(human_radii) if human_radii is not None else [CAR_RADIUS] * M
-    if len(radii) != M:
-        raise ValueError(f"need one radius per human: {len(radii)} radii for {M} humans")
+    if len(human_radii) != M:
+        raise ValueError(f"need one radius per human: {len(human_radii)} radii for {M} humans")
     w = handle.weights
     dt = handle.dt
     mode_rollouts: dict[tuple[int, bytes], np.ndarray] = {}
@@ -383,7 +377,7 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
                     if len(mp.traj) < handle.horizon:
                         raise ValueError(f"human {i} mode {mp.label!r} is {len(mp.traj)} "
                                          f"steps, shorter than the horizon {handle.horizon}")
-                    overlaps[key] = _overlap_sum(ego_xys, human_xy(i, mp.traj), radii[i])
+                    overlaps[key] = _overlap_sum(ego_xys, human_xy(i, mp.traj), human_radii[i])
                 exp_r = exp_r + w.w_col * mp.prob * overlaps[key][rows]
         expected[rows] = exp_r
 

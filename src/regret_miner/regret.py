@@ -130,7 +130,7 @@ def hindsight_rewards(weights: RewardWeights, windows: Sequence, ctx: Context,
 
 def luce_shepard_likelihoods(weights: RewardWeights, candidates: Sequence[ActionTraj],
                              realized_humans: Sequence[ActionTraj], joint: JointState,
-                             ctx: Context, human_radii=None,
+                             ctx: Context, human_radii: Sequence[float],
                              dt: float = DT_DEFAULT) -> np.ndarray:
     """P(candidate i) = exp(r_i - max r) / sum_k exp(r_k - max r), rewards
     evaluated against realized human behavior: hindsight_rewards of one
@@ -197,7 +197,7 @@ def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretR
                 realized_human_actions(scene, e.t, len(e.candidates[0])))
                for e in scene.replan_log]
     rewards = hindsight_rewards(model.weights, windows, scene.context,
-                                scene.radii_or_default(), scene.dt)
+                                scene.human_radii, scene.dt)
     per_t: list = [None] * len(rewards)
     canon: list = [None] * len(rewards)
     for idx in by_length(rewards).values():

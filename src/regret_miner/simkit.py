@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     CAR_RADIUS,
-    DT_DEFAULT,
     HORIZON_DEFAULT,
     PEDESTRIAN_RADIUS,
     ROBOT_RADIUS,
@@ -102,7 +101,8 @@ class SceneRecord:
     """One closed-loop deployment: realized states, actions, and replan logs.
 
     states may be given as a list of JointState frames; it is held as one
-    JointStates. dt is the step the scene was simulated at.
+    JointStates. dt is the step the scene was simulated at, and human_radii
+    holds one finite footprint radius > 0 per human (ValueError otherwise).
     """
 
     scenario_id: str
@@ -112,19 +112,20 @@ class SceneRecord:
     human_actions: list[ActionTraj]
     replan_log: list[ReplanEntry]
     per_frame_collision_cost: list[float]
-    aborted: bool = False
-    abort_reason: str = ""
-    human_radii: list[float] = field(default_factory=list)
-    dt: float = DT_DEFAULT
+    aborted: bool
+    abort_reason: str
+    human_radii: list[float]
+    dt: float
 
     def __post_init__(self):
         if not isinstance(self.states, JointStates):
             self.states = JointStates.of(self.states)
-
-    def radii_or_default(self) -> list[float]:
-        if self.human_radii:
-            return list(self.human_radii)
-        return [CAR_RADIUS] * len(self.states[0].humans)
+        radii, M = self.human_radii, self.states.block.shape[1] - 1
+        if (not isinstance(radii, list) or len(radii) != M
+                or not all(type(r) in (int, float) and math.isfinite(r) and r > 0
+                           for r in radii)):
+            raise ValueError(f"human_radii: {radii!r} is not one finite radius > 0 "
+                             f"for each of the scene's {M} humans")
 
     @property
     def collision_frames(self) -> int:
@@ -149,8 +150,8 @@ def _humans_ahead(i: int, states: Sequence[tuple], radii: Sequence[float],
                   reach: float, lateral_window: float = 2.0) -> bool:
     """Is any other human within reach in front of human i (body frame)?
 
-    states are the step's float states, robot first (not read here); a human
-    without an entry in radii has CAR_RADIUS.
+    states are the step's float states, robot first (not read here);
+    radii[j] is human j's footprint radius.
     """
     if len(states) < 3:  # no other human
         return False
@@ -161,7 +162,7 @@ def _humans_ahead(i: int, states: Sequence[tuple], radii: Sequence[float],
         if j == i + 1:
             continue
         other = states[j]
-        r = radii[j - 1] if j - 1 < len(radii) else CAR_RADIUS
+        r = radii[j - 1]
         dx, dy = other[0] - x, other[1] - y
         proj = dx * c + dy * s
         lat = abs(-dx * s + dy * c)
@@ -242,13 +243,13 @@ def _crossing_target_heading(memory: dict, heading: float) -> float:
 
 def human_policy(profile: HumanProfile, i: int, states: Sequence[tuple],
                  ctx: Context, rng, memory: dict, radii: Sequence[float],
-                 view: Optional[tuple], dt: float = DT_DEFAULT) -> tuple[float, float]:
+                 view: Optional[tuple], dt: float) -> tuple[float, float]:
     """One (accel, turn_rate) decision for human i, whose state is
     states[i + 1], given its view from robot_views.
 
     states are the step's float states, robot first, each starting
     (x, y, heading, speed); states[0] is not read. radii[j] is human j's
-    footprint radius (CAR_RADIUS past its end). memory persists per human
+    footprint radius. memory persists per human
     across steps (owned by the engine); a stopped car's resume timer counts
     steps of dt.
     """
@@ -312,7 +313,7 @@ class _LazyStream:
 
 def step_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
                 robots: Sequence[Sequence[tuple]], rng_root: RngStream,
-                dt: float = DT_DEFAULT, memories_at: Optional[int] = None
+                dt: float, memories_at: Optional[int] = None
                 ) -> list[tuple[list[int], list[dict], np.ndarray, list]]:
     """Advance all humans from joint and memories for T steps under each of
     L = len(robots) robot lanes: robots[l] lists lane l's robot at steps
@@ -384,8 +385,7 @@ def step_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
 
 
 def simulate_humans(spec: ScenarioSpec, joint: JointState, memories: list[dict],
-                    ego_actions: np.ndarray, rng_root: RngStream,
-                    dt: float = DT_DEFAULT):
+                    ego_actions: np.ndarray, rng_root: RngStream, dt: float):
     """Advance all humans for len(ego_actions) steps while the robot plays
     ego_actions: step_humans with the robot's one lane. Mutates the given
     memories.
@@ -728,6 +728,12 @@ def generate_scenario_batch(family: str, n: int, base_seed: int,
 
 SCENE_SCHEMA = "scene/3"
 
+# The keys every scene/3 line holds besides "schema" and "bin", each of which
+# has a check of its own; decode names the first one a line lacks.
+_SCENE_KEYS = ("scenario_id", "context", "dt", "t", "states", "executed_robot",
+               "human_actions", "replan_log", "per_frame_collision_cost", "aborted",
+               "abort_reason", "human_radii")
+
 
 def _state_to_list(s: AgentState) -> list[float]:
     return [s.x, s.y, s.heading, s.speed]
@@ -854,7 +860,7 @@ def scene_to_dict(rec: SceneRecord, at: int = 0) -> tuple[dict, bytes]:
         "per_frame_collision_cost": rec.per_frame_collision_cost,
         "aborted": rec.aborted,
         "abort_reason": rec.abort_reason,
-        "human_radii": rec.radii_or_default(),
+        "human_radii": rec.human_radii,
     }
     span = bytes(span)
     d["bin"] = {"at": at, "n": len(span), "sha256": hashlib.sha256(span).hexdigest()}
@@ -906,14 +912,15 @@ def _scene3_arrays(d: dict, span: bytes):
 def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
     """Decode a scene/3 line whose span lies in sidecar (the bytes of the
     .bin file, or of any buffer that holds the span at the line's "bin"
-    offset); any other schema is a ValueError, and so are a dt that is not
-    a positive finite float, a "bin" record that is not {"at": int >= 0,
-    "n": int >= 0, "sha256": str}, a span whose length or SHA-256 is not the
-    line's, a block that runs past the span and a human_radii list that
-    does not hold one finite radius > 0 per human. Every value passes the
-    checks of the record types it becomes, at once: AgentState (finite,
-    speed >= 0, heading wrapped) and JointState through core.JointStates,
-    ActionTraj, ReplanEntry and PredictionSet.
+    offset); any other schema is a ValueError, and so are a line without a
+    key of _SCENE_KEYS (naming the key), a dt that is not a positive finite
+    float, a "bin" record that is not {"at": int >= 0, "n": int >= 0,
+    "sha256": str}, a span whose length or SHA-256 is not the line's and a
+    block that runs past the span. Every value passes the checks of the
+    record types it becomes, at once: AgentState (finite, speed >= 0,
+    heading wrapped) and JointState through core.JointStates, ActionTraj,
+    ReplanEntry, PredictionSet and SceneRecord (one finite radius > 0 per
+    human).
 
     All candidate rows of the scene are checked by one ActionTraj.block
     call, and all mode rows by another. When a row fails, the replans are
@@ -921,8 +928,9 @@ def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
     replan by replan raises first, with a note naming the replan's field."""
     if d.get("schema") != SCENE_SCHEMA:
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
-    if "dt" not in d:
-        raise ValueError("dt: the scene line records no dt")
+    for key in _SCENE_KEYS:
+        if key not in d:
+            raise ValueError(f"{key}: the scene line records no {key}")
     dt = d["dt"]
     if type(dt) is not float or not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt={dt!r} is not a positive finite float")
@@ -951,7 +959,7 @@ def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
             executed_index=e["executed_index"],
             predicted_reward_samples=[(r, w) for r, w in e["predicted_reward_samples"]],
         ))
-    rec = SceneRecord(
+    return SceneRecord(
         scenario_id=d["scenario_id"],
         context=context_from_dict(d["context"]),
         states=joints,
@@ -959,19 +967,11 @@ def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
         human_actions=ActionTraj.block(*human_actions),
         replan_log=entries,
         per_frame_collision_cost=list(d["per_frame_collision_cost"]),
-        aborted=d.get("aborted", False),
-        abort_reason=d.get("abort_reason", ""),
+        aborted=d["aborted"],
+        abort_reason=d["abort_reason"],
+        human_radii=d["human_radii"],
         dt=dt,
     )
-    if "human_radii" in d:
-        radii, M = d["human_radii"], states.shape[1] - 1
-        if (not isinstance(radii, list) or len(radii) != M
-                or not all(type(r) in (int, float) and math.isfinite(r) and r > 0
-                           for r in radii)):
-            raise ValueError(f"human_radii: {radii!r} is not one finite radius > 0 "
-                             f"for each of the scene's {M} humans")
-        rec.human_radii = list(radii)
-    return rec
 
 
 def sidecar_path(path) -> Path:

@@ -8,7 +8,7 @@ the package's scene/3 decode of the same records equals it.
 
 import numpy as np
 
-from regret_miner.core import ActionTraj, AgentState, JointState
+from regret_miner.core import DT_DEFAULT, ActionTraj, AgentState, JointState
 from regret_miner.planner import ReplanEntry
 from regret_miner.predictor import ModePrediction, PredictionSet
 from regret_miner.simkit import SceneRecord, context_from_dict, context_to_dict
@@ -53,7 +53,7 @@ def scene1_dict(rec) -> dict:
         "per_frame_collision_cost": rec.per_frame_collision_cost,
         "aborted": rec.aborted,
         "abort_reason": rec.abort_reason,
-        "human_radii": rec.radii_or_default(),
+        "human_radii": rec.human_radii,
     }
 
 
@@ -98,7 +98,8 @@ def scene1_record(d: dict) -> SceneRecord:
         )
         for e in d["replan_log"]
     ]
-    rec = SceneRecord(
+    # scene/1 records no step: its scenes were all simulated at DT_DEFAULT.
+    return SceneRecord(
         scenario_id=d["scenario_id"],
         context=context_from_dict(d["context"]),
         states=states,
@@ -106,8 +107,8 @@ def scene1_record(d: dict) -> SceneRecord:
         human_actions=_trajs_from_dicts(d["human_actions"]),
         replan_log=entries,
         per_frame_collision_cost=list(d["per_frame_collision_cost"]),
-        aborted=d.get("aborted", False),
-        abort_reason=d.get("abort_reason", ""),
+        aborted=d["aborted"],
+        abort_reason=d["abort_reason"],
+        human_radii=list(d["human_radii"]),
+        dt=DT_DEFAULT,
     )
-    rec.human_radii = list(d.get("human_radii", []))
-    return rec

@@ -90,7 +90,7 @@ def test_criterion_01_likelihood_exactness():
         for spec in generate_scenario_batch(fam, 3, base_seed=41, horizon=40):
             scene = run_closed_loop(spec, PlannerHandle(), OraclePredictor(), 10)
             handle = PlannerHandle()
-            radii = scene.radii_or_default()
+            radii = scene.human_radii
             for e in scene.replan_log:
                 T = len(e.candidates[e.executed_index])
                 joint = scene.states[e.t]

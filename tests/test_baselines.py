@@ -78,7 +78,7 @@ def _windows_reward(handle, scene):
                       for h in scene.human_actions]
             rewards.append(reward(handle, ActionTraj(window, start_t=e.t), humans,
                                   scene.states[e.t], scene.context,
-                                  scene.radii_or_default()))
+                                  scene.human_radii))
     return float(np.mean(rewards))
 
 

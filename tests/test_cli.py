@@ -533,9 +533,21 @@ def test_redeploy_with_a_missing_predictor_names_finetune(two_seed_run, tmp_path
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("name", ["Foo-101.json", "HighRegretFT-x.json"])
+def test_finetune_names_an_unknown_arm_and_writes_nothing(two_seed_run, tmp_path):
+    """harness.finetune checks its arms where the predictors are fitted, with
+    finetune_and_redeploy's ValueError, before it writes a file."""
+    run = _copy_run(two_seed_run, tmp_path / "run")
+    files = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    with pytest.raises(ValueError, match=r"^unknown arm 'Sideways'; known: \('Base', "):
+        harness.finetune(run, harness.run_config(run), ("HighRegretFT", "Sideways"))
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == files
+
+
+@pytest.mark.parametrize("name", ["Foo-101.json", "HighRegretFT-x.json", "HighRegretFT-999.json"])
 def test_redeploy_names_a_predictor_file_it_cannot_read(name, two_seed_run, tmp_path,
                                                         capsys):
+    """A predictor file not named for a fine-tuned arm and a seed of the
+    config is refused, not skipped: the case study would omit it."""
     run = _copy_run(two_seed_run, tmp_path / "run")
     shutil.copy(run / "predictors" / "HighRegretFT-101.json", run / "predictors" / name)
     capsys.readouterr()
@@ -546,7 +558,7 @@ def test_redeploy_names_a_predictor_file_it_cannot_read(name, two_seed_run, tmp_
         "type": "ValueError",
         "message": f"{run / 'predictors' / name}: a predictor file is named "
                    "<arm>-<seed>.json, with an arm of HighRegretFT, LowRegretFT, "
-                   "RandomFT, AllFT and an integer seed"}
+                   "RandomFT, AllFT and a seed of 101, 102"}
 
 
 def _reference_case(config, scenes_by_id, specs_by_id, subsets, base_params, arms,
@@ -738,7 +750,7 @@ def _abort_at_t0(run, line: int, reason: str) -> str:
     scene = scenes[line]
     scenes[line] = simkit.SceneRecord(scene.scenario_id, scene.context, scene.states[:1],
                                       [], [], [], [], aborted=True, abort_reason=reason,
-                                      human_radii=scene.human_radii)
+                                      human_radii=scene.human_radii, dt=scene.dt)
     simkit.scenes_to_jsonl(run / "scenes.jsonl", scenes)
     return scene.scenario_id
 

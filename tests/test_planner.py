@@ -201,7 +201,7 @@ def test_reward_zero_at_rest_on_center():
     h = PlannerHandle(horizon=10)
     joint = JointState(AgentState(0, 0, 0, 0.0), (), 0)
     maintain = ActionTraj(np.zeros((10, 2)))
-    assert reward(h, maintain, [], joint, TWO_LANE) == 0.0
+    assert reward(h, maintain, [], joint, TWO_LANE, []) == 0.0
 
 
 def test_reward_pure_progress():
@@ -209,10 +209,10 @@ def test_reward_pure_progress():
     h = PlannerHandle(horizon=20, dt=0.1)
     joint = JointState(AgentState(0, 0, 0, 5.0), (), 0)
     maintain = ActionTraj(np.zeros((20, 2)))
-    terms = reward_terms(h, maintain, [], joint, TWO_LANE)
+    terms = reward_terms(h, maintain, [], joint, TWO_LANE, [])
     assert terms[0] == pytest.approx(10.0, abs=1e-9)
     assert terms[1:] == (0.0, 0.0, 0.0)
-    assert reward(h, maintain, [], joint, TWO_LANE) == pytest.approx(10.0, abs=1e-9)
+    assert reward(h, maintain, [], joint, TWO_LANE, []) == pytest.approx(10.0, abs=1e-9)
 
 
 def test_reward_linear_in_terms():
@@ -224,11 +224,11 @@ def test_reward_linear_in_terms():
         ego = ActionTraj(np.column_stack([rng.uniform(-3, 1, 15),
                                           rng.uniform(-0.2, 0.2, 15)]))
         hum = ActionTraj(np.zeros((15, 2)))
-        terms = reward_terms(h, ego, [hum], joint, TWO_LANE)
+        terms = reward_terms(h, ego, [hum], joint, TWO_LANE, [CAR_RADIUS])
         w = h.weights
         manual = (w.w_progress * terms[0] + w.w_lane * terms[1]
                   + w.w_col * terms[2] + w.w_ctrl * terms[3])
-        assert reward(h, ego, [hum], joint, TWO_LANE) == pytest.approx(manual, abs=1e-12)
+        assert reward(h, ego, [hum], joint, TWO_LANE, [CAR_RADIUS]) == pytest.approx(manual, abs=1e-12)
 
 
 def test_driving_through_static_human_penalized():
@@ -237,9 +237,9 @@ def test_driving_through_static_human_penalized():
     joint = JointState(AgentState(0, 0, 0, 8.0), (static,), 0)
     charge = ActionTraj(np.zeros((20, 2)))
     hum = ActionTraj(np.zeros((20, 2)))
-    with_human = reward(h, charge, [hum], joint, TWO_LANE)
-    without = reward(h, charge, [], JointState(joint.robot, (), 0), TWO_LANE)
-    overlap = reward_terms(h, charge, [hum], joint, TWO_LANE)[2]
+    with_human = reward(h, charge, [hum], joint, TWO_LANE, [CAR_RADIUS])
+    without = reward(h, charge, [], JointState(joint.robot, (), 0), TWO_LANE, [])
+    overlap = reward_terms(h, charge, [hum], joint, TWO_LANE, [CAR_RADIUS])[2]
     assert overlap > 0
     assert with_human == pytest.approx(without + h.weights.w_col * overlap, abs=1e-9)
     assert with_human < without
@@ -250,7 +250,7 @@ def test_nav_progress_toward_goal():
     h = PlannerHandle(horizon=10, dt=0.1)
     joint = JointState(AgentState(0, 0, np.pi / 2, 1.0), (), 0)  # facing the goal
     maintain = ActionTraj(np.zeros((10, 2)))
-    progress = reward_terms(h, maintain, [], joint, world)[0]
+    progress = reward_terms(h, maintain, [], joint, world, [])[0]
     assert progress == pytest.approx(1.0, abs=1e-9)
 
 
@@ -272,7 +272,7 @@ def test_plan_executes_argmax():
         humans = (AgentState(spec_rng.uniform(5, 30), spec_rng.uniform(-1, 4), 0, 0.0),)
         joint = JointState(AgentState(0, 0, 0, 8.0), humans, 0)
         chosen, entry = plan(PlannerHandle(), UNIFORM, joint, [],
-                             TWO_LANE, RngStream(100 + trial))
+                             TWO_LANE, RngStream(100 + trial), [CAR_RADIUS])
         assert entry.executed_index == int(np.argmax(entry.candidate_rewards_predicted))
         np.testing.assert_array_equal(chosen.actions,
                                       entry.candidates[entry.executed_index].actions)
@@ -286,7 +286,7 @@ def test_plan_deterministic():
     runs = []
     for _ in range(2):
         _, entry = plan(PlannerHandle(), UNIFORM, joint, [],
-                        TWO_LANE, RngStream(42))
+                        TWO_LANE, RngStream(42), [CAR_RADIUS])
         runs.append(entry)
     assert runs[0].executed_index == runs[1].executed_index
     assert runs[0].candidate_rewards_predicted == runs[1].candidate_rewards_predicted
@@ -295,7 +295,7 @@ def test_plan_deterministic():
 def test_plan_single_candidate():
     h = PlannerHandle(accel_levels=())
     joint = JointState(AgentState(0, 0, 0, 4.0), (), 0)
-    chosen, entry = plan(h, UNIFORM, joint, [], TWO_LANE, RngStream(3))
+    chosen, entry = plan(h, UNIFORM, joint, [], TWO_LANE, RngStream(3), [])
     assert entry.executed_index == 0
     assert len(entry.candidates) == 1
     np.testing.assert_array_equal(chosen.actions, np.zeros((h.horizon, 2)))
@@ -307,7 +307,7 @@ def test_plan_swerves_around_blocker():
     blocker = AgentState(12.0, 0.0, 0.0, 0.0)
     joint = JointState(AgentState(0, 0, 0, 8.0), (blocker,), 0)
     h = PlannerHandle()
-    chosen, entry = plan(h, UNIFORM, joint, [], TWO_LANE, RngStream(7))
+    chosen, entry = plan(h, UNIFORM, joint, [], TWO_LANE, RngStream(7), [CAR_RADIUS])
     ego_xy = rollout_positions(joint.robot, chosen, h.dt)
     d_min = np.hypot(ego_xy[:, 0] - blocker.x, ego_xy[:, 1] - blocker.y).min()
     maintain_xy = rollout_positions(joint.robot, entry.candidates[0], h.dt)
@@ -552,7 +552,7 @@ def test_library_speeds_and_plan_rollouts_equal_rollout_positions_batch(
     K = len(cands)
     assert _hexes(speeds) == _hexes(rollout_speeds(np.full(K, robot.speed), acts[:, :, 0], dt))
     recorder = _RecordingPredictor()
-    plan(handle, recorder, JointState(robot, (), 3), [], TWO_LANE, RngStream(seed))
+    plan(handle, recorder, JointState(robot, (), 3), [], TWO_LANE, RngStream(seed), [])
     want = rollout_positions_batch([robot.x] * K, [robot.y] * K, [robot.heading] * K,
                                    [robot.speed] * K, acts, dt)
     assert _hexes(recorder.ego_xys) == _hexes(want)

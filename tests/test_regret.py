@@ -133,11 +133,11 @@ def test_luce_shepard_matches_hindsight_softmax():
         joint = scene.states[0]
         weights = RewardWeights()
         p = luce_shepard_likelihoods(weights, entry.candidates, realized, joint,
-                                     scene.context, scene.radii_or_default())
+                                     scene.context, scene.human_radii)
         handle = PlannerHandle(weights=weights, dt=0.1)
         from regret_miner.planner import reward
         r = [reward(handle, c, realized, joint, scene.context,
-                    scene.radii_or_default()) for c in entry.candidates]
+                    scene.human_radii) for c in entry.candidates]
         np.testing.assert_allclose(p, softmax_likelihoods(r), atol=1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -215,7 +215,7 @@ def _reference_report(weights, scene):
     def xy(state, acts):
         return np.array([[s.x, s.y] for s in unicycle_rollout(state, ActionTraj(acts), 0.1)])
 
-    radii = scene.radii_or_default()
+    radii = scene.human_radii
     per_t, canon = [], []
     for e in scene.replan_log:
         joint = scene.states[e.t]
@@ -368,7 +368,7 @@ def test_score_scene_likelihoods_are_luce_shepard_likelihoods(family_scenes):
             p = luce_shepard_likelihoods(weights, e.candidates,
                                          [h for h in segs if h is not None],
                                          scene.states[e.t], scene.context,
-                                         scene.radii_or_default())
+                                         scene.human_radii)
             assert (t, exec_lik, max_lik) == (e.t, float(p[e.executed_index]), float(p.max()))
             n += 1
     assert n == sum(len(s.replan_log) for s in family_scenes) + len(mixed.replan_log)

@@ -73,7 +73,7 @@ def test_stranded_profile_never_acts():
     for t in range(5):
         memory: dict = {}
         view = robot_views(p, 0, states, memory, [states[0]])[0]
-        a, w = human_policy(p, 0, states, TWO_LANE, RngStream(t), memory, (), view)
+        a, w = human_policy(p, 0, states, TWO_LANE, RngStream(t), memory, (), view, DT_DEFAULT)
         assert (a, w) == (0.0, 0.0)
 
 
@@ -84,7 +84,7 @@ def test_cruise_setpoint_equilibrium():
     me = AgentState(50, 0, 0, 6.0)
     states = _floats(_joint(AgentState(0, 0, 0, 6.0), [me]))
     view = robot_views(p, 0, states, {}, [states[0]])[0]
-    a, w = human_policy(p, 0, states, TWO_LANE, RngStream(0), {}, (), view)
+    a, w = human_policy(p, 0, states, TWO_LANE, RngStream(0), {}, (), view, DT_DEFAULT)
     assert abs(a) < 1e-9
     assert abs(w) < 1e-9
 
@@ -94,7 +94,7 @@ def test_cruise_brakes_for_agent_ahead():
     me = AgentState(50, 0, 0, 6.0)
     states = _floats(_joint(AgentState(55, 0, 0, 0.0), [me]))
     view = robot_views(p, 0, states, {}, [states[0]])[0]
-    a, _ = human_policy(p, 0, states, TWO_LANE, RngStream(0), {}, (), view)
+    a, _ = human_policy(p, 0, states, TWO_LANE, RngStream(0), {}, (), view, DT_DEFAULT)
     assert a == -3.0
 
 
@@ -109,7 +109,7 @@ def test_intersection_yield_frequency():
     for i in range(n):
         memory: dict = {}
         view = robot_views(p, 0, states, memory, [states[0]])[0]
-        human_policy(p, 0, states, TWO_LANE, RngStream(777, i), memory, (), view)
+        human_policy(p, 0, states, TWO_LANE, RngStream(777, i), memory, (), view, DT_DEFAULT)
         assert memory.get("yield_latch") is not None  # on course by construction
         yields += bool(memory["yield_latch"])
     assert abs(yields / n - 0.8) < 0.02
@@ -233,8 +233,8 @@ def test_yield_if_close_reactivity():
     joint = JointState(spec.robot_init, (start,), 0)
     charge = np.column_stack([np.full(20, 1.0), np.zeros(20)])
     hold = np.column_stack([np.full(20, -3.0), np.zeros(20)])
-    _, near_states = simulate_humans(spec, joint, [dict()], charge, RngStream(77))
-    _, far_states = simulate_humans(spec, joint, [dict()], hold, RngStream(77))
+    _, near_states = simulate_humans(spec, joint, [dict()], charge, RngStream(77), DT_DEFAULT)
+    _, far_states = simulate_humans(spec, joint, [dict()], hold, RngStream(77), DT_DEFAULT)
     diffs = [abs(a[1][0] - b[1][0]) + abs(a[1][3] - b[1][3])
              for a, b in zip(near_states, far_states)]
     assert max(diffs) > 0.1
@@ -435,6 +435,7 @@ def _scene_records(draw):
         aborted=aborted,
         abort_reason="planner failed at t=0: empty candidate set" if aborted else "",
         human_radii=[CAR_RADIUS] * n_humans,
+        dt=DT_DEFAULT,
     )
 
 
@@ -470,7 +471,7 @@ def _edge_scene(n_humans, n_steps, *, heading=-math.pi, aborted=False):
                        [ActionTraj(np.tile(acts, (n_steps, 1))[:n_steps]) for _ in range(n_humans)]
                        if n_steps else [],
                        log, [0.0] * n_steps, aborted, "planner failed" if aborted else "",
-                       [CAR_RADIUS] * n_humans)
+                       [CAR_RADIUS] * n_humans, DT_DEFAULT)
 
 
 @pytest.mark.parametrize("rec", [
@@ -736,8 +737,10 @@ def test_scenes_from_jsonl_decodes_only_the_wanted_ids(two_human_scene, tmp_path
     monkeypatch.undo()
     del lines[0]["scenario_id"]
     path.write_text(json.dumps(lines[0]) + "\n")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError) as err:
         scenes_from_jsonl(path, set())
+    assert str(err.value) == "scenario_id: the scene line records no scenario_id"
+    assert err.value.__notes__ == [f"{path}: line 1, scenario None"]
 
 
 @pytest.mark.parametrize("schema", ["scene/0", "scene/2", None])
@@ -813,6 +816,9 @@ def test_scene_records_its_dt_and_decode_keeps_it(two_human_scene):
 
 @pytest.mark.parametrize("edit,message", [
     (lambda d: d.pop("dt"), "^dt: the scene line records no dt"),
+    *[(lambda d, key=key: d.pop(key), f"^{key}: the scene line records no {key}")
+      for key in ("context", "t", "states", "executed_robot", "human_actions", "replan_log",
+                  "per_frame_collision_cost", "aborted", "abort_reason", "human_radii")],
     (lambda d: d.update(dt="0.1"), r"^dt='0\.1' is not a positive finite float"),
     (lambda d: d.update(dt=1), r"^dt=1 is not a positive finite float"),
     (lambda d: d.update(dt=True), r"^dt=True is not a positive finite float"),
@@ -841,7 +847,8 @@ def test_scene_decode_names_a_missing_or_malformed_dt_or_bin(two_human_scene, tm
     """dt, the "bin" span record and the mode probabilities come from outside
     the program: a line that lacks them or holds the wrong types or values is
     a ValueError naming the field, which scenes_from_jsonl notes with the
-    line and the scene."""
+    line and the scene. So is a line that lacks any other key: no key of a
+    scene line has a default."""
     path = tmp_path / "scenes.jsonl"
     scenes_to_jsonl(path, [two_human_scene])
     d = json.loads(path.read_text())
@@ -988,7 +995,7 @@ def test_simulate_humans_equals_agentstate_reference(name):
     ref_states = []
     # Two calls, so the second starts at t > 0 with memories already set.
     for lo, hi in ((0, 90), (90, len(ego))):
-        actions, states = simulate_humans(spec, joint, memories, ego[lo:hi], root)
+        actions, states = simulate_humans(spec, joint, memories, ego[lo:hi], root, DT_DEFAULT)
         ref_actions, ref_humans, ref_robots = _ref_simulate_humans(
             spec, joint, ref_memories, ego[lo:hi], root)
         assert actions.shape == ref_actions.shape == (len(spec.humans), hi - lo, 2)
@@ -1162,7 +1169,8 @@ def test_grouped_engine_equals_each_lane_alone(case):
         ref.append((acts, states, mems, kept))
 
     given_memories = copy.deepcopy(memories)
-    groups = step_humans(spec, joint, given_memories, lanes, root, memories_at=memories_at)
+    groups = step_humans(spec, joint, given_memories, lanes, root, DT_DEFAULT,
+                         memories_at=memories_at)
     assert sorted(lane for g in groups for lane in g[0]) == list(range(len(lanes)))
     assert groups[0][0][0] == 0 and (groups[0][1] is given_memories) == (memories_at is None)
     M, T = len(spec.humans), len(lane_specs[0])
@@ -1403,17 +1411,24 @@ def test_human_profile_rejects_non_finite_parameters(field, value):
 @pytest.mark.parametrize("radii", [
     [float("nan"), 1.0], [1.0, float("inf")], [-1.0, 1.0], [1.0, 0.0], [1.0, -0.0],
     [float("nan")], [1.0], [1.0, 1.0, 1.0], [], [True, 1.0], ["1.0", 1.0], [None, 1.0],
-    None, 1.0, {"0": 1.0},
+    None, 1.0, {"0": 1.0}, "missing",
 ], ids=["nan", "inf", "negative", "zero", "minus-zero", "one-nan", "too-few", "too-many",
-        "empty", "bool", "str", "null-radius", "null", "number", "dict"])
+        "empty", "bool", "str", "null-radius", "null", "number", "dict", "missing"])
 def test_scene_decode_rejects_human_radii_that_do_not_fit_the_humans(two_human_scene, tmp_path,
                                                                      radii):
     """A human_radii list must hold one finite radius > 0 per human: a ValueError
-    naming human_radii, noted with the line and the scene."""
+    naming human_radii, noted with the line and the scene. A line without
+    human_radii is one too: no human is priced at a default radius. The
+    closed loop's records pass through the same check."""
     path = tmp_path / "scenes.jsonl"
     scenes_to_jsonl(path, [two_human_scene])
     d = json.loads(path.read_text())
-    d["human_radii"] = radii
+    if radii == "missing":
+        del d["human_radii"]
+    else:
+        d["human_radii"] = radii
+        with pytest.raises(ValueError, match="^human_radii: "):
+            dataclasses.replace(two_human_scene, human_radii=radii)
     path.write_text(json.dumps(d) + "\n")
     with pytest.raises(ValueError, match="^human_radii: ") as err:
         scenes_from_jsonl(path)
