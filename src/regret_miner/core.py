@@ -17,12 +17,14 @@ ego_xys, speeds, ctx, n_modes_out, dt)``: the (K, T, 2) positions and the
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Default integration step (seconds) and scene horizon (steps).
 DT_DEFAULT = 0.1
@@ -383,6 +385,121 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=(self.seed, self.stream_id))
         return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool
+# is 4 uint32 words, hashed in with the INIT_A/MULT_A multipliers, mixed by
+# MIX_MULT_L/MIX_MULT_R, and read out with the INIT_B/MULT_B multipliers.
+_SS_POOL = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SS_SHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
+
+def _entropy_words(row: Sequence[int]) -> list[int]:
+    """The uint32 words numpy assembles from a row of ints: each int's words,
+    least significant first, and one 0 word for 0."""
+    out = []
+    for n in row:
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"expected non-negative integer, got {n}")
+        out.append(n & _MASK32)
+        n >>= 32
+        while n:
+            out.append(n & _MASK32)
+            n >>= 32
+    return out
+
+
+def _seed_states_block(words: np.ndarray) -> np.ndarray:
+    """(N, L) uint32 entropy words -> (N, 2) uint64 states, numpy's
+    mix_entropy then generate_state(2, np.uint64) on every row at once. The
+    hash multipliers depend only on L, so they are plain ints shared by the
+    rows; uint32 array arithmetic wraps mod 2**32 as the C code does."""
+    n, width = words.shape
+    hash_a = _SS_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = (hash_a * _SS_MULT_A) & _MASK32
+        value *= np.uint32(hash_a)
+        value ^= value >> _SS_SHIFT
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = _SS_MIX_L * x
+        out -= _SS_MIX_R * y
+        out ^= out >> _SS_SHIFT
+        return out
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < width else zeros) for i in range(_SS_POOL)]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_SS_POOL, width):
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    hash_b = _SS_INIT_B
+    state = np.empty((n, _SS_POOL), dtype=np.uint32)
+    for i in range(_SS_POOL):
+        value = pool[i] ^ np.uint32(hash_b)
+        hash_b = (hash_b * _SS_MULT_B) & _MASK32
+        value *= np.uint32(hash_b)
+        value ^= value >> _SS_SHIFT
+        state[:, i] = value
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def seed_sequence_states(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """(N, 2) uint64: row n is
+    np.random.SeedSequence(entropy=rows[n]).generate_state(2, np.uint64),
+    bit for bit, for rows of non-negative ints (ValueError on a negative).
+
+    Rows are grouped by their word count, so each group is one array pass
+    and an int of any size is keyed as numpy keys it. tests/test_core.py
+    checks the kernel against numpy's SeedSequence, which stays the scalar
+    reference: RngStream.derive and RngStream.generator call it.
+    """
+    words = [_entropy_words(row) for row in rows]
+    out = np.empty((len(words), 2), dtype=np.uint64)
+    for width, idx in by_length(words).items():
+        block = np.array([words[i] for i in idx], dtype=np.uint32).reshape(len(idx), width)
+        out[idx] = _seed_states_block(block)
+    return out
+
+
+def derive_streams(rows: Iterable[tuple[RngStream, Sequence[int]]]) -> list[RngStream]:
+    """[parent.derive(*ids) for parent, ids in rows], keyed in one pass."""
+    entropy = [(p.seed, p.stream_id, *(int(i) for i in ids)) for p, ids in rows]
+    return [RngStream(seed, stream_id)
+            for seed, stream_id in seed_sequence_states(entropy).tolist()]
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox a key computed ahead: the generate_state(2, np.uint64)
+    that Philox asks its seed sequence for. It does not spawn."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError("a precomputed Philox key is 2 uint64 words")
+        return self.key
+
+
+def stream_generators(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
+    """s.generator() for s in streams, bit for bit: every Philox key is
+    computed in one pass, and each Generator is built as the caller takes it.
+    Its bit_generator.state equals that of s.generator()."""
+    keys = seed_sequence_states([(s.seed, s.stream_id) for s in streams])
+    return (np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys)
 
 
 def unicycle_step_floats(x: float, y: float, heading: float, speed: float,

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .core import (TURN_LIMIT, ActionTraj, AgentState, NavWorld, RngStream, rollout_positions,
-                   unicycle_step_floats, wrap_angle)
+from .core import (TURN_LIMIT, ActionTraj, AgentState, NavWorld, RngStream, derive_streams,
+                   rollout_positions, stream_generators, unicycle_step_floats, wrap_angle)
 
 GOALS = ("Primary", "Backup")
 HUMAN_CLASSES = ("left", "straight", "right")
@@ -32,6 +32,8 @@ HUMAN_NAV_SPEED = 0.5
 YIELD_PROB = 0.8
 PROXIMITY_TRIGGER = 1.0
 N_CUE_BUCKETS = 12
+# Std of an episode's per-step turn noise, robot and human.
+NAV_EXEC_NOISE = 0.05
 
 _HUMAN_TARGETS = {"left": (-3.0, 3.0), "straight": (0.0, 0.0), "right": (3.0, 3.0)}
 
@@ -248,7 +250,7 @@ def _cue_class(delta: float) -> str:
 
 
 def simulate_nav_scene(delta_h: float, goal: str, rng: RngStream,
-                       epsilon_sigma: float = 0.05, exec_noise: float = 0.05,
+                       epsilon_sigma: float = 0.05, exec_noise: float = NAV_EXEC_NOISE,
                        yield_draw: Optional[bool] = None):
     """One episode of the rule world.
 
@@ -258,8 +260,14 @@ def simulate_nav_scene(delta_h: float, goal: str, rng: RngStream,
     of the human, diverts to the other goal with probability 0.8 (or per
     yield_draw when forced).
     """
+    return _nav_episode(delta_h, goal, rng.generator(), epsilon_sigma, exec_noise,
+                        yield_draw)
+
+
+def _nav_episode(delta_h: float, goal: str, gen: np.random.Generator,
+                 epsilon_sigma: float, exec_noise: float, yield_draw: Optional[bool]):
+    """simulate_nav_scene on the generator of its stream."""
     ctx = NavWorld()
-    gen = rng.generator()
     eps = gen.normal(0.0, epsilon_sigma)
     cls = _cue_class(delta_h + eps)
     human_traj, human_pos = _simulate_human(cls, gen, exec_noise, ctx)
@@ -282,13 +290,13 @@ def generate_nav_dataset(n: int = 10_000, epsilon_sigma: float = 0.05,
     if stats is not None:
         stats.update(triggered=0, yielded=0)
     out = []
-    for i in range(n):
-        child = root.derive(4, i)
-        gen = child.generator()
+    children = derive_streams((root, (4, i)) for i in range(n))
+    scenes = derive_streams((child, (1,)) for child in children)
+    for gen, scene_gen in zip(stream_generators(children), stream_generators(scenes)):
         delta = float(gen.uniform())
         goal = GOALS[int(gen.integers(0, 2))]
-        sample, trig, final = simulate_nav_scene(delta, goal, child.derive(1),
-                                                 epsilon_sigma=epsilon_sigma)
+        sample, trig, final = _nav_episode(delta, goal, scene_gen, epsilon_sigma,
+                                           NAV_EXEC_NOISE, None)
         if stats is not None:
             stats["triggered"] += int(trig)
             stats["yielded"] += int(final != goal)
@@ -374,8 +382,9 @@ def _draw_halves(cb: Codebook, n_samples: int
     if out is None:
         out = (np.empty((cb.K, n_samples, NAV_STEPS)),
                np.empty((cb.K, n_samples, NAV_STEPS)))
-        for z in range(cb.K):
-            gen = RngStream(_KDE_SEED, 11).derive(z, n_samples).generator()
+        root = RngStream(_KDE_SEED, 11)
+        gens = stream_generators(derive_streams((root, (z, n_samples)) for z in range(cb.K)))
+        for z, gen in enumerate(gens):
             draws = cb.means[z] + cb.stds[z] * gen.standard_normal(
                 (n_samples, 2 * NAV_STEPS))
             out[0][z], out[1][z] = draws[:, :NAV_STEPS], draws[:, NAV_STEPS:]
@@ -563,16 +572,19 @@ def build_mismatch_scenarios(cb: Codebook, rng: RngStream, n_reps: int = 30,
         "irrelevant": (1.0 / 6.0, "Primary", None),
     }
     divert = divert_shape_candidate()
+    # Each rep draws its cue from stream (tag, i, 0) and runs its episode on
+    # stream (tag, i), every config's streams keyed in one pass.
+    gens = stream_generators(derive_streams(
+        (rng, ids) for name in configs for i in range(n_reps)
+        for ids in ((hashn(name), i, 0), (hashn(name), i))))
     out = {}
     for name, (delta_h, goal, yield_draw) in configs.items():
         vals = []
-        for i in range(n_reps):
-            sample, _, _ = simulate_nav_scene(
-                rng.derive(hashn(name), i, 0).generator().uniform(
-                    *{"nominal": (0.4, 0.6), "collision": (0.4, 0.6),
-                      "irrelevant": (0.05, 0.28)}[name]),
-                goal, rng.derive(hashn(name), i), epsilon_sigma=0.0,
-                exec_noise=0.02, yield_draw=yield_draw)
+        for _ in range(n_reps):
+            cue = next(gens).uniform(*{"nominal": (0.4, 0.6), "collision": (0.4, 0.6),
+                                       "irrelevant": (0.05, 0.28)}[name])
+            sample, _, _ = _nav_episode(cue, goal, next(gens), epsilon_sigma=0.0,
+                                        exec_noise=0.02, yield_draw=yield_draw)
             cands = default_hindsight_candidates(sample.robot_traj)
             cands.insert(0, divert)
             vals.append(generative_regret(cb, sample.robot_traj,
@@ -616,10 +628,11 @@ def _fit_perception_codebook(n_fit: int, exec_noise: float,
     ctx = NavWorld()
     rows = {0: [], 1: []}
     inert = [0.0] * NAV_STEPS
+    gens = stream_generators(derive_streams(
+        (rng, (bit, i)) for i in range(n_fit) for bit in range(len(GOALS))))
     for i in range(n_fit):
         for bit, goal in enumerate(GOALS):
-            noise = rng.derive(bit, i).generator().normal(
-                0.0, exec_noise, NAV_STEPS).tolist()
+            noise = next(gens).normal(0.0, exec_noise, NAV_STEPS).tolist()
             rows[bit].append(_perception_turns(goal, noise, ctx) + inert)
     means = np.empty((2, 2 * NAV_STEPS))
     stds = np.empty((2, 2 * NAV_STEPS))
@@ -658,13 +671,16 @@ def perception_case_study(sensor: SensorModel,
         ("empty-clear", False, False),
         ("empty-false-alarm", False, True),
     ]
+    gens = stream_generators(derive_streams(
+        (rng, (hashn(tag), i)) for tag, _, _ in conditions
+        for i in range(n_samples_per_condition)))
     results = []
     for tag, obstacle, forced_reading in conditions:
         forced = replace(sensor, injected_fault=forced_reading)
         true_goal = "Backup" if obstacle else "Primary"
         vals = []
-        for i in range(n_samples_per_condition):
-            gen = rng.derive(hashn(tag), i).generator()
+        for _ in range(n_samples_per_condition):
+            gen = next(gens)
             sensed = forced.sense(obstacle, gen)
             exec_goal = "Backup" if sensed else "Primary"
             executed = _perception_robot(exec_goal, gen, exec_noise, ctx)

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    DT_DEFAULT,
     ActionTraj,
     Context,
     JointState,
@@ -131,7 +130,7 @@ def hindsight_rewards(weights: RewardWeights, windows: Sequence, ctx: Context,
 def luce_shepard_likelihoods(weights: RewardWeights, candidates: Sequence[ActionTraj],
                              realized_humans: Sequence[ActionTraj], joint: JointState,
                              ctx: Context, human_radii: Sequence[float],
-                             dt: float = DT_DEFAULT) -> np.ndarray:
+                             dt: float) -> np.ndarray:
     """P(candidate i) = exp(r_i - max r) / sum_k exp(r_k - max r), rewards
     evaluated against realized human behavior: hindsight_rewards of one
     window, as score_scene prices each replan."""

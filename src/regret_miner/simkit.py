@@ -39,8 +39,10 @@ from .core import (
     JointStates,
     NavWorld,
     RngStream,
+    derive_streams,
     rollout_positions_from_speeds,
     rollout_speeds,
+    stream_generators,
     unicycle_step_floats,
     wrap_angle,
 )
@@ -695,14 +697,11 @@ def generate_scenario_batch(family: str, n: int, base_seed: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     build = _FAMILY_BUILDERS[family]
-    out = []
     root = RngStream(base_seed)
     fam_tag = FAMILIES.index(family)
-    for i in range(n):
-        child = root.derive(fam_tag, i)
-        sid = f"{family}-{base_seed}-{i:03d}"
-        out.append(build(child.generator(), sid, child.seed, horizon))
-    return out
+    children = derive_streams((root, (fam_tag, i)) for i in range(n))
+    return [build(gen, f"{family}-{base_seed}-{i:03d}", child.seed, horizon)
+            for i, (child, gen) in enumerate(zip(children, stream_generators(children)))]
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +912,8 @@ def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
     """Decode a scene/3 line whose span lies in sidecar (the bytes of the
     .bin file, or of any buffer that holds the span at the line's "bin"
     offset); any other schema is a ValueError, and so are a line without a
-    key of _SCENE_KEYS (naming the key), a dt that is not a positive finite
+    key of _SCENE_KEYS (naming the key), an "aborted" that is not a bool or
+    an "abort_reason" that is not a str, a dt that is not a positive finite
     float, a "bin" record that is not {"at": int >= 0, "n": int >= 0,
     "sha256": str}, a span whose length or SHA-256 is not the line's and a
     block that runs past the span. Every value passes the checks of the
@@ -931,6 +931,9 @@ def scene_from_dict(d: dict, sidecar: bytes) -> SceneRecord:
     for key in _SCENE_KEYS:
         if key not in d:
             raise ValueError(f"{key}: the scene line records no {key}")
+    for key, kind in (("aborted", bool), ("abort_reason", str)):
+        if type(d[key]) is not kind:
+            raise ValueError(f"{key}={d[key]!r} is not a {kind.__name__}")
     dt = d["dt"]
     if type(dt) is not float or not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt={dt!r} is not a positive finite float")

@@ -101,7 +101,7 @@ def test_criterion_01_likelihood_exactness():
                         humans.append(h)
                 got = luce_shepard_likelihoods(handle.weights, e.candidates,
                                                humans, joint, scene.context,
-                                               radii)
+                                               radii, scene.dt)
                 rewards = np.array([
                     reward(handle, cand, humans, joint, scene.context, radii)
                     for cand in e.candidates

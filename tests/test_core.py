@@ -14,10 +14,13 @@ from regret_miner.core import (
     JointStates,
     NavWorld,
     RngStream,
+    derive_streams,
     rollout_positions,
     rollout_positions_batch,
     rollout_positions_from_speeds,
     rollout_speeds,
+    seed_sequence_states,
+    stream_generators,
     unicycle_step_floats,
     wrap_angle,
 )
@@ -707,3 +710,63 @@ def test_rng_stream_derive():
     d1 = root.derive(0).generator().uniform(size=4)
     d2 = root.derive(1).generator().uniform(size=4)
     assert not np.array_equal(d1, d2)
+
+
+# Word boundaries of numpy's int-to-uint32 split, and ints above 2**64.
+_EDGE_INTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7, 2**130 - 1]
+_entropy_ints = st.one_of(st.sampled_from(_EDGE_INTS), st.integers(0, 2**32),
+                          st.integers(0, 2**200))
+
+
+def _numpy_states(rows) -> list:
+    return [np.random.SeedSequence(entropy=tuple(r)).generate_state(2, np.uint64).tolist()
+            for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_entropy_ints, min_size=1, max_size=7), min_size=1, max_size=12))
+@example(rows=[[e] for e in _EDGE_INTS] + [_EDGE_INTS[:7], _EDGE_INTS[1:]])
+def test_seed_sequence_states_equal_numpy_seed_sequence(rows):
+    # The reference is numpy's own SeedSequence, one row at a time; rows of
+    # different word counts go through different blocks of the kernel.
+    got = seed_sequence_states(rows)
+    assert got.dtype == np.uint64 and got.shape == (len(rows), 2)
+    assert got.tolist() == _numpy_states(rows)
+
+
+@pytest.mark.parametrize("ids", [(-1,), (3, -2**40)])
+def test_a_negative_id_is_refused_as_derive_refuses_it(ids):
+    root = RngStream(5, 1)
+    with pytest.raises(ValueError):
+        root.derive(*ids)
+    with pytest.raises(ValueError, match="non-negative"):
+        derive_streams([(root, (0,)), (root, ids)])
+    with pytest.raises(ValueError, match="non-negative"):
+        seed_sequence_states([(5, 1, *ids)])
+
+
+def test_derive_streams_equal_derive_one_at_a_time():
+    roots = [RngStream(0), RngStream(99, 3), RngStream(2**64 - 1, 2**40), RngStream(7, 2**70)]
+    rows = [(r, ids) for r in roots
+            for ids in [(), (0,), (4, 17), (2**32, 1, 2), (1, 2, 3, 4, 5), (np.int64(6),)]]
+    assert derive_streams(rows) == [p.derive(*ids) for p, ids in rows]
+    assert derive_streams([]) == []
+
+
+def _plain_state(state: dict) -> dict:
+    return {k: _plain_state(v) if isinstance(v, dict)
+            else v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in state.items()}
+
+
+@settings(max_examples=50, deadline=None)
+@given(pairs=st.lists(st.tuples(_entropy_ints, _entropy_ints), min_size=1, max_size=6))
+@example(pairs=[(0, 0), (1, 17), (2**64 - 1, 2**64 - 1), (2**32, 2**70)])
+def test_stream_generators_equal_generator(pairs):
+    streams = [RngStream(seed, stream_id) for seed, stream_id in pairs]
+    for s, gen in zip(streams, stream_generators(streams), strict=True):
+        ref = s.generator()
+        assert _plain_state(gen.bit_generator.state) == _plain_state(ref.bit_generator.state)
+        assert gen.random(5).tolist() == ref.random(5).tolist()
+        assert gen.normal(0.0, 0.05, 6).tolist() == ref.normal(0.0, 0.05, 6).tolist()
+        assert gen.integers(0, 2**40, 4).tolist() == ref.integers(0, 2**40, 4).tolist()

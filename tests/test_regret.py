@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -133,7 +134,7 @@ def test_luce_shepard_matches_hindsight_softmax():
         joint = scene.states[0]
         weights = RewardWeights()
         p = luce_shepard_likelihoods(weights, entry.candidates, realized, joint,
-                                     scene.context, scene.human_radii)
+                                     scene.context, scene.human_radii, scene.dt)
         handle = PlannerHandle(weights=weights, dt=0.1)
         from regret_miner.planner import reward
         r = [reward(handle, c, realized, joint, scene.context,
@@ -368,11 +369,34 @@ def test_score_scene_likelihoods_are_luce_shepard_likelihoods(family_scenes):
             p = luce_shepard_likelihoods(weights, e.candidates,
                                          [h for h in segs if h is not None],
                                          scene.states[e.t], scene.context,
-                                         scene.human_radii)
+                                         scene.human_radii, scene.dt)
             assert (t, exec_lik, max_lik) == (e.t, float(p[e.executed_index]), float(p.max()))
             n += 1
     assert n == sum(len(s.replan_log) for s in family_scenes) + len(mixed.replan_log)
     assert len({len(c) for c in entry.candidates}) == 2
+
+
+def test_luce_shepard_likelihoods_price_a_replan_at_its_scene_dt():
+    """dt has no default: a scene simulated at dt 0.2 is priced at 0.2, as
+    score_scene prices it, never at DT_DEFAULT."""
+    assert (inspect.signature(luce_shepard_likelihoods).parameters["dt"].default
+            is inspect.Parameter.empty)
+    spec = generate_scenario_batch("StoppedTraffic", 1, base_seed=31, horizon=20)[0]
+    scene = run_closed_loop(spec, PlannerHandle(horizon=10, dt=0.2), OraclePredictor(), 10)
+    weights = RewardWeights()
+    rep = score_scene(LuceShepard(weights), scene)
+    assert scene.dt == 0.2 and rep.per_t
+    at_default = []
+    for e, (t, exec_lik, max_lik, _) in zip(scene.replan_log, rep.per_t, strict=True):
+        segs = [_realized_human_segment(scene, i, e.t, len(e.candidates[0]))
+                for i in range(len(scene.states[0].humans))]
+        args = (weights, e.candidates, [h for h in segs if h is not None],
+                scene.states[e.t], scene.context, scene.human_radii)
+        p = luce_shepard_likelihoods(*args, scene.dt)
+        assert (t, exec_lik, max_lik) == (e.t, float(p[e.executed_index]), float(p.max()))
+        at_default.append(float(luce_shepard_likelihoods(*args, 0.1)[e.executed_index]))
+    # The step matters: priced at 0.1, the executed likelihoods move.
+    assert at_default != [exec_lik for _, exec_lik, _, _ in rep.per_t]
 
 
 def test_mine_top_quantile_sizes():

@@ -841,6 +841,10 @@ def test_scene_records_its_dt_and_decode_keeps_it(two_human_scene):
      r"^human 1 mode '\w+': probability nan is not a finite non-negative number"),
     (lambda d: d["replan_log"][0]["predicted_humans"]["prob"][0].__setitem__(0, -0.5),
      r"^human 0 mode '\w+': probability -0\.5 is not a finite non-negative number"),
+    (lambda d: d.update(aborted="no"), r"^aborted='no' is not a bool"),
+    (lambda d: d.update(aborted=0), r"^aborted=0 is not a bool"),
+    (lambda d: d.update(abort_reason=3), r"^abort_reason=3 is not a str"),
+    (lambda d: d.update(abort_reason=None), r"^abort_reason=None is not a str"),
 ])
 def test_scene_decode_names_a_missing_or_malformed_dt_or_bin(two_human_scene, tmp_path,
                                                                edit, message):
@@ -848,7 +852,9 @@ def test_scene_decode_names_a_missing_or_malformed_dt_or_bin(two_human_scene, tm
     the program: a line that lacks them or holds the wrong types or values is
     a ValueError naming the field, which scenes_from_jsonl notes with the
     line and the scene. So is a line that lacks any other key: no key of a
-    scene line has a default."""
+    scene line has a default. An "aborted" that is not a bool or an
+    "abort_reason" that is not a str is refused too: "no" is truthy, and
+    would mark the scene aborted."""
     path = tmp_path / "scenes.jsonl"
     scenes_to_jsonl(path, [two_human_scene])
     d = json.loads(path.read_text())
