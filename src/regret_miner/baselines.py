@@ -246,13 +246,11 @@ def label_scenes(scenes: Sequence, reports: Sequence[RegretReport],
                  aggregation: str = "mean") -> dict[str, MetricLabeling]:
     """All four metric labelings over one scene batch.
 
-    GRM and RM are read from each scene's regret report under `aggregation`,
-    whichever aggregation it was written with; ADE from logged predictions;
-    TRFD from the anticipated-reward quantile test at the same p. A
-    ValueError from ADE or TRFD gets a note naming the scene.
+    GRM and RM are each scene's regret report scores under `aggregation`;
+    ADE from logged predictions; TRFD from the anticipated-reward quantile
+    test at the same p. A ValueError from ADE or TRFD gets a note naming
+    the scene.
     """
-    if aggregation not in ("mean", "worst"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     by_id = {rep.scenario_id: rep for rep in reports}
     grm, rm, ade, trfd = {}, {}, {}, {}
     for scene in scenes:
@@ -262,10 +260,7 @@ def label_scenes(scenes: Sequence, reports: Sequence[RegretReport],
             raise ValueError(f"no regret report for scene {sid}")
         if [t for t, *_ in rep.per_t] != [e.t for e in scene.replan_log]:
             raise ValueError(f"regret report for {sid} has other replan times")
-        if aggregation == "mean":
-            grm[sid], rm[sid] = rep.mean_regret, rep.canonical_mean
-        else:
-            grm[sid], rm[sid] = rep.worst_regret, max(rep.canonical_per_t)
+        grm[sid], rm[sid] = rep.scores(aggregation)
         try:
             ade[sid] = ade_scene_score(scene)
             trfd[sid] = float(trfd_flag(scene, p, handle))

@@ -38,6 +38,7 @@ import numpy as np
 
 from . import harness
 from .core import RngStream
+from .regret import AGGREGATIONS
 
 _RUN_CONFIG_HELP = "config YAML (default: the one recorded in manifest.json)"
 _ARM_ALIASES = {"base": "Base", "low": "LowRegretFT", "random": "RandomFT",
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=_RUN_CONFIG_HELP)
     p.add_argument("--model", choices=("luce", "gen"), default="luce",
                    help="reward-softmax or codebook-KDE likelihoods")
-    p.add_argument("--agg", choices=("mean", "worst"), default=None)
+    p.add_argument("--agg", choices=AGGREGATIONS, default=None)
 
     p = add("mine", cmd_mine, help="flag the top-p%% regret scenes")
     p.add_argument("--in", dest="in_dir", required=True)

@@ -566,10 +566,11 @@ def build_mismatch_scenarios(cb: Codebook, rng: RngStream, n_reps: int = 30,
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
+    # (goal, yield draw, range of the uniform cue) of each deployment.
     configs = {
-        "nominal": (0.5, "Primary", True),
-        "collision": (0.5, "Primary", False),
-        "irrelevant": (1.0 / 6.0, "Primary", None),
+        "nominal": ("Primary", True, (0.4, 0.6)),
+        "collision": ("Primary", False, (0.4, 0.6)),
+        "irrelevant": ("Primary", None, (0.05, 0.28)),
     }
     divert = divert_shape_candidate()
     # Each rep draws its cue from stream (tag, i, 0) and runs its episode on
@@ -578,11 +579,10 @@ def build_mismatch_scenarios(cb: Codebook, rng: RngStream, n_reps: int = 30,
         (rng, ids) for name in configs for i in range(n_reps)
         for ids in ((hashn(name), i, 0), (hashn(name), i))))
     out = {}
-    for name, (delta_h, goal, yield_draw) in configs.items():
+    for name, (goal, yield_draw, cue_range) in configs.items():
         vals = []
         for _ in range(n_reps):
-            cue = next(gens).uniform(*{"nominal": (0.4, 0.6), "collision": (0.4, 0.6),
-                                       "irrelevant": (0.05, 0.28)}[name])
+            cue = next(gens).uniform(*cue_range)
             sample, _, _ = _nav_episode(cue, goal, next(gens), epsilon_sigma=0.0,
                                         exec_noise=0.02, yield_draw=yield_draw)
             cands = default_hindsight_candidates(sample.robot_traj)

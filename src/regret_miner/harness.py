@@ -43,6 +43,7 @@ from .predictor import (
     params_to_json,
 )
 from .regret import (
+    AGGREGATIONS,
     LuceShepard,
     mine_top_quantile,
     mined_to_doc,
@@ -107,7 +108,7 @@ class ExperimentConfig:
             raise ValueError("holdout_frac must be in (0, 1)")
         if not (0.0 < self.finetune_lambda <= 1.0):
             raise ValueError("finetune_lambda must be in (0, 1]")
-        if self.aggregation not in ("mean", "worst"):
+        if self.aggregation not in AGGREGATIONS:
             raise ValueError("aggregation must be 'mean' or 'worst'")
         if self.replan_every < 1:
             raise ValueError("replan_every must be >= 1")
@@ -301,13 +302,16 @@ def load_deployment(out_dir) -> tuple[ExperimentConfig, list, dict, PredictorPar
 # ---------------------------------------------------------------------------
 
 def score_deployment(scenes: Sequence, config: ExperimentConfig):
-    """(scores by scenario id, full per-scene regret reports)."""
+    """(scores by scenario id under config.aggregation, full per-scene
+    regret reports)."""
     model = LuceShepard(config.planner_handle().weights)
+    reports = [score_scene(model, scene) for scene in scenes]
+    return _scene_scores(reports, config.aggregation), reports
 
-    reports = [score_scene(model, scene, aggregation=config.aggregation)
-               for scene in scenes]
-    scores = {r.scenario_id: r.score for r in reports}
-    return scores, reports
+
+def _scene_scores(reports: Sequence, aggregation: str) -> dict[str, float]:
+    """{scenario id: generalized regret score under aggregation}."""
+    return {r.scenario_id: r.scores(aggregation)[0] for r in reports}
 
 
 def write_scores(run, scores: dict[str, float], aggregation: str,
@@ -353,28 +357,19 @@ def _check_scored(scenes_path: Path, doc: dict) -> None:
 
 def _stored_reports(run: Path, key: str) -> Optional[tuple[list, dict]]:
     """(reports, skipped) of the last `score` of run, when its scores.json
-    carries key, reports.jsonl parses, its scene ids are the scores' ids,
-    each report's mean and worst regret are those of its per-replan
-    regrets, as score_scene aggregates them, and each report's score under
-    the recorded aggregation is the stored score; else None."""
+    carries key, reports.jsonl parses, holds one report per scored scene,
+    and aggregates under the recorded aggregation to the stored scores;
+    else None."""
     try:
         doc = json.loads((run / "scores.json").read_text())
-        if doc.get("inputs_sha256") != key or doc.get("aggregation") not in ("mean", "worst"):
+        if doc.get("inputs_sha256") != key:
             return None
         reports = reports_from_jsonl(run / "reports.jsonl")
+        if (len(reports) != len(doc["scores"])
+                or _scene_scores(reports, doc["aggregation"]) != doc["scores"]):
+            return None
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    scores = doc.get("scores")
-    if not isinstance(scores, dict) or sorted(r.scenario_id for r in reports) != sorted(scores):
-        return None
-    for r in reports:
-        regrets = [g for *_, g in r.per_t]
-        if (not regrets or r.mean_regret != float(np.mean(regrets))
-                or r.worst_regret != float(np.max(regrets))):
-            return None
-        r.aggregation = doc["aggregation"]
-        if r.score != scores[r.scenario_id]:
-            return None
     return reports, doc.get("skipped", {})
 
 
@@ -460,12 +455,25 @@ def build_subsets(scene_ids: Sequence[str], scores: dict[str, float],
 # Fine-tuning case study
 # ---------------------------------------------------------------------------
 
+def cell_metric(cell: dict, metric: str) -> float:
+    """A metric of one case-study cell. Collision cost is the cell's total
+    collision cost per scene and collision severity its total per collision
+    frame, each 0.0 with nothing to divide by; every other metric is stored."""
+    if metric not in ("collision_cost", "collision_severity"):
+        return cell[metric]
+    total = sum(cell["per_scene_collision_cost"].values())
+    n = (len(cell["per_scene_collision_cost"]) if metric == "collision_cost"
+         else cell["collision_frames"])
+    return total / n if n > 0 else 0.0
+
+
 @dataclass
 class CaseStudyReport:
     """Per-arm, per-split, per-seed closed-loop metrics.
 
     values[arm][split] is a list of cells aligned with seeds; each cell holds
-    the five metrics plus per-scene collision costs and the frame count.
+    mean regret, ADE and FDE, the per-scene collision costs and the
+    collision frame count, from which cell_metric computes the rest.
     """
 
     seeds: tuple[int, ...]
@@ -478,22 +486,9 @@ class CaseStudyReport:
                 if len(cells) != len(self.seeds):
                     raise ValueError(f"{arm}/{split}: {len(cells)} cells for "
                                      f"{len(self.seeds)} seeds")
-                for cell in cells:
-                    per_scene = cell["per_scene_collision_cost"]
-                    total = sum(per_scene.values())
-                    frames = cell["collision_frames"]
-                    sev = cell["collision_severity"]
-                    expect = total / frames if frames > 0 else 0.0
-                    if abs(sev - expect) > 1e-9:
-                        raise ValueError(f"{arm}/{split}: severity {sev} "
-                                         f"inconsistent with {expect}")
-                    mean_cost = total / len(per_scene) if per_scene else 0.0
-                    if abs(cell["collision_cost"] - mean_cost) > 1e-9:
-                        raise ValueError(f"{arm}/{split}: collision_cost "
-                                         "inconsistent with per-scene costs")
 
     def metric_over_seeds(self, arm: str, split: str, metric: str) -> list[float]:
-        return [cell[metric] for cell in self.values[arm][split]]
+        return [cell_metric(cell, metric) for cell in self.values[arm][split]]
 
     def aggregate(self, arm: str, split: str, metric: str) -> tuple[float, float]:
         vals = np.array(self.metric_over_seeds(arm, split, metric))
@@ -511,12 +506,12 @@ class CaseStudyReport:
         return float(np.median(self.pooled_scene_costs(arm, split)))
 
     def to_dict(self) -> dict:
-        return {"schema": "casestudy/1", "seeds": list(self.seeds),
+        return {"schema": "casestudy/2", "seeds": list(self.seeds),
                 "arms": list(self.values), "values": self.values}
 
     @staticmethod
     def from_dict(d: dict) -> "CaseStudyReport":
-        if d.get("schema") != "casestudy/1":
+        if d.get("schema") != "casestudy/2":
             raise ValueError(f"unsupported schema {d.get('schema')!r}")
         return CaseStudyReport(seeds=tuple(d["seeds"]), values=d["values"])
 
@@ -554,21 +549,17 @@ def _split_cell(scenes: Sequence, config: ExperimentConfig) -> dict:
     """One (arm, split, seed) cell. A scene with no replan log (aborted at
     t=0) keeps its collision cost but is left out of mean_regret, ade and
     fde, and the cell lists it as "skipped": {scene id: abort reason}."""
-    per_scene = {s.scenario_id: s.total_collision_cost for s in scenes}
-    frames = sum(s.collision_frames for s in scenes)
-    total = sum(per_scene.values())
     scored = [s for s in scenes if s.replan_log]
     skipped = {s.scenario_id: s.abort_reason for s in scenes if not s.replan_log}
-    regrets = [r.score for r in score_deployment(scored, config)[1]]
+    regrets = list(score_deployment(scored, config)[0].values())
     errs = [scene_prediction_errors(s) for s in scored]
     cell = {
-        "collision_cost": total / len(per_scene) if per_scene else 0.0,
-        "collision_severity": total / frames if frames > 0 else 0.0,
         "mean_regret": float(np.mean(regrets)) if regrets else 0.0,
         "ade": float(np.mean([e[0] for e in errs])) if errs else 0.0,
         "fde": float(np.mean([e[1] for e in errs])) if errs else 0.0,
-        "collision_frames": frames,
-        "per_scene_collision_cost": per_scene,
+        "collision_frames": sum(s.collision_frames for s in scenes),
+        "per_scene_collision_cost": {s.scenario_id: s.total_collision_cost
+                                     for s in scenes},
     }
     if skipped:
         cell["skipped"] = skipped
@@ -698,17 +689,8 @@ def write_case_csv(report: CaseStudyReport, path) -> Path:
                 for seed, cell in zip(report.seeds, by_split[split]):
                     for metric in ALL_METRICS:
                         w.writerow([arm, split, seed, metric,
-                                    repr(float(cell[metric]))])
+                                    repr(float(cell_metric(cell, metric)))])
     return path
-
-
-def read_case_csv(path) -> dict[tuple[str, str, int, str], float]:
-    out = {}
-    with open(path) as f:
-        for row in csv.DictReader(f):
-            key = (row["arm"], row["split"], int(row["seed"]), row["metric"])
-            out[key] = float(row["value"])
-    return out
 
 
 def write_regret_histogram(scores: dict[str, float], p: float, path,
@@ -810,22 +792,20 @@ def score(run, config: ExperimentConfig) -> dict[str, float]:
     replan to score: it is left out, and scores.json lists it under
     "skipped" with its abort reason. When the run's last `score` had the
     same key and left its files as written, its reports are re-aggregated
-    without decoding a scene, to the bytes a full rescore writes. Returns
-    the scores by scene id."""
+    without decoding a scene, and reports.jsonl, which holds no aggregate,
+    is left as it is. Returns the scores by scene id."""
     run = Path(run)
     scenes_path = _scenes_path(run)
     key = _scoring_key(scenes_path, config.planner_handle().weights)
     stored = _stored_reports(run, key)
     if stored is not None:
         reports, skipped = stored
-        for r in reports:
-            r.aggregation = config.aggregation
-        scores = {r.scenario_id: r.score for r in reports}
+        scores = _scene_scores(reports, config.aggregation)
     else:
         scenes = simkit.scenes_from_jsonl(scenes_path)
         skipped = {s.scenario_id: s.abort_reason for s in scenes if not s.replan_log}
         scores, reports = score_deployment([s for s in scenes if s.replan_log], config)
-    reports_to_jsonl(run / "reports.jsonl", reports)
+        reports_to_jsonl(run / "reports.jsonl", reports)
     write_scores(run, scores, config.aggregation, skipped, key)
     return scores
 
@@ -834,8 +814,9 @@ def mine(run, p: float) -> dict:
     """Flag the top p% of scores.json under its aggregation; writes
     mined.json. Returns its document."""
     doc = json.loads(need(run, "scores.json", "score").read_text())
-    mined = mined_to_doc(sorted(doc["scores"].items()), p,
-                         doc.get("aggregation", "mean"))
+    if doc["aggregation"] not in AGGREGATIONS:
+        raise ValueError(f"scores.json: unknown aggregation {doc['aggregation']!r}")
+    mined = mined_to_doc(sorted(doc["scores"].items()), p, doc["aggregation"])
     (Path(run) / "mined.json").write_text(json.dumps(mined, indent=2))
     return mined
 

@@ -140,21 +140,44 @@ def luce_shepard_likelihoods(weights: RewardWeights, candidates: Sequence[Action
     return softmax_likelihoods(hindsight_rewards(weights, [window], ctx, human_radii, dt)[0])
 
 
-@dataclass
+AGGREGATIONS = ("mean", "worst")
+
+
+@dataclass(frozen=True)
 class RegretReport:
-    """Per-replan regrets plus aggregates for one scene."""
+    """Per-replan generalized and canonical regrets of one scene. A scene
+    score is not stored: `scores` aggregates the replans when it is read."""
 
     scenario_id: str
     per_t: list[tuple[int, float, float, float]]  # (t, exec_lik, max_lik, regret_t)
-    mean_regret: float
-    worst_regret: float
     canonical_per_t: list[float]
-    canonical_mean: float
-    aggregation: str = "mean"
+
+    def __post_init__(self):
+        if not self.per_t:
+            raise ValueError(f"regret report {self.scenario_id!r} has no replan")
+        if len(self.canonical_per_t) != len(self.per_t):
+            raise ValueError(f"regret report {self.scenario_id!r}: "
+                             f"{len(self.canonical_per_t)} canonical regrets for "
+                             f"{len(self.per_t)} replans")
+
+    def scores(self, aggregation: str) -> tuple[float, float]:
+        """(generalized, canonical) scene scores: the mean or the worst
+        case of the per-replan regrets. The one place an aggregation name
+        becomes a number."""
+        regrets = [g for *_, g in self.per_t]
+        if aggregation == "mean":
+            return float(np.mean(regrets)), float(np.mean(self.canonical_per_t))
+        if aggregation == "worst":
+            return float(np.max(regrets)), max(self.canonical_per_t)
+        raise ValueError(f"unknown aggregation {aggregation!r}")
 
     @property
-    def score(self) -> float:
-        return self.worst_regret if self.aggregation == "worst" else self.mean_regret
+    def mean_regret(self) -> float:
+        return self.scores("mean")[0]
+
+    @property
+    def worst_regret(self) -> float:
+        return self.scores("worst")[0]
 
 
 def realized_human_actions(scene, t0: int, T: int) -> list[np.ndarray]:
@@ -173,7 +196,7 @@ def _realized_human_segment(scene, human_idx: int, t0: int, T: int) -> Optional[
     return ActionTraj(segs[human_idx], start_t=t0) if segs else None
 
 
-def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretReport:
+def score_scene(model: LuceShepard, scene) -> RegretReport:
     """Generalized + canonical regret at every logged replan of a scene.
 
     Candidate rewards are recomputed against the realized human actions
@@ -186,8 +209,6 @@ def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretR
     softmax_likelihoods, generalized_from_likelihoods and
     canonical_from_rewards on that replan alone.
     """
-    if aggregation not in ("mean", "worst"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     if not isinstance(model, LuceShepard):
         raise TypeError("score_scene requires the reward-based likelihood model")
     if not scene.replan_log:
@@ -211,20 +232,12 @@ def score_scene(model: LuceShepard, scene, aggregation: str = "mean") -> RegretR
                                    (r.max(axis=1) - r[rows, ex]).tolist()):
             per_t[i] = (scene.replan_log[i].t, el, ml, g)
             canon[i] = c
-    regrets = [x[3] for x in per_t]
-    return RegretReport(
-        scenario_id=scene.scenario_id,
-        per_t=per_t,
-        mean_regret=float(np.mean(regrets)),
-        worst_regret=float(np.max(regrets)),
-        canonical_per_t=canon,
-        canonical_mean=float(np.mean(canon)),
-        aggregation=aggregation,
-    )
+    return RegretReport(scene.scenario_id, per_t, canon)
 
 
-def mine_top_quantile(scores: Sequence[tuple[str, float]], p: float) -> set[str]:
-    """Flag the ceil(N*p/100) highest scores; ties broken by lexicographic id."""
+def _top_ranked(scores: Sequence[tuple[str, float]], p: float) -> list[str]:
+    """The ids of the ceil(N*p/100) highest scores, highest first; ties
+    broken by lexicographic id."""
     if not scores:
         raise ValueError("scores must be non-empty")
     if not (0.0 < p < 100.0):
@@ -233,8 +246,12 @@ def mine_top_quantile(scores: Sequence[tuple[str, float]], p: float) -> set[str]
     if bad:
         raise ValueError(f"scores must be finite; non-finite ids: {bad}")
     k = math.ceil(len(scores) * p / 100.0)
-    ranked = sorted(scores, key=lambda sv: (-sv[1], sv[0]))
-    return {sid for sid, _ in ranked[:k]}
+    return [sid for sid, _ in sorted(scores, key=lambda sv: (-sv[1], sv[0]))[:k]]
+
+
+def mine_top_quantile(scores: Sequence[tuple[str, float]], p: float) -> set[str]:
+    """Flag the ceil(N*p/100) highest scores; ties broken by lexicographic id."""
+    return set(_top_ranked(scores, p))
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +295,20 @@ def build_calibration_pair():
 
 def report_to_dict(rep: RegretReport) -> dict:
     return {
-        "schema": "regret/1",
+        "schema": "regret/2",
         "scenario_id": rep.scenario_id,
         "per_t": [[t, el, ml, g] for t, el, ml, g in rep.per_t],
-        "mean_regret": rep.mean_regret,
-        "worst_regret": rep.worst_regret,
         "canonical_per_t": rep.canonical_per_t,
-        "canonical_mean": rep.canonical_mean,
-        "aggregation": rep.aggregation,
     }
 
 
 def report_from_dict(d: dict) -> RegretReport:
-    if d.get("schema") != "regret/1":
+    if d.get("schema") != "regret/2":
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
     return RegretReport(
         scenario_id=d["scenario_id"],
         per_t=[(int(t), el, ml, g) for t, el, ml, g in d["per_t"]],
-        mean_regret=d["mean_regret"],
-        worst_regret=d["worst_regret"],
         canonical_per_t=list(d["canonical_per_t"]),
-        canonical_mean=d["canonical_mean"],
-        aggregation=d.get("aggregation", "mean"),
     )
 
 
@@ -320,14 +329,12 @@ def reports_from_jsonl(path) -> list[RegretReport]:
 
 
 def mined_to_doc(scores: Sequence[tuple[str, float]], p: float,
-                 aggregation: str = "mean") -> dict:
-    flagged = mine_top_quantile(scores, p)
-    ranked = sorted(scores, key=lambda sv: (-sv[1], sv[0]))
-    ordered = [sid for sid, _ in ranked if sid in flagged]
+                 aggregation: str) -> dict:
+    ordered = _top_ranked(scores, p)
     return {
         "schema": "mined/1",
         "p": p,
-        "k": len(flagged),
+        "k": len(ordered),
         "aggregation": aggregation,
         "flagged_ids": ordered,
     }

@@ -401,29 +401,29 @@ def test_label_scenes_contract(scenes, reports):
 
 
 def test_label_scenes_reads_either_aggregation(scenes, tmp_path):
-    """GRM and RM are score_scene's values under the requested aggregation,
-    whichever aggregation the reports were written with, also after a
-    reports.jsonl round trip."""
-    model = LuceShepard()
-    want = {agg: {s.scenario_id: score_scene(model, s, aggregation=agg)
-                  for s in scenes} for agg in ("mean", "worst")}
-    for written in ("mean", "worst"):
-        path = tmp_path / f"{written}.jsonl"
-        reports_to_jsonl(path, list(want[written].values()))
-        for reps in (list(want[written].values()), reports_from_jsonl(path)):
-            for agg in ("mean", "worst"):
-                labs = label_scenes(scenes, reps, p=34.0, aggregation=agg)
-                for sid, rep in want[agg].items():
-                    assert labs["GRM"].scores[sid] == rep.score
-                    assert labs["RM"].scores[sid] == (
-                        rep.canonical_mean if agg == "mean"
-                        else max(rep.canonical_per_t))
+    """GRM and RM are the mean or the worst case of each report's
+    per-replan regrets, as requested, also after a reports.jsonl round
+    trip."""
+    reports = [score_scene(LuceShepard(), s) for s in scenes]
+    want = {"mean": {r.scenario_id: (r.mean_regret, float(np.mean(r.canonical_per_t)))
+                     for r in reports},
+            "worst": {r.scenario_id: (r.worst_regret, max(r.canonical_per_t))
+                      for r in reports}}
+    path = tmp_path / "reports.jsonl"
+    reports_to_jsonl(path, reports)
+    for reps in (reports, reports_from_jsonl(path)):
+        for agg in ("mean", "worst"):
+            labs = label_scenes(scenes, reps, p=34.0, aggregation=agg)
+            for sid, (grm, rm) in want[agg].items():
+                assert labs["GRM"].scores[sid] == grm
+                assert labs["RM"].scores[sid] == rm
 
 
 def test_label_scenes_rejects_bad_reports(scenes, reports):
     with pytest.raises(ValueError, match="no regret report"):
         label_scenes(scenes, reports[1:], p=34.0)
-    cut = replace(reports[2], per_t=reports[2].per_t[:-1])
+    cut = replace(reports[2], per_t=reports[2].per_t[:-1],
+                  canonical_per_t=reports[2].canonical_per_t[:-1])
     with pytest.raises(ValueError, match="replan times"):
         label_scenes(scenes, reports[:2] + [cut] + reports[3:], p=34.0)
     t, el, ml, g = reports[2].per_t[0]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import regret_miner
@@ -55,12 +56,28 @@ def test_runtime_errors_are_json(tmp_path, capsys):
 
 def test_type_errors_are_json(tmp_path, capsys):
     (tmp_path / "scores.json").write_text(json.dumps(
-        {"schema": "scores/1", "scores": {"a": 0.5, "b": "high"}}))
+        {"schema": "scores/1", "aggregation": "mean", "scores": {"a": 0.5, "b": "high"}}))
     with pytest.raises(SystemExit) as exc:
         main(["mine", "--in", str(tmp_path), "--p", "50"])
     assert exc.value.code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "TypeError"
+
+
+@pytest.mark.parametrize("aggregation", [None, "median"])
+def test_mine_refuses_scores_without_a_known_aggregation(aggregation, tmp_path, capsys):
+    """mined.json records the aggregation of scores.json, which has no
+    default: a missing or unknown one fails with a JSON error naming it."""
+    doc = {"schema": "scores/1", "scores": {"a": 0.5, "b": 0.25}}
+    if aggregation is not None:
+        doc["aggregation"] = aggregation
+    (tmp_path / "scores.json").write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", "--in", str(tmp_path), "--p", "50"])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "aggregation" in err["message"]
+    assert not (tmp_path / "mined.json").exists()
 
 
 def test_runtime_errors_from_a_stage_are_json(tmp_path, capsys, monkeypatch):
@@ -770,11 +787,12 @@ def _full_rescore(run, dst, argv=()):
 
 def _forbid_rescoring(monkeypatch):
     def rescored(*args, **kwargs):
-        raise AssertionError("score decoded or rescored a scene")
+        raise AssertionError("score decoded or rescored a scene, or rewrote reports.jsonl")
 
     monkeypatch.setattr(simkit, "scenes_from_jsonl", rescored)
     monkeypatch.setattr(regret, "score_scene", rescored)
     monkeypatch.setattr(harness, "score_scene", rescored)
+    monkeypatch.setattr(harness, "reports_to_jsonl", rescored)
 
 
 @pytest.mark.parametrize("abort", [False, True])
@@ -793,7 +811,8 @@ def test_score_reaggregates_an_unchanged_deployment_without_decoding(
         _forbid_rescoring(m)
         assert main(["score", "--in", r, "--agg", "worst"]) == 0
     worst = _scored_files(run)
-    assert worst != first
+    assert worst["reports.jsonl"] == first["reports.jsonl"]
+    assert worst["scores.json"] != first["scores.json"]
     assert worst == _full_rescore(run, tmp_path / "fresh-worst", ["--agg", "worst"])
     assert json.loads(worst["scores.json"]).get("skipped") == ({sid: reason} if abort else None)
 
@@ -813,17 +832,35 @@ def _edit_reports(run, edit):
     (run / "reports.jsonl").write_text("".join(edit(lines)))
 
 
-def _change_score(lines):
-    doc = json.loads(lines[0])
-    doc["mean_regret"] += 0.125
-    return [json.dumps(doc) + "\n"] + lines[1:]
+def _change_score(run):
+    doc = json.loads((run / "scores.json").read_text())
+    sid = min(doc["scores"])
+    doc["scores"][sid] += 0.125
+    (run / "scores.json").write_text(json.dumps(doc, indent=2))
 
 
 def _change_worst(lines):
     doc = json.loads(lines[0])
-    assert doc["worst_regret"] != 0.9
-    doc["worst_regret"] = 0.9
+    worst = max(range(len(doc["per_t"])), key=lambda i: doc["per_t"][i][3])
+    assert doc["per_t"][worst][3] < 0.9
+    doc["per_t"][worst][3] = 0.9
     return [json.dumps(doc) + "\n"] + lines[1:]
+
+
+def _as_regret_1(lines):
+    """The lines in the regret/1 format, which stored the aggregates too."""
+    out = []
+    for line in lines:
+        doc = json.loads(line)
+        regrets = [g for *_, g in doc["per_t"]]
+        out.append(json.dumps({
+            "schema": "regret/1", "scenario_id": doc["scenario_id"],
+            "per_t": doc["per_t"], "mean_regret": float(np.mean(regrets)),
+            "worst_regret": float(np.max(regrets)),
+            "canonical_per_t": doc["canonical_per_t"],
+            "canonical_mean": float(np.mean(doc["canonical_per_t"])),
+            "aggregation": "mean"}) + "\n")
+    return out
 
 
 def _extra_id(lines):
@@ -847,7 +884,7 @@ def _heavier_collisions(run, tmp_path):
 
 @pytest.mark.parametrize("case", ["scene byte", "weights", "no reports",
                                   "changed score", "changed worst", "dropped line",
-                                  "extra id", "no key"])
+                                  "extra id", "no key", "regret/1"])
 def test_each_invalidation_forces_a_full_rescore(case, cli_and_full_runs, tmp_path,
                                                  monkeypatch, capsys):
     run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
@@ -862,12 +899,16 @@ def test_each_invalidation_forces_a_full_rescore(case, cli_and_full_runs, tmp_pa
     elif case == "no reports":
         (run / "reports.jsonl").unlink()
     elif case == "changed score":
-        _edit_reports(run, _change_score)
+        _change_score(run)
     elif case == "changed worst":
-        # The stored score is the mean, so only re-aggregating the reports
-        # finds the edit: score --agg worst would write 0.9.
+        # One per-replan regret, the worst, becomes 0.9: the stored scores
+        # are means, and only re-aggregating the reports finds the edit.
         _edit_reports(run, _change_worst)
         argv = ["--agg", "worst"]
+    elif case == "regret/1":
+        # A report line of the old format is refused, so score rescores
+        # and writes regret/2.
+        _edit_reports(run, _as_regret_1)
     elif case == "dropped line":
         _edit_reports(run, lambda lines: lines[1:])
     elif case == "extra id":
@@ -883,6 +924,7 @@ def test_each_invalidation_forces_a_full_rescore(case, cli_and_full_runs, tmp_pa
     assert main(["score", "--in", str(run), *argv]) == 0
     assert reads == ["scenes.jsonl"]
     assert _scored_files(run) == want
+    assert json.loads(want["reports.jsonl"].splitlines()[0])["schema"] == "regret/2"
     if case == "weights":
         assert want != _scored_files(cli_and_full_runs[0])
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -13,13 +14,13 @@ from regret_miner.harness import (
     ExperimentConfig,
     Subsets,
     build_subsets,
+    cell_metric,
     config_from_yaml,
     config_to_yaml,
     deploy,
     finetune_and_redeploy,
     finetune_params,
     load_deployment,
-    read_case_csv,
     report,
     score_deployment,
     write_case_csv,
@@ -159,10 +160,7 @@ def test_subsets_dict_round_trip():
 
 
 def _cell(costs, frames):
-    total = sum(costs.values())
     return {
-        "collision_cost": total / len(costs),
-        "collision_severity": total / frames if frames else 0.0,
         "mean_regret": 0.01 * (1 + frames),
         "ade": 0.1,
         "fde": 0.2,
@@ -192,16 +190,16 @@ def _handmade_report():
 def test_case_report_consistency_checks():
     rep = _handmade_report()
     # severity: 10 cost over 5 frames -> 2.0; zero frames -> 0
-    assert rep.values["Base"]["high"][0]["collision_severity"] == 2.0
-    assert rep.values["Base"]["low"][0]["collision_severity"] == 0.0
-    bad = _cell({"a": 10.0}, 5)
-    bad["collision_severity"] = 3.0
-    with pytest.raises(ValueError):
-        CaseStudyReport(seeds=(1,), values={"Base": {"high": [bad]}})
-    bad2 = _cell({"a": 10.0}, 5)
-    bad2["collision_cost"] = 99.0
-    with pytest.raises(ValueError):
-        CaseStudyReport(seeds=(1,), values={"Base": {"high": [bad2]}})
+    assert cell_metric(rep.values["Base"]["high"][0], "collision_severity") == 2.0
+    assert cell_metric(rep.values["Base"]["low"][0], "collision_severity") == 0.0
+    # cost: the total over the scenes, summed in the stored order; none -> 0
+    assert cell_metric(rep.values["Base"]["high"][0], "collision_cost") == 5.0
+    tenths = _cell({"a": 0.1, "b": 0.2, "c": 0.3}, 3)
+    assert cell_metric(tenths, "collision_cost") == (0.1 + 0.2 + 0.3) / 3
+    assert cell_metric(tenths, "collision_severity") == (0.1 + 0.2 + 0.3) / 3
+    assert cell_metric(_cell({}, 0), "collision_cost") == 0.0
+    for metric in ("mean_regret", "ade", "fde"):
+        assert cell_metric(tenths, metric) == tenths[metric]
     with pytest.raises(ValueError):
         CaseStudyReport(seeds=(1, 2), values={"Base": {"high": [_cell({"a": 0.0}, 0)]}})
 
@@ -222,24 +220,26 @@ def test_case_report_aggregation():
 def test_case_report_dict_round_trip():
     rep = _handmade_report()
     doc = rep.to_dict()
-    assert doc["schema"] == "casestudy/1"
+    assert doc["schema"] == "casestudy/2"
     back = CaseStudyReport.from_dict(json.loads(json.dumps(doc)))
     assert back.seeds == rep.seeds
     assert back.values == rep.values
-    with pytest.raises(ValueError):
-        CaseStudyReport.from_dict({"schema": "casestudy/2"})
+    # casestudy/1 cells also stored collision_cost and collision_severity.
+    with pytest.raises(ValueError, match="unsupported schema 'casestudy/1'"):
+        CaseStudyReport.from_dict({**doc, "schema": "casestudy/1"})
 
 
 def test_case_csv_round_trip(tmp_path):
     rep = _handmade_report()
     path = write_case_csv(rep, tmp_path / "case.csv")
-    table = read_case_csv(path)
+    with open(path) as f:
+        table = {(row["arm"], row["split"], int(row["seed"]), row["metric"]):
+                 float(row["value"]) for row in csv.DictReader(f)}
     for arm, by_split in rep.values.items():
         for split, cells in by_split.items():
             for seed, cell in zip(rep.seeds, cells):
                 for metric in ALL_METRICS:
-                    assert table[(arm, split, seed, metric)] == pytest.approx(
-                        cell[metric], abs=1e-9)
+                    assert table[(arm, split, seed, metric)] == cell_metric(cell, metric)
 
 
 def test_case_markdown(tmp_path):
@@ -320,7 +320,7 @@ def test_finetune_chain_on_small_run(small_run):
     scores, reports = score_deployment(scenes, config)
     assert set(scores) == {s.scenario_id for s in scenes}
     for rep in reports:
-        assert rep.score == scores[rep.scenario_id]
+        assert rep.scores(config.aggregation)[0] == scores[rep.scenario_id]
     subsets = build_subsets(sorted(scores), scores, config.p,
                             config.holdout_frac, RngStream(config.base_seed, 31))
     assert len(subsets.holdout_high) == 1

@@ -1,5 +1,7 @@
 import inspect
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from regret_miner.genplan import N_CUE_BUCKETS, Codebook
 from regret_miner.planner import PlannerHandle, RewardWeights, reward
 from regret_miner.regret import (
     LuceShepard,
+    RegretReport,
     _realized_human_segment,
     build_calibration_pair,
     canonical_from_rewards,
@@ -164,18 +167,25 @@ def test_score_scene_report_consistency():
     regrets = [g for (_, _, _, g) in rep.per_t]
     assert rep.mean_regret == pytest.approx(np.mean(regrets), abs=1e-12)
     assert rep.worst_regret == pytest.approx(np.max(regrets), abs=1e-12)
-    assert rep.canonical_mean == pytest.approx(np.mean(rep.canonical_per_t), abs=1e-12)
+    assert rep.scores("mean")[1] == pytest.approx(np.mean(rep.canonical_per_t), abs=1e-12)
     for (_, exec_lik, max_lik, g) in rep.per_t:
         assert g == pytest.approx(max_lik - exec_lik, abs=1e-12)
         assert 0.0 <= g <= 1.0
-    assert rep.score == rep.mean_regret
-    worst = score_scene(LuceShepard(), scene, aggregation="worst")
-    assert worst.score == worst.worst_regret
+    assert rep.scores("mean")[0] == rep.mean_regret
+    assert rep.scores("worst") == (rep.worst_regret, max(rep.canonical_per_t))
     # scoring is pure: same scene, same report
     rep2 = score_scene(LuceShepard(), scene)
     assert rep2.per_t == rep.per_t
-    with pytest.raises(ValueError):
-        score_scene(LuceShepard(), scene, aggregation="median")
+    with pytest.raises(ValueError, match="aggregation"):
+        rep.scores("median")
+
+
+def test_regret_report_refuses_replans_it_cannot_aggregate():
+    rep = RegretReport("s", [(0, 0.25, 0.5, 0.25), (10, 0.5, 0.5, 0.0)], [1.0, 0.0])
+    with pytest.raises(ValueError, match="no replan"):
+        replace(rep, per_t=[], canonical_per_t=[])
+    with pytest.raises(ValueError, match="1 canonical regrets for 2 replans"):
+        replace(rep, canonical_per_t=[1.0])
 
 
 _DRIVING = ("StrandedTruck", "StoppedTraffic", "Intersection", "SparseCruise")
@@ -271,13 +281,20 @@ def test_score_scene_equals_per_candidate_reference(family_scenes):
         per_t, canon = _reference_report(weights, scene)
         cut_short += sum(len(scene.human_actions[0]) - e.t < len(e.candidates[0])
                          for e in scene.replan_log if scene.human_actions)
+        # The scene scores, bit for bit those of np.mean, np.max and max,
+        # also after a regret/2 round trip of the report.
+        regrets = [g for *_, g in per_t]
+        want = {"mean": (float(np.mean(regrets)), float(np.mean(canon))),
+                "worst": (float(np.max(regrets)), max(canon))}
         decoded = scene_from_dict(*scene_to_dict(scene))
         for s in (scene, decoded):
             rep = score_scene(LuceShepard(weights), s)
             assert rep.per_t == per_t
             assert rep.canonical_per_t == canon
-            assert rep.mean_regret == float(np.mean([g for *_, g in per_t]))
-            assert rep.canonical_mean == float(np.mean(canon))
+            back = report_from_dict(json.loads(json.dumps(report_to_dict(rep))))
+            for r in (rep, back):
+                for agg, pair in want.items():
+                    assert [x.hex() for x in r.scores(agg)] == [x.hex() for x in pair]
     assert cut_short > 0
 
 
@@ -464,7 +481,7 @@ def test_report_serialization_round_trip(tmp_path):
                for s in specs]
     path = tmp_path / "reports.jsonl"
     reports_to_jsonl(path, reports)
-    assert '"schema": "regret/1"' in path.read_text().splitlines()[0]
+    assert '"schema": "regret/2"' in path.read_text().splitlines()[0]
     loaded = reports_from_jsonl(path)
     assert len(loaded) == 2
     for orig, back in zip(reports, loaded):
@@ -476,12 +493,20 @@ def test_report_serialization_round_trip(tmp_path):
     with pytest.raises(ValueError):
         report_from_dict({"schema": "regret/9"})
     doc = report_to_dict(reports[0])
-    assert doc["schema"] == "regret/1"
+    assert doc["schema"] == "regret/2"
+    assert set(doc) == {"schema", "scenario_id", "per_t", "canonical_per_t"}
+    # regret/1 also stored the aggregates and their aggregation: refused.
+    regrets = [g for *_, g in doc["per_t"]]
+    old = {**doc, "schema": "regret/1", "mean_regret": float(np.mean(regrets)),
+           "worst_regret": float(np.max(regrets)),
+           "canonical_mean": float(np.mean(doc["canonical_per_t"])), "aggregation": "mean"}
+    with pytest.raises(ValueError, match="unsupported schema 'regret/1'"):
+        report_from_dict(old)
 
 
 def test_mined_doc():
     scores = [("b", 0.9), ("a", 0.9), ("c", 0.1), ("d", 0.5)]
-    doc = mined_to_doc(scores, 50.0)
+    doc = mined_to_doc(scores, 50.0, "mean")
     assert doc["schema"] == "mined/1"
     assert doc["k"] == 2
     assert doc["flagged_ids"] == ["a", "b"]  # ranked, ties by id
