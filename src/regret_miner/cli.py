@@ -190,10 +190,8 @@ def cmd_navregret(args) -> int:
 def cmd_perception_case(args) -> int:
     from . import genplan
     out = Path(args.out)
-    sensor = genplan.SensorModel(detect_true_positive=args.tp,
-                                 detect_false_positive=args.fp)
     rows = genplan.perception_case_study(
-        sensor, n_samples_per_condition=args.n, rng=RngStream(args.seed))
+        genplan.SensorModel(), n_samples_per_condition=args.n, rng=RngStream(args.seed))
     out.mkdir(parents=True, exist_ok=True)
     (out / "perception_case.json").write_text(json.dumps(
         {"schema": "perception/1", "n_per_condition": args.n,
@@ -266,10 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="fault-injected perception deployments")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=200, help="samples per condition")
-    p.add_argument("--tp", type=float, default=1.0,
-                   help="true-positive detection rate")
-    p.add_argument("--fp", type=float, default=0.0,
-                   help="false-positive detection rate")
     p.add_argument("--seed", type=int, default=0)
     return ap
 

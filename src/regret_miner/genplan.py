@@ -14,13 +14,15 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import (TURN_LIMIT, ActionTraj, AgentState, NavWorld, RngStream, derive_streams,
-                   rollout_positions, stream_generators, unicycle_step_floats, wrap_angle)
+from .core import (TURN_LIMIT, TWO_PI, ActionTraj, AgentState, NavWorld, RngStream,
+                   derive_streams, rollout_positions, stream_generators, unicycle_step_floats,
+                   wrap_angle)
 
 GOALS = ("Primary", "Backup")
 HUMAN_CLASSES = ("left", "straight", "right")
@@ -187,34 +189,71 @@ def _pc_turn(x: float, y: float, h: float, target, gain: float = 1.0) -> float:
     return _clamp_turn(gain * wrap_angle(desired - h))
 
 
-def _turns_traj(turns: list[float]) -> ActionTraj:
+def _turns_traj(turns: Sequence[float]) -> ActionTraj:
     return ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns]))
 
 
-def _steer(start_xy, heading: float, speed: float, target, noise: Sequence[float],
-           gain: float = 1.0) -> tuple[list[float], list[tuple[float, float]]]:
-    """Proportional control toward target at constant speed from start_xy
-    and heading, one step per noise term: the turn is gain times the bearing
-    error plus the noise term, clamped. Returns the turns and the position
-    after each step, as plain floats."""
-    x, y, h = start_xy[0], start_xy[1], wrap_angle(heading)
-    turns, pos = [], []
-    for e in noise:
-        w = _clamp_turn(_pc_turn(x, y, h, target, gain) + e)
-        x, y, h = unicycle_step_floats(x, y, h, speed, 0.0, w, NAV_DT)[:3]
-        turns.append(w)
-        pos.append((x, y))
+def _clamp_turns(w: np.ndarray) -> np.ndarray:
+    """_clamp_turn on an array: np.maximum and np.minimum return NaN and
+    -0.0 where Python's max and min do."""
+    return np.minimum(np.maximum(w, -TURN_LIMIT), TURN_LIMIT)
+
+
+def _steer_block(x, y, heading, speed, targets, gains, noise) -> tuple[np.ndarray, np.ndarray]:
+    """Proportional control of B rows at constant speed, one column per step.
+
+    Row b starts at (x[b], y[b]) with heading[b], runs at speed[b] and
+    steers toward targets[b] with gain gains[b]: step k's turn is the
+    clamped gain times the bearing error, plus noise[b, k], clamped again,
+    followed by one unicycle step of NAV_DT. x, y, heading, speed and gains
+    are scalars or (B,) arrays, targets a (2,) or (B, 2) array and noise a
+    (B, T) array. Returns the (B, T) turns and the (B, T, 2) positions after
+    each step.
+
+    Each row repeats the float loop of _pc_turn and unicycle_step_floats
+    operation by operation, so it equals it bit for bit: the bearing is
+    math.atan2 per row (np.arctan2 may differ from it in the last bit), the
+    wraps are np.remainder, which equals Python's float %, and the step is
+    unicycle_step_floats's straight or arc expressions. A step that kernel
+    would refuse (a non-finite turn or speed, or a step leaving the finite
+    range) is taken again by it on the first row at fault, which raises its
+    ValueError.
+    """
+    noise = np.asarray(noise, dtype=float)
+    B, T = noise.shape
+
+    def rows(a):
+        return np.broadcast_to(np.asarray(a, dtype=float), (B,))
+
+    tx, ty = np.broadcast_to(np.asarray(targets, dtype=float), (B, 2)).T
+    x, y, speed, gain = rows(x), rows(y), rows(speed), rows(gains)
+    pi, dt = math.pi, NAV_DT
+    turns, pos = np.empty((B, T)), np.empty((B, T, 2))
+    with np.errstate(all="ignore"):
+        h = np.remainder(rows(heading) + pi, TWO_PI) - pi
+        v = speed + 0.0 * dt
+        v = np.where(v > 0.0, v, 0.0)  # max(0.0, v), NaN and -0.0 included
+        for k in range(T):
+            bearing = np.array(list(map(math.atan2, (ty - y).tolist(), (tx - x).tolist())),
+                               dtype=float)
+            w = _clamp_turns(gain * (np.remainder(bearing - h + pi, TWO_PI) - pi))
+            w = _clamp_turns(w + noise[:, k])
+            straight = np.abs(w) < 1e-12
+            h1 = h + w * dt
+            r = v / np.where(straight, 1.0, w)
+            x1 = np.where(straight, x + v * np.cos(h) * dt, x + r * (np.sin(h1) - np.sin(h)))
+            y1 = np.where(straight, y + v * np.sin(h) * dt, y + -r * (np.cos(h1) - np.cos(h)))
+            once = np.remainder(h + w * dt + pi, TWO_PI) - pi
+            bad = ~(np.isfinite(w) & np.isfinite(v) & np.isfinite(x1) & np.isfinite(y1)
+                    & np.isfinite(once))
+            if bad.any():
+                b = int(bad.argmax())
+                unicycle_step_floats(float(x[b]), float(y[b]), float(h[b]), float(speed[b]),
+                                     0.0, float(w[b]), dt)
+            x, y, h = x1, y1, np.remainder(once + pi, TWO_PI) - pi
+            turns[:, k] = w
+            pos[:, k, 0], pos[:, k, 1] = x, y
     return turns, pos
-
-
-def _simulate_human(cue_class: str, gen: np.random.Generator,
-                    exec_noise: float, ctx: NavWorld
-                    ) -> tuple[ActionTraj, list[tuple[float, float]]]:
-    # One normal(0, s, 6) call draws the values of six scalar draws.
-    noise = gen.normal(0.0, exec_noise, NAV_STEPS).tolist()
-    turns, pos = _steer(ctx.human_start, -math.pi / 2, HUMAN_NAV_SPEED,
-                        _HUMAN_TARGETS[cue_class], noise)
-    return _turns_traj(turns), pos
 
 
 def _simulate_robot(goal: str, human_pos: Sequence[tuple[float, float]],
@@ -260,23 +299,42 @@ def simulate_nav_scene(delta_h: float, goal: str, rng: RngStream,
     of the human, diverts to the other goal with probability 0.8 (or per
     yield_draw when forced).
     """
-    return _nav_episode(delta_h, goal, rng.generator(), epsilon_sigma, exec_noise,
-                        yield_draw)
+    return _nav_episodes([(delta_h, goal, rng.generator())], epsilon_sigma, exec_noise,
+                         yield_draw)[0]
 
 
-def _nav_episode(delta_h: float, goal: str, gen: np.random.Generator,
-                 epsilon_sigma: float, exec_noise: float, yield_draw: Optional[bool]):
-    """simulate_nav_scene on the generator of its stream."""
+def _nav_episodes(episodes: Sequence[tuple[float, str, np.random.Generator]],
+                  epsilon_sigma: float, exec_noise: float, yield_draw: Optional[bool]):
+    """simulate_nav_scene for each (delta_h, goal, generator of its stream).
+
+    Each episode draws its cue noise and its human's turn noise first, then
+    all humans are steered as one block, then each robot runs on the same
+    generator, so every generator sees the draws of one episode in order.
+    """
     ctx = NavWorld()
-    eps = gen.normal(0.0, epsilon_sigma)
-    cls = _cue_class(delta_h + eps)
-    human_traj, human_pos = _simulate_human(cls, gen, exec_noise, ctx)
-    robot_traj, triggered, final_goal = _simulate_robot(
-        goal, human_pos, gen, exec_noise, ctx, yield_draw)
-    outcome = HUMAN_CLASSES.index(cls) * 2 + GOALS.index(goal)
-    sample = NavSample(delta_h=delta_h, goal=goal, human_traj=human_traj,
-                       robot_traj=robot_traj, outcome_class=outcome)
-    return sample, triggered, final_goal
+    classes, noise = [], np.empty((len(episodes), NAV_STEPS))
+    for (delta_h, _, gen), row in zip(episodes, noise):
+        classes.append(_cue_class(delta_h + gen.normal(0.0, epsilon_sigma)))
+        # One normal(0, s, 6) call draws the values of six scalar draws.
+        row[:] = gen.normal(0.0, exec_noise, NAV_STEPS)
+    human_turns, human_pos = _steer_block(
+        *ctx.human_start, -math.pi / 2, HUMAN_NAV_SPEED,
+        [_HUMAN_TARGETS[c] for c in classes], 1.0, noise)
+    out = []
+    for (delta_h, goal, gen), cls, turns, pos in zip(episodes, classes, human_turns,
+                                                    human_pos.tolist()):
+        robot_traj, triggered, final_goal = _simulate_robot(
+            goal, pos, gen, exec_noise, ctx, yield_draw)
+        outcome = HUMAN_CLASSES.index(cls) * 2 + GOALS.index(goal)
+        sample = NavSample(delta_h=delta_h, goal=goal, human_traj=_turns_traj(turns),
+                           robot_traj=robot_traj, outcome_class=outcome)
+        out.append((sample, triggered, final_goal))
+    return out
+
+
+# Episodes simulated as one block by generate_nav_dataset: their generators
+# (about 1 kB each) are alive together.
+_EPISODE_BLOCK = 1024
 
 
 def generate_nav_dataset(n: int = 10_000, epsilon_sigma: float = 0.05,
@@ -292,15 +350,16 @@ def generate_nav_dataset(n: int = 10_000, epsilon_sigma: float = 0.05,
     out = []
     children = derive_streams((root, (4, i)) for i in range(n))
     scenes = derive_streams((child, (1,)) for child in children)
-    for gen, scene_gen in zip(stream_generators(children), stream_generators(scenes)):
-        delta = float(gen.uniform())
-        goal = GOALS[int(gen.integers(0, 2))]
-        sample, trig, final = _nav_episode(delta, goal, scene_gen, epsilon_sigma,
-                                           NAV_EXEC_NOISE, None)
-        if stats is not None:
-            stats["triggered"] += int(trig)
-            stats["yielded"] += int(final != goal)
-        out.append(sample)
+    pairs = zip(stream_generators(children), stream_generators(scenes))
+    for _ in range(0, n, _EPISODE_BLOCK):
+        episodes = [(float(gen.uniform()), GOALS[int(gen.integers(0, 2))], scene_gen)
+                    for gen, scene_gen in islice(pairs, _EPISODE_BLOCK)]
+        for sample, trig, final in _nav_episodes(episodes, epsilon_sigma, NAV_EXEC_NOISE,
+                                                 None):
+            if stats is not None:
+                stats["triggered"] += int(trig)
+                stats["yielded"] += int(final != sample.goal)
+            out.append(sample)
     return out
 
 
@@ -424,12 +483,12 @@ def _proportional_candidates(ctx: NavWorld) -> tuple[ActionTraj, ...]:
     (3 bearings x 3 gains) of a world, built once per world."""
     mid = ((ctx.goal_primary[0] + ctx.goal_backup[0]) / 2.0,
            (ctx.goal_primary[1] + ctx.goal_backup[1]) / 2.0)
-    # x + -0.0 is x for every x, signed zeros included, and _pc_turn's turn
+    targets = [t for t in (ctx.goal_primary, ctx.goal_backup, mid) for _ in range(3)]
+    # x + -0.0 is x for every x, signed zeros included, and the bearing term
     # is already clamped, so these steps are the noise-free controller's.
-    return tuple(_turns_traj(_steer(ctx.robot_start, math.pi / 2, ROBOT_NAV_SPEED, target,
-                                    [-0.0] * NAV_STEPS, gain)[0])
-                 for target in (ctx.goal_primary, ctx.goal_backup, mid)
-                 for gain in (0.5, 1.0, 2.0))
+    turns = _steer_block(*ctx.robot_start, math.pi / 2, ROBOT_NAV_SPEED, targets,
+                         [0.5, 1.0, 2.0] * 3, np.full((9, NAV_STEPS), -0.0))[0]
+    return tuple(_turns_traj(row) for row in turns)
 
 
 def default_hindsight_candidates(executed: ActionTraj,
@@ -442,29 +501,17 @@ def default_hindsight_candidates(executed: ActionTraj,
 
 
 def _robot_masses(cb: Codebook, turns: np.ndarray, n_samples: int,
-                  delta: float, bandwidth: float,
-                  executed_turns: bytes, live: np.ndarray) -> np.ndarray:
-    """(K, 6) robot window masses of one candidate's turns.
-
-    Memoised on the codebook by (n_samples, delta, bandwidth, turns) for
-    every candidate but the executed one: in every caller the other
-    candidates are a fixed set, so the memo does not grow with the number
-    of trajectories scored. The executed one is computed fresh, and only
-    for the codes in live (those of encoder weight > 0); the rows of the
-    other codes are 0, which leaves every weighted sum unchanged, since
-    0 * finite = +0.0 whatever the mass.
-    """
+                  delta: float, bandwidth: float) -> np.ndarray:
+    """(K, 6) robot window masses of one shared candidate's turns, memoised
+    on the codebook by (n_samples, delta, bandwidth, turns). Only shared
+    candidates come here, and in every caller they are a fixed set, so the
+    memo does not grow with the number of trajectories scored."""
     key = (n_samples, delta, bandwidth, turns.tobytes())
     out = cb._robot_masses.get(key)
     if out is None:
-        robot = _draw_halves(cb, n_samples)[0]
-        if key[3] != executed_turns:
-            out = _window_masses(robot, turns, delta, bandwidth)
-            out.setflags(write=False)
-            cb._robot_masses[key] = out
-        else:
-            out = np.zeros((cb.K, NAV_STEPS))
-            out[live] = _window_masses(robot[live], turns, delta, bandwidth)
+        out = _window_masses(_draw_halves(cb, n_samples)[0], turns, delta, bandwidth)
+        out.setflags(write=False)
+        cb._robot_masses[key] = out
     return out
 
 
@@ -499,6 +546,56 @@ def _executed_index(cands: Sequence[ActionTraj], executed: ActionTraj) -> int:
     raise ValueError("executed trajectory must be in hindsight_candidates")
 
 
+# Bytes of one temporary of _window_masses that _regret_rows allows.
+_MASS_BYTES = 1 << 20
+
+
+def _regret_rows(cb: Codebook, shared: Sequence[ActionTraj], executed: np.ndarray,
+                 observed: np.ndarray, weights: np.ndarray, n_samples: int,
+                 delta: float, bandwidth: float) -> np.ndarray:
+    """(S,) generative regret of S deployments: row s scores its executed
+    turns executed[s] against the shared candidates plus itself, with
+    observed human turns observed[s] and encoder row weights[s] ((S, 6),
+    (S, 6) and (S, K) arrays).
+
+    Per row: the mean over timesteps of (max candidate likelihood - executed
+    likelihood), with per-timestep likelihoods from the code-mixture KDE.
+    What is fixed per codebook is computed once and kept on it: the decoder
+    draws, the shared candidates' robot masses, and the masses of the last
+    observed human (see _robot_masses and _human_masses). The executed
+    masses of all rows take one _window_masses call (in chunks of rows that
+    keep a temporary under _MASS_BYTES), over the codes of weight > 0 in
+    some row; the others are 0, which leaves every weighted sum unchanged,
+    since 0 * finite = +0.0 whatever the mass. A shared candidate equal to a
+    row's executed turns has its likelihood too, so the maximum is the same
+    with or without it. The batched einsums and reductions give each row
+    the bits of the same computation on that row alone.
+    """
+    S = len(executed)
+    m_h = np.stack([_human_masses(cb, o, n_samples, delta, bandwidth)
+                    for o in observed], axis=1)                 # (K, S, 6)
+    den = np.einsum("sk,kst->st", weights, m_h)                 # (S, 6)
+    if np.any(den < _DEN_FLOOR):
+        raise OutOfSupportError(
+            "observed human behavior has no support under the codebook")
+    m_r = np.zeros((cb.K, S, len(shared) + 1, NAV_STEPS))      # (K, S, C, 6)
+    if shared:
+        m_r[:, :, :-1] = np.stack([_robot_masses(cb, c.actions[:, 1], n_samples, delta,
+                                                 bandwidth) for c in shared],
+                                  axis=1)[:, np.newaxis]
+    live = np.flatnonzero(weights.any(axis=0))  # weights are >= 0
+    if len(live) == cb.K:
+        live = slice(None)
+    robot = _draw_halves(cb, n_samples)[0][live]
+    rows = max(1, _MASS_BYTES // robot.nbytes)
+    for lo in range(0, S, rows):
+        m_r[live, lo:lo + rows, -1] = _window_masses(robot, executed[lo:lo + rows],
+                                                     delta, bandwidth)
+    num = np.einsum("sk,kst,ksct->sct", weights, m_h, m_r)      # (S, C, 6)
+    lik = np.clip(num / den[:, np.newaxis, :], 0.0, 1.0)
+    return np.mean(lik.max(axis=1) - lik[:, -1], axis=1)
+
+
 def generative_regret(cb: Codebook, executed_robot_traj: ActionTraj,
                       observed_human_traj: ActionTraj, delta_h: float,
                       goal: str,
@@ -506,38 +603,24 @@ def generative_regret(cb: Codebook, executed_robot_traj: ActionTraj,
                       n_samples: int = 250, delta: float = 0.1,
                       bandwidth: float = 0.05) -> float:
     """Mean over timesteps of (max candidate likelihood - executed
-    likelihood), with per-timestep likelihoods from the code-mixture KDE.
-
-    What is fixed per codebook is computed once and kept on it: the
-    decoder draws, the robot masses of every candidate but the executed
-    one, and the masses of the last observed human (see _robot_masses and
-    _human_masses). The executed trajectory's masses are computed only for
-    codes of encoder weight > 0; the others contribute 0 to every sum
-    either way.
+    likelihood), with per-timestep likelihoods from the code-mixture KDE:
+    the one-row case of _regret_rows. The candidates whose turns equal the
+    executed ones are scored as the executed row, so the shared memo keeps
+    only the others.
     """
     _check_kde(delta, bandwidth, n_samples)
     if hindsight_candidates is None:
         cands = default_hindsight_candidates(executed_robot_traj)
     else:
         cands = list(hindsight_candidates)
-    exec_idx = _executed_index(cands, executed_robot_traj)
-
-    w = cb.encoder_row(delta_h, goal)
-    live = np.flatnonzero(w > 0)
-    m_h = _human_masses(cb, observed_human_traj.actions[:, 1], n_samples,
-                        delta, bandwidth)                      # (K, 6)
-    exec_turns = executed_robot_traj.actions[:, 1].tobytes()
-    m_r = np.stack([_robot_masses(cb, c.actions[:, 1], n_samples, delta,
-                                  bandwidth, exec_turns, live)
-                    for c in cands], axis=1)                   # (K, C, 6)
-    den = np.einsum("k,kt->t", w, m_h)                        # (6,)
-    if np.any(den < _DEN_FLOOR):
-        raise OutOfSupportError(
-            "observed human behavior has no support under the codebook")
-    num = np.einsum("k,kt,kct->ct", w, m_h, m_r)              # (C, 6)
-    lik = np.clip(num / den[np.newaxis, :], 0.0, 1.0)
-    per_t = lik.max(axis=0) - lik[exec_idx]
-    return float(np.mean(per_t))
+    if not any(c is executed_robot_traj for c in cands):
+        _executed_index(cands, executed_robot_traj)  # raises unless one is equal
+    turns = executed_robot_traj.actions[:, 1]
+    key = turns.tobytes()
+    shared = [c for c in cands if c.actions[:, 1].tobytes() != key]
+    return float(_regret_rows(
+        cb, shared, turns[np.newaxis], observed_human_traj.actions[np.newaxis, :, 1],
+        cb.encoder_row(delta_h, goal)[np.newaxis], n_samples, delta, bandwidth)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -555,24 +638,28 @@ def divert_shape_candidate() -> ActionTraj:
 
 
 def build_mismatch_scenarios(cb: Codebook, rng: RngStream, n_reps: int = 30,
-                             **regret_kw) -> dict[str, float]:
+                             n_samples: int = 250, delta: float = 0.1,
+                             bandwidth: float = 0.05) -> dict[str, float]:
     """Mean generative regret for the three canned deployments.
 
     nominal: head-on human, robot yields to the backup goal (the common
     branch). collision: head-on human, robot pushes to the primary goal
     through the human's path. irrelevant: crossing human the robot never
     interacts with; the robot's path is unaffected regardless of what was
-    anticipated for the human.
+    anticipated for the human. Every rep is scored against the divert
+    candidate and the default hindsight candidates, one call per rep (the
+    humans of a deployment's reps are steered as one block).
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
+    _check_kde(delta, bandwidth, n_samples)
     # (goal, yield draw, range of the uniform cue) of each deployment.
     configs = {
         "nominal": ("Primary", True, (0.4, 0.6)),
         "collision": ("Primary", False, (0.4, 0.6)),
         "irrelevant": ("Primary", None, (0.05, 0.28)),
     }
-    divert = divert_shape_candidate()
+    shared = [divert_shape_candidate(), *_proportional_candidates(NavWorld())]
     # Each rep draws its cue from stream (tag, i, 0) and runs its episode on
     # stream (tag, i), every config's streams keyed in one pass.
     gens = stream_generators(derive_streams(
@@ -580,17 +667,11 @@ def build_mismatch_scenarios(cb: Codebook, rng: RngStream, n_reps: int = 30,
         for ids in ((hashn(name), i, 0), (hashn(name), i))))
     out = {}
     for name, (goal, yield_draw, cue_range) in configs.items():
-        vals = []
-        for _ in range(n_reps):
-            cue = next(gens).uniform(*cue_range)
-            sample, _, _ = _nav_episode(cue, goal, next(gens), epsilon_sigma=0.0,
-                                        exec_noise=0.02, yield_draw=yield_draw)
-            cands = default_hindsight_candidates(sample.robot_traj)
-            cands.insert(0, divert)
-            vals.append(generative_regret(cb, sample.robot_traj,
-                                          sample.human_traj, sample.delta_h,
-                                          goal, hindsight_candidates=cands,
-                                          **regret_kw))
+        episodes = [(next(gens).uniform(*cue_range), goal, next(gens))
+                    for _ in range(n_reps)]
+        vals = [generative_regret(cb, s.robot_traj, s.human_traj, s.delta_h, goal,
+                                  [*shared, s.robot_traj], n_samples, delta, bandwidth)
+                for s, _, _ in _nav_episodes(episodes, 0.0, 0.02, yield_draw)]
         out[name] = float(np.mean(vals))
     return out
 
@@ -604,19 +685,12 @@ def hashn(name: str) -> int:
 # Perception-failure case study
 # ---------------------------------------------------------------------------
 
-def _perception_turns(goal: str, noise: Sequence[float],
-                      ctx: NavWorld) -> list[float]:
-    """Turns of proportional control to the goal plus one noise term per
-    step, clamped, as plain floats."""
-    target = ctx.goal_primary if goal == "Primary" else ctx.goal_backup
-    return _steer(ctx.robot_start, math.pi / 2, ROBOT_NAV_SPEED, target, noise)[0]
-
-
-def _perception_robot(goal: str, gen: np.random.Generator, exec_noise: float,
-                      ctx: NavWorld) -> ActionTraj:
-    # One normal(0, s, 6) call draws the values of six scalar draws.
-    noise = gen.normal(0.0, exec_noise, NAV_STEPS).tolist()
-    return _turns_traj(_perception_turns(goal, noise, ctx))
+def _perception_turns(goals: Sequence[str], noise: np.ndarray, ctx: NavWorld) -> np.ndarray:
+    """(B, 6) turns of proportional control from the robot start, row b to
+    goals[b] plus the noise terms noise[b], as one block."""
+    targets = {"Primary": ctx.goal_primary, "Backup": ctx.goal_backup}
+    return _steer_block(*ctx.robot_start, math.pi / 2, ROBOT_NAV_SPEED,
+                        [targets[g] for g in goals], 1.0, noise)[0]
 
 
 def _fit_perception_codebook(n_fit: int, exec_noise: float,
@@ -625,19 +699,18 @@ def _fit_perception_codebook(n_fit: int, exec_noise: float,
     goal, code 1 = obstacle ahead, divert to the backup goal. The encoder
     keys on the goal implied by the ground-truth obstacle bit; human
     dimensions are inert (no walker in this world)."""
-    ctx = NavWorld()
-    rows = {0: [], 1: []}
-    inert = [0.0] * NAV_STEPS
+    # Row i of bit b steers on stream (b, i); one normal(0, s, 6) call draws
+    # the values of six scalar draws.
+    noise = np.empty((n_fit, len(GOALS), NAV_STEPS))
     gens = stream_generators(derive_streams(
         (rng, (bit, i)) for i in range(n_fit) for bit in range(len(GOALS))))
-    for i in range(n_fit):
-        for bit, goal in enumerate(GOALS):
-            noise = next(gens).normal(0.0, exec_noise, NAV_STEPS).tolist()
-            rows[bit].append(_perception_turns(goal, noise, ctx) + inert)
+    for row, gen in zip(noise.reshape(-1, NAV_STEPS), gens):
+        row[:] = gen.normal(0.0, exec_noise, NAV_STEPS)
     means = np.empty((2, 2 * NAV_STEPS))
     stds = np.empty((2, 2 * NAV_STEPS))
-    for bit in (0, 1):
-        arr = np.array(rows[bit])
+    for bit, goal in enumerate(GOALS):
+        arr = np.zeros((n_fit, 2 * NAV_STEPS))  # human dimensions inert
+        arr[:, :NAV_STEPS] = _perception_turns([goal] * n_fit, noise[:, bit], NavWorld())
         means[bit] = arr.mean(axis=0)
         stds[bit] = np.maximum(arr.std(axis=0), 1e-3)
     enc = np.zeros((N_CUE_BUCKETS, len(GOALS), 2))
@@ -656,15 +729,20 @@ def perception_case_study(sensor: SensorModel,
 
     The robot diverts to the backup goal iff its sensor reports an obstacle.
     Regret conditions on the ground-truth obstacle bit, so deployments where
-    the sensed bit disagrees with reality score high.
+    the sensed bit disagrees with reality score high. Each condition forces
+    the sensor's reading (its injected_fault), so the sensor's detection
+    rates are never read. A condition's samples are steered and scored as
+    one block against the default hindsight candidates.
     """
-    if n_samples_per_condition < 1:
+    n = n_samples_per_condition
+    if n < 1:
         raise ValueError("n_samples_per_condition must be >= 1")
+    _check_kde(delta, bandwidth, n_samples)
     if rng is None:
         rng = RngStream(0)
     ctx = NavWorld()
     cb = _fit_perception_codebook(200, exec_noise, rng.derive(0))
-    flat_human = ActionTraj(np.zeros((NAV_STEPS, 2)))
+    flat_human = np.zeros((n, NAV_STEPS))
     conditions = [
         ("obstacle-detected", True, True),
         ("obstacle-missed", True, False),
@@ -672,21 +750,19 @@ def perception_case_study(sensor: SensorModel,
         ("empty-false-alarm", False, True),
     ]
     gens = stream_generators(derive_streams(
-        (rng, (hashn(tag), i)) for tag, _, _ in conditions
-        for i in range(n_samples_per_condition)))
+        (rng, (hashn(tag), i)) for tag, _, _ in conditions for i in range(n)))
     results = []
     for tag, obstacle, forced_reading in conditions:
         forced = replace(sensor, injected_fault=forced_reading)
         true_goal = "Backup" if obstacle else "Primary"
-        vals = []
-        for _ in range(n_samples_per_condition):
-            gen = next(gens)
-            sensed = forced.sense(obstacle, gen)
-            exec_goal = "Backup" if sensed else "Primary"
-            executed = _perception_robot(exec_goal, gen, exec_noise, ctx)
-            vals.append(generative_regret(
-                cb, executed, flat_human, 0.5, true_goal,
-                n_samples=n_samples, delta=delta, bandwidth=bandwidth))
+        goals, noise = [], np.empty((n, NAV_STEPS))
+        for row, gen in zip(noise, islice(gens, n)):
+            goals.append("Backup" if forced.sense(obstacle, gen) else "Primary")
+            row[:] = gen.normal(0.0, exec_noise, NAV_STEPS)
+        vals = _regret_rows(cb, _proportional_candidates(ctx),
+                            _perception_turns(goals, noise, ctx), flat_human,
+                            np.tile(cb.encoder_row(0.5, true_goal), (n, 1)),
+                            n_samples, delta, bandwidth)
         results.append((tag, float(np.mean(vals))))
     return results
 

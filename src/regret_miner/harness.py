@@ -831,7 +831,13 @@ def compare(run, config: ExperimentConfig,
         raise ValueError(f"unknown metrics {unknown}; choose from "
                          f"{','.join(METRICS).lower()}")
     scenes_path = _scenes_path(run)
-    reports = reports_from_jsonl(need(run, "reports.jsonl", "score"))
+    reports_path = need(run, "reports.jsonl", "score")
+    try:
+        reports = reports_from_jsonl(reports_path)
+    except ValueError as exc:
+        # such as regret/1 reports, which `score` rescores and rewrites
+        exc.add_note(f"{reports_path} cannot be read — run `score` to rewrite it")
+        raise
     doc = _scores_doc(run)
     _check_scored(scenes_path, doc)
     scenes = simkit.scenes_from_jsonl(scenes_path)

@@ -6,12 +6,16 @@ call, and core.rollout_speeds followed by core.rollout_positions_from_speeds
 on arrays, which core.rollout_positions_batch chains. These are the per-step
 AgentState kernels both repeat operation by operation; the property tests
 compare every kernel with them bit for bit. footprint_overlap, the disc
-overlap on AgentState, is the frame-cost tests' reference in the same way.
+overlap on AgentState, is the frame-cost tests' reference in the same way,
+and steer, genplan's proportional controller as a float loop, is the
+reference of its block kernel genplan._steer_block.
 """
 
 import math
 
-from regret_miner.core import DT_DEFAULT, ActionTraj, AgentState, _require_finite, wrap_angle
+from regret_miner.core import (DT_DEFAULT, ActionTraj, AgentState, _require_finite,
+                               unicycle_step_floats, wrap_angle)
+from regret_miner.genplan import NAV_DT, _clamp_turn, _pc_turn
 
 
 def dubins_step(state: AgentState, turn_rate: float, speed: float,
@@ -75,3 +79,19 @@ def footprint_overlap(a: AgentState, b: AgentState, radius_a: float,
     if radius_a < 0 or radius_b < 0:
         raise ValueError("radii must be non-negative")
     return max(0.0, radius_a + radius_b - a.distance_to(b))
+
+
+def steer(start_xy, heading: float, speed: float, target, noise, gain: float = 1.0
+          ) -> tuple[list[float], list[tuple[float, float]]]:
+    """Proportional control toward target at constant speed from start_xy
+    and heading, one step per noise term: the turn is gain times the bearing
+    error, clamped, plus the noise term, clamped again. Returns the turns and
+    the position after each step, as plain floats."""
+    x, y, h = start_xy[0], start_xy[1], wrap_angle(heading)
+    turns, pos = [], []
+    for e in noise:
+        w = _clamp_turn(_pc_turn(x, y, h, target, gain) + e)
+        x, y, h = unicycle_step_floats(x, y, h, speed, 0.0, w, NAV_DT)[:3]
+        turns.append(w)
+        pos.append((x, y))
+    return turns, pos

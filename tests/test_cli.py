@@ -29,7 +29,7 @@ def test_parser_covers_every_subcommand():
         ["report", "--in", "x", "--format", "md,csv"],
         ["navgen", "--out", "x", "--n", "50", "--codes", "6", "--seed", "3"],
         ["navregret", "--in", "x", "--reps", "5"],
-        ["perception-case", "--out", "x", "--n", "10", "--tp", "0.9"],
+        ["perception-case", "--out", "x", "--n", "10", "--seed", "4"],
     ]
     for argv in cases:
         args = ap.parse_args(argv)
@@ -165,6 +165,17 @@ def test_navregret_and_perception(tmp_path, capsys):
     assert set(pdoc["mean_regret"]) == {"obstacle-detected", "obstacle-missed",
                                         "empty-clear", "empty-false-alarm"}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--tp", "--fp"])
+def test_perception_case_takes_no_sensor_rates(tmp_path, capsys, flag):
+    # Every condition forces the sensor's reading, so the detection rates
+    # change nothing, and the command has no options for them.
+    with pytest.raises(SystemExit) as exc:
+        main(["perception-case", "--out", str(tmp_path / "perc"), flag, "0.9"])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "usage"
+    assert not (tmp_path / "perc").exists()
 
 
 def test_zero_counts_exit_1_and_write_nothing(tmp_path, capsys):
@@ -927,6 +938,27 @@ def test_each_invalidation_forces_a_full_rescore(case, cli_and_full_runs, tmp_pa
     assert json.loads(want["reports.jsonl"].splitlines()[0])["schema"] == "regret/2"
     if case == "weights":
         assert want != _scored_files(cli_and_full_runs[0])
+    capsys.readouterr()
+
+
+def test_compare_names_the_file_and_the_stage_of_old_reports(cli_and_full_runs, tmp_path,
+                                                             capsys):
+    # Reports written in the regret/1 format are refused with the file and
+    # the stage that rewrites them named, and nothing is written.
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    _edit_reports(run, _as_regret_1)
+    shutil.rmtree(run / "comparison")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--in", str(run)])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"] == (f"unsupported schema 'regret/1'\n{run / 'reports.jsonl'} "
+                              "cannot be read — run `score` to rewrite it")
+    assert not (run / "comparison").exists()
+    for argv in (["score", "--in", str(run)], ["compare", "--in", str(run)]):
+        assert main(argv) == 0, argv
     capsys.readouterr()
 
 

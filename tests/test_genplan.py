@@ -35,8 +35,9 @@ from regret_miner.genplan import (
     _draw_halves,
     _executed_index,
     _fit_perception_codebook,
-    _perception_robot,
-    _steer,
+    _perception_turns,
+    _regret_rows,
+    _steer_block,
     build_mismatch_scenarios,
     classify_human_direction,
     codebook_from_json,
@@ -53,7 +54,7 @@ from regret_miner.genplan import (
     perception_case_study,
     simulate_nav_scene,
 )
-from kinematics_reference import unicycle_step
+from kinematics_reference import steer, unicycle_step
 
 
 def _direction(sample):
@@ -426,21 +427,104 @@ def test_nav_step_equals_unicycle_step(x, y, heading, speed, turns):
         assert (kx, ky) == (state.x, state.y)
 
 
+def _block_steer(start_xy, heading, speed, target, noise, gain=1.0):
+    """steer's signature on one row of _steer_block."""
+    turns, pos = _steer_block(start_xy[0], start_xy[1], heading, speed, target, gain,
+                              np.array([noise], dtype=float))
+    return turns[0].tolist(), [tuple(p) for p in pos[0].tolist()]
+
+
 def test_nav_step_rejects_non_finite_turn():
-    # _steer steps its clamped turns through the kernel. Clamping keeps NaN,
-    # so a NaN noise term gives a NaN turn, which the kernel rejects, and so
-    # does a non-finite heading, which wraps to NaN.
+    # Both controllers, the float loop and the block kernel, step their
+    # clamped turns through the kernel. Clamping keeps NaN, so a NaN noise
+    # term gives a NaN turn, which the kernel rejects, and so does a
+    # non-finite heading, which wraps to NaN.
     target = (0.0, 5.0)
-    with pytest.raises(ValueError, match="^dubins_step must be finite"):
-        _steer((0.0, 0.0), 0.0, ROBOT_NAV_SPEED, target, [0.1, float("nan")])
-    for heading in (float("nan"), float("inf")):
+    for steer_fn in (steer, _block_steer):
         with pytest.raises(ValueError, match="^dubins_step must be finite"):
-            _steer((0.0, 0.0), heading, ROBOT_NAV_SPEED, target, [0.1])
-    # an infinite noise term is clamped to the turn limit before the step
-    for e in (float("inf"), float("-inf")):
-        turns, pos = _steer((0.0, 0.0), 0.0, ROBOT_NAV_SPEED, target, [0.1, e])
-        assert turns[1] == math.copysign(TURN_LIMIT, e)
-        assert all(math.isfinite(v) for xy in pos for v in xy)
+            steer_fn((0.0, 0.0), 0.0, ROBOT_NAV_SPEED, target, [0.1, float("nan")])
+        for heading in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^dubins_step must be finite"):
+                steer_fn((0.0, 0.0), heading, ROBOT_NAV_SPEED, target, [0.1])
+        # an infinite noise term is clamped to the turn limit before the step
+        for e in (float("inf"), float("-inf")):
+            turns, pos = steer_fn((0.0, 0.0), 0.0, ROBOT_NAV_SPEED, target, [0.1, e])
+            assert turns[1] == math.copysign(TURN_LIMIT, e)
+            assert all(math.isfinite(v) for xy in pos for v in xy)
+
+
+_STEER_SPEEDS = st.one_of(
+    st.sampled_from([0.0, -0.0, ROBOT_NAV_SPEED, HUMAN_NAV_SPEED, -0.5]),
+    st.floats(0.0, 3.0))
+_STEER_ROWS = st.one_of(
+    st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), _NAV_HEADINGS, _STEER_SPEEDS,
+              st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+              st.sampled_from([0.5, 1.0, 2.0])),
+    # straight at the target, so a zero noise term gives an exact-zero turn
+    st.builds(lambda x, v, g: (x, 0.0, math.pi / 2, v, (x, 5.0), g),
+              st.floats(-6.0, 6.0), _STEER_SPEEDS, st.sampled_from([0.5, 1.0, 2.0])))
+# Noise around zero, signed zeros, and terms that saturate the clamp.
+_STEER_NOISE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 2.5, -2.5, TURN_LIMIT]),
+    st.floats(-0.3, 0.3), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _steer_cases(draw):
+    """Rows of _steer_block's arguments and one noise list per row."""
+    rows = draw(st.lists(_STEER_ROWS, min_size=1, max_size=6))
+    steps = draw(st.integers(0, NAV_STEPS))
+    noise = [draw(st.lists(_STEER_NOISE, min_size=steps, max_size=steps)) for _ in rows]
+    # In some cases one non-finite term: NaN makes a NaN turn, which the
+    # step refuses, and +-inf is clamped to the turn limit.
+    bad = draw(st.sampled_from([None, None, float("nan"), float("inf"), float("-inf")]))
+    if bad is not None and steps:
+        noise[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, steps - 1))] = bad
+    return rows, noise
+
+
+_STRAIGHT = (0.0, 0.0, math.pi / 2, ROBOT_NAV_SPEED, (0.0, 5.0), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_steer_cases())
+@example(case=([_STRAIGHT, (1.0, -2.0, -math.pi, 0.0, (3.0, 3.0), 2.0)],
+               [[-0.0, 0.0, 2.5, -2.5, -0.0, 0.0]] * 2))
+@example(case=([_STRAIGHT, _STRAIGHT], [[0.0, 0.1], [0.0, float("nan")]]))
+def test_steer_block_rows_equal_the_float_loop(case):
+    rows, noise = case
+    refs, errors = [], set()
+    for (x, y, heading, speed, target, gain), row in zip(rows, noise):
+        try:
+            refs.append(steer((x, y), heading, speed, target, row, gain))
+        except ValueError as exc:
+            errors.add(str(exc))
+    x, y, heading, speed, target, gain = (np.array(c, dtype=float) for c in zip(*rows))
+    block = np.array(noise, dtype=float).reshape(len(rows), -1)
+    if errors:
+        # the float loop refuses a row, so the block refuses, with its error
+        with pytest.raises(ValueError) as exc:
+            _steer_block(x, y, heading, speed, target, gain, block)
+        assert str(exc.value) in errors
+        return
+    turns, pos = _steer_block(x, y, heading, speed, target, gain, block)
+    assert turns.shape == block.shape and pos.shape == (*block.shape, 2)
+    for (ref_turns, ref_pos), got_turns, got_pos in zip(refs, turns, pos):
+        assert _hex(got_turns) == _hex(ref_turns)
+        assert _hex(got_pos) == _hex(ref_pos)
+
+
+def test_steer_block_takes_the_straight_branch_on_exact_zero_turns():
+    # Heading straight at the target, zero noise gives a turn of exactly 0.0
+    # (also with a -0.0 term), which the step takes as a straight line.
+    turns, pos = _steer_block(0.0, 0.0, math.pi / 2, ROBOT_NAV_SPEED, (0.0, 5.0), 1.0,
+                              np.array([[0.0, -0.0, 0.0]]))
+    assert _hex(turns) == _hex([0.0] * 3)
+    h = wrap_angle(math.pi / 2)
+    assert pos[0, 0].tolist() == [ROBOT_NAV_SPEED * math.cos(h) * NAV_DT,
+                                  ROBOT_NAV_SPEED * math.sin(h) * NAV_DT]
+    _, ref_pos = steer((0.0, 0.0), math.pi / 2, ROBOT_NAV_SPEED, (0.0, 5.0), [0.0, -0.0, 0.0])
+    assert _hex(pos[0]) == _hex(ref_pos)
 
 
 def test_classify_human_direction_equals_unicycle_step_reference(nav_data):
@@ -666,6 +750,14 @@ def _reference_perception_robot(goal, gen, exec_noise, ctx):
     return ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns]))
 
 
+def _block_perception_robot(goal, gen, exec_noise):
+    """One executed robot of the perception study: its six noise terms from
+    gen, then one row of _perception_turns."""
+    noise = gen.normal(0.0, exec_noise, NAV_STEPS)[np.newaxis]
+    turns = _perception_turns([goal], noise, NavWorld())[0]
+    return ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns]))
+
+
 def _reference_perception_codebook(n_fit, exec_noise, rng):
     ctx = NavWorld()
     vecs = {0: [], 1: []}
@@ -691,7 +783,7 @@ def test_perception_codebook_fit_equals_reference(n_fit, exec_noise, seed):
     assert _hex(cb.stds) == _hex(stds)
     gen, ref_gen = (RngStream(seed, 3).generator() for _ in range(2))
     for goal in GOALS:
-        assert _perception_robot(goal, gen, exec_noise, NavWorld()) == \
+        assert _block_perception_robot(goal, gen, exec_noise) == \
             _reference_perception_robot(goal, ref_gen, exec_noise, NavWorld())
 
 
@@ -746,7 +838,7 @@ def test_regret_on_perception_codebook_equals_reference():
     flat = ActionTraj(np.zeros((NAV_STEPS, 2)))
     for i in range(6):
         gen = RngStream(3, i).generator()
-        executed = _perception_robot(GOALS[i % 2], gen, 0.02, NavWorld())
+        executed = _block_perception_robot(GOALS[i % 2], gen, 0.02)
         for true_goal in GOALS:
             for kw in ({}, dict(n_samples=120, delta=0.2)):
                 assert generative_regret(cb, executed, flat, 0.5, true_goal,
@@ -798,19 +890,47 @@ def test_perception_study_computes_the_human_masses_once(monkeypatch):
         return out
 
     def counted(draws, queries, delta, bandwidth):
-        calls.append((draws, queries.tobytes()))
+        calls.append((draws, queries.tobytes(), queries.shape))
         return real_masses(draws, queries, delta, bandwidth)
 
     monkeypatch.setattr(genplan, "_draw_halves", recorded_halves)
     monkeypatch.setattr(genplan, "_window_masses", counted)
     perception_case_study(SensorModel(), 5, rng=RngStream(4))
     robot, human = halves[0]
-    assert [q for d, q in calls if d is human] == [np.zeros(NAV_STEPS).tobytes()]
+    assert [q for d, q, _ in calls if d is human] == [np.zeros(NAV_STEPS).tobytes()]
     fixed = {c.actions[:, 1].tobytes()
              for c in default_hindsight_candidates(None)[:-1]}
-    executed = [d.shape[0] for d, q in calls if d is not human and q not in fixed]
-    # one per deployment, over the one code of weight > 0
-    assert executed == [1] * 20
+    executed = [(d.shape[0], shape) for d, q, shape in calls
+                if d is not human and q not in fixed]
+    # one per condition, over the one code of weight > 0, a row per sample
+    assert executed == [(1, (5, NAV_STEPS))] * 4
+
+
+@pytest.mark.parametrize("rows_per_call", [1, 2, None])
+def test_regret_rows_equal_one_row_calls(nav_data, scored_samples, monkeypatch,
+                                         rows_per_call):
+    # A block of deployments, in one _window_masses call or in chunks of
+    # rows, gives each row the bits generative_regret gives it alone, on
+    # codebooks with every code live and with codes of weight 0, also for a
+    # row whose executed turns are those of a shared candidate.
+    divert = divert_shape_candidate()
+    shared = [divert] + default_hindsight_candidates(None)[:-1]
+    rows = [(s.robot_traj, s.human_traj, s.delta_h, s.goal)
+            for s in scored_samples + scored_samples[::-1]]
+    rows.append((shared[2], *rows[0][1:]))
+    for cb in (fit_codebook(nav_data, K=6), _zeroed_codebook(fit_codebook(nav_data, K=6), (4,)),
+               fit_codebook(nav_data, K=2)):
+        if rows_per_call is not None:
+            monkeypatch.setattr(genplan, "_MASS_BYTES",
+                                rows_per_call * _draw_halves(cb, 120)[0].nbytes)
+        got = _regret_rows(cb, shared, np.array([r.actions[:, 1] for r, _, _, _ in rows]),
+                           np.array([h.actions[:, 1] for _, h, _, _ in rows]),
+                           np.array([cb.encoder_row(d, g) for _, _, d, g in rows]),
+                           120, 0.1, 0.05)
+        want = [generative_regret(cb, *row, hindsight_candidates=[*shared, row[0]],
+                                  n_samples=120)
+                for row in rows]
+        assert _hex(got) == _hex(want)
 
 
 def test_human_memo_holds_one_entry(nav_data, scored_samples):

@@ -54,6 +54,27 @@ def mismatch():
             for name, v in build_mismatch_scenarios(cb, RngStream(1, 17), n_reps=2).items()}
 
 
+def perception_case_bench():
+    # The bench's size: 25 samples per condition, at its two seeds.
+    return {str(s): [[tag, float(v).hex()]
+                     for tag, v in perception_case_study(SensorModel(), 25, RngStream(s))]
+            for s in (1, 7919)}
+
+
+def nav_dataset_7919():
+    return [{"delta_h": float(s.delta_h).hex(), "goal": s.goal,
+             "robot": _hex(s.robot_traj.actions.ravel()),
+             "human": _hex(s.human_traj.actions.ravel())}
+            for s in generate_nav_dataset(60, rng=RngStream(7919))]
+
+
+def mismatch_k6():
+    # navregret at the bench's size, on the K=6 codebook navgen fits.
+    cb = fit_codebook(generate_nav_dataset(60, rng=RngStream(7919)), K=6)
+    return {name: float(v).hex()
+            for name, v in build_mismatch_scenarios(cb, RngStream(7919, 17), n_reps=10).items()}
+
+
 def scenario_batch():
     return {fam: [{"seed": s.seed, "robot_init": _state_hex(s.robot_init),
                    "humans": [_state_hex(h) for h, _ in s.humans]}
@@ -62,7 +83,8 @@ def scenario_batch():
 
 
 OUTPUTS = {f.__name__: f for f in (nav_dataset, perception_codebook, perception_case,
-                                   mismatch, scenario_batch)}
+                                   mismatch, scenario_batch, perception_case_bench,
+                                   nav_dataset_7919, mismatch_k6)}
 
 
 @pytest.fixture(scope="module")
