@@ -91,9 +91,12 @@ def _score_generative(run: Path) -> int:
         harness.need(run, "codebook.json", "navgen").read_text())
     samples = genplan.nav_samples_from_json(
         harness.need(run, "nav_samples.json", "navgen").read_text())
-    scores = {f"nav-{i:05d}": genplan.generative_regret(
-                  cb, s.robot_traj, s.human_traj, s.delta_h, s.goal)
-              for i, s in enumerate(samples)}
+    try:
+        regrets = genplan.sample_regrets(cb, samples)
+    except genplan.OutOfSupportError as exc:
+        exc.add_note(f"sample nav-{exc.row:05d}")
+        raise
+    scores = {f"nav-{i:05d}": r for i, r in enumerate(regrets)}
     harness.write_scores(run, scores, "mean")
     print(f"scored {len(scores)} nav samples -> {run / 'scores.json'}")
     return 0

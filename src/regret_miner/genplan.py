@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -45,7 +45,13 @@ _KDE_SEED = 987654321
 
 
 class OutOfSupportError(ValueError):
-    """Raised when the conditioning denominator has no sampled support."""
+    """Raised when the conditioning denominator of a scored row has no
+    sampled support; row is the index of the first such row in its block."""
+
+    def __init__(self, row: int):
+        super().__init__(f"observed human behavior of row {row} has no support "
+                         "under the codebook")
+        self.row = row
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +124,6 @@ class Codebook:
     encoder: np.ndarray
     means: np.ndarray
     stds: np.ndarray
-    # Memos of values fixed by the arrays above (see _draw_halves,
-    # _robot_masses and _human_masses); the arrays are read-only copies,
-    # so they cannot go stale.
-    _halves: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-    _robot_masses: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
-    _human_memo: Optional[tuple] = field(default=None, init=False,
-                                         repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("encoder", "means", "stds"):
@@ -139,7 +136,7 @@ class Codebook:
         if not np.allclose(sums, 1.0, atol=1e-12):
             raise ValueError("encoder rows must sum to 1 within 1e-12")
         # Weights >= 0 and finite means keep every window mass finite and
-        # let generative_regret skip the codes of weight 0.
+        # let _regret_rows skip the codes of weight 0.
         if not np.all(self.encoder >= 0):
             raise ValueError("encoder weights must be >= 0")
         if self.means.shape != (self.K, 2 * NAV_STEPS):
@@ -435,43 +432,45 @@ def kde_window_mass(samples, bandwidth: float, center: float,
 def _draw_halves(cb: Codebook, n_samples: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The robot and human halves of the (K, n_samples, 12) decoder draws
-    from a fixed internal stream, each a read-only C-contiguous
-    (K, n_samples, 6) array, drawn once per (codebook, n_samples)."""
-    out = cb._halves.get(n_samples)
-    if out is None:
-        out = (np.empty((cb.K, n_samples, NAV_STEPS)),
-               np.empty((cb.K, n_samples, NAV_STEPS)))
-        root = RngStream(_KDE_SEED, 11)
-        gens = stream_generators(derive_streams((root, (z, n_samples)) for z in range(cb.K)))
-        for z, gen in enumerate(gens):
-            draws = cb.means[z] + cb.stds[z] * gen.standard_normal(
-                (n_samples, 2 * NAV_STEPS))
-            out[0][z], out[1][z] = draws[:, :NAV_STEPS], draws[:, NAV_STEPS:]
-        for half in out:
-            half.setflags(write=False)
-        cb._halves[n_samples] = out
-    return out
+    from a fixed internal stream, each a C-contiguous (K, n_samples, 6)
+    array."""
+    robot = np.empty((cb.K, n_samples, NAV_STEPS))
+    human = np.empty((cb.K, n_samples, NAV_STEPS))
+    root = RngStream(_KDE_SEED, 11)
+    gens = stream_generators(derive_streams((root, (z, n_samples)) for z in range(cb.K)))
+    for z, gen in enumerate(gens):
+        draws = cb.means[z] + cb.stds[z] * gen.standard_normal((n_samples, 2 * NAV_STEPS))
+        robot[z], human[z] = draws[:, :NAV_STEPS], draws[:, NAV_STEPS:]
+    return robot, human
+
+
+# Bytes of one temporary of _window_masses (256 KiB).
+_MASS_BYTES = 1 << 18
 
 
 def _window_masses(draws: np.ndarray, queries: np.ndarray, delta: float,
                    bandwidth: float) -> np.ndarray:
-    """draws (K, n, D), queries (..., D) -> masses (K, ..., D).
+    """draws (K, n, D), queries (Q, D) -> masses (K, Q, D).
 
-    Each bound is computed in one buffer, in the order of
+    The queries are taken in chunks of rows that keep each temporary under
+    _MASS_BYTES. Each bound is computed in one buffer, in the order of
     ndtr((q + delta - d) / bandwidth), so the masses equal that
-    expression's bit for bit.
+    expression's bit for bit, in any chunk.
     """
-    q = queries[np.newaxis, ..., np.newaxis, :]       # (1, ..., 1, D)
-    d = draws.reshape(draws.shape[0], *([1] * (queries.ndim - 1)),
-                      draws.shape[1], draws.shape[2])  # (K, 1.., n, D)
-    hi = np.subtract(q + delta, d)
-    hi /= bandwidth
-    ndtr(hi, out=hi)
-    lo = np.subtract(q - delta, d)
-    lo /= bandwidth
-    ndtr(lo, out=lo)
-    hi -= lo
-    return np.mean(hi, axis=-2)                        # (K, ..., D)
+    out = np.empty((draws.shape[0], len(queries), draws.shape[2]))
+    rows = max(1, _MASS_BYTES // draws.nbytes)
+    d = draws[:, np.newaxis]                                   # (K, 1, n, D)
+    for i in range(0, len(queries), rows):
+        q = queries[i:i + rows, np.newaxis]                    # (r, 1, D)
+        hi = np.subtract(q + delta, d)                         # (K, r, n, D)
+        hi /= bandwidth
+        ndtr(hi, out=hi)
+        lo = np.subtract(q - delta, d)
+        lo /= bandwidth
+        ndtr(lo, out=lo)
+        hi -= lo
+        np.mean(hi, axis=-2, out=out[:, i:i + rows])
+    return out
 
 
 _DEN_FLOOR = 1e-300
@@ -500,56 +499,6 @@ def default_hindsight_candidates(executed: ActionTraj,
     return [*_proportional_candidates(ctx), executed]
 
 
-def _robot_masses(cb: Codebook, turns: np.ndarray, n_samples: int,
-                  delta: float, bandwidth: float) -> np.ndarray:
-    """(K, 6) robot window masses of one shared candidate's turns, memoised
-    on the codebook by (n_samples, delta, bandwidth, turns). Only shared
-    candidates come here, and in every caller they are a fixed set, so the
-    memo does not grow with the number of trajectories scored."""
-    key = (n_samples, delta, bandwidth, turns.tobytes())
-    out = cb._robot_masses.get(key)
-    if out is None:
-        out = _window_masses(_draw_halves(cb, n_samples)[0], turns, delta, bandwidth)
-        out.setflags(write=False)
-        cb._robot_masses[key] = out
-    return out
-
-
-def _human_masses(cb: Codebook, observed: np.ndarray, n_samples: int,
-                  delta: float, bandwidth: float) -> np.ndarray:
-    """(K, 6) window masses of the observed human turns.
-
-    The codebook keeps the last result, one entry: callers that score many
-    deployments against the same human (the perception study) compute it
-    once, and any other call replaces it.
-    """
-    key = (n_samples, delta, bandwidth, observed.tobytes())
-    memo = cb._human_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    out = _window_masses(_draw_halves(cb, n_samples)[1], observed, delta,
-                         bandwidth)
-    out.setflags(write=False)
-    cb._human_memo = (key, out)
-    return out
-
-
-def _executed_index(cands: Sequence[ActionTraj], executed: ActionTraj) -> int:
-    """Index of the first candidate equal to executed (ActionTraj.__eq__),
-    found by one comparison over the stacked candidates."""
-    if cands and all(c.actions.shape == executed.actions.shape for c in cands):
-        hit = (np.array([c.actions for c in cands]) == executed.actions).all(
-            axis=(1, 2))
-        hit &= np.array([c.start_t for c in cands]) == executed.start_t
-        if hit.any():
-            return int(hit.argmax())
-    raise ValueError("executed trajectory must be in hindsight_candidates")
-
-
-# Bytes of one temporary of _window_masses that _regret_rows allows.
-_MASS_BYTES = 1 << 20
-
-
 def _regret_rows(cb: Codebook, shared: Sequence[ActionTraj], executed: np.ndarray,
                  observed: np.ndarray, weights: np.ndarray, n_samples: int,
                  delta: float, bandwidth: float) -> np.ndarray:
@@ -560,40 +509,61 @@ def _regret_rows(cb: Codebook, shared: Sequence[ActionTraj], executed: np.ndarra
 
     Per row: the mean over timesteps of (max candidate likelihood - executed
     likelihood), with per-timestep likelihoods from the code-mixture KDE.
-    What is fixed per codebook is computed once and kept on it: the decoder
-    draws, the shared candidates' robot masses, and the masses of the last
-    observed human (see _robot_masses and _human_masses). The executed
-    masses of all rows take one _window_masses call (in chunks of rows that
-    keep a temporary under _MASS_BYTES), over the codes of weight > 0 in
-    some row; the others are 0, which leaves every weighted sum unchanged,
-    since 0 * finite = +0.0 whatever the mass. A shared candidate equal to a
-    row's executed turns has its likelihood too, so the maximum is the same
-    with or without it. The batched einsums and reductions give each row
-    the bits of the same computation on that row alone.
+    What rows share is computed once per call: the decoder draws, the shared
+    candidates' robot masses and the masses of each distinct observed human
+    row. A row's executed masses are computed only for its codes of weight
+    > 0; the others are 0, which leaves every weighted sum unchanged, since
+    0 * finite = +0.0 whatever the mass. A shared candidate equal to a row's
+    executed turns has its likelihood too, so the maximum is the same with
+    or without it. The batched einsums and reductions give each row the
+    bits of the same computation on that row alone. A row whose denominator
+    is under _DEN_FLOOR fails the block with an OutOfSupportError naming the
+    first such row.
     """
-    S = len(executed)
-    m_h = np.stack([_human_masses(cb, o, n_samples, delta, bandwidth)
-                    for o in observed], axis=1)                 # (K, S, 6)
+    for name, steps in (("executed", executed.shape[1]), ("observed", observed.shape[1]),
+                        *(("hindsight candidate", len(c)) for c in shared)):
+        if steps != NAV_STEPS:
+            raise ValueError(f"{name} trajectory has {steps} steps, not NAV_STEPS = "
+                             f"{NAV_STEPS}")
+    S, C = len(executed), len(shared)
+    robot, human = _draw_halves(cb, n_samples)
+    distinct, inverse = np.unique(observed, axis=0, return_inverse=True)
+    m_h = _window_masses(human, distinct, delta, bandwidth)[:, inverse]  # (K, S, 6)
     den = np.einsum("sk,kst->st", weights, m_h)                 # (S, 6)
-    if np.any(den < _DEN_FLOOR):
-        raise OutOfSupportError(
-            "observed human behavior has no support under the codebook")
-    m_r = np.zeros((cb.K, S, len(shared) + 1, NAV_STEPS))      # (K, S, C, 6)
-    if shared:
-        m_r[:, :, :-1] = np.stack([_robot_masses(cb, c.actions[:, 1], n_samples, delta,
-                                                 bandwidth) for c in shared],
-                                  axis=1)[:, np.newaxis]
-    live = np.flatnonzero(weights.any(axis=0))  # weights are >= 0
-    if len(live) == cb.K:
-        live = slice(None)
-    robot = _draw_halves(cb, n_samples)[0][live]
-    rows = max(1, _MASS_BYTES // robot.nbytes)
-    for lo in range(0, S, rows):
-        m_r[live, lo:lo + rows, -1] = _window_masses(robot, executed[lo:lo + rows],
-                                                     delta, bandwidth)
+    short = np.flatnonzero((den < _DEN_FLOOR).any(axis=1))
+    if short.size:
+        raise OutOfSupportError(int(short[0]))
+    m_r = np.zeros((cb.K, S, C + 1, NAV_STEPS))                 # (K, S, C, 6)
+    shared_turns = np.array([c.actions[:, 1] for c in shared]).reshape(C, NAV_STEPS)
+    m_r[:, :, :C] = _window_masses(robot, shared_turns, delta, bandwidth)[:, np.newaxis]
+    for z in range(cb.K):
+        rows = np.flatnonzero(weights[:, z] > 0)  # weights are >= 0
+        m_r[z, rows, C] = _window_masses(robot[z:z + 1], executed[rows], delta, bandwidth)[0]
     num = np.einsum("sk,kst,ksct->sct", weights, m_h, m_r)      # (S, C, 6)
     lik = np.clip(num / den[:, np.newaxis, :], 0.0, 1.0)
     return np.mean(lik.max(axis=1) - lik[:, -1], axis=1)
+
+
+def _sample_rows(cb: Codebook, samples: Sequence[NavSample], shared: Sequence[ActionTraj],
+                 n_samples: int, delta: float, bandwidth: float) -> np.ndarray:
+    """_regret_rows of the samples' robot and human turns, each at the
+    encoder row of its cue and goal."""
+    def turns(trajs):
+        return np.array([t.actions[:, 1] for t in trajs]).reshape(-1, NAV_STEPS)
+
+    return _regret_rows(cb, shared, turns(s.robot_traj for s in samples),
+                        turns(s.human_traj for s in samples),
+                        np.array([cb.encoder_row(s.delta_h, s.goal)
+                                  for s in samples]).reshape(-1, cb.K),
+                        n_samples, delta, bandwidth)
+
+
+def sample_regrets(cb: Codebook, samples: Sequence[NavSample]) -> list[float]:
+    """generative_regret of each sample's robot trajectory given its human's,
+    at its cue and goal, with that function's default candidates and KDE
+    settings, the samples scored as one block."""
+    return _sample_rows(cb, samples, _proportional_candidates(NavWorld()),
+                        n_samples=250, delta=0.1, bandwidth=0.05).tolist()
 
 
 def generative_regret(cb: Codebook, executed_robot_traj: ActionTraj,
@@ -604,22 +574,18 @@ def generative_regret(cb: Codebook, executed_robot_traj: ActionTraj,
                       bandwidth: float = 0.05) -> float:
     """Mean over timesteps of (max candidate likelihood - executed
     likelihood), with per-timestep likelihoods from the code-mixture KDE:
-    the one-row case of _regret_rows. The candidates whose turns equal the
-    executed ones are scored as the executed row, so the shared memo keeps
-    only the others.
+    the one-row case of _regret_rows, the hindsight candidates (by default
+    default_hindsight_candidates) as its shared ones.
     """
     _check_kde(delta, bandwidth, n_samples)
     if hindsight_candidates is None:
-        cands = default_hindsight_candidates(executed_robot_traj)
-    else:
-        cands = list(hindsight_candidates)
-    if not any(c is executed_robot_traj for c in cands):
-        _executed_index(cands, executed_robot_traj)  # raises unless one is equal
-    turns = executed_robot_traj.actions[:, 1]
-    key = turns.tobytes()
-    shared = [c for c in cands if c.actions[:, 1].tobytes() != key]
+        hindsight_candidates = default_hindsight_candidates(executed_robot_traj)
+    cands = list(hindsight_candidates)
+    if executed_robot_traj not in cands:
+        raise ValueError("executed trajectory must be in hindsight_candidates")
     return float(_regret_rows(
-        cb, shared, turns[np.newaxis], observed_human_traj.actions[np.newaxis, :, 1],
+        cb, cands, executed_robot_traj.actions[np.newaxis, :, 1],
+        observed_human_traj.actions[np.newaxis, :, 1],
         cb.encoder_row(delta_h, goal)[np.newaxis], n_samples, delta, bandwidth)[0])
 
 
@@ -646,9 +612,9 @@ def build_mismatch_scenarios(cb: Codebook, rng: RngStream, n_reps: int = 30,
     branch). collision: head-on human, robot pushes to the primary goal
     through the human's path. irrelevant: crossing human the robot never
     interacts with; the robot's path is unaffected regardless of what was
-    anticipated for the human. Every rep is scored against the divert
-    candidate and the default hindsight candidates, one call per rep (the
-    humans of a deployment's reps are steered as one block).
+    anticipated for the human. The humans of a deployment's reps are
+    steered as one block, and the reps of all three are scored as one block
+    against the divert candidate and the default hindsight candidates.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -665,15 +631,13 @@ def build_mismatch_scenarios(cb: Codebook, rng: RngStream, n_reps: int = 30,
     gens = stream_generators(derive_streams(
         (rng, ids) for name in configs for i in range(n_reps)
         for ids in ((hashn(name), i, 0), (hashn(name), i))))
-    out = {}
-    for name, (goal, yield_draw, cue_range) in configs.items():
+    samples = []
+    for goal, yield_draw, cue_range in configs.values():
         episodes = [(next(gens).uniform(*cue_range), goal, next(gens))
                     for _ in range(n_reps)]
-        vals = [generative_regret(cb, s.robot_traj, s.human_traj, s.delta_h, goal,
-                                  [*shared, s.robot_traj], n_samples, delta, bandwidth)
-                for s, _, _ in _nav_episodes(episodes, 0.0, 0.02, yield_draw)]
-        out[name] = float(np.mean(vals))
-    return out
+        samples += [s for s, _, _ in _nav_episodes(episodes, 0.0, 0.02, yield_draw)]
+    vals = _sample_rows(cb, samples, shared, n_samples, delta, bandwidth)
+    return dict(zip(configs, map(float, vals.reshape(len(configs), n_reps).mean(axis=1))))
 
 
 def hashn(name: str) -> int:
@@ -731,8 +695,9 @@ def perception_case_study(sensor: SensorModel,
     Regret conditions on the ground-truth obstacle bit, so deployments where
     the sensed bit disagrees with reality score high. Each condition forces
     the sensor's reading (its injected_fault), so the sensor's detection
-    rates are never read. A condition's samples are steered and scored as
-    one block against the default hindsight candidates.
+    rates are never read. The samples of all four conditions are steered
+    as one block and scored as one block against the default hindsight
+    candidates, each at the encoder row of its condition's true goal.
     """
     n = n_samples_per_condition
     if n < 1:
@@ -742,7 +707,6 @@ def perception_case_study(sensor: SensorModel,
         rng = RngStream(0)
     ctx = NavWorld()
     cb = _fit_perception_codebook(200, exec_noise, rng.derive(0))
-    flat_human = np.zeros((n, NAV_STEPS))
     conditions = [
         ("obstacle-detected", True, True),
         ("obstacle-missed", True, False),
@@ -751,20 +715,19 @@ def perception_case_study(sensor: SensorModel,
     ]
     gens = stream_generators(derive_streams(
         (rng, (hashn(tag), i)) for tag, _, _ in conditions for i in range(n)))
-    results = []
-    for tag, obstacle, forced_reading in conditions:
+    goals, noise = [], np.empty((len(conditions), n, NAV_STEPS))
+    for (_, obstacle, forced_reading), block in zip(conditions, noise):
         forced = replace(sensor, injected_fault=forced_reading)
-        true_goal = "Backup" if obstacle else "Primary"
-        goals, noise = [], np.empty((n, NAV_STEPS))
-        for row, gen in zip(noise, islice(gens, n)):
+        for row, gen in zip(block, islice(gens, n)):
             goals.append("Backup" if forced.sense(obstacle, gen) else "Primary")
             row[:] = gen.normal(0.0, exec_noise, NAV_STEPS)
-        vals = _regret_rows(cb, _proportional_candidates(ctx),
-                            _perception_turns(goals, noise, ctx), flat_human,
-                            np.tile(cb.encoder_row(0.5, true_goal), (n, 1)),
-                            n_samples, delta, bandwidth)
-        results.append((tag, float(np.mean(vals))))
-    return results
+    weights = np.repeat([cb.encoder_row(0.5, "Backup" if obstacle else "Primary")
+                         for _, obstacle, _ in conditions], n, axis=0)
+    vals = _regret_rows(cb, _proportional_candidates(ctx),
+                        _perception_turns(goals, noise.reshape(-1, NAV_STEPS), ctx),
+                        np.zeros((len(goals), NAV_STEPS)), weights, n_samples, delta, bandwidth)
+    return [(tag, float(v))
+            for (tag, _, _), v in zip(conditions, vals.reshape(len(conditions), n).mean(axis=1))]
 
 
 # ---------------------------------------------------------------------------

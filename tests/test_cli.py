@@ -167,6 +167,56 @@ def test_navregret_and_perception(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_each_nav_command_scores_in_one_pass(tmp_path, monkeypatch, capsys):
+    from regret_miner import genplan
+    calls = []
+
+    def counted(name):
+        real = getattr(genplan, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(genplan, name, wrapper)
+
+    counted("_draw_halves")
+    counted("_regret_rows")
+    assert main(["navgen", "--out", str(tmp_path), "--n", "60", "--seed", "1"]) == 0
+    for argv in (["score", "--in", str(tmp_path), "--model", "gen"],
+                 ["navregret", "--in", str(tmp_path), "--reps", "4"],
+                 ["perception-case", "--out", str(tmp_path / "perc"), "--n", "6"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert sorted(calls) == ["_draw_halves", "_regret_rows"], argv[0]
+    capsys.readouterr()
+
+
+def test_generative_score_names_the_sample_out_of_support(tmp_path, capsys):
+    # A hand-built K=2 codebook: goal Primary weighs code 0, a narrow
+    # decoder of human turns 10 that supports no sample's human; goal Backup
+    # weighs code 1, whose decoder covers every turn.
+    from regret_miner import genplan
+    assert main(["navgen", "--out", str(tmp_path), "--n", "60", "--seed", "1"]) == 0
+    enc = np.zeros((genplan.N_CUE_BUCKETS, 2, 2))
+    enc[:, 0, 0] = enc[:, 1, 1] = 1.0
+    means = np.zeros((2, 12))
+    means[0, genplan.NAV_STEPS:] = 10.0
+    cb = genplan.Codebook(K=2, encoder=enc, means=means,
+                          stds=np.array([np.full(12, 1e-3), np.full(12, 0.5)]))
+    (tmp_path / "codebook.json").write_text(genplan.codebook_to_json(cb))
+    samples = genplan.nav_samples_from_json((tmp_path / "nav_samples.json").read_text())
+    first = next(i for i, s in enumerate(samples) if s.goal == "Primary")
+    assert first > 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--in", str(tmp_path), "--model", "gen"])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "OutOfSupportError"
+    assert err["message"].endswith(f"\nsample nav-{first:05d}")
+    assert not (tmp_path / "scores.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["--tp", "--fp"])
 def test_perception_case_takes_no_sensor_rates(tmp_path, capsys, flag):
     # Every condition forces the sensor's reading, so the detection rates

@@ -33,7 +33,6 @@ from regret_miner.genplan import (
     SensorModel,
     _clamp_turn,
     _draw_halves,
-    _executed_index,
     _fit_perception_codebook,
     _perception_turns,
     _regret_rows,
@@ -52,6 +51,7 @@ from regret_miner.genplan import (
     nav_samples_from_json,
     nav_samples_to_json,
     perception_case_study,
+    sample_regrets,
     simulate_nav_scene,
 )
 from kinematics_reference import steer, unicycle_step
@@ -546,7 +546,7 @@ def test_classify_human_direction_equals_unicycle_step_reference(nav_data):
 
 
 # ---------------------------------------------------------------------------
-# Memoised generative regret against a from-scratch reference
+# Generative regret against a from-scratch reference
 # ---------------------------------------------------------------------------
 
 def _reference_draws(cb, n):
@@ -609,11 +609,6 @@ def scored_samples(nav_data):
     return nav_data[:8]
 
 
-def _fresh(cb):
-    """An equal codebook with an empty memo."""
-    return codebook_from_json(codebook_to_json(cb))
-
-
 def test_default_candidates_equal_reference():
     executed = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.1)]))
     assert default_hindsight_candidates(executed) == _reference_candidates(executed)
@@ -623,66 +618,36 @@ def test_default_candidates_equal_reference():
                                       default_hindsight_candidates(executed)[:-1]))
 
 
-@pytest.mark.parametrize("K", [1, 2, 6])
-def test_memoised_regret_equals_reference(nav_data, scored_samples, K):
-    cb = fit_codebook(nav_data, K=K)
-    divert = divert_shape_candidate()
-    for s in scored_samples + scored_samples[::-1]:
-        args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
-        assert generative_regret(cb, *args) == _reference_regret(cb, *args)
-        cands = [divert] + default_hindsight_candidates(s.robot_traj)
-        assert generative_regret(cb, *args, hindsight_candidates=cands) == \
-            _reference_regret(cb, *args, cands=cands)
-
-
-def test_memo_does_not_leak_across_codebooks(nav_data, scored_samples):
-    cb_a = fit_codebook(nav_data, K=6)
-    cb_b = fit_codebook(nav_data[100:], K=6)
-    want = {id(cb): [_reference_regret(cb, s.robot_traj, s.human_traj,
-                                       s.delta_h, s.goal)
-                     for s in scored_samples]
-            for cb in (cb_a, cb_b)}
-    for i, s in enumerate(scored_samples):
-        for cb in ((cb_a, cb_b) if i % 2 else (cb_b, cb_a)):
-            got = generative_regret(cb, s.robot_traj, s.human_traj,
-                                    s.delta_h, s.goal)
-            assert got == want[id(cb)][i]
-
-
-def test_memo_keys_on_kde_parameters(codebook, scored_samples):
-    cb = _fresh(codebook)
-    settings_ = [dict(n_samples=250, delta=0.1, bandwidth=0.05),
+_KDE_SETTINGS = [dict(n_samples=250, delta=0.1, bandwidth=0.05),
                  dict(n_samples=120, delta=0.1, bandwidth=0.05),
                  dict(n_samples=250, delta=0.2, bandwidth=0.05),
                  dict(n_samples=250, delta=0.1, bandwidth=0.1)]
-    for s in scored_samples[:3]:
-        args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
-        for kw in settings_ + settings_[::-1]:
-            assert generative_regret(cb, *args, **kw) == \
-                _reference_regret(cb, *args, **kw)
-    # only the fixed candidates are memoised (7 distinct turn sequences: the
-    # three gains toward the primary goal all drive straight), once per
-    # setting, however many executed trajectories were scored
-    fixed = {c.actions[:, 1].tobytes()
-             for c in default_hindsight_candidates(s.robot_traj)[:-1]}
-    assert len(fixed) == 7
-    assert len(cb._robot_masses) == len(fixed) * len(settings_)
-    assert set(cb._halves) == {250, 120}
 
 
-def test_warm_memo_keeps_errors(codebook, scored_samples):
-    cb = _fresh(codebook)
-    s = scored_samples[0]
-    generative_regret(cb, s.robot_traj, s.human_traj, s.delta_h, s.goal,
-                      n_samples=50, delta=0.01, bandwidth=0.005)
+@pytest.mark.parametrize("K", [1, 2, 6])
+def test_memoised_regret_equals_reference(nav_data, scored_samples, K):
+    # Two codebooks scored in turn, the samples cycling through four KDE
+    # settings, with the default candidates and with the divert candidate
+    # too: every value equals the from-scratch reference, also after a call
+    # refused for its candidates or for its support.
+    cbs = (fit_codebook(nav_data, K=K), fit_codebook(nav_data[100:], K=K))
+    divert = divert_shape_candidate()
     other = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.3)]))
-    with pytest.raises(ValueError):
-        generative_regret(cb, s.robot_traj, s.human_traj, s.delta_h, s.goal,
-                          hindsight_candidates=[other])
     far = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 1.0)]))
-    with pytest.raises(OutOfSupportError):
-        generative_regret(cb, s.robot_traj, far, s.delta_h, s.goal,
-                          n_samples=50, delta=0.01, bandwidth=0.005)
+    for i, s in enumerate(scored_samples + scored_samples[::-1]):
+        args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
+        cands = [divert] + default_hindsight_candidates(s.robot_traj)
+        kw = _KDE_SETTINGS[i % len(_KDE_SETTINGS)]
+        for cb in (cbs if i % 2 else cbs[::-1]):
+            assert _outcome(generative_regret, cb, *args, **kw) == \
+                _reference_outcome(cb, *args, **kw)
+            assert _outcome(generative_regret, cb, *args, hindsight_candidates=cands, **kw) == \
+                _reference_outcome(cb, *args, cands=cands, **kw)
+            with pytest.raises(ValueError, match="must be in hindsight_candidates"):
+                generative_regret(cb, *args, hindsight_candidates=[other], **kw)
+            with pytest.raises(OutOfSupportError):
+                generative_regret(cb, s.robot_traj, far, s.delta_h, s.goal,
+                                  n_samples=50, delta=0.01, bandwidth=0.005)
 
 
 def test_codebook_arrays_are_read_only_copies():
@@ -691,20 +656,18 @@ def test_codebook_arrays_are_read_only_copies():
     cb = Codebook(K=2, encoder=enc, means=means, stds=np.full((2, 12), 0.1))
     means[0, 0] = 5.0
     assert cb.means[0, 0] == 0.0
-    for arr in (cb.encoder, cb.means, cb.stds, *_draw_halves(cb, 10)):
+    for arr in (cb.encoder, cb.means, cb.stds):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
 
 def test_draw_halves_equal_the_slices_of_the_full_draws(codebook):
-    cb = _fresh(codebook)
     for n in (1, 120, 250):
-        draws = _reference_draws(cb, n)
-        robot, human = _draw_halves(cb, n)
+        draws = _reference_draws(codebook, n)
+        robot, human = _draw_halves(codebook, n)
         assert robot.flags.c_contiguous and human.flags.c_contiguous
         assert _hex(robot) == _hex(draws[:, :, :NAV_STEPS])
         assert _hex(human) == _hex(draws[:, :, NAV_STEPS:])
-        assert _draw_halves(cb, n) is cb._halves[n]
 
 
 def test_codebook_document_with_noise_sigma_still_decodes(codebook):
@@ -890,20 +853,21 @@ def test_perception_study_computes_the_human_masses_once(monkeypatch):
         return out
 
     def counted(draws, queries, delta, bandwidth):
-        calls.append((draws, queries.tobytes(), queries.shape))
+        calls.append((draws, queries.copy()))
         return real_masses(draws, queries, delta, bandwidth)
 
     monkeypatch.setattr(genplan, "_draw_halves", recorded_halves)
     monkeypatch.setattr(genplan, "_window_masses", counted)
     perception_case_study(SensorModel(), 5, rng=RngStream(4))
-    robot, human = halves[0]
-    assert [q for d, q, _ in calls if d is human] == [np.zeros(NAV_STEPS).tobytes()]
-    fixed = {c.actions[:, 1].tobytes()
-             for c in default_hindsight_candidates(None)[:-1]}
-    executed = [(d.shape[0], shape) for d, q, shape in calls
-                if d is not human and q not in fixed]
-    # one per condition, over the one code of weight > 0, a row per sample
-    assert executed == [(1, (5, NAV_STEPS))] * 4
+    [(robot, human)] = halves
+    # the 20 flat humans are one distinct row, the 9 shared candidates one
+    # call over both codes, and each code's executed masses one call over
+    # the 10 rows (two conditions of 5) that weigh it
+    (h_draws, h_rows), (r_draws, r_rows), *executed = calls
+    assert h_draws is human and _hex(h_rows) == _hex(np.zeros((1, NAV_STEPS)))
+    assert r_draws is robot and r_rows.shape == (9, NAV_STEPS)
+    assert [(d.base is robot, d.shape[0], q.shape) for d, q in executed] == \
+        [(True, 1, (10, NAV_STEPS))] * 2
 
 
 @pytest.mark.parametrize("rows_per_call", [1, 2, None])
@@ -933,25 +897,77 @@ def test_regret_rows_equal_one_row_calls(nav_data, scored_samples, monkeypatch,
         assert _hex(got) == _hex(want)
 
 
-def test_human_memo_holds_one_entry(nav_data, scored_samples):
-    cb_a = fit_codebook(nav_data, K=6)
-    cb_b = fit_codebook(nav_data[100:], K=6)
-    settings_ = [dict(n_samples=250, delta=0.1, bandwidth=0.05),
-                 dict(n_samples=120, delta=0.1, bandwidth=0.05),
-                 dict(n_samples=250, delta=0.2, bandwidth=0.05),
-                 dict(n_samples=250, delta=0.1, bandwidth=0.1)]
-    human = scored_samples[0].human_traj
-    for i, s in enumerate(scored_samples[:4]):
-        for kw in settings_ + settings_[::-1]:
-            for cb in ((cb_a, cb_b) if i % 2 else (cb_b, cb_a)):
-                args = (s.robot_traj, human, s.delta_h, s.goal)
-                assert _outcome(generative_regret, cb, *args, **kw) == \
-                    _reference_outcome(cb, *args, **kw)
-                key, masses = cb._human_memo
-                assert key == (kw["n_samples"], kw["delta"], kw["bandwidth"],
-                               human.actions[:, 1].tobytes())
-                assert masses.shape == (6, NAV_STEPS)
-                assert not masses.flags.writeable
+@pytest.mark.parametrize("rows_per_call", [1, 2, None])
+def test_one_hot_rows_of_both_codes_equal_one_row_calls(monkeypatch, rows_per_call):
+    # Perception rows weigh one code each, rows of both codes interleaved:
+    # each code's executed masses, in chunks of 1 or 2 rows or in one call,
+    # give every row the bits generative_regret gives it alone.
+    cb = _fit_perception_codebook(200, 0.02, RngStream(3).derive(0))
+    gens = [RngStream(3, i).generator() for i in range(7)]
+    goals = [GOALS[i % 3 % 2] for i in range(7)]
+    executed = _perception_turns(goals, np.array([g.normal(0.0, 0.02, NAV_STEPS) for g in gens]),
+                                 NavWorld())
+    flat = ActionTraj(np.zeros((NAV_STEPS, 2)))
+    true_goals = [GOALS[i // 2 % 2] for i in range(7)]
+    if rows_per_call is not None:
+        monkeypatch.setattr(genplan, "_MASS_BYTES",
+                            rows_per_call * _draw_halves(cb, 120)[0][:1].nbytes)
+    shared = default_hindsight_candidates(None)[:-1]
+    got = _regret_rows(cb, shared, executed, np.zeros((7, NAV_STEPS)),
+                       np.array([cb.encoder_row(0.5, g) for g in true_goals]), 120, 0.1, 0.05)
+    want = [generative_regret(cb, ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns])),
+                              flat, 0.5, g, n_samples=120)
+            for turns, g in zip(executed, true_goals)]
+    assert _hex(got) == _hex(want)
+
+
+def test_sample_regrets_equal_generative_regret(codebook, nav_data):
+    samples = nav_data[:40]
+    want = [generative_regret(codebook, s.robot_traj, s.human_traj, s.delta_h, s.goal)
+            for s in samples]
+    assert _hex(sample_regrets(codebook, samples)) == _hex(want)
+    assert sample_regrets(codebook, []) == []
+
+
+@pytest.mark.parametrize("kind", ["executed", "observed", "hindsight candidate"])
+def test_wrong_length_trajectories_are_named(codebook, scored_samples, kind):
+    s = scored_samples[0]
+    robot, human, cands = s.robot_traj, s.human_traj, None
+    steps = {"executed": 3, "observed": 4, "hindsight candidate": 5}[kind]
+    short = ActionTraj(np.zeros((steps, 2)))
+    if kind == "executed":
+        robot = short
+    elif kind == "observed":
+        human = short
+    else:
+        cands = [short, robot]
+    with pytest.raises(ValueError, match=f"^{kind} trajectory has {steps} steps, "
+                                         f"not NAV_STEPS = {NAV_STEPS}$"):
+        generative_regret(codebook, robot, human, s.delta_h, s.goal, hindsight_candidates=cands)
+
+
+def _goal_keyed_codebook():
+    """K=2: goal Primary weighs code 0, whose decoder covers every turn;
+    goal Backup weighs code 1, a narrow decoder of human turns 10, which
+    supports no observed human."""
+    enc = np.zeros((N_CUE_BUCKETS, 2, 2))
+    enc[:, 0, 0] = enc[:, 1, 1] = 1.0
+    means = np.zeros((2, 12))
+    means[1, NAV_STEPS:] = 10.0
+    stds = np.array([np.full(12, 0.5), np.full(12, 1e-3)])
+    return Codebook(K=2, encoder=enc, means=means, stds=stds)
+
+
+def test_out_of_support_names_the_first_row(nav_data):
+    cb = _goal_keyed_codebook()
+    samples = nav_data[:12]
+    first = next(i for i, s in enumerate(samples) if s.goal == "Backup")
+    assert first > 0
+    with pytest.raises(OutOfSupportError, match=f"row {first} ") as exc:
+        sample_regrets(cb, samples)
+    assert exc.value.row == first
+    primary = [s for s in samples if s.goal == "Primary"]
+    assert all(0.0 <= v <= 1.0 for v in sample_regrets(cb, primary))
 
 
 @pytest.mark.parametrize("bad", [dict(n_samples=0), dict(n_samples=-3),
@@ -959,17 +975,19 @@ def test_human_memo_holds_one_entry(nav_data, scored_samples):
                                  dict(bandwidth=float("nan")),
                                  dict(delta=0.0), dict(delta=float("nan"))])
 def test_kde_parameters_are_checked_before_the_memo(codebook, scored_samples,
-                                                    bad):
-    cb = _fresh(codebook)
+                                                    bad, monkeypatch):
+    # A bad setting is refused before any decoder draw.
+    drawn = []
+    monkeypatch.setattr(genplan, "_draw_halves", lambda *a: drawn.append(a))
     s = scored_samples[0]
     args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
-    generative_regret(cb, *args)
-    sizes = (len(cb._halves), len(cb._robot_masses))
-    human = cb._human_memo
     with pytest.raises(ValueError, match="must be"):
-        generative_regret(cb, *args, **bad)
-    assert (len(cb._halves), len(cb._robot_masses)) == sizes
-    assert cb._human_memo is human
+        generative_regret(codebook, *args, **bad)
+    with pytest.raises(ValueError, match="must be"):
+        build_mismatch_scenarios(codebook, RngStream(1), n_reps=2, **bad)
+    with pytest.raises(ValueError, match="must be"):
+        perception_case_study(SensorModel(), 2, rng=RngStream(1), **bad)
+    assert drawn == []
     if "n_samples" not in bad:
         kw = dict(dict(bandwidth=0.05, delta=0.1), **bad)
         with pytest.raises(ValueError, match="must be positive"):
@@ -996,21 +1014,3 @@ def test_codebook_rejects_negative_weights_and_non_finite_means():
         bad_means[1, 7] = v
         with pytest.raises(ValueError, match="finite"):
             Codebook(K=2, encoder=enc, means=bad_means, stds=stds)
-
-
-def test_executed_index_matches_equality_scan():
-    def traj(v, start_t=0, n=NAV_STEPS):
-        return ActionTraj(np.column_stack([np.zeros(n), np.full(n, v)]), start_t)
-
-    executed = traj(0.1)
-    cases = [[traj(0.0), traj(0.1), traj(0.1)],
-             [traj(0.1, start_t=2), traj(0.2), traj(0.1)],
-             [traj(-0.0), traj(0.0)],
-             [executed]]
-    for cands in cases:
-        want = next(i for i, c in enumerate(cands) if c == cands[-1])
-        assert _executed_index(cands, cands[-1]) == want
-    for cands in ([], [traj(0.1, start_t=1)], [traj(0.1, n=5)],
-                  [traj(0.1, n=7), traj(0.2)]):
-        with pytest.raises(ValueError, match="must be in"):
-            _executed_index(cands, executed)
