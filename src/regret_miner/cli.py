@@ -52,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         _fail("usage", message, code=2)
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, the seeds RngStream takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _fail(kind: str, message: str, code: int = 1):
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}})
                      + "\n")
@@ -254,20 +265,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--codes", type=int, default=6, help="codebook size K")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = add("navregret", cmd_navregret,
             help="generative regret for the canned mismatch deployments")
     p.add_argument("--in", dest="in_dir", required=True,
                    help="navgen output directory")
     p.add_argument("--reps", type=int, default=30)
-    p.add_argument("--seed", type=int, default=5)
+    p.add_argument("--seed", type=_seed, default=5)
 
     p = add("perception-case", cmd_perception_case,
             help="fault-injected perception deployments")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=200, help="samples per condition")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     return ap
 
 

@@ -13,6 +13,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Optional, Sequence
@@ -444,33 +447,80 @@ def _draw_halves(cb: Codebook, n_samples: int
     return robot, human
 
 
-# Bytes of one temporary of _window_masses (256 KiB).
+# Bytes of one chunk's temporary in _window_masses (256 KiB). Each worker
+# holds two buffers of this size, so a pass's peak scratch memory is
+# workers x 2 x _MASS_BYTES.
 _MASS_BYTES = 1 << 18
 
 
-def _window_masses(draws: np.ndarray, queries: np.ndarray, delta: float,
-                   bandwidth: float) -> np.ndarray:
-    """draws (K, n, D), queries (Q, D) -> masses (K, Q, D).
+def _mass_workers() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The queries are taken in chunks of rows that keep each temporary under
-    _MASS_BYTES. Each bound is computed in one buffer, in the order of
-    ndtr((q + delta - d) / bandwidth), so the masses equal that
-    expression's bit for bit, in any chunk.
+
+def _window_masses(jobs: Sequence[tuple[np.ndarray, np.ndarray]], delta: float,
+                   bandwidth: float) -> list[np.ndarray]:
+    """One (K, Q, D) array of masses per (draws (K, n, D), queries (Q, D))
+    job.
+
+    Each job's queries are taken in chunks of rows that keep a temporary
+    under _MASS_BYTES (one row when a single row is larger). Each bound is
+    computed in one buffer, in the order of ndtr((q + delta - d) /
+    bandwidth), so the masses equal that expression's bit for bit, in any
+    chunk. The chunks of all jobs are shared by min(_mass_workers(), chunks)
+    workers: the calling thread and threads started and joined in this
+    call. A worker takes the next chunk under a lock and writes it into a
+    disjoint slice of its job's output, so no mass depends on which worker
+    computes it. Each worker reuses its own two buffers, so peak scratch
+    memory is workers x 2 x _MASS_BYTES. A worker's exception is raised
+    here, after every thread has been joined.
     """
-    out = np.empty((draws.shape[0], len(queries), draws.shape[2]))
-    rows = max(1, _MASS_BYTES // draws.nbytes)
-    d = draws[:, np.newaxis]                                   # (K, 1, n, D)
-    for i in range(0, len(queries), rows):
-        q = queries[i:i + rows, np.newaxis]                    # (r, 1, D)
-        hi = np.subtract(q + delta, d)                         # (K, r, n, D)
-        hi /= bandwidth
-        ndtr(hi, out=hi)
-        lo = np.subtract(q - delta, d)
-        lo /= bandwidth
-        ndtr(lo, out=lo)
-        hi -= lo
-        np.mean(hi, axis=-2, out=out[:, i:i + rows])
-    return out
+    outs, chunks = [], []
+    for draws, queries in jobs:
+        out = np.empty((draws.shape[0], len(queries), draws.shape[2]))
+        outs.append(out)
+        rows = max(1, _MASS_BYTES // draws.nbytes)
+        d = draws[:, np.newaxis]                                   # (K, 1, n, D)
+        for i in range(0, len(queries), rows):
+            q = queries[i:i + rows, np.newaxis]                    # (r, 1, D)
+            shape = (d.shape[0], len(q), *d.shape[2:])             # (K, r, n, D)
+            chunks.append((shape, d, q + delta, q - delta, out[:, i:i + rows]))
+    if not chunks:
+        return outs
+    size = max(math.prod(c[0]) for c in chunks)
+    todo = iter(chunks)
+    lock = threading.Lock()
+
+    def work(hi_buf: np.ndarray, lo_buf: np.ndarray) -> None:
+        while True:
+            with lock:
+                chunk = next(todo, None)
+            if chunk is None:
+                return
+            shape, d, q_hi, q_lo, out = chunk
+            hi = hi_buf[:math.prod(shape)].reshape(shape)
+            lo = lo_buf[:hi.size].reshape(shape)
+            np.subtract(q_hi, d, out=hi)
+            hi /= bandwidth
+            ndtr(hi, out=hi)
+            np.subtract(q_lo, d, out=lo)
+            lo /= bandwidth
+            ndtr(lo, out=lo)
+            hi -= lo
+            np.mean(hi, axis=-2, out=out)
+
+    workers = min(_mass_workers(), len(chunks))
+    # The pool starts a thread per submitted worker, none for one worker,
+    # and leaving the block joins them all.
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(work, np.empty(size), np.empty(size))
+                   for _ in range(workers - 1)]
+        work(np.empty(size), np.empty(size))
+    for f in futures:
+        f.result()
+    return outs
 
 
 _DEN_FLOOR = 1e-300
@@ -509,16 +559,17 @@ def _regret_rows(cb: Codebook, shared: Sequence[ActionTraj], executed: np.ndarra
 
     Per row: the mean over timesteps of (max candidate likelihood - executed
     likelihood), with per-timestep likelihoods from the code-mixture KDE.
-    What rows share is computed once per call: the decoder draws, the shared
-    candidates' robot masses and the masses of each distinct observed human
-    row. A row's executed masses are computed only for its codes of weight
-    > 0; the others are 0, which leaves every weighted sum unchanged, since
+    The decoder draws are made once per call, and every window mass of the
+    call comes from one _window_masses pass: the masses of each distinct
+    observed human row, the shared candidates' robot masses, and per code
+    the executed masses of the rows that weigh it > 0. A row's other
+    executed masses are 0, which leaves every weighted sum unchanged, since
     0 * finite = +0.0 whatever the mass. A shared candidate equal to a row's
     executed turns has its likelihood too, so the maximum is the same with
     or without it. The batched einsums and reductions give each row the
     bits of the same computation on that row alone. A row whose denominator
     is under _DEN_FLOOR fails the block with an OutOfSupportError naming the
-    first such row.
+    first such row. An empty block returns an empty array without drawing.
     """
     for name, steps in (("executed", executed.shape[1]), ("observed", observed.shape[1]),
                         *(("hindsight candidate", len(c)) for c in shared)):
@@ -526,19 +577,25 @@ def _regret_rows(cb: Codebook, shared: Sequence[ActionTraj], executed: np.ndarra
             raise ValueError(f"{name} trajectory has {steps} steps, not NAV_STEPS = "
                              f"{NAV_STEPS}")
     S, C = len(executed), len(shared)
+    if not S:
+        return np.empty(0)
     robot, human = _draw_halves(cb, n_samples)
     distinct, inverse = np.unique(observed, axis=0, return_inverse=True)
-    m_h = _window_masses(human, distinct, delta, bandwidth)[:, inverse]  # (K, S, 6)
+    shared_turns = np.array([c.actions[:, 1] for c in shared]).reshape(C, NAV_STEPS)
+    live = [np.flatnonzero(weights[:, z] > 0) for z in range(cb.K)]  # weights are >= 0
+    m_h, m_shared, *m_exec = _window_masses(
+        [(human, distinct), (robot, shared_turns),
+         *((robot[z:z + 1], executed[rows]) for z, rows in enumerate(live))],
+        delta, bandwidth)
+    m_h = m_h[:, inverse]                                       # (K, S, 6)
     den = np.einsum("sk,kst->st", weights, m_h)                 # (S, 6)
     short = np.flatnonzero((den < _DEN_FLOOR).any(axis=1))
     if short.size:
         raise OutOfSupportError(int(short[0]))
     m_r = np.zeros((cb.K, S, C + 1, NAV_STEPS))                 # (K, S, C, 6)
-    shared_turns = np.array([c.actions[:, 1] for c in shared]).reshape(C, NAV_STEPS)
-    m_r[:, :, :C] = _window_masses(robot, shared_turns, delta, bandwidth)[:, np.newaxis]
-    for z in range(cb.K):
-        rows = np.flatnonzero(weights[:, z] > 0)  # weights are >= 0
-        m_r[z, rows, C] = _window_masses(robot[z:z + 1], executed[rows], delta, bandwidth)[0]
+    m_r[:, :, :C] = m_shared[:, np.newaxis]
+    for z, (rows, m) in enumerate(zip(live, m_exec)):
+        m_r[z, rows, C] = m[0]
     num = np.einsum("sk,kst,ksct->sct", weights, m_h, m_r)      # (S, C, 6)
     lik = np.clip(num / den[:, np.newaxis, :], 0.0, 1.0)
     return np.mean(lik.max(axis=1) - lik[:, -1], axis=1)

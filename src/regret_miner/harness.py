@@ -102,6 +102,11 @@ class ExperimentConfig:
                 raise ValueError(f"family count must be >= 1, got {n}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        for key, values in (("base_seed", (self.base_seed,)),
+                            ("pretrain_seed", (self.pretrain_seed,)), ("seeds", self.seeds)):
+            bad = [v for v in values if v < 0]
+            if bad:
+                raise ValueError(f"{key} must be >= 0, got {bad[0]}")
         if not (0.0 < self.p < 100.0):
             raise ValueError("p must be in (0, 100)")
         if not (0.0 < self.holdout_frac < 1.0):

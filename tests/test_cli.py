@@ -217,6 +217,21 @@ def test_generative_score_names_the_sample_out_of_support(tmp_path, capsys):
     assert not (tmp_path / "scores.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["navgen", "--out"], ["navregret", "--in"],
+                                  ["perception-case", "--out"]])
+@pytest.mark.parametrize("seed", ["-1", "seven"])
+def test_nav_commands_refuse_a_seed_that_is_no_stream_seed(tmp_path, capsys, argv, seed):
+    # Stream seeds are integers >= 0: any other --seed is a usage error
+    # naming the option and the value, and nothing is written.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(tmp_path / "run"), "--seed", seed])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "usage"
+    assert err["message"] == f"argument --seed: expected an integer >= 0, got {seed!r}"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("flag", ["--tp", "--fp"])
 def test_perception_case_takes_no_sensor_rates(tmp_path, capsys, flag):
     # Every condition forces the sensor's reading, so the detection rates

@@ -1,5 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -852,22 +858,128 @@ def test_perception_study_computes_the_human_masses_once(monkeypatch):
         halves.append(out)
         return out
 
-    def counted(draws, queries, delta, bandwidth):
-        calls.append((draws, queries.copy()))
-        return real_masses(draws, queries, delta, bandwidth)
+    def counted(jobs, delta, bandwidth):
+        calls.append([(draws, queries.copy()) for draws, queries in jobs])
+        return real_masses(jobs, delta, bandwidth)
 
     monkeypatch.setattr(genplan, "_draw_halves", recorded_halves)
     monkeypatch.setattr(genplan, "_window_masses", counted)
     perception_case_study(SensorModel(), 5, rng=RngStream(4))
     [(robot, human)] = halves
-    # the 20 flat humans are one distinct row, the 9 shared candidates one
-    # call over both codes, and each code's executed masses one call over
-    # the 10 rows (two conditions of 5) that weigh it
-    (h_draws, h_rows), (r_draws, r_rows), *executed = calls
+    # One mass pass: the 20 flat humans are one distinct row, the 9 shared
+    # candidates one job over both codes, and each code's executed masses
+    # one job over the 10 rows (two conditions of 5) that weigh it.
+    [[(h_draws, h_rows), (r_draws, r_rows), *executed]] = calls
     assert h_draws is human and _hex(h_rows) == _hex(np.zeros((1, NAV_STEPS)))
     assert r_draws is robot and r_rows.shape == (9, NAV_STEPS)
     assert [(d.base is robot, d.shape[0], q.shape) for d, q in executed] == \
         [(True, 1, (10, NAV_STEPS))] * 2
+
+
+def _threaded_blocks(cb6, nav_data):
+    """_regret_rows arguments of a block on the K=6 codebook cb6, cb6 with
+    code 4 zeroed, and the perception codebook."""
+    def turns(trajs):
+        return np.array([t.actions[:, 1] for t in trajs])
+
+    shared = default_hindsight_candidates(None)[:-1]
+    samples = nav_data[:12]
+    blocks = [(cb, shared, turns(s.robot_traj for s in samples),
+               turns(s.human_traj for s in samples),
+               np.array([cb.encoder_row(s.delta_h, s.goal) for s in samples]), 120, 0.1, 0.05)
+              for cb in (cb6, _zeroed_codebook(cb6, (4,)))]
+    cb = _fit_perception_codebook(200, 0.02, RngStream(3).derive(0))
+    gens = [RngStream(3, i).generator() for i in range(8)]
+    goals = [GOALS[i % 2] for i in range(8)]
+    executed = _perception_turns(goals, np.array([g.normal(0.0, 0.02, NAV_STEPS) for g in gens]),
+                                 NavWorld())
+    weights = np.array([cb.encoder_row(0.5, GOALS[i // 2 % 2]) for i in range(8)])
+    blocks.append((cb, shared, executed, np.zeros((8, NAV_STEPS)), weights, 120, 0.1, 0.05))
+    return blocks
+
+
+def test_more_mass_workers_than_cores_keep_every_bit(codebook, nav_data, monkeypatch):
+    # One-row chunks shared by four times as many workers as this process
+    # has CPUs, switching threads every microsecond for about two seconds:
+    # a chunk lost, a buffer two workers write at once, or a mass written
+    # into another chunk's slice would change a regret's bits against the
+    # one-worker pass.
+    blocks = _threaded_blocks(codebook, nav_data)
+    cpus = genplan._mass_workers()
+    monkeypatch.setattr(genplan, "_MASS_BYTES", 1)
+    monkeypatch.setattr(genplan, "_mass_workers", lambda: 1)
+    want = [_hex(_regret_rows(*block)) for block in blocks]
+    threads = set()
+
+    def recorded_ndtr(x, out=None):
+        threads.add(threading.get_ident())
+        return ndtr(x, out=out)
+
+    monkeypatch.setattr(genplan, "_mass_workers", lambda: 4 * cpus)
+    monkeypatch.setattr(genplan, "ndtr", recorded_ndtr)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline, rounds = time.monotonic() + 2.0, 0
+        while rounds < 3 or time.monotonic() < deadline:
+            assert [_hex(_regret_rows(*block)) for block in blocks] == want
+            rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) > 1
+
+
+def test_a_mass_worker_exception_reaches_the_caller(codebook, nav_data, monkeypatch):
+    # A worker thread's error is raised by the call, and every thread the
+    # call started has been joined by then.
+    caller, raised, workers = threading.current_thread(), threading.Event(), set()
+
+    def failing_ndtr(x, out=None):
+        if threading.current_thread() is caller:
+            raised.wait(timeout=30)  # leave the next chunk to a worker
+            return ndtr(x, out=out)
+        workers.add(threading.current_thread())
+        raised.set()
+        raise RuntimeError("injected worker failure")
+
+    block = _threaded_blocks(codebook, nav_data)[0]
+    monkeypatch.setattr(genplan, "_MASS_BYTES", 1)
+    monkeypatch.setattr(genplan, "_mass_workers", lambda: 3)
+    monkeypatch.setattr(genplan, "ndtr", failing_ndtr)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^injected worker failure$"):
+        _regret_rows(*block)
+    assert raised.is_set() and workers
+    for t in workers:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert threading.active_count() == before
+
+
+def test_importing_genplan_starts_no_thread():
+    env = dict(os.environ, PYTHONPATH=str(Path(genplan.__file__).parents[1]))
+    code = ("import threading; before = threading.enumerate(); "
+            "import regret_miner.genplan; print(threading.enumerate() == before)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+
+def test_an_empty_block_starts_no_thread(codebook, nav_data, monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def recorded_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    monkeypatch.setattr(genplan, "_mass_workers", lambda: 2)
+    assert sample_regrets(codebook, []) == []
+    assert started == []
+    # the probe sees the thread a block of one sample starts
+    sample_regrets(codebook, nav_data[:1])
+    assert len(started) == 1
 
 
 @pytest.mark.parametrize("rows_per_call", [1, 2, None])

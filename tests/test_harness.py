@@ -53,6 +53,16 @@ def test_config_validation():
         ExperimentConfig.from_dict({"familys": []})
 
 
+@pytest.mark.parametrize("kw,message", [(dict(base_seed=-3), "base_seed must be >= 0, got -3"),
+                                        (dict(pretrain_seed=-1), "pretrain_seed must be >= 0, got -1"),
+                                        (dict(seeds=(101, -2, 303)), "seeds must be >= 0, got -2")])
+def test_config_refuses_negative_seeds(kw, message):
+    # A negative seed is refused at load, naming its key, not when the
+    # first stream is drawn.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig(**kw)
+
+
 def test_config_yaml_round_trip(tmp_path):
     config = ExperimentConfig(families=(("StrandedTruck", 3),), seeds=(5, 6),
                               p=25.0, planner={"horizon": 20},
