@@ -142,7 +142,8 @@ def realized_scene_reward(scene, handle: Optional[PlannerHandle] = None) -> floa
 
 
 def weighted_quantiles(values: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
-    """weighted_quantile of each row of (W, n) values and weights, as row
+    """The smallest value of each row of (W, n) values whose cumulative
+    normalized weight reaches q; one window is a one-row block. Row
     operations: a stable argsort per row, a cumsum per row over the sorted
     weights, and the count of cum < q, which equals searchsorted(cum, q,
     side="left") on a row that never decreases. Non-negative weights make
@@ -164,17 +165,6 @@ def weighted_quantiles(values: np.ndarray, weights: np.ndarray, q: float) -> np.
     idx = np.minimum((cum < q).sum(axis=1), v.shape[1] - 1)
     rows = np.arange(len(v))
     return v[rows, order[rows, idx]]
-
-
-def weighted_quantile(values: Sequence[float], weights: Sequence[float],
-                      q: float) -> float:
-    """Smallest value whose cumulative normalized weight reaches q: the
-    one-row case of weighted_quantiles."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.ndim != 1 or v.shape != w.shape:
-        raise ValueError("need matching non-empty values and weights")
-    return float(weighted_quantiles(v[None], w[None], q)[0])
 
 
 # Reward slack below the anticipated quantile before a scene is flagged.

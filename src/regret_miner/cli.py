@@ -87,6 +87,10 @@ def cmd_score(args) -> int:
         if args.agg:
             _fail("usage", "--agg is not supported by the generative scorer "
                   "(--model gen), which has one score per sample", code=2)
+        if args.config:
+            _fail("usage", "--config is not supported by the generative scorer "
+                  "(--model gen), which reads only the run's codebook and samples",
+                  code=2)
         return _score_generative(run)
     config = harness.run_config(run, args.config)
     if args.agg:

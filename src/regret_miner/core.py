@@ -9,9 +9,9 @@ The unicycle step is written twice: once on plain floats
 call) and once on arrays (rollout_speeds, then
 rollout_positions_from_speeds, the two halves of rollout_positions_batch).
 plan() rolls its candidate library out with the array halves and hands the
-predictor both results, ``predictor.predict_candidates(joint, history,
-ego_xys, speeds, ctx, n_modes_out, dt)``: the (K, T, 2) positions and the
-(K, T) speed after each step, so no predictor steps the robot again.
+predictor both results, ``predictor.predict(joint, history, ego_xys,
+speeds, ctx, n_modes_out, dt)``: the (K, T, 2) positions and the (K, T)
+speed after each step, so no predictor steps the robot again.
 """
 
 from __future__ import annotations

@@ -139,7 +139,7 @@ class Codebook:
         if not np.allclose(sums, 1.0, atol=1e-12):
             raise ValueError("encoder rows must sum to 1 within 1e-12")
         # Weights >= 0 and finite means keep every window mass finite and
-        # let _regret_rows skip the codes of weight 0.
+        # let generative_regret skip the codes of weight 0.
         if not np.all(self.encoder >= 0):
             raise ValueError("encoder weights must be >= 0")
         if self.means.shape != (self.K, 2 * NAV_STEPS):
@@ -527,9 +527,10 @@ _DEN_FLOOR = 1e-300
 
 
 @functools.lru_cache(maxsize=None)
-def _proportional_candidates(ctx: NavWorld) -> tuple[ActionTraj, ...]:
+def default_hindsight_candidates(ctx: NavWorld) -> tuple[ActionTraj, ...]:
     """The 9 noise-free proportional-control robot trajectories
-    (3 bearings x 3 gains) of a world, built once per world."""
+    (3 bearings x 3 gains) of a world, built once per world: the shared
+    candidates every nav command scores against."""
     mid = ((ctx.goal_primary[0] + ctx.goal_backup[0]) / 2.0,
            (ctx.goal_primary[1] + ctx.goal_backup[1]) / 2.0)
     targets = [t for t in (ctx.goal_primary, ctx.goal_backup, mid) for _ in range(3)]
@@ -540,22 +541,13 @@ def _proportional_candidates(ctx: NavWorld) -> tuple[ActionTraj, ...]:
     return tuple(_turns_traj(row) for row in turns)
 
 
-def default_hindsight_candidates(executed: ActionTraj,
-                                 ctx: Optional[NavWorld] = None
-                                 ) -> list[ActionTraj]:
-    """9 proportional-control trajectories (3 bearings x 3 gains) plus the
-    executed trajectory (always last)."""
-    ctx = ctx if ctx is not None else NavWorld()
-    return [*_proportional_candidates(ctx), executed]
-
-
-def _regret_rows(cb: Codebook, shared: Sequence[ActionTraj], executed: np.ndarray,
-                 observed: np.ndarray, weights: np.ndarray, n_samples: int,
-                 delta: float, bandwidth: float) -> np.ndarray:
+def generative_regret(cb: Codebook, shared: Sequence[ActionTraj], executed: np.ndarray,
+                      observed: np.ndarray, weights: np.ndarray, n_samples: int,
+                      delta: float, bandwidth: float) -> np.ndarray:
     """(S,) generative regret of S deployments: row s scores its executed
     turns executed[s] against the shared candidates plus itself, with
     observed human turns observed[s] and encoder row weights[s] ((S, 6),
-    (S, 6) and (S, K) arrays).
+    (S, 6) and (S, K) arrays). One deployment is a one-row block.
 
     Per row: the mean over timesteps of (max candidate likelihood - executed
     likelihood), with per-timestep likelihoods from the code-mixture KDE.
@@ -570,13 +562,20 @@ def _regret_rows(cb: Codebook, shared: Sequence[ActionTraj], executed: np.ndarra
     bits of the same computation on that row alone. A row whose denominator
     is under _DEN_FLOOR fails the block with an OutOfSupportError naming the
     first such row. An empty block returns an empty array without drawing.
+    Bad KDE settings, trajectories of other than NAV_STEPS steps, and a
+    block whose row counts or encoder width disagree are ValueErrors.
     """
+    _check_kde(delta, bandwidth, n_samples)
     for name, steps in (("executed", executed.shape[1]), ("observed", observed.shape[1]),
                         *(("hindsight candidate", len(c)) for c in shared)):
         if steps != NAV_STEPS:
             raise ValueError(f"{name} trajectory has {steps} steps, not NAV_STEPS = "
                              f"{NAV_STEPS}")
     S, C = len(executed), len(shared)
+    if len(observed) != S or weights.shape != (S, cb.K):
+        raise ValueError(f"a block of {S} executed rows needs observed ({S}, {NAV_STEPS}) "
+                         f"and weights ({S}, {cb.K}), got executed {executed.shape}, "
+                         f"observed {observed.shape} and weights {weights.shape}")
     if not S:
         return np.empty(0)
     robot, human = _draw_halves(cb, n_samples)
@@ -603,47 +602,25 @@ def _regret_rows(cb: Codebook, shared: Sequence[ActionTraj], executed: np.ndarra
 
 def _sample_rows(cb: Codebook, samples: Sequence[NavSample], shared: Sequence[ActionTraj],
                  n_samples: int, delta: float, bandwidth: float) -> np.ndarray:
-    """_regret_rows of the samples' robot and human turns, each at the
+    """generative_regret of the samples' robot and human turns, each at the
     encoder row of its cue and goal."""
     def turns(trajs):
         return np.array([t.actions[:, 1] for t in trajs]).reshape(-1, NAV_STEPS)
 
-    return _regret_rows(cb, shared, turns(s.robot_traj for s in samples),
-                        turns(s.human_traj for s in samples),
-                        np.array([cb.encoder_row(s.delta_h, s.goal)
-                                  for s in samples]).reshape(-1, cb.K),
-                        n_samples, delta, bandwidth)
+    return generative_regret(cb, shared, turns(s.robot_traj for s in samples),
+                             turns(s.human_traj for s in samples),
+                             np.array([cb.encoder_row(s.delta_h, s.goal)
+                                       for s in samples]).reshape(-1, cb.K),
+                             n_samples, delta, bandwidth)
 
 
 def sample_regrets(cb: Codebook, samples: Sequence[NavSample]) -> list[float]:
     """generative_regret of each sample's robot trajectory given its human's,
-    at its cue and goal, with that function's default candidates and KDE
-    settings, the samples scored as one block."""
-    return _sample_rows(cb, samples, _proportional_candidates(NavWorld()),
+    at its cue and goal, against the default hindsight candidates with 250
+    decoder draws, delta 0.1 and bandwidth 0.05, the samples scored as one
+    block."""
+    return _sample_rows(cb, samples, default_hindsight_candidates(NavWorld()),
                         n_samples=250, delta=0.1, bandwidth=0.05).tolist()
-
-
-def generative_regret(cb: Codebook, executed_robot_traj: ActionTraj,
-                      observed_human_traj: ActionTraj, delta_h: float,
-                      goal: str,
-                      hindsight_candidates: Optional[Sequence[ActionTraj]] = None,
-                      n_samples: int = 250, delta: float = 0.1,
-                      bandwidth: float = 0.05) -> float:
-    """Mean over timesteps of (max candidate likelihood - executed
-    likelihood), with per-timestep likelihoods from the code-mixture KDE:
-    the one-row case of _regret_rows, the hindsight candidates (by default
-    default_hindsight_candidates) as its shared ones.
-    """
-    _check_kde(delta, bandwidth, n_samples)
-    if hindsight_candidates is None:
-        hindsight_candidates = default_hindsight_candidates(executed_robot_traj)
-    cands = list(hindsight_candidates)
-    if executed_robot_traj not in cands:
-        raise ValueError("executed trajectory must be in hindsight_candidates")
-    return float(_regret_rows(
-        cb, cands, executed_robot_traj.actions[np.newaxis, :, 1],
-        observed_human_traj.actions[np.newaxis, :, 1],
-        cb.encoder_row(delta_h, goal)[np.newaxis], n_samples, delta, bandwidth)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -675,14 +652,13 @@ def build_mismatch_scenarios(cb: Codebook, rng: RngStream, n_reps: int = 30,
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    _check_kde(delta, bandwidth, n_samples)
     # (goal, yield draw, range of the uniform cue) of each deployment.
     configs = {
         "nominal": ("Primary", True, (0.4, 0.6)),
         "collision": ("Primary", False, (0.4, 0.6)),
         "irrelevant": ("Primary", None, (0.05, 0.28)),
     }
-    shared = [divert_shape_candidate(), *_proportional_candidates(NavWorld())]
+    shared = [divert_shape_candidate(), *default_hindsight_candidates(NavWorld())]
     # Each rep draws its cue from stream (tag, i, 0) and runs its episode on
     # stream (tag, i), every config's streams keyed in one pass.
     gens = stream_generators(derive_streams(
@@ -759,7 +735,6 @@ def perception_case_study(sensor: SensorModel,
     n = n_samples_per_condition
     if n < 1:
         raise ValueError("n_samples_per_condition must be >= 1")
-    _check_kde(delta, bandwidth, n_samples)
     if rng is None:
         rng = RngStream(0)
     ctx = NavWorld()
@@ -780,9 +755,10 @@ def perception_case_study(sensor: SensorModel,
             row[:] = gen.normal(0.0, exec_noise, NAV_STEPS)
     weights = np.repeat([cb.encoder_row(0.5, "Backup" if obstacle else "Primary")
                          for _, obstacle, _ in conditions], n, axis=0)
-    vals = _regret_rows(cb, _proportional_candidates(ctx),
-                        _perception_turns(goals, noise.reshape(-1, NAV_STEPS), ctx),
-                        np.zeros((len(goals), NAV_STEPS)), weights, n_samples, delta, bandwidth)
+    vals = generative_regret(cb, default_hindsight_candidates(ctx),
+                             _perception_turns(goals, noise.reshape(-1, NAV_STEPS), ctx),
+                             np.zeros((len(goals), NAV_STEPS)), weights, n_samples, delta,
+                             bandwidth)
     return [(tag, float(v))
             for (tag, _, _), v in zip(conditions, vals.reshape(len(conditions), n).mean(axis=1))]
 

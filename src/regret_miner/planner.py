@@ -22,7 +22,6 @@ from .core import (
     ROBOT_RADIUS,
     TURN_LIMIT,
     ActionTraj,
-    AgentState,
     Context,
     DrivingCorridor,
     JointState,
@@ -153,12 +152,15 @@ def _cap_piece(a: float, n: int, v: float, cap: float, dt: float,
     return v
 
 
-def _candidate_block(handle: PlannerHandle, v0: float, rng: RngStream, start_t: int
-                     ) -> tuple[list[ActionTraj], np.ndarray, np.ndarray]:
-    """The candidate library from start speed v0: its trajectories, their
-    read-only (K, T, 2) action block, and the (K, T) speed after each step,
-    equal bit for bit to the speeds of rollout_speeds on the block.
+def sample_candidates(handle: PlannerHandle, v0: float, rng: RngStream, start_t: int
+                      ) -> tuple[list[ActionTraj], np.ndarray, np.ndarray]:
+    """The candidate library from start speed v0, with rng jitter on
+    accelerations: its trajectories, their read-only (K, T, 2) action block,
+    and the (K, T) speed after each step, equal bit for bit to the speeds of
+    rollout_speeds on the block.
 
+    In the library, index 0 is the maintain trajectory; every candidate's
+    acceleration is clamped so speed stays at or below the handle's speed cap.
     The K - 1 jitters are one normal draw, which equals K - 1 scalar draws
     bit for bit. Each candidate holds one or two constant acceleration
     pieces (two_stage), each clipped once and speed-capped by _cap_piece.
@@ -187,18 +189,6 @@ def _candidate_block(handle: PlannerHandle, v0: float, rng: RngStream, start_t: 
     acts.setflags(write=False)
     return (ActionTraj.block(acts, [start_t] * K), acts,
             np.array(speeds).reshape(K, T))
-
-
-def sample_candidates(handle: PlannerHandle, state: AgentState, ctx: Context,
-                      rng: RngStream, start_t: int = 0) -> list[ActionTraj]:
-    """Enumerate the candidate library with rng jitter on accelerations: the
-    trajectories of _candidate_block, whose action block and speeds plan()
-    uses as well.
-
-    In the library, index 0 is the maintain trajectory; every candidate's
-    acceleration is clamped so speed stays at or below the handle's speed cap.
-    """
-    return _candidate_block(handle, state.speed, rng, start_t)[0]
 
 
 def _overlap_sum(ego_xy: np.ndarray, h_xy: np.ndarray, r: float):
@@ -322,13 +312,14 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     expectation over independent per-human modes is a per-human weighted sum.
 
     The candidate library is built as one block with the speed after each
-    step (_candidate_block), and rolled out from those speeds by the position
-    half of rollout_positions_batch; each distinct human mode trajectory is
-    rolled out once. The predictor is asked once per replan for one
-    PredictionSet per candidate, ``predictor.predict_candidates(joint,
-    history, ego_xys, speeds, ctx, n_modes, dt)``, with the candidates'
-    (K, T, 2) rollouts at ``dt`` and their (K, T) speeds after each step,
-    row k being candidate k; no predictor reads the action block.
+    step (sample_candidates), and rolled out from those speeds by the
+    position half of rollout_positions_batch; each distinct human mode
+    trajectory is rolled out once. The predictor is asked once per replan
+    for one PredictionSet per candidate, ``predictor.predict(joint, history,
+    ego_xys, speeds, ctx, n_modes, dt)``, with the candidates' (K, T, 2)
+    rollouts at ``dt`` and their (K, T) speeds after each step, row k being
+    candidate k; no predictor reads the action block. A predictor has no
+    one-candidate call: one candidate is a one-row block.
     Progress, lane and control come from one terms_matrix over the candidates,
     and each (human, mode trajectory) has one overlap pass over all rollouts;
     every candidate's expectation is then accumulated per human and mode in
@@ -339,7 +330,7 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     naming the human, the mode and the lengths.
     """
     robot = joint.robot
-    candidates, acts, speeds = _candidate_block(handle, robot.speed, rng, joint.t)
+    candidates, acts, speeds = sample_candidates(handle, robot.speed, rng, joint.t)
     M = len(joint.humans)
     if len(human_radii) != M:
         raise ValueError(f"need one radius per human: {len(human_radii)} radii for {M} humans")
@@ -358,8 +349,7 @@ def plan(handle: PlannerHandle, predictor, joint: JointState,
     ego_xys = rollout_positions_from_speeds(np.full(K, robot.x), np.full(K, robot.y),
                                             np.full(K, robot.heading), speeds,
                                             acts[:, :, 1], dt)
-    pred_sets = predictor.predict_candidates(joint, history, ego_xys, speeds, ctx,
-                                             handle.n_modes, dt)
+    pred_sets = predictor.predict(joint, history, ego_xys, speeds, ctx, handle.n_modes, dt)
     progress, lane, _, ctrl = terms_matrix(ego_xys, acts, [], [], (robot.x, robot.y), ctx)
     expected = w.w_progress * progress + w.w_lane * lane + w.w_ctrl * ctrl
     overlaps: dict[tuple[int, int], np.ndarray] = {}  # (human, id(traj)) -> (K,)

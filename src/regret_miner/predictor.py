@@ -19,14 +19,12 @@ import numpy as np
 
 from .core import (
     ACCEL_LIMIT,
-    DT_DEFAULT,
     TURN_LIMIT,
     ActionTraj,
     AgentState,
     Context,
     DrivingCorridor,
     JointState,
-    rollout_positions,
     wrap_angle,
 )
 
@@ -203,16 +201,19 @@ def _template_actions(mode: str, human: AgentState, ctx: Context, T: int,
     return np.array(acts, dtype=float)
 
 
-def predict_block(params: PredictorParams, joint: JointState,
-                  history: Sequence[JointState], ego_xys: np.ndarray, ctx: Context,
-                  n_modes_out: int, dt: float) -> list[PredictionSet]:
+def predict(params: PredictorParams, joint: JointState,
+            history: Sequence[JointState], ego_xys: np.ndarray, ctx: Context,
+            n_modes_out: int, dt: float) -> list[PredictionSet]:
     """Top n_modes_out behavior modes per human, one PredictionSet per ego
     rollout of ego_xys (K, T, 2), made at dt from T actions; the mode
     templates are made at the same dt.
 
-    Only the approaching flag depends on the rollout, so the other features
-    are computed once per human, and candidates whose flags agree share one
-    PredictionSet. Every set holds one template trajectory per (human, mode).
+    The robot-approaching feature is computed from each rollout, so
+    different candidates can receive different human predictions; one
+    candidate is a one-row block. Only the approaching flag depends on the
+    rollout, so the other features are computed once per human, and
+    candidates whose flags agree share one PredictionSet. Every set holds
+    one template trajectory per (human, mode).
     """
     if n_modes_out < 1:
         raise ValueError("n_modes_out must be >= 1")
@@ -252,30 +253,17 @@ def predict_block(params: PredictorParams, joint: JointState,
     return out
 
 
-def predict(params: PredictorParams, joint: JointState,
-            history: Sequence[JointState], ego_candidate: ActionTraj,
-            ctx: Context, n_modes_out: int = 3, dt: float = DT_DEFAULT) -> PredictionSet:
-    """Top n_modes_out behavior modes per human, conditioned on ego_candidate.
-
-    The robot-approaching feature is computed from the candidate's rollout
-    at dt, so different candidates can receive different human predictions.
-    """
-    ego_xy = rollout_positions(joint.robot, ego_candidate, dt)
-    return predict_block(params, joint, history, ego_xy[None], ctx, n_modes_out, dt)[0]
-
-
 @dataclass(frozen=True)
 class TablePredictor:
-    """Planner-facing handle binding predict_block to a fixed parameter table."""
+    """Planner-facing handle binding predict to a fixed parameter table."""
 
     params: PredictorParams
 
-    def predict_candidates(self, joint, history, ego_xys, speeds, ctx,
-                           n_modes_out, dt):
-        """predict() of every candidate of one replan, from the candidates'
-        stacked (K, T, 2) rollouts at plan()'s dt, at which the templates are
+    def predict(self, joint, history, ego_xys, speeds, ctx, n_modes_out, dt):
+        """The module's predict of every candidate of one replan, from the
+        candidates' stacked (K, T, 2) rollouts at plan()'s dt, at which the templates are
         made too. The table's features read positions only, not speeds."""
-        return predict_block(self.params, joint, history, ego_xys, ctx, n_modes_out, dt)
+        return predict(self.params, joint, history, ego_xys, ctx, n_modes_out, dt)
 
 
 # ---------------------------------------------------------------------------

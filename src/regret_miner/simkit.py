@@ -40,8 +40,6 @@ from .core import (
     NavWorld,
     RngStream,
     derive_streams,
-    rollout_positions_from_speeds,
-    rollout_speeds,
     stream_generators,
     unicycle_step_floats,
     wrap_angle,
@@ -435,11 +433,11 @@ class OraclePredictor:
     same robot view share its human steps, and candidates with equal human
     futures share one PredictionSet.
 
-    plan() calls predict_candidates(joint, history, ego_xys, speeds, ctx,
-    n_modes_out, dt) with each candidate's rollout and speeds, so the oracle
-    steps no robot itself; predict() is its one-candidate case. Each call
-    leaves its groups in the binding's stepped, so the closed loop takes the
-    executed candidate's human steps instead of stepping them again."""
+    plan() calls predict(joint, history, ego_xys, speeds, ctx, n_modes_out,
+    dt) with each candidate's rollout and speeds, so the oracle steps no
+    robot itself; one candidate is a one-row block. Each call leaves its
+    groups in the binding's stepped, so the closed loop takes the executed
+    candidate's human steps instead of stepping them again."""
 
     def __init__(self):
         self._binding: Optional[_SceneBinding] = None
@@ -452,25 +450,14 @@ class OraclePredictor:
             raise RuntimeError("oracle predictor used outside a scene")
         return self._binding
 
-    def predict(self, joint: JointState, history, ego_candidate: ActionTraj,
-                ctx: Context, n_modes_out: int = 1) -> PredictionSet:
-        """predict_candidates of the one candidate, rolled out at the scene's dt."""
-        dt = self._bound().dt
-        r, acts = joint.robot, ego_candidate.actions[None]
-        speeds = rollout_speeds([r.speed], acts[:, :, 0], dt)
-        xy = rollout_positions_from_speeds([r.x], [r.y], [r.heading], speeds,
-                                           acts[:, :, 1], dt)
-        return self.predict_candidates(joint, history, xy, speeds, ctx,
-                                       n_modes_out, dt)[0]
-
-    def predict_candidates(self, joint: JointState, history, ego_xys, speeds,
-                           ctx: Context, n_modes_out: int, dt: float) -> list[PredictionSet]:
+    def predict(self, joint: JointState, history, ego_xys, speeds,
+                ctx: Context, n_modes_out: int, dt: float) -> list[PredictionSet]:
         """One PredictionSet per candidate, shared by candidates whose human
         futures are equal byte for byte.
 
         Candidate k's robot lane is its rollout ego_xys[k] at dt and its
         speed after each step, speeds[k]: plan() passes its library's speeds
-        from _candidate_block, equal to rollout_speeds of the candidates'
+        from sample_candidates, equal to rollout_speeds of the candidates'
         accelerations. The humans step at the scene's dt.
         """
         b = self._bound()

@@ -8,13 +8,15 @@ AgentState kernels both repeat operation by operation; the property tests
 compare every kernel with them bit for bit. footprint_overlap, the disc
 overlap on AgentState, is the frame-cost tests' reference in the same way,
 and steer, genplan's proportional controller as a float loop, is the
-reference of its block kernel genplan._steer_block.
+reference of its block kernel genplan._steer_block. one_row builds the
+one-row block a predictor is asked for when a test predicts one candidate.
 """
 
 import math
 
 from regret_miner.core import (DT_DEFAULT, ActionTraj, AgentState, _require_finite,
-                               unicycle_step_floats, wrap_angle)
+                               rollout_positions, rollout_speeds, unicycle_step_floats,
+                               wrap_angle)
 from regret_miner.genplan import NAV_DT, _clamp_turn, _pc_turn
 
 
@@ -95,3 +97,11 @@ def steer(start_xy, heading: float, speed: float, target, noise, gain: float = 1
         turns.append(w)
         pos.append((x, y))
     return turns, pos
+
+
+def one_row(robot: AgentState, traj: ActionTraj, dt: float):
+    """One candidate as a one-row block at dt: its (1, T, 2) rollout by
+    core.rollout_positions and its (1, T) speed after each step by
+    core.rollout_speeds, the arguments plan() passes a predictor."""
+    return (rollout_positions(robot, traj, dt)[None],
+            rollout_speeds([robot.speed], traj.actions[None, :, 0], dt))

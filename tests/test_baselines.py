@@ -15,7 +15,6 @@ from regret_miner.baselines import (
     realized_scene_reward,
     scene_prediction_errors,
     trfd_flag,
-    weighted_quantile,
     weighted_quantiles,
     with_inflated_predictions,
     write_comparison,
@@ -199,13 +198,19 @@ def test_with_inflated_predictions_shifts_only_samples(scenes):
             assert w1 == w0
 
 
+def _row_quantile(values, weights, q):
+    """weighted_quantiles of a one-row block."""
+    return float(weighted_quantiles(np.asarray(values, dtype=float)[None],
+                                    np.asarray(weights, dtype=float)[None], q)[0])
+
+
 def test_weighted_quantile_matches_numpy():
     rng = np.random.default_rng(14)
     for _ in range(50):
         n = int(rng.integers(1, 60))
         vals = rng.normal(0, 5, n)
         q = float(rng.uniform(0, 1))
-        ours = weighted_quantile(vals, np.ones(n), q)
+        ours = _row_quantile(vals, np.ones(n), q)
         want = np.quantile(vals, q, method="inverted_cdf")
         assert ours == pytest.approx(want, abs=1e-12)
     # monotone in q
@@ -213,7 +218,7 @@ def test_weighted_quantile_matches_numpy():
     w = rng.uniform(0.1, 2.0, 30)
     prev = -np.inf
     for q in np.linspace(0, 1, 21):
-        cur = weighted_quantile(vals, w, q)
+        cur = _row_quantile(vals, w, q)
         assert cur >= prev
         prev = cur
 
@@ -271,7 +276,7 @@ def test_ade_batch_equals_one_rollout_per_pair(scenes, table_scenes):
 
 
 def _reference_quantile(values, weights, q):
-    """weighted_quantile's per-window arithmetic: searchsorted on the
+    """A window's quantile arithmetic: searchsorted on the
     normalized cumulative weight of the stably sorted values."""
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     order = np.argsort(v, kind="stable")
@@ -281,7 +286,7 @@ def _reference_quantile(values, weights, q):
 
 def test_row_quantiles_equal_weighted_quantile_per_window():
     """Ties, zero weights and q at the exact cumulative steps: each row of
-    weighted_quantiles is weighted_quantile of that row alone, and both
+    weighted_quantiles is that row's one-row block, and both
     equal the per-window searchsorted arithmetic."""
     rng = np.random.default_rng(22)
     for _ in range(200):
@@ -295,16 +300,16 @@ def test_row_quantiles_equal_weighted_quantile_per_window():
             rows = weighted_quantiles(values, weights, q)
             assert rows.shape == (W,)
             assert [v.hex() for v in rows.tolist()] == \
-                [weighted_quantile(v, w, q).hex() for v, w in zip(values, weights)]
+                [_row_quantile(v, w, q).hex() for v, w in zip(values, weights)]
             assert [v.hex() for v in rows.tolist()] == \
                 [_reference_quantile(v, w, q).hex() for v, w in zip(values, weights)]
 
 
 def _reference_threshold(scene, p):
-    """trfd_flag's threshold with one weighted_quantile call per window."""
+    """trfd_flag's threshold with one one-row quantile per window."""
     from regret_miner.baselines import TRFD_SLACK, _executed_windows
 
-    qs = [weighted_quantile([r for r, _ in e.predicted_reward_samples],
+    qs = [_row_quantile([r for r, _ in e.predicted_reward_samples],
                             [w for _, w in e.predicted_reward_samples], p / 100.0)
           for e, _ in _executed_windows(scene)]
     return float(np.mean(qs)) - TRFD_SLACK
@@ -342,7 +347,7 @@ def test_trfd_row_quantiles_equal_one_quantile_per_window(table_scenes):
 ], ids=["nan-weight", "nan-value", "inf-weight", "inf-value"])
 def test_quantiles_reject_non_finite_inputs(values, weights, scenes):
     with pytest.raises(ValueError, match="values and weights must be finite"):
-        weighted_quantile(values, weights, 0.5)
+        _row_quantile(values, weights, 0.5)
     with pytest.raises(ValueError, match="values and weights must be finite"):
         weighted_quantiles([values, [0.0, 1.0]], [weights, [1.0, 1.0]], 0.5)
     # A scene with one such logged reward sample fails TRFD, the row path.
@@ -357,13 +362,13 @@ def test_quantiles_reject_non_finite_inputs(values, weights, scenes):
 
 def test_weighted_quantile_validation():
     with pytest.raises(ValueError):
-        weighted_quantile([], [], 0.5)
+        _row_quantile([], [], 0.5)
     with pytest.raises(ValueError):
-        weighted_quantile([1.0], [-1.0], 0.5)
+        _row_quantile([1.0], [-1.0], 0.5)
     with pytest.raises(ValueError):
-        weighted_quantile([1.0], [1.0], 1.5)
+        _row_quantile([1.0], [1.0], 1.5)
     with pytest.raises(ValueError):
-        weighted_quantile([1.0, 2.0], [1.0], 0.5)
+        _row_quantile([1.0, 2.0], [1.0], 0.5)
 
 
 def test_overlap():

@@ -149,6 +149,22 @@ def test_generative_score_rejects_agg(tmp_path, capsys, agg):
     assert (tmp_path / "scores.json").read_bytes() == before
 
 
+def test_generative_score_rejects_a_config(tmp_path, capsys):
+    """The generative scorer reads only the run's codebook and samples, so a
+    --config it would ignore, even one that does not exist, is a usage
+    error that writes no scores."""
+    assert main(["navgen", "--out", str(tmp_path), "--n", "50", "--seed", "2"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--in", str(tmp_path), "--model", "gen",
+              "--config", str(tmp_path / "nonexistent.yaml")])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "usage" and "--config" in err["message"]
+    assert "generative" in err["message"]
+    assert not (tmp_path / "scores.json").exists()
+
+
 def test_navregret_and_perception(tmp_path, capsys):
     rc = main(["navgen", "--out", str(tmp_path), "--n", "400", "--seed", "1"])
     assert rc == 0
@@ -180,14 +196,14 @@ def test_each_nav_command_scores_in_one_pass(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(genplan, name, wrapper)
 
     counted("_draw_halves")
-    counted("_regret_rows")
+    counted("generative_regret")
     assert main(["navgen", "--out", str(tmp_path), "--n", "60", "--seed", "1"]) == 0
     for argv in (["score", "--in", str(tmp_path), "--model", "gen"],
                  ["navregret", "--in", str(tmp_path), "--reps", "4"],
                  ["perception-case", "--out", str(tmp_path / "perc"), "--n", "6"]):
         calls.clear()
         assert main(argv) == 0
-        assert sorted(calls) == ["_draw_halves", "_regret_rows"], argv[0]
+        assert sorted(calls) == ["_draw_halves", "generative_regret"], argv[0]
     capsys.readouterr()
 
 
@@ -399,7 +415,7 @@ class _NoPrediction(TablePredictor):
     """A table predictor that fails every replan, so a closed loop under it
     aborts at t=0 with an empty replan log."""
 
-    def predict_candidates(self, joint, *args):
+    def predict(self, joint, *args):
         raise ValueError(f"no prediction at t={joint.t}")
 
 

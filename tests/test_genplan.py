@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -41,7 +42,6 @@ from regret_miner.genplan import (
     _draw_halves,
     _fit_perception_codebook,
     _perception_turns,
-    _regret_rows,
     _steer_block,
     build_mismatch_scenarios,
     classify_human_direction,
@@ -247,6 +247,19 @@ def test_kde_window_mass_matches_quadrature():
         assert kde_window_mass(samples, h, c, d) == pytest.approx(want, abs=1e-6)
 
 
+def _regret_of(cb, executed, observed, delta_h, goal, hindsight_candidates=None,
+               n_samples=250, delta=0.1, bandwidth=0.05):
+    """generative_regret of one deployment as a one-row block at the encoder
+    row of its cue and goal, against the hindsight candidates: by default
+    the default ones followed by the executed trajectory."""
+    if hindsight_candidates is None:
+        hindsight_candidates = [*default_hindsight_candidates(NavWorld()), executed]
+    return float(generative_regret(
+        cb, list(hindsight_candidates), executed.actions[np.newaxis, :, 1],
+        observed.actions[np.newaxis, :, 1], cb.encoder_row(delta_h, goal)[np.newaxis],
+        n_samples, delta, bandwidth)[0])
+
+
 def test_generative_regret_k1_factorizes():
     """With one code the conditioning on the human cancels: each timestep's
     likelihood is the window mass of that robot dimension alone, and the
@@ -256,9 +269,8 @@ def test_generative_regret_k1_factorizes():
     best = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.1)]))
     human = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.05)]))
     n, d, h = 300, 0.1, 0.05
-    g = generative_regret(cb, robot, human, 0.5, "Primary",
-                          hindsight_candidates=[best, robot],
-                          n_samples=n, delta=d, bandwidth=h)
+    g = _regret_of(cb, robot, human, 0.5, "Primary", hindsight_candidates=[best, robot],
+                   n_samples=n, delta=d, bandwidth=h)
     draws = _draw_halves(cb, n)[0][0]
     per_t = []
     for dim in range(6):
@@ -280,10 +292,10 @@ def test_generative_regret_permutation_symmetry():
                     stds=stds[perm])
     robot = ActionTraj(np.column_stack([np.zeros(6), rng.uniform(-0.2, 0.2, 6)]))
     human = ActionTraj(np.column_stack([np.zeros(6), rng.uniform(-0.2, 0.2, 6)]))
-    a = generative_regret(cb, robot, human, 0.3, "Backup", n_samples=200)
+    a = _regret_of(cb, robot, human, 0.3, "Backup", n_samples=200)
     # permuted codebooks draw per-code samples from per-code streams, so use
     # large-n agreement rather than bitwise equality
-    b = generative_regret(cb_p, robot, human, 0.3, "Backup", n_samples=200)
+    b = _regret_of(cb_p, robot, human, 0.3, "Backup", n_samples=200)
     assert a == pytest.approx(b, abs=0.05)
     assert 0.0 <= a <= 1.0
 
@@ -292,28 +304,22 @@ def test_generative_regret_out_of_support(codebook):
     robot = ActionTraj(np.column_stack([np.zeros(6), np.zeros(6)]))
     far = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 1.0)]))
     with pytest.raises(OutOfSupportError):
-        generative_regret(codebook, robot, far, 0.5, "Primary",
-                          n_samples=50, delta=0.01, bandwidth=0.005)
+        _regret_of(codebook, robot, far, 0.5, "Primary",
+                   n_samples=50, delta=0.01, bandwidth=0.005)
     with pytest.raises(ValueError):
-        generative_regret(codebook, ActionTraj(np.zeros((3, 2))), far, 0.5,
-                          "Primary")
+        _regret_of(codebook, ActionTraj(np.zeros((3, 2))), far, 0.5, "Primary")
 
 
 def test_generative_regret_basics(codebook):
     sample, _, _ = simulate_nav_scene(0.5, "Primary", RngStream(40),
                                       epsilon_sigma=0.0, exec_noise=0.02)
-    # a candidate set containing only the executed trajectory has zero regret
-    g0 = generative_regret(codebook, sample.robot_traj, sample.human_traj,
-                           0.5, "Primary",
-                           hindsight_candidates=[sample.robot_traj])
-    assert g0 == 0.0
-    g = generative_regret(codebook, sample.robot_traj, sample.human_traj,
-                          0.5, "Primary")
+    # no shared candidate, or only the executed trajectory: zero regret
+    for shared in ([], [sample.robot_traj]):
+        g0 = _regret_of(codebook, sample.robot_traj, sample.human_traj, 0.5, "Primary",
+                        hindsight_candidates=shared)
+        assert g0 == 0.0
+    g = _regret_of(codebook, sample.robot_traj, sample.human_traj, 0.5, "Primary")
     assert 0.0 <= g <= 1.0
-    with pytest.raises(ValueError):
-        other = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.3)]))
-        generative_regret(codebook, sample.robot_traj, sample.human_traj,
-                          0.5, "Primary", hindsight_candidates=[other])
 
 
 def test_generative_regret_bounded_fuzz(codebook):
@@ -324,18 +330,16 @@ def test_generative_regret_bounded_fuzz(codebook):
         sample, _, _ = simulate_nav_scene(delta, goal, root.derive(i, 1),
                                           exec_noise=0.02)
         try:
-            g = generative_regret(codebook, sample.robot_traj,
-                                  sample.human_traj, delta, goal, n_samples=100)
+            g = _regret_of(codebook, sample.robot_traj, sample.human_traj, delta, goal,
+                           n_samples=100)
         except OutOfSupportError:
             continue
         assert 0.0 <= g <= 1.0
 
 
 def test_default_hindsight_candidates():
-    executed = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.1)]))
-    cands = default_hindsight_candidates(executed)
-    assert len(cands) == 10
-    assert cands[-1] == executed
+    cands = default_hindsight_candidates(NavWorld())
+    assert len(cands) == 9
     for c in cands:
         assert len(c) == NAV_STEPS
 
@@ -617,11 +621,10 @@ def scored_samples(nav_data):
 
 def test_default_candidates_equal_reference():
     executed = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.1)]))
-    assert default_hindsight_candidates(executed) == _reference_candidates(executed)
-    # the fixed part is shared between calls, the executed one is appended
-    again = default_hindsight_candidates(executed)
-    assert all(a is b for a, b in zip(again[:-1],
-                                      default_hindsight_candidates(executed)[:-1]))
+    assert [*default_hindsight_candidates(NavWorld()), executed] == \
+        _reference_candidates(executed)
+    # the candidates of one world are built once
+    assert default_hindsight_candidates(NavWorld()) is default_hindsight_candidates(NavWorld())
 
 
 _KDE_SETTINGS = [dict(n_samples=250, delta=0.1, bandwidth=0.05),
@@ -635,25 +638,22 @@ def test_memoised_regret_equals_reference(nav_data, scored_samples, K):
     # Two codebooks scored in turn, the samples cycling through four KDE
     # settings, with the default candidates and with the divert candidate
     # too: every value equals the from-scratch reference, also after a call
-    # refused for its candidates or for its support.
+    # refused for its support.
     cbs = (fit_codebook(nav_data, K=K), fit_codebook(nav_data[100:], K=K))
     divert = divert_shape_candidate()
-    other = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 0.3)]))
     far = ActionTraj(np.column_stack([np.zeros(6), np.full(6, 1.0)]))
     for i, s in enumerate(scored_samples + scored_samples[::-1]):
         args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
-        cands = [divert] + default_hindsight_candidates(s.robot_traj)
+        cands = [divert, *default_hindsight_candidates(NavWorld()), s.robot_traj]
         kw = _KDE_SETTINGS[i % len(_KDE_SETTINGS)]
         for cb in (cbs if i % 2 else cbs[::-1]):
-            assert _outcome(generative_regret, cb, *args, **kw) == \
+            assert _outcome(_regret_of, cb, *args, **kw) == \
                 _reference_outcome(cb, *args, **kw)
-            assert _outcome(generative_regret, cb, *args, hindsight_candidates=cands, **kw) == \
+            assert _outcome(_regret_of, cb, *args, hindsight_candidates=cands, **kw) == \
                 _reference_outcome(cb, *args, cands=cands, **kw)
-            with pytest.raises(ValueError, match="must be in hindsight_candidates"):
-                generative_regret(cb, *args, hindsight_candidates=[other], **kw)
             with pytest.raises(OutOfSupportError):
-                generative_regret(cb, s.robot_traj, far, s.delta_h, s.goal,
-                                  n_samples=50, delta=0.01, bandwidth=0.005)
+                _regret_of(cb, s.robot_traj, far, s.delta_h, s.goal,
+                           n_samples=50, delta=0.01, bandwidth=0.005)
 
 
 def test_codebook_arrays_are_read_only_copies():
@@ -792,12 +792,12 @@ def test_regret_with_zeroed_codes_equals_reference(nav_data, scored_samples,
     divert = divert_shape_candidate()
     for s in scored_samples + scored_samples[::-1]:
         args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
-        cands = [divert] + default_hindsight_candidates(s.robot_traj)
+        cands = [divert, *default_hindsight_candidates(NavWorld()), s.robot_traj]
         for kw in ({}, dict(hindsight_candidates=cands),
                    dict(n_samples=120, bandwidth=0.1)):
             ref_kw = dict(kw)
             ref_kw["cands"] = ref_kw.pop("hindsight_candidates", None)
-            assert _outcome(generative_regret, cb, *args, **kw) == \
+            assert _outcome(_regret_of, cb, *args, **kw) == \
                 _reference_outcome(cb, *args, **ref_kw)
 
 
@@ -810,8 +810,7 @@ def test_regret_on_perception_codebook_equals_reference():
         executed = _block_perception_robot(GOALS[i % 2], gen, 0.02)
         for true_goal in GOALS:
             for kw in ({}, dict(n_samples=120, delta=0.2)):
-                assert generative_regret(cb, executed, flat, 0.5, true_goal,
-                                         **kw) == \
+                assert _regret_of(cb, executed, flat, 0.5, true_goal, **kw) == \
                     _reference_regret(cb, executed, flat, 0.5, true_goal, **kw)
 
 
@@ -877,12 +876,12 @@ def test_perception_study_computes_the_human_masses_once(monkeypatch):
 
 
 def _threaded_blocks(cb6, nav_data):
-    """_regret_rows arguments of a block on the K=6 codebook cb6, cb6 with
+    """generative_regret arguments of a block on the K=6 codebook cb6, cb6 with
     code 4 zeroed, and the perception codebook."""
     def turns(trajs):
         return np.array([t.actions[:, 1] for t in trajs])
 
-    shared = default_hindsight_candidates(None)[:-1]
+    shared = default_hindsight_candidates(NavWorld())
     samples = nav_data[:12]
     blocks = [(cb, shared, turns(s.robot_traj for s in samples),
                turns(s.human_traj for s in samples),
@@ -908,7 +907,7 @@ def test_more_mass_workers_than_cores_keep_every_bit(codebook, nav_data, monkeyp
     cpus = genplan._mass_workers()
     monkeypatch.setattr(genplan, "_MASS_BYTES", 1)
     monkeypatch.setattr(genplan, "_mass_workers", lambda: 1)
-    want = [_hex(_regret_rows(*block)) for block in blocks]
+    want = [_hex(generative_regret(*block)) for block in blocks]
     threads = set()
 
     def recorded_ndtr(x, out=None):
@@ -922,7 +921,7 @@ def test_more_mass_workers_than_cores_keep_every_bit(codebook, nav_data, monkeyp
     try:
         deadline, rounds = time.monotonic() + 2.0, 0
         while rounds < 3 or time.monotonic() < deadline:
-            assert [_hex(_regret_rows(*block)) for block in blocks] == want
+            assert [_hex(generative_regret(*block)) for block in blocks] == want
             rounds += 1
     finally:
         sys.setswitchinterval(interval)
@@ -948,7 +947,7 @@ def test_a_mass_worker_exception_reaches_the_caller(codebook, nav_data, monkeypa
     monkeypatch.setattr(genplan, "ndtr", failing_ndtr)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="^injected worker failure$"):
-        _regret_rows(*block)
+        generative_regret(*block)
     assert raised.is_set() and workers
     for t in workers:
         t.join(timeout=30)
@@ -986,11 +985,11 @@ def test_an_empty_block_starts_no_thread(codebook, nav_data, monkeypatch):
 def test_regret_rows_equal_one_row_calls(nav_data, scored_samples, monkeypatch,
                                          rows_per_call):
     # A block of deployments, in one _window_masses call or in chunks of
-    # rows, gives each row the bits generative_regret gives it alone, on
+    # rows, gives each row the bits of its one-row block, on
     # codebooks with every code live and with codes of weight 0, also for a
     # row whose executed turns are those of a shared candidate.
     divert = divert_shape_candidate()
-    shared = [divert] + default_hindsight_candidates(None)[:-1]
+    shared = [divert, *default_hindsight_candidates(NavWorld())]
     rows = [(s.robot_traj, s.human_traj, s.delta_h, s.goal)
             for s in scored_samples + scored_samples[::-1]]
     rows.append((shared[2], *rows[0][1:]))
@@ -999,12 +998,11 @@ def test_regret_rows_equal_one_row_calls(nav_data, scored_samples, monkeypatch,
         if rows_per_call is not None:
             monkeypatch.setattr(genplan, "_MASS_BYTES",
                                 rows_per_call * _draw_halves(cb, 120)[0].nbytes)
-        got = _regret_rows(cb, shared, np.array([r.actions[:, 1] for r, _, _, _ in rows]),
-                           np.array([h.actions[:, 1] for _, h, _, _ in rows]),
-                           np.array([cb.encoder_row(d, g) for _, _, d, g in rows]),
-                           120, 0.1, 0.05)
-        want = [generative_regret(cb, *row, hindsight_candidates=[*shared, row[0]],
-                                  n_samples=120)
+        got = generative_regret(cb, shared, np.array([r.actions[:, 1] for r, _, _, _ in rows]),
+                                np.array([h.actions[:, 1] for _, h, _, _ in rows]),
+                                np.array([cb.encoder_row(d, g) for _, _, d, g in rows]),
+                                120, 0.1, 0.05)
+        want = [_regret_of(cb, *row, hindsight_candidates=[*shared, row[0]], n_samples=120)
                 for row in rows]
         assert _hex(got) == _hex(want)
 
@@ -1013,7 +1011,7 @@ def test_regret_rows_equal_one_row_calls(nav_data, scored_samples, monkeypatch,
 def test_one_hot_rows_of_both_codes_equal_one_row_calls(monkeypatch, rows_per_call):
     # Perception rows weigh one code each, rows of both codes interleaved:
     # each code's executed masses, in chunks of 1 or 2 rows or in one call,
-    # give every row the bits generative_regret gives it alone.
+    # give every row the bits of its one-row block.
     cb = _fit_perception_codebook(200, 0.02, RngStream(3).derive(0))
     gens = [RngStream(3, i).generator() for i in range(7)]
     goals = [GOALS[i % 3 % 2] for i in range(7)]
@@ -1024,18 +1022,19 @@ def test_one_hot_rows_of_both_codes_equal_one_row_calls(monkeypatch, rows_per_ca
     if rows_per_call is not None:
         monkeypatch.setattr(genplan, "_MASS_BYTES",
                             rows_per_call * _draw_halves(cb, 120)[0][:1].nbytes)
-    shared = default_hindsight_candidates(None)[:-1]
-    got = _regret_rows(cb, shared, executed, np.zeros((7, NAV_STEPS)),
-                       np.array([cb.encoder_row(0.5, g) for g in true_goals]), 120, 0.1, 0.05)
-    want = [generative_regret(cb, ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns])),
-                              flat, 0.5, g, n_samples=120)
+    shared = default_hindsight_candidates(NavWorld())
+    got = generative_regret(cb, shared, executed, np.zeros((7, NAV_STEPS)),
+                            np.array([cb.encoder_row(0.5, g) for g in true_goals]),
+                            120, 0.1, 0.05)
+    want = [_regret_of(cb, ActionTraj(np.column_stack([np.zeros(NAV_STEPS), turns])),
+                       flat, 0.5, g, n_samples=120)
             for turns, g in zip(executed, true_goals)]
     assert _hex(got) == _hex(want)
 
 
 def test_sample_regrets_equal_generative_regret(codebook, nav_data):
     samples = nav_data[:40]
-    want = [generative_regret(codebook, s.robot_traj, s.human_traj, s.delta_h, s.goal)
+    want = [_regret_of(codebook, s.robot_traj, s.human_traj, s.delta_h, s.goal)
             for s in samples]
     assert _hex(sample_regrets(codebook, samples)) == _hex(want)
     assert sample_regrets(codebook, []) == []
@@ -1055,7 +1054,33 @@ def test_wrong_length_trajectories_are_named(codebook, scored_samples, kind):
         cands = [short, robot]
     with pytest.raises(ValueError, match=f"^{kind} trajectory has {steps} steps, "
                                          f"not NAV_STEPS = {NAV_STEPS}$"):
-        generative_regret(codebook, robot, human, s.delta_h, s.goal, hindsight_candidates=cands)
+        _regret_of(codebook, robot, human, s.delta_h, s.goal, hindsight_candidates=cands)
+
+
+@pytest.mark.parametrize("bad", ["one weight row", "two observed rows", "one weight column"])
+def test_a_block_of_mismatched_shapes_is_refused(scored_samples, bad, monkeypatch):
+    # Each of these used to score silently at the wrong encoder row or fail
+    # inside numpy: the block is refused before any decoder draw, with a
+    # ValueError naming the shapes.
+    drawn = []
+    monkeypatch.setattr(genplan, "_draw_halves", lambda *a: drawn.append(a))
+    cb = _goal_keyed_codebook()
+    samples = scored_samples[:3]
+    executed = np.array([s.robot_traj.actions[:, 1] for s in samples])
+    observed = np.array([s.human_traj.actions[:, 1] for s in samples])
+    weights = np.array([cb.encoder_row(s.delta_h, s.goal) for s in samples])
+    if bad == "one weight row":
+        weights = weights[:1]
+    elif bad == "two observed rows":
+        observed = observed[:2]
+    else:
+        weights = weights[:, :1]
+    shapes = (f"got executed {executed.shape}, observed {observed.shape} "
+              f"and weights {weights.shape}")
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        generative_regret(cb, default_hindsight_candidates(NavWorld()), executed, observed,
+                          weights, 120, 0.1, 0.05)
+    assert drawn == []
 
 
 def _goal_keyed_codebook():
@@ -1094,7 +1119,7 @@ def test_kde_parameters_are_checked_before_the_memo(codebook, scored_samples,
     s = scored_samples[0]
     args = (s.robot_traj, s.human_traj, s.delta_h, s.goal)
     with pytest.raises(ValueError, match="must be"):
-        generative_regret(codebook, *args, **bad)
+        _regret_of(codebook, *args, **bad)
     with pytest.raises(ValueError, match="must be"):
         build_mismatch_scenarios(codebook, RngStream(1), n_reps=2, **bad)
     with pytest.raises(ValueError, match="must be"):

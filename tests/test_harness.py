@@ -427,7 +427,7 @@ class _NoPrediction(TablePredictor):
     """A table predictor that fails every replan, so a closed loop under it
     aborts at t=0 with an empty replan log."""
 
-    def predict_candidates(self, joint, *args):
+    def predict(self, joint, *args):
         raise ValueError(f"no prediction at t={joint.t}")
 
 

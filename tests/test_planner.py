@@ -22,7 +22,6 @@ from regret_miner.planner import (
     PlannerHandle,
     ReplanEntry,
     RewardWeights,
-    _candidate_block,
     _cap_piece,
     plan,
     reward,
@@ -39,7 +38,7 @@ from regret_miner.predictor import (
     predict,
 )
 from regret_miner.simkit import OraclePredictor, generate_scenario_batch, run_closed_loop
-from kinematics_reference import unicycle_rollout
+from kinematics_reference import one_row, unicycle_rollout
 
 TWO_LANE = DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7, length=400.0)
 UNIFORM = TablePredictor(PredictorParams.fresh())
@@ -51,7 +50,7 @@ def test_candidate_counts():
     assert PlannerHandle(accel_levels=()).n_candidates == 1
     h = PlannerHandle(accel_levels=(-1.0, 1.0), steer_profiles=("straight",))
     assert h.n_candidates == 3
-    assert len(sample_candidates(h, AgentState(0, 0, 0, 5), TWO_LANE, RngStream(0))) == 3
+    assert len(sample_candidates(h, 5.0, RngStream(0), 0)[0]) == 3
 
 
 def _reference_candidates(h, state, rng, start_t):
@@ -91,7 +90,7 @@ def _reference_candidates(h, state, rng, start_t):
 @pytest.mark.parametrize("speed", [0.0, 0.1, 5.95, 9.99])
 def test_sample_candidates_equal_per_candidate_construction(handle, speed):
     state = AgentState(0.0, 1.0, 0.2, speed)
-    got = sample_candidates(handle, state, TWO_LANE, RngStream(8), start_t=40)
+    got = sample_candidates(handle, state.speed, RngStream(8), 40)[0]
     assert got == _reference_candidates(handle, state, RngStream(8), 40)
     for cand in got:
         assert not cand.actions.flags.writeable
@@ -177,8 +176,8 @@ def test_planner_handle_rejects_bad_settings(kwargs):
 def test_candidates_deterministic_and_bounded():
     h = PlannerHandle(speed_cap=9.0)
     state = AgentState(0, 0, 0, 8.0)
-    a = sample_candidates(h, state, TWO_LANE, RngStream(5))
-    b = sample_candidates(h, state, TWO_LANE, RngStream(5))
+    a = sample_candidates(h, state.speed, RngStream(5), 0)[0]
+    b = sample_candidates(h, state.speed, RngStream(5), 0)[0]
     assert len(a) == len(b) == h.n_candidates
     for ca, cb in zip(a, b):
         np.testing.assert_array_equal(ca.actions, cb.actions)
@@ -193,7 +192,7 @@ def test_candidates_deterministic_and_bounded():
 
 def test_maintain_candidate_is_index_zero():
     h = PlannerHandle()
-    cands = sample_candidates(h, AgentState(0, 0, 0, 5.0), TWO_LANE, RngStream(1))
+    cands = sample_candidates(h, 5.0, RngStream(1), 0)[0]
     np.testing.assert_array_equal(cands[0].actions, np.zeros((h.horizon, 2)))
 
 
@@ -256,8 +255,9 @@ def test_nav_progress_toward_goal():
 
 def test_replan_entry_validation():
     cands = [ActionTraj(np.zeros((5, 2)))]
-    pred = predict(UNIFORM.params, JointState(AgentState(0, 0, 0, 5), (), 0),
-                   [], cands[0], TWO_LANE, 1)
+    joint = JointState(AgentState(0, 0, 0, 5), (), 0)
+    pred = predict(UNIFORM.params, joint, [], one_row(joint.robot, cands[0], 0.1)[0],
+                   TWO_LANE, 1, 0.1)[0]
     with pytest.raises(ValueError):
         ReplanEntry(0, cands, pred, [1.0], executed_index=2,
                     predicted_reward_samples=[])
@@ -347,7 +347,7 @@ def _reference_terms(handle, ego, humans, joint, ctx, radii):
 def _reference_plan(handle, predict_one, joint, history, ctx, rng, radii):
     """plan() as one predict_one(candidate) call and fresh rollouts per
     candidate and mode."""
-    candidates = sample_candidates(handle, joint.robot, ctx, rng, start_t=joint.t)
+    candidates = sample_candidates(handle, joint.robot.speed, rng, joint.t)[0]
     w = handle.weights
     expected, preds = [], []
     for cand in candidates:
@@ -409,7 +409,8 @@ def _table_trials(n_modes, dt, ctx):
         joint = JointState(robot, humans, 20)
         history = [JointState(joint.robot, humans, t) for t in range(16, 20)]
         yield (TablePredictor(params),
-               lambda cand, j=joint, hist=history: predict(params, j, hist, cand, ctx, n_modes, dt),
+               lambda cand, j=joint, hist=history: predict(
+                   params, j, hist, one_row(j.robot, cand, dt)[0], ctx, n_modes, dt)[0],
                joint, history, ctx, radii, RngStream(trial))
 
 
@@ -422,7 +423,8 @@ def _oracle_trials():
     radii = [p.radius for _, p in spec.humans]
     for t in (0, 10, 20):
         joint, history = rec.states[t], rec.states[:t]
-        yield (oracle, lambda cand, j=joint, hist=history: oracle.predict(j, hist, cand, spec.context),
+        yield (oracle, lambda cand, j=joint, hist=history: oracle.predict(
+                   j, hist, *one_row(j.robot, cand, rec.dt), spec.context, 1, rec.dt)[0],
                joint, history, spec.context, radii, RngStream(spec.seed).derive(t))
 
 
@@ -485,7 +487,7 @@ class _ShortModePredictor:
             humans.append((ModePrediction("keep", p, keep), ModePrediction("brake", 1.0 - p, brake)))
         return PredictionSet(humans=tuple(humans))
 
-    def predict_candidates(self, joint, history, ego_xys, speeds, ctx, n_modes, dt):
+    def predict(self, joint, history, ego_xys, speeds, ctx, n_modes, dt):
         return [self.predict_one(joint, v < joint.robot.speed) for v in speeds[:, 0].tolist()]
 
 
@@ -515,7 +517,7 @@ class _RecordingPredictor:
     """Predicts a scene without humans and keeps the candidate rollouts and
     speeds plan() passes it."""
 
-    def predict_candidates(self, joint, history, ego_xys, speeds, ctx, n_modes, dt):
+    def predict(self, joint, history, ego_xys, speeds, ctx, n_modes, dt):
         self.ego_xys, self.speeds = ego_xys, speeds
         return [PredictionSet(humans=())] * len(ego_xys)
 
@@ -546,8 +548,7 @@ def test_library_speeds_and_plan_rollouts_equal_rollout_positions_batch(
     handle = PlannerHandle(two_stage=two_stage, horizon=horizon, accel_jitter=jitter, dt=dt,
                            speed_cap=cap)
     robot = AgentState(1.0, 0.5, heading, frac * cap)
-    cands, acts, speeds = _candidate_block(handle, robot.speed, RngStream(seed), 3)
-    assert cands == sample_candidates(handle, robot, TWO_LANE, RngStream(seed), start_t=3)
+    cands, acts, speeds = sample_candidates(handle, robot.speed, RngStream(seed), 3)
     assert np.array_equal(acts, np.stack([c.actions for c in cands]))
     K = len(cands)
     assert _hexes(speeds) == _hexes(rollout_speeds(np.full(K, robot.speed), acts[:, :, 0], dt))

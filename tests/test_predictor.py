@@ -45,8 +45,15 @@ from regret_miner.predictor import (
     predict,
 )
 from regret_miner.simkit import OraclePredictor, generate_scenario_batch, run_closed_loop
+from kinematics_reference import one_row
 
 TWO_LANE = DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7, length=400.0)
+
+
+def _predict_one(params, joint, history, cand, n_modes_out, dt=DT_DEFAULT):
+    """predict of one candidate on TWO_LANE: a one-row block of its rollout at dt."""
+    ego_xys, _ = one_row(joint.robot, cand, dt)
+    return predict(params, joint, history, ego_xys, TWO_LANE, n_modes_out, dt)[0]
 
 
 @dataclass
@@ -128,8 +135,8 @@ def test_fit_is_ego_conditioned():
     T = 10
     toward = ActionTraj(np.column_stack([np.full(T, 2.0), np.zeros(T)]))
     hold = ActionTraj(np.zeros((T, 2)))
-    p_toward = predict(params, joint, [], toward, TWO_LANE, n_modes_out=N_MODES)
-    p_hold = predict(params, joint, [], hold, TWO_LANE, n_modes_out=N_MODES)
+    p_toward = _predict_one(params, joint, [], toward, N_MODES)
+    p_hold = _predict_one(params, joint, [], hold, N_MODES)
 
     def prob_of(pred, label):
         return next(m.prob for m in pred.humans[0] if m.label == label)
@@ -256,7 +263,7 @@ def test_predict_output_contract():
                        (AgentState(6, 0, 0, 5.0), AgentState(20, 3.7, 0, 6.0)), 3)
     cand = ActionTraj(np.zeros((12, 2)), start_t=3)
     for n in (1, 3, N_MODES, N_MODES + 4):
-        pred = predict(params, joint, [], cand, TWO_LANE, n_modes_out=n)
+        pred = _predict_one(params, joint, [], cand, n)
         assert len(pred.humans) == 2
         for modes in pred.humans:
             assert len(modes) == min(n, N_MODES)
@@ -265,14 +272,13 @@ def test_predict_output_contract():
                 assert m.traj.start_t == 3
                 assert len(m.traj) == 12
     with pytest.raises(ValueError):
-        predict(params, joint, [], cand, TWO_LANE, n_modes_out=0)
+        _predict_one(params, joint, [], cand, 0)
 
 
 def test_go_straight_template_accelerates_to_cruise():
     params = PredictorParams.fresh(cruise_speed=8.0)
     joint = JointState(AgentState(0, 0, 0, 8.0), (AgentState(30, 0, 0, 5.0),), 0)
-    pred = predict(params, joint, [], ActionTraj(np.zeros((16, 2))), TWO_LANE,
-                   n_modes_out=N_MODES)
+    pred = _predict_one(params, joint, [], ActionTraj(np.zeros((16, 2))), N_MODES)
     straight = next(m for m in pred.humans[0] if m.label == "go_straight")
     assert straight.traj.actions[0, 0] == pytest.approx(
         np.clip(8.0 - 5.0, -ACCEL_LIMIT, ACCEL_LIMIT))
@@ -328,7 +334,7 @@ def _approach_sensitive_params():
 
 
 def _reference_approaching(human_pos, robot_now, ego_positions):
-    """The approaching flag of one rollout, as predict() computed it per
+    """The approaching flag of one rollout, as predict computed it per
     candidate before predictions were made as one block."""
     d_now = float(np.hypot(human_pos[0] - robot_now.x, human_pos[1] - robot_now.y))
     d_future = float(np.min(np.hypot(ego_positions[:, 0] - human_pos[0],
@@ -337,7 +343,7 @@ def _reference_approaching(human_pos, robot_now, ego_positions):
 
 
 def _reference_predict(params, joint, history, cand, ctx, n, dt):
-    """predict() written out for one candidate at dt: (label, prob, actions)
+    """predict written out for one candidate at dt: (label, prob, actions)
     per human mode, from the per-candidate bucket."""
     ego_xy = rollout_positions(joint.robot, cand, dt)
     out = []
@@ -365,7 +371,7 @@ def _candidate_fixture(dt):
     history = [JointState(joint.robot, (AgentState(9.0, 0.0, 0.0, 1.0),
                                         AgentState(1.0, 3.7, 0.0, 4.0)), t) for t in (3, 4)]
     handle = PlannerHandle(n_modes=2, dt=dt)
-    cands = sample_candidates(handle, joint.robot, TWO_LANE, RngStream(3), start_t=5)
+    cands = sample_candidates(handle, joint.robot.speed, RngStream(3), 5)[0]
     ego_xys = np.stack([rollout_positions(joint.robot, c, dt) for c in cands])
     return joint, history, cands, ego_xys, _speeds(joint.robot, cands, dt)
 
@@ -377,20 +383,20 @@ def _speeds(robot, cands, dt):
 
 @pytest.mark.parametrize("predictor_dt", [0.1, 0.2])
 def test_predict_candidates_matches_predict(predictor_dt):
-    """One block call equals predict() and the per-candidate formula for every
-    candidate, with the templates made at the rollouts' dt; candidates in one
-    bucket share one PredictionSet, and every set shares one template
-    trajectory per (human, mode)."""
+    """One block call equals the one-row call and the per-candidate formula
+    for every candidate, with the templates made at the rollouts' dt;
+    candidates in one bucket share one PredictionSet, and every set shares
+    one template trajectory per (human, mode)."""
     params = _approach_sensitive_params()
     joint, history, cands, ego_xys, speeds = _candidate_fixture(predictor_dt)
-    got = TablePredictor(params).predict_candidates(joint, history, ego_xys, speeds,
-                                                    TWO_LANE, 2, predictor_dt)
+    got = TablePredictor(params).predict(joint, history, ego_xys, speeds, TWO_LANE, 2,
+                                         predictor_dt)
     assert len(got) == len(cands)
     trajs = {}
     sets = {}
     labels = set()
     for cand, pred in zip(cands, got):
-        want = predict(params, joint, history, cand, TWO_LANE, 2, predictor_dt)
+        want = _predict_one(params, joint, history, cand, 2, predictor_dt)
         assert [[(m.label, m.prob, m.traj) for m in h] for h in pred.humans] == \
             [[(m.label, m.prob, m.traj) for m in h] for h in want.humans]
         assert [[(m.label, m.prob, m.traj.actions.tobytes()) for m in h]
@@ -411,9 +417,9 @@ def test_predict_candidates_matches_predict(predictor_dt):
 
 def test_predict_candidates_without_humans():
     joint = JointState(AgentState(0.0, 0.0, 0.0, 5.0), (), 0)
-    cands = sample_candidates(PlannerHandle(), joint.robot, TWO_LANE, RngStream(1))
+    cands = sample_candidates(PlannerHandle(), joint.robot.speed, RngStream(1), 0)[0]
     ego_xys = np.stack([rollout_positions(joint.robot, c) for c in cands])
-    got = TablePredictor(PredictorParams.fresh()).predict_candidates(
+    got = TablePredictor(PredictorParams.fresh()).predict(
         joint, [], ego_xys, _speeds(joint.robot, cands, 0.1), TWO_LANE, 3, 0.1)
     assert len(got) == len(cands)
     assert all(p.humans == () for p in got)

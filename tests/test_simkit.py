@@ -50,7 +50,7 @@ from regret_miner.simkit import (
     simulate_humans,
     step_humans,
 )
-from kinematics_reference import footprint_overlap, unicycle_step
+from kinematics_reference import footprint_overlap, one_row, unicycle_step
 from scene1_reference import scene1_dict, scene1_record
 
 TWO_LANE = DrivingCorridor(lane_centers=(0.0, 3.7), lane_width=3.7, length=400.0)
@@ -1055,9 +1055,10 @@ def test_oracle_predict_leaves_engine_memories_unchanged(family):
     ref_actions, _, _ = _ref_simulate_humans(spec, joint, touched, cand.actions,
                                              RngStream(spec.seed))
     assert touched != before
-    first = oracle.predict(joint, [], cand, spec.context)
+    block = (joint, [], *one_row(joint.robot, cand, rec.dt), spec.context, 1, rec.dt)
+    [first] = oracle.predict(*block)
     assert memories == before and [id(m) for m in memories] == dicts
-    assert oracle.predict(joint, [], cand, spec.context) == first
+    assert oracle.predict(*block) == [first]
     for i, modes in enumerate(first.humans):
         assert modes[0].traj.start_t == joint.t
         assert modes[0].traj.actions.tobytes() == ref_actions[i].tobytes()
@@ -1221,8 +1222,8 @@ class _Recording(OraclePredictor):
         super().__init__()
         self.calls = []
 
-    def predict_candidates(self, joint, history, *rest):
-        out = super().predict_candidates(joint, history, *rest)
+    def predict(self, joint, history, *rest):
+        out = super().predict(joint, history, *rest)
         self.calls.append((joint, list(history), copy.deepcopy(self._binding.memories), out))
         return out
 
@@ -1234,9 +1235,9 @@ class _OneByOne:
     def __init__(self, oracle):
         self.oracle = oracle
 
-    def predict_candidates(self, joint, history, ego_xys, speeds, ctx, n_modes_out, dt):
-        return [self.oracle.predict_candidates(joint, history, ego_xys[k:k + 1], speeds[k:k + 1],
-                                               ctx, n_modes_out, dt)[0]
+    def predict(self, joint, history, ego_xys, speeds, ctx, n_modes_out, dt):
+        return [self.oracle.predict(joint, history, ego_xys[k:k + 1], speeds[k:k + 1],
+                                    ctx, n_modes_out, dt)[0]
                 for k in range(len(ego_xys))]
 
 
@@ -1253,7 +1254,8 @@ def test_oracle_replan_shares_one_prediction_set_per_distinct_future(family):
         alone.bind_scene(_SceneBinding(spec, RngStream(spec.seed), memories, handle.dt))
         futures = {}
         for cand, pred in zip(entry.candidates, sets):
-            one = alone.predict(joint, history, cand, spec.context)
+            [one] = alone.predict(joint, history, *one_row(joint.robot, cand, handle.dt),
+                                  spec.context, 1, handle.dt)
             assert [m[0].traj for m in pred.humans] == [m[0].traj for m in one.humans]
             future = b"".join(m[0].traj.actions.tobytes() for m in pred.humans)
             futures.setdefault(future, set()).add(id(pred))
@@ -1282,8 +1284,8 @@ class _NoHandBack:
     def bind_scene(self, binding):
         self.oracle.bind_scene(dataclasses.replace(binding))
 
-    def predict_candidates(self, *args):
-        return self.oracle.predict_candidates(*args)
+    def predict(self, *args):
+        return self.oracle.predict(*args)
 
 
 class _BoundOneByOne(_OneByOne):
