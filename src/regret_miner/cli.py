@@ -126,7 +126,8 @@ def cmd_mine(args) -> int:
 
 def cmd_compare(args) -> int:
     run = Path(args.in_dir)
-    wanted = [m.strip().upper() for m in args.metrics.split(",") if m.strip()]
+    wanted = list(dict.fromkeys(m.strip().upper() for m in args.metrics.split(",")
+                                if m.strip()))
     harness.compare(run, harness.run_config(run, args.config), wanted)
     print(f"compared {','.join(wanted)} -> {run / 'comparison'}")
     return 0

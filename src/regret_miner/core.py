@@ -4,10 +4,12 @@ Everything downstream (simulation, planning, scoring) builds on the small
 vocabulary defined here: agent states on SE(2) x speed, bounded action
 trajectories, world contexts, and a hierarchical deterministic RNG.
 
-The unicycle step is written twice: once on plain floats
+The unicycle step is written three times: once on plain floats
 (unicycle_step_floats, which rollout_positions and every other scalar loop
-call) and once on arrays (rollout_speeds, then
-rollout_positions_from_speeds, the two halves of rollout_positions_batch).
+call), once on arrays of given actions (rollout_speeds, then
+rollout_positions_from_speeds, the two halves of rollout_positions_batch),
+and once in genplan._steer_block, which steers rows in closed loop and so
+computes each step's turn from the step before.
 plan() rolls its candidate library out with the array halves and hands the
 predictor both results, ``predictor.predict(joint, history, ego_xys,
 speeds, ctx, n_modes_out, dt)``: the (K, T, 2) positions and the (K, T)
@@ -21,7 +23,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -249,10 +251,10 @@ class ActionTraj:
 
     @classmethod
     def block(cls, actions, start_ts: Sequence[int],
-              lens: Optional[Sequence[int]] = None) -> list["ActionTraj"]:
-        """K trajectories from one action block, validated at once: a
-        (K, T, 2) block, or, given lens, a (sum(lens), 2) block of K
-        trajectories stacked in order, trajectory k holding lens[k] rows.
+              lens: Sequence[int]) -> list["ActionTraj"]:
+        """K trajectories from one (sum(lens), 2) action block, validated at
+        once: the K trajectories are stacked in order, trajectory k holding
+        lens[k] rows.
 
         The block is copied and frozen read-only, and each trajectory's
         actions are a view of its rows. The checks are those of __init__:
@@ -261,20 +263,8 @@ class ActionTraj:
         raises.
         """
         arr = np.array(actions, dtype=float)
-        if lens is None:
-            if arr.ndim != 3:
-                raise ValueError(f"action block must have shape (K, T, 2), got {arr.shape}")
-            if len(start_ts) != arr.shape[0]:
-                raise ValueError("need one start_t per trajectory")
-            if arr.shape[0] == 0:
-                return []
-            if arr.shape[1] < 1 or arr.shape[2] != 2:
-                raise ValueError(f"actions must have shape (T>=1, 2), got {arr.shape[1:]}")
-            lens = [arr.shape[1]] * arr.shape[0]
-            arr.setflags(write=False)  # so the views below cannot be made writeable
-            arr = arr.reshape(-1, 2)
-        elif (arr.ndim != 2 or arr.shape[1] != 2 or len(lens) != len(start_ts)
-              or sum(lens) != len(arr)):
+        if (arr.ndim != 2 or arr.shape[1] != 2 or len(lens) != len(start_ts)
+                or sum(lens) != len(arr)):
             raise ValueError(f"need a (sum of lens, 2) action block with one start_t "
                              f"per length, got shape {arr.shape}, {len(lens)} lengths "
                              f"and {len(start_ts)} start_t")

@@ -39,6 +39,8 @@ PROXIMITY_TRIGGER = 1.0
 N_CUE_BUCKETS = 12
 # Std of an episode's per-step turn noise, robot and human.
 NAV_EXEC_NOISE = 0.05
+# Std of the noise on the human's cue before its direction is drawn.
+NAV_CUE_NOISE = 0.05
 
 _HUMAN_TARGETS = {"left": (-3.0, 3.0), "straight": (0.0, 0.0), "right": (3.0, 3.0)}
 
@@ -67,15 +69,14 @@ def _clamp_turn(w: float) -> float:
     return min(max(w, -TURN_LIMIT), TURN_LIMIT)
 
 
-def classify_human_direction(human_traj: ActionTraj,
-                             ctx: Optional[NavWorld] = None) -> int:
+def classify_human_direction(human_traj: ActionTraj) -> int:
     """0 left / 1 straight / 2 right, by nearest rollout endpoint target.
 
-    The human starts at ctx.human_start heading -pi/2 at HUMAN_NAV_SPEED; a
-    nav human's accelerations are 0.0 (_turns_traj), so it keeps that speed.
+    The human starts at NavWorld().human_start heading -pi/2 at
+    HUMAN_NAV_SPEED; a nav human's accelerations are 0.0 (_turns_traj), so
+    it keeps that speed.
     """
-    ctx = ctx if ctx is not None else NavWorld()
-    start = AgentState(*ctx.human_start, -math.pi / 2, HUMAN_NAV_SPEED)
+    start = AgentState(*NavWorld().human_start, -math.pi / 2, HUMAN_NAV_SPEED)
     end = rollout_positions(start, human_traj, NAV_DT)[-1]
     targets = [_HUMAN_TARGETS[c] for c in HUMAN_CLASSES]
     d = [math.hypot(end[0] - tx, end[1] - ty) for tx, ty in targets]
@@ -158,22 +159,14 @@ class Codebook:
 
 @dataclass(frozen=True)
 class SensorModel:
-    """Binary obstacle sensor with optional forced output."""
+    """Perfect binary obstacle sensor whose reading an injected fault forces."""
 
-    detect_true_positive: float = 1.0
-    detect_false_positive: float = 0.0
     injected_fault: Optional[bool] = None
 
-    def __post_init__(self):
-        for p in (self.detect_true_positive, self.detect_false_positive):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError("sensor probabilities must be in [0, 1]")
-
-    def sense(self, obstacle_present: bool, gen: np.random.Generator) -> bool:
+    def sense(self, obstacle_present: bool) -> bool:
         if self.injected_fault is not None:
             return bool(self.injected_fault)
-        p = self.detect_true_positive if obstacle_present else self.detect_false_positive
-        return bool(gen.uniform() < p)
+        return bool(obstacle_present)
 
 
 def cue_bucket(delta_h: float) -> int:
@@ -289,7 +282,8 @@ def _cue_class(delta: float) -> str:
 
 
 def simulate_nav_scene(delta_h: float, goal: str, rng: RngStream,
-                       epsilon_sigma: float = 0.05, exec_noise: float = NAV_EXEC_NOISE,
+                       epsilon_sigma: float = NAV_CUE_NOISE,
+                       exec_noise: float = NAV_EXEC_NOISE,
                        yield_draw: Optional[bool] = None):
     """One episode of the rule world.
 
@@ -337,8 +331,7 @@ def _nav_episodes(episodes: Sequence[tuple[float, str, np.random.Generator]],
 _EPISODE_BLOCK = 1024
 
 
-def generate_nav_dataset(n: int = 10_000, epsilon_sigma: float = 0.05,
-                         rng: Optional[RngStream] = None,
+def generate_nav_dataset(n: int = 10_000, rng: Optional[RngStream] = None,
                          stats: Optional[dict] = None) -> list[NavSample]:
     """Uniform cue and goal draws; if a dict is passed as stats, it is filled
     with 'triggered' and 'yielded' episode counts."""
@@ -354,7 +347,7 @@ def generate_nav_dataset(n: int = 10_000, epsilon_sigma: float = 0.05,
     for _ in range(0, n, _EPISODE_BLOCK):
         episodes = [(float(gen.uniform()), GOALS[int(gen.integers(0, 2))], scene_gen)
                     for gen, scene_gen in islice(pairs, _EPISODE_BLOCK)]
-        for sample, trig, final in _nav_episodes(episodes, epsilon_sigma, NAV_EXEC_NOISE,
+        for sample, trig, final in _nav_episodes(episodes, NAV_CUE_NOISE, NAV_EXEC_NOISE,
                                                  None):
             if stats is not None:
                 stats["triggered"] += int(trig)
@@ -727,10 +720,10 @@ def perception_case_study(sensor: SensorModel,
     The robot diverts to the backup goal iff its sensor reports an obstacle.
     Regret conditions on the ground-truth obstacle bit, so deployments where
     the sensed bit disagrees with reality score high. Each condition forces
-    the sensor's reading (its injected_fault), so the sensor's detection
-    rates are never read. The samples of all four conditions are steered
-    as one block and scored as one block against the default hindsight
-    candidates, each at the encoder row of its condition's true goal.
+    the sensor's reading (its injected_fault), so no reading is drawn. The
+    samples of all four conditions are steered as one block and scored as
+    one block against the default hindsight candidates, each at the encoder
+    row of its condition's true goal.
     """
     n = n_samples_per_condition
     if n < 1:
@@ -749,9 +742,9 @@ def perception_case_study(sensor: SensorModel,
         (rng, (hashn(tag), i)) for tag, _, _ in conditions for i in range(n)))
     goals, noise = [], np.empty((len(conditions), n, NAV_STEPS))
     for (_, obstacle, forced_reading), block in zip(conditions, noise):
-        forced = replace(sensor, injected_fault=forced_reading)
+        reading = replace(sensor, injected_fault=forced_reading).sense(obstacle)
+        goals += ["Backup" if reading else "Primary"] * n
         for row, gen in zip(block, islice(gens, n)):
-            goals.append("Backup" if forced.sense(obstacle, gen) else "Primary")
             row[:] = gen.normal(0.0, exec_noise, NAV_STEPS)
     weights = np.repeat([cb.encoder_row(0.5, "Backup" if obstacle else "Primary")
                          for _, obstacle, _ in conditions], n, axis=0)

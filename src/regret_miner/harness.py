@@ -56,6 +56,7 @@ ARMS = ("Base", "HighRegretFT", "LowRegretFT", "RandomFT", "AllFT")
 SPLITS = ("high", "low")
 CORE_METRICS = ("collision_cost", "collision_severity", "mean_regret")
 ALL_METRICS = CORE_METRICS + ("ade", "fde")
+REPORT_FORMATS = ("md", "csv", "svg")
 
 _ARM_STREAM = {"HighRegretFT": 21, "LowRegretFT": 22, "RandomFT": 23, "AllFT": 24}
 _ARM_POOL = {"HighRegretFT": "pool_high", "LowRegretFT": "pool_low",
@@ -130,14 +131,7 @@ class ExperimentConfig:
         return PlannerHandle(weights=RewardWeights(**self.weights), **kw)
 
     def fresh_predictor(self) -> PredictorParams:
-        kw = {k: v for k, v in self.predictor.items() if k != "yield_radius"}
-        return PredictorParams.fresh(**kw)
-
-    def fit_kwargs(self) -> dict:
-        out = {}
-        if "yield_radius" in self.predictor:
-            out["yield_radius"] = self.predictor["yield_radius"]
-        return out
+        return PredictorParams.fresh(**self.predictor)
 
     def n_scenarios(self) -> int:
         return sum(n for _, n in self.families)
@@ -233,8 +227,7 @@ def pretrain_predictor(config: ExperimentConfig) -> PredictorParams:
     scenes = [simkit.run_closed_loop(spec, handle, simkit.OraclePredictor(),
                                      config.replan_every)
               for spec in specs]
-    return fit(scenes, init=config.fresh_predictor(), learning="full",
-               **config.fit_kwargs())
+    return fit(scenes, init=config.fresh_predictor(), learning="full")
 
 
 def deploy(config: ExperimentConfig, params: PredictorParams,
@@ -535,7 +528,7 @@ def finetune_params(arm: str, config: ExperimentConfig,
     take = gen.integers(0, len(pool_ids), size=len(pool_ids))
     scenes = [scenes_by_id[pool_ids[int(j)]] for j in take]
     return fit(scenes, init=base_params, learning="finetune",
-               lam=config.finetune_lambda, **config.fit_kwargs())
+               lam=config.finetune_lambda)
 
 
 def _fit_arms(config: ExperimentConfig, base_params: PredictorParams,
@@ -698,17 +691,16 @@ def write_case_csv(report: CaseStudyReport, path) -> Path:
     return path
 
 
-def write_regret_histogram(scores: dict[str, float], p: float, path,
-                           bins: int = 16) -> Path:
-    """Hand-rolled SVG histogram of per-scene regret with the mining
-    threshold marked."""
+def write_regret_histogram(scores: dict[str, float], p: float, path) -> Path:
+    """Hand-rolled SVG histogram of per-scene regret in 16 bins with the
+    mining threshold marked."""
     path = Path(path)
     vals = np.array([scores[k] for k in sorted(scores)])
     if vals.size < 1:
         raise ValueError("scores must be non-empty")
     mined = mine_top_quantile(sorted(scores.items()), p)
     threshold = min(scores[i] for i in mined)
-    counts, edges = np.histogram(vals, bins=bins)
+    counts, edges = np.histogram(vals, bins=16)
     W, H, ml, mb, mt, mr = 640, 360, 60, 40, 24, 16
     pw, ph = W - ml - mr, H - mt - mb
     cmax = max(1, int(counts.max()))
@@ -755,26 +747,27 @@ def write_regret_histogram(scores: dict[str, float], p: float, path,
 def report(case: Optional[CaseStudyReport], formats: Sequence[str], out_dir,
            scores: Optional[dict[str, float]] = None,
            p: float = 20.0) -> list[Path]:
-    """Render the requested formats: md/csv need the case study, svg needs
-    deployment scores."""
+    """Render the requested formats, each once: md/csv need the case study,
+    svg needs deployment scores. Every format is checked before any write."""
+    formats = tuple(dict.fromkeys(formats))
+    unknown = [fmt for fmt in formats if fmt not in REPORT_FORMATS]
+    if unknown or not formats:
+        raise ValueError(f"need one or more report formats, got {list(formats)}; "
+                         f"choose from {','.join(REPORT_FORMATS)}")
+    for fmt in formats:
+        if fmt == "svg" and scores is None:
+            raise ValueError("svg histogram needs deployment scores — run `score` first")
+        if fmt != "svg" and case is None:
+            raise ValueError(f"{fmt} report needs a case study — run `redeploy` first")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for fmt in formats:
-        if fmt in ("md", "csv"):
-            if case is None:
-                raise ValueError(f"{fmt} report needs a case study — run "
-                                 "`redeploy` first")
+        if fmt == "svg":
+            written.append(write_regret_histogram(scores, p, out_dir / "regret_hist.svg"))
+        else:
             writer = write_case_markdown if fmt == "md" else write_case_csv
             written.append(writer(case, out_dir / f"case_study.{fmt}"))
-        elif fmt == "svg":
-            if scores is None:
-                raise ValueError("svg histogram needs deployment scores — run "
-                                 "`score` first")
-            written.append(write_regret_histogram(scores, p,
-                                                  out_dir / "regret_hist.svg"))
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
     return written
 
 
@@ -830,11 +823,13 @@ def compare(run, config: ExperimentConfig,
             metrics: Sequence[str] = METRICS) -> list[Path]:
     """Mined-set overlap of the regret reports and the baselines over the
     scenes `score` did not skip; writes comparison/. Returns the written
-    paths. Raises StaleRunError as finetune does."""
+    paths. Raises StaleRunError as finetune does, and ValueError naming the
+    choices, before any write, when metrics is empty or names an unknown
+    metric."""
     unknown = [m for m in metrics if m not in METRICS]
-    if unknown:
-        raise ValueError(f"unknown metrics {unknown}; choose from "
-                         f"{','.join(METRICS).lower()}")
+    if unknown or not metrics:
+        raise ValueError(f"need one or more metrics, got {list(metrics)}; choose "
+                         f"from {','.join(METRICS).lower()}")
     scenes_path = _scenes_path(run)
     reports_path = need(run, "reports.jsonl", "score")
     try:
@@ -942,7 +937,7 @@ def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
 
 
 def render(run, config: ExperimentConfig,
-           formats: Sequence[str] = ("md", "csv", "svg")) -> list[Path]:
+           formats: Sequence[str] = REPORT_FORMATS) -> list[Path]:
     """Render the case study and the scores that exist under run/report.
     Returns the written paths."""
     run = Path(run)

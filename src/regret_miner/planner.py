@@ -187,7 +187,7 @@ def sample_candidates(handle: PlannerHandle, v0: float, rng: RngStream, start_t:
     acts[:, :, 0] = np.array(accels).reshape(K, T)
     acts[1:, :, 1] = _steer_rows(handle.steer_profiles, T, handle.lane_change_turn, len(rows))
     acts.setflags(write=False)
-    return (ActionTraj.block(acts, [start_t] * K), acts,
+    return (ActionTraj.block(acts.reshape(-1, 2), [start_t] * K, [T] * K), acts,
             np.array(speeds).reshape(K, T))
 
 

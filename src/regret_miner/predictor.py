@@ -270,20 +270,19 @@ class TablePredictor:
 # Fitting
 # ---------------------------------------------------------------------------
 
-def label_segment(states: Sequence[JointState], human_idx: int, ctx: Context,
-                  yield_radius: float = YIELD_LABEL_RADIUS) -> str:
+def label_segment(states: Sequence[JointState], human_idx: int, ctx: Context) -> str:
     """Classify one realized human segment into a behavior mode.
 
     Rule order: stay (mean speed < 0.1), yield/brake (speed drop > 1, yield
-    when the robot was within yield_radius at segment start), cross (lateral
-    displacement beyond half a lane), else go_straight.
+    when the robot was within YIELD_LABEL_RADIUS at segment start), cross
+    (lateral displacement beyond half a lane), else go_straight.
     """
     speeds = [js.humans[human_idx].speed for js in states]
     if float(np.mean(speeds)) < 0.1:
         return "stay"
     drop = speeds[0] - min(speeds)
     if drop > 1.0:
-        near = states[0].humans[human_idx].distance_to(states[0].robot) < yield_radius
+        near = states[0].humans[human_idx].distance_to(states[0].robot) < YIELD_LABEL_RADIUS
         return "yield" if near else "brake"
     lane_width = ctx.lane_width if isinstance(ctx, DrivingCorridor) else 3.7
     lateral = abs(states[-1].humans[human_idx].y - states[0].humans[human_idx].y)
@@ -299,7 +298,7 @@ def _segment_bounds(scene) -> list[tuple[int, int]]:
 
 
 def fit(data, init: Optional[PredictorParams] = None, learning: str = "full",
-        lam: float = 0.5, yield_radius: float = YIELD_LABEL_RADIUS) -> PredictorParams:
+        lam: float = 0.5) -> PredictorParams:
     """Fit mode counts from realized scene segments.
 
     learning="full" replaces counts with the new data's counts;
@@ -323,7 +322,7 @@ def fit(data, init: Optional[PredictorParams] = None, learning: str = "full",
             seg = scene.states[t0:t1 + 1]
             robot_xy = np.array([[js.robot.x, js.robot.y] for js in seg[1:]])
             for i in range(len(seg[0].humans)):
-                label = label_segment(seg, i, ctx, yield_radius)
+                label = label_segment(seg, i, ctx)
                 history = scene.states[max(0, t0 - base.history_window):t0]
                 bucket = feature_bucket(i, seg[0], history, robot_xy, ctx,
                                         base.history_window)

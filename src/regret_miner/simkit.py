@@ -58,6 +58,10 @@ RESUME_CLEAR_SECONDS = 2.0
 
 YIELD_PROBABILITY = 0.8
 
+# Half-width (meters) of the band along a human's heading line in which an
+# agent ahead of it counts: the other humans and the robot alike.
+LATERAL_WINDOW = 2.0
+
 
 @dataclass(frozen=True)
 class HumanProfile:
@@ -147,7 +151,7 @@ class SceneRecord:
 # the same view cannot give different human steps.
 
 def _humans_ahead(i: int, states: Sequence[tuple], radii: Sequence[float],
-                  reach: float, lateral_window: float = 2.0) -> bool:
+                  reach: float) -> bool:
     """Is any other human within reach in front of human i (body frame)?
 
     states are the step's float states, robot first (not read here);
@@ -166,7 +170,7 @@ def _humans_ahead(i: int, states: Sequence[tuple], radii: Sequence[float],
         dx, dy = other[0] - x, other[1] - y
         proj = dx * c + dy * s
         lat = abs(-dx * s + dy * c)
-        if 0.0 < proj < reach + r and lat < lateral_window:
+        if 0.0 < proj < reach + r and lat < LATERAL_WINDOW:
             return True
     return False
 
@@ -184,7 +188,7 @@ def robot_views(profile: HumanProfile, i: int, states: Sequence[tuple],
     every other mode, (close, ahead): close is hypot < reaction_radius
     (yield_if_close only, else None), and ahead is whether the robot is
     within reaction_radius + ROBOT_RADIUS in front of the human and within
-    2.0 of its heading line (None when close).
+    LATERAL_WINDOW of its heading line (None when close).
     """
     if profile.never_moves or profile.mode == "stranded":
         return [None] * len(robots)
@@ -215,7 +219,7 @@ def robot_views(profile: HumanProfile, i: int, states: Sequence[tuple],
                 continue
         dx, dy = r[0] - x, r[1] - y
         proj = dx * c + dy * s
-        views.append((close, 0.0 < proj < reach and abs(-dx * s + dy * c) < 2.0))
+        views.append((close, 0.0 < proj < reach and abs(-dx * s + dy * c) < LATERAL_WINDOW))
     return views
 
 

@@ -62,14 +62,8 @@ def _state_from_list(v):
 
 
 def _trajs_from_dicts(ds):
-    try:
-        block = np.array([d["actions"] for d in ds], dtype=float)
-    except ValueError:
-        block = None
-    if block is None or block.ndim != 3:
-        return [ActionTraj(np.array(d["actions"], dtype=float), start_t=d["start_t"])
-                for d in ds]
-    return ActionTraj.block(block, [d["start_t"] for d in ds])
+    return [ActionTraj(np.array(d["actions"], dtype=float), start_t=d["start_t"])
+            for d in ds]
 
 
 def _predset_from_list(v):

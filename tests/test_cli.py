@@ -373,6 +373,62 @@ def test_stage_on_an_empty_run_names_the_stage_to_run_first(stage, kind, first,
     assert f"run `{first}` first" in err["message"]
 
 
+def _run_stats(run):
+    """Every file of a run directory with its bytes and modification time, so
+    a rewrite with the same bytes shows too."""
+    return {path.relative_to(run).as_posix(): (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in sorted(run.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("stage, flag, value, choices", [
+    ("compare", "--metrics", "", "grm,rm,ade,trfd"),
+    ("compare", "--metrics", ",", "grm,rm,ade,trfd"),
+    ("compare", "--metrics", "grm,bogus", "grm,rm,ade,trfd"),
+    ("report", "--format", "", "md,csv,svg"),
+    ("report", "--format", ",", "md,csv,svg"),
+    ("report", "--format", "md,bogus", "md,csv,svg"),
+])
+def test_compare_and_report_refuse_no_or_unknown_choices_and_write_nothing(
+        stage, flag, value, choices, cli_and_full_runs, tmp_path, capsys):
+    cli_run, _ = cli_and_full_runs
+    run = _copy_run(cli_run, tmp_path / "run")
+    before = _run_stats(run)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([stage, "--in", str(run), flag, value])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    err = json.loads(err)["error"]
+    assert err["type"] == "ValueError" and choices in err["message"]
+    assert out == ""
+    assert _run_stats(run) == before
+
+
+def test_compare_and_report_take_each_choice_once(cli_and_full_runs, tmp_path, capsys):
+    cli_run, _ = cli_and_full_runs
+    run = _copy_run(cli_run, tmp_path / "run")
+    capsys.readouterr()
+    assert main(["compare", "--in", str(run), "--metrics", "grm, GRM,ade,grm"]) == 0
+    assert capsys.readouterr().out == f"compared GRM,ADE -> {run / 'comparison'}\n"
+    doc = json.loads((run / "comparison" / "mined_sets.json").read_text())
+    assert list(doc["metrics"]) == ["GRM", "ADE"]
+    assert main(["report", "--in", str(run), "--format", "md,md, md"]) == 0
+    assert capsys.readouterr().out == f"wrote case_study.md -> {run / 'report'}\n"
+
+
+def test_simulate_refuses_a_yield_radius(tmp_path, capsys):
+    # The yield label radius is the constant YIELD_LABEL_RADIUS: a config
+    # naming it fails at load, before anything is simulated or written.
+    (tmp_path / "cfg.yaml").write_text("predictor:\n  yield_radius: 6.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
+              "--out", str(tmp_path / "run")])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "TypeError" and "yield_radius" in err["message"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_stages_read_the_manifest_config_not_config_yaml(cli_and_full_runs, tmp_path,
                                                          capsys):
     cli_run, _ = cli_and_full_runs

@@ -580,16 +580,16 @@ def test_joint_states_is_a_sequence_of_its_frames():
 def test_action_traj_block_views_and_checks():
     rng = np.random.default_rng(0)
     arr = np.stack([rng.uniform(-4, 4, (7, 2)) * [1.0, 0.25] for _ in range(3)])
-    trajs = ActionTraj.block(arr, [5, 5, 6])
+    flat = arr.reshape(-1, 2)
+    trajs = ActionTraj.block(flat, [5, 5, 6], [7] * 3)
     assert trajs == [ActionTraj(a, start_t=t) for a, t in zip(arr, [5, 5, 6])]
-    arr[0, 0, 0] = 0.123  # the block is a copy
+    flat[0, 0] = 0.123  # the block is a copy
     assert trajs[0].actions[0, 0] != 0.123
     for tr in trajs:
         assert not tr.actions.flags.writeable
         with pytest.raises(ValueError):
             tr.actions[0, 0] = 1.0
     assert trajs[1].actions.base is trajs[0].actions.base
-    assert ActionTraj.block(np.zeros((0, 4, 2)), []) == []
     # A bad row raises what constructing that row alone raises; the first bad
     # row wins, as when constructing the rows in order.
     cases = [((1, 3, 0), np.nan, 0, "actions must be finite"),
@@ -603,16 +603,12 @@ def test_action_traj_block_views_and_checks():
         bad[2, 0, 0] = np.inf
         starts = [0, start_t, 0]
         with pytest.raises(ValueError) as block_err:
-            ActionTraj.block(bad, starts)
+            ActionTraj.block(bad.reshape(-1, 2), starts, [4] * 3)
         with pytest.raises(ValueError) as row_err:
             [ActionTraj(a, start_t=t) for a, t in zip(bad, starts)]
         assert str(block_err.value) == str(row_err.value) == msg
-    with pytest.raises(ValueError, match=r"got \(4, 3\)"):
-        ActionTraj.block(np.zeros((2, 4, 3)), [0, 0])
-    with pytest.raises(ValueError):
-        ActionTraj.block(np.zeros((4, 2)), [0] * 4)
-    with pytest.raises(ValueError):
-        ActionTraj.block(np.zeros((2, 4, 2)), [0])
+    with pytest.raises(ValueError, match=r"^need a .* got shape \(2, 4, 2\)"):
+        ActionTraj.block(np.zeros((2, 4, 2)), [0, 0], [4, 4])
 
 
 def test_action_traj_block_of_stacked_rows_of_mixed_lengths():

@@ -363,15 +363,15 @@ def test_perception_case_orderings():
 
 
 def test_sensor_model():
-    gen = np.random.default_rng(0)
     always = SensorModel(injected_fault=True)
-    assert always.sense(False, gen) and always.sense(True, gen)
+    assert always.sense(False) and always.sense(True)
     never = SensorModel(injected_fault=False)
-    assert not never.sense(True, gen)
+    assert not never.sense(True) and not never.sense(False)
+    # Unforced, the sensor is perfect: it returns the true bit.
     perfect = SensorModel()
-    assert perfect.sense(True, gen) and not perfect.sense(False, gen)
-    with pytest.raises(ValueError):
-        SensorModel(detect_true_positive=1.5)
+    assert perfect.sense(True) is True and perfect.sense(False) is False
+    with pytest.raises(TypeError):
+        SensorModel(0.7, 0.2)
 
 
 def test_nav_serialization_round_trip(nav_data, codebook):
@@ -551,7 +551,7 @@ def test_classify_human_direction_equals_unicycle_step_reference(nav_data):
         for w in traj.actions[:, 1].tolist():
             state = unicycle_step(state, 0.0, w, NAV_DT)
         d = [math.hypot(state.x - tx, state.y - ty) for tx, ty in targets]
-        assert classify_human_direction(traj, ctx) == int(np.argmin(d))
+        assert classify_human_direction(traj) == int(np.argmin(d))
     assert {classify_human_direction(t) for t in trajs} == {0, 1, 2}
 
 
@@ -843,8 +843,7 @@ def _reference_perception_case(n, rng, delta=0.1, bandwidth=0.05,
 @pytest.mark.parametrize("seed,kw", [(8, {}),
                                      (2, dict(n_samples=120, bandwidth=0.1))])
 def test_perception_case_study_equals_reference(seed, kw):
-    got = perception_case_study(SensorModel(0.7, 0.2), 6, rng=RngStream(seed),
-                                **kw)
+    got = perception_case_study(SensorModel(), 6, rng=RngStream(seed), **kw)
     assert got == _reference_perception_case(6, RngStream(seed), **kw)
 
 

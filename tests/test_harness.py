@@ -82,7 +82,7 @@ def test_config_yaml_round_trip(tmp_path):
     ExperimentConfig(),
     ExperimentConfig(planner={"horizon": 20, "accel_levels": [-2.0, 0.0]},
                      weights={"w_col": -8.0},
-                     predictor={"smoothing": 2.0, "yield_radius": 6.0}),
+                     predictor={"smoothing": 2.0}),
 ])
 def test_libyaml_and_pure_python_loaders_agree(config, tmp_path, monkeypatch):
     if yaml.__with_libyaml__:
@@ -99,15 +99,17 @@ def test_libyaml_and_pure_python_loaders_agree(config, tmp_path, monkeypatch):
 def test_config_helpers():
     config = ExperimentConfig(planner={"horizon": 20, "accel_levels": [-2, 0]},
                               weights={"w_col": -8.0},
-                              predictor={"smoothing": 2.0, "yield_radius": 6.0})
+                              predictor={"smoothing": 2.0})
     handle = config.planner_handle()
     assert handle.horizon == 20
     assert handle.accel_levels == (-2, 0)
     assert handle.weights.w_col == -8.0
     params = config.fresh_predictor()
     assert params.smoothing == 2.0
-    assert config.fit_kwargs() == {"yield_radius": 6.0}
     assert config.n_scenarios() == 96
+    # The yield label radius is a constant: a predictor key naming it fails at load.
+    with pytest.raises(TypeError, match="yield_radius"):
+        ExperimentConfig(predictor={"yield_radius": 6.0})
 
 
 def _synthetic_scores(n=96):
@@ -265,12 +267,12 @@ def test_case_markdown(tmp_path):
 def test_regret_histogram(tmp_path):
     rng = np.random.default_rng(3)
     scores = {f"s{i:02d}": float(v) for i, v in enumerate(rng.uniform(0, 0.5, 30))}
-    path = write_regret_histogram(scores, 20.0, tmp_path / "hist.svg", bins=12)
+    path = write_regret_histogram(scores, 20.0, tmp_path / "hist.svg")
     text = path.read_text()
-    assert text.count("<rect") == 13  # backdrop + one bar per bin
+    assert text.count("<rect") == 17  # backdrop + one bar per bin
     assert "mine threshold" in text
     assert "stroke-dasharray" in text
-    counts, _ = np.histogram(np.array(sorted(scores.values())), bins=12)
+    counts, _ = np.histogram(np.array(sorted(scores.values())), bins=16)
     assert counts.sum() == 30
     with pytest.raises(ValueError):
         write_regret_histogram({}, 20.0, tmp_path / "empty.svg")
