@@ -38,9 +38,11 @@ from .planner import PlannerHandle, RewardWeights
 from .predictor import (
     PredictorParams,
     TablePredictor,
+    bucket_modes,
     fit,
     params_from_json,
     params_to_json,
+    replan_buckets,
 )
 from .regret import (
     AGGREGATIONS,
@@ -62,6 +64,8 @@ _ARM_STREAM = {"HighRegretFT": 21, "LowRegretFT": 22, "RandomFT": 23, "AllFT": 2
 _ARM_POOL = {"HighRegretFT": "pool_high", "LowRegretFT": "pool_low",
              "RandomFT": "pool_random", "AllFT": "pool_all"}
 _SUBSET_STREAM = 31
+# TablePredictor's own predict: redeploy reuses a closed loop only under it.
+_TABLE_PREDICT = TablePredictor.predict
 
 
 # ---------------------------------------------------------------------------
@@ -543,18 +547,71 @@ def _fit_arms(config: ExperimentConfig, base_params: PredictorParams,
             for arm in arms if arm != "Base" for seed in config.seeds}
 
 
-def _split_cell(scenes: Sequence, config: ExperimentConfig) -> dict:
-    """One (arm, split, seed) cell. A scene with no replan log (aborted at
-    t=0) keeps its collision cost but is left out of mean_regret, ade and
-    fde, and the cell lists it as "skipped": {scene id: abort reason}."""
-    scored = [s for s in scenes if s.replan_log]
+class _Loop:
+    """A closed loop of one holdout spec that a redeploy call holds: its
+    record, the table it ran under (None when its table is not known), and
+    the record's (regret, ADE, FDE), scored once when a cell first needs it."""
+
+    def __init__(self, record, table: Optional["_Table"]):
+        self.record, self.table, self._metrics = record, table, None
+
+    def metrics(self, model: LuceShepard, aggregation: str) -> tuple[float, float, float]:
+        if self._metrics is None:
+            ade, fde = scene_prediction_errors(self.record)
+            self._metrics = (score_scene(model, self.record).scores(aggregation)[0],
+                             ade, fde)
+        return self._metrics
+
+
+class _Table:
+    """A predictor table of one redeploy call, with what predict reads of it
+    (bucket_modes at the handle's n_modes) at each bucket asked so far."""
+
+    def __init__(self, params: PredictorParams, n_modes: int):
+        self.params, self.n_modes, self._modes = params, n_modes, {}
+
+    def modes(self, bucket: tuple) -> tuple[bytes, bytes]:
+        key = self._modes.get(bucket)
+        if key is None:
+            order, probs = bucket_modes(self.params, bucket, self.n_modes)
+            key = self._modes[bucket] = (order.tobytes(), probs.tobytes())
+        return key
+
+    def predicts_alike(self, other: "_Table", record) -> bool:
+        """Whether predict under other returns what it returned under this
+        table at every replan of record, a closed loop under this table: the
+        same history window and cruise speed, and the same modes on every
+        bucket the replans looked up. A replan's approach flags are replayed
+        only for a feature triple on whose two approach buckets the tables
+        differ."""
+        a, b = self.params, other.params
+        if (a.history_window != b.history_window
+                or float(a.cruise_speed).hex() != float(b.cruise_speed).hex()):
+            return False
+
+        def differs(bucket):
+            return self.modes(bucket) != other.modes(bucket)
+
+        def wanted(triple):
+            s, d, lane = triple
+            return differs((s, d, 0, lane)) or differs((s, d, 1, lane))
+
+        return not any(differs(bucket)
+                       for bucket in replan_buckets(record, a.history_window, wanted))
+
+
+def _split_cell(loops: Sequence[_Loop], model: LuceShepard, aggregation: str) -> dict:
+    """One (arm, split, seed) cell of the loops' records. A scene with no
+    replan log (aborted at t=0) keeps its collision cost but is left out of
+    mean_regret, ade and fde, and the cell lists it as "skipped": {scene id:
+    abort reason}."""
+    scenes = [loop.record for loop in loops]
+    metrics = [loop.metrics(model, aggregation) for loop in loops if loop.record.replan_log]
     skipped = {s.scenario_id: s.abort_reason for s in scenes if not s.replan_log}
-    regrets = list(score_deployment(scored, config)[0].values())
-    errs = [scene_prediction_errors(s) for s in scored]
     cell = {
-        "mean_regret": float(np.mean(regrets)) if regrets else 0.0,
-        "ade": float(np.mean([e[0] for e in errs])) if errs else 0.0,
-        "fde": float(np.mean([e[1] for e in errs])) if errs else 0.0,
+        "mean_regret": float(np.mean([m[0] for m in metrics])) if metrics else 0.0,
+        "ade": float(np.mean([m[1] for m in metrics])) if metrics else 0.0,
+        "fde": float(np.mean([m[2] for m in metrics])) if metrics else 0.0,
         "collision_frames": sum(s.collision_frames for s in scenes),
         "per_scene_collision_cost": {s.scenario_id: s.total_collision_cost
                                      for s in scenes},
@@ -612,6 +669,18 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
     config.seeds (ValueError naming the first missing one). With
     fitted=None, _fit_arms fits them from base_params and the pool scenes
     of scenes_by_id, which are read for nothing else.
+
+    A closed loop is a deterministic function of its spec, the handle,
+    replan_every and the predictions on the buckets it looks up. So, per
+    holdout spec, the call keeps the records it holds: Base's deployed
+    record first (when Base is an arm and base_params is given), then each
+    loop it runs. Before it runs a loop under a fitted table, it takes the
+    first record not aborted whose table predicts alike on every bucket that
+    record's replans looked up (_Table.predicts_alike): the record a rerun
+    would write. This holds for TablePredictor's own predict only, so with
+    another predict every loop runs. Each distinct record is scored once,
+    and every cell that holds it shares its regret, ADE and FDE. The records
+    are dropped when the call returns.
     """
     handle = config.planner_handle()
     split_ids = {"high": sorted(subsets.holdout_high),
@@ -628,25 +697,44 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
         arm, seed = missing[0]
         raise ValueError(f"no fitted predictor for arm {arm!r} at seed {seed}")
 
-    def run_split(params, ids):
-        return _split_cell([simkit.run_closed_loop(specs_by_id[sid], handle,
-                                                   TablePredictor(params),
-                                                   config.replan_every)
-                            for sid in ids], config)
+    model = LuceShepard(handle.weights)
+    reuse = TablePredictor.predict is _TABLE_PREDICT
+    held: dict[str, list[_Loop]] = {sid: [] for ids in split_ids.values() for sid in ids}
 
-    values: dict[str, dict[str, list[dict]]] = {}
+    def cell(loops):
+        return _split_cell(loops, model, config.aggregation)
+
+    def run(table, sid):
+        for loop in held[sid]:
+            if (loop.table is not None and not loop.record.aborted
+                    and loop.table.predicts_alike(table, loop.record)):
+                return loop
+        loop = _Loop(simkit.run_closed_loop(specs_by_id[sid], handle,
+                                            TablePredictor(table.params),
+                                            config.replan_every), table)
+        if reuse:
+            held[sid].append(loop)
+        return loop
+
+    values: dict[str, dict[str, list[dict]]] = {arm: {} for arm in arms}
+    if "Base" in arms:
+        base = (_Table(base_params, handle.n_modes)
+                if reuse and base_params is not None else None)
+        for split, ids in split_ids.items():
+            loops = [_Loop(rec, base) for rec in _deployed_holdouts(
+                ids, scenes_by_id, specs_by_id, config, handle)]
+            for loop in loops:
+                held[loop.record.scenario_id].append(loop)
+            base_cell = cell(loops)
+            values["Base"][split] = [dict(base_cell) for _ in config.seeds]
     for arm in arms:
         if arm == "Base":
-            values[arm] = {}
-            for split, ids in split_ids.items():
-                cell = _split_cell(_deployed_holdouts(ids, scenes_by_id, specs_by_id,
-                                                      config, handle), config)
-                values[arm][split] = [dict(cell) for _ in config.seeds]
             continue
         values[arm] = {"high": [], "low": []}
         for seed in config.seeds:
+            table = _Table(fitted[(arm, seed)], handle.n_modes)
             for split, ids in split_ids.items():
-                values[arm][split].append(run_split(fitted[(arm, seed)], ids))
+                values[arm][split].append(cell([run(table, sid) for sid in ids]))
     return CaseStudyReport(seeds=config.seeds, values=values)
 
 
@@ -898,7 +986,12 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS) -> dict:
 def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
     """Re-run the holdouts for every arm with a saved predictor, and take
     Base's holdouts from the deployment; writes case_study.json. Decodes
-    only the holdout scenes of scenes.jsonl and fits nothing. Raises
+    only the holdout scenes of scenes.jsonl and fits nothing. When
+    predictor_base.json exists, Base's table is read too, so a fine-tuned
+    arm that predicts as Base does on every bucket a deployed holdout looked
+    up takes that record instead of running it again (see
+    finetune_and_redeploy); without it every fine-tuned loop is compared
+    only with the loops this call runs, and the case study is the same. Raises
     FileNotFoundError naming `finetune` when such an arm has no
     predictors/<arm>-<seed>.json for a seed of config.seeds, ValueError
     naming a predictors/*-*.json file not named for a fine-tuned arm and a
@@ -929,8 +1022,10 @@ def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
               for arm in arms[1:] for seed in config.seeds}
     scenes = simkit.scenes_from_jsonl(scenes_path,
                                       subsets.holdout_high | subsets.holdout_low)
+    base_path = run / "predictor_base.json"
+    base_params = params_from_json(base_path.read_text()) if base_path.exists() else None
     case = finetune_and_redeploy(config, {s.scenario_id: s for s in scenes},
-                                 _specs_by_id(run), subsets, None,
+                                 _specs_by_id(run), subsets, base_params,
                                  arms=arms, fitted=fitted)
     (run / "case_study.json").write_text(json.dumps(case.to_dict(), indent=2))
     return case

@@ -69,8 +69,17 @@ class PlannerHandle:
     speed_cap: float = 10.0
 
     def __post_init__(self):
+        for name in ("horizon", "n_modes"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        # A NaN level or turn rate would make every candidate's actions NaN,
+        # and every replan would fail.
+        if not all(math.isfinite(a) for a in self.accel_levels):
+            raise ValueError(f"accel_levels must be finite, got {self.accel_levels!r}")
+        if not math.isfinite(self.lane_change_turn):
+            raise ValueError(f"lane_change_turn must be finite, got {self.lane_change_turn!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.speed_cap > 0:  # NaN too: it would compare False and lift the cap

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .core import (
     Context,
     DrivingCorridor,
     JointState,
+    rollout_positions_batch,
     wrap_angle,
 )
 
@@ -63,23 +64,30 @@ class PredictorParams:
             raise ValueError(f"counts must have shape {BUCKET_SHAPE + (N_MODES,)}, got {arr.shape}")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise ValueError("counts must be finite and non-negative")
-        if self.smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
+        if not (math.isfinite(self.smoothing) and self.smoothing >= 0):
+            raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing!r}")
         if not isinstance(self.history_window, int) or self.history_window < 1:
             raise ValueError(f"history_window must be an int >= 1, got {self.history_window!r}")
+        if math.isnan(self.cruise_speed):
+            raise ValueError(f"cruise_speed must be a number, got {self.cruise_speed!r}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
+        # The global mode prior, read by every mode_probs call: computed once.
+        total = arr.reshape(-1, N_MODES).sum(axis=0)
+        prior = (np.full(N_MODES, 1.0 / N_MODES) if total.sum() <= 0
+                 else total / total.sum())
+        prior.setflags(write=False)
+        object.__setattr__(self, "_prior", prior)
 
     @staticmethod
     def fresh(**kwargs) -> "PredictorParams":
         return PredictorParams(counts=np.zeros(BUCKET_SHAPE + (N_MODES,)), **kwargs)
 
     def mode_prior(self) -> np.ndarray:
-        total = self.counts.reshape(-1, N_MODES).sum(axis=0)
-        if total.sum() <= 0:
-            return np.full(N_MODES, 1.0 / N_MODES)
-        return total / total.sum()
+        """The read-only mode totals over every bucket, normalized (uniform
+        for an empty table)."""
+        return self._prior
 
     def mode_probs(self, bucket: tuple[int, int, int, int]) -> np.ndarray:
         c = self.counts[bucket]
@@ -201,6 +209,50 @@ def _template_actions(mode: str, human: AgentState, ctx: Context, T: int,
     return np.array(acts, dtype=float)
 
 
+def bucket_modes(params: PredictorParams, bucket: tuple[int, int, int, int],
+                 n_modes_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """What predict reads of the table at one bucket: the indices of its top
+    n_modes_out modes, most probable first (ties to the lower index), and
+    their probabilities renormalized to sum to 1."""
+    probs = params.mode_probs(bucket)
+    order = np.argsort(-probs, kind="stable")[:n_modes_out]
+    kept = probs[order]
+    return order, kept / kept.sum()
+
+
+def replan_buckets(record, history_window: int,
+                   wanted: Callable[[tuple[int, int, int]], bool]):
+    """Yield the buckets predict looked up in the logged replans of record, a
+    closed loop under a table of this history_window, for the
+    (speed, dist, lane) triples that wanted accepts: per replan and human,
+    each (speed, dist, appr, lane) bucket of an approaching flag its
+    candidates took.
+
+    The fixed features come from the logged frames. Only a triple that
+    wanted accepts has its flags computed,
+    from the candidates rolled out from the logged actions by
+    rollout_positions_batch, which equals plan()'s rollouts bit for bit;
+    other triples yield nothing. A replan's rollouts are computed once, and
+    only when a triple needs them.
+    """
+    for entry in record.replan_log:
+        joint = record.states[entry.t]
+        history = record.states.prefix(entry.t)
+        ego_xys = None
+        for i, human in enumerate(joint.humans):
+            speed_b, dist_b, lane_b, d_now = _fixed_features(i, joint, history, record.context,
+                                                             history_window)
+            if not wanted((speed_b, dist_b, lane_b)):
+                continue
+            if ego_xys is None:
+                r, K = joint.robot, len(entry.candidates)
+                ego_xys = rollout_positions_batch(
+                    [r.x] * K, [r.y] * K, [r.heading] * K, [r.speed] * K,
+                    np.stack([c.actions for c in entry.candidates]), record.dt)
+            for appr in sorted(set(approaching_flags(human, d_now, ego_xys))):
+                yield (speed_b, dist_b, appr, lane_b)
+
+
 def predict(params: PredictorParams, joint: JointState,
             history: Sequence[JointState], ego_xys: np.ndarray, ctx: Context,
             n_modes_out: int, dt: float) -> list[PredictionSet]:
@@ -228,10 +280,7 @@ def predict(params: PredictorParams, joint: JointState,
         flags.append(approaching_flags(human, d_now, ego_xys))
         modes_of = {}
         for appr in set(flags[-1]):
-            probs = params.mode_probs((speed_b, dist_b, appr, lane_b))
-            order = np.argsort(-probs, kind="stable")[:n_modes_out]
-            kept = probs[order]
-            kept = kept / kept.sum()
+            order, kept = bucket_modes(params, (speed_b, dist_b, appr, lane_b), n_modes_out)
             modes = []
             for j, pj in zip(order.tolist(), kept.tolist()):
                 traj = templates.get((i, j))

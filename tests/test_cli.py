@@ -14,6 +14,7 @@ from regret_miner import cli, harness, regret, simkit
 from regret_miner.cli import _pick_arms, build_parser, main
 from regret_miner.harness import ARMS, ExperimentConfig
 from regret_miner.predictor import TablePredictor, params_from_json
+from redeploy_reference import hexed, reference_case
 from scene1_reference import scene1_dict
 
 
@@ -429,6 +430,27 @@ def test_simulate_refuses_a_yield_radius(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("section, text, field", [
+    ("planner", "lane_change_turn: .nan", "lane_change_turn"),
+    ("planner", "accel_levels: [.nan]", "accel_levels"),
+    ("planner", "horizon: 2.5", "horizon"),
+    ("predictor", "cruise_speed: .nan", "cruise_speed"),
+    ("predictor", "smoothing: .nan", "smoothing"),
+])
+def test_simulate_refuses_a_setting_every_scene_would_fail_on(section, text, field,
+                                                                tmp_path, capsys):
+    # Each value would load and then abort every scene, or fail mid-loop:
+    # simulate exits 1 with a ValueError naming the field, and writes nothing.
+    (tmp_path / "cfg.yaml").write_text(f"{section}:\n  {text}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
+              "--out", str(tmp_path / "run")])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError" and err["message"].startswith(field)
+    assert not (tmp_path / "run").exists()
+
+
 def test_stages_read_the_manifest_config_not_config_yaml(cli_and_full_runs, tmp_path,
                                                          capsys):
     cli_run, _ = cli_and_full_runs
@@ -726,72 +748,55 @@ def test_redeploy_names_a_predictor_file_it_cannot_read(name, two_seed_run, tmp_
                    "RandomFT, AllFT and a seed of 101, 102"}
 
 
-def _reference_case(config, scenes_by_id, specs_by_id, subsets, base_params, arms,
-                    fitted):
-    """The case study as finetune_and_redeploy computed it when the Base arm
-    ran its holdouts closed-loop again with base_params."""
-    handle = config.planner_handle()
-    split_ids = {"high": sorted(subsets.holdout_high),
-                 "low": sorted(subsets.holdout_low)}
-
-    def run_split(params, ids):
-        return harness._split_cell([simkit.run_closed_loop(specs_by_id[sid], handle,
-                                                           TablePredictor(params),
-                                                           config.replan_every)
-                                    for sid in ids], config)
-
-    values = {}
-    for arm in arms:
-        values[arm] = {"high": [], "low": []}
-        if arm == "Base":
-            base_cells = {split: run_split(base_params, ids)
-                          for split, ids in split_ids.items()}
-            for split in harness.SPLITS:
-                values[arm][split] = [dict(base_cells[split]) for _ in config.seeds]
-            continue
-        for seed in config.seeds:
-            if fitted is not None and (arm, seed) in fitted:
-                params = fitted[(arm, seed)]
-            else:
-                params = harness.finetune_params(arm, config, base_params, subsets,
-                                                 scenes_by_id, seed)
-            for split, ids in split_ids.items():
-                values[arm][split].append(run_split(params, ids))
-    return harness.CaseStudyReport(seeds=config.seeds, values=values)
-
-
-@pytest.mark.parametrize("base_seed", [3, 4])
-def test_base_arm_equals_a_closed_loop_rerun_of_its_holdouts(base_seed, tmp_path, capsys):
+@pytest.mark.parametrize("base_seed, planner", [
+    pytest.param(3, {}, id="3"), pytest.param(4, {}, id="4"),
+    pytest.param(3, {"n_modes": 2}, id="3-n_modes2")])
+def test_base_arm_equals_a_closed_loop_rerun_of_its_holdouts(base_seed, planner, tmp_path,
+                                                             capsys, monkeypatch):
+    """Redeploy reuses Base's deployed records and the loops it ran whenever
+    a table predicts alike on the buckets they looked up; the case study is
+    the one that runs every loop again, float.hex for float.hex, here and
+    through finetune_and_redeploy with every arm fitted."""
     config = ExperimentConfig(
         families=(("StrandedTruck", 2), ("SparseCruise", 3)),
         pretrain_families=(("SparseCruise", 1),), seeds=(101, 102), p=25.0,
         holdout_frac=0.25, replan_every=20, base_seed=base_seed,
-        pretrain_seed=10_000 + base_seed, out_dir="run")
+        pretrain_seed=10_000 + base_seed, planner=planner, out_dir="run")
     harness.config_to_yaml(config, tmp_path / "config.yaml")
     run = tmp_path / "run"
     r = str(run)
     for argv in (["simulate", "--config", str(tmp_path / "config.yaml"), "--out", r],
                  ["score", "--in", r],
-                 ["finetune", "--in", r, "--arms", "high"],
-                 ["redeploy", "--in", r]):
+                 ["finetune", "--in", r, "--arms", "high,low,all"]):
         assert main(argv) == 0, argv
+    loops = []
+    real = simkit.run_closed_loop
+    monkeypatch.setattr(simkit, "run_closed_loop",
+                        lambda *args: loops.append(args[0].scenario_id) or real(*args))
+    assert main(["redeploy", "--in", r]) == 0
+    monkeypatch.setattr(simkit, "run_closed_loop", real)
     capsys.readouterr()
     config, scenes, specs_by_id, base_params = harness.load_deployment(run)
     scenes_by_id = {s.scenario_id: s for s in scenes}
     subsets = harness.Subsets.from_dict(_subsets(run))
-    fitted = {("HighRegretFT", seed): params_from_json(
-        (run / "predictors" / f"HighRegretFT-{seed}.json").read_text())
-        for seed in config.seeds}
-    want = _reference_case(config, scenes_by_id, specs_by_id, subsets, base_params,
-                           ("Base", "HighRegretFT"), fitted)
+    arms = ("Base", "HighRegretFT", "LowRegretFT", "AllFT")
+    fitted = {(arm, seed): params_from_json(
+        (run / "predictors" / f"{arm}-{seed}.json").read_text())
+        for arm in arms[1:] for seed in config.seeds}
+    # A rerun runs one loop per fine-tuned arm, seed and holdout.
+    assert len(loops) < 3 * 2 * (len(subsets.holdout_high) + len(subsets.holdout_low))
+    want = reference_case(config, scenes_by_id, specs_by_id, subsets, base_params,
+                          arms, fitted)
     assert (run / "case_study.json").read_text() == json.dumps(want.to_dict(), indent=2)
+    assert hexed(json.loads((run / "case_study.json").read_text())) == \
+        hexed(want.to_dict())
     for split, ids in (("high", subsets.holdout_high), ("low", subsets.holdout_low)):
         assert sorted(want.values["Base"][split][0]["per_scene_collision_cost"]) == \
             sorted(ids)
     got = harness.finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
                                         base_params)
-    assert got == _reference_case(config, scenes_by_id, specs_by_id, subsets,
-                                  base_params, ARMS, None)
+    assert hexed(got.to_dict()) == hexed(reference_case(
+        config, scenes_by_id, specs_by_id, subsets, base_params, ARMS, None).to_dict())
 
 
 def test_finetune_drops_predictors_it_did_not_fit(cli_and_full_runs, tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from regret_miner import harness
+from regret_miner import harness, simkit
 from regret_miner.core import AgentState, RngStream
 from regret_miner.harness import (
     ALL_METRICS,
@@ -27,7 +27,15 @@ from regret_miner.harness import (
     write_case_markdown,
     write_regret_histogram,
 )
-from regret_miner.predictor import PredictorParams, TablePredictor
+from regret_miner.predictor import (
+    BUCKET_SHAPE,
+    N_MODES,
+    PredictorParams,
+    TablePredictor,
+    bucket_modes,
+    replan_buckets,
+)
+from redeploy_reference import hexed, reference_case
 
 
 def test_config_validation():
@@ -448,6 +456,74 @@ def test_redeploy_of_a_holdout_aborted_at_t0_names_the_scene(small_split, monkey
                                        for sid in sorted(ids)}
             assert sorted(cell["per_scene_collision_cost"]) == sorted(ids)
             assert (cell["mean_regret"], cell["ade"], cell["fde"]) == (0.0, 0.0, 0.0)
+
+
+def _table(cells, **kw):
+    """A fresh table with the given {bucket: mode counts}."""
+    counts = np.zeros(BUCKET_SHAPE + (N_MODES,))
+    for bucket, row in cells.items():
+        counts[bucket] = row
+    return PredictorParams(counts=counts, **kw)
+
+
+@pytest.mark.parametrize("case", ["unvisited", "visited", "cruise_speed", "history_window",
+                                  "aborted"])
+def test_redeploy_reuses_a_loop_only_where_the_table_predicts_alike(
+        small_split, case, monkeypatch):
+    """small_split is deployed under the empty table, whose every bucket
+    predicts go_straight. A fine-tuned table that differs only on buckets no
+    holdout looked up takes the deployed records and runs no loop; one that
+    differs on a looked-up bucket reruns the holdouts that looked it up; an
+    equal prediction table with another cruise speed or history window
+    reruns every holdout, and so does an aborted record. Each rerun runs
+    once, at the first seed, and the second seed reuses it. The case study
+    is the one that reruns every loop."""
+    config, scenes_by_id, specs_by_id, subsets = small_split
+    base = PredictorParams.fresh()
+    ids = sorted(subsets.holdout_high) + sorted(subsets.holdout_low)
+    visited = {sid: set(replan_buckets(scenes_by_id[sid], base.history_window,
+                                             lambda t: True))
+               for sid in ids}
+    seen = set().union(*visited.values())
+    unseen = [b for b in np.ndindex(*BUCKET_SHAPE) if b not in seen]
+    # Three go_straight counts on an unseen bucket keep go_straight the
+    # prior's top mode, so a bucket without counts still predicts it.
+    straight, brake = [3, 0, 0, 0, 0], [0, 2, 0, 0, 0]
+    rerun, changed = ids, None
+    if case == "unvisited":
+        changed = unseen[1]
+        table, rerun = _table({unseen[0]: straight, changed: brake}), []
+    elif case == "visited":
+        bucket = changed = sorted(visited[ids[0]])[0]
+        table = _table({unseen[0]: straight, bucket: brake})
+        rerun = [sid for sid in ids if bucket in visited[sid]]
+        assert rerun and len(rerun) < len(ids)
+    elif case == "cruise_speed":
+        table = dataclasses.replace(base, cruise_speed=9.0)
+    elif case == "history_window":
+        table = dataclasses.replace(base, history_window=5)
+    else:
+        table = base
+        scenes_by_id = {sid: dataclasses.replace(rec, aborted=True, abort_reason="forged")
+                        for sid, rec in scenes_by_id.items()}
+    n_modes = config.planner_handle().n_modes
+    if changed is not None:
+        assert bucket_modes(table, changed, n_modes)[0] != bucket_modes(base, changed, n_modes)[0]
+    for bucket in seen - {b for sid in rerun for b in visited[sid]}:
+        assert [x.tobytes() for x in bucket_modes(table, bucket, n_modes)] == \
+            [x.tobytes() for x in bucket_modes(base, bucket, n_modes)]
+    fitted = {("HighRegretFT", seed): table for seed in config.seeds}
+    loops = []
+    real = simkit.run_closed_loop
+    monkeypatch.setattr(simkit, "run_closed_loop",
+                        lambda *args: loops.append(args[0].scenario_id) or real(*args))
+    case_ = finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets, base,
+                                  arms=("Base", "HighRegretFT"), fitted=fitted)
+    assert loops == rerun
+    monkeypatch.setattr(simkit, "run_closed_loop", real)
+    want = reference_case(config, scenes_by_id, specs_by_id, subsets, base,
+                          ("Base", "HighRegretFT"), fitted)
+    assert hexed(case_.to_dict()) == hexed(want.to_dict())
 
 
 def test_config_builds_its_planner_and_predictor_at_load():

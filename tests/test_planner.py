@@ -164,12 +164,19 @@ def test_weight_validation():
     pytest.param({"accel_jitter": -0.01}, id="accel_jitter-negative"),
     pytest.param({"accel_jitter": float("nan")}, id="accel_jitter-nan"),
     pytest.param({"n_modes": 0}, id="n_modes-zero"),
+    pytest.param({"accel_levels": (-1.0, float("nan"))}, id="accel_levels-nan"),
+    pytest.param({"lane_change_turn": float("nan")}, id="lane_change_turn-nan"),
+    pytest.param({"horizon": 2.5}, id="horizon-float"),
+    pytest.param({"n_modes": 1.0}, id="n_modes-float"),
 ])
 def test_planner_handle_rejects_bad_settings(kwargs):
     # A zero dt would divide by zero in the speed cap, which run_closed_loop's
     # ValueError abort handler does not catch, and a NaN speed cap compares
-    # False with every speed and would cap nothing.
-    with pytest.raises(ValueError):
+    # False with every speed and would cap nothing. A NaN level or turn rate
+    # would abort every scene at t=0, and a horizon that is no int would fail
+    # mid-loop with a TypeError: each is refused when the handle is built,
+    # naming its field.
+    with pytest.raises(ValueError, match="^" + next(iter(kwargs))):
         PlannerHandle(**kwargs)
 
 

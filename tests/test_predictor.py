@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -206,6 +207,13 @@ def test_params_validation():
         PredictorParams(counts=bad)
     with pytest.raises(ValueError):
         PredictorParams.fresh(smoothing=-0.5)
+    # NaN compares False with 0 and would pass a plain `< 0` check; every
+    # scene under such a table would abort at t=0.
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="smoothing must be finite"):
+            PredictorParams.fresh(smoothing=value)
+    with pytest.raises(ValueError, match="cruise_speed must be a number"):
+        PredictorParams.fresh(cruise_speed=float("nan"))
     for window in (0, -1, 2.5):
         # An empty window would read the whole history as history[-0:].
         with pytest.raises(ValueError, match="history_window must be an int >= 1"):
@@ -227,6 +235,82 @@ def test_mode_probs_normalized():
         probs = params.mode_probs(bucket)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= 0)
+
+
+def test_mode_prior_is_computed_once_with_the_same_bits():
+    rng = np.random.default_rng(9)
+    counts = rng.integers(0, 30, size=BUCKET_SHAPE + (N_MODES,)).astype(float)
+    for params in (PredictorParams(counts=counts, smoothing=0.7), PredictorParams.fresh()):
+        total = params.counts.reshape(-1, N_MODES).sum(axis=0)
+        want = (np.full(N_MODES, 1.0 / N_MODES) if total.sum() <= 0
+                else total / total.sum())
+        assert params.mode_prior() is params.mode_prior()
+        assert params.mode_prior().tobytes() == want.tobytes()
+        assert not params.mode_prior().flags.writeable
+        bucket = (1, 2, 0, 1)
+        c = params.counts[bucket]
+        smoothed = c + params.smoothing * want
+        assert params.mode_probs(bucket).tobytes() == (smoothed / smoothed.sum()).tobytes()
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_replan_buckets_are_the_buckets_predict_looked_up(window, monkeypatch):
+    """Replaying a record's logged replans finds exactly the buckets that
+    predict asked the table for while the closed loop ran, replan by replan,
+    in every family, and a triple that `wanted` refuses yields nothing and
+    costs no rollout."""
+    scenes = [run_closed_loop(spec, PlannerHandle(), OraclePredictor(), 10)
+              for spec in generate_scenario_batch("SparseCruise", 2, base_seed=3)
+              + generate_scenario_batch("Intersection", 2, base_seed=3)]
+    params = fit(scenes, init=PredictorParams.fresh(history_window=window))
+    looked_up = {}  # replan t -> buckets
+    real_predict, real_modes = predictor_module.predict, predictor_module.bucket_modes
+    now = []
+
+    def timed_predict(params, joint, *args):
+        now[:] = [joint.t]
+        return real_predict(params, joint, *args)
+
+    def recording(params, bucket, n_modes_out):
+        looked_up.setdefault(now[0], set()).add(bucket)
+        return real_modes(params, bucket, n_modes_out)
+
+    rollouts = []
+    real_batch = predictor_module.rollout_positions_batch
+
+    def counting(*args):
+        rollouts.append(1)
+        return real_batch(*args)
+
+    def replayed(rec, wanted=lambda t: True):
+        return set(predictor_module.replan_buckets(rec, window, wanted))
+
+    monkeypatch.setattr(predictor_module, "rollout_positions_batch", counting)
+    n_records = 0
+    for family in ("StrandedTruck", "StoppedTraffic", "Intersection", "SparseCruise",
+                   "NavWorld"):
+        for spec in generate_scenario_batch(family, 2, base_seed=8):
+            monkeypatch.setattr(predictor_module, "predict", timed_predict)
+            monkeypatch.setattr(predictor_module, "bucket_modes", recording)
+            looked_up.clear()
+            rec = run_closed_loop(spec, PlannerHandle(), TablePredictor(params), 10)
+            monkeypatch.setattr(predictor_module, "predict", real_predict)
+            monkeypatch.setattr(predictor_module, "bucket_modes", real_modes)
+            assert rec.replan_log and not rec.aborted
+            every = set().union(*looked_up.values())
+            assert replayed(rec) == every
+            for entry in rec.replan_log:
+                one = dataclasses.replace(rec, replan_log=[entry])
+                assert replayed(one) == looked_up[entry.t]
+            triples = sorted({(s, d, lane) for s, d, _, lane in every})
+            some = set(triples[::2])
+            assert replayed(rec, lambda t: t in some) == \
+                {b for b in every if (b[0], b[1], b[3]) in some}
+            del rollouts[:]
+            assert replayed(rec, lambda t: False) == set()
+            assert rollouts == []
+            n_records += 1
+    assert n_records == 10
 
 
 @pytest.mark.parametrize("window", [1, 4, 20])
