@@ -41,6 +41,15 @@ N_CUE_BUCKETS = 12
 NAV_EXEC_NOISE = 0.05
 # Std of the noise on the human's cue before its direction is drawn.
 NAV_CUE_NOISE = 0.05
+# Std of the per-step turn noise in the mismatch and perception studies.
+STUDY_EXEC_NOISE = 0.02
+# The studies' KDE likelihoods: decoder draws per code, half-width of the
+# window around each turn, and kernel bandwidth.
+KDE_SAMPLES = 250
+KDE_DELTA = 0.1
+KDE_BANDWIDTH = 0.05
+# Pseudo-count added to every encoder cell of a fitted codebook.
+ENCODER_SMOOTHING = 0.5
 
 _HUMAN_TARGETS = {"left": (-3.0, 3.0), "straight": (0.0, 0.0), "right": (3.0, 3.0)}
 
@@ -370,11 +379,11 @@ def _joint_vector(s: NavSample) -> np.ndarray:
     return np.concatenate([s.robot_traj.actions[:, 1], s.human_traj.actions[:, 1]])
 
 
-def fit_codebook(data: Sequence[NavSample], K: int = 6,
-                 smoothing: float = 0.5) -> Codebook:
-    """Codes are anchored to outcome classes; the encoder is the smoothed
-    empirical code frequency per (cue bucket, goal); the decoder is the
-    per-code sample mean/std of the concatenated joint turn trajectory."""
+def fit_codebook(data: Sequence[NavSample], K: int = 6) -> Codebook:
+    """Codes are anchored to outcome classes; the encoder is the empirical
+    code frequency per (cue bucket, goal), smoothed by ENCODER_SMOOTHING;
+    the decoder is the per-code sample mean/std of the concatenated joint
+    turn trajectory."""
     if not data:
         raise ValueError("data must be non-empty")
     if K < 1:
@@ -384,7 +393,7 @@ def fit_codebook(data: Sequence[NavSample], K: int = 6,
     if np.any(counts < 2):
         missing = [int(z) for z in np.flatnonzero(counts < 2)]
         raise ValueError(f"codes {missing} have fewer than 2 samples")
-    enc = np.full((N_CUE_BUCKETS, len(GOALS), K), smoothing)
+    enc = np.full((N_CUE_BUCKETS, len(GOALS), K), ENCODER_SMOOTHING)
     for s, z in zip(data, codes):
         enc[cue_bucket(s.delta_h), GOALS.index(s.goal), z] += 1.0
     enc /= enc.sum(axis=2, keepdims=True)
@@ -593,10 +602,10 @@ def generative_regret(cb: Codebook, shared: Sequence[ActionTraj], executed: np.n
     return np.mean(lik.max(axis=1) - lik[:, -1], axis=1)
 
 
-def _sample_rows(cb: Codebook, samples: Sequence[NavSample], shared: Sequence[ActionTraj],
-                 n_samples: int, delta: float, bandwidth: float) -> np.ndarray:
+def _sample_rows(cb: Codebook, samples: Sequence[NavSample],
+                 shared: Sequence[ActionTraj]) -> np.ndarray:
     """generative_regret of the samples' robot and human turns, each at the
-    encoder row of its cue and goal."""
+    encoder row of its cue and goal, with the studies' KDE settings."""
     def turns(trajs):
         return np.array([t.actions[:, 1] for t in trajs]).reshape(-1, NAV_STEPS)
 
@@ -604,16 +613,14 @@ def _sample_rows(cb: Codebook, samples: Sequence[NavSample], shared: Sequence[Ac
                              turns(s.human_traj for s in samples),
                              np.array([cb.encoder_row(s.delta_h, s.goal)
                                        for s in samples]).reshape(-1, cb.K),
-                             n_samples, delta, bandwidth)
+                             KDE_SAMPLES, KDE_DELTA, KDE_BANDWIDTH)
 
 
 def sample_regrets(cb: Codebook, samples: Sequence[NavSample]) -> list[float]:
     """generative_regret of each sample's robot trajectory given its human's,
-    at its cue and goal, against the default hindsight candidates with 250
-    decoder draws, delta 0.1 and bandwidth 0.05, the samples scored as one
-    block."""
-    return _sample_rows(cb, samples, default_hindsight_candidates(NavWorld()),
-                        n_samples=250, delta=0.1, bandwidth=0.05).tolist()
+    at its cue and goal, against the default hindsight candidates with the
+    studies' KDE settings, the samples scored as one block."""
+    return _sample_rows(cb, samples, default_hindsight_candidates(NavWorld())).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +637,8 @@ def divert_shape_candidate() -> ActionTraj:
     return sample.robot_traj
 
 
-def build_mismatch_scenarios(cb: Codebook, rng: RngStream, n_reps: int = 30,
-                             n_samples: int = 250, delta: float = 0.1,
-                             bandwidth: float = 0.05) -> dict[str, float]:
+def build_mismatch_scenarios(cb: Codebook, rng: RngStream,
+                             n_reps: int = 30) -> dict[str, float]:
     """Mean generative regret for the three canned deployments.
 
     nominal: head-on human, robot yields to the backup goal (the common
@@ -661,8 +667,9 @@ def build_mismatch_scenarios(cb: Codebook, rng: RngStream, n_reps: int = 30,
     for goal, yield_draw, cue_range in configs.values():
         episodes = [(next(gens).uniform(*cue_range), goal, next(gens))
                     for _ in range(n_reps)]
-        samples += [s for s, _, _ in _nav_episodes(episodes, 0.0, 0.02, yield_draw)]
-    vals = _sample_rows(cb, samples, shared, n_samples, delta, bandwidth)
+        samples += [s for s, _, _ in _nav_episodes(episodes, 0.0, STUDY_EXEC_NOISE,
+                                                   yield_draw)]
+    vals = _sample_rows(cb, samples, shared)
     return dict(zip(configs, map(float, vals.reshape(len(configs), n_reps).mean(axis=1))))
 
 
@@ -711,10 +718,7 @@ def _fit_perception_codebook(n_fit: int, exec_noise: float,
 
 def perception_case_study(sensor: SensorModel,
                           n_samples_per_condition: int = 500,
-                          rng: Optional[RngStream] = None,
-                          delta: float = 0.1, bandwidth: float = 0.05,
-                          n_samples: int = 250,
-                          exec_noise: float = 0.02) -> list[tuple[str, float]]:
+                          rng: Optional[RngStream] = None) -> list[tuple[str, float]]:
     """Four deployments of an obstacle-conditional goal policy.
 
     The robot diverts to the backup goal iff its sensor reports an obstacle.
@@ -731,7 +735,7 @@ def perception_case_study(sensor: SensorModel,
     if rng is None:
         rng = RngStream(0)
     ctx = NavWorld()
-    cb = _fit_perception_codebook(200, exec_noise, rng.derive(0))
+    cb = _fit_perception_codebook(200, STUDY_EXEC_NOISE, rng.derive(0))
     conditions = [
         ("obstacle-detected", True, True),
         ("obstacle-missed", True, False),
@@ -745,13 +749,13 @@ def perception_case_study(sensor: SensorModel,
         reading = replace(sensor, injected_fault=forced_reading).sense(obstacle)
         goals += ["Backup" if reading else "Primary"] * n
         for row, gen in zip(block, islice(gens, n)):
-            row[:] = gen.normal(0.0, exec_noise, NAV_STEPS)
+            row[:] = gen.normal(0.0, STUDY_EXEC_NOISE, NAV_STEPS)
     weights = np.repeat([cb.encoder_row(0.5, "Backup" if obstacle else "Primary")
                          for _, obstacle, _ in conditions], n, axis=0)
     vals = generative_regret(cb, default_hindsight_candidates(ctx),
                              _perception_turns(goals, noise.reshape(-1, NAV_STEPS), ctx),
-                             np.zeros((len(goals), NAV_STEPS)), weights, n_samples, delta,
-                             bandwidth)
+                             np.zeros((len(goals), NAV_STEPS)), weights, KDE_SAMPLES,
+                             KDE_DELTA, KDE_BANDWIDTH)
     return [(tag, float(v))
             for (tag, _, _), v in zip(conditions, vals.reshape(len(conditions), n).mean(axis=1))]
 

@@ -64,8 +64,6 @@ _ARM_STREAM = {"HighRegretFT": 21, "LowRegretFT": 22, "RandomFT": 23, "AllFT": 2
 _ARM_POOL = {"HighRegretFT": "pool_high", "LowRegretFT": "pool_low",
              "RandomFT": "pool_random", "AllFT": "pool_all"}
 _SUBSET_STREAM = 31
-# TablePredictor's own predict: redeploy reuses a closed loop only under it.
-_TABLE_PREDICT = TablePredictor.predict
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +98,11 @@ class ExperimentConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.families:
             raise ValueError("families must be non-empty")
+        # A family named twice would deploy each of its scenario ids twice.
+        named = [fam for fam, _ in self.families]
+        for fam in named:
+            if named.count(fam) > 1:
+                raise ValueError(f"family {fam!r} is named twice in families")
         for fam, n in self.families + self.pretrain_families:
             if fam not in simkit.FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
@@ -128,8 +131,6 @@ class ExperimentConfig:
 
     def planner_handle(self) -> PlannerHandle:
         kw = dict(self.planner)
-        if "steer_profiles" in kw:
-            kw["steer_profiles"] = tuple(kw["steer_profiles"])
         if "accel_levels" in kw:
             kw["accel_levels"] = tuple(kw["accel_levels"])
         return PlannerHandle(weights=RewardWeights(**self.weights), **kw)
@@ -238,7 +239,8 @@ def deploy(config: ExperimentConfig, params: PredictorParams,
            out_dir=None) -> tuple[list, dict[str, Path]]:
     """Closed-loop deployment of every configured scenario with the base
     predictor; writes scenes.jsonl, scenarios.json, predictor_base.json, and
-    manifest.json (the only file carrying a timestamp)."""
+    manifest.json (the only file carrying a timestamp), which records the
+    SHA-256 of predictor_base.json's bytes."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     specs = _batch_specs(config.families, config.base_seed)
@@ -258,7 +260,8 @@ def deploy(config: ExperimentConfig, params: PredictorParams,
         "schema": "scenarios/1",
         "scenarios": [simkit.spec_to_dict(s) for s in specs],
     }, indent=2))
-    paths["predictor_base"].write_text(params_to_json(params))
+    base_bytes = params_to_json(params).encode()
+    paths["predictor_base"].write_bytes(base_bytes)
     paths["manifest"].write_text(json.dumps({
         "schema": "manifest/1",
         "config": config.to_dict(),
@@ -266,6 +269,7 @@ def deploy(config: ExperimentConfig, params: PredictorParams,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "n_scenes": len(scenes),
         "aborted_ids": sorted(s.scenario_id for s in scenes if s.aborted),
+        "predictor_base_sha256": _sha256(base_bytes),
     }, indent=2))
     return scenes, paths
 
@@ -289,14 +293,23 @@ def _specs_by_id(run) -> dict:
 
 
 def _base_params(run) -> PredictorParams:
-    return params_from_json(need(run, "predictor_base.json", "simulate").read_text())
+    """Base's table from run/predictor_base.json: FileNotFoundError naming
+    `simulate` when it or manifest.json is missing, and StaleRunError naming
+    `simulate` unless manifest.json records the SHA-256 of its bytes."""
+    manifest = json.loads(need(run, "manifest.json", "simulate").read_text())
+    path = need(run, "predictor_base.json", "simulate")
+    data = path.read_bytes()
+    if manifest.get("predictor_base_sha256") != _sha256(data):
+        raise StaleRunError(f"{path} is not the table this run was deployed with "
+                            "— run `simulate` first")
+    return params_from_json(data.decode())
 
 
 def load_deployment(out_dir) -> tuple[ExperimentConfig, list, dict, PredictorParams]:
     """(config, scenes, specs_by_id, base params) from a deployment directory."""
-    need(out_dir, "manifest.json", "simulate")
+    base_params = _base_params(out_dir)
     return (run_config(out_dir), simkit.scenes_from_jsonl(_scenes_path(out_dir)),
-            _specs_by_id(out_dir), _base_params(out_dir))
+            _specs_by_id(out_dir), base_params)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +562,10 @@ def _fit_arms(config: ExperimentConfig, base_params: PredictorParams,
 
 class _Loop:
     """A closed loop of one holdout spec that a redeploy call holds: its
-    record, the table it ran under (None when its table is not known), and
-    the record's (regret, ADE, FDE), scored once when a cell first needs it."""
+    record, the table it ran under, and the record's (regret, ADE, FDE),
+    scored once when a cell first needs it."""
 
-    def __init__(self, record, table: Optional["_Table"]):
+    def __init__(self, record, table: "_Table"):
         self.record, self.table, self._metrics = record, table, None
 
     def metrics(self, model: LuceShepard, aggregation: str) -> tuple[float, float, float]:
@@ -654,7 +667,7 @@ def _deployed_holdouts(ids: Sequence[str], scenes_by_id: dict, specs_by_id: dict
 
 def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
                           specs_by_id: dict, subsets: Subsets,
-                          base_params: Optional[PredictorParams],
+                          base_params: PredictorParams,
                           arms: Sequence[str] = ARMS,
                           fitted: Optional[dict] = None) -> CaseStudyReport:
     """Re-run the holdout scenarios closed-loop under each arm's fine-tuned
@@ -673,14 +686,12 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
     A closed loop is a deterministic function of its spec, the handle,
     replan_every and the predictions on the buckets it looks up. So, per
     holdout spec, the call keeps the records it holds: Base's deployed
-    record first (when Base is an arm and base_params is given), then each
-    loop it runs. Before it runs a loop under a fitted table, it takes the
-    first record not aborted whose table predicts alike on every bucket that
-    record's replans looked up (_Table.predicts_alike): the record a rerun
-    would write. This holds for TablePredictor's own predict only, so with
-    another predict every loop runs. Each distinct record is scored once,
-    and every cell that holds it shares its regret, ADE and FDE. The records
-    are dropped when the call returns.
+    record first (when Base is an arm), then each loop it runs. Before it
+    runs a loop under a fitted table, it takes the first record not aborted
+    whose table predicts alike on every bucket that record's replans looked
+    up (_Table.predicts_alike): the record a rerun would write. Each
+    distinct record is scored once, and every cell that holds it shares its
+    regret, ADE and FDE. The records are dropped when the call returns.
     """
     handle = config.planner_handle()
     split_ids = {"high": sorted(subsets.holdout_high),
@@ -698,7 +709,6 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
         raise ValueError(f"no fitted predictor for arm {arm!r} at seed {seed}")
 
     model = LuceShepard(handle.weights)
-    reuse = TablePredictor.predict is _TABLE_PREDICT
     held: dict[str, list[_Loop]] = {sid: [] for ids in split_ids.values() for sid in ids}
 
     def cell(loops):
@@ -706,20 +716,17 @@ def finetune_and_redeploy(config: ExperimentConfig, scenes_by_id: dict,
 
     def run(table, sid):
         for loop in held[sid]:
-            if (loop.table is not None and not loop.record.aborted
-                    and loop.table.predicts_alike(table, loop.record)):
+            if not loop.record.aborted and loop.table.predicts_alike(table, loop.record):
                 return loop
         loop = _Loop(simkit.run_closed_loop(specs_by_id[sid], handle,
                                             TablePredictor(table.params),
                                             config.replan_every), table)
-        if reuse:
-            held[sid].append(loop)
+        held[sid].append(loop)
         return loop
 
     values: dict[str, dict[str, list[dict]]] = {arm: {} for arm in arms}
     if "Base" in arms:
-        base = (_Table(base_params, handle.n_modes)
-                if reuse and base_params is not None else None)
+        base = _Table(base_params, handle.n_modes)
         for split, ids in split_ids.items():
             loops = [_Loop(rec, base) for rec in _deployed_holdouts(
                 ids, scenes_by_id, specs_by_id, config, handle)]
@@ -942,32 +949,27 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS) -> dict:
     """Split the scored deployment into holdouts and fine-tuning pools and fit
     one predictor per (arm, seed), Base excepted, for every seed of
     config.seeds; writes subsets.json and predictors/<arm>-<seed>.json. It
-    is the only stage that fits or writes a predictor. The split covers
-    every scene of scenes.jsonl that `score` did not skip, and only the
-    pools of the fitted arms are decoded, and subsets.json records the
-    SHA-256 of the scores.json it was split from. finetune owns
+    is the only stage that fits or writes a predictor. The split covers the
+    ids of scores.json, every scene of scenes.jsonl that `score` did not
+    skip; only the pools of the fitted arms are decoded, and subsets.json
+    records the SHA-256 of the scores.json it was split from. finetune owns
     predictors/: it deletes every predictor this call did not fit, since one
     fitted on an earlier split would be redeployed on these holdouts.
     Raises StaleRunError when scores.json was not scored from the run's
-    current scenes.jsonl, under whichever reward weights, and _fit_arms's
-    ValueError before it writes anything. Returns {(arm, seed): params}."""
+    current scenes.jsonl, under whichever reward weights, and _base_params's
+    errors and _fit_arms's ValueError before it writes anything. Returns
+    {(arm, seed): params}."""
     run = Path(run)
     scenes_path = _scenes_path(run)
     scores_bytes = need(run, "scores.json", "score").read_bytes()
     doc = json.loads(scores_bytes)
     _check_scored(scenes_path, doc)
-    scores, skipped = doc["scores"], doc.get("skipped", {})
+    scores = doc["scores"]
     base_params = _base_params(run)
-    subsets = None
-
-    def pools(scene_ids):
-        nonlocal subsets
-        subsets = build_subsets([i for i in scene_ids if i not in skipped],
-                                scores, config.p, config.holdout_frac,
-                                RngStream(config.base_seed, _SUBSET_STREAM))
-        return frozenset().union(*(getattr(subsets, _ARM_POOL[arm])
-                                   for arm in arms if arm in _ARM_POOL))
-
+    subsets = build_subsets(list(scores), scores, config.p, config.holdout_frac,
+                            RngStream(config.base_seed, _SUBSET_STREAM))
+    pools = frozenset().union(*(getattr(subsets, _ARM_POOL[arm])
+                                for arm in arms if arm in _ARM_POOL))
     scenes_by_id = {s.scenario_id: s
                     for s in simkit.scenes_from_jsonl(scenes_path, pools)}
     fitted = _fit_arms(config, base_params, subsets, scenes_by_id, arms)
@@ -986,18 +988,17 @@ def finetune(run, config: ExperimentConfig, arms: Sequence[str] = ARMS) -> dict:
 def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
     """Re-run the holdouts for every arm with a saved predictor, and take
     Base's holdouts from the deployment; writes case_study.json. Decodes
-    only the holdout scenes of scenes.jsonl and fits nothing. When
-    predictor_base.json exists, Base's table is read too, so a fine-tuned
-    arm that predicts as Base does on every bucket a deployed holdout looked
-    up takes that record instead of running it again (see
-    finetune_and_redeploy); without it every fine-tuned loop is compared
-    only with the loops this call runs, and the case study is the same. Raises
-    FileNotFoundError naming `finetune` when such an arm has no
-    predictors/<arm>-<seed>.json for a seed of config.seeds, ValueError
-    naming a predictors/*-*.json file not named for a fine-tuned arm and a
-    seed of config.seeds, and StaleRunError when scores.json was not scored from
-    the run's current scenes.jsonl, under whichever reward weights, or
-    subsets.json was not split from the run's current scores.json."""
+    only the holdout scenes of scenes.jsonl and fits nothing. Base's table
+    is read from predictor_base.json, checked by _base_params, so a
+    fine-tuned arm that predicts as Base does on every bucket a deployed
+    holdout looked up takes that record instead of running it again (see
+    finetune_and_redeploy). Raises FileNotFoundError naming `finetune` when
+    such an arm has no predictors/<arm>-<seed>.json for a seed of
+    config.seeds, ValueError naming a predictors/*-*.json file not named for
+    a fine-tuned arm and a seed of config.seeds, _base_params's errors, and
+    StaleRunError when scores.json was not scored from the run's current
+    scenes.jsonl, under whichever reward weights, or subsets.json was not
+    split from the run's current scores.json."""
     run = Path(run)
     doc = json.loads(need(run, "subsets.json", "finetune").read_text())
     scores_path = need(run, "scores.json", "score")
@@ -1008,6 +1009,7 @@ def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
         raise StaleRunError(f"{run / 'subsets.json'} was not split from the current "
                             f"{scores_path} — run `finetune` first")
     subsets = Subsets.from_dict(doc)
+    base_params = _base_params(run)
     saved = set()
     for fp in sorted((run / "predictors").glob("*-*.json")):
         arm, _, seed = fp.stem.rpartition("-")
@@ -1022,8 +1024,6 @@ def redeploy(run, config: ExperimentConfig) -> CaseStudyReport:
               for arm in arms[1:] for seed in config.seeds}
     scenes = simkit.scenes_from_jsonl(scenes_path,
                                       subsets.holdout_high | subsets.holdout_low)
-    base_path = run / "predictor_base.json"
-    base_params = params_from_json(base_path.read_text()) if base_path.exists() else None
     case = finetune_and_redeploy(config, {s.scenario_id: s for s in scenes},
                                  _specs_by_id(run), subsets, base_params,
                                  arms=arms, fitted=fitted)

@@ -1,10 +1,10 @@
 """Reward-based receding-horizon planner.
 
-Candidates come from a small enumerable library (accel levels x steer
-profiles, plus the all-zero maintain trajectory) so that offline scoring can
-re-evaluate every logged candidate exactly. Each candidate is scored by its
-expected reward under the predictor's ego-conditioned mode distribution and
-the argmax is executed.
+Candidates come from a small enumerable library (accel levels x the three
+steer profiles, plus the all-zero maintain trajectory) so that offline
+scoring can re-evaluate every logged candidate exactly. Each candidate is
+scored by its expected reward under the predictor's ego-conditioned mode
+distribution and the argmax is executed.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ STEER_PROFILES = ("straight", "lane_left", "lane_right")
 class PlannerHandle:
     weights: RewardWeights = field(default_factory=RewardWeights)
     accel_levels: tuple[float, ...] = (-3.0, -1.0, 0.0, 1.0)
-    steer_profiles: tuple[str, ...] = STEER_PROFILES
-    two_stage: bool = False
     horizon: int = 30
     dt: float = DT_DEFAULT
     accel_jitter: float = 0.05
@@ -88,14 +86,10 @@ class PlannerHandle:
             raise ValueError(f"accel_jitter must be non-negative, got {self.accel_jitter}")
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        for p in self.steer_profiles:
-            if p not in STEER_PROFILES:
-                raise ValueError(f"unknown steer profile {p!r}")
 
     @property
     def n_candidates(self) -> int:
-        n_acc = len(self.accel_levels) ** (2 if self.two_stage else 1)
-        return n_acc * len(self.steer_profiles) + 1
+        return len(STEER_PROFILES) * len(self.accel_levels) + 1
 
 
 def _steer_sequence(profile: str, T: int, turn: float) -> np.ndarray:
@@ -111,12 +105,12 @@ def _steer_sequence(profile: str, T: int, turn: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _steer_rows(profiles: tuple[str, ...], T: int, turn: float, n_levels: int) -> np.ndarray:
-    """Read-only (n_levels * len(profiles), T) turn rates of the library's
-    rows after the maintain one: the profiles in order, once per level,
-    clipped to TURN_LIMIT."""
-    rows = np.clip([_steer_sequence(p, T, turn) for p in profiles],
-                   -TURN_LIMIT, TURN_LIMIT).reshape(len(profiles), T)
+def _steer_rows(T: int, turn: float, n_levels: int) -> np.ndarray:
+    """Read-only (n_levels * 3, T) turn rates of the library's rows after
+    the maintain one: STEER_PROFILES in order, once per level, clipped to
+    TURN_LIMIT."""
+    rows = np.clip([_steer_sequence(p, T, turn) for p in STEER_PROFILES],
+                   -TURN_LIMIT, TURN_LIMIT)
     rows = np.tile(rows, (n_levels, 1))
     rows.setflags(write=False)
     return rows
@@ -171,30 +165,21 @@ def sample_candidates(handle: PlannerHandle, v0: float, rng: RngStream, start_t:
     In the library, index 0 is the maintain trajectory; every candidate's
     acceleration is clamped so speed stays at or below the handle's speed cap.
     The K - 1 jitters are one normal draw, which equals K - 1 scalar draws
-    bit for bit. Each candidate holds one or two constant acceleration
-    pieces (two_stage), each clipped once and speed-capped by _cap_piece.
+    bit for bit. Each candidate holds one constant acceleration, its level
+    plus its jitter, clipped once and speed-capped by _cap_piece.
     """
     T, dt, cap = handle.horizon, handle.dt, handle.speed_cap
-    half = T // 2
-    levels = [float(a) for a in handle.accel_levels]
-    # Each level row as its constant pieces: (acceleration level, steps).
-    rows = ([((a1, half), (a2, T - half)) for a1 in levels for a2 in levels]
-            if handle.two_stage else [((a, T),) for a in levels])
-    P = len(handle.steer_profiles)
-    K = 1 + len(rows) * P
+    K = handle.n_candidates
     jits = iter(rng.generator().normal(0.0, handle.accel_jitter, K - 1).tolist())
     accels: list[float] = []
     speeds: list[float] = []
     _cap_piece(0.0, T, v0, cap, dt, accels, speeds)
-    for pieces in rows:
-        for _ in range(P):
-            jit = next(jits)
-            v = v0
-            for a, n in pieces:
-                v = _cap_piece(a + jit, n, v, cap, dt, accels, speeds)
+    for a in handle.accel_levels:
+        for _ in STEER_PROFILES:
+            _cap_piece(float(a) + next(jits), T, v0, cap, dt, accels, speeds)
     acts = np.zeros((K, T, 2))
     acts[:, :, 0] = np.array(accels).reshape(K, T)
-    acts[1:, :, 1] = _steer_rows(handle.steer_profiles, T, handle.lane_change_turn, len(rows))
+    acts[1:, :, 1] = _steer_rows(T, handle.lane_change_turn, len(handle.accel_levels))
     acts.setflags(write=False)
     return (ActionTraj.block(acts.reshape(-1, 2), [start_t] * K, [T] * K), acts,
             np.array(speeds).reshape(K, T))

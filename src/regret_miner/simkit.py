@@ -1005,18 +1005,12 @@ def scenes_from_jsonl(path, ids=None) -> list[SceneRecord]:
     """The scenes of a JSONL file, one per non-blank line, in line order.
 
     Every line is JSON-parsed, so a line that is not JSON always fails. With
-    ids given, only the lines whose scenario id is in ids are decoded. ids
-    may also be a function that takes the scenario ids of all lines, in line
-    order, and returns that set; every line is then parsed before any is
-    decoded. A line with no string scenario id is always decoded. The
+    a set of ids given, only the lines whose scenario id is in it are
+    decoded; a line with no string scenario id is always decoded. The
     sidecar is read when the first line is decoded. A ValueError from a line
     gets a note naming the line (1-based) and the scenario id."""
-    lines = _jsonl_values(path)
-    if callable(ids):
-        lines = list(lines)
-        ids = ids([_line_scenario_id(d) for _, d in lines])
     out, sidecar = [], None
-    for n, d in lines:
+    for n, d in _jsonl_values(path):
         sid = _line_scenario_id(d)
         if ids is not None and isinstance(sid, str) and sid not in ids:
             continue

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -12,8 +13,9 @@ import pytest
 import regret_miner
 from regret_miner import cli, harness, regret, simkit
 from regret_miner.cli import _pick_arms, build_parser, main
+from regret_miner.core import RngStream
 from regret_miner.harness import ARMS, ExperimentConfig
-from regret_miner.predictor import TablePredictor, params_from_json
+from regret_miner.predictor import TablePredictor, params_from_json, params_to_json
 from redeploy_reference import hexed, reference_case
 from scene1_reference import scene1_dict
 
@@ -430,6 +432,21 @@ def test_simulate_refuses_a_yield_radius(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_simulate_refuses_a_family_named_twice(tmp_path, capsys):
+    # Two entries of one family would deploy each of its ids twice, so the
+    # config fails at load, before anything is simulated or written.
+    (tmp_path / "cfg.yaml").write_text(
+        "families:\n- [StrandedTruck, 2]\n- [StrandedTruck, 3]\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
+              "--out", str(tmp_path / "run")])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "ValueError",
+                   "message": "family 'StrandedTruck' is named twice in families"}
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("section, text, field", [
     ("planner", "lane_change_turn: .nan", "lane_change_turn"),
     ("planner", "accel_levels: [.nan]", "accel_levels"),
@@ -501,8 +518,14 @@ def test_redeploy_of_a_holdout_aborted_at_t0_names_the_scene(cli_and_full_runs, 
                                                             monkeypatch):
     # Every fine-tuned holdout aborts at t=0: redeploy still writes the case
     # study, and each fine-tuned cell names its holdouts under "skipped".
+    # The fitted tables get another cruise speed, so none predicts like
+    # Base's table and no deployed record is reused.
     cli_run, _ = cli_and_full_runs
     run = _copy_run(cli_run, tmp_path / "run")
+    for fp in (run / "predictors").glob("*-*.json"):
+        params = params_from_json(fp.read_text())
+        fp.write_text(params_to_json(dataclasses.replace(
+            params, cruise_speed=params.cruise_speed + 1.0)))
     holdout = {split: sorted(json.loads((run / "subsets.json").read_text())[f"holdout_{split}"])
                for split in ("high", "low")}
     monkeypatch.setattr(harness, "TablePredictor", _NoPrediction)
@@ -550,7 +573,6 @@ def test_redeploy_with_every_predictor_decodes_only_the_holdouts(
     cli_run, full_run = cli_and_full_runs
     run = _copy_run(cli_run, tmp_path / "run")
     (run / "case_study.json").unlink()
-    (run / "predictor_base.json").unlink()  # only a fit would read it
     decoded = _count_decodes(monkeypatch)
     fits = _count_fits(monkeypatch)
     assert main(["redeploy", "--in", str(run)]) == 0
@@ -558,6 +580,15 @@ def test_redeploy_with_every_predictor_decodes_only_the_holdouts(
     subsets = _subsets(run)
     assert sorted(decoded) == sorted(subsets["holdout_high"] + subsets["holdout_low"])
     assert (run / "case_study.json").read_bytes() == (full_run / "case_study.json").read_bytes()
+    # Base's closed loops are held under Base's table, so redeploy needs it.
+    (run / "predictor_base.json").unlink()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["redeploy", "--in", str(run)])
+    assert exc.value.code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "FileNotFoundError",
+                   "message": f"{run / 'predictor_base.json'} not found — run `simulate` first"}
     # The Base arm is read from the deployment, so redeploy needs the scenes.
     (run / "scenes.jsonl").unlink()
     capsys.readouterr()
@@ -905,6 +936,15 @@ def test_a_scene_aborted_at_t0_is_skipped_by_every_stage(tmp_path, capsys):
     mined_sets = json.loads((run / "comparison" / "mined_sets.json").read_text())
     assert all(sid not in m["scores"] for m in mined_sets["metrics"].values())
     assert sid not in (run / "subsets.json").read_text()
+    # finetune splits scores.json's ids, which are the scene lines' ids but
+    # the skipped one.
+    lines = [json.loads(line) for line in (run / "scenes.jsonl").read_text().splitlines()]
+    want = harness.build_subsets([d["scenario_id"] for d in lines if d["scenario_id"] != sid],
+                                 doc["scores"], config.p, config.holdout_frac,
+                                 RngStream(config.base_seed, harness._SUBSET_STREAM))
+    assert json.loads((run / "subsets.json").read_text()) == {
+        **want.to_dict(),
+        "scores_sha256": hashlib.sha256((run / "scores.json").read_bytes()).hexdigest()}
     assert (run / "case_study.json").is_file()
 
 
@@ -1125,6 +1165,36 @@ def test_finetune_and_redeploy_refuse_scores_of_other_scenes(cli_and_full_runs, 
     assert (run / "subsets.json").read_bytes() == subsets
     for argv in (["score", "--in", r], ["finetune", "--in", r, "--arms", "high"],
                  ["redeploy", "--in", r]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_finetune_and_redeploy_refuse_an_edited_base_table(cli_and_full_runs, tmp_path,
+                                                           capsys):
+    # manifest.json records the SHA-256 of predictor_base.json: with one
+    # count edited, the table is not the one the scenes were deployed with,
+    # so finetune and redeploy exit 1 naming `simulate` and write nothing.
+    # Restored, both pass again.
+    run = _copy_run(cli_and_full_runs[0], tmp_path / "run")
+    r, base = str(run), run / "predictor_base.json"
+    original = base.read_bytes()
+    doc = json.loads(original)
+    counts = np.array(doc["counts"])
+    counts.flat[0] += 1.0
+    base.write_text(json.dumps({**doc, "counts": counts.tolist()}))
+    written = {name: (run / name).read_bytes() for name in ("subsets.json", "case_study.json")}
+    for argv in (["finetune", "--in", r], ["redeploy", "--in", r]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "StaleRunError",
+                       "message": f"{base} is not the table this run was deployed with "
+                                  "— run `simulate` first"}
+    assert {name: (run / name).read_bytes() for name in written} == written
+    base.write_bytes(original)
+    for argv in (["finetune", "--in", r], ["redeploy", "--in", r]):
         assert main(argv) == 0, argv
     capsys.readouterr()
 

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -59,6 +61,16 @@ def test_config_validation():
         ExperimentConfig(replan_every=0)
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"familys": []})
+
+
+def test_config_refuses_a_family_named_twice():
+    # A family's scenes take the ids <family>-<base seed>-000, -001, ..., so
+    # a family named twice would deploy the same ids twice.
+    with pytest.raises(ValueError, match="^family 'StrandedTruck' is named twice in families$"):
+        ExperimentConfig(families=(("SparseCruise", 1), ("StrandedTruck", 2),
+                                   ("StrandedTruck", 3)))
+    # Pretraining scenes are fitted and never written, so their ids may repeat.
+    ExperimentConfig(pretrain_families=(("SparseCruise", 1), ("SparseCruise", 2)))
 
 
 @pytest.mark.parametrize("kw,message", [(dict(base_seed=-3), "base_seed must be >= 0, got -3"),
@@ -328,6 +340,36 @@ def test_deploy_artifacts(small_run):
     np.testing.assert_array_equal(params.counts, PredictorParams.fresh().counts)
 
 
+@pytest.mark.parametrize("change", ["edited", "unrecorded", "missing"])
+def test_base_table_is_bound_to_its_deployment(small_run, tmp_path, change):
+    # manifest.json records the SHA-256 of predictor_base.json's bytes: a
+    # table with one count edited, or a manifest without the digest, is not
+    # the table the scenes were deployed with, and a missing table cannot
+    # be read. Each names `simulate`.
+    _, _, paths, out = small_run
+    manifest = json.loads(paths["manifest"].read_text())
+    assert manifest["predictor_base_sha256"] == \
+        hashlib.sha256(paths["predictor_base"].read_bytes()).hexdigest()
+    run = shutil.copytree(out, tmp_path / "run")
+    base = run / "predictor_base.json"
+    if change == "edited":
+        doc = json.loads(base.read_text())
+        counts = np.array(doc["counts"])
+        counts.flat[0] += 1.0
+        base.write_text(json.dumps({**doc, "counts": counts.tolist()}))
+        error, message = harness.StaleRunError, "is not the table this run was deployed with"
+    elif change == "unrecorded":
+        del manifest["predictor_base_sha256"]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        error, message = harness.StaleRunError, "is not the table this run was deployed with"
+    else:
+        base.unlink()
+        error, message = FileNotFoundError, "not found"
+    with pytest.raises(error) as err:
+        load_deployment(run)
+    assert str(err.value) == f"{base} {message} — run `simulate` first"
+
+
 def test_score_deployment_keeps_scene_order(small_run):
     config, scenes, _, _ = small_run
     for order in (scenes, scenes[::-1]):
@@ -377,8 +419,9 @@ def test_finetune_and_redeploy_shape(small_run):
     fitted = {("HighRegretFT", config.seeds[0]): PredictorParams.fresh()}
     with pytest.raises(ValueError, match=f"no fitted predictor for arm 'HighRegretFT' "
                                          f"at seed {config.seeds[1]}"):
-        finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets, None,
-                              arms=("Base", "HighRegretFT"), fitted=fitted)
+        finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
+                              PredictorParams.fresh(), arms=("Base", "HighRegretFT"),
+                              fitted=fitted)
 
 
 @pytest.fixture(scope="module")
@@ -444,11 +487,16 @@ class _NoPrediction(TablePredictor):
 def test_redeploy_of_a_holdout_aborted_at_t0_names_the_scene(small_split, monkeypatch):
     # A holdout that aborts at t=0 keeps its collision cost but has no
     # replan to score: the cell leaves it out of mean_regret, ade and fde
-    # and names it under "skipped" with its abort reason.
+    # and names it under "skipped" with its abort reason. The fitted table's
+    # other cruise speed predicts unlike Base's, so no deployed record is
+    # reused and every fine-tuned loop runs under the failing predictor.
     config, scenes_by_id, specs_by_id, subsets = small_split
+    base = PredictorParams.fresh()
+    fitted = {("HighRegretFT", seed): dataclasses.replace(base, cruise_speed=9.0)
+              for seed in config.seeds}
     monkeypatch.setattr(harness, "TablePredictor", _NoPrediction)
-    case = finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets,
-                                 PredictorParams.fresh(), arms=("Base", "HighRegretFT"))
+    case = finetune_and_redeploy(config, scenes_by_id, specs_by_id, subsets, base,
+                                 arms=("Base", "HighRegretFT"), fitted=fitted)
     for split, ids in (("high", subsets.holdout_high), ("low", subsets.holdout_low)):
         assert all("skipped" not in cell for cell in case.values["Base"][split])
         for cell in case.values["HighRegretFT"][split]:

@@ -46,11 +46,11 @@ UNIFORM = TablePredictor(PredictorParams.fresh())
 
 def test_candidate_counts():
     assert PlannerHandle().n_candidates == 13
-    assert PlannerHandle(two_stage=True).n_candidates == 49
     assert PlannerHandle(accel_levels=()).n_candidates == 1
-    h = PlannerHandle(accel_levels=(-1.0, 1.0), steer_profiles=("straight",))
-    assert h.n_candidates == 3
-    assert len(sample_candidates(h, 5.0, RngStream(0), 0)[0]) == 3
+    assert len(sample_candidates(PlannerHandle(accel_levels=()), 5.0, RngStream(0), 0)[0]) == 1
+    h = PlannerHandle(accel_levels=(-1.0, 1.0))
+    assert h.n_candidates == 7
+    assert len(sample_candidates(h, 5.0, RngStream(0), 0)[0]) == 7
 
 
 def _reference_candidates(h, state, rng, start_t):
@@ -67,12 +67,9 @@ def _reference_candidates(h, state, rng, start_t):
     T, half = h.horizon, h.horizon // 2
     gen = rng.generator()
     cands = [ActionTraj(np.column_stack([cap(np.zeros(T)), np.zeros(T)]), start_t=start_t)]
-    levels = ([(a1, a2) for a1 in h.accel_levels for a2 in h.accel_levels] if h.two_stage
-              else [(a, a) for a in h.accel_levels])
-    for a1, a2 in levels:
-        for profile in h.steer_profiles:
-            accel = np.full(T, float(a2))
-            accel[:half] = a1
+    for level in h.accel_levels:
+        for profile in ("straight", "lane_left", "lane_right"):
+            accel = np.full(T, float(level))
             a = cap(np.clip(accel + gen.normal(0.0, h.accel_jitter), -ACCEL_LIMIT, ACCEL_LIMIT))
             w = np.zeros(T)
             sign = {"straight": 0.0, "lane_left": 1.0, "lane_right": -1.0}[profile]
@@ -82,11 +79,10 @@ def _reference_candidates(h, state, rng, start_t):
     return cands
 
 
-@pytest.mark.parametrize("handle", [PlannerHandle(), PlannerHandle(two_stage=True, horizon=17),
+@pytest.mark.parametrize("handle", [PlannerHandle(), PlannerHandle(horizon=17),
                                     PlannerHandle(speed_cap=6.0, lane_change_turn=1.5),
-                                    # an int second-stage level next to a float first one
-                                    PlannerHandle(two_stage=True, accel_levels=(-3, 1.5),
-                                                  horizon=9)])
+                                    # an int level next to a float one
+                                    PlannerHandle(accel_levels=(-3, 1.5), horizon=9)])
 @pytest.mark.parametrize("speed", [0.0, 0.1, 5.95, 9.99])
 def test_sample_candidates_equal_per_candidate_construction(handle, speed):
     state = AgentState(0.0, 1.0, 0.2, speed)
@@ -129,9 +125,9 @@ def _cap_speed_min_max(accel, v0, cap, dt):
 @example(pieces=[(-3.0, 40), (0.5, 10)], v0=2.0, cap=10.0, dt=0.1)
 @example(pieces=[(0.0, 20), (-0.0, 20)], v0=-0.0, cap=10.0, dt=0.1)
 def test_cap_speed_equals_min_max_formula(pieces, v0, cap, dt):
-    """_cap_piece chained over constant (acceleration, length) pieces, as
-    _candidate_block chains it, equals the step-by-step formula. Pieces of
-    length 1 make any acceleration sequence."""
+    """_cap_piece chained over constant (acceleration, length) pieces, each
+    from the speed the last one returned, equals the step-by-step formula.
+    Pieces of length 1 make any acceleration sequence."""
     accels, speeds, v = [], [], v0
     for a, n in pieces:
         v = _cap_piece(a, n, v, cap, dt, accels, speeds)
@@ -151,8 +147,9 @@ def test_weight_validation():
         RewardWeights(w_progress=0.0)
     with pytest.raises(ValueError):
         RewardWeights(w_lane=float("nan"))
-    with pytest.raises(ValueError):
-        PlannerHandle(steer_profiles=("sideways",))
+    # The library's steer profiles are fixed, so a handle takes none.
+    with pytest.raises(TypeError):
+        PlannerHandle(steer_profiles=("straight",))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -539,21 +536,17 @@ def _hexes(arr):
     frac=st.one_of(st.sampled_from([0.0, 1.0 - 1e-9, 1.0, 1.05, 1.6]), st.floats(0.0, 1.6)),
     cap=st.sampled_from([10.0, 6.0, 0.5]),
     heading=st.one_of(st.sampled_from([-np.pi, 3.14159, 0.0]), st.floats(-np.pi, np.pi)),
-    two_stage=st.booleans(),
     horizon=st.one_of(st.sampled_from([1, 2, 17, 30, 31]), st.integers(1, 40)),
     jitter=st.sampled_from([0.0, 0.05, 0.5]),
     dt=st.sampled_from([0.05, 0.1, 0.2]),
     seed=st.integers(0, 2 ** 32),
 )
-@example(frac=0.0, cap=10.0, heading=0.0, two_stage=True, horizon=31, jitter=0.05, dt=0.1, seed=1)
-@example(frac=1.0 - 1e-9, cap=10.0, heading=0.0, two_stage=False, horizon=17, jitter=0.05,
-         dt=0.1, seed=2)
-@example(frac=1.05, cap=10.0, heading=-np.pi, two_stage=True, horizon=31, jitter=0.5, dt=0.2,
-         seed=3)
+@example(frac=0.0, cap=10.0, heading=0.0, horizon=31, jitter=0.05, dt=0.1, seed=1)
+@example(frac=1.0 - 1e-9, cap=10.0, heading=0.0, horizon=17, jitter=0.05, dt=0.1, seed=2)
+@example(frac=1.05, cap=10.0, heading=-np.pi, horizon=31, jitter=0.5, dt=0.2, seed=3)
 def test_library_speeds_and_plan_rollouts_equal_rollout_positions_batch(
-        frac, cap, heading, two_stage, horizon, jitter, dt, seed):
-    handle = PlannerHandle(two_stage=two_stage, horizon=horizon, accel_jitter=jitter, dt=dt,
-                           speed_cap=cap)
+        frac, cap, heading, horizon, jitter, dt, seed):
+    handle = PlannerHandle(horizon=horizon, accel_jitter=jitter, dt=dt, speed_cap=cap)
     robot = AgentState(1.0, 0.5, heading, frac * cap)
     cands, acts, speeds = sample_candidates(handle, robot.speed, RngStream(seed), 3)
     assert np.array_equal(acts, np.stack([c.actions for c in cands]))
